@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint bench benchcheck batchbench planbench servebench tracebench ablation fuzz fuzzsmoke kernels experiments examples clean
+.PHONY: all build test race cover check lint bench benchcheck batchbench planbench servebench tracebench kwaybench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -110,13 +110,20 @@ servebench:
 tracebench:
 	$(GO) run ./cmd/fesiabench -tracejson
 
+# k-way arms (bitmap chain, probe chain, CountK's choice, and the probe-rule
+# sweep) on Fig. 10's equal-size groups, a skew sweep and Zipf search
+# queries: the source of EXPERIMENTS.md's k-way table (medians of 5).
+kwaybench:
+	$(GO) test -run '^$$' -bench BenchmarkKWayArms -benchtime 0.5s -count 5 ./internal/core | tee kwaybench.txt
+
 ablation:
 	$(GO) test -bench=Ablation -benchmem .
 
-# Short differential fuzzing session for the intersection strategies (both
-# segmented-only and the cross-representation dispatch matrix), the snapshot
-# deserializers, and the ISA-ladder parity targets (every tier vs pure Go,
-# including forced-AVX2 on AVX-512 hardware).
+# Differential fuzzing, 30s per target (the CI fuzz-smoke job runs this): the
+# intersection strategies (both segmented-only and the cross-representation
+# dispatch matrix, k-way arms included), the snapshot deserializers, and the
+# ISA-ladder parity targets (every tier vs pure Go, including forced-AVX2 on
+# AVX-512 hardware).
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzIntersect -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzHybridIntersect -fuzztime=30s
@@ -125,10 +132,6 @@ fuzz:
 	$(GO) test ./internal/kernels -fuzz=FuzzTableCount -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzIntersectSmallParity -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzProbeStageParity -fuzztime=30s
-
-# CI-sized fuzz smoke: every fuzz target for 30s each (same set as `fuzz`;
-# kept as a separate name so CI and local long runs can diverge later).
-fuzzsmoke: fuzz
 
 # Regenerate the specialized kernel library after editing internal/kernels/kernelgen.
 kernels:

@@ -260,10 +260,11 @@ func dumpKernelStats() {
 	}
 	snap := sink.Snapshot()
 	fmt.Printf("\n--- observability dump (-stats) ---\n")
-	fmt.Printf("queries: merge=%d hash=%d kway=%d batch=%d cross=%d cancelled=%d\n",
+	fmt.Printf("queries: merge=%d hash=%d kway=%d (probe chain %d) batch=%d cross=%d cancelled=%d\n",
 		snap.Counter(stats.CtrQueriesMerge), snap.Counter(stats.CtrQueriesHash),
-		snap.Counter(stats.CtrQueriesKWay), snap.Counter(stats.CtrQueriesBatch),
-		snap.Counter(stats.CtrQueriesCross), snap.Counter(stats.CtrCancellations))
+		snap.Counter(stats.CtrQueriesKWay), snap.Counter(stats.CtrQueriesKWayProbe),
+		snap.Counter(stats.CtrQueriesBatch), snap.Counter(stats.CtrQueriesCross),
+		snap.Counter(stats.CtrCancellations))
 	lats := []struct {
 		name string
 		h    stats.LatHist

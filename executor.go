@@ -92,8 +92,12 @@ func (e *Executor) Visit(a, b *Set, fn func(uint32)) {
 	e.inner.Visit(a.inner, b.inner, core.Visitor(fn))
 }
 
-// IntersectCountK returns |s1 ∩ ... ∩ sk| with the k-way algorithm of
-// Section VI, O(kn/√w + r). Zero heap allocations when warm.
+// IntersectCountK returns |s1 ∩ ... ∩ sk|. Two sets take the adaptive
+// pair path (IntersectCount); three or more of similar size run the k-way
+// bitmap chain of Section VI, O(kn/√w + r); three or more whose smallest ×
+// 4 < largest, or of mixed representations, run a probe chain, which
+// intersects the two smallest and filters the survivors through the rest
+// by membership probe. Zero heap allocations when warm.
 func (e *Executor) IntersectCountK(sets ...*Set) int {
 	return e.inner.CountK(e.unwrap(sets)...)
 }
@@ -114,14 +118,16 @@ func (e *Executor) IntersectK(sets ...*Set) []uint32 {
 }
 
 // IntersectKInto writes the k-way intersection into dst and returns the
-// count, in segment order of the largest-bitmap set. dst must have room for
-// the smallest set's length. Zero heap allocations when warm.
+// count: in segment order of the largest-bitmap set on the bitmap chain, in
+// the order IntersectInto writes for the two seed sets on the probe chain
+// and for two sets (see IntersectCountK). dst must have room for the
+// smallest set's length. Zero heap allocations when warm.
 func (e *Executor) IntersectKInto(dst []uint32, sets ...*Set) int {
 	return e.inner.IntersectK(dst, e.unwrap(sets)...)
 }
 
-// VisitK streams the k-way intersection through fn, in segment order of the
-// largest-bitmap set.
+// VisitK streams the k-way intersection through fn, in the order
+// IntersectKInto writes.
 func (e *Executor) VisitK(fn func(uint32), sets ...*Set) {
 	e.inner.VisitK(core.Visitor(fn), e.unwrap(sets)...)
 }

@@ -243,9 +243,9 @@ func MergeCount(a, b *Set) int { return core.CountMerge(a.inner, b.inner) }
 // HashCount forces the per-element FESIAhash strategy, O(min(n1, n2)).
 func HashCount(a, b *Set) int { return core.CountHash(a.inner, b.inner) }
 
-// IntersectCountK returns |s1 ∩ ... ∩ sk| with the k-way algorithm of
-// Section VI, O(kn/√w + r). Compatibility wrapper over a pooled default
-// Executor.
+// IntersectCountK returns |s1 ∩ ... ∩ sk|, choosing the strategy from the
+// set lengths (see Executor.IntersectCountK). Compatibility wrapper over a
+// pooled default Executor.
 func IntersectCountK(sets ...*Set) int {
 	e := getExecutor()
 	defer putExecutor(e)

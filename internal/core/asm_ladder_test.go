@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -40,7 +41,8 @@ func runTiers(t *testing.T, f func() any) (names []string, results []any) {
 
 // TestExecutorTierParity drives the executor's query shapes through every
 // tier of the ladder on the same inputs and requires identical results —
-// including the materializing paths (Intersect, IntersectManyInto, Visit)
+// including the materializing paths (Intersect, IntersectManyInto, Visit,
+// and IntersectK on both k-way arms)
 // that the AVX-512 rung now serves with compress-store kernels, and the
 // hash-probe paths served by the gathered stage. Scale 1 shrinks the bitmap
 // so segments grow into the 9..16 kernel range only the AVX-512 register
@@ -82,6 +84,7 @@ func TestExecutorTierParity(t *testing.T) {
 		{6000, 250},   // hash, skewed: the gathered probe path
 		{30000, 8000}, // bigger bitmaps
 	}
+	arms := map[bool]bool{} // k-way arms covered, keyed by kwayProbe
 	for _, cfg := range cfgs {
 		for _, sh := range shapes {
 			a := MustNewSet(randSet(rng, sh.na, 80000), cfg)
@@ -121,7 +124,31 @@ func TestExecutorTierParity(t *testing.T) {
 				return append([]uint32(nil), buf[:total]...)
 			})
 			check("IntersectManyInto", names, res)
+
+			// k-way: {2500, 2100, 1051} stays on the bitmap chain, the
+			// skewed shapes take the probe chain.
+			ks := []*Set{a, b, c}
+			arms[kwayProbe(ks)] = true
+			names, res = runTiers(t, func() any { return e.CountK(ks...) })
+			check("CountK", names, res)
+			names, res = runTiers(t, func() any {
+				buf := make([]uint32, c.Len())
+				n := e.IntersectK(buf, ks...)
+				return buf[:n]
+			})
+			check("IntersectK", names, res)
+			names, res = runTiers(t, func() any {
+				n, err := e.CountKCtx(context.Background(), ks...)
+				if err != nil {
+					t.Fatalf("CountKCtx: %v", err)
+				}
+				return n
+			})
+			check("CountKCtx", names, res)
 		}
+	}
+	if !arms[false] || !arms[true] {
+		t.Fatalf("k-way shapes cover one arm only: chain %v, probe %v", arms[false], arms[true])
 	}
 }
 

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
-
-	"fesia/internal/bitmap"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"fesia/internal/bitmap"
+	"fesia/internal/datasets"
 	"fesia/internal/simd"
+	"fesia/internal/stats"
 )
 
 // refIntersect is the scalar ground truth.
@@ -383,42 +387,100 @@ func TestCompatibilityPanics(t *testing.T) {
 	}
 }
 
+// TestKWay checks every k-way entry point against the sorted-slice oracle for
+// k = 2..5, with the first set shrunk by skew factors on both sides of
+// kwayProbeRatio, and asserts through the stats counters that both arms —
+// the Section VI bitmap chain and the probe chain — ran as the rule says.
+// Fig. 10's equal-size groups (datasets.GenGroup) must select the chain.
 func TestKWay(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, k := range []int{3, 4, 5} {
-		for trial := 0; trial < 5; trial++ {
-			universe := uint32(3000)
-			raw := make([][]uint32, k)
-			sets := make([]*Set, k)
-			// Different sizes force different bitmap sizes in the k-way AND.
-			for i := range raw {
-				raw[i] = randSet(rng, 400*(i+1), universe)
-			}
-			// Force some guaranteed common elements.
-			common := randSet(rng, 30, universe)
-			for i := range raw {
-				raw[i] = append(raw[i], common...)
-				sets[i] = MustNewSet(raw[i], DefaultConfig())
-			}
-			want := sortedCopy(raw[0])
-			for i := 1; i < k; i++ {
-				want = refIntersect(want, raw[i])
-			}
-			if got := CountK(sets...); got != len(want) {
-				t.Errorf("CountK(k=%d trial=%d) = %d, want %d", k, trial, got, len(want))
-			}
-			dst := make([]uint32, sets[0].Len())
-			n := IntersectK(dst, sets...)
-			got := sortedCopy(dst[:n])
-			if len(got) != len(want) {
-				t.Fatalf("IntersectK n = %d, want %d", n, len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("IntersectK values differ at %d: %d vs %d", i, got[i], want[i])
+	sink := stats.New()
+	e := NewExecutor()
+	e.EnableStats(sink)
+	var wantChain, wantProbe uint64
+	check := func(name string, sets []*Set, want []uint32) {
+		t.Helper()
+		if got := e.CountK(sets...); got != len(want) {
+			t.Errorf("%s: CountK = %d, want %d", name, got, len(want))
+		}
+		dst := make([]uint32, len(want)+8)
+		n := e.IntersectK(dst, sets...)
+		if !slices.Equal(sortedCopy(dst[:n]), want) {
+			t.Fatalf("%s: IntersectK wrote %d elements, want %d (or values differ)", name, n, len(want))
+		}
+		var visited []uint32
+		e.VisitK(func(v uint32) { visited = append(visited, v) }, sets...)
+		if !slices.Equal(visited, dst[:n]) {
+			t.Errorf("%s: VisitK order differs from IntersectK's", name)
+		}
+		if got, err := e.CountKCtx(context.Background(), sets...); err != nil || got != len(want) {
+			t.Errorf("%s: CountKCtx = %d, %v, want %d", name, got, err, len(want))
+		}
+		if got := e.CountKParallel(4, sets...); got != len(want) {
+			t.Errorf("%s: CountKParallel = %d, want %d", name, got, len(want))
+		}
+		if len(sets) < 3 {
+			return
+		}
+		if kwayProbe(sets) {
+			wantProbe += 5
+		} else {
+			wantChain += 5
+		}
+	}
+	for k := 2; k <= 5; k++ {
+		// Skews 1 and 2 keep the largest under kwayProbeRatio times the
+		// smallest; 8 and 32 put it over.
+		for _, skew := range []int{1, 2, 8, 32} {
+			for trial := 0; trial < 3; trial++ {
+				universe := uint32(6000)
+				raw := make([][]uint32, k)
+				sets := make([]*Set, k)
+				common := randSet(rng, 20, universe)
+				// Different sizes force different bitmap sizes in the
+				// bitmap chain's AND.
+				for i := range raw {
+					n := 1200 + 200*i
+					if i == 0 {
+						n /= skew
+					}
+					raw[i] = append(randSet(rng, n, universe), common...)
+					sets[i] = MustNewSet(raw[i], DefaultConfig())
 				}
+				if k >= 3 && kwayProbe(sets) != (skew >= 8) {
+					t.Fatalf("k=%d skew=%d: kwayProbe = %v", k, skew, kwayProbe(sets))
+				}
+				want := sets[0].Elements()
+				for i := 1; i < k; i++ {
+					want = refIntersect(want, raw[i])
+				}
+				check(fmt.Sprintf("k=%d skew=%d trial=%d", k, skew, trial), sets, want)
 			}
 		}
+	}
+	for _, d := range []float64{0.1, 0.5, 0.9} {
+		for k := 3; k <= 5; k++ {
+			lists := datasets.GenGroup(rng, k, 5000, d)
+			sets := make([]*Set, k)
+			want := lists[0]
+			for i, l := range lists {
+				sets[i] = MustNewSet(l, DefaultConfig())
+				want = refIntersect(want, l)
+			}
+			if kwayProbe(sets) {
+				t.Fatalf("GenGroup(k=%d, density=%.1f): equal-size sets select the probe chain", k, d)
+			}
+			check(fmt.Sprintf("GenGroup k=%d d=%.1f", k, d), sets, want)
+		}
+	}
+	snap := sink.Snapshot()
+	probe := snap.Counter(stats.CtrQueriesKWayProbe)
+	chain := snap.Counter(stats.CtrQueriesKWay) - probe
+	if probe != wantProbe || chain != wantChain {
+		t.Errorf("arms ran chain=%d probe=%d, want chain=%d probe=%d", chain, probe, wantChain, wantProbe)
+	}
+	if probe == 0 || chain == 0 {
+		t.Errorf("an arm never ran: chain=%d probe=%d", chain, probe)
 	}
 }
 

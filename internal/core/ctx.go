@@ -39,6 +39,12 @@ const (
 	ctxProbeBlock = 2048
 )
 
+// checkpoint is the cancellation test of the loops the ctx entry points
+// share with the plain ones: a context.Context satisfies it, and a nil
+// checkpoint marks an uncancellable call, which skips the tests and runs the
+// plain strategy forms.
+type checkpoint interface{ Err() error }
+
 // noteCancel records one cancelled query (when stats are enabled) and passes
 // the error through. Called once per top-level ctx method, so a cancelled
 // query counts once no matter how many checkpoints observed it.
@@ -214,7 +220,7 @@ func (e *Executor) IntersectIntoCtx(ctx context.Context, dst []uint32, a, b *Set
 	return n, nil
 }
 
-func (e *Executor) intersectHashCtx(ctx context.Context, dst []uint32, a, b *Set) (int, error) {
+func (e *Executor) intersectHashCtx(ctx checkpoint, dst []uint32, a, b *Set) (int, error) {
 	small, large := a, b
 	if small.n > large.n {
 		small, large = large, small
@@ -224,16 +230,12 @@ func (e *Executor) intersectHashCtx(ctx context.Context, dst []uint32, a, b *Set
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		hi := min(lo+ctxProbeBlock, small.n)
-		hashProbeRange(small, large, lo, hi, func(x uint32) {
-			dst[n] = x
-			n++
-		}, e.st)
+		n += hashProbeElems(small.reordered[lo:min(lo+ctxProbeBlock, small.n)], large, dst[n:], nil, e.st)
 	}
 	return n, nil
 }
 
-func (e *Executor) intersectMergeCtx(ctx context.Context, dst []uint32, a, b *Set) (int, error) {
+func (e *Executor) intersectMergeCtx(ctx checkpoint, dst []uint32, a, b *Set) (int, error) {
 	x, y := ordered(a, b)
 	words := len(x.bm.Words())
 	recs := e.staged[:0]
@@ -267,9 +269,10 @@ func (e *Executor) intersectMergeCtx(ctx context.Context, dst []uint32, a, b *Se
 	return n, nil
 }
 
-// CountKCtx is CountK with cooperative cancellation: the k-way bitmap AND and
-// its segment chains run one word block at a time, with a context check
-// between blocks.
+// CountKCtx is CountK with cooperative cancellation, on the arm CountK
+// picks: the bitmap chain checks the context between word blocks, the probe
+// chain inside its seed pair's strategy and every ctxProbeBlock elements of
+// each compaction pass.
 func (e *Executor) CountKCtx(ctx context.Context, sets ...*Set) (int, error) {
 	switch len(sets) {
 	case 0:
@@ -285,50 +288,11 @@ func (e *Executor) CountKCtx(ctx context.Context, sets ...*Set) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, e.noteCancel(err)
 	}
-	var start time.Time
-	if e.st != nil || e.tr != nil {
-		start = time.Now()
+	n, err := e.kway(ctx, sets, nil)
+	if err != nil {
+		return 0, e.noteCancel(err)
 	}
-	if anyCross(sets) {
-		// Mixed representations run the membership-compaction chain, with a
-		// context check between sets (each compaction pass is O(n_min)).
-		total := 0
-		cancelled := false
-		e.kwayAnyChainCtx(ctx, sets, func(cur []uint32) { total += len(cur) }, &cancelled)
-		if cancelled {
-			return 0, e.noteCancel(ctx.Err())
-		}
-		e.observeKWay(start, len(sets), total)
-		return total, nil
-	}
-	x, rest := e.kwayPrepare(sets)
-	words := len(x.bm.Words())
-	total := 0
-	for lo := 0; lo < words; lo += ctxWordBlock {
-		if err := ctx.Err(); err != nil {
-			return 0, e.noteCancel(err)
-		}
-		e.kwayChainRange(x, rest, lo, min(lo+ctxWordBlock, words),
-			func(cur []uint32) { total += len(cur) })
-	}
-	e.observeKWay(start, len(sets), total)
-	return total, nil
-}
-
-// observeKWay records one k-way pass into the stats sink and the trace cell
-// off a single shared clock read.
-func (e *Executor) observeKWay(start time.Time, nsets, total int) {
-	if e.st == nil && e.tr == nil {
-		return
-	}
-	el := time.Since(start)
-	if e.st != nil {
-		e.st.Inc(stats.CtrQueriesKWay)
-		e.st.Observe(stats.LatKWay, el)
-	}
-	if e.tr != nil {
-		e.tr.Span(trace.KindStrategy, trace.ArmKWay, 0, start, el, uint64(nsets), uint64(total))
-	}
+	return n, nil
 }
 
 // CountManyCtx is CountMany with cooperative cancellation, checked once per

@@ -307,45 +307,93 @@ func (e *Executor) VisitHash(a, b *Set, emit Visitor) {
 	observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
 }
 
-// VisitK streams the k-way intersection through emit, in the largest-bitmap
-// set's segment order (the order IntersectK writes).
-func (e *Executor) VisitK(emit Visitor, sets ...*Set) {
-	switch len(sets) {
-	case 0:
-		panic("core: intersection of zero sets")
-	case 1:
-		sets[0].visitAll(emit)
-		return
-	case 2:
-		e.VisitMerge(sets[0], sets[1], emit)
-		return
+// ---------------------------------------------------------------------------
+// k-way intersection (Section VI) on reusable chain buffers.
+//
+// Every k-way entry point makes one strategy choice from the sets' lengths:
+// two sets take the adaptive pair path (Count, Intersect, Visit and their
+// ctx and parallel forms); three or more segmented sets of similar size run
+// the Section VI bitmap chain; skewed or mixed-representation sets run the
+// probe chain (kwayProbe).
+// ---------------------------------------------------------------------------
+
+// kwayProbeRatio is the size skew at which a k-way query of three or more
+// sets leaves the Section VI bitmap chain for the probe chain: the probe
+// chain runs when the smallest set's length times kwayProbeRatio is below
+// the largest's. The chain ANDs every bitmap in lock step, so its cost
+// follows the largest set; the probe chain's follows the smallest. 4 is the
+// pair rule's 1/4 (SkewThreshold); the committed k-way sweep
+// (BenchmarkKWayArms, EXPERIMENTS.md) puts the skew crossover between 4 and
+// 6, and ratio 4 fastest of those swept on the Zipf search queries.
+const kwayProbeRatio = 4
+
+// kwayProbe reports whether a query of three or more sets runs the probe
+// chain: some set is not segmented (there is no shared bitmap to AND), or
+// the sizes are skewed past kwayProbeRatio.
+func kwayProbe(sets []*Set) bool {
+	lo, hi := sets[0].n, sets[0].n
+	for _, s := range sets {
+		if s.rep != RepSegmented {
+			return true
+		}
+		lo = min(lo, s.n)
+		hi = max(hi, s.n)
 	}
+	return lo*kwayProbeRatio < hi
+}
+
+// kway runs a query of three or more sets on the arm kwayProbe picks, hands
+// sink (when non-nil) the surviving elements, and records the query into
+// the stats shard and the trace cell. With ctx non-nil both arms stop at
+// their checkpoints once ctx is done; the error is then ctx.Err(), sink has
+// not seen a partial result of the probe chain, and nothing is recorded.
+func (e *Executor) kway(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
 	var start time.Time
-	if e.st != nil {
+	if e.st != nil || e.tr != nil {
 		start = time.Now()
 	}
-	sink := func(cur []uint32) {
-		for _, v := range cur {
-			emit(v)
-		}
-	}
-	if anyCross(sets) {
-		e.kwayAnyChain(sets, sink)
+	probe := kwayProbe(sets)
+	var total int
+	var err error
+	if probe {
+		total, err = e.kwayProbeChain(ctx, sets, sink)
 	} else {
-		e.kwayChain(sets, sink)
+		total, err = e.kwayChain(ctx, sets, sink)
+	}
+	if err != nil {
+		return 0, err
+	}
+	e.observeKWay(start, probe, len(sets), total)
+	return total, nil
+}
+
+// observeKWay records one k-way query into the stats sink and the trace
+// cell off a single shared clock read.
+func (e *Executor) observeKWay(start time.Time, probe bool, nsets, total int) {
+	if e.st == nil && e.tr == nil {
+		return
+	}
+	el := time.Since(start)
+	arm := uint8(trace.ArmKWay)
+	if probe {
+		arm = trace.ArmKWayProbe
 	}
 	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
+		e.st.Inc(stats.CtrQueriesKWay)
+		if probe {
+			e.st.Inc(stats.CtrQueriesKWayProbe)
+		}
+		e.st.Observe(stats.LatKWay, el)
+	}
+	if e.tr != nil {
+		e.tr.Span(trace.KindStrategy, arm, 0, start, el, uint64(nsets), uint64(total))
 	}
 }
 
-// ---------------------------------------------------------------------------
-// k-way intersection (Section VI) on reusable chain buffers.
-// ---------------------------------------------------------------------------
-
-// CountK returns |s1 ∩ s2 ∩ ... ∩ sk| (Proposition 2: O(kn/√w + r)). Zero
-// heap allocations once the chain buffers have grown to the workload's
-// largest segment.
+// CountK returns |s1 ∩ s2 ∩ ... ∩ sk|: O(kn/√w + r) on the bitmap chain
+// (Proposition 2); on the probe chain, the seed pair's cost plus one probe
+// per survivor per remaining set. Zero heap allocations once the chain
+// buffers have grown to the workload's largest segment and seed pair.
 func (e *Executor) CountK(sets ...*Set) int {
 	switch len(sets) {
 	case 0:
@@ -353,28 +401,17 @@ func (e *Executor) CountK(sets ...*Set) int {
 	case 1:
 		return sets[0].n
 	case 2:
-		return e.CountMerge(sets[0], sets[1])
+		return e.Count(sets[0], sets[1])
 	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	total := 0
-	sink := func(cur []uint32) { total += len(cur) }
-	if anyCross(sets) {
-		e.kwayAnyChain(sets, sink)
-	} else {
-		e.kwayChain(sets, sink)
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
-	}
-	return total
+	n, _ := e.kway(nil, sets, nil)
+	return n
 }
 
 // IntersectK writes the k-way intersection into dst and returns the count.
-// dst must be non-nil with room for the smallest set's length. Results are in
-// segment order of the largest-bitmap set. Zero heap allocations once warm.
+// dst must be non-nil with room for the smallest set's length. Results are
+// in segment order of the largest-bitmap set on the bitmap chain, and in the
+// seed pair's order (what Intersect writes for it) on the probe chain and
+// for two sets. Zero heap allocations once warm.
 func (e *Executor) IntersectK(dst []uint32, sets ...*Set) int {
 	if dst == nil {
 		panic("core: IntersectK requires a destination buffer")
@@ -385,26 +422,34 @@ func (e *Executor) IntersectK(dst []uint32, sets ...*Set) int {
 	case 1:
 		return sets[0].materialize(dst)
 	case 2:
-		return IntersectMerge(dst, sets[0], sets[1])
-	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
+		return e.Intersect(dst, sets[0], sets[1])
 	}
 	total := 0
-	sink := func(cur []uint32) {
+	e.kway(nil, sets, func(cur []uint32) {
 		copy(dst[total:], cur)
 		total += len(cur)
-	}
-	if anyCross(sets) {
-		e.kwayAnyChain(sets, sink)
-	} else {
-		e.kwayChain(sets, sink)
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
-	}
+	})
 	return total
+}
+
+// VisitK streams the k-way intersection through emit, in the order
+// IntersectK writes.
+func (e *Executor) VisitK(emit Visitor, sets ...*Set) {
+	switch len(sets) {
+	case 0:
+		panic("core: intersection of zero sets")
+	case 1:
+		sets[0].visitAll(emit)
+		return
+	case 2:
+		e.Visit(sets[0], sets[1], emit)
+		return
+	}
+	e.kway(nil, sets, func(cur []uint32) {
+		for _, v := range cur {
+			emit(v)
+		}
+	})
 }
 
 // orderByBitmap fills e.ord with sets sorted by bitmap size descending — the
@@ -427,34 +472,58 @@ func (e *Executor) orderByBitmap(sets []*Set) {
 	}
 }
 
-// kwayChain runs the k-way bitmap AND and, for every surviving segment whose
-// pairwise kernel chain stays non-empty, hands the final chained list to
-// sink. It is the shared core of CountK, IntersectK and VisitK (k >= 3).
-func (e *Executor) kwayChain(sets []*Set, sink func(cur []uint32)) {
+// kwayChain is the Section VI bitmap chain: the k bitmaps are ANDed word by
+// word and, for every surviving segment whose pairwise kernel chain stays
+// non-empty, the final chained list goes to sink (when non-nil). It returns
+// the survivor count. With ctx non-nil the word loop runs in ctxWordBlock
+// blocks with a context check before each.
+func (e *Executor) kwayChain(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
 	x, rest := e.kwayPrepare(sets)
-	e.kwayChainRange(x, rest, 0, len(x.bm.Words()), sink)
+	words := len(x.bm.Words())
+	step := words
+	if ctx != nil {
+		step = ctxWordBlock
+	}
+	total := 0
+	for lo := 0; lo < words; lo += step {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		total += e.kwayChainRange(x, rest, lo, min(lo+step, words), e.chain1, e.chain2, sink)
+	}
+	return total, nil
 }
 
 // kwayPrepare orders the sets, fills e.maps, and sizes the chain buffers —
-// the shared setup of kwayChain and the context-aware CountKCtx.
+// the shared setup of the serial and parallel bitmap chains.
 func (e *Executor) kwayPrepare(sets []*Set) (x *Set, rest []*Set) {
 	e.orderByBitmap(sets)
 	x = e.ord[0]
 	rest = e.ord[1:]
-	maxSeg := x.maxSeg
-	for _, s := range rest {
-		maxSeg = max(maxSeg, s.maxSeg)
-	}
-	e.chain1 = growU32(e.chain1, max(maxSeg, 1))
-	e.chain2 = growU32(e.chain2, max(maxSeg, 1))
+	e.chain1 = growU32(e.chain1, kwayMaxSeg(e.ord))
+	e.chain2 = growU32(e.chain2, kwayMaxSeg(e.ord))
 	return x, rest
 }
 
-// kwayChainRange runs the k-way chain over words [wordLo, wordHi) of the
-// largest bitmap, on buffers sized by kwayPrepare.
-func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, sink func(cur []uint32)) {
-	buf1, buf2 := e.chain1, e.chain2
+// kwayMaxSeg is the chain-buffer length a bitmap chain over sets needs.
+func kwayMaxSeg(sets []*Set) int {
+	m := 1
+	for _, s := range sets {
+		m = max(m, s.maxSeg)
+	}
+	return m
+}
+
+// kwayChainRange runs the bitmap chain over words [wordLo, wordHi) of the
+// largest bitmap on the chain buffers buf1 and buf2 (each kwayMaxSeg long),
+// handing each surviving list to sink when non-nil, and returns the
+// survivor count. It reads e.maps but writes no executor state, so the
+// parallel chain's workers share it.
+func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, buf1, buf2 []uint32, sink func(cur []uint32)) int {
 	t := x.table
+	total := 0
 	bitmap.ForEachIntersectingSegmentKRange(e.maps, wordLo, wordHi, func(seg int) {
 		cur := x.segment(seg)
 		n := len(cur)
@@ -463,7 +532,7 @@ func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, sink 
 			sseg := s.segment(seg & (s.bm.NumSegments() - 1))
 			n = t.Intersect(out, cur, sseg)
 			if n == 0 {
-				break
+				return
 			}
 			cur = out[:n]
 			if &out[0] == &buf1[0] {
@@ -472,11 +541,110 @@ func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, sink 
 				out = buf1
 			}
 		}
-		if n == 0 {
-			return
+		total += n
+		if sink != nil {
+			sink(cur)
 		}
-		sink(cur[:n])
 	})
+	return total
+}
+
+// kwayProbeChain is the k-way arm for skewed or mixed-representation inputs
+// (kwayProbe), the small-versus-small order of Lemire et al.: the seed pair
+// — kwaySeed's pick (the smallest set by default) and the smallest of the
+// rest — is intersected into the executor's chain buffer by the adaptive
+// pair strategy, and the survivors are then compacted in place through the
+// remaining sets in ascending size with each set's membership probe,
+// stopping at the first empty list. sink (when non-nil) receives the final
+// list once, in the seed pair's order; the survivor count is returned.
+//
+// With ctx non-nil, the seed pair runs on the pair strategies' ctx
+// checkpoints and each compaction pass checks ctx every ctxProbeBlock
+// elements; on cancellation it returns ctx.Err() and feeds the planner
+// nothing. With a learned planner attached, sampled queries without a ctx
+// time each compaction pass to keep the per-representation probe costs
+// fresh.
+func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
+	for _, s := range sets[1:] {
+		compatible(sets[0], s)
+	}
+	sm := e.kwaySeed(sets)
+	e.ord = append(e.ord[:0], sets...)
+	e.ord[0], e.ord[sm] = e.ord[sm], e.ord[0]
+	rest := e.ord[1:]
+	for i := 1; i < len(rest); i++ {
+		for j := i; j > 0 && rest[j].n < rest[j-1].n; j-- {
+			rest[j], rest[j-1] = rest[j-1], rest[j]
+		}
+	}
+	cur, fb, err := e.seedPair(ctx, e.ord[0], rest[0])
+	if err != nil {
+		return 0, err
+	}
+	ksample := ctx == nil && e.plan != nil && e.plan.SampleKWay()
+	for _, s := range rest[1:] {
+		if len(cur) == 0 {
+			break
+		}
+		var t0 time.Time
+		if ksample {
+			t0 = time.Now()
+		}
+		probes, k := len(cur), 0
+		for lo := 0; lo < len(cur); lo += ctxProbeBlock {
+			if ctx != nil {
+				if err := ctx.Err(); err != nil {
+					return 0, err
+				}
+			}
+			k += s.keepMembers(cur[k:], cur[lo:min(lo+ctxProbeBlock, len(cur))])
+		}
+		cur = cur[:k]
+		if ksample {
+			e.plan.RecordProbe(int(s.rep), time.Since(t0), probes)
+		}
+	}
+	fb.record(e.plan)
+	if len(cur) > 0 && sink != nil {
+		sink(cur)
+	}
+	return len(cur), nil
+}
+
+// seedPair intersects the probe chain's seed pair into the executor's chain
+// buffer with the strategy Intersect would pick, without recording a pair
+// query into the stats. With ctx non-nil it runs on the ctx forms'
+// checkpoints. The planner feedback is returned for the caller to record
+// once the whole query has finished.
+func (e *Executor) seedPair(ctx checkpoint, a, b *Set) ([]uint32, planFeedback, error) {
+	e.chain1 = growU32(e.chain1, max(min(a.n, b.n), 1))
+	dst := e.chain1
+	if crossPair(a, b) {
+		if ctx == nil {
+			return dst[:crossRun(e.plan, &e.denseAnd, a, b, dst, nil, nil)], planFeedback{}, nil
+		}
+		n, fb, err := e.crossPairCtx(ctx, a, b, dst)
+		return dst[:n], fb, err
+	}
+	ch, hash := planSegSeg(e.plan, e.st, a, b)
+	tracePlanSegSeg(e.tr, e.plan, ch, a, b)
+	start := planStart(ch)
+	var n int
+	var err error
+	switch {
+	case ctx != nil && hash:
+		n, err = e.intersectHashCtx(ctx, dst, a, b)
+	case ctx != nil:
+		n, err = e.intersectMergeCtx(ctx, dst, a, b)
+	case hash:
+		n = IntersectHash(dst, a, b)
+	default:
+		n = IntersectMerge(dst, a, b)
+	}
+	if err != nil {
+		return nil, planFeedback{}, err
+	}
+	return dst[:n], measured(ch, start), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -637,9 +805,12 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 	return total
 }
 
-// CountKParallel is CountK with the largest bitmap's words partitioned across
+// CountKParallel is CountK with the bitmap chain's words partitioned across
 // `workers` pool parts, each chaining the pairwise segment intersections in
-// its persistent private buffers.
+// its persistent private buffers. Two sets take the parallel form of the
+// adaptive pair strategy. The probe chain (skewed or mixed-representation
+// sets) runs serially: each compaction pass needs the previous one's
+// survivors, and its seed pair is the query's smallest work.
 func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	switch len(sets) {
 	case 0:
@@ -647,74 +818,45 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	case 1:
 		return sets[0].n
 	case 2:
-		return e.CountMergeParallel(sets[0], sets[1], workers)
+		// The planner decides but is not fed: a parallel wall time does not
+		// price the serial arms its model fits.
+		a, b := sets[0], sets[1]
+		if !crossPair(a, b) {
+			if _, hash := planSegSeg(e.plan, e.st, a, b); hash {
+				return e.CountHashParallel(a, b, workers)
+			}
+		}
+		return e.CountMergeParallel(a, b, workers)
 	}
-	if anyCross(sets) {
-		// Mixed representations have no shared bitmap to partition; the
-		// serial membership-compaction chain handles them.
+	if kwayProbe(sets) {
 		return e.CountK(sets...)
 	}
-	e.orderByBitmap(sets)
-	x := e.ord[0]
-	rest := e.ord[1:]
+	x, rest := e.kwayPrepare(sets)
 	words := len(x.bm.Words())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > words {
-		workers = words
-	}
-	if workers == 1 {
+	workers = min(workers, words)
+	if workers <= 1 {
 		return e.CountK(sets...)
 	}
 	var start time.Time
-	if e.st != nil {
+	if e.st != nil || e.tr != nil {
 		start = time.Now()
 	}
-	maxSeg := x.maxSeg
-	for _, s := range rest {
-		maxSeg = max(maxSeg, s.maxSeg)
-	}
+	maxSeg := kwayMaxSeg(e.ord)
 	e.ensureWorkers(workers)
-	maps := e.maps
-	t := x.table
 	chunk := (words + workers - 1) / workers
 	e.getPool().Do(workers, func(w int) {
 		ws := &e.workers[w]
 		lo := w * chunk
 		hi := min(lo+chunk, words)
-		ws.chain1 = growU32(ws.chain1, max(maxSeg, 1))
-		ws.chain2 = growU32(ws.chain2, max(maxSeg, 1))
-		buf1, buf2 := ws.chain1, ws.chain2
-		total := 0
-		bitmap.ForEachIntersectingSegmentKRange(maps, lo, hi, func(seg int) {
-			cur := x.segment(seg)
-			n := len(cur)
-			out := buf1
-			for _, s := range rest {
-				sseg := s.segment(seg & (s.bm.NumSegments() - 1))
-				n = t.Intersect(out, cur, sseg)
-				if n == 0 {
-					break
-				}
-				cur = out[:n]
-				if &out[0] == &buf1[0] {
-					out = buf2
-				} else {
-					out = buf1
-				}
-			}
-			total += n
-		})
-		ws.count = total
+		ws.chain1 = growU32(ws.chain1, maxSeg)
+		ws.chain2 = growU32(ws.chain2, maxSeg)
+		ws.count = e.kwayChainRange(x, rest, lo, hi, ws.chain1, ws.chain2, nil)
 	})
 	total := 0
 	for w := 0; w < workers; w++ {
 		total += e.workers[w].count
 	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesKWay, stats.LatKWay, start)
-	}
+	e.observeKWay(start, false, len(sets), total)
 	return total
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -27,16 +28,25 @@ func TestExecutorAllocs(t *testing.T) {
 	sa, sb, sc := execTestSets(t, simd.WidthAVX)
 	e := NewExecutor()
 	dst := make([]uint32, 4000)
-	ks := []*Set{sa, sb, sc}
+	ks := []*Set{sa, sb, sc} // skewed: the probe chain
+	sd := MustNewSet(randSet(rand.New(rand.NewSource(8)), 3500, 1<<16), Config{Width: simd.WidthAVX})
+	kc := []*Set{sa, sb, sd} // similar sizes: the bitmap chain
+	if !kwayProbe(ks) || kwayProbe(kc) {
+		t.Fatal("k-way inputs do not cover both arms")
+	}
+	ctx := context.Background()
 
 	// Warm up every path so buffers reach their steady-state sizes.
 	e.Count(sa, sb)
 	e.CountHash(sc, sa)
 	e.Intersect(dst, sa, sb)
-	e.CountK(ks...)
-	e.IntersectK(dst, ks...)
+	for _, q := range [][]*Set{ks, kc} {
+		e.CountK(q...)
+		e.IntersectK(dst, q...)
+		e.VisitK(func(uint32) {}, q...)
+		e.CountKCtx(ctx, q...)
+	}
 	e.Visit(sa, sb, func(uint32) {})
-	e.VisitK(func(uint32) {}, ks...)
 
 	cases := []struct {
 		name string
@@ -46,11 +56,16 @@ func TestExecutorAllocs(t *testing.T) {
 		{"CountMerge", func() { e.CountMerge(sa, sb) }},
 		{"CountHash", func() { e.CountHash(sc, sa) }},
 		{"Intersect", func() { e.Intersect(dst, sa, sb) }},
-		{"CountK", func() { e.CountK(ks...) }},
-		{"IntersectK", func() { e.IntersectK(dst, ks...) }},
+		{"CountK/probe", func() { e.CountK(ks...) }},
+		{"CountK/chain", func() { e.CountK(kc...) }},
+		{"IntersectK/probe", func() { e.IntersectK(dst, ks...) }},
+		{"IntersectK/chain", func() { e.IntersectK(dst, kc...) }},
+		{"CountKCtx/probe", func() { e.CountKCtx(ctx, ks...) }},
+		{"CountKCtx/chain", func() { e.CountKCtx(ctx, kc...) }},
 		{"VisitMerge", func() { e.VisitMerge(sa, sb, func(uint32) {}) }},
 		{"VisitHash", func() { e.VisitHash(sc, sa, func(uint32) {}) }},
-		{"VisitK", func() { e.VisitK(func(uint32) {}, ks...) }},
+		{"VisitK/probe", func() { e.VisitK(func(uint32) {}, ks...) }},
+		{"VisitK/chain", func() { e.VisitK(func(uint32) {}, kc...) }},
 	}
 	for _, c := range cases {
 		if avg := testing.AllocsPerRun(20, c.fn); avg != 0 {

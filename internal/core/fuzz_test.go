@@ -150,8 +150,15 @@ func FuzzHybridIntersect(f *testing.F) {
 				t.Fatalf("IntersectMerge(%v×%v) emitted non-member %d", sa.Rep(), sb.Rep(), v)
 			}
 		}
-		if got := CountK(sa, sb, sa); got != want {
-			t.Fatalf("CountK(%v×%v) = %d, want %d", sa.Rep(), sb.Rep(), got, want)
+		// A third set an eighth of a's size skews the query past
+		// kwayProbeRatio, so the fuzzer reaches the probe chain.
+		ec := ea[:len(ea)/8]
+		sc, err := NewSet(ec, cfgA)
+		if err != nil {
+			t.Fatalf("NewSet: %v", err)
+		}
+		if got, want3 := CountK(sa, sb, sc), refCountMap(ec, eb); got != want3 {
+			t.Fatalf("CountK(%v×%v×%v) = %d, want %d", sa.Rep(), sb.Rep(), sc.Rep(), got, want3)
 		}
 		// Round-trip both sets through the v3 codec and recheck: the
 		// deserialized pair must intersect identically.

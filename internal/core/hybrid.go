@@ -41,16 +41,6 @@ func crossPair(a, b *Set) bool {
 	return a.rep != RepSegmented || b.rep != RepSegmented
 }
 
-// anyCross reports whether any set of a k-way query is non-segmented.
-func anyCross(sets []*Set) bool {
-	for _, s := range sets {
-		if s.rep != RepSegmented {
-			return true
-		}
-	}
-	return false
-}
-
 // repPairCounter maps an unordered representation pair to its dispatch
 // counter.
 func repPairCounter(a, b Rep) stats.Counter {
@@ -448,80 +438,23 @@ func (e *Executor) kwaySeed(sets []*Set) int {
 	return sm
 }
 
-// kwayAnyChain is the k-way core for mixed-representation inputs: the seed
-// set (kwaySeed; smallest by default) is materialized into the executor's
-// chain buffer and then compacted in place against every other set's
-// membership test. O(n_seed · k) with O(1) or O(log n) probes — the k-way
-// counterpart of the pair matrix's probe-smaller-side rule. sink receives
-// the final chained list once. With a learned planner attached, sampled
-// queries time each compaction pass to keep the per-representation probe
-// costs fresh.
-func (e *Executor) kwayAnyChain(sets []*Set, sink func(cur []uint32)) {
-	for _, s := range sets[1:] {
-		compatible(sets[0], s)
+// keepMembers writes the elements of src that are members of s to dst and
+// returns their count, keeping src's order: the segmented hash probe
+// (hashProbeElems) for segmented sets, Contains otherwise. dst may alias
+// src's prefix — each write lands at or before the element just read — so
+// the probe chain compacts its list in place.
+func (s *Set) keepMembers(dst, src []uint32) int {
+	if s.rep == RepSegmented {
+		return hashProbeElems(src, s, dst, nil, nil)
 	}
-	sm := e.kwaySeed(sets)
-	e.chain1 = growU32(e.chain1, max(sets[sm].n, 1))
-	cur := e.chain1[:sets[sm].n]
-	cur = cur[:sets[sm].materialize(cur)]
-	ksample := e.plan != nil && e.plan.SampleKWay()
-	for i, s := range sets {
-		if i == sm || len(cur) == 0 {
-			continue
-		}
-		probes := len(cur)
-		var t0 time.Time
-		if ksample {
-			t0 = time.Now()
-		}
-		k := 0
-		for _, v := range cur {
-			if s.Contains(v) {
-				cur[k] = v
-				k++
-			}
-		}
-		cur = cur[:k]
-		if ksample {
-			e.plan.RecordProbe(int(s.rep), time.Since(t0), probes)
+	k := 0
+	for _, v := range src {
+		if s.Contains(v) {
+			dst[k] = v
+			k++
 		}
 	}
-	if len(cur) > 0 {
-		sink(cur)
-	}
-}
-
-// kwayAnyChainCtx is kwayAnyChain with a context check before each set's
-// compaction pass. On cancellation *cancelled is set and sink is never
-// called.
-func (e *Executor) kwayAnyChainCtx(ctx context.Context, sets []*Set, sink func(cur []uint32), cancelled *bool) {
-	for _, s := range sets[1:] {
-		compatible(sets[0], s)
-	}
-	sm := e.kwaySeed(sets)
-	e.chain1 = growU32(e.chain1, max(sets[sm].n, 1))
-	cur := e.chain1[:sets[sm].n]
-	cur = cur[:sets[sm].materialize(cur)]
-	for i, s := range sets {
-		if i == sm || len(cur) == 0 {
-			continue
-		}
-		if ctx.Err() != nil {
-			*cancelled = true
-			return
-		}
-		k := 0
-		for _, v := range cur {
-			if s.Contains(v) {
-				cur[k] = v
-				k++
-			}
-		}
-		cur = cur[:k]
-	}
-	if len(cur) > 0 {
-		sink(cur)
-	}
+	return k
 }
 
 // ---------------------------------------------------------------------------
@@ -541,10 +474,9 @@ func (e *Executor) crossIntersectCtx(ctx context.Context, dst []uint32, a, b *Se
 }
 
 // crossRunCtx runs one cross-representation pair with a context check per
-// work block. The element-probing pairs chunk the probing side by
-// ctxProbeBlock; dense×dense chunks the word AND by ctxWordBlock. On
+// work block (crossPairCtx), recording the pair query into the stats. On
 // cancellation it returns (0, ctx.Err()).
-func (e *Executor) crossRunCtx(ctx context.Context, a, b *Set, dst []uint32) (n int, err error) {
+func (e *Executor) crossRunCtx(ctx context.Context, a, b *Set, dst []uint32) (int, error) {
 	compatible(a, b)
 	if err := ctx.Err(); err != nil {
 		return 0, e.noteCancel(err)
@@ -555,43 +487,35 @@ func (e *Executor) crossRunCtx(ctx context.Context, a, b *Set, dst []uint32) (n 
 		start = time.Now()
 		st.Inc(repPairCounter(a.rep, b.rep))
 	}
+	n, fb, err := e.crossPairCtx(ctx, a, b, dst)
+	if err != nil {
+		return 0, e.noteCancel(err)
+	}
+	fb.record(e.plan)
+	if st != nil {
+		observeSince(st, stats.CtrQueriesCross, stats.LatCross, start)
+	}
+	return n, nil
+}
+
+// crossPairCtx is the cancellable body of crossRunCtx, shared with the
+// probe chain's seed pair. The element-probing pairs chunk the probing side
+// by ctxProbeBlock; dense×dense chunks the word AND by ctxWordBlock. The
+// planner feedback of a measured probe-side decision is returned, not
+// recorded, so that the caller feeds it only once its whole query finishes.
+func (e *Executor) crossPairCtx(ctx checkpoint, a, b *Set, dst []uint32) (int, planFeedback, error) {
 	if a.rep > b.rep {
 		a, b = b, a
 	}
-	if a.n == 0 || b.n == 0 {
-		n, err = 0, nil
-	} else if a.rep == RepDense { // dense×dense
+	var n int
+	var err error
+	switch {
+	case a.n == 0 || b.n == 0:
+		return 0, planFeedback{}, nil
+	case a.rep == RepDense: // dense×dense
 		n, err = e.denseDenseCtx(ctx, a, b, dst)
-	} else if b.rep == RepDense {
-		// seg×dense / array×dense: pick the probing side — walk the dense
-		// words probing a, or probe a's sorted elements against the dense
-		// span. Planner decision when a handle is attached, the smaller-side
-		// rule otherwise.
-		fromDense := b.n < a.n
-		var ch planner.Choice
-		if h := e.plan; h != nil {
-			if a.rep == RepSegmented {
-				ch = h.Decide(planner.DecSegDense, b.n, a.n)
-				notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
-				fromDense = ch.Arm == 0
-			} else {
-				ch = h.Decide(planner.DecArrayDense, a.n, b.n)
-				notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
-				fromDense = ch.Arm == 1
-			}
-		}
-		pstart := planStart(ch)
-		if fromDense {
-			n, err = e.denseProbeCtx(ctx, b, a, dst)
-		} else {
-			n, err = e.elemsProbeCtx(ctx, a.reordered, b, dst)
-		}
-		if err == nil {
-			// Cancelled passes are partial work; only completed ones feed
-			// the cost model.
-			planRecord(e.plan, ch, pstart)
-		}
-	} else {
+		return n, planFeedback{}, err
+	case b.rep != RepDense:
 		// seg×array probes one side's sorted element slice against the
 		// other's membership test (hash probe into segmented, binary search
 		// into arrays), from the smaller side.
@@ -600,19 +524,42 @@ func (e *Executor) crossRunCtx(ctx context.Context, a, b *Set, dst []uint32) (n 
 			probe, other = b, a
 		}
 		n, err = e.elemsProbeCtx(ctx, probe.reordered, other, dst)
+		return n, planFeedback{}, err
+	}
+	// seg×dense / array×dense: pick the probing side — walk the dense words
+	// probing a, or probe a's sorted elements against the dense span.
+	// Planner decision when a handle is attached, the smaller-side rule
+	// otherwise.
+	fromDense := b.n < a.n
+	var ch planner.Choice
+	if h := e.plan; h != nil {
+		if a.rep == RepSegmented {
+			ch = h.Decide(planner.DecSegDense, b.n, a.n)
+			notePlanDecision(e.st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
+			fromDense = ch.Arm == 0
+		} else {
+			ch = h.Decide(planner.DecArrayDense, a.n, b.n)
+			notePlanDecision(e.st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
+			fromDense = ch.Arm == 1
+		}
+	}
+	pstart := planStart(ch)
+	if fromDense {
+		n, err = e.denseProbeCtx(ctx, b, a, dst)
+	} else {
+		n, err = e.elemsProbeCtx(ctx, a.reordered, b, dst)
 	}
 	if err != nil {
-		return 0, e.noteCancel(err)
+		// Cancelled passes are partial work; only completed ones feed the
+		// cost model.
+		return 0, planFeedback{}, err
 	}
-	if st != nil {
-		observeSince(st, stats.CtrQueriesCross, stats.LatCross, start)
-	}
-	return n, nil
+	return n, measured(ch, pstart), nil
 }
 
 // elemsProbeCtx probes a sorted element slice against any set in
 // ctxProbeBlock chunks, checking the context between chunks.
-func (e *Executor) elemsProbeCtx(ctx context.Context, elems []uint32, other *Set, dst []uint32) (int, error) {
+func (e *Executor) elemsProbeCtx(ctx checkpoint, elems []uint32, other *Set, dst []uint32) (int, error) {
 	n := 0
 	for lo := 0; lo < len(elems); lo += ctxProbeBlock {
 		if err := ctx.Err(); err != nil {
@@ -632,7 +579,7 @@ func (e *Executor) elemsProbeCtx(ctx context.Context, elems []uint32, other *Set
 
 // denseProbeCtx walks a dense set's words in ctxWordBlock chunks, probing
 // each decoded element against other.
-func (e *Executor) denseProbeCtx(ctx context.Context, den, other *Set, dst []uint32) (int, error) {
+func (e *Executor) denseProbeCtx(ctx checkpoint, den, other *Set, dst []uint32) (int, error) {
 	n := 0
 	for lo := 0; lo < len(den.dense); lo += ctxWordBlock {
 		if err := ctx.Err(); err != nil {
@@ -657,7 +604,7 @@ func (e *Executor) denseProbeCtx(ctx context.Context, den, other *Set, dst []uin
 }
 
 // denseDenseCtx is denseDenseRun with the word AND chunked by ctxWordBlock.
-func (e *Executor) denseDenseCtx(ctx context.Context, a, b *Set, dst []uint32) (int, error) {
+func (e *Executor) denseDenseCtx(ctx checkpoint, a, b *Set, dst []uint32) (int, error) {
 	lo, wa, wb, nw := denseOverlap(a, b)
 	if nw <= 0 {
 		return 0, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -160,10 +161,16 @@ func TestHybridPairParity(t *testing.T) {
 }
 
 // TestHybridKWayParity checks k-way intersection over mixed-representation
-// inputs against the reference.
+// inputs against the reference. Mixed sets and skewed segmented sets share
+// the probe chain — a seed pair through the pair dispatch, then membership
+// compaction — so every mixed query, and the all-segmented one once the
+// 150-element set joins, must run it (stats counter), with IntersectK,
+// VisitK and CountKCtx agreeing on both content and order.
 func TestHybridKWayParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
+	sink := stats.New()
 	e := NewExecutor()
+	e.EnableStats(sink)
 	lists := [][]uint32{
 		randSet(rng, 4000, 1<<14),
 		randSet(rng, 3000, 1<<14),
@@ -182,12 +189,15 @@ func TestHybridKWayParity(t *testing.T) {
 		{RepDense, RepDense, RepDense, RepDense},
 		{RepSegmented, RepArray, RepSegmented, RepDense},
 		{RepArray, RepArray, RepArray, RepArray},
+		{RepSegmented, RepSegmented, RepSegmented, RepSegmented},
 	} {
 		sets := make([]*Set, len(lists))
 		for i := range lists {
 			sets[i] = buildRep(t, lists[i], reps[i])
 		}
 		for k := 3; k <= len(sets); k++ {
+			snap := sink.Snapshot()
+			before := snap.Counter(stats.CtrQueriesKWayProbe)
 			want := inter(lists[:k])
 			got, gotGo := runBothBackends(t, func() any { return e.CountK(sets[:k]...) })
 			if got.(int) != len(want) || gotGo.(int) != len(want) {
@@ -209,14 +219,28 @@ func TestHybridKWayParity(t *testing.T) {
 						reps, k, i, vals[i], want[i])
 				}
 			}
-			visited := 0
-			e.VisitK(func(uint32) { visited++ }, sets[:k]...)
-			if visited != len(want) {
-				t.Fatalf("reps %v VisitK(k=%d) visited %d, want %d", reps, k, visited, len(want))
+			var visited []uint32
+			e.VisitK(func(v uint32) { visited = append(visited, v) }, sets[:k]...)
+			if !slices.Equal(visited, dst[:n]) {
+				t.Fatalf("reps %v VisitK(k=%d) visited %d elements, not IntersectK's %d in order",
+					reps, k, len(visited), n)
 			}
 			nc, err := e.CountKCtx(context.Background(), sets[:k]...)
 			if err != nil || nc != len(want) {
 				t.Fatalf("reps %v CountKCtx(k=%d) = %d, %v, want %d", reps, k, nc, err, len(want))
+			}
+			// CountK twice (runBothBackends), IntersectK, VisitK, CountKCtx.
+			mixedOrSkewed := k == 4 || slices.ContainsFunc(reps[:k], func(r Rep) bool { return r != RepSegmented })
+			if kwayProbe(sets[:k]) != mixedOrSkewed {
+				t.Fatalf("reps %v k=%d: kwayProbe = %v, want %v", reps, k, !mixedOrSkewed, mixedOrSkewed)
+			}
+			wantProbes := uint64(0)
+			if mixedOrSkewed {
+				wantProbes = 5
+			}
+			snap = sink.Snapshot()
+			if probes := snap.Counter(stats.CtrQueriesKWayProbe) - before; probes != wantProbes {
+				t.Fatalf("reps %v k=%d: %d probe-chain queries recorded, want %d", reps, k, probes, wantProbes)
 			}
 		}
 	}

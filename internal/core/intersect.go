@@ -390,12 +390,7 @@ func IntersectHash(dst []uint32, a, b *Set) int {
 	if small.n > large.n {
 		small, large = large, small
 	}
-	n := 0
-	hashProbeRange(small, large, 0, small.n, func(x uint32) {
-		dst[n] = x
-		n++
-	}, nil)
-	return n
+	return hashProbeElems(small.reordered, large, dst, nil, nil)
 }
 
 // Count picks the strategy adaptively: the hash probe when one set is
@@ -432,10 +427,12 @@ func useHash(a, b *Set) bool {
 // k-way intersection (Section VI).
 // ---------------------------------------------------------------------------
 
-// CountK returns |s1 ∩ s2 ∩ ... ∩ sk|. The k bitmaps are ANDed together to
-// prune segments none of which share a bit; the surviving segments'
-// element lists are then intersected pairwise with the specialized kernels.
-// Expected work is O(kn/√w + r) (Proposition 2).
+// CountK returns |s1 ∩ s2 ∩ ... ∩ sk|. On the bitmap chain (three or more
+// sets of similar size) the k bitmaps are ANDed together to prune segments
+// none of which share a bit; the surviving segments' element lists are then
+// intersected pairwise with the specialized kernels, expected work
+// O(kn/√w + r) (Proposition 2). Two sets take the adaptive pair path, and
+// skewed or mixed-representation sets the probe chain (Executor.CountK).
 //
 // This is a compatibility wrapper over a pooled default Executor; callers on
 // a hot path should hold their own Executor to keep its chain buffers warm.

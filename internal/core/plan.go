@@ -119,7 +119,30 @@ func planStart(ch planner.Choice) time.Time {
 // planRecord feeds a measured choice's observed latency back into the
 // handle; no-op for unmeasured choices.
 func planRecord(h *planner.Handle, ch planner.Choice, start time.Time) {
+	measured(ch, start).record(h)
+}
+
+// planFeedback is one measured choice whose record waits for the query that
+// made it: a query cancelled after the choice's pass completed feeds the
+// model nothing.
+type planFeedback struct {
+	ch planner.Choice
+	el time.Duration
+}
+
+// measured times a finished pass for a measured choice; the zero feedback
+// (and no clock read) otherwise.
+func measured(ch planner.Choice, start time.Time) planFeedback {
 	if ch.Measure() {
-		h.Record(ch, time.Since(start))
+		return planFeedback{ch, time.Since(start)}
+	}
+	return planFeedback{}
+}
+
+// record feeds the held latency back into the handle; no-op for
+// unmeasured choices.
+func (f planFeedback) record(h *planner.Handle) {
+	if f.ch.Measure() {
+		h.Record(f.ch, f.el)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -272,25 +273,88 @@ func TestPlannerGlobalAttach(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err reports cancellation from its n+1-th
+// call on, so a test can cancel a query at one exact checkpoint.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
 // TestPlannerCancelledCtxNotRecorded: a cancelled pass must not feed its
-// partial latency into the model.
+// partial latency into the model — on the pair path, and on the k-way probe
+// chain when the cancellation lands in its seed pair or in a compaction
+// pass. CountKCtx must return ctx.Err() at every checkpoint.
 func TestPlannerCancelledCtxNotRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
-	m := newTestModel()
+	// Every decision measured, none explored: the seed pair keeps the prior
+	// (hash) arm, so the checkpoint sequence is the same in every run.
+	m := planner.New(planner.WithMode(planner.ModeLearned), planner.WithSampleEvery(1))
 	ex := NewExecutor()
 	ex.EnablePlanner(m)
 	a := buildRep(t, randSet(rng, 200_000, 1<<24), RepSegmented)
 	b := buildRep(t, randSet(rng, 150_000, 1<<24), RepSegmented)
+	assertNothingRecorded := func(what string) {
+		t.Helper()
+		m.Refit()
+		snap := m.Snapshot()
+		for _, c := range snap.Cells {
+			if c.Samples > 0 {
+				t.Fatalf("%s recorded a sample: %+v", what, c)
+			}
+		}
+		for _, c := range snap.KProbe {
+			if c.Samples > 0 {
+				t.Fatalf("%s recorded a k-way probe sample: %+v", what, c)
+			}
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := ex.CountCtx(ctx, a, b); err == nil {
 		t.Fatal("cancelled CountCtx returned no error")
 	}
-	m.Refit()
-	for _, c := range m.Snapshot().Cells {
-		if c.Samples > 0 {
-			t.Fatalf("cancelled pass recorded a sample: %+v", c)
+	assertNothingRecorded("cancelled CountCtx")
+
+	// A skewed k-way query over dense lists: the 20k-element seed probes b
+	// in ctxProbeBlock blocks, and its ~3000 survivors take two blocks to
+	// compact through a. Cancel at each checkpoint in turn until a run
+	// finishes.
+	small := buildRep(t, randSet(rng, 20_000, 1<<20), RepSegmented)
+	b = buildRep(t, randSet(rng, 150_000, 1<<20), RepSegmented)
+	a = buildRep(t, randSet(rng, 200_000, 1<<20), RepSegmented)
+	sets := []*Set{a, b, small}
+	if !kwayProbe(sets) {
+		t.Fatal("query does not select the probe chain")
+	}
+	want := len(refIntersect(refIntersect(small.Elements(), b.Elements()), a.Elements()))
+	// CountKCtx's own check plus one per seed-pair probe block.
+	seedChecks := 1 + (small.Len()+ctxProbeBlock-1)/ctxProbeBlock
+	cancelled := 0
+	for n := 0; ; n++ {
+		got, err := ex.CountKCtx(&cancelAfter{context.Background(), n}, sets...)
+		if err == nil {
+			if got != want {
+				t.Fatalf("CountKCtx = %d, want %d", got, want)
+			}
+			break
 		}
+		if !errors.Is(err, context.Canceled) || got != 0 {
+			t.Fatalf("cancelled at checkpoint %d: CountKCtx = %d, %v, want 0, context.Canceled", n, got, err)
+		}
+		assertNothingRecorded(fmt.Sprintf("k-way query cancelled at checkpoint %d", n))
+		cancelled++
+	}
+	if cancelled <= seedChecks {
+		t.Fatalf("%d checkpoints, none past the seed pair's %d: no compaction pass was cancelled",
+			cancelled, seedChecks)
 	}
 }
 
@@ -319,6 +383,21 @@ func TestPlannerZeroAllocWarm(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { ex.CountMany(a, cands, out) }); n != 0 {
 		t.Errorf("warm CountMany allocates %v times per op with the planner on", n)
+	}
+	// Both k-way arms: the probe chain consults the planner for its seed
+	// pair and samples its compaction passes; the bitmap chain does not.
+	c := buildRep(t, randSet(rng, 15_000, 1<<18), RepSegmented)
+	d := buildRep(t, randSet(rng, 18_000, 1<<18), RepSegmented)
+	for qi, q := range [][]*Set{{a, b, den}, {a, c, b}, {a, c, d}} {
+		if kwayProbe(q) != (qi < 2) {
+			t.Fatalf("k-way query %d: kwayProbe = %v", qi, kwayProbe(q))
+		}
+		for i := 0; i < 8; i++ {
+			ex.CountK(q...)
+		}
+		if n := testing.AllocsPerRun(50, func() { ex.CountK(q...) }); n != 0 {
+			t.Errorf("warm CountK (probe chain %v) allocates %v times per op with the planner on", kwayProbe(q), n)
+		}
 	}
 }
 

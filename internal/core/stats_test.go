@@ -221,7 +221,8 @@ func TestStatsZeroAllocWarm(t *testing.T) {
 	}{
 		{"Count/merge", func() { benchSink += e.Count(a, b) }},
 		{"Count/hash", func() { benchSink += e.Count(small, large) }},
-		{"CountK", func() { benchSink += e.CountK(a, b, large) }},
+		{"CountK/chain", func() { benchSink += e.CountK(a, b, large) }},
+		{"CountK/probe", func() { benchSink += e.CountK(a, b, small) }},
 		{"CountMany", func() { e.CountMany(a, cands, out) }},
 		// The *Parallel paths are excluded: Pool.Do's task closure costs two
 		// allocations with or without stats (same as the seed), so they prove

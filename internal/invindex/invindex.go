@@ -95,17 +95,10 @@ func (ix *Index) QueryCountExec(ex *core.Executor, items ...uint32) int {
 		}
 		sets[i] = s
 	}
-	switch len(sets) {
-	case 0:
+	if len(sets) == 0 {
 		return 0
-	case 1:
-		return sets[0].Len()
-	case 2:
-		// Two-keyword queries benefit from the adaptive merge/hash switch.
-		return ex.Count(sets[0], sets[1])
-	default:
-		return ex.CountK(sets...)
 	}
+	return ex.CountK(sets...)
 }
 
 // QueryCountCtx is QueryCount with cooperative cancellation: a serving
@@ -130,16 +123,10 @@ func (ix *Index) QueryCountExecCtx(ctx context.Context, ex *core.Executor, items
 		}
 		sets[i] = s
 	}
-	switch len(sets) {
-	case 0:
+	if len(sets) == 0 {
 		return 0, nil
-	case 1:
-		return sets[0].Len(), nil
-	case 2:
-		return ex.CountCtx(ctx, sets[0], sets[1])
-	default:
-		return ex.CountKCtx(ctx, sets...)
 	}
+	return ex.CountKCtx(ctx, sets...)
 }
 
 // Query answers a conjunctive query and returns the matching document IDs
@@ -161,18 +148,9 @@ func (ix *Index) Query(items ...uint32) []uint32 {
 		return nil
 	}
 	dst := make([]uint32, minLen)
-	var n int
 	ex := execPool.Get().(*core.Executor)
 	defer execPool.Put(ex)
-	switch len(sets) {
-	case 1:
-		return sets[0].Elements()
-	case 2:
-		n = ex.Intersect(dst, sets[0], sets[1])
-	default:
-		n = ex.IntersectK(dst, sets...)
-	}
-	out := dst[:n]
+	out := dst[:ex.IntersectK(dst, sets...)]
 	slices.Sort(out)
 	return out
 }

@@ -73,10 +73,9 @@ func buildEpoch(lists [][]uint32, nshards int, cfg core.Config, gen uint64) (*ep
 
 // queryShard answers one conjunctive query over a single shard's documents,
 // on the executor pinned to (shard, slot). setsBuf is that pin's reusable
-// set-pointer scratch. The dispatch mirrors invindex.QueryCountExecCtx:
-// two-keyword queries take the adaptive merge/hash pair path, larger ones
-// the k-way chain, and both propagate the deadline into the *Ctx
-// checkpoints.
+// set-pointer scratch. CountKCtx picks the strategy from the list lengths
+// (the adaptive pair path for two keywords, the bitmap or probe chain for
+// more) and propagates the deadline into its checkpoints.
 func queryShard(ctx context.Context, sd *shardSets, ex *core.Executor, setsBuf *[]*core.Set, items []uint32) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -89,14 +88,8 @@ func queryShard(ctx context.Context, sd *shardSets, ex *core.Executor, setsBuf *
 		sets = append(sets, sd.sets[it])
 	}
 	*setsBuf = sets
-	switch len(sets) {
-	case 0:
+	if len(sets) == 0 {
 		return 0, nil
-	case 1:
-		return sets[0].Len(), nil
-	case 2:
-		return ex.CountCtx(ctx, sets[0], sets[1])
-	default:
-		return ex.CountKCtx(ctx, sets...)
 	}
+	return ex.CountKCtx(ctx, sets...)
 }

@@ -111,6 +111,42 @@ func TestForcedCaptureBreakdown(t *testing.T) {
 		t.Fatalf("stage sum %dns vs end-to-end %dns: gap %.1f%% > 10%%",
 			stages, root.DurNs, 100*diff/float64(root.DurNs))
 	}
+	for _, sp := range capd.Spans {
+		if sp.Kind == "strategy" && sp.Arm != "kway" {
+			t.Fatalf("equal-size 3-keyword query ran arm %q, want kway: %+v", sp.Arm, sp)
+		}
+	}
+
+	// A skewed 3-keyword query — a list of ~1% of the documents against two
+	// of ~20% — runs the probe chain on every shard: the strategy spans and
+	// the tier's counters name the same arm.
+	lists = append(lists, genLists(1, 4000, 0.01, 8)...)
+	skewed, err := NewTier(lists, Config{Shards: 3, SlowQuery: time.Hour})
+	if err != nil {
+		t.Fatalf("NewTier: %v", err)
+	}
+	t.Cleanup(func() { skewed.Shutdown(context.Background()) })
+	items = []uint32{2, uint32(len(lists) - 1), 5}
+	n, capd, err := skewed.QueryCountTraced(context.Background(), items...)
+	if err != nil || n != bruteCount(lists, items) {
+		t.Fatalf("skewed query = %d, %v, want %d", n, err, bruteCount(lists, items))
+	}
+	probeSpans := 0
+	for _, sp := range capd.Spans {
+		if sp.Kind != "strategy" {
+			continue
+		}
+		if sp.Arm != "kway-probe" || sp.V1 != uint64(len(items)) {
+			t.Fatalf("skewed query strategy span %+v, want arm kway-probe over %d sets", sp, len(items))
+		}
+		probeSpans++
+	}
+	if probeSpans != 3 {
+		t.Fatalf("%d kway-probe strategy spans, want one per shard (3)", probeSpans)
+	}
+	if got := ctr(skewed, stats.CtrQueriesKWayProbe); got != 3 {
+		t.Fatalf("probe-chain counter = %d, want 3", got)
+	}
 }
 
 // TestSlowShardForensics is the second acceptance-criteria test: one shard

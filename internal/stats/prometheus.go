@@ -23,6 +23,7 @@ var promCounters = [NumCounters]promSeries{
 	CtrQueriesKWay:             {"fesia_queries_total", `{strategy="kway"}`, ""},
 	CtrQueriesBatch:            {"fesia_queries_total", `{strategy="batch"}`, ""},
 	CtrQueriesCross:            {"fesia_queries_total", `{strategy="cross"}`, ""},
+	CtrQueriesKWayProbe:        {"fesia_kway_probe_queries_total", "", "K-way queries (3+ sets) that ran the probe chain; fesia_queries_total{strategy=\"kway\"} counts them too."},
 	CtrBuildSegmented:          {"fesia_sets_built_total", `{rep="segmented"}`, "Sets built, by physical representation."},
 	CtrBuildArray:              {"fesia_sets_built_total", `{rep="array"}`, ""},
 	CtrBuildDense:              {"fesia_sets_built_total", `{rep="dense"}`, ""},

@@ -43,6 +43,12 @@ const (
 	CtrQueriesKWay
 	CtrQueriesBatch // one-vs-many batch calls (CountMany and friends)
 	CtrQueriesCross // pair queries routed to a cross-representation path
+	// CtrQueriesKWayProbe counts the k-way queries (3+ sets, all counted by
+	// CtrQueriesKWay) that ran the probe chain — seed pair, then membership
+	// compaction — instead of the Section VI bitmap chain. It follows the
+	// strategy counters rather than sitting in them because it exports as a
+	// family of its own, and each family's series must stay contiguous.
+	CtrQueriesKWayProbe
 
 	// Per-representation build counts (one increment per set built).
 	CtrBuildSegmented
@@ -145,6 +151,7 @@ var counterNames = [NumCounters]string{
 	CtrQueriesKWay:             "queries_kway",
 	CtrQueriesBatch:            "queries_batch",
 	CtrQueriesCross:            "queries_cross",
+	CtrQueriesKWayProbe:        "queries_kway_probe",
 	CtrBuildSegmented:          "build_segmented",
 	CtrBuildArray:              "build_array",
 	CtrBuildDense:              "build_dense",

@@ -153,6 +153,8 @@ func TestWritePrometheus(t *testing.T) {
 	s.Inc(CtrQueriesMerge)
 	s.Inc(CtrQueriesMerge)
 	s.Inc(CtrQueriesHash)
+	s.Inc(CtrQueriesKWay)
+	s.Inc(CtrQueriesKWayProbe)
 	s.Add(CtrSegPairs, 42)
 	s.Kernel(3, 5)
 	s.Observe(LatMerge, 800*time.Nanosecond)
@@ -167,6 +169,8 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		`fesia_queries_total{strategy="merge"} 2`,
 		`fesia_queries_total{strategy="hash"} 1`,
+		`fesia_queries_total{strategy="kway"} 1`,
+		"fesia_kway_probe_queries_total 1",
 		"fesia_segment_pairs_total 42",
 		`fesia_kernel_dispatch_total{size_a="3",size_b="5"} 1`,
 		`fesia_snapshot_ops_total{op="write",outcome="error"} 1`,
@@ -178,6 +182,16 @@ func TestWritePrometheus(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n---\n%s", want, out)
+		}
+	}
+	// Each family's series are contiguous: one TYPE line per family.
+	types := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			if types[line] {
+				t.Errorf("family split in two: %q appears twice", line)
+			}
+			types[line] = true
 		}
 	}
 	// Cumulative le buckets must be monotonically non-decreasing.

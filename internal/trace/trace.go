@@ -48,7 +48,8 @@ const (
 	// count result.
 	KindShard
 	// KindStrategy is one strategy execution inside the engine (Arm names
-	// which). V1, V2 = the input set sizes (V1 = set count for ArmKWay).
+	// which). V1, V2 = the input set sizes (V1 = set count, V2 = result count
+	// for ArmKWay and ArmKWayProbe).
 	KindStrategy
 	// KindPlan is a planner decision event: Arm = the chosen arm, V1/V2 = the
 	// model's predicted nanoseconds for arm 0/arm 1, and the flag byte packs
@@ -75,11 +76,12 @@ func (k Kind) String() string {
 
 // Strategy arms recorded on KindStrategy spans and KindPlan events.
 const (
-	ArmMerge = 0 // two-step merge (segment-pair staging + kernels)
-	ArmHash  = 1 // per-element hash probe
-	ArmKWay  = 2 // k-way chain (3+ sets)
-	ArmCross = 3 // cross-representation pair route
-	ArmNone  = 0xFF
+	ArmMerge     = 0 // two-step merge (segment-pair staging + kernels)
+	ArmHash      = 1 // per-element hash probe
+	ArmKWay      = 2 // k-way bitmap chain (3+ sets)
+	ArmCross     = 3 // cross-representation pair route
+	ArmKWayProbe = 4 // k-way probe chain (3+ skewed or mixed sets)
+	ArmNone      = 0xFF
 )
 
 // ArmName returns the stable external name of a strategy arm ("" for
@@ -94,6 +96,8 @@ func ArmName(a uint8) string {
 		return "kway"
 	case ArmCross:
 		return "cross"
+	case ArmKWayProbe:
+		return "kway-probe"
 	}
 	return ""
 }

@@ -60,6 +60,10 @@ const (
 	CtrSnapshotWrites  = stats.CtrSnapshotWrites
 	CtrSnapshotReads   = stats.CtrSnapshotReads
 
+	// CtrQueriesKWayProbe counts the k-way queries (3+ sets, all counted by
+	// CtrQueriesKWay) that ran the probe chain instead of the bitmap chain.
+	CtrQueriesKWayProbe = stats.CtrQueriesKWayProbe
+
 	// Serving-tier counters (internal/serve): admission outcomes, deadline
 	// expiries, the queue-depth gauge pair, and hot-swap outcomes.
 	CtrServeAdmitted   = stats.CtrServeAdmitted
