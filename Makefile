@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint bench benchcheck batchbench planbench servebench tracebench kwaybench ablation fuzz kernels experiments examples clean
+.PHONY: all build test race cover check lint bench benchcheck batchbench planbench servebench tracebench kwaybench poolbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -115,6 +115,12 @@ tracebench:
 # queries: the source of EXPERIMENTS.md's k-way table (medians of 5).
 kwaybench:
 	$(GO) test -run '^$$' -bench BenchmarkKWayArms -benchtime 0.5s -count 5 ./internal/core | tee kwaybench.txt
+
+# Pool.Do over two parts vs the same parts inline, from ~0.1 to ~200 us of
+# work per part: the source of EXPERIMENTS.md's pool hand-off break-even
+# table (medians of 5).
+poolbench:
+	$(GO) test -run '^$$' -bench BenchmarkPoolHandoff -benchtime 0.5s -count 5 ./internal/core | tee poolbench.txt
 
 ablation:
 	$(GO) test -bench=Ablation -benchmem .

@@ -34,7 +34,8 @@ type traceBenchReport struct {
 	SampleN       int           `json:"trace_sample_n"`
 	Off           traceBenchArm `json:"off"`
 	On            traceBenchArm `json:"on"`
-	OverheadRatio float64       `json:"overhead_ratio"` // on / off, of the medians
+	OverheadRatio float64       `json:"overhead_ratio"`        // median of per-round on/off ratios
+	OverheadNs    float64       `json:"overhead_ns_per_query"` // median of per-round on-off differences
 	GateMaxRatio  float64       `json:"gate_max_ratio"`
 }
 
@@ -115,7 +116,7 @@ func runTraceBench(path string, quick bool) error {
 		On:           traceBenchArm{Name: fmt.Sprintf("tracing-1-in-%d", sampleN)},
 		GateMaxRatio: 1.05,
 	}
-	var ratios []float64
+	var ratios, diffs []float64
 	for r := 0; r < rounds; r++ {
 		off, on, err := runTraceRound(tierOff, tierOn, pool, queries)
 		if err != nil {
@@ -124,15 +125,19 @@ func runTraceBench(path string, quick bool) error {
 		rep.Off.RoundsNsOp = append(rep.Off.RoundsNsOp, off)
 		rep.On.RoundsNsOp = append(rep.On.RoundsNsOp, on)
 		ratios = append(ratios, on/off)
+		diffs = append(diffs, on-off)
 		fmt.Printf("  round %d/%d: off %7.0f ns/q, on %7.0f ns/q (%.3fx)\n", r+1, rounds, off, on, on/off)
 	}
 	rep.Off.MeanNsOp = medianOf(rep.Off.RoundsNsOp)
 	rep.On.MeanNsOp = medianOf(rep.On.RoundsNsOp)
 	// Gate on the median of per-round ratios: each round's two arms run
 	// interleaved, so the ratio is immune to drift between rounds.
+	// The ratio alone hides how much tracing costs once the untraced query
+	// gets cheaper, so the absolute on-off difference is reported beside it.
 	rep.OverheadRatio = medianOf(ratios)
-	fmt.Printf("  median: off %.0f ns/q, on %.0f ns/q — tracing overhead %.1f%% (median of per-round ratios)\n",
-		rep.Off.MeanNsOp, rep.On.MeanNsOp, 100*(rep.OverheadRatio-1))
+	rep.OverheadNs = medianOf(diffs)
+	fmt.Printf("  median: off %.0f ns/q, on %.0f ns/q — tracing overhead %.1f%%, %.0f ns/q (medians of per-round ratios and differences)\n",
+		rep.Off.MeanNsOp, rep.On.MeanNsOp, 100*(rep.OverheadRatio-1), rep.OverheadNs)
 
 	// Sanity: the traced tier still answers, and a forced capture carries a
 	// breakdown (the paired numbers are meaningless if the on arm traces

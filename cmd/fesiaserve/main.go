@@ -1,8 +1,9 @@
 // Command fesiaserve is the sharded HTTP serving front-end over the
 // inverted-index workload (Section VII-F): conjunctive keyword queries
-// answered by a serve.Tier — document-sharded scatter-gather with admission
-// control, latency-driven load shedding, hot corpus swaps, and graceful
-// shutdown — rather than a bare index.
+// answered by a serve.Tier — document shards queried in turn on the
+// request's own goroutine, with admission control, latency-driven load
+// shedding, hot corpus swaps, and graceful shutdown — rather than a bare
+// index.
 //
 // Two listeners split the traffic classes: the public address serves only
 // /query and the landing page, while -admin carries everything operational
@@ -220,8 +221,8 @@ func retryAfterFor(err error) string {
 }
 
 // handleQuery answers one conjunctive query through the full serving path —
-// shedding, admission, sharded scatter-gather — bounded by the request
-// context plus the resolved deadline.
+// shedding, admission, every document shard in turn — bounded by the
+// request context plus the resolved deadline.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var items []uint32
 	switch {

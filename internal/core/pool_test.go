@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -173,5 +174,45 @@ func TestPoolClose(t *testing.T) {
 	p.Close() // idempotent
 	if got := p.Alive(); got != 0 {
 		t.Fatalf("Alive() = %d after Close, want 0", got)
+	}
+}
+
+// spinSink keeps the handoff benchmark's spin loops from being optimized
+// away; each part writes only its own word.
+var spinSink [2]uint64
+
+// spin runs n dependent xorshift steps: pure ALU work with no memory
+// traffic, so a part's cost is its iteration count and nothing else.
+func spin(part, n int) {
+	x := uint64(part) + 0x9e3779b97f4a7c15
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	spinSink[part] = x
+}
+
+// BenchmarkPoolHandoff times Pool.Do over two parts against the same two
+// parts run one after another on the caller, from ~0.1 µs to ~200 µs of
+// work per part (the inline arm's ns/op over 2). It locates the work per
+// part below which handing a part to a parked worker costs more than it
+// saves — the measurement behind the serving tier running its shard parts
+// on the query's own goroutine. `make poolbench` runs it.
+func BenchmarkPoolHandoff(b *testing.B) {
+	p := SharedPool()
+	for _, n := range []int{40, 640, 6400, 19200, 64000, 80000} {
+		fn := func(part int) { spin(part, n) }
+		b.Run(fmt.Sprintf("spin=%d/pool", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.Do(2, fn)
+			}
+		})
+		b.Run(fmt.Sprintf("spin=%d/inline", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fn(0)
+				fn(1)
+			}
+		})
 	}
 }

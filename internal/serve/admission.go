@@ -14,8 +14,8 @@ import (
 // Admission control. The tier bounds concurrent query execution with a slot
 // semaphore: an admitted query holds one slot id in [0, MaxConcurrent) for
 // its whole execution, and the slot id doubles as the index pinning the
-// query to one executor per shard (see shard.go) — admission is what makes
-// the single-writer executor discipline hold without locks.
+// query to its executor (see shard.go) — admission is what makes the
+// single-writer executor discipline hold without locks.
 //
 // Requests beyond the concurrency limit wait in a bounded queue. Two budgets
 // cut the queue off: depth (more than MaxQueue waiters => immediate reject)
@@ -82,21 +82,23 @@ func newLimiter(slots, maxQueue int, maxWait time.Duration) *limiter {
 
 func (l *limiter) capacity() int { return cap(l.slots) }
 
-// acquire admits the caller, returning its exclusive slot id. It fails with
-// *OverloadError when the queue is full or the wait budget expires, and with
-// ctx.Err() when the request's own deadline fires first. sink (nil ok)
-// receives the queue-depth gauge pair and is written from arbitrary
-// goroutines, so it uses the multi-writer shard.
-func (l *limiter) acquire(ctx context.Context, sink *stats.Sink) (int, error) {
+// acquire admits the caller, returning its exclusive slot id and whether it
+// had to wait: waited is false when a slot was free on arrival (the no-wait
+// fast path), so the caller's arrival stamp also marks its admission. It
+// fails with *OverloadError when the queue is full or the wait budget
+// expires, and with ctx.Err() when the request's own deadline fires first.
+// sink (nil ok) receives the queue-depth gauge pair and is written from
+// arbitrary goroutines, so it uses the multi-writer shard.
+func (l *limiter) acquire(ctx context.Context, sink *stats.Sink) (slot int, waited bool, err error) {
 	select {
 	case s := <-l.slots:
-		return s, nil
+		return s, false, nil
 	default:
 	}
 	// Slow path: join the bounded queue.
 	if l.queued.Add(1) > l.maxQueue {
 		l.queued.Add(-1)
-		return 0, errQueueFull
+		return 0, true, errQueueFull
 	}
 	if sink != nil {
 		sink.Inc(stats.CtrServeQueueEnter)
@@ -111,11 +113,11 @@ func (l *limiter) acquire(ctx context.Context, sink *stats.Sink) (int, error) {
 	defer timer.Stop()
 	select {
 	case s := <-l.slots:
-		return s, nil
+		return s, true, nil
 	case <-timer.C:
-		return 0, errQueueWait
+		return 0, true, errQueueWait
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return 0, true, ctx.Err()
 	}
 }
 

@@ -27,9 +27,12 @@ func TestLimiterFastPath(t *testing.T) {
 	l := newLimiter(2, 4, time.Second)
 	seen := map[int]bool{}
 	for i := 0; i < 2; i++ {
-		s, err := l.acquire(context.Background(), nil)
+		s, waited, err := l.acquire(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
+		}
+		if waited {
+			t.Fatalf("acquire %d: a free slot reported a wait", i)
 		}
 		if s < 0 || s >= 2 || seen[s] {
 			t.Fatalf("acquire %d: slot %d invalid or reused", i, s)
@@ -37,14 +40,14 @@ func TestLimiterFastPath(t *testing.T) {
 		seen[s] = true
 	}
 	l.release(0)
-	if s, err := l.acquire(context.Background(), nil); err != nil || s != 0 {
+	if s, _, err := l.acquire(context.Background(), nil); err != nil || s != 0 {
 		t.Fatalf("re-acquire: slot %d err %v", s, err)
 	}
 }
 
 func TestLimiterQueueFull(t *testing.T) {
 	l := newLimiter(1, 1, time.Minute)
-	if _, err := l.acquire(context.Background(), nil); err != nil {
+	if _, _, err := l.acquire(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -52,7 +55,10 @@ func TestLimiterQueueFull(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		_, err := l.acquire(context.Background(), nil)
+		_, waited, err := l.acquire(context.Background(), nil)
+		if err == nil && !waited {
+			err = errors.New("a queued waiter reported no wait")
+		}
 		errc <- err
 	}()
 	for i := 0; l.queued.Load() == 0; i++ {
@@ -61,7 +67,7 @@ func TestLimiterQueueFull(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := l.acquire(context.Background(), nil); !errors.Is(err, ErrOverload) {
+	if _, _, err := l.acquire(context.Background(), nil); !errors.Is(err, ErrOverload) {
 		t.Fatalf("over-depth acquire: err = %v, want overload", err)
 	}
 	l.release(0)
@@ -73,10 +79,10 @@ func TestLimiterQueueFull(t *testing.T) {
 
 func TestLimiterQueueWait(t *testing.T) {
 	l := newLimiter(1, 4, 20*time.Millisecond)
-	if _, err := l.acquire(context.Background(), nil); err != nil {
+	if _, _, err := l.acquire(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := l.acquire(context.Background(), nil)
+	_, _, err := l.acquire(context.Background(), nil)
 	var oe *OverloadError
 	if !errors.As(err, &oe) || oe.Reason != ReasonQueueWait {
 		t.Fatalf("err = %v, want queue_wait", err)
@@ -88,7 +94,7 @@ func TestLimiterQueueWait(t *testing.T) {
 
 func TestLimiterCtxCancel(t *testing.T) {
 	l := newLimiter(1, 4, time.Minute)
-	if _, err := l.acquire(context.Background(), nil); err != nil {
+	if _, _, err := l.acquire(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -96,14 +102,14 @@ func TestLimiterCtxCancel(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := l.acquire(ctx, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := l.acquire(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
 }
 
 func TestLimiterDrain(t *testing.T) {
 	l := newLimiter(3, 4, time.Minute)
-	s, err := l.acquire(context.Background(), nil)
+	s, _, err := l.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +132,7 @@ func TestLimiterDrain(t *testing.T) {
 	// After drain, nothing is admitted.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := l.acquire(ctx, nil); err == nil {
+	if _, _, err := l.acquire(ctx, nil); err == nil {
 		t.Fatal("acquire succeeded after drain")
 	}
 }

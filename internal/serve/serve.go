@@ -2,11 +2,13 @@
 // the robustness layer that turns per-query speed (PAPER.md Section VII-F)
 // into served throughput that survives overload and reload.
 //
-// A Tier partitions the corpus into document shards, each with pinned
-// executors and stats shards (extending the engine's single-writer
-// discipline), and answers conjunctive queries by scatter-gather on the
-// shared worker pool with deadline propagation into the cancellable query
-// paths. Around that core sit four robustness mechanisms:
+// A Tier partitions the corpus into document shards and answers a
+// conjunctive query by running it against every shard in turn on the
+// goroutine that holds the query's admission slot, summing the per-shard
+// counts, with deadline propagation into the cancellable query paths. Each
+// slot owns one executor and stats shard (extending the engine's
+// single-writer discipline). Around that core sit four robustness
+// mechanisms:
 //
 //   - admission control: a slot semaphore with a bounded wait queue,
 //     rejecting with a typed *OverloadError once depth or wait budget is
@@ -38,12 +40,14 @@ import (
 )
 
 // Config shapes a Tier. The zero value of every field selects a sensible
-// default (see each field); the zero Config is usable.
+// default (see each field); the zero Config is usable. Concurrency comes
+// from concurrent queries, one per admission slot: a query runs its shard
+// parts one after another on its own goroutine.
 type Config struct {
 	// Shards is the number of document shards. Default: min(4, GOMAXPROCS).
 	Shards int
-	// MaxConcurrent bounds queries executing at once (the admission slots).
-	// Default: 2 × GOMAXPROCS.
+	// MaxConcurrent bounds queries executing at once (the admission slots,
+	// one executor each). Default: 2 × GOMAXPROCS.
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for a slot; the MaxQueue+1st waiter
 	// is rejected immediately. Default: 2 × MaxConcurrent.
@@ -66,8 +70,6 @@ type Config struct {
 	// Build is the FESIA build configuration for every shard's sets.
 	// Zero value: core.DefaultConfig().
 	Build core.Config
-	// Pool runs the scatter parts. Default: core.SharedPool().
-	Pool *core.Pool
 	// TraceSample enables per-query tracing with head sampling: one query
 	// in TraceSample per admission slot is retained into the trace rings.
 	// 0 disables head sampling. Tracing as a whole is active when either
@@ -106,17 +108,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxShedFraction <= 0 || c.MaxShedFraction >= 1 {
 		c.MaxShedFraction = 0.95
 	}
-	if c.Pool == nil {
-		c.Pool = core.SharedPool()
-	}
 	return c
-}
-
-// gather is one admission slot's scatter-gather scratch: per-shard counts
-// and errors, written only by the parts of the one query holding the slot.
-type gather struct {
-	counts []int
-	errs   []error
 }
 
 // Tier is the sharded serving layer. Construct with NewTier; safe for
@@ -130,12 +122,12 @@ type Tier struct {
 	// current corpus epoch, hot-swappable; see Swap.
 	epoch atomic.Pointer[epoch]
 
-	// exs[shard*MaxConcurrent+slot] is the executor pinned to that (shard,
-	// slot) pair; setsBufs is its set-pointer scratch. Both survive swaps —
-	// they hold query scratch, never corpus data.
+	// exs[slot] is the executor pinned to that admission slot; it runs
+	// every shard part of the slot's query. setsBufs[slot] is its set-pointer
+	// scratch. Both survive swaps — they hold query scratch, never corpus
+	// data.
 	exs      []*core.Executor
 	setsBufs [][]*core.Set
-	gathers  []gather // per-slot scatter scratch
 
 	// slotStats[slot] is the single-writer stats shard of the one query
 	// holding that admission slot.
@@ -150,8 +142,8 @@ type Tier struct {
 	tracer    *trace.Tracer
 	exemplars *stats.ExemplarStore
 
-	// partDelay is a test hook injecting latency into one scatter part —
-	// how the slow-shard forensics tests fabricate a straggler.
+	// partDelay is a test hook injecting latency into one shard part — how
+	// the slow-shard forensics tests fabricate a straggler.
 	partDelay func(shard int)
 
 	swapMu sync.Mutex // serializes Swap; gen is owned by it
@@ -181,20 +173,12 @@ func NewTier(lists [][]uint32, cfg Config) (*Tier, error) {
 	t.epoch.Store(e)
 	t.lim = newLimiter(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxQueueWait)
 	t.shed = newShedder(cfg.ShedTargetP99, cfg.MaxShedFraction, cfg.ShedMinSamples)
-	t.exs = make([]*core.Executor, cfg.Shards*cfg.MaxConcurrent)
-	t.setsBufs = make([][]*core.Set, len(t.exs))
-	for i := range t.exs {
-		ex := core.NewExecutor()
-		ex.EnableStats(t.sink)
-		t.exs[i] = ex
-	}
-	t.gathers = make([]gather, cfg.MaxConcurrent)
+	t.exs = make([]*core.Executor, cfg.MaxConcurrent)
+	t.setsBufs = make([][]*core.Set, cfg.MaxConcurrent)
 	t.slotStats = make([]*stats.Shard, cfg.MaxConcurrent)
-	for s := range t.gathers {
-		t.gathers[s] = gather{
-			counts: make([]int, cfg.Shards),
-			errs:   make([]error, cfg.Shards),
-		}
+	for s := range t.exs {
+		t.exs[s] = core.NewExecutor()
+		t.exs[s].EnableStats(t.sink)
 		t.slotStats[s] = t.sink.NewShard()
 	}
 	t.matrix = stats.NewServeMatrix(cfg.Shards, cfg.MaxConcurrent)
@@ -208,11 +192,6 @@ func NewTier(lists [][]uint32, cfg Config) (*Tier, error) {
 		})
 		t.exemplars = stats.NewExemplarStore()
 		t.sink.SetServeExemplars(t.exemplars)
-		for shard := 0; shard < cfg.Shards; shard++ {
-			for slot := 0; slot < cfg.MaxConcurrent; slot++ {
-				t.exs[shard*cfg.MaxConcurrent+slot].SetTraceCell(t.tracer.ShardCell(shard, slot))
-			}
-		}
 	}
 	if cfg.ShedTargetP99 > 0 {
 		t.tickWG.Add(1)
@@ -255,10 +234,10 @@ func (t *Tier) acquireEpoch() *epoch {
 
 // QueryCount answers one conjunctive query — the number of documents
 // containing every item — through the full serving path: shed check,
-// admission, scatter-gather over the shards, deadline propagation. It
-// returns *OverloadError (matching ErrOverload) on shed or admission
-// rejection, ErrShuttingDown after Shutdown, and the context error when the
-// deadline expires first.
+// admission, every shard part in turn, deadline propagation. It returns
+// *OverloadError (matching ErrOverload) on shed or admission rejection,
+// ErrShuttingDown after Shutdown, and the context error when the deadline
+// expires first.
 func (t *Tier) QueryCount(ctx context.Context, items ...uint32) (int, error) {
 	n, _, err := t.queryCount(ctx, false, items)
 	return n, err
@@ -273,6 +252,10 @@ func (t *Tier) QueryCountTraced(ctx context.Context, items ...uint32) (int, *tra
 	return t.queryCount(ctx, true, items)
 }
 
+// queryCount reads the clock once per part boundary: arrival (which is also
+// the start when admission did not wait), then one stamp at the end of each
+// shard part, the last of which closes the latency observation and the
+// trace's scatter and root spans. Tracing reads no clock of its own.
 func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int, *trace.Captured, error) {
 	if t.closed.Load() {
 		return 0, nil, ErrShuttingDown
@@ -281,12 +264,8 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 		t.sink.Inc(stats.CtrServeShed)
 		return 0, nil, errShed
 	}
-	tr := t.tracer
-	var arrival time.Time
-	if tr != nil {
-		arrival = time.Now()
-	}
-	slot, err := t.lim.acquire(ctx, t.sink)
+	arrival := time.Now()
+	slot, waited, err := t.lim.acquire(ctx, t.sink)
 	if err != nil {
 		var oe *OverloadError
 		if errors.As(err, &oe) {
@@ -303,27 +282,29 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 	defer t.lim.release(slot)
 	st := t.slotStats[slot]
 	st.Inc(stats.CtrServeAdmitted)
-	start := time.Now()
+	start := arrival
+	if waited {
+		start = time.Now()
+	}
+	tr := t.tracer
 	if tr != nil {
 		tr.Begin(slot, arrival)
 		tr.TierCell(slot).Span(trace.KindQueue, trace.ArmNone, 0,
 			arrival, start.Sub(arrival), 0, 0)
 	}
-	n, err := t.scatter(ctx, slot, items)
+	n, end, err := t.scatter(ctx, slot, start, items)
+	el := end.Sub(start)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			st.Inc(stats.CtrServeDeadline)
 		}
 		// Failed queries still commit their trace — a deadline expiry is
 		// exactly the slow query the tail capture exists for.
-		capd := t.commitTrace(tr, st, slot, forced, trace.FlagError, len(items), 0, arrival, start, time.Since(start))
+		capd := t.commitTrace(tr, st, slot, forced, trace.FlagError, len(items), 0, arrival, start, el)
 		return 0, capd, err
 	}
 	// Only successful queries steer the shedder: a deadline expiry's
-	// latency measures the deadline, not the service. The one clock read
-	// here closes the latency observation AND the trace's scatter/root
-	// spans — tracing must not add reads of its own past the arrival stamp.
-	el := time.Since(start)
+	// latency measures the deadline, not the service.
 	st.Observe(stats.LatServe, el)
 	capd := t.commitTrace(tr, st, slot, forced, 0, len(items), n, arrival, start, el)
 	return n, capd, nil
@@ -364,65 +345,61 @@ func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced b
 	return nil
 }
 
-// scatter fans the query out to every shard on the pool and sums the counts.
-// Parts write only their own cells of the slot's gather scratch (and their
-// own (shard × slot) cells of the serve matrix and trace topology); the
-// first error (by shard order) wins, matching the deterministic
-// single-shard path. The tier-level scatter span is closed by commitTrace
-// off the caller's clock reads — this function reads no clocks of its own.
-func (t *Tier) scatter(ctx context.Context, slot int, items []uint32) (int, error) {
+// scatter runs the query against every shard in turn on the calling
+// goroutine — the slot owner — and sums the counts. A part is a few µs of
+// work, far below the work per part at which handing it to a pool worker
+// starts to pay (BenchmarkPoolHandoff; EXPERIMENTS.md, "Serving tier").
+// start opens part 0 and each part's end stamp opens the next; the last
+// part's end is returned to close the query. The first failing part, by
+// shard order, ends the query and its error wins; later parts never run.
+func (t *Tier) scatter(ctx context.Context, slot int, start time.Time, items []uint32) (int, time.Time, error) {
 	e := t.acquireEpoch()
 	defer e.drain.Release()
-	ns := len(e.shards)
-	if ns == 1 {
-		return t.queryPart(ctx, e, 0, slot, slot, items)
-	}
-	g := &t.gathers[slot]
-	t.cfg.Pool.Do(ns, func(part int) {
-		i := part*t.cfg.MaxConcurrent + slot
-		g.counts[part], g.errs[part] = t.queryPart(ctx, e, part, slot, i, items)
-	})
-	total := 0
-	for p := 0; p < ns; p++ {
-		if perr := g.errs[p]; perr != nil {
-			return 0, perr
+	total, at := 0, start
+	for part := range e.shards {
+		n, end, err := t.queryPart(ctx, e, part, slot, at, items)
+		at = end
+		if err != nil {
+			return 0, at, err
 		}
-		total += g.counts[p]
+		total += n
 	}
-	return total, nil
+	return total, at, nil
 }
 
-// queryPart runs one scatter part: the query against document shard `part`
-// on the executor pinned to (part, slot) — index i in the executor matrix.
-// It records the part into the per-shard serve matrix and, when tracing,
-// arms the (shard × slot) staging cell before the executor runs and appends
-// the part's span after.
-func (t *Tier) queryPart(ctx context.Context, e *epoch, part, slot, i int, items []uint32) (int, error) {
-	tr := t.tracer
-	if tr != nil {
-		tr.ShardCell(part, slot).Reset(tr.TierCell(slot).Base())
+// queryPart runs one shard part: the query against document shard `part` on
+// the slot's executor, from ps (the previous part boundary) to the end stamp
+// it returns. It records the part into the per-shard serve matrix and, when
+// tracing, points the executor at the (shard × slot) staging cell before it
+// runs and appends the part's span after.
+func (t *Tier) queryPart(ctx context.Context, e *epoch, part, slot int, ps time.Time, items []uint32) (int, time.Time, error) {
+	ex := t.exs[slot]
+	var cell *trace.Cell
+	if tr := t.tracer; tr != nil {
+		cell = tr.ShardCell(part, slot)
+		cell.Reset(tr.TierCell(slot).Base())
+		ex.SetTraceCell(cell)
 	}
-	ps := time.Now()
 	t.matrix.Enter(part, slot)
 	if d := t.partDelay; d != nil {
 		d(part)
 	}
-	n, err := queryShard(ctx, e.shards[part], t.exs[i], &t.setsBufs[i], items)
-	el := time.Since(ps)
+	n, err := queryShard(ctx, e.shards[part], ex, &t.setsBufs[slot], items)
+	end := time.Now()
+	el := end.Sub(ps)
 	if err != nil {
 		t.matrix.ExitErr(part, slot)
 	} else {
 		t.matrix.ExitOK(part, slot, el)
 	}
-	if tr != nil {
+	if cell != nil {
 		var flags uint8
 		if err != nil {
 			flags = trace.FlagError
 		}
-		tr.ShardCell(part, slot).Span(trace.KindShard, trace.ArmNone, flags,
-			ps, el, uint64(n), 0)
+		cell.Span(trace.KindShard, trace.ArmNone, flags, ps, el, uint64(n), 0)
 	}
-	return n, err
+	return n, end, err
 }
 
 // Swap atomically replaces the corpus with one built from lists (the same

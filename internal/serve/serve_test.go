@@ -158,7 +158,7 @@ func TestTierShutdownWaitsForInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Steal a slot to simulate an in-flight query.
-	slot, err := tier.lim.acquire(context.Background(), nil)
+	slot, _, err := tier.lim.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +215,28 @@ func TestTierDeadlinePropagation(t *testing.T) {
 	if got := ctr(tier, stats.CtrServeDeadline); got == 0 {
 		t.Fatal("deadline counter not incremented")
 	}
+
+	// A deadline that expires inside part 0: the query fails with
+	// DeadlineExceeded and part 1 never runs, so shard 1's serve-matrix row
+	// records no entry.
+	pctx, pcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer pcancel()
+	tier.partDelay = func(shard int) {
+		if shard == 0 {
+			<-pctx.Done()
+		}
+	}
+	before := tier.Stats().ServeShards
+	if _, err := tier.QueryCount(pctx, 1, 2, 3); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline inside part 0: err = %v, want deadline exceeded", err)
+	}
+	after := tier.Stats().ServeShards
+	if after[0].Errors != before[0].Errors+1 {
+		t.Fatalf("shard 0 errors %d -> %d, want one more", before[0].Errors, after[0].Errors)
+	}
+	if after[1].Queries != before[1].Queries || after[1].Errors != before[1].Errors {
+		t.Fatalf("part 1 ran after part 0's deadline: shard 1 row %+v -> %+v", before[1], after[1])
+	}
 }
 
 func TestTierQueueFullRejects(t *testing.T) {
@@ -224,7 +246,7 @@ func TestTierQueueFullRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hold the only slot so every query queues.
-	slot, err := tier.lim.acquire(context.Background(), nil)
+	slot, _, err := tier.lim.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

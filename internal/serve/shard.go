@@ -10,19 +10,18 @@ import (
 // Sharding. The corpus — posting list per item, document IDs as elements —
 // is partitioned by *document*: shard k of N owns every document with
 // id % N == k, holding its own FESIA set per item built over just those
-// documents. A conjunctive query is then embarrassingly parallel: every
-// shard answers the full query over its document subset independently and
-// the gather step sums the counts. (Partitioning by item would instead
-// scatter one query's sets across shards and force cross-shard
+// documents. Every shard answers the full conjunctive query over its
+// document subset independently and the counts sum. (Partitioning by item
+// would instead split one query's sets across shards and force cross-shard
 // intersection.) Each shard's sets are built with core.NewSetBatch, so a
-// shard is one contiguous arena — the scatter parts touch disjoint memory.
+// shard is one contiguous arena.
 //
 // Executors are NOT part of a shard: they carry only query scratch, so the
-// tier owns a fixed (shard × admission-slot) matrix of them that survives
-// hot swaps. An admitted query holds slot s exclusively and part p of its
-// scatter touches only executor [p][s] — single-writer discipline by
-// construction, extending the PR-4 stats-shard ownership model to the
-// serving layer with zero locks on the query path.
+// tier owns one per admission slot, surviving hot swaps. An admitted query
+// holds slot s exclusively and runs every shard part on its own goroutine,
+// on executor s — single-writer discipline by construction, extending the
+// stats-shard ownership model to the serving layer with zero locks on the
+// query path.
 
 // shardSets is one shard's immutable data: the per-item FESIA sets over the
 // shard's document subset. Index = item id; every item has a set (possibly
@@ -72,10 +71,10 @@ func buildEpoch(lists [][]uint32, nshards int, cfg core.Config, gen uint64) (*ep
 }
 
 // queryShard answers one conjunctive query over a single shard's documents,
-// on the executor pinned to (shard, slot). setsBuf is that pin's reusable
-// set-pointer scratch. CountKCtx picks the strategy from the list lengths
-// (the adaptive pair path for two keywords, the bitmap or probe chain for
-// more) and propagates the deadline into its checkpoints.
+// on the executor pinned to the query's slot. setsBuf is that slot's
+// reusable set-pointer scratch. CountKCtx picks the strategy from the list
+// lengths (the adaptive pair path for two keywords, the bitmap or probe
+// chain for more) and propagates the deadline into its checkpoints.
 func queryShard(ctx context.Context, sd *shardSets, ex *core.Executor, setsBuf *[]*core.Set, items []uint32) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

@@ -116,6 +116,23 @@ func TestForcedCaptureBreakdown(t *testing.T) {
 			t.Fatalf("equal-size 3-keyword query ran arm %q, want kway: %+v", sp.Arm, sp)
 		}
 	}
+	// The shard parts run one after another on the slot owner: their spans
+	// are disjoint and together fit inside the scatter span. Spans arrive
+	// sorted by start offset.
+	at := scatter.StartNs
+	for _, sp := range capd.Spans {
+		if sp.Kind != "shard" {
+			continue
+		}
+		if sp.StartNs < at {
+			t.Fatalf("shard %d span starts at %dns, before %dns (the scatter start or the previous shard's end): %+v",
+				sp.Shard, sp.StartNs, at, capd.Spans)
+		}
+		at = sp.StartNs + sp.DurNs
+	}
+	if end := scatter.StartNs + scatter.DurNs; at > end {
+		t.Fatalf("shard spans end at %dns, after the scatter span's end %dns: %+v", at, end, capd.Spans)
+	}
 
 	// A skewed 3-keyword query — a list of ~1% of the documents against two
 	// of ~20% — runs the probe chain on every shard: the strategy spans and
@@ -250,7 +267,7 @@ func TestOverloadFlavorCounters(t *testing.T) {
 	defer tier.Shutdown(context.Background())
 
 	// Occupy the only slot.
-	slot, err := tier.lim.acquire(context.Background(), nil)
+	slot, _, err := tier.lim.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
@@ -283,11 +300,9 @@ func TestOverloadFlavorCounters(t *testing.T) {
 	}
 }
 
-// TestTraceZeroAllocWarm pins the tracing layer's warm allocation count on
-// the whole serve path: a tier with tracing at default sampling must allocate
-// exactly as much per warm query as a tier with tracing off (the baseline
-// carries a few fixed allocations from the variadic query API and the pool
-// join, none of which this PR added).
+// TestTraceZeroAllocWarm pins the warm allocation count of the whole serve
+// path: a warm 2-shard query allocates nothing with tracing off, and a tier
+// with tracing at default sampling must allocate exactly as much.
 func TestTraceZeroAllocWarm(t *testing.T) {
 	measure := func(cfg Config) float64 {
 		lists := genLists(32, 2000, 0.2, 5)
@@ -309,6 +324,9 @@ func TestTraceZeroAllocWarm(t *testing.T) {
 		})
 	}
 	off := measure(Config{Shards: 2, ShedTargetP99: -1})
+	if off != 0 {
+		t.Fatalf("untraced tier allocates %.2f per warm 2-shard query, want 0", off)
+	}
 	on := measure(Config{Shards: 2, ShedTargetP99: -1, TraceSample: 64, SlowQuery: 20 * time.Millisecond})
 	if on != off {
 		t.Fatalf("tracing on allocates %.2f per warm query vs %.2f off; tracing must add 0", on, off)

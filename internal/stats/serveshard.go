@@ -7,14 +7,13 @@ import (
 
 // Per-shard serving metrics. The tier's aggregate LatServe histogram answers
 // "how slow is the tier?" but cannot answer "which shard is dragging it?" —
-// a straggler shard hides inside the scatter-gather max. The ServeMatrix
-// breaks the serve-side counters out per document shard, following the same
-// single-writer discipline as the executor matrix it mirrors: cell (shard s,
-// slot c) is written only by the scatter part of the one admitted query
-// holding slot c while it runs on shard s, so updates are relaxed
-// load/store pairs with no locks and no contention. Readers merge the slot
-// dimension away lazily, leaving one row per shard for the `shard`-labelled
-// Prometheus/expvar series.
+// a straggler shard hides inside the query's sum over shards. The
+// ServeMatrix breaks the serve-side counters out per document shard,
+// following the tier's single-writer slot discipline: cell (shard s, slot c)
+// is written only by the one admitted query holding slot c while it runs its
+// shard-s part, so updates are relaxed load/store pairs with no locks and no
+// contention. Readers merge the slot dimension away lazily, leaving one row
+// per shard for the `shard`-labelled Prometheus/expvar series.
 
 // serveCell is one (shard × slot) cell of the matrix: query/error/deadline
 // counts, the enter/exit pair deriving the per-shard in-flight gauge, and a

@@ -9,16 +9,15 @@
 // The design extends the single-writer slot discipline end to end. While a
 // query executes, its records are staged with plain writes into fixed-size
 // Cells owned exclusively by its admission slot — row 0 for tier-level
-// records, row 1+k for document shard k, each row written only by the one
-// goroutine executing there (the slot owner, or the scatter part running
-// shard k; the Pool.Do join orders the parts' writes before the owner's
-// commit). At commit the owner decides retention — head sampling (one in
-// SampleN per slot), tail capture (latency at or above Slow), or a forced
-// capture — and only retained queries pay for publication: records are
-// copied into per-(row × slot) ring buffers as atomic words (readers merge
-// the rings lazily and discard records lapped mid-read), slow and forced
-// queries additionally land in a bounded slow-query log, and everything else
-// costs nothing beyond the staging writes.
+// records, row 1+k for document shard k, every row written only by the slot
+// owner, which runs each shard part itself before it commits. At commit the
+// owner decides retention — head sampling (one in SampleN per slot), tail
+// capture (latency at or above Slow), or a forced capture — and only
+// retained queries pay for publication: records are copied into per-(row ×
+// slot) ring buffers as atomic words (readers merge the rings lazily and
+// discard records lapped mid-read), slow and forced queries additionally
+// land in a bounded slow-query log, and everything else costs nothing
+// beyond the staging writes.
 //
 // With no Tracer installed the serving tier and engine pay exactly one
 // predictable nil-check branch per seam, and the warm paths stay
@@ -42,10 +41,10 @@ const (
 	KindQuery Kind = iota
 	// KindQueue is the admission span: time spent waiting for a slot.
 	KindQueue
-	// KindScatter covers the scatter-gather fan-out across document shards.
+	// KindScatter covers the query's run over every document shard.
 	KindScatter
-	// KindShard is one scatter part executing on one shard. V1 = the part's
-	// count result.
+	// KindShard is the query's part on one shard. V1 = the part's count
+	// result.
 	KindShard
 	// KindStrategy is one strategy execution inside the engine (Arm names
 	// which). V1, V2 = the input set sizes (V1 = set count, V2 = result count
@@ -148,10 +147,10 @@ type Rec struct {
 const MaxSpans = 8
 
 // Cell is one (row × slot) staging area: a fixed record array written with
-// plain stores by the single goroutine executing there. The serving tier
-// resets the cell at the start of every query (Reset), the engine and tier
-// append records (Event, Span), and the slot owner reads it back at commit —
-// the Pool.Do join provides the happens-before edge for shard rows.
+// plain stores by the slot owner, the one goroutine executing there. The
+// serving tier resets the cell at the start of every query (Reset), the
+// engine and tier append records (Event, Span), and the slot owner reads it
+// back at commit.
 type Cell struct {
 	base  time.Time
 	n     int
@@ -167,9 +166,9 @@ func (c *Cell) Reset(base time.Time) {
 	c.trunc = false
 }
 
-// Base returns the arrival time the cell was last armed with. Scatter parts
+// Base returns the arrival time the cell was last armed with. Shard parts
 // use it to arm their shard cells off the slot's tier cell without re-reading
-// the clock (the dispatch into the pool orders the Reset before them).
+// the clock.
 func (c *Cell) Base() time.Time { return c.base }
 
 // Event appends a zero-duration record without reading the clock — the
@@ -330,11 +329,11 @@ func (t *Tracer) ringAt(row, slot int) *ring {
 func (t *Tracer) TierCell(slot int) *Cell { return t.cell(0, slot) }
 
 // ShardCell returns the staging cell of (document shard, admission slot) —
-// the cell wired to that pair's pinned executor.
+// the cell the slot's executor writes while it runs that shard's part.
 func (t *Tracer) ShardCell(shard, slot int) *Cell { return t.cell(1+shard, slot) }
 
 // Begin arms the slot's tier row for a query arriving at base. Shard rows
-// are armed by the scatter parts that execute them.
+// are armed as each shard part starts.
 func (t *Tracer) Begin(slot int, base time.Time) {
 	t.cell(0, slot).Reset(base)
 }
@@ -343,7 +342,7 @@ func (t *Tracer) Begin(slot int, base time.Time) {
 // (forced > slow > sampled), and for retained queries stamps a fresh trace
 // ID, publishes every staged row into its (row × slot) ring, and appends
 // slow or forced queries to the slow log. Must be called by the slot owner
-// after every scatter part has joined; allocation-free.
+// after every shard part has run; allocation-free.
 func (t *Tracer) Finish(slot int, d time.Duration, forced bool) Verdict {
 	s := &t.seqs[slot]
 	s.seq++
