@@ -127,15 +127,19 @@ ablation:
 
 # Differential fuzzing, 30s per target (the CI fuzz-smoke job runs this): the
 # intersection strategies (both segmented-only and the cross-representation
-# dispatch matrix, k-way arms included), the snapshot deserializers, and the
-# ISA-ladder parity targets (every tier vs pure Go, including forced-AVX2 on
-# AVX-512 hardware).
+# dispatch matrix, k-way arms included), the batch one-vs-many engine, the
+# streaming visitors, the snapshot deserializers, and the ISA-ladder parity
+# targets (every tier vs pure Go, including forced-AVX2 on AVX-512 hardware).
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzIntersect -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzHybridIntersect -fuzztime=30s
+	$(GO) test ./internal/core -fuzz=FuzzCountMany -fuzztime=30s
+	$(GO) test ./internal/core -fuzz=FuzzVisitParity -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadSet -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadCorpus -fuzztime=30s
 	$(GO) test ./internal/kernels -fuzz=FuzzTableCount -fuzztime=30s
+	$(GO) test ./internal/simd -fuzz=FuzzAndSegMasksParity -fuzztime=30s
+	$(GO) test ./internal/simd -fuzz=FuzzCountSmallParity -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzIntersectSmallParity -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzProbeStageParity -fuzztime=30s
 

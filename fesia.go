@@ -126,11 +126,18 @@ func BuildBatch(lists [][]uint32, opts ...Option) ([]*Set, error) {
 	if err != nil {
 		return nil, err
 	}
+	return wrapAll(inner), nil
+}
+
+// wrapAll wraps a batch of core sets, allocating the wrappers as one slab.
+func wrapAll(inner []*core.Set) []*Set {
+	slab := make([]Set, len(inner))
 	sets := make([]*Set, len(inner))
 	for i, s := range inner {
-		sets[i] = &Set{inner: s}
+		slab[i].inner = s
+		sets[i] = &slab[i]
 	}
-	return sets, nil
+	return sets
 }
 
 // Len returns the number of distinct elements in the set.
@@ -199,11 +206,7 @@ func ReadCorpus(r io.Reader) ([]*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]*Set, len(inner))
-	for i, s := range inner {
-		sets[i] = &Set{inner: s}
-	}
-	return sets, nil
+	return wrapAll(inner), nil
 }
 
 // IntersectCount returns |a ∩ b|, choosing between the two-step merge and

@@ -52,11 +52,12 @@ func New(mBits uint64, segBits int) *Bitmap {
 	}
 }
 
-// NewFromWords returns a bitmap whose word storage is the caller-provided
-// slice — typically a region of a shared arena, so many small bitmaps can
-// live in one allocation (core.BuildSets). words must be all zero with
-// len(words) == mBits/64; the bitmap takes ownership of the slice.
-func NewFromWords(words []uint64, mBits uint64, segBits int) *Bitmap {
+// NewFromWords returns, by value, a bitmap whose word storage is the
+// caller-provided slice — typically a region of a shared arena, so many small
+// bitmaps can live in one allocation and inside their owners' headers
+// (core.BuildSets). len(words) must be mBits/64; the bitmap takes ownership
+// of the slice.
+func NewFromWords(words []uint64, mBits uint64, segBits int) Bitmap {
 	if !hashutil.IsPow2(mBits) || mBits < 64 {
 		panic(fmt.Sprintf("bitmap: mBits %d must be a power of two >= 64", mBits))
 	}
@@ -66,7 +67,7 @@ func NewFromWords(words []uint64, mBits uint64, segBits int) *Bitmap {
 	if uint64(len(words)) != mBits/64 {
 		panic(fmt.Sprintf("bitmap: %d words for %d bits", len(words), mBits))
 	}
-	return &Bitmap{words: words, mBits: mBits, segBits: segBits}
+	return Bitmap{words: words, mBits: mBits, segBits: segBits}
 }
 
 func validSegBits(s int) bool {

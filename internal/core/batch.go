@@ -57,7 +57,7 @@ func stageSegPairs(x, y *Set, recs []stagedSeg) []stagedSeg {
 // x's bitmap — the checkpoint unit of the context-aware paths (ctx.go), which
 // stage one word block at a time so cancellation is honored between blocks.
 func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
-	d := &x.disp
+	d := &x.build.disp
 	xw, yw := x.bm.Words(), y.bm.Words()
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
@@ -203,7 +203,7 @@ func countMergeStaged(a, b *Set, recs []stagedSeg, st, kst *stats.Shard) (int, [
 		st.Add(stats.CtrSegPairs, uint64(len(recs)))
 		st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
 	}
-	n, touch := dispatchStagedCount(&x.disp, x.reordered, y.reordered, recs)
+	n, touch := dispatchStagedCount(&x.build.disp, x.reordered, y.reordered, recs)
 	return n, recs, touch
 }
 
@@ -264,13 +264,13 @@ func hashProbeStaged(small, large *Set, stage []probeRec, dst []uint32, emit Vis
 	if simd.GatherProbeActive() && small.n >= 16 && large.bm.Bits() <= gatherProbeMaxBits {
 		return hashProbeStagedGather(small, large, stage, dst, emit, st)
 	}
-	lb := large.bm
+	lb := &large.bm
 	words := lb.Words()
 	mBits := lb.Bits()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
 	reord := large.reordered
-	hasher := large.hasher
+	hasher := large.build.hasher
 	elems := small.reordered
 
 	n := 0
@@ -315,13 +315,13 @@ func hashProbeStaged(small, large *Set, stage []probeRec, dst []uint32, emit Vis
 // (ProbeStage's pointers do not escape), keeping the warm path
 // allocation-free.
 func hashProbeStagedGather(small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	lb := large.bm
+	lb := &large.bm
 	words := lb.Words()
 	mBits := lb.Bits()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
 	reord := large.reordered
-	hasher := large.hasher
+	hasher := large.build.hasher
 	seed := hasher.Seed()
 	elems := small.reordered
 
@@ -426,7 +426,7 @@ func (c *probeCache) fill(q *Set, mBits uint64) {
 		c.pos = make([]uint64, q.n)
 	}
 	c.pos = c.pos[:q.n]
-	h := q.hasher
+	h := q.build.hasher
 	for i, x := range q.reordered {
 		c.pos[i] = h.Pos(x, mBits)
 	}
@@ -457,7 +457,7 @@ func hashProbeBatch(c *probeCache, q, small, large *Set, stage []probeRec, dst [
 // precomputed cache instead of hashed on the fly — the staging phase becomes
 // pure loads and shifts.
 func hashProbeStagedPos(pos []uint64, small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	lb := large.bm
+	lb := &large.bm
 	words := lb.Words()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
@@ -529,6 +529,14 @@ func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
 	e.ensureProbe()
 	recs := e.staged
 	var touch uint32
+	// Touch pass: load every segmented candidate's first bitmap word and last
+	// offset back to back, so the candidates' header and arena misses overlap
+	// instead of queuing one per candidate in the loop below.
+	for _, c := range candidates {
+		if c.rep == RepSegmented {
+			touch += uint32(c.bm.Words()[0]) + c.offsets[len(c.offsets)-1]
+		}
+	}
 	h := e.plan
 	for i, c := range candidates {
 		compatible(q, c)
@@ -617,7 +625,7 @@ func (e *Executor) IntersectManyInto(dst []uint32, counts []int, q *Set, candida
 					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
 				}
 				var t uint32
-				n, t = dispatchStagedIntersect(&x.disp, dst[total:], x.reordered, y.reordered, recs)
+				n, t = dispatchStagedIntersect(&x.build.disp, dst[total:], x.reordered, y.reordered, recs)
 				touch += t
 			}
 			planRecord(h, ch, pstart)
@@ -679,7 +687,7 @@ func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int,
 					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
 				}
 				scratch = growU32(scratch, max(min(x.maxSeg, y.maxSeg), 1))
-				d := &x.disp
+				d := &x.build.disp
 				xr, yr := x.reordered, y.reordered
 				for _, r := range recs {
 					a := xr[r.oa:r.oaEnd]

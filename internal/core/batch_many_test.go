@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"fesia/internal/simd"
 )
 
 // batchFixture builds a one-vs-many workload with deliberately mixed
@@ -213,16 +215,36 @@ func TestCountManyEdgeCases(t *testing.T) {
 		ex.CountMany(q, []*Set{c, c}, make([]int, 1))
 	}()
 
-	// Incompatible candidate panics.
-	other := MustNewSet(randSet(rng, 50, 1<<12), Config{Seed: 99})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("incompatible candidate should panic")
-			}
+	// Incompatible candidates panic: a seed, segment-size or width mismatch.
+	for _, cfg := range []Config{{Seed: 99}, {SegBits: 16}, {Width: simd.WidthSSE}} {
+		other := MustNewSet(randSet(rng, 50, 1<<12), cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("candidate built with %+v should panic", cfg)
+				}
+			}()
+			ex.CountMany(q, []*Set{other}, out)
 		}()
-		ex.CountMany(q, []*Set{other}, out)
-	}()
+	}
+
+	// Sets of two BuildSets calls with equal configs share no build state:
+	// compatible takes its slow path, and they still intersect.
+	lists := [][]uint32{randSet(rng, 300, 1<<12), randSet(rng, 40, 1<<12), randSet(rng, 900, 1<<12)}
+	first, err := BuildSets(lists[:1], DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := BuildSets(lists[1:], DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.CountMany(first[0], second, out)
+	for i, l := range lists[1:] {
+		if want := len(refIntersect(lists[0], l)); out[i] != want {
+			t.Errorf("cross-build candidate %d: count %d, want %d", i, out[i], want)
+		}
+	}
 }
 
 // FuzzCountMany drives the staged dispatch path against the fused pairwise

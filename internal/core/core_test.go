@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fesia/internal/bitmap"
 	"fesia/internal/datasets"
@@ -45,6 +46,15 @@ func sortedCopy(s []uint32) []uint32 {
 	out := append([]uint32(nil), s...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// TestSetHeaderSize pins the flat header: the bitmap inline, the build
+// state shared, small enough that a batch's headers pack densely in their
+// slab.
+func TestSetHeaderSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Set{}); sz > 160 {
+		t.Errorf("Set header is %d bytes, want at most 160", sz)
+	}
 }
 
 func TestConfigNormalize(t *testing.T) {
@@ -159,7 +169,7 @@ func TestSegmentInvariants(t *testing.T) {
 				if i > 0 && lst[i-1] >= v {
 					t.Fatalf("segment %d not strictly ascending: %v", seg, lst)
 				}
-				pos := s.hasher.Pos(v, s.BitmapBits())
+				pos := s.build.hasher.Pos(v, s.BitmapBits())
 				if s.bm.SegmentOf(pos) != seg {
 					t.Fatalf("element %d in wrong segment %d", v, seg)
 				}
@@ -682,7 +692,7 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	for i := range sets {
 		sets[i] = MustNewSet(randSet(rng, n, 1<<28), DefaultConfig())
 	}
-	maps := []*bitmap.Bitmap{sets[0].bm, sets[1].bm, sets[2].bm}
+	maps := []*bitmap.Bitmap{&sets[0].bm, &sets[1].bm, &sets[2].bm}
 	survivors := 0
 	bitmap.ForEachIntersectingSegmentK(maps, func(int) { survivors++ })
 	// 2-way survivors for comparison.

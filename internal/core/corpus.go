@@ -2,15 +2,14 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
-	"fesia/internal/bitmap"
 	"fesia/internal/hashutil"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
@@ -36,8 +35,8 @@ import (
 //	  RepDense:     dense words (mBits/64 × uint64) over [base, base+mBits)
 //	whole-file CRC32C (uint32, covering magic through the last payload byte)
 //
-// Sizes arrays are rederived on load (validateShell), exactly as ReadSet
-// does. Any truncation or bit flip fails the trailing checksum or a
+// Segment lengths come from the offsets, exactly as for ReadSet. Any
+// truncation or bit flip fails the trailing checksum or a
 // structural check; a corrupt stream can never produce a loadable corpus.
 // The legacy v2 format ("FESIAC2") — segmented-only, no rep/base meta fields
 // — is still accepted by ReadCorpus; WriteCorpus emits v3.
@@ -185,10 +184,10 @@ func corpusConfig(sets []*Set) (Config, error) {
 	if len(sets) == 0 {
 		return DefaultConfig().normalize()
 	}
-	cfg := sets[0].cfg
+	cfg := sets[0].build.cfg
 	cfg.Rep = RepSegmented
 	for i, s := range sets[1:] {
-		c := s.cfg
+		c := s.build.cfg
 		c.Rep = RepSegmented
 		if c != cfg {
 			return cfg, fmt.Errorf("core: corpus sets disagree on build config (set 0 %+v, set %d %+v)",
@@ -205,21 +204,6 @@ type corpusSetMeta struct {
 	base  uint32
 	n     int
 	mBits uint64
-}
-
-// metaArenaWords returns one set's arena footprint in 64-bit words — the
-// load-time mirror of arenaWords, derived from the stream meta instead of
-// the element list.
-func (m corpusSetMeta) arenaWords(cfg Config) uint64 {
-	switch m.rep {
-	case RepArray:
-		return (uint64(m.n) + 1) / 2
-	case RepDense:
-		return m.mBits / 64
-	}
-	nseg := m.mBits / uint64(cfg.SegBits)
-	u32Len := nseg + (nseg + 1) + uint64(m.n) // sizes + offsets + reordered
-	return m.mBits/64 + (u32Len+1)/2
 }
 
 // payloadBytes returns how many stream bytes the set's payload occupies.
@@ -324,34 +308,30 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 	// loop via the stream length).
 	metas := make([]corpusSetMeta, 0, min(int(min(numSets, 1<<16)), 1<<16))
 	var totalU64, payloadBytes uint64
+	var hb [24]byte
+	hdr := hb[:16] // v2: n, mBits
+	if v3 {
+		hdr = hb[:] // v3: rep, base, n, mBits
+	}
+	le := binary.LittleEndian
 	for i := uint64(0); i < numSets; i++ {
-		var m corpusSetMeta
+		if _, err := io.ReadFull(cr, hdr); err != nil {
+			return nil, fmt.Errorf("core: reading set %d header: %w", i, noEOF(err))
+		}
+		m := corpusSetMeta{rep: RepSegmented}
 		if v3 {
-			var rep32, base uint32
-			var n64, mBits uint64
-			for _, v := range []interface{}{&rep32, &base, &n64, &mBits} {
-				if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-					return nil, fmt.Errorf("core: reading set %d header: %w", i, noEOF(err))
-				}
-			}
+			rep32 := le.Uint32(hdr)
 			if rep32 >= uint32(numReps) {
 				return nil, fmt.Errorf("core: set %d: invalid representation %d", i, rep32)
 			}
-			m = corpusSetMeta{rep: Rep(rep32), base: base, n: int(n64), mBits: mBits}
-		} else {
-			var n64, mBits uint64
-			if err := binary.Read(cr, binary.LittleEndian, &n64); err != nil {
-				return nil, fmt.Errorf("core: reading set %d header: %w", i, noEOF(err))
-			}
-			if err := binary.Read(cr, binary.LittleEndian, &mBits); err != nil {
-				return nil, fmt.Errorf("core: reading set %d header: %w", i, noEOF(err))
-			}
-			m = corpusSetMeta{rep: RepSegmented, n: int(n64), mBits: mBits}
+			m.rep, m.base = Rep(rep32), le.Uint32(hdr[4:])
 		}
+		m.n = int(le.Uint64(hdr[len(hdr)-16:]))
+		m.mBits = le.Uint64(hdr[len(hdr)-8:])
 		if err := m.validate(); err != nil {
 			return nil, fmt.Errorf("core: set %d: %w", i, err)
 		}
-		totalU64 += m.arenaWords(cfg)
+		totalU64 += arenaWords(m.rep, uint64(m.n), m.mBits, cfg.SegBits)
 		payloadBytes += m.payloadBytes(cfg)
 		if totalU64 > maxReasonable {
 			return nil, fmt.Errorf("core: corpus arena implausibly large (%d words)", totalU64)
@@ -365,80 +345,80 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 	// any byte of the payload is interpreted.
 	payload := make([]byte, 0, min(payloadBytes, 1<<20))
 	for remaining := payloadBytes; remaining > 0; {
-		c := min(remaining, 1<<16)
-		chunk := make([]byte, c)
-		if _, err := io.ReadFull(cr, chunk); err != nil {
+		c := int(min(remaining, 1<<16))
+		payload = slices.Grow(payload, c)
+		if _, err := io.ReadFull(cr, payload[len(payload):len(payload)+c]); err != nil {
 			return nil, fmt.Errorf("core: reading corpus payload: %w", noEOF(err))
 		}
-		payload = append(payload, chunk...)
-		remaining -= c
+		payload = payload[:len(payload)+c]
+		remaining -= uint64(c)
 	}
 	if err := cr.checkCRC("corpus"); err != nil {
 		return nil, err
 	}
 
-	// Checksum verified: rebuild the arena. The allocation is backed by an
-	// actually-received stream of the same magnitude.
+	// Checksum verified: rebuild the arena, decoding each section straight
+	// from the payload. The allocation is backed by an actually-received
+	// stream of the same magnitude, whose length the metas fix exactly.
 	arena := make([]uint64, totalU64)
+	b := newBuildState(cfg)
+	slab := make([]Set, len(metas))
 	sets := make([]*Set, len(metas))
-	pr := bytes.NewReader(payload)
+	var pos []uint64 // validateShell's scratch, shared by the corpus
 	at := 0
 	for i, m := range metas {
-		var s *Set
+		s := &slab[i]
+		var err error
 		switch m.rep {
 		case RepArray:
 			var elems []uint32
 			if m.n > 0 {
 				elems = unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), m.n)
 				at += (m.n + 1) / 2
-				if err := readU32sInto(pr, elems); err != nil {
-					return nil, fmt.Errorf("core: decoding set %d elements: %w", i, noEOF(err))
-				}
+				payload = decodeU32s(elems, payload)
 			}
-			s = newArrayShell(cfg, elems)
-			if err := validateArrayShell(s); err != nil {
-				return nil, fmt.Errorf("core: set %d: %w", i, err)
-			}
+			*s = newArrayShell(b, elems)
+			err = validateArrayShell(s)
 		case RepDense:
 			nwords := int(m.mBits) / 64
 			words := arena[at : at+nwords : at+nwords]
 			at += nwords
-			if err := readU64sInto(pr, words); err != nil {
-				return nil, fmt.Errorf("core: decoding set %d dense words: %w", i, noEOF(err))
-			}
-			s = newDenseShell(cfg, words, m.base, m.n)
-			if err := validateDenseShell(s); err != nil {
-				return nil, fmt.Errorf("core: set %d: %w", i, err)
-			}
+			payload = decodeU64s(words, payload)
+			*s = newDenseShell(b, words, m.base, m.n)
+			err = validateDenseShell(s)
 		default:
-			nseg := int(m.mBits) / cfg.SegBits
-			nwords := int(m.mBits) / 64
-			words := arena[at : at+nwords : at+nwords]
-			at += nwords
-			u32Len := nseg + (nseg + 1) + m.n
-			u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), u32Len)
-			at += (u32Len + 1) / 2
-			sizes := u32[:nseg:nseg]
-			offsets := u32[nseg : 2*nseg+1 : 2*nseg+1]
-			reordered := u32[2*nseg+1 : u32Len : u32Len]
-			if err := readU64sInto(pr, words); err != nil {
-				return nil, fmt.Errorf("core: decoding set %d bitmap: %w", i, noEOF(err))
-			}
-			if err := readU32sInto(pr, offsets); err != nil {
-				return nil, fmt.Errorf("core: decoding set %d offsets: %w", i, noEOF(err))
-			}
-			if err := readU32sInto(pr, reordered); err != nil {
-				return nil, fmt.Errorf("core: decoding set %d elements: %w", i, noEOF(err))
-			}
-			s = newShell(cfg, bitmap.NewFromWords(words, m.mBits, cfg.SegBits),
-				sizes, offsets, reordered)
-			if err := validateShell(s); err != nil {
-				return nil, fmt.Errorf("core: set %d: %w", i, err)
-			}
+			var words []uint64
+			var offsets, reordered []uint32
+			words, offsets, reordered, at = segmentedRegion(arena, at, m.mBits, cfg.SegBits, m.n)
+			payload = decodeU64s(words, payload)
+			payload = decodeU32s(offsets, payload)
+			payload = decodeU32s(reordered, payload)
+			*s = newShell(b, words, offsets, reordered)
+			pos, err = validateShell(s, pos)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: set %d: %w", i, err)
 		}
 		sets[i] = s
 	}
 	return sets, nil
+}
+
+// decodeU32s fills dst from the little-endian uint32s at the head of src and
+// returns the rest of src.
+func decodeU32s(dst []uint32, src []byte) []byte {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+	}
+	return src[4*len(dst):]
+}
+
+// decodeU64s is decodeU32s for uint64s.
+func decodeU64s(dst []uint64, src []byte) []byte {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+	}
+	return src[8*len(dst):]
 }
 
 // crc32cOf is a convenience for tests: the CRC32C of data.

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"fesia/internal/testutil"
@@ -62,6 +64,24 @@ func TestCorpusRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(want.Bytes(), have.Bytes()) {
 			t.Fatalf("set %d: round trip changed serialized form", i)
+		}
+	}
+	// BuildSets, NewSet and ReadCorpus all take segment lengths from the
+	// offsets, and must agree on the layout they describe.
+	for i, built := range sets {
+		fresh := MustNewSet(built.Elements(), DefaultConfig())
+		for name, s := range map[string]*Set{"NewSet": fresh, "ReadCorpus": got[i]} {
+			if !reflect.DeepEqual(s.Stats(), built.Stats()) {
+				t.Errorf("set %d: %s Stats %+v, BuildSets %+v", i, name, s.Stats(), built.Stats())
+			}
+			if s.MemoryBytes() != built.MemoryBytes() {
+				t.Errorf("set %d: %s MemoryBytes %d, BuildSets %d", i, name, s.MemoryBytes(), built.MemoryBytes())
+			}
+			for seg := range built.NumSegments() {
+				if !slices.Equal(s.Segment(seg), built.Segment(seg)) {
+					t.Fatalf("set %d: %s segment %d is %v, BuildSets %v", i, name, seg, s.Segment(seg), built.Segment(seg))
+				}
+			}
 		}
 	}
 	// Loaded sets must intersect correctly against live ones and each other.
@@ -216,5 +236,35 @@ func TestCorpusForgedHeaders(t *testing.T) {
 		if _, err := ReadCorpus(bytes.NewReader(c.data)); err == nil {
 			t.Errorf("%s: forged header accepted", c.name)
 		}
+	}
+}
+
+// TestBuildAndLoadAllocsPerSet: building or loading a corpus makes a fixed
+// number of allocations, not a number that grows with the set count — the
+// headers share one slab, the payloads one arena and the sorted copies one
+// buffer.
+func TestBuildAndLoadAllocsPerSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	lists := make([][]uint32, 10_000)
+	for i := range lists {
+		lists[i] = randSet(rng, 8, 1<<20)
+	}
+	sets, err := BuildSets(lists, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := corpusBytes(t, sets)
+	perSet := func(f func() error) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(len(lists))
+	}
+	build := perSet(func() error { _, err := BuildSets(lists, DefaultConfig()); return err })
+	load := perSet(func() error { _, err := ReadCorpus(bytes.NewReader(data)); return err })
+	t.Logf("allocations per set: BuildSets %.4f, ReadCorpus %.4f", build, load)
+	if build >= 0.05 || load >= 0.05 {
+		t.Errorf("allocations per set: BuildSets %.3f, ReadCorpus %.3f; want both under 0.05", build, load)
 	}
 }

@@ -152,7 +152,7 @@ func (e *Executor) countMergeCtx(ctx context.Context, a, b *Set) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		dn, dt := dispatchStagedCount(&x.disp, x.reordered, y.reordered,
+		dn, dt := dispatchStagedCount(&x.build.disp, x.reordered, y.reordered,
 			recs[lo:min(lo+ctxStageBlock, len(recs))])
 		n += dn
 		touch += dt
@@ -260,7 +260,7 @@ func (e *Executor) intersectMergeCtx(ctx checkpoint, dst []uint32, a, b *Set) (i
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		dn, dt := dispatchStagedIntersect(&x.disp, dst[n:], x.reordered, y.reordered,
+		dn, dt := dispatchStagedIntersect(&x.build.disp, dst[n:], x.reordered, y.reordered,
 			recs[lo:min(lo+ctxStageBlock, len(recs))])
 		n += dn
 		touch += dt

@@ -261,7 +261,7 @@ func (e *Executor) VisitMerge(a, b *Set, emit Visitor) {
 	}
 	compatible(a, b)
 	x, y := ordered(a, b)
-	t := x.table
+	t := x.build.table
 	e.scratch = growU32(e.scratch, max(min(x.maxSeg, y.maxSeg), 1))
 	sc := e.scratch
 	st := e.st
@@ -274,7 +274,7 @@ func (e *Executor) VisitMerge(a, b *Set, emit Visitor) {
 	forEachSegPair(x, y, func(sx, sy int) {
 		pairs++
 		if kst != nil {
-			kst.Kernel(int(x.sizes[sx]), int(y.sizes[sy]))
+			kst.Kernel(len(x.segment(sx)), len(y.segment(sy)))
 		}
 		t.Visit(sc, x.segment(sx), y.segment(sy), emit)
 	})
@@ -468,7 +468,7 @@ func (e *Executor) orderByBitmap(sets []*Set) {
 	}
 	e.maps = e.maps[:0]
 	for _, s := range ord {
-		e.maps = append(e.maps, s.bm)
+		e.maps = append(e.maps, &s.bm)
 	}
 }
 
@@ -522,7 +522,7 @@ func kwayMaxSeg(sets []*Set) int {
 // survivor count. It reads e.maps but writes no executor state, so the
 // parallel chain's workers share it.
 func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, buf1, buf2 []uint32, sink func(cur []uint32)) int {
-	t := x.table
+	t := x.build.table
 	total := 0
 	bitmap.ForEachIntersectingSegmentKRange(e.maps, wordLo, wordHi, func(seg int) {
 		cur := x.segment(seg)
@@ -731,7 +731,7 @@ func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) 
 		start = time.Now()
 	}
 	e.ensureWorkers(workers)
-	t := x.table
+	t := x.build.table
 	chunk := (words + workers - 1) / workers
 	e.getPool().Do(workers, func(w int) {
 		ws := &e.workers[w]
@@ -739,11 +739,11 @@ func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) 
 		hi := min(lo+chunk, words)
 		// Pre-size from per-range segment totals: the sum of
 		// min(|segA|, |segB|) over the range's surviving pairs bounds the
-		// range's output exactly, and reading two size arrays is far cheaper
+		// range's output exactly, and reading the offsets is far cheaper
 		// than the kernel pass that follows.
 		bound := 0
 		forEachSegPairRange(x, y, lo, hi, func(sx, sy int) {
-			bound += int(min(x.sizes[sx], y.sizes[sy]))
+			bound += min(len(x.segment(sx)), len(y.segment(sy)))
 		})
 		ws.buf = growU32(ws.buf, bound)
 		n := 0

@@ -127,7 +127,7 @@ func crossRun(h *planner.Handle, denseAnd *[]uint64, a, b *Set, dst []uint32, em
 func arrayArrayRun(a, b *Set, dst []uint32, emit Visitor) int {
 	xa, xb := a.reordered, b.reordered
 	la, lb := len(xa), len(xb)
-	d := &a.disp
+	d := &a.build.disp
 	if emit != nil {
 		n := 0
 		kernels.GenericVisit(xa, xb, func(v uint32) {

@@ -24,7 +24,7 @@ func buildRep(t testing.TB, elems []uint32, r Rep) *Set {
 	if err != nil {
 		t.Fatalf("NewSet(rep=%v): %v", r, err)
 	}
-	if len(sortDedup(elems)) > 0 && s.Rep() != r {
+	if len(sortDedup(make([]uint32, len(elems)), elems)) > 0 && s.Rep() != r {
 		t.Fatalf("forced rep %v, built %v", r, s.Rep())
 	}
 	return s
@@ -64,7 +64,7 @@ func TestChooseRep(t *testing.T) {
 				c.elems[i] = uint32(i) * 1000
 			}
 		}
-		got := chooseRep(sortDedup(c.elems), c.force)
+		got := chooseRep(sortDedup(make([]uint32, len(c.elems)), c.elems), c.force)
 		if got != c.want {
 			t.Errorf("%s: chooseRep = %v, want %v", c.name, got, c.want)
 		}
@@ -178,7 +178,7 @@ func TestHybridKWayParity(t *testing.T) {
 		randSet(rng, 150, 1<<14),
 	}
 	inter := func(ls [][]uint32) []uint32 {
-		cur := sortDedup(ls[0])
+		cur := sortDedup(make([]uint32, len(ls[0])), ls[0])
 		for _, l := range ls[1:] {
 			cur = refIntersect(cur, l)
 		}
@@ -647,7 +647,7 @@ func TestHybridCorpusLegacyV2(t *testing.T) {
 func TestHybridSetAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	elems := randSet(rng, 1000, 1<<12)
-	ded := sortDedup(elems)
+	ded := sortDedup(make([]uint32, len(elems)), elems)
 
 	arr := buildRep(t, elems, RepArray)
 	if arr.BitmapBits() != 0 || arr.NumSegments() != 0 || arr.Segment(0) != nil {

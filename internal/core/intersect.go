@@ -47,7 +47,7 @@ func CountMerge(a, b *Set) int {
 // the histogram's per-pair cost is paid on a thin sample while every counter
 // stays exact.
 func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
-	d := &x.disp
+	d := &x.build.disp
 	xw, yw := x.bm.Words(), y.bm.Words()
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
@@ -165,7 +165,7 @@ func IntersectMerge(dst []uint32, a, b *Set) int {
 	}
 	compatible(a, b)
 	x, y := ordered(a, b)
-	t := x.table
+	t := x.build.table
 	n := 0
 	forEachSegPair(x, y, func(sx, sy int) {
 		n += t.Intersect(dst[n:], x.segment(sx), y.segment(sy))
@@ -176,11 +176,11 @@ func IntersectMerge(dst []uint32, a, b *Set) int {
 // forEachSegPair streams the surviving segment pairs of the bitmap-level
 // intersection, with x the larger-bitmap set.
 func forEachSegPair(x, y *Set, fn func(sx, sy int)) {
-	bitmap.ForEachIntersectingSegment(x.bm, y.bm, fn)
+	bitmap.ForEachIntersectingSegment(&x.bm, &y.bm, fn)
 }
 
 func forEachSegPairRange(x, y *Set, wordLo, wordHi int, fn func(sx, sy int)) {
-	bitmap.ForEachIntersectingSegmentRange(x.bm, y.bm, wordLo, wordHi, fn)
+	bitmap.ForEachIntersectingSegmentRange(&x.bm, &y.bm, wordLo, wordHi, fn)
 }
 
 // hashProbeRange is the one hash-probe loop behind CountHash, IntersectHash,
@@ -237,13 +237,13 @@ func hashProbeElems(elems []uint32, large *Set, dst []uint32, emit Visitor, st *
 func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
 	n := 0
 	survivors := 0
-	lb := large.bm
+	lb := &large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
 	reord := large.reordered
-	seed := large.hasher.Seed()
+	seed := large.build.hasher.Seed()
 	lastSeg := -1
 	var segList []uint32
 	var outE, outP [simd.ProbeStageBlock]uint32
@@ -309,13 +309,13 @@ func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor
 func hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
 	n := 0
 	survivors := 0
-	lb := large.bm
+	lb := &large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
 	reord := large.reordered
-	hasher := large.hasher
+	hasher := large.build.hasher
 	lastSeg := -1
 	var segList []uint32
 	for _, x := range elems {
@@ -510,7 +510,7 @@ func DispatchTrace(a, b *Set) [][2]int {
 	}
 	compatible(a, b)
 	x, y := ordered(a, b)
-	trace := make([][2]int, 0, bitmap.CountIntersectingSegments(x.bm, y.bm))
+	trace := make([][2]int, 0, bitmap.CountIntersectingSegments(&x.bm, &y.bm))
 	forEachSegPair(x, y, func(sx, sy int) {
 		trace = append(trace, [2]int{len(x.segment(sx)), len(y.segment(sy))})
 	})
@@ -552,7 +552,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	bitmapTime := time.Since(start)
 
 	start = time.Now()
-	n, touch := dispatchStagedCount(&x.disp, x.reordered, y.reordered, recs)
+	n, touch := dispatchStagedCount(&x.build.disp, x.reordered, y.reordered, recs)
 	segTime := time.Since(start)
 	e.touchSink += touch
 
@@ -609,13 +609,13 @@ func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 	}
 	e.ensureProbe()
 	stage := e.probeStage
-	lb := large.bm
+	lb := &large.bm
 	words := lb.Words()
 	mBits := lb.Bits()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
 	reord := large.reordered
-	hasher := large.hasher
+	hasher := large.build.hasher
 	elems := small.reordered
 
 	bd := HashBreakdown{Probes: small.n}
@@ -679,13 +679,13 @@ func HashProbeTrace(a, b *Set) []HashProbe {
 	if small.n > large.n {
 		small, large = large, small
 	}
-	lb := large.bm
+	lb := &large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
 	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
 	offs := large.offsets
 	reord := large.reordered
-	hasher := large.hasher
+	hasher := large.build.hasher
 	trace := make([]HashProbe, 0, small.n)
 	for _, x := range small.reordered {
 		pos := hasher.Pos(x, mBits)

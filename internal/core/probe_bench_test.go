@@ -11,10 +11,10 @@ import (
 // header, even when it lands in the same segment as its predecessor.
 func hashProbeRangeNoHoist(small, large *Set, lo, hi int, emit Visitor) int {
 	n := 0
-	lb := large.bm
+	lb := &large.bm
 	mBits := lb.Bits()
 	for _, x := range small.reordered[lo:hi] {
-		pos := large.hasher.Pos(x, mBits)
+		pos := large.build.hasher.Pos(x, mBits)
 		if !lb.Test(pos) {
 			continue
 		}

@@ -39,10 +39,10 @@ import (
 //	  RepDense:     dense words (mBits/64 × uint64) covering value range
 //	                [base, base+mBits)
 //
-// sizes are rederived from offsets; maxSeg is recomputed on load. The legacy
-// v2 format ("FESIA2") is v3 minus the rep/base fields (segmented only), and
-// v1 ("FESIA1") is v2 minus all checksums; ReadSet accepts all three, WriteTo
-// emits v3.
+// Segment lengths come from the offsets; maxSeg is recomputed on load. The
+// legacy v2 format ("FESIA2") is v3 minus the rep/base fields (segmented
+// only), and v1 ("FESIA1") is v2 minus all checksums; ReadSet accepts all
+// three, WriteTo emits v3.
 
 var (
 	setMagicV1 = [8]byte{'F', 'E', 'S', 'I', 'A', '1', 0, 0}
@@ -147,6 +147,7 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 	if _, err := cw.Write(setMagicV3[:]); err != nil {
 		return err
 	}
+	cfg := s.build.cfg
 	var base uint32
 	var mBits uint64
 	switch s.rep {
@@ -157,8 +158,8 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 		mBits = uint64(len(s.dense)) * 64
 	}
 	hdr := []interface{}{
-		uint32(s.cfg.Width), uint32(s.cfg.SegBits), uint32(s.cfg.Stride),
-		math.Float64bits(s.cfg.Scale), s.cfg.Seed,
+		uint32(cfg.Width), uint32(cfg.SegBits), uint32(cfg.Stride),
+		math.Float64bits(cfg.Scale), cfg.Seed,
 		uint32(s.rep), base,
 		uint64(s.n), mBits,
 	}
@@ -207,9 +208,10 @@ func writeSetBodyLegacy(cw *crcWriter, s *Set, withCRC bool) error {
 	if _, err := cw.Write(magic[:]); err != nil {
 		return err
 	}
+	cfg := s.build.cfg
 	hdr := []interface{}{
-		uint32(s.cfg.Width), uint32(s.cfg.SegBits), uint32(s.cfg.Stride),
-		math.Float64bits(s.cfg.Scale), s.cfg.Seed,
+		uint32(cfg.Width), uint32(cfg.SegBits), uint32(cfg.Stride),
+		math.Float64bits(cfg.Scale), cfg.Seed,
 		uint64(s.n), s.bm.Bits(),
 	}
 	for _, v := range hdr {
@@ -290,31 +292,6 @@ func readU32s(r io.Reader, count int) ([]uint32, error) {
 		count -= c
 	}
 	return out, nil
-}
-
-// readU32sInto fills dst from the stream in bounded chunks (the arena-backed
-// corpus reader's variant of readU32s).
-func readU32sInto(r io.Reader, dst []uint32) error {
-	for len(dst) > 0 {
-		c := min(len(dst), readChunkElems)
-		if err := binary.Read(r, binary.LittleEndian, dst[:c]); err != nil {
-			return err
-		}
-		dst = dst[c:]
-	}
-	return nil
-}
-
-// readU64sInto fills dst from the stream in bounded chunks.
-func readU64sInto(r io.Reader, dst []uint64) error {
-	for len(dst) > 0 {
-		c := min(len(dst), readChunkElems)
-		if err := binary.Read(r, binary.LittleEndian, dst[:c]); err != nil {
-			return err
-		}
-		dst = dst[c:]
-	}
-	return nil
 }
 
 // maxReasonable bounds header-declared sizes: anything above it is treated
@@ -434,6 +411,7 @@ func readSet(r io.Reader) (*Set, error) {
 			return nil, err
 		}
 	}
+	b := newBuildState(h.cfg)
 	switch h.rep {
 	case RepArray:
 		elems, err := readU32s(src, h.n)
@@ -445,11 +423,11 @@ func readSet(r io.Reader) (*Set, error) {
 				return nil, err
 			}
 		}
-		s := newArrayShell(h.cfg, elems)
-		if err := validateArrayShell(s); err != nil {
+		s := newArrayShell(b, elems)
+		if err := validateArrayShell(&s); err != nil {
 			return nil, err
 		}
-		return s, nil
+		return &s, nil
 	case RepDense:
 		words, err := readU64s(src, int(h.mBits)/64)
 		if err != nil {
@@ -460,11 +438,11 @@ func readSet(r io.Reader) (*Set, error) {
 				return nil, err
 			}
 		}
-		s := newDenseShell(h.cfg, words, h.base, h.n)
-		if err := validateDenseShell(s); err != nil {
+		s := newDenseShell(b, words, h.base, h.n)
+		if err := validateDenseShell(&s); err != nil {
 			return nil, err
 		}
-		return s, nil
+		return &s, nil
 	}
 	nseg := int(h.mBits) / h.cfg.SegBits
 
@@ -497,76 +475,71 @@ func readSet(r io.Reader) (*Set, error) {
 			return nil, err
 		}
 	}
-	s := newShell(h.cfg, bitmap.New(h.mBits, h.cfg.SegBits), make([]uint32, nseg), offsets, reordered)
-	copy(s.bm.Words(), words)
-	if err := validateShell(s); err != nil {
+	s := newShell(b, words, offsets, reordered)
+	if _, err := validateShell(&s, nil); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &s, nil
 }
 
 // validateShell checks every structural invariant of a deserialized shell
 // (offsets monotone and bounded, segments sorted, every element's hash bit
 // set in its own segment, and — bit for bit — the bitmap derivable from the
-// elements), filling in sizes and maxSeg as it walks. It is shared by
-// ReadSet and ReadCorpus.
-func validateShell(s *Set) error {
+// elements), filling in maxSeg as it walks. It is shared by ReadSet and
+// ReadCorpus; pos is hash-position scratch, returned grown so a corpus load
+// reuses it across sets.
+func validateShell(s *Set, pos []uint64) ([]uint64, error) {
 	n := s.n
 	nseg := s.bm.NumSegments()
 	mBits := s.bm.Bits()
 
-	// Validate the whole offset array before any slicing, then rederive
-	// sizes/maxSeg segment by segment.
+	// Validate the whole offset array before any slicing, then walk the
+	// segments it delimits.
 	if s.offsets[0] != 0 || s.offsets[nseg] != uint32(n) {
-		return fmt.Errorf("core: offset bounds corrupt (first=%d last=%d n=%d)",
+		return pos, fmt.Errorf("core: offset bounds corrupt (first=%d last=%d n=%d)",
 			s.offsets[0], s.offsets[nseg], n)
 	}
 	for i := 0; i < nseg; i++ {
 		if s.offsets[i] > s.offsets[i+1] || s.offsets[i+1] > uint32(n) {
-			return fmt.Errorf("core: offsets corrupt at segment %d", i)
+			return pos, fmt.Errorf("core: offsets corrupt at segment %d", i)
 		}
 	}
-	var posScratch []uint64
 	for i := 0; i < nseg; i++ {
-		size := s.offsets[i+1] - s.offsets[i]
-		s.sizes[i] = size
-		if int(size) > s.maxSeg {
-			s.maxSeg = int(size)
-		}
-		lst := s.reordered[s.offsets[i]:s.offsets[i+1]]
-		posScratch = posScratch[:0]
+		lst := s.segment(i)
+		s.maxSeg = max(s.maxSeg, len(lst))
+		pos = pos[:0]
 		for j, v := range lst {
 			if j > 0 && lst[j-1] >= v {
-				return fmt.Errorf("core: segment %d not strictly ascending", i)
+				return pos, fmt.Errorf("core: segment %d not strictly ascending", i)
 			}
-			pos := s.hasher.Pos(v, mBits)
-			if s.bm.SegmentOf(pos) != i {
-				return fmt.Errorf("core: element %d stored in segment %d, hashes to %d",
-					v, i, s.bm.SegmentOf(pos))
+			p := s.build.hasher.Pos(v, mBits)
+			if s.bm.SegmentOf(p) != i {
+				return pos, fmt.Errorf("core: element %d stored in segment %d, hashes to %d",
+					v, i, s.bm.SegmentOf(p))
 			}
-			if !s.bm.Test(pos) {
-				return fmt.Errorf("core: bitmap bit missing for element %d", v)
+			if !s.bm.Test(p) {
+				return pos, fmt.Errorf("core: bitmap bit missing for element %d", v)
 			}
-			posScratch = append(posScratch, pos)
+			pos = append(pos, p)
 		}
 		// The reverse direction: every set bit of the segment must be backed
 		// by at least one element hashing onto it. Element→bit alone lets a
 		// flipped payload byte smuggle in stray set bits; comparing the
 		// segment's popcount against its distinct element hash positions
 		// rejects them.
-		slices.Sort(posScratch)
+		slices.Sort(pos)
 		distinct := 0
-		for j, p := range posScratch {
-			if j == 0 || p != posScratch[j-1] {
+		for j, p := range pos {
+			if j == 0 || p != pos[j-1] {
 				distinct++
 			}
 		}
-		if pop := segmentPopcount(s.bm, i); pop != distinct {
-			return fmt.Errorf("core: segment %d has %d set bits but %d element hash positions (stray or missing bits)",
+		if pop := segmentPopcount(&s.bm, i); pop != distinct {
+			return pos, fmt.Errorf("core: segment %d has %d set bits but %d element hash positions (stray or missing bits)",
 				i, pop, distinct)
 		}
 	}
-	return nil
+	return pos, nil
 }
 
 // validateArrayShell checks the single structural invariant of a

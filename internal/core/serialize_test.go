@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -302,6 +304,68 @@ func TestReadSetRejectsBadHeader(t *testing.T) {
 	} {
 		if _, err := ReadSet(bytes.NewReader(c.data)); err == nil {
 			t.Errorf("corrupted %s accepted", c.name)
+		}
+	}
+}
+
+// TestSnapshotStreamsPinned pins the v3 snapshot streams — WriteCorpus and
+// Set.WriteTo — to SHA-256 digests of a seeded fixture covering every
+// representation and the empty set. The in-memory layout may change; the
+// bytes a snapshot holds may not.
+func TestSnapshotStreamsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(2020))
+	dense := make([]uint32, 0, 600)
+	for v := uint32(7000); len(dense) < 600; v += 1 + uint32(rng.Intn(3)) {
+		dense = append(dense, v)
+	}
+	lists := [][]uint32{
+		randSet(rng, 900, 1<<18), // segmented under RepAuto
+		randSet(rng, 60, 1<<18),  // array under RepAuto
+		dense,                    // dense under RepAuto
+		nil,
+		randSet(rng, 3000, 1<<20),
+	}
+	for _, c := range []struct {
+		name         string
+		cfg          Config
+		corpus, sets string
+	}{
+		{"auto", Config{Rep: RepAuto, Seed: 5},
+			"0b6af6177443c45b16c0c378f5821a59f214e823303ca8936292dea90af51747",
+			"117dc51cb18a91069de70d2c98bf27e3de59be4aad7b6244cd0ca195de4f5e15"},
+		{"segmented", Config{Width: simd.WidthSSE, SegBits: 16, Seed: 9},
+			"667bb679e9eef43eddce2c4a9e4608eb1dbb0f23b58b8e11887fc4d5c0d92825",
+			"e9e2dbcae1101c5a1390e248e09c92bb20b9e5ee2ae2fd9fd3cd77a0ddeb6712"},
+	} {
+		built, err := BuildSets(lists, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range built {
+			want := RepSegmented
+			if c.cfg.Rep == RepAuto {
+				want = []Rep{RepSegmented, RepArray, RepDense, RepArray, RepSegmented}[i]
+			}
+			if s.Rep() != want {
+				t.Fatalf("%s: set %d built as %v, want %v", c.name, i, s.Rep(), want)
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := WriteCorpus(&buf, built); err != nil {
+			t.Fatal(err)
+		}
+		corpus := sha256.Sum256(buf.Bytes())
+		h := sha256.New()
+		for _, s := range built {
+			if _, err := s.WriteTo(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := hex.EncodeToString(corpus[:]); got != c.corpus {
+			t.Errorf("%s: WriteCorpus stream digest %s, want %s", c.name, got, c.corpus)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sets {
+			t.Errorf("%s: Set.WriteTo stream digest %s, want %s", c.name, got, c.sets)
 		}
 	}
 }

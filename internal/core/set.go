@@ -6,8 +6,8 @@
 // III-B): elements are hashed into an m-bit bitmap (m a power of two,
 // m ≈ n·√w by default), bits are grouped into s-bit segments, and the
 // elements are stored segment-by-segment (sorted within each segment) in a
-// reordered array with per-segment offsets and sizes — exactly the five
-// arrays of the paper's Fig. 1.
+// reordered array with nseg+1 per-segment offsets — the paper's Fig. 1, whose
+// Size array is the difference of consecutive offsets.
 //
 // Intersections then run in two steps (Section III-C): a bitmap-level AND
 // prunes segments with no common bits, and specialized kernels (package
@@ -77,9 +77,10 @@ func (r Rep) String() string {
 // Representation-selection heuristic thresholds (RepAuto).
 const (
 	// ArrayMaxLen: sets at or below this size take the array representation.
-	// A segmented bitmap at the default m = n·√w scale costs ~22 bytes per
-	// element in bitmap words and per-segment metadata; a sorted array costs
-	// 4. Below this size the bitmap filter has nothing to amortize against.
+	// A segmented bitmap at the default m = n·√w scale costs ~14-21 bytes per
+	// element (2-4 in bitmap words, 8-16 in offsets, 4 in elements); a sorted
+	// array costs 4. Below this size the bitmap filter has nothing to
+	// amortize against.
 	ArrayMaxLen = 256
 	// DenseMaxBitsPerElem: sets whose value span is at most this many bits
 	// per element take the dense-bitmap representation. At 16 bits per
@@ -210,57 +211,54 @@ func (c Config) table() *kernels.Table {
 // bitmap over the value span. The representation is chosen at build time
 // (Config.Rep); every intersection path accepts any representation pair.
 // Sets are safe for concurrent reads.
+//
+// The header is small and flat: the bitmap lives inside it, the
+// configuration-derived state sits in one buildState shared by the whole
+// build, and the fields a pair step reads come first.
 type Set struct {
-	cfg    Config
-	hasher hashutil.Hasher
-	table  *kernels.Table
-	disp   kernels.Dispatcher // cached jump-table view for the hot loop
-
-	rep Rep
-
 	// Segmented-bitmap state (RepSegmented). reordered doubles as the
-	// sorted element array of RepArray sets (with bm/offsets/sizes nil).
-	bm        *bitmap.Bitmap
-	offsets   []uint32 // nseg+1 prefix sums into reordered
-	sizes     []uint32 // per-segment element counts (the paper's Size array)
+	// sorted element array of RepArray sets (with bm/offsets empty).
+	bm        bitmap.Bitmap
+	offsets   []uint32 // nseg+1 prefix sums: segment i is reordered[offsets[i]:offsets[i+1]]
 	reordered []uint32 // the paper's ReorderedSet; ascending elements for RepArray
 	n         int
-	maxSeg    int // largest segment size, for scratch buffer sizing
+	build     *buildState
+	rep       Rep
 
 	// Dense-bitmap state (RepDense): bit i of dense is set iff base+64*w+i
 	// is an element. base is 64-aligned; the first and last words are
 	// non-zero (canonical minimal cover).
-	dense []uint64
 	base  uint32
+	dense []uint64
+
+	maxSeg int // largest segment size, for scratch buffer sizing
+}
+
+// buildState is the configuration-derived state every set of one build
+// shares: one per BuildSets or ReadCorpus call, one per NewSet or ReadSet.
+// compatible passes two sets that share one at once.
+type buildState struct {
+	cfg    Config
+	hasher hashutil.Hasher
+	table  *kernels.Table
+	disp   kernels.Dispatcher // cached jump-table view for the hot loop
+}
+
+func newBuildState(cfg Config) *buildState {
+	table := cfg.table()
+	return &buildState{cfg: cfg, hasher: hashutil.New(cfg.Seed), table: table, disp: table.Dispatcher()}
 }
 
 // NewSet builds a Set from elems. The input may be unsorted and contain
 // duplicates; it is copied, sorted, and deduplicated. NewSet returns an
-// error only for invalid configurations.
+// error only for invalid configurations. It is BuildSets of one list, so the
+// set's storage is one allocation in the BuildSets layout.
 func NewSet(elems []uint32, cfg Config) (*Set, error) {
-	cfg, err := cfg.normalize()
+	sets, err := BuildSets([][]uint32{elems}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sorted := sortDedup(elems)
-	switch chooseRep(sorted, cfg.Rep) {
-	case RepArray:
-		statsInc(stats.CtrBuildArray)
-		return newArrayShell(cfg, sorted), nil
-	case RepDense:
-		base, nwords := denseLayout(sorted)
-		s := newDenseShell(cfg, make([]uint64, nwords), base, len(sorted))
-		fillDense(s.dense, base, sorted)
-		statsInc(stats.CtrBuildDense)
-		return s, nil
-	}
-	mBits := bitmapBits(len(sorted), cfg.Scale)
-	nseg := int(mBits) / cfg.SegBits
-	s := newShell(cfg, bitmap.New(mBits, cfg.SegBits),
-		make([]uint32, nseg), make([]uint32, nseg+1), make([]uint32, len(sorted)))
-	s.fill(sorted)
-	statsInc(stats.CtrBuildSegmented)
-	return s, nil
+	return sets[0], nil
 }
 
 // NewSetBatch builds one Set per input list with all backing storage packed
@@ -271,34 +269,50 @@ func NewSetBatch(lists [][]uint32, cfg Config) ([]*Set, error) {
 
 // BuildSets constructs a whole corpus of Sets into ONE contiguous backing
 // allocation: for each set, its 64-bit word region (segmented-bitmap words
-// or dense-bitmap words), then its uint32 region (sizes+offsets+reordered
-// for segmented sets, the sorted element array for array sets) padded to
-// word alignment, laid out back to back in input order. A workload that
-// intersects one query against many small candidate sets — per-vertex
-// neighbor lists in triangle counting, per-keyword posting lists in an
-// inverted index — then walks one contiguous arena in candidate order
-// instead of chasing four heap pointers per set. Each set's representation
-// follows cfg.Rep (heuristic per set under RepAuto). The sets behave
-// exactly like NewSet's; note that every set keeps the whole arena alive,
-// so release all sets of a batch together.
+// or dense-bitmap words), then its uint32 region (offsets+reordered for
+// segmented sets, the sorted element array for array sets) padded to word
+// alignment, laid out back to back in input order. The set headers share one
+// slab beside it. A workload that intersects one query against many small
+// candidate sets — per-vertex neighbor lists in triangle counting,
+// per-keyword posting lists in an inverted index — then walks two
+// allocations in candidate order instead of chasing pointers per set. Each
+// set's representation follows cfg.Rep (heuristic per set under RepAuto).
+// The sets behave exactly like NewSet's; note that every set keeps the whole
+// arena alive, so release all sets of a batch together.
 func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	sortedLists := make([][]uint32, len(lists))
-	reps := make([]Rep, len(lists))
-	totalU64 := 0 // arena size in 64-bit words
-	for i, l := range lists {
-		sorted := sortDedup(l)
-		sortedLists[i] = sorted
-		reps[i] = chooseRep(sorted, cfg.Rep)
-		totalU64 += arenaWords(reps[i], sorted, cfg)
-	}
 	if len(lists) == 0 {
 		return []*Set{}, nil
 	}
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	buf := make([]uint32, total) // every sorted copy, back to back
+	sortedLists := make([][]uint32, len(lists))
+	reps := make([]Rep, len(lists))
+	totalU64 := uint64(0) // arena size in 64-bit words
+	for i, l := range lists {
+		sorted := sortDedup(buf[:len(l):len(l)], l)
+		buf = buf[len(l):]
+		sortedLists[i] = sorted
+		reps[i] = chooseRep(sorted, cfg.Rep)
+		mBits := uint64(0)
+		switch reps[i] {
+		case RepSegmented:
+			mBits = bitmapBits(len(sorted), cfg.Scale)
+		case RepDense:
+			_, nwords := denseLayout(sorted)
+			mBits = uint64(nwords) * 64
+		}
+		totalU64 += arenaWords(reps[i], uint64(len(sorted)), mBits, cfg.SegBits)
+	}
 	arena := make([]uint64, totalU64)
+	b := newBuildState(cfg)
+	slab := make([]Set, len(lists))
 	sets := make([]*Set, len(lists))
 	at := 0
 	for i, sorted := range sortedLists {
@@ -310,64 +324,63 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 				at += (len(sorted) + 1) / 2
 				copy(elems, sorted)
 			}
-			sets[i] = newArrayShell(cfg, elems)
+			slab[i] = newArrayShell(b, elems)
 			statsInc(stats.CtrBuildArray)
 		case RepDense:
 			base, nwords := denseLayout(sorted)
 			words := arena[at : at+nwords : at+nwords]
 			at += nwords
 			fillDense(words, base, sorted)
-			sets[i] = newDenseShell(cfg, words, base, len(sorted))
+			slab[i] = newDenseShell(b, words, base, len(sorted))
 			statsInc(stats.CtrBuildDense)
 		default:
-			mBits := bitmapBits(len(sorted), cfg.Scale)
-			nseg := int(mBits) / cfg.SegBits
-			nwords := int(mBits) / 64
-			words := arena[at : at+nwords : at+nwords]
-			at += nwords
-			u32Len := nseg + (nseg + 1) + len(sorted)
-			u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), u32Len)
-			at += (u32Len + 1) / 2
-			sizes := u32[:nseg:nseg]
-			offsets := u32[nseg : 2*nseg+1 : 2*nseg+1]
-			reordered := u32[2*nseg+1 : u32Len : u32Len]
-			s := newShell(cfg, bitmap.NewFromWords(words, mBits, cfg.SegBits),
-				sizes, offsets, reordered)
-			s.fill(sorted)
-			sets[i] = s
+			var words []uint64
+			var offsets, reordered []uint32
+			words, offsets, reordered, at = segmentedRegion(arena, at,
+				bitmapBits(len(sorted), cfg.Scale), cfg.SegBits, len(sorted))
+			slab[i] = newShell(b, words, offsets, reordered)
+			slab[i].fill(sorted)
 			statsInc(stats.CtrBuildSegmented)
 		}
+		sets[i] = &slab[i]
 	}
 	return sets, nil
 }
 
-// arenaWords returns one set's arena footprint in 64-bit words.
-func arenaWords(rep Rep, sorted []uint32, cfg Config) int {
+// arenaWords returns one set's arena footprint in 64-bit words: mBits/64
+// bitmap or dense words, then the uint32 region (nseg+1 offsets and n
+// elements for segmented sets, n elements for array sets) rounded up to a
+// whole word. mBits is 0 for array sets.
+func arenaWords(rep Rep, n, mBits uint64, segBits int) uint64 {
 	switch rep {
 	case RepArray:
-		return (len(sorted) + 1) / 2
+		return (n + 1) / 2
 	case RepDense:
-		_, nwords := denseLayout(sorted)
-		return nwords
+		return mBits / 64
 	}
-	m := bitmapBits(len(sorted), cfg.Scale)
-	nseg := int(m) / cfg.SegBits
-	u32 := nseg + (nseg + 1) + len(sorted) // sizes + offsets + reordered
-	return int(m)/64 + (u32+1)/2
+	u32 := mBits/uint64(segBits) + 1 + n // offsets + reordered
+	return mBits/64 + (u32+1)/2
 }
 
-// sortDedup copies, sorts and deduplicates the input.
-func sortDedup(elems []uint32) []uint32 {
-	sorted := append([]uint32(nil), elems...)
-	slices.Sort(sorted)
-	k := 0
-	for i, v := range sorted {
-		if i == 0 || v != sorted[k-1] {
-			sorted[k] = v
-			k++
-		}
-	}
-	return sorted[:k]
+// segmentedRegion carves one segmented set's region out of the arena at
+// word at — mBits/64 bitmap words, then nseg+1 offsets and n reordered
+// elements as uint32s — and returns the word index just past it.
+func segmentedRegion(arena []uint64, at int, mBits uint64, segBits, n int) (words []uint64, offsets, reordered []uint32, end int) {
+	nwords := int(mBits / 64)
+	nseg := int(mBits) / segBits
+	words = arena[at : at+nwords : at+nwords]
+	at += nwords
+	u32Len := nseg + 1 + n
+	u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), u32Len)
+	return words, u32[: nseg+1 : nseg+1], u32[nseg+1:], at + (u32Len+1)/2
+}
+
+// sortDedup copies elems into dst, which must be as long, sorts and
+// deduplicates the copy, and returns its distinct prefix.
+func sortDedup(dst, elems []uint32) []uint32 {
+	copy(dst, elems)
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // bitmapBits returns m = nextPow2(n·scale), at least one word.
@@ -379,54 +392,32 @@ func bitmapBits(n int, scale float64) uint64 {
 	return mBits
 }
 
-// newShell assembles a Set around a preallocated (possibly arena-backed)
-// bitmap and sizes/offsets/reordered storage. Callers must fill() it before
-// use.
-func newShell(cfg Config, bm *bitmap.Bitmap, sizes, offsets, reordered []uint32) *Set {
-	table := cfg.table()
-	return &Set{
-		cfg:       cfg,
-		hasher:    hashutil.New(cfg.Seed),
-		table:     table,
-		disp:      table.Dispatcher(),
+// newShell assembles a segmented Set header around preallocated (possibly
+// arena-backed) bitmap words and offsets/reordered storage. Callers must
+// fill() it before use.
+func newShell(b *buildState, words []uint64, offsets, reordered []uint32) Set {
+	return Set{
+		build:     b,
 		rep:       RepSegmented,
-		bm:        bm,
+		bm:        bitmap.NewFromWords(words, uint64(len(words))*64, b.cfg.SegBits),
 		n:         len(reordered),
-		sizes:     sizes,
 		offsets:   offsets,
 		reordered: reordered,
 	}
 }
 
-// newArrayShell assembles a RepArray Set around a sorted, duplicate-free
-// (possibly arena-backed) element slice. elems is retained, not copied.
-func newArrayShell(cfg Config, elems []uint32) *Set {
-	table := cfg.table()
-	return &Set{
-		cfg:       cfg,
-		hasher:    hashutil.New(cfg.Seed),
-		table:     table,
-		disp:      table.Dispatcher(),
-		rep:       RepArray,
-		n:         len(elems),
-		reordered: elems,
-	}
+// newArrayShell assembles a RepArray Set header around a sorted,
+// duplicate-free (possibly arena-backed) element slice. elems is retained,
+// not copied.
+func newArrayShell(b *buildState, elems []uint32) Set {
+	return Set{build: b, rep: RepArray, n: len(elems), reordered: elems}
 }
 
-// newDenseShell assembles a RepDense Set around a (possibly arena-backed)
-// word slice covering [base, base+64*len(words)). words is retained.
-func newDenseShell(cfg Config, words []uint64, base uint32, n int) *Set {
-	table := cfg.table()
-	return &Set{
-		cfg:    cfg,
-		hasher: hashutil.New(cfg.Seed),
-		table:  table,
-		disp:   table.Dispatcher(),
-		rep:    RepDense,
-		n:      n,
-		dense:  words,
-		base:   base,
-	}
+// newDenseShell assembles a RepDense Set header around a (possibly
+// arena-backed) word slice covering [base, base+64*len(words)). words is
+// retained.
+func newDenseShell(b *buildState, words []uint64, base uint32, n int) Set {
+	return Set{build: b, rep: RepDense, n: n, dense: words, base: base}
 }
 
 // denseLayout computes the canonical dense-bitmap cover of a non-empty
@@ -448,35 +439,32 @@ func fillDense(words []uint64, base uint32, sorted []uint32) {
 }
 
 // fill populates the bitmap and the Fig. 1 arrays from a sorted
-// duplicate-free element list.
+// duplicate-free element list, in place and without scratch: offsets first
+// counts each segment, then holds each segment's end, and placing the
+// elements in descending order while decrementing their segment's end leaves
+// every offset at its segment's start and every segment ascending, as the
+// paper requires.
 func (s *Set) fill(sorted []uint32) {
 	mBits := s.bm.Bits()
 	nseg := s.bm.NumSegments()
-	segOf := make([]int32, len(sorted))
-	for i, x := range sorted {
-		pos := s.hasher.Pos(x, mBits)
+	h := s.build.hasher
+	for _, x := range sorted {
+		pos := h.Pos(x, mBits)
 		s.bm.Set(pos)
-		seg := s.bm.SegmentOf(pos)
-		segOf[i] = int32(seg)
-		s.sizes[seg]++
+		s.offsets[s.bm.SegmentOf(pos)]++
 	}
 	sum := uint32(0)
-	for i, c := range s.sizes {
-		s.offsets[i] = sum
+	for i, c := range s.offsets[:nseg] {
+		s.maxSeg = max(s.maxSeg, int(c))
 		sum += c
-		if int(c) > s.maxSeg {
-			s.maxSeg = int(c)
-		}
+		s.offsets[i] = sum
 	}
 	s.offsets[nseg] = sum
-
-	// Filling in ascending input order keeps each segment's list sorted
-	// ascending, as the paper requires.
-	next := append([]uint32(nil), s.offsets[:nseg]...)
-	for i, x := range sorted {
-		seg := segOf[i]
-		s.reordered[next[seg]] = x
-		next[seg]++
+	for i := len(sorted) - 1; i >= 0; i-- {
+		x := sorted[i]
+		seg := s.bm.SegmentOf(h.Pos(x, mBits))
+		s.offsets[seg]--
+		s.reordered[s.offsets[seg]] = x
 	}
 }
 
@@ -493,7 +481,7 @@ func MustNewSet(elems []uint32, cfg Config) *Set {
 func (s *Set) Len() int { return s.n }
 
 // Config returns the normalized build configuration.
-func (s *Set) Config() Config { return s.cfg }
+func (s *Set) Config() Config { return s.build.cfg }
 
 // Rep returns the set's physical representation.
 func (s *Set) Rep() Rep { return s.rep }
@@ -555,7 +543,7 @@ func (s *Set) Contains(x uint32) bool {
 		}
 		return s.dense[idx>>6]&(1<<(idx&63)) != 0
 	}
-	pos := s.hasher.Pos(x, s.bm.Bits())
+	pos := s.build.hasher.Pos(x, s.bm.Bits())
 	if !s.bm.Test(pos) {
 		return false
 	}
@@ -600,7 +588,7 @@ func (s *Set) MemoryBytes() int {
 	case RepDense:
 		return len(s.dense) * 8
 	}
-	return len(s.bm.Words())*8 + len(s.offsets)*4 + len(s.sizes)*4 + len(s.reordered)*4
+	return len(s.bm.Words())*8 + len(s.offsets)*4 + len(s.reordered)*4
 }
 
 // Stats summarizes the physical layout of a Set. The segment-level fields
@@ -645,8 +633,8 @@ func (s *Set) Stats() Stats {
 	st.Segments = s.bm.NumSegments()
 	const histBuckets = 9
 	st.SegmentSizeHist = make([]int, histBuckets)
-	for _, c := range s.sizes {
-		k := int(c)
+	for i := range st.Segments {
+		k := len(s.segment(i))
 		if k > 0 {
 			st.NonEmptySegments++
 			st.MaxSegmentLen = max(st.MaxSegmentLen, k)
@@ -661,14 +649,18 @@ func (s *Set) Stats() Stats {
 }
 
 // compatible panics unless two sets can be intersected against each other.
+// Sets of one build share their buildState and pass at once.
 func compatible(a, b *Set) {
-	if a.cfg.Seed != b.cfg.Seed {
+	if a.build == b.build {
+		return
+	}
+	if a.build.cfg.Seed != b.build.cfg.Seed {
 		panic("core: sets built with different hash seeds")
 	}
-	if a.cfg.SegBits != b.cfg.SegBits {
+	if a.build.cfg.SegBits != b.build.cfg.SegBits {
 		panic("core: sets built with different segment sizes")
 	}
-	if a.table != b.table {
+	if a.build.table != b.build.table {
 		panic("core: sets built with different kernel tables")
 	}
 }
