@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint bench benchcheck batchbench planbench servebench tracebench kwaybench poolbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench poolbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -48,6 +48,16 @@ race:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# Hand-written non-test Go lines of each package directory of the root module
+# (bench/ is a module of its own), then their total. Skips _test.go files and
+# generated files (Go's "// Code generated ... DO NOT EDIT." marker).
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(ls "$$d"/*.go | grep -v '_test\.go$$' | \
+			xargs grep -L '^// Code generated .* DO NOT EDIT\.$$' | xargs cat | wc -l); \
+		echo "$$n $$(realpath --relative-to=. "$$d")"; \
+	done | awk '{ print; total += $$1 } END { print total, "total" }'
 
 # One testing.B benchmark per paper table/figure, plus micro and ablation
 # benches (the deliverable artifact: bench_output.txt).

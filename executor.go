@@ -181,11 +181,12 @@ func (e *Executor) IntersectCountKParallel(workers int, sets ...*Set) int {
 // Context-aware variants. Serving systems need runaway queries to be
 // deadline-bounded and cancellable; these methods check ctx cooperatively at
 // coarse checkpoints (per bitmap-word block, per staged-segment block, per
-// candidate) and return ctx.Err() as soon as one observes the context done.
-// The plain methods above share none of these checkpoints and keep their
-// zero-allocation, branch-predictable hot paths. On cancellation, counts are
-// zero, destination buffers hold unspecified partial data, and the Executor
-// remains valid for further queries.
+// probed-element block, per candidate) and return ctx.Err() as soon as one
+// observes the context done. Each runs the same loop as its plain
+// counterpart above, which passes no context and skips the checks, so both
+// return the same results in the same order and are observed the same way.
+// On cancellation, counts are zero, destination buffers hold unspecified
+// partial data, and the Executor remains valid for further queries.
 
 // IntersectCountCtx is IntersectCount with cooperative cancellation.
 func (e *Executor) IntersectCountCtx(ctx context.Context, a, b *Set) (int, error) {

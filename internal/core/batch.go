@@ -45,17 +45,18 @@ const stagedGeneric = int32(-1)
 // so one touch per side covers essentially the whole segment.
 const stageReadAhead = 8
 
-// stageSegPairs runs dispatch pass 1: the fused word-AND / segment-extraction
-// loop of countMergeRange, staging records instead of calling kernels. x must
-// be the larger-bitmap set. Records are appended to recs (reset by the
-// caller); the possibly-grown slice is returned.
+// stageSegPairs runs dispatch pass 1 over the whole bitmap: the fused
+// word-AND / segment-extraction loop (Section IV steps 1-3), staging one
+// record per surviving segment pair. x must be the larger-bitmap set. Records
+// are appended to recs (reset by the caller); the possibly-grown slice is
+// returned.
 func stageSegPairs(x, y *Set, recs []stagedSeg) []stagedSeg {
 	return stageSegPairsRange(x, y, recs, 0, len(x.bm.Words()))
 }
 
 // stageSegPairsRange is stageSegPairs restricted to words [wordLo, wordHi) of
-// x's bitmap — the checkpoint unit of the context-aware paths (ctx.go), which
-// stage one word block at a time so cancellation is honored between blocks.
+// x's bitmap — a parallel worker's share, or one checkpoint block of a
+// cancellable query (ctx.go).
 func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
 	d := &x.build.disp
 	xw, yw := x.bm.Words(), y.bm.Words()
@@ -71,8 +72,12 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 
 	i := wordLo
 	if simd.AsmActive() && len(yw) >= simd.BlockWords && wordHi-wordLo >= 2*simd.BlockWords {
-		// Chunked mask-stream staging: same structure as countMergeRange's
-		// fast path, with staging records in place of kernel dispatch.
+		// Chunked mask-stream fast path: the fused AndSegMasks kernel emits
+		// one live-segment mask per 4-word block into a stack buffer, and the
+		// staging walks the mask stream. Range edges are handled by computing
+		// the full edge block and trimming out-of-range segment bits (the
+		// over-read stays inside the bitmap: word counts on this path are
+		// powers of two >= 2*BlockWords).
 		loDown := wordLo &^ (simd.BlockWords - 1)
 		hiUp := (wordHi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
 		var masks [coreChunkBlocks]uint32
@@ -107,7 +112,7 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 						if la <= d.Cap && lb <= d.Cap {
 							ctrl = int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
 						}
-						recs = append(recs, stagedSeg{oa, oaEnd, ob, obEnd, ctrl})
+						recs = appendStaged(recs, oa, oaEnd, ob, obEnd, ctrl)
 					}
 				}
 			}
@@ -135,9 +140,20 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 			if la <= d.Cap && lb <= d.Cap {
 				ctrl = int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
 			}
-			recs = append(recs, stagedSeg{oa, oaEnd, ob, obEnd, ctrl})
+			recs = appendStaged(recs, oa, oaEnd, ob, obEnd, ctrl)
 		}
 	}
+	return recs
+}
+
+// appendStaged appends one record, storing its fields in place: appending a
+// stagedSeg literal builds it on the stack with 4-byte stores and copies it
+// with wider loads that stall on store forwarding (pass 1 ran up to 1.3×
+// slower that way on a 2-vCPU AVX-512 host).
+func appendStaged(recs []stagedSeg, oa, oaEnd, ob, obEnd uint32, ctrl int32) []stagedSeg {
+	recs = append(recs, stagedSeg{})
+	r := &recs[len(recs)-1]
+	r.oa, r.oaEnd, r.ob, r.obEnd, r.ctrl = oa, oaEnd, ob, obEnd, ctrl
 	return recs
 }
 
@@ -187,35 +203,89 @@ func dispatchStagedIntersect(d *kernels.Dispatcher, dst, xr, yr []uint32, recs [
 	return n, touch
 }
 
-// countMergeStaged is the staged-dispatch CountMerge used by the batch paths:
+// visitStaged is pass 2 for streaming: each record's kernel intersects into
+// scratch (room for the smaller side of any staged pair) and the matches
+// replay through emit, in the order dispatchStagedIntersect writes. It
+// returns the match count.
+func visitStaged(d *kernels.Dispatcher, scratch, xr, yr []uint32, recs []stagedSeg, emit Visitor) int {
+	n := 0
+	for _, r := range recs {
+		a, b := xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd]
+		var k int
+		if r.ctrl == stagedGeneric {
+			k = kernels.GenericIntersect(scratch, a, b)
+		} else {
+			k = d.Inter[r.ctrl](scratch, a, b)
+		}
+		for _, v := range scratch[:k] {
+			emit(v)
+		}
+		n += k
+	}
+	return n
+}
+
+// dispatchStaged runs pass 2 of the merge arm over x and y's staged records
+// into the sink, with one switch per block: the counting kernels when dst
+// and emit are nil, the materializing kernels into dst, or visitStaged
+// through emit (scratch sized as it requires). With ck non-nil the records
+// run in ctxStageBlock blocks with a checkpoint before each.
+func dispatchStaged(ck checkpoint, x, y *Set, recs []stagedSeg, scratch, dst []uint32, emit Visitor) (n int, touch uint32, err error) {
+	d := &x.build.disp
+	xr, yr := x.reordered, y.reordered
+	step := stride(ck, ctxStageBlock, len(recs))
+	for lo := 0; lo < len(recs); lo += step {
+		if err := stop(ck); err != nil {
+			return 0, touch, err
+		}
+		blk := recs[lo:min(lo+step, len(recs))]
+		var dn int
+		var dt uint32
+		switch {
+		case emit != nil:
+			dn = visitStaged(d, scratch, xr, yr, blk, emit)
+		case dst != nil:
+			dn, dt = dispatchStagedIntersect(d, dst[n:], xr, yr, blk)
+		default:
+			dn, dt = dispatchStagedCount(d, xr, yr, blk)
+		}
+		n += dn
+		touch += dt
+	}
+	return n, touch, nil
+}
+
+// countMergeStaged is the staged-dispatch CountMerge of the batch paths:
 // stage into recs, dispatch, return the count and the (possibly grown) record
-// buffer. st, when non-nil, receives the exact merge-side counters; kst, when
-// non-nil (the sampled fraction of queries), additionally gets the kernel
-// histogram replayed from the staged records in a pre-pass so the dispatch
-// loop itself stays untouched.
+// buffer.
 func countMergeStaged(a, b *Set, recs []stagedSeg, st, kst *stats.Shard) (int, []stagedSeg, uint32) {
 	x, y := ordered(a, b)
 	recs = stageSegPairs(x, y, recs[:0])
-	if st != nil {
-		if kst != nil {
-			recordStagedKernels(kst, recs)
-		}
-		st.Add(stats.CtrSegPairs, uint64(len(recs)))
-		st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
+	if st != nil { // inline, so a batch without stats makes no call per candidate
+		noteStaged(st, kst, recs, x.bm.NumSegments())
 	}
 	n, touch := dispatchStagedCount(&x.build.disp, x.reordered, y.reordered, recs)
 	return n, recs, touch
 }
 
-// recordStagedKernels replays a staged record list into the kernel-dispatch
-// histogram (the staged paths' equivalent of countMergeRange's inline
-// per-pair recording; subject to the same query-level sampling). st must be
-// non-nil.
-func recordStagedKernels(st *stats.Shard, recs []stagedSeg) {
-	for i := range recs {
-		r := &recs[i]
-		st.Kernel(int(r.oaEnd-r.oa), int(r.obEnd-r.ob))
+// noteStaged records one staged pass 1 — a merge's, or a parallel worker's
+// share of one — into st, when non-nil: the exact segment-pair counter, the
+// bitmap segments the pass scanned and, when kst is non-nil (the sampled
+// fraction of queries, see Executor.kernelSampled), the kernel-dispatch
+// histogram replayed from the records, so the dispatch loop itself stays
+// untouched.
+func noteStaged(st, kst *stats.Shard, recs []stagedSeg, segments int) {
+	if st == nil {
+		return
 	}
+	if kst != nil {
+		for i := range recs {
+			r := &recs[i]
+			kst.Kernel(int(r.oaEnd-r.oa), int(r.obEnd-r.ob))
+		}
+	}
+	st.Add(stats.CtrSegPairs, uint64(len(recs)))
+	st.Add(stats.CtrSegmentsScanned, uint64(segments))
 }
 
 // ---------------------------------------------------------------------------
@@ -254,7 +324,7 @@ type probeRec struct{ x, oa, oaEnd uint32 }
 // two-pass dispatch. The scan phase then walks the staged segment lists,
 // whose cache lines the staging phase already set in flight. Matches are
 // counted, and either appended to dst (when non-nil) or streamed through
-// emit (when non-nil), in the same order hashProbeRange produces.
+// emit (when non-nil), in the same order hashProbeElems produces.
 //
 // stage must hold probeBlock entries. The accumulated touch value is
 // returned so the read-ahead loads cannot be dead-code-eliminated. st, when
@@ -515,11 +585,22 @@ func (e *Executor) ensureProbe() {
 // have at least len(candidates) entries. Zero heap allocations once the
 // staging buffer has grown to the workload's largest candidate.
 func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
+	e.countMany(nil, q, candidates, out)
+}
+
+// countMany is the one batch loop of CountMany and CountManyCtx, testing a
+// non-nil ck once per candidate. The per-candidate body stays inline: a call
+// per candidate costs several percent on tiny candidates. A cancellable batch
+// holds its planner samples (planner.Handle.Hold) until it completes.
+func (e *Executor) countMany(ck checkpoint, q *Set, candidates []*Set, out []int) error {
 	if len(out) < len(candidates) {
 		panic("core: CountMany output shorter than candidate list")
 	}
+	if err := stop(ck); err != nil {
+		return e.noteCancel(err)
+	}
 	if len(candidates) == 0 {
-		return
+		return nil
 	}
 	st := e.st
 	var start time.Time
@@ -538,13 +619,20 @@ func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
 		}
 	}
 	h := e.plan
+	if ck != nil && h != nil {
+		h.Hold() // until the batch completes: a cancelled one feeds the planner nothing
+	}
+	var err error
 	for i, c := range candidates {
+		if err = stop(ck); err != nil {
+			break
+		}
 		compatible(q, c)
 		switch {
 		case c.n == 0 || q.n == 0:
 			out[i] = 0
 		case crossPair(q, c):
-			out[i] = crossRun(h, &e.denseAnd, q, c, nil, nil, st)
+			out[i] = crossStep(h, st, &e.denseAnd, q, c, nil, nil)
 		default:
 			ch, hash := planSegSeg(h, st, q, c)
 			pstart := planStart(ch)
@@ -568,10 +656,17 @@ func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
 	}
 	e.staged = recs
 	e.touchSink += touch
+	if ck != nil && h != nil {
+		h.Release(err == nil)
+	}
+	if err != nil {
+		return e.noteCancel(err)
+	}
 	if st != nil {
 		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
 		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)
 	}
+	return nil
 }
 
 // IntersectManyInto writes q ∩ candidates[i] for every candidate into dst,
@@ -602,7 +697,7 @@ func (e *Executor) IntersectManyInto(dst []uint32, counts []int, q *Set, candida
 		case c.n == 0 || q.n == 0:
 			// nothing to write
 		case crossPair(q, c):
-			n = crossRun(h, &e.denseAnd, q, c, dst[total:], nil, st)
+			n = crossStep(h, st, &e.denseAnd, q, c, dst[total:], nil)
 		default:
 			ch, hash := planSegSeg(h, st, q, c)
 			pstart := planStart(ch)
@@ -617,13 +712,7 @@ func (e *Executor) IntersectManyInto(dst []uint32, counts []int, q *Set, candida
 			} else {
 				x, y := ordered(q, c)
 				recs = stageSegPairs(x, y, recs[:0])
-				if st != nil {
-					if kst := e.kernelShard(); kst != nil {
-						recordStagedKernels(kst, recs)
-					}
-					st.Add(stats.CtrSegPairs, uint64(len(recs)))
-					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-				}
+				noteStaged(st, e.kernelShard(), recs, x.bm.NumSegments())
 				var t uint32
 				n, t = dispatchStagedIntersect(&x.build.disp, dst[total:], x.reordered, y.reordered, recs)
 				touch += t
@@ -665,7 +754,7 @@ func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int,
 		case c.n == 0 || q.n == 0:
 			// nothing to emit
 		case crossPair(q, c):
-			crossRun(h, &e.denseAnd, q, c, nil, emit1, st)
+			crossStep(h, st, &e.denseAnd, q, c, nil, emit1)
 		default:
 			ch, hash := planSegSeg(h, st, q, c)
 			pstart := planStart(ch)
@@ -679,28 +768,9 @@ func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int,
 			} else {
 				x, y := ordered(q, c)
 				recs = stageSegPairs(x, y, recs[:0])
-				if st != nil {
-					if kst := e.kernelShard(); kst != nil {
-						recordStagedKernels(kst, recs)
-					}
-					st.Add(stats.CtrSegPairs, uint64(len(recs)))
-					st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-				}
+				noteStaged(st, e.kernelShard(), recs, x.bm.NumSegments())
 				scratch = growU32(scratch, max(min(x.maxSeg, y.maxSeg), 1))
-				d := &x.build.disp
-				xr, yr := x.reordered, y.reordered
-				for _, r := range recs {
-					a := xr[r.oa:r.oaEnd]
-					b := yr[r.ob:r.obEnd]
-					if r.ctrl == stagedGeneric {
-						kernels.GenericVisit(a, b, emit1)
-						continue
-					}
-					n := d.Inter[r.ctrl](scratch, a, b)
-					for _, v := range scratch[:n] {
-						emit(i, v)
-					}
-				}
+				visitStaged(&x.build.disp, scratch, x.reordered, y.reordered, recs, emit1)
 			}
 			planRecord(h, ch, pstart)
 		}
@@ -721,18 +791,18 @@ func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int,
 // Each worker stages and dispatches in its own persistent buffer; out[i] is
 // written by exactly one worker.
 func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, workers int) {
+	e.countManyParallel(nil, q, candidates, out, workers)
+}
+
+// countManyParallel is the one body of CountManyParallel and
+// CountManyParallelCtx; every worker tests a non-nil ck once per candidate.
+func (e *Executor) countManyParallel(ck checkpoint, q *Set, candidates []*Set, out []int, workers int) error {
 	if len(out) < len(candidates) {
 		panic("core: CountManyParallel output shorter than candidate list")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
+	workers = min(max(workers, 1), len(candidates))
 	if workers <= 1 {
-		e.CountMany(q, candidates, out)
-		return
+		return e.countMany(ck, q, candidates, out)
 	}
 	// Work-size cutover: a batch whose total work cannot amortize the pool
 	// hand-off runs serially on the warm batch path — at small scale the
@@ -752,8 +822,10 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 		}
 	}
 	if work < batchParallelMinWork {
-		e.CountMany(q, candidates, out)
-		return
+		return e.countMany(ck, q, candidates, out)
+	}
+	if err := stop(ck); err != nil {
+		return e.noteCancel(err)
 	}
 	var start time.Time
 	if e.st != nil {
@@ -780,8 +852,14 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 		recs := ws.staged
 		var touch uint32
 		h := ws.plan
+		if ck != nil && h != nil {
+			h.Hold()
+		}
 		seq := 0 // per-worker merge-candidate index for kernel sampling
 		for k := w; k < len(sched); k += workers {
+			if stop(ck) != nil {
+				break
+			}
 			i := sched[k]
 			c := candidates[i]
 			compatible(q, c)
@@ -789,7 +867,7 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 			case c.n == 0 || q.n == 0:
 				out[i] = 0
 			case crossPair(q, c):
-				out[i] = crossRun(h, &ws.denseAnd, q, c, nil, nil, ws.st)
+				out[i] = crossStep(h, ws.st, &ws.denseAnd, q, c, nil, nil)
 			default:
 				ch, hash := planSegSeg(h, ws.st, q, c)
 				pstart := planStart(ch)
@@ -815,10 +893,22 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 		ws.staged = recs
 		ws.touch = touch
 	})
+	err := stop(ck)
+	if ck != nil {
+		for w := range workers {
+			if h := e.workers[w].plan; h != nil {
+				h.Release(err == nil)
+			}
+		}
+	}
+	if err != nil {
+		return e.noteCancel(err)
+	}
 	if e.st != nil {
 		e.st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
 		observeSince(e.st, stats.CtrQueriesBatch, stats.LatBatch, start)
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

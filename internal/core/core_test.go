@@ -697,7 +697,7 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	bitmap.ForEachIntersectingSegmentK(maps, func(int) { survivors++ })
 	// 2-way survivors for comparison.
 	two := 0
-	forEachSegPair(sets[0], sets[1], func(_, _ int) { two++ })
+	bitmap.ForEachIntersectingSegment(&sets[0].bm, &sets[1].bm, func(_, _ int) { two++ })
 	if survivors >= two/4 {
 		t.Errorf("3-way survivors %d not far below 2-way %d (Proposition 2)", survivors, two)
 	}

@@ -7,6 +7,9 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"fesia/internal/planner"
+	"fesia/internal/stats"
 )
 
 // TestCtxParityUncancelled: with a background context every ctx-aware path
@@ -193,4 +196,158 @@ func TestCtxBlockBoundaries(t *testing.T) {
 	if got, err := e.CountKCtx(ctx, big, small, big); err != nil || got != CountK(big, small, big) {
 		t.Fatalf("CountKCtx on multi-block sets = %d, %v; want %d", got, err, CountK(big, small, big))
 	}
+}
+
+// TestCtxCancelInsideEveryArm cancels every ctx entry point at its first
+// three checkpoints — the entry check, then the first two blocks of the
+// driving loop — on inputs that span at least three blocks: CountCtx and
+// IntersectIntoCtx on both seg×seg arms and all five cross pairs, CountKCtx
+// on both k-way arms, and the two batch loops. Each cancelled call must
+// return (0, context.Canceled), count one cancellation and no query or
+// latency, feed the planner no sample, and leave the executor answering the
+// next uncancelled query correctly.
+func TestCtxCancelInsideEveryArm(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	sink := stats.New()
+	m := planner.New(planner.WithMode(planner.ModeLearned), planner.WithSampleEvery(1))
+	e := NewExecutor()
+	e.EnableStats(sink)
+	e.EnablePlanner(m)
+
+	// 40k-element segmented sets have 4096-word bitmaps (four ctxWordBlock
+	// blocks); 7k probing elements are four ctxProbeBlock blocks; a 20k
+	// dense set over 2^18 values is four ctxWordBlock word blocks. A 4k set
+	// against itself has one word block and thousands of staged pairs, so
+	// its third checkpoint lands in pass 2.
+	big := func() []uint32 { return randSet(rng, 40_000, 1<<18) }
+	l1, l2, l3 := big(), big(), big()
+	m1 := randSet(rng, 4_000, 1<<18)
+	m2 := m1
+	pass2a, pass2b := buildRep(t, m1, RepSegmented), buildRep(t, m2, RepSegmented)
+	if x, y := ordered(pass2a, pass2b); len(x.bm.Words()) > ctxWordBlock ||
+		len(stageSegPairs(x, y, nil)) <= 2*ctxStageBlock {
+		t.Fatal("the pass-2 merge pair does not put its third checkpoint in pass 2")
+	}
+	l4 := randSet(rng, 7_000, 1<<18)
+	l5 := randSet(rng, 20_000, 1<<18)
+	l6 := randSet(rng, 25_000, 1<<18)
+	seg1, seg2, seg3 := buildRep(t, l1, RepSegmented), buildRep(t, l2, RepSegmented), buildRep(t, l3, RepSegmented)
+	small := buildRep(t, l4, RepSegmented)
+	arr, arr2 := buildRep(t, l4, RepArray), buildRep(t, l1, RepArray)
+	den, den2 := buildRep(t, l5, RepDense), buildRep(t, l6, RepDense)
+
+	// Snapshot counts the shards' samples without a re-fit, so the model
+	// keeps its priors and every pair runs the arm its name says.
+	samples := func() (n uint64) {
+		snap := m.Snapshot()
+		for _, c := range snap.Cells {
+			n += c.Samples
+		}
+		for _, c := range snap.KProbe {
+			n += c.Samples
+		}
+		return n
+	}
+	queries := func() (n uint64) {
+		snap := e.Stats()
+		for _, c := range []stats.Counter{stats.CtrQueriesMerge, stats.CtrQueriesHash,
+			stats.CtrQueriesCross, stats.CtrQueriesKWay, stats.CtrQueriesBatch} {
+			n += snap.Counter(c)
+		}
+		for h := stats.LatHist(0); h < stats.NumLatHists; h++ {
+			n += snap.Latency(h).Count
+		}
+		return n
+	}
+	cancellations := func() uint64 {
+		snap := e.Stats()
+		return snap.Counter(stats.CtrCancellations)
+	}
+	check := func(name string, want int, call func(ctx context.Context) (int, error)) {
+		t.Helper()
+		for k := 1; k <= 3; k++ {
+			cancels := cancellations()
+			q, s := queries(), samples()
+			if n, err := call(newCancelAfter(k - 1)); n != 0 || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s cancelled at checkpoint %d = %d, %v; want 0, context.Canceled", name, k, n, err)
+			}
+			if got := cancellations() - cancels; got != 1 {
+				t.Fatalf("%s cancelled at checkpoint %d counted %d cancellations, want 1", name, k, got)
+			}
+			if queries() != q {
+				t.Fatalf("%s cancelled at checkpoint %d recorded a query counter or latency", name, k)
+			}
+			if samples() != s {
+				t.Fatalf("%s cancelled at checkpoint %d fed the planner a sample", name, k)
+			}
+			if n, err := call(context.Background()); err != nil || n != want {
+				t.Fatalf("%s after a cancellation at checkpoint %d = %d, %v; want %d", name, k, n, err, want)
+			}
+		}
+	}
+
+	pairs := []struct {
+		name string
+		a, b *Set
+		la   []uint32
+		lb   []uint32
+	}{
+		{"merge", seg1, seg2, l1, l2},
+		{"merge pass 2", pass2a, pass2b, m1, m2},
+		{"hash", small, seg1, l4, l1},
+		{"seg×array", seg1, arr, l1, l4},
+		{"seg×dense", seg1, den, l1, l5},
+		{"array×array", arr2, arr, l1, l4},
+		{"array×dense", arr, den, l4, l5},
+		{"dense×dense", den, den2, l5, l6},
+	}
+	for _, p := range pairs {
+		want := len(refIntersect(p.la, p.lb))
+		check("CountCtx "+p.name, want, func(ctx context.Context) (int, error) {
+			return e.CountCtx(ctx, p.a, p.b)
+		})
+		dst := make([]uint32, min(p.a.Len(), p.b.Len()))
+		check("IntersectIntoCtx "+p.name, want, func(ctx context.Context) (int, error) {
+			return e.IntersectIntoCtx(ctx, dst, p.a, p.b)
+		})
+	}
+
+	chain := []*Set{seg1, seg2, seg3}
+	skewed := []*Set{seg1, seg2, small}
+	if kwayProbe(chain) || !kwayProbe(skewed) {
+		t.Fatal("k-way inputs do not cover both arms")
+	}
+	check("CountKCtx chain", len(refIntersect(refIntersect(l1, l2), l3)), func(ctx context.Context) (int, error) {
+		return e.CountKCtx(ctx, chain...)
+	})
+	check("CountKCtx probe", len(refIntersect(refIntersect(l1, l2), l4)), func(ctx context.Context) (int, error) {
+		return e.CountKCtx(ctx, skewed...)
+	})
+
+	// Sixteen 40k candidates are past batchParallelMinWork, so the parallel
+	// form runs on the pool. Both report a weighted checksum of out.
+	cands := make([]*Set, 16)
+	want := 0
+	for i := range cands {
+		l := big()
+		cands[i] = buildRep(t, l, RepSegmented)
+		want += (i + 1) * len(refIntersect(l1, l))
+	}
+	out := make([]int, len(cands))
+	sum := func(err error) (int, error) {
+		if err != nil {
+			return 0, err
+		}
+		n := 0
+		for i, c := range out {
+			n += (i + 1) * c
+		}
+		return n, nil
+	}
+	check("CountManyCtx", want, func(ctx context.Context) (int, error) {
+		return sum(e.CountManyCtx(ctx, seg1, cands, out))
+	})
+	check("CountManyParallelCtx", want, func(ctx context.Context) (int, error) {
+		return sum(e.CountManyParallelCtx(ctx, seg1, cands, out, 2))
+	})
 }

@@ -17,8 +17,8 @@ import (
 type Visitor func(uint32)
 
 // Executor owns all query-time scratch state for the online intersection
-// phase: the k-way pairwise chain buffers, the segment staging buffer for
-// visitor dispatch, and the per-worker state of the parallel paths. The FESIA
+// phase: the staged segment-pair records of the merge arm, the k-way pairwise
+// chain buffers, and the per-worker state of the parallel paths. The FESIA
 // paper's premise is that construction is the one-time offline step and
 // queries are the cheap repeated step; an Executor makes the repeated step
 // allocation-free — after warm-up, Count, Intersect (into a caller buffer),
@@ -30,7 +30,7 @@ type Visitor func(uint32)
 // from multiple goroutines at once — give each query goroutine its own, or
 // recycle them through a sync.Pool as the package-level wrappers do.
 type Executor struct {
-	scratch []uint32 // segment-pair staging for the visitor paths
+	scratch []uint32 // kernel output the merge arm's visit sink replays
 	chain1  []uint32 // k-way pairwise chain buffer A
 	chain2  []uint32 // k-way pairwise chain buffer B
 	ord     []*Set   // k-way bitmap-size ordering scratch
@@ -38,7 +38,7 @@ type Executor struct {
 	workers []execWorker
 	pool    *Pool
 
-	staged     []stagedSeg // staged two-pass dispatch records (batch paths)
+	staged     []stagedSeg // staged two-pass dispatch records (merge arm, batch)
 	sched      []int32     // candidate scheduling order (CountManyParallel)
 	probeStage []probeRec  // staged hash probe: survivor records
 	qcache     probeCache  // query hash positions, memoized per bitmap size
@@ -62,8 +62,8 @@ type Executor struct {
 
 	// Per-query tracing (nil when no tracer is installed — the default).
 	// tr is this executor's (shard × slot) staging cell in the serving
-	// tier's tracer; the sequential ctx paths append strategy, planner and
-	// kernel records to it. See trace.go for the ownership model.
+	// tier's tracer; the sequential pair and k-way paths append strategy,
+	// planner and kernel records to it. See trace.go for the ownership model.
 	tr *trace.Cell
 }
 
@@ -75,7 +75,7 @@ type execWorker struct {
 	buf        []uint32 // materialization buffer (IntersectMergeParallel)
 	chain1     []uint32 // k-way chain scratch
 	chain2     []uint32
-	staged     []stagedSeg // per-worker staged dispatch records (CountManyParallel)
+	staged     []stagedSeg // per-worker staged dispatch records
 	probeStage []probeRec  // per-worker staged probe buffer
 	qcache     probeCache  // per-worker query position cache
 	denseAnd   []uint64    // per-worker dense×dense AND scratch (cross-rep)
@@ -133,179 +133,184 @@ func (e *Executor) ensureWorkers(n int) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-way queries. The sequential two-way paths need no scratch at all; they
-// share the free functions' hot loops, adding only the executor's stats
-// recording (skipped entirely on the nil fast path when stats are disabled).
+// Two-way queries: one pair engine. Every two-set entry point — plain, ctx,
+// forced-strategy and package-level — is one call into the pair frame, which
+// plans the pair once, runs the chosen arm's one body with a nil-able
+// checkpoint into a (dst, emit) sink, and records the query once.
 // ---------------------------------------------------------------------------
+
+// pairArm names a pair strategy; the values are the trace arms its strategy
+// span carries.
+type pairArm uint8
+
+const (
+	armMerge pairArm = trace.ArmMerge // two-step merge, seg×seg
+	armHash  pairArm = trace.ArmHash  // hash probe, seg×seg
+	armCross pairArm = trace.ArmCross // cross-representation matrix
+	armAuto  pairArm = trace.ArmNone  // merge or hash by planSegSeg
+)
+
+// pairPlan is one pair query's resolved strategy.
+type pairPlan struct {
+	arm       pairArm
+	fromDense bool           // armCross: walk the dense side (crossPlan)
+	ch        planner.Choice // the planner's token when it decided
+}
+
+// planPair resolves a pair's arm: the cross matrix when a side is not
+// segmented (crossPlan picks its probing side), force when it pins a seg×seg
+// arm, and planSegSeg's choice otherwise, traced as a plan event.
+func (e *Executor) planPair(a, b *Set, force pairArm) pairPlan {
+	if crossPair(a, b) {
+		ch, fromDense := crossPlan(e.plan, e.st, a, b)
+		return pairPlan{armCross, fromDense, ch}
+	}
+	if force != armAuto {
+		return pairPlan{arm: force}
+	}
+	ch, hash := planSegSeg(e.plan, e.st, a, b)
+	tracePlanSegSeg(e.tr, e.plan, ch, a, b)
+	if hash {
+		return pairPlan{arm: armHash, ch: ch}
+	}
+	return pairPlan{arm: armMerge, ch: ch}
+}
+
+// pair is the query frame of every two-set entry point. It plans the pair
+// (force pins the seg×seg arm; armAuto lets the planner or the static rule
+// choose), runs the arm with checkpoint ck (nil: uncancellable) into the
+// sink — dst non-nil materializes, emit non-nil streams, both nil count —
+// and records the query off at most two clock reads: the arm's query counter
+// and latency, its strategy span, and the planner feedback. A cancelled query
+// records only CtrCancellations.
+func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, emit Visitor) (int, error) {
+	compatible(a, b)
+	if err := stop(ck); err != nil {
+		return 0, e.noteCancel(err)
+	}
+	p := e.planPair(a, b, force)
+	timed := e.st != nil || e.tr != nil || p.ch.Measure()
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	n, err := e.runPair(ck, p, a, b, dst, emit)
+	if err != nil {
+		return 0, e.noteCancel(err)
+	}
+	if !timed {
+		return n, nil
+	}
+	el := time.Since(start)
+	if e.st != nil {
+		q, lat := stats.CtrQueriesMerge, stats.LatMerge
+		switch p.arm {
+		case armHash:
+			q, lat = stats.CtrQueriesHash, stats.LatHash
+		case armCross:
+			q, lat = stats.CtrQueriesCross, stats.LatCross
+		}
+		e.st.Inc(q)
+		e.st.Observe(lat, el)
+	}
+	if e.tr != nil {
+		e.tr.Span(trace.KindStrategy, uint8(p.arm), 0, start, el, uint64(a.n), uint64(b.n))
+	}
+	planFeedback{p.ch, el}.record(e.plan)
+	return n, nil
+}
+
+// run is the frame with no checkpoint — the plain entry points, which cannot
+// fail.
+func (e *Executor) run(a, b *Set, force pairArm, dst []uint32, emit Visitor) int {
+	n, _ := e.pair(nil, a, b, force, dst, emit)
+	return n
+}
+
+// runPair runs plan p's body into the sink, stopping at ck's checkpoints. It
+// records the body's counters and kernel trace event, not the query; the
+// frame and the k-way seed pair share it.
+func (e *Executor) runPair(ck checkpoint, p pairPlan, a, b *Set, dst []uint32, emit Visitor) (int, error) {
+	switch p.arm {
+	case armCross:
+		return crossRun(ck, &e.denseAnd, a, b, p.fromDense, dst, emit, e.st)
+	case armHash:
+		small, large := a, b
+		if small.n > large.n {
+			small, large = large, small
+		}
+		if e.tr != nil {
+			e.tr.Event(trace.KindKernel, trace.ArmHash, 0, uint64(small.n), uint64(large.n))
+		}
+		return probeRun(ck, small.reordered, large, dst, emit, e.st)
+	}
+	return e.mergeArm(ck, a, b, dst, emit)
+}
+
+// mergeArm is the two-step merge (Algorithm 1) as a staged two-pass dispatch:
+// pass 1 ANDs the bitmaps and stages the surviving segment pairs
+// (stageSegPairsRange), pass 2 runs their kernels into the sink
+// (dispatchStaged). With ck non-nil pass 1 runs in ctxWordBlock word blocks
+// with a checkpoint before each.
+func (e *Executor) mergeArm(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, error) {
+	x, y := ordered(a, b)
+	words := len(x.bm.Words())
+	step := stride(ck, ctxWordBlock, words)
+	e.staged = e.staged[:0]
+	for lo := 0; lo < words; lo += step {
+		if err := stop(ck); err != nil {
+			return 0, err
+		}
+		e.staged = stageSegPairsRange(x, y, e.staged, lo, min(lo+step, words))
+	}
+	recs := e.staged
+	noteStaged(e.st, e.kernelShard(), recs, x.bm.NumSegments())
+	if e.tr != nil {
+		e.tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(len(recs)), uint64(x.bm.NumSegments()))
+	}
+	if emit != nil {
+		e.scratch = growU32(e.scratch, max(min(x.maxSeg, y.maxSeg), 1))
+	}
+	n, touch, err := dispatchStaged(ck, x, y, recs, e.scratch, dst, emit)
+	e.touchSink += touch
+	return n, err
+}
 
 // Count returns |a ∩ b| with the adaptively chosen strategy (FESIAmerge vs
 // FESIAhash, Fig. 11 crossover; the live cost model when a planner is
 // attached). Zero heap allocations.
-func (e *Executor) Count(a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	start := planStart(ch)
-	var n int
-	if hash {
-		n = e.CountHash(a, b)
-	} else {
-		n = e.CountMerge(a, b)
-	}
-	planRecord(e.plan, ch, start)
-	return n
-}
+func (e *Executor) Count(a, b *Set) int { return e.run(a, b, armAuto, nil, nil) }
 
 // CountMerge forces the two-step FESIAmerge strategy. Zero heap allocations.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func (e *Executor) CountMerge(a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
-	if e.st == nil {
-		return CountMerge(a, b)
-	}
-	start := time.Now()
-	compatible(a, b)
-	x, y := ordered(a, b)
-	n := countMergeRange(x, y, 0, len(x.bm.Words()), e.st, e.kernelShard())
-	observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
-	return n
-}
+func (e *Executor) CountMerge(a, b *Set) int { return e.run(a, b, armMerge, nil, nil) }
 
 // CountHash forces the per-element FESIAhash strategy. Zero heap allocations.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func (e *Executor) CountHash(a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
-	if e.st == nil {
-		return CountHash(a, b)
-	}
-	start := time.Now()
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	n := hashProbeRange(small, large, 0, small.n, nil, e.st)
-	observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
-	return n
-}
+func (e *Executor) CountHash(a, b *Set) int { return e.run(a, b, armHash, nil, nil) }
 
 // Intersect writes a ∩ b into dst with the adaptive strategy and returns the
 // count. dst must have room for min(a.Len(), b.Len()) elements. Results are
-// in segment order, not ascending value order (see IntersectMerge). Zero heap
-// allocations.
-func (e *Executor) Intersect(dst []uint32, a, b *Set) int {
-	if crossPair(a, b) {
-		return e.crossIntersect(dst, a, b)
-	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	if e.st == nil && !ch.Measure() {
-		if hash {
-			return IntersectHash(dst, a, b)
-		}
-		return IntersectMerge(dst, a, b)
-	}
-	start := time.Now()
-	var n int
-	if hash {
-		n = IntersectHash(dst, a, b)
-		if e.st != nil {
-			observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
-		}
-	} else {
-		n = IntersectMerge(dst, a, b)
-		if e.st != nil {
-			observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
-		}
-	}
-	planRecord(e.plan, ch, start)
-	return n
-}
-
-// ---------------------------------------------------------------------------
-// Streaming visitors: results flow through emit as they are produced.
-// ---------------------------------------------------------------------------
-
-// Visit streams a ∩ b through emit with the adaptive strategy. Emission order
-// matches what Intersect would have written: segment order of the
+// in segment order, not ascending value order: segment order of the
 // larger-bitmap set (merge) or of the smaller set (hash), ascending within
-// each segment. Allocation-free once warm (the emit closure itself is the
+// each segment. Zero heap allocations.
+func (e *Executor) Intersect(dst []uint32, a, b *Set) int { return e.run(a, b, armAuto, dst, nil) }
+
+// Visit streams a ∩ b through emit with the adaptive strategy, in the order
+// Intersect writes. Allocation-free once warm (the emit closure itself is the
 // caller's).
-func (e *Executor) Visit(a, b *Set, emit Visitor) {
-	if crossPair(a, b) {
-		e.crossVisit(a, b, emit)
-		return
-	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	start := planStart(ch)
-	if hash {
-		e.VisitHash(a, b, emit)
-	} else {
-		e.VisitMerge(a, b, emit)
-	}
-	planRecord(e.plan, ch, start)
-}
+func (e *Executor) Visit(a, b *Set, emit Visitor) { e.run(a, b, armAuto, nil, emit) }
 
 // VisitMerge streams the two-step FESIAmerge intersection through emit: each
-// surviving segment pair is dispatched to its specialized kernel and the
-// kernel's output replayed element-wise, so no per-query result slice exists.
+// surviving segment pair's kernel intersects into the executor's scratch and
+// the matches replay element-wise, so no per-query result slice exists.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func (e *Executor) VisitMerge(a, b *Set, emit Visitor) {
-	if crossPair(a, b) {
-		e.crossVisit(a, b, emit)
-		return
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	t := x.build.table
-	e.scratch = growU32(e.scratch, max(min(x.maxSeg, y.maxSeg), 1))
-	sc := e.scratch
-	st := e.st
-	kst := e.kernelShard()
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
-	pairs := 0
-	forEachSegPair(x, y, func(sx, sy int) {
-		pairs++
-		if kst != nil {
-			kst.Kernel(len(x.segment(sx)), len(y.segment(sy)))
-		}
-		t.Visit(sc, x.segment(sx), y.segment(sy), emit)
-	})
-	if st != nil {
-		st.Add(stats.CtrSegPairs, uint64(pairs))
-		st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-		observeSince(st, stats.CtrQueriesMerge, stats.LatMerge, start)
-	}
-}
+func (e *Executor) VisitMerge(a, b *Set, emit Visitor) { e.run(a, b, armMerge, nil, emit) }
 
 // VisitHash streams the skewed-input FESIAhash intersection through emit, in
 // the smaller set's segment order. Cross-representation pairs route to the
 // dispatch matrix (hybrid.go).
-func (e *Executor) VisitHash(a, b *Set, emit Visitor) {
-	if crossPair(a, b) {
-		e.crossVisit(a, b, emit)
-		return
-	}
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	if e.st == nil {
-		hashProbeRange(small, large, 0, small.n, emit, nil)
-		return
-	}
-	start := time.Now()
-	hashProbeRange(small, large, 0, small.n, emit, e.st)
-	observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
-}
+func (e *Executor) VisitHash(a, b *Set, emit Visitor) { e.run(a, b, armHash, nil, emit) }
 
 // ---------------------------------------------------------------------------
 // k-way intersection (Section VI) on reusable chain buffers.
@@ -395,16 +400,27 @@ func (e *Executor) observeKWay(start time.Time, probe bool, nsets, total int) {
 // per survivor per remaining set. Zero heap allocations once the chain
 // buffers have grown to the workload's largest segment and seed pair.
 func (e *Executor) CountK(sets ...*Set) int {
+	n, _ := e.countK(nil, sets)
+	return n
+}
+
+// countK is the one body of CountK and CountKCtx: two sets take the pair
+// frame, three or more kway, with checkpoint ck (nil: uncancellable).
+func (e *Executor) countK(ck checkpoint, sets []*Set) (int, error) {
 	switch len(sets) {
 	case 0:
 		panic("core: intersection of zero sets")
-	case 1:
-		return sets[0].n
 	case 2:
-		return e.Count(sets[0], sets[1])
+		return e.pair(ck, sets[0], sets[1], armAuto, nil, nil)
 	}
-	n, _ := e.kway(nil, sets, nil)
-	return n
+	if err := stop(ck); err != nil {
+		return 0, e.noteCancel(err)
+	}
+	if len(sets) == 1 {
+		return sets[0].n, nil
+	}
+	n, err := e.kway(ck, sets, nil)
+	return n, e.noteCancel(err)
 }
 
 // IntersectK writes the k-way intersection into dst and returns the count.
@@ -480,16 +496,11 @@ func (e *Executor) orderByBitmap(sets []*Set) {
 func (e *Executor) kwayChain(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
 	x, rest := e.kwayPrepare(sets)
 	words := len(x.bm.Words())
-	step := words
-	if ctx != nil {
-		step = ctxWordBlock
-	}
+	step := stride(ctx, ctxWordBlock, words)
 	total := 0
 	for lo := 0; lo < words; lo += step {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
+		if err := stop(ctx); err != nil {
+			return 0, err
 		}
 		total += e.kwayChainRange(x, rest, lo, min(lo+step, words), e.chain1, e.chain2, sink)
 	}
@@ -558,12 +569,11 @@ func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, buf1,
 // stopping at the first empty list. sink (when non-nil) receives the final
 // list once, in the seed pair's order; the survivor count is returned.
 //
-// With ctx non-nil, the seed pair runs on the pair strategies' ctx
-// checkpoints and each compaction pass checks ctx every ctxProbeBlock
-// elements; on cancellation it returns ctx.Err() and feeds the planner
-// nothing. With a learned planner attached, sampled queries without a ctx
-// time each compaction pass to keep the per-representation probe costs
-// fresh.
+// With ctx non-nil, the seed pair runs on the pair bodies' checkpoints and
+// each compaction pass checks ctx every ctxProbeBlock elements; on
+// cancellation it returns ctx.Err() and feeds the planner nothing. With a
+// learned planner attached, sampled queries without a ctx time each
+// compaction pass to keep the per-representation probe costs fresh.
 func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
 	for _, s := range sets[1:] {
 		compatible(sets[0], s)
@@ -590,19 +600,15 @@ func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []u
 		if ksample {
 			t0 = time.Now()
 		}
-		probes, k := len(cur), 0
-		for lo := 0; lo < len(cur); lo += ctxProbeBlock {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-			}
-			k += s.keepMembers(cur[k:], cur[lo:min(lo+ctxProbeBlock, len(cur))])
+		// In place: each kept element lands at or before the one just read.
+		k, err := probeRun(ctx, cur, s, cur, nil, nil)
+		if err != nil {
+			return 0, err
+		}
+		if ksample {
+			e.plan.RecordProbe(int(s.rep), time.Since(t0), len(cur))
 		}
 		cur = cur[:k]
-		if ksample {
-			e.plan.RecordProbe(int(s.rep), time.Since(t0), probes)
-		}
 	}
 	fb.record(e.plan)
 	if len(cur) > 0 && sink != nil {
@@ -612,39 +618,18 @@ func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []u
 }
 
 // seedPair intersects the probe chain's seed pair into the executor's chain
-// buffer with the strategy Intersect would pick, without recording a pair
-// query into the stats. With ctx non-nil it runs on the ctx forms'
-// checkpoints. The planner feedback is returned for the caller to record
-// once the whole query has finished.
+// buffer on the pair engine's plan and bodies, without recording a pair
+// query. The planner feedback is returned for the caller to record once the
+// whole query has finished.
 func (e *Executor) seedPair(ctx checkpoint, a, b *Set) ([]uint32, planFeedback, error) {
 	e.chain1 = growU32(e.chain1, max(min(a.n, b.n), 1))
-	dst := e.chain1
-	if crossPair(a, b) {
-		if ctx == nil {
-			return dst[:crossRun(e.plan, &e.denseAnd, a, b, dst, nil, nil)], planFeedback{}, nil
-		}
-		n, fb, err := e.crossPairCtx(ctx, a, b, dst)
-		return dst[:n], fb, err
-	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	tracePlanSegSeg(e.tr, e.plan, ch, a, b)
-	start := planStart(ch)
-	var n int
-	var err error
-	switch {
-	case ctx != nil && hash:
-		n, err = e.intersectHashCtx(ctx, dst, a, b)
-	case ctx != nil:
-		n, err = e.intersectMergeCtx(ctx, dst, a, b)
-	case hash:
-		n = IntersectHash(dst, a, b)
-	default:
-		n = IntersectMerge(dst, a, b)
-	}
+	p := e.planPair(a, b, armAuto)
+	start := planStart(p.ch)
+	n, err := e.runPair(ctx, p, a, b, e.chain1, nil)
 	if err != nil {
 		return nil, planFeedback{}, err
 	}
-	return dst[:n], measured(ch, start), nil
+	return e.chain1[:n], measured(p.ch, start), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -656,20 +641,30 @@ func (e *Executor) seedPair(ctx checkpoint, a, b *Set) ([]uint32, planFeedback, 
 // spawned; pool workers are reused across calls. Cross-representation pairs
 // have no bitmap to partition; they run serially on the dispatch matrix.
 func (e *Executor) CountMergeParallel(a, b *Set, workers int) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
+	return e.mergeParallel(a, b, nil, workers)
+}
+
+// IntersectMergeParallel is IntersectMerge across `workers` pool parts.
+// Workers materialize disjoint word ranges into their persistent buffers,
+// which are concatenated in range order, so the output matches
+// IntersectMerge. Cross-representation pairs run serially on the dispatch
+// matrix.
+func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) int {
+	return e.mergeParallel(a, b, dst, workers)
+}
+
+// mergeParallel runs the merge arm's two passes on disjoint word ranges of
+// the larger bitmap, one per worker, each staging into its own buffer and
+// dispatching into its own sink: a count, or (dst non-nil) a buffer pre-sized
+// from its staged pairs — the sum of each pair's smaller side bounds the
+// range's output exactly. One worker, or a cross pair, is the serial frame.
+func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 	compatible(a, b)
 	x, y := ordered(a, b)
 	words := len(x.bm.Words())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > words {
-		workers = words
-	}
-	if workers == 1 {
-		return e.CountMerge(a, b)
+	workers = min(max(workers, 1), words)
+	if crossPair(a, b) || workers <= 1 {
+		return e.run(a, b, armMerge, dst, nil)
 	}
 	var start time.Time
 	if e.st != nil {
@@ -679,83 +674,33 @@ func (e *Executor) CountMergeParallel(a, b *Set, workers int) int {
 	e.ensureWorkers(workers)
 	chunk := (words + workers - 1) / workers
 	e.getPool().Do(workers, func(w int) {
-		lo := w * chunk
-		hi := min(lo+chunk, words)
 		ws := &e.workers[w]
+		lo := min(w*chunk, words)
+		hi := min(lo+chunk, words)
+		ws.staged = stageSegPairsRange(x, y, ws.staged[:0], lo, hi)
 		kst := ws.st
 		if !sampled {
 			kst = nil
 		}
-		ws.count = countMergeRange(x, y, lo, hi, ws.st, kst)
-	})
-	total := 0
-	for w := 0; w < workers; w++ {
-		total += e.workers[w].count
-	}
-	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
-	}
-	return total
-}
-
-// IntersectMergeParallel is IntersectMerge across `workers` pool parts.
-// Workers materialize disjoint word ranges into their persistent buffers,
-// which are concatenated in range order, so the output matches
-// IntersectMerge. Each worker pre-sizes its buffer from the per-range segment
-// size totals (a cheap bitmap pre-pass) instead of growing it by repeated
-// appends. Cross-representation pairs run serially on the dispatch matrix.
-func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) int {
-	if crossPair(a, b) {
-		return e.crossIntersect(dst, a, b)
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	words := len(x.bm.Words())
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > words {
-		workers = words
-	}
-	if workers == 1 {
-		if e.st == nil {
-			return IntersectMerge(dst, a, b)
+		noteStaged(ws.st, kst, ws.staged, (hi-lo)*x.bm.SegmentsPerWord())
+		var out []uint32
+		if dst != nil {
+			bound := 0
+			for _, r := range ws.staged {
+				bound += int(min(r.oaEnd-r.oa, r.obEnd-r.ob))
+			}
+			ws.buf = growU32(ws.buf, bound)
+			out = ws.buf
 		}
-		start := time.Now()
-		n := IntersectMerge(dst, a, b)
-		observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
-		return n
-	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	e.ensureWorkers(workers)
-	t := x.build.table
-	chunk := (words + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
-		ws := &e.workers[w]
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		// Pre-size from per-range segment totals: the sum of
-		// min(|segA|, |segB|) over the range's surviving pairs bounds the
-		// range's output exactly, and reading the offsets is far cheaper
-		// than the kernel pass that follows.
-		bound := 0
-		forEachSegPairRange(x, y, lo, hi, func(sx, sy int) {
-			bound += min(len(x.segment(sx)), len(y.segment(sy)))
-		})
-		ws.buf = growU32(ws.buf, bound)
-		n := 0
-		forEachSegPairRange(x, y, lo, hi, func(sx, sy int) {
-			n += t.Intersect(ws.buf[n:], x.segment(sx), y.segment(sy))
-		})
-		ws.count = n
+		ws.count, ws.touch, _ = dispatchStaged(nil, x, y, ws.staged, nil, out, nil)
 	})
 	total := 0
 	for w := 0; w < workers; w++ {
 		ws := &e.workers[w]
-		total += copy(dst[total:], ws.buf[:ws.count])
+		if dst != nil {
+			copy(dst[total:], ws.buf[:ws.count])
+		}
+		total += ws.count
 	}
 	if e.st != nil {
 		observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
@@ -767,21 +712,13 @@ func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) 
 // elements partitioned across `workers` pool parts. Cross-representation
 // pairs run serially on the dispatch matrix.
 func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
-	if crossPair(a, b) {
-		return e.crossCount(a, b)
-	}
 	compatible(a, b)
 	small, large := a, b
 	if small.n > large.n {
 		small, large = large, small
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > small.n {
-		workers = small.n
-	}
-	if workers <= 1 {
+	workers = min(max(workers, 1), small.n)
+	if crossPair(a, b) || workers <= 1 {
 		return e.CountHash(a, b)
 	}
 	var start time.Time
@@ -791,9 +728,9 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 	e.ensureWorkers(workers)
 	chunk := (small.n + workers - 1) / workers
 	e.getPool().Do(workers, func(w int) {
-		lo := w * chunk
+		lo := min(w*chunk, small.n)
 		hi := min(lo+chunk, small.n)
-		e.workers[w].count = hashProbeRange(small, large, lo, hi, nil, e.workers[w].st)
+		e.workers[w].count = hashProbeElems(small.reordered[lo:hi], large, nil, nil, e.workers[w].st)
 	})
 	total := 0
 	for w := 0; w < workers; w++ {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"fesia/internal/simd"
@@ -149,6 +151,26 @@ func FuzzHybridIntersect(f *testing.F) {
 			if !sa.Contains(v) || !sb.Contains(v) {
 				t.Fatalf("IntersectMerge(%v×%v) emitted non-member %d", sa.Rep(), sb.Rep(), v)
 			}
+		}
+		// The ctx and streaming entry points run the same pair frame: each
+		// must produce Executor.Intersect's elements in its order.
+		e := NewExecutor()
+		ctx := context.Background()
+		order := append([]uint32(nil), dst[:e.Intersect(dst, sa, sb)]...)
+		if len(order) != want {
+			t.Fatalf("Executor.Intersect(%v×%v) = %d, want %d", sa.Rep(), sb.Rep(), len(order), want)
+		}
+		if got, err := e.CountCtx(ctx, sa, sb); err != nil || got != want {
+			t.Fatalf("CountCtx(%v×%v) = %d, %v, want %d", sa.Rep(), sb.Rep(), got, err, want)
+		}
+		n, err := e.IntersectIntoCtx(ctx, dst, sa, sb)
+		if err != nil || !slices.Equal(dst[:n], order) {
+			t.Fatalf("IntersectIntoCtx(%v×%v) = %v, %v, want Intersect's %v", sa.Rep(), sb.Rep(), dst[:n], err, order)
+		}
+		var streamed []uint32
+		e.Visit(sa, sb, func(v uint32) { streamed = append(streamed, v) })
+		if !slices.Equal(streamed, order) {
+			t.Fatalf("Visit(%v×%v) = %v, want Intersect's %v", sa.Rep(), sb.Rep(), streamed, order)
 		}
 		// A third set an eighth of a's size skews the query past
 		// kwayProbeRatio, so the fuzzer reaches the probe chain.

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"math/bits"
 	"slices"
-	"time"
 
 	"fesia/internal/kernels"
 	"fesia/internal/planner"
@@ -20,8 +18,8 @@ import (
 //
 //	array×array  sorted-merge via the jump-table count/intersect kernels when
 //	             both sides fit the table, the generic merge otherwise
-//	array×seg    the array's elements probe the segmented set through the
-//	             existing branch-free hash probe (O(n_array))
+//	array×seg    the smaller side probes the other, the array on ties
+//	             (hash probe one way, binary search the other)
 //	array×dense  the smaller side probes the other (bit test one way, binary
 //	             search the other)
 //	seg×dense    the smaller side probes the other (hash probe one way, bit
@@ -29,9 +27,10 @@ import (
 //	dense×dense  word-AND over the overlapping span via simd.AndWords, then
 //	             popcount (count) or bit decode (materialize/visit)
 //
-// All paths are allocation-free once the executor's dense-AND scratch has
-// grown to the workload's largest overlap (the same warm-executor contract as
-// the segmented paths). Result order is ascending for array- and dense-driven
+// Each pair has one body for every sink and checkpoint (crossRun). All paths
+// are allocation-free once the executor's dense-AND scratch has grown to the
+// workload's largest overlap (the same warm-executor contract as the
+// segmented paths). Result order is ascending for array- and dense-driven
 // pairs and segment order when a segmented set's reordered array drives the
 // loop; as with the classic strategies, callers needing value order sort.
 
@@ -75,228 +74,222 @@ func growU64(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
-// denseHas is the dense-representation membership test: in-span bit lookup.
-func (s *Set) denseHas(x uint32) bool {
-	if x < s.base {
-		return false
+// crossPlan picks the probing side of a ×dense pair — walk the dense words
+// (fromDense) or probe the other set's sorted elements against the dense
+// span — through the planner when h is non-nil (the choice is its token), by
+// the smaller-side rule otherwise. The other pairs, and empty ones, have one
+// probing side: the zero choice.
+func crossPlan(h *planner.Handle, st *stats.Shard, a, b *Set) (planner.Choice, bool) {
+	if a.rep > b.rep {
+		a, b = b, a
 	}
-	idx := x - s.base
-	if int(idx>>6) >= len(s.dense) {
-		return false
+	if b.rep != RepDense || a.rep == RepDense || a.n == 0 || b.n == 0 {
+		return planner.Choice{}, false
 	}
-	return s.dense[idx>>6]&(1<<(idx&63)) != 0
+	fromDense := b.n < a.n
+	if h == nil {
+		return planner.Choice{}, fromDense
+	}
+	if a.rep == RepSegmented { // arm 0: dense bits hash-probe the segmented set
+		ch := h.Decide(planner.DecSegDense, b.n, a.n)
+		notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
+		return ch, ch.Arm == 0
+	}
+	// arm 0: array elements bit-test the dense span
+	ch := h.Decide(planner.DecArrayDense, a.n, b.n)
+	notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
+	return ch, ch.Arm == 1
 }
 
 // crossRun dispatches one pair intersection where at least one side is
-// non-segmented. With dst non-nil matches are appended there; with emit
-// non-nil they are streamed; with both nil only the count is produced. The
-// match count is returned. denseAnd is the caller's persistent dense-AND
-// scratch (grown in place). st, when non-nil, receives the dispatch-pair
-// counter and, on hash-probing paths, the probe/survivor counters. h, when
-// non-nil, resolves the probe-side decisions of the ×dense pairs through the
-// adaptive planner (the other pairs have a single reasonable driver and stay
-// static).
-func crossRun(h *planner.Handle, denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
+// non-segmented, into the sink: dst (when non-nil) receives the matches, emit
+// (when non-nil) streams them, and with both nil only the count is produced.
+// The match count is returned. fromDense is crossPlan's probing side for the
+// ×dense pairs; seg×array is driven from the array unless the segmented side
+// is smaller. denseAnd is the caller's persistent dense-AND scratch (grown in
+// place). st, when non-nil, receives the dispatch-pair counter and, on
+// hash-probing paths, the probe/survivor counters. With ck non-nil the
+// driving loop runs in checkpoint blocks — ctxProbeBlock elements or
+// ctxWordBlock dense words — and stops with ck's error.
+func crossRun(ck checkpoint, denseAnd *[]uint64, a, b *Set, fromDense bool, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
 	if st != nil {
 		st.Inc(repPairCounter(a.rep, b.rep))
 	}
 	if a.rep > b.rep {
 		a, b = b, a
 	}
-	if a.n == 0 || b.n == 0 {
-		return 0
+	switch {
+	case a.n == 0 || b.n == 0:
+		return 0, nil
+	case a.rep == RepDense:
+		return denseDenseRun(ck, denseAnd, a, b, dst, emit)
+	case a.rep == RepArray && b.rep == RepArray:
+		return arrayArrayRun(ck, a, b, dst, emit)
+	case b.rep == RepDense && fromDense:
+		return denseProbeRun(ck, b, a, dst, emit, st)
+	case b.rep == RepArray && b.n <= a.n:
+		return probeRun(ck, b.reordered, a, dst, emit, st)
 	}
-	switch a.rep {
-	case RepSegmented: // b is array or dense
-		if b.rep == RepArray {
-			return hashProbeElems(b.reordered, a, dst, emit, st)
-		}
-		return segDenseRun(h, a, b, dst, emit, st)
-	case RepArray:
-		if b.rep == RepArray {
-			return arrayArrayRun(a, b, dst, emit)
-		}
-		return arrayDenseRun(h, a, b, dst, emit, st)
+	return probeRun(ck, a.reordered, b, dst, emit, st)
+}
+
+// crossStep runs one cross pair of a batch: crossRun on crossPlan's side,
+// feeding the planner the run's own timing.
+func crossStep(h *planner.Handle, st *stats.Shard, denseAnd *[]uint64, q, c *Set, dst []uint32, emit Visitor) int {
+	ch, fromDense := crossPlan(h, st, q, c)
+	start := planStart(ch)
+	n, _ := crossRun(nil, denseAnd, q, c, fromDense, dst, emit, st)
+	planRecord(h, ch, start)
+	return n
+}
+
+// put hands match x to the sink — dst[n] when dst is non-nil, emit when
+// non-nil — and returns the advanced match count.
+func put(dst []uint32, emit Visitor, n int, x uint32) int {
+	if dst != nil {
+		dst[n] = x
 	}
-	return denseDenseRun(denseAnd, a, b, dst, emit)
+	if emit != nil {
+		emit(x)
+	}
+	return n + 1
+}
+
+// tail is dst past its first n entries; a nil dst (count only) stays nil.
+func tail(dst []uint32, n int) []uint32 {
+	if dst == nil {
+		return nil
+	}
+	return dst[n:]
+}
+
+// probeRun has each of the sorted elems probe other for membership, keeping
+// elems' order: the hash probe (hashProbeElems) into a segmented set,
+// Contains otherwise. It is the hash arm's body, the element-driven cross
+// pairs' and the probe chain's compaction; dst may alias elems' prefix, since
+// each write lands at or before the element just read. With ck non-nil it
+// runs in ctxProbeBlock blocks.
+func probeRun(ck checkpoint, elems []uint32, other *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
+	n := 0
+	step := stride(ck, ctxProbeBlock, len(elems))
+	for lo := 0; lo < len(elems); lo += step {
+		if err := stop(ck); err != nil {
+			return 0, err
+		}
+		blk := elems[lo:min(lo+step, len(elems))]
+		if other.rep == RepSegmented {
+			n += hashProbeElems(blk, other, tail(dst, n), emit, st)
+			continue
+		}
+		for _, x := range blk {
+			if other.Contains(x) {
+				n = put(dst, emit, n, x)
+			}
+		}
+	}
+	return n, nil
+}
+
+// denseProbeRun walks a dense set's words, probing each decoded element
+// against other (hash probes, counted in CtrHashProbes, when other is
+// segmented); results are ascending. With ck non-nil it runs in ctxWordBlock
+// word blocks.
+func denseProbeRun(ck checkpoint, den, other *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
+	n, probes := 0, 0
+	words := den.dense
+	step := stride(ck, ctxWordBlock, len(words))
+	for lo := 0; lo < len(words); lo += step {
+		if err := stop(ck); err != nil {
+			return 0, err
+		}
+		for wi := lo; wi < min(lo+step, len(words)); wi++ {
+			for w := words[wi]; w != 0; w &= w - 1 {
+				x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
+				probes++
+				if other.Contains(x) {
+					n = put(dst, emit, n, x)
+				}
+			}
+		}
+	}
+	if st != nil && other.rep == RepSegmented {
+		st.Add(stats.CtrHashProbes, uint64(probes))
+	}
+	return n, nil
 }
 
 // arrayArrayRun intersects two sorted arrays: the jump-table kernels when
 // both sides fit the table (the SIMD small-merge path), the generic scalar
-// merge otherwise. Results are ascending.
-func arrayArrayRun(a, b *Set, dst []uint32, emit Visitor) int {
+// merge otherwise. Results are ascending. With ck non-nil a's elements merge
+// in ctxProbeBlock blocks, each against the run of b up to the block's last
+// element.
+func arrayArrayRun(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	xa, xb := a.reordered, b.reordered
-	la, lb := len(xa), len(xb)
 	d := &a.build.disp
-	if emit != nil {
-		n := 0
-		kernels.GenericVisit(xa, xb, func(v uint32) {
-			n++
-			emit(v)
-		})
-		return n
-	}
-	if dst != nil {
-		if la <= d.Cap && lb <= d.Cap {
-			ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-			return d.Inter[ctrl](dst, xa, xb)
+	n, j := 0, 0
+	step := stride(ck, ctxProbeBlock, len(xa))
+	for lo := 0; lo < len(xa); lo += step {
+		if err := stop(ck); err != nil {
+			return 0, err
 		}
-		return kernels.GenericIntersect(dst, xa, xb)
-	}
-	if la <= d.Cap && lb <= d.Cap {
-		ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-		return d.Count[ctrl](xa, xb)
-	}
-	return kernels.GenericCount(xa, xb)
-}
-
-// arrayDenseRun intersects a sorted array with a dense bitmap. The probing
-// side comes from the planner when a handle is attached (arm 0: array
-// elements bit-test the dense span; arm 1: dense bits binary-search the
-// array), from the smaller-side rule otherwise.
-func arrayDenseRun(h *planner.Handle, arr, den *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
-	fromArray := arr.n <= den.n
-	var ch planner.Choice
-	if h != nil {
-		ch = h.Decide(planner.DecArrayDense, arr.n, den.n)
-		notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 0) != fromArray)
-		fromArray = ch.Arm == 0
-	}
-	start := planStart(ch)
-	n := arrayDenseArm(arr, den, fromArray, dst, emit)
-	planRecord(h, ch, start)
-	return n
-}
-
-// arrayDenseArm runs one probing side of an array×dense pair.
-func arrayDenseArm(arr, den *Set, fromArray bool, dst []uint32, emit Visitor) int {
-	n := 0
-	if fromArray {
-		for _, x := range arr.reordered {
-			if den.denseHas(x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
+		ba := xa[lo:min(lo+step, len(xa))]
+		end := len(xb)
+		if lo+step < len(xa) {
+			// ba's last element is not the array's maximum, so +1 cannot wrap.
+			end, _ = slices.BinarySearch(xb, ba[len(ba)-1]+1)
 		}
-		return n
-	}
-	for wi, w := range den.dense {
-		for w != 0 {
-			x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-			w &= w - 1
-			if _, ok := slices.BinarySearch(arr.reordered, x); ok {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
+		bb := xb[j:end]
+		j = end
+		ctrl := -1
+		if len(ba) <= d.Cap && len(bb) <= d.Cap {
+			ctrl = int(d.Round[len(ba)])<<d.Bits | int(d.Round[len(bb)])
+		}
+		switch {
+		case emit != nil:
+			kernels.GenericVisit(ba, bb, func(v uint32) { n++; emit(v) })
+		case dst != nil && ctrl >= 0:
+			n += d.Inter[ctrl](dst[n:], ba, bb)
+		case dst != nil:
+			n += kernels.GenericIntersect(dst[n:], ba, bb)
+		case ctrl >= 0:
+			n += d.Count[ctrl](ba, bb)
+		default:
+			n += kernels.GenericCount(ba, bb)
 		}
 	}
-	return n
-}
-
-// segDenseRun intersects a segmented set with a dense bitmap. The probing
-// side comes from the planner when a handle is attached (arm 0: dense bits
-// hash-probe the segmented set; arm 1: the segmented set's reordered
-// elements bit-test the dense span), from the smaller-side rule otherwise.
-func segDenseRun(h *planner.Handle, seg, den *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
-	fromDense := den.n < seg.n
-	var ch planner.Choice
-	if h != nil {
-		ch = h.Decide(planner.DecSegDense, den.n, seg.n)
-		notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
-		fromDense = ch.Arm == 0
-	}
-	start := planStart(ch)
-	n := segDenseArm(seg, den, fromDense, dst, emit, st)
-	planRecord(h, ch, start)
-	return n
-}
-
-// segDenseArm runs one probing side of a seg×dense pair.
-func segDenseArm(seg, den *Set, fromDense bool, dst []uint32, emit Visitor, st *stats.Shard) int {
-	n := 0
-	if fromDense {
-		probes := 0
-		for wi, w := range den.dense {
-			for w != 0 {
-				x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-				w &= w - 1
-				probes++
-				if seg.Contains(x) {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-					if emit != nil {
-						emit(x)
-					}
-				}
-			}
-		}
-		if st != nil {
-			st.Add(stats.CtrHashProbes, uint64(probes))
-		}
-		return n
-	}
-	for _, x := range seg.reordered {
-		if den.denseHas(x) {
-			if dst != nil {
-				dst[n] = x
-			}
-			n++
-			if emit != nil {
-				emit(x)
-			}
-		}
-	}
-	return n
+	return n, nil
 }
 
 // denseDenseRun intersects two dense bitmaps: the overlapping word window
 // (bases are 64-aligned, so overlap is word-aligned with no shifting) is
 // ANDed via simd.AndWords into the caller's scratch, then popcounted or
-// decoded. Results are ascending.
-func denseDenseRun(denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor) int {
+// decoded. Results are ascending. With ck non-nil the window runs in
+// ctxWordBlock blocks.
+func denseDenseRun(ck checkpoint, denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	lo, wa, wb, nw := denseOverlap(a, b)
-	if nw <= 0 {
-		return 0
-	}
-	buf := growU64(*denseAnd, nw)
-	*denseAnd = buf
-	nonZero := simd.AndWords(buf, a.dense[wa:wa+nw], b.dense[wb:wb+nw])
-	if nonZero == 0 {
-		return 0
-	}
 	n := 0
-	if dst == nil && emit == nil {
-		for _, w := range buf {
-			n += bits.OnesCount64(w)
+	step := stride(ck, ctxWordBlock, nw)
+	for off := 0; off < nw; off += step {
+		if err := stop(ck); err != nil {
+			return 0, err
 		}
-		return n
-	}
-	for wi, w := range buf {
-		for w != 0 {
-			x := lo + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-			w &= w - 1
-			if dst != nil {
-				dst[n] = x
+		cn := min(step, nw-off)
+		buf := growU64(*denseAnd, cn)
+		*denseAnd = buf
+		if simd.AndWords(buf, a.dense[wa+off:wa+off+cn], b.dense[wb+off:wb+off+cn]) == 0 {
+			continue
+		}
+		for wi, w := range buf {
+			if dst == nil && emit == nil {
+				n += bits.OnesCount64(w)
+				continue
 			}
-			n++
-			if emit != nil {
-				emit(x)
+			for ; w != 0; w &= w - 1 {
+				n = put(dst, emit, n, lo+uint32(off+wi)<<6+uint32(simd.Tzcnt64(w)))
 			}
 		}
 	}
-	return n
+	return n, nil
 }
 
 // denseOverlap computes the word-aligned overlap window of two dense sets:
@@ -312,61 +305,6 @@ func denseOverlap(a, b *Set) (lo uint32, wa, wb, nw int) {
 		return 0, 0, 0, 0
 	}
 	return uint32(l), int((l - loA) >> 6), int((l - loB) >> 6), int((h - l) >> 6)
-}
-
-// ---------------------------------------------------------------------------
-// Executor entry points: stats recording + scratch ownership.
-// ---------------------------------------------------------------------------
-
-// crossCount is the executor's counting entry into the dispatch matrix.
-func (e *Executor) crossCount(a, b *Set) int {
-	compatible(a, b)
-	if e.st == nil {
-		return crossRun(e.plan, &e.denseAnd, a, b, nil, nil, nil)
-	}
-	start := time.Now()
-	n := crossRun(e.plan, &e.denseAnd, a, b, nil, nil, e.st)
-	observeSince(e.st, stats.CtrQueriesCross, stats.LatCross, start)
-	return n
-}
-
-// crossIntersect materializes a cross-representation intersection into dst.
-func (e *Executor) crossIntersect(dst []uint32, a, b *Set) int {
-	compatible(a, b)
-	if e.st == nil {
-		return crossRun(e.plan, &e.denseAnd, a, b, dst, nil, nil)
-	}
-	start := time.Now()
-	n := crossRun(e.plan, &e.denseAnd, a, b, dst, nil, e.st)
-	observeSince(e.st, stats.CtrQueriesCross, stats.LatCross, start)
-	return n
-}
-
-// crossVisit streams a cross-representation intersection through emit.
-func (e *Executor) crossVisit(a, b *Set, emit Visitor) {
-	compatible(a, b)
-	if e.st == nil {
-		crossRun(e.plan, &e.denseAnd, a, b, nil, emit, nil)
-		return
-	}
-	start := time.Now()
-	crossRun(e.plan, &e.denseAnd, a, b, nil, emit, e.st)
-	observeSince(e.st, stats.CtrQueriesCross, stats.LatCross, start)
-}
-
-// crossCountFree backs the package-level strategy functions for
-// cross-representation pairs, on a pooled default executor.
-func crossCountFree(a, b *Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.crossCount(a, b)
-}
-
-// crossIntersectFree is the materializing counterpart of crossCountFree.
-func crossIntersectFree(dst []uint32, a, b *Set) int {
-	e := getExecutor()
-	defer putExecutor(e)
-	return e.crossIntersect(dst, a, b)
 }
 
 // ---------------------------------------------------------------------------
@@ -436,202 +374,4 @@ func (e *Executor) kwaySeed(sets []*Set) int {
 		}
 	}
 	return sm
-}
-
-// keepMembers writes the elements of src that are members of s to dst and
-// returns their count, keeping src's order: the segmented hash probe
-// (hashProbeElems) for segmented sets, Contains otherwise. dst may alias
-// src's prefix — each write lands at or before the element just read — so
-// the probe chain compacts its list in place.
-func (s *Set) keepMembers(dst, src []uint32) int {
-	if s.rep == RepSegmented {
-		return hashProbeElems(src, s, dst, nil, nil)
-	}
-	k := 0
-	for _, v := range src {
-		if s.Contains(v) {
-			dst[k] = v
-			k++
-		}
-	}
-	return k
-}
-
-// ---------------------------------------------------------------------------
-// Context-aware variants: the same matrix with cooperative checkpoints, at
-// the granularity of the classic ctx paths (probe blocks on element-driven
-// loops, word blocks on the dense AND).
-// ---------------------------------------------------------------------------
-
-// crossCountCtx is crossRun's counting form with cooperative cancellation.
-func (e *Executor) crossCountCtx(ctx context.Context, a, b *Set) (int, error) {
-	return e.crossRunCtx(ctx, a, b, nil)
-}
-
-// crossIntersectCtx is crossRun's materializing form with cancellation.
-func (e *Executor) crossIntersectCtx(ctx context.Context, dst []uint32, a, b *Set) (int, error) {
-	return e.crossRunCtx(ctx, a, b, dst)
-}
-
-// crossRunCtx runs one cross-representation pair with a context check per
-// work block (crossPairCtx), recording the pair query into the stats. On
-// cancellation it returns (0, ctx.Err()).
-func (e *Executor) crossRunCtx(ctx context.Context, a, b *Set, dst []uint32) (int, error) {
-	compatible(a, b)
-	if err := ctx.Err(); err != nil {
-		return 0, e.noteCancel(err)
-	}
-	st := e.st
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-		st.Inc(repPairCounter(a.rep, b.rep))
-	}
-	n, fb, err := e.crossPairCtx(ctx, a, b, dst)
-	if err != nil {
-		return 0, e.noteCancel(err)
-	}
-	fb.record(e.plan)
-	if st != nil {
-		observeSince(st, stats.CtrQueriesCross, stats.LatCross, start)
-	}
-	return n, nil
-}
-
-// crossPairCtx is the cancellable body of crossRunCtx, shared with the
-// probe chain's seed pair. The element-probing pairs chunk the probing side
-// by ctxProbeBlock; dense×dense chunks the word AND by ctxWordBlock. The
-// planner feedback of a measured probe-side decision is returned, not
-// recorded, so that the caller feeds it only once its whole query finishes.
-func (e *Executor) crossPairCtx(ctx checkpoint, a, b *Set, dst []uint32) (int, planFeedback, error) {
-	if a.rep > b.rep {
-		a, b = b, a
-	}
-	var n int
-	var err error
-	switch {
-	case a.n == 0 || b.n == 0:
-		return 0, planFeedback{}, nil
-	case a.rep == RepDense: // dense×dense
-		n, err = e.denseDenseCtx(ctx, a, b, dst)
-		return n, planFeedback{}, err
-	case b.rep != RepDense:
-		// seg×array probes one side's sorted element slice against the
-		// other's membership test (hash probe into segmented, binary search
-		// into arrays), from the smaller side.
-		probe, other := a, b
-		if b.n < a.n {
-			probe, other = b, a
-		}
-		n, err = e.elemsProbeCtx(ctx, probe.reordered, other, dst)
-		return n, planFeedback{}, err
-	}
-	// seg×dense / array×dense: pick the probing side — walk the dense words
-	// probing a, or probe a's sorted elements against the dense span.
-	// Planner decision when a handle is attached, the smaller-side rule
-	// otherwise.
-	fromDense := b.n < a.n
-	var ch planner.Choice
-	if h := e.plan; h != nil {
-		if a.rep == RepSegmented {
-			ch = h.Decide(planner.DecSegDense, b.n, a.n)
-			notePlanDecision(e.st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
-			fromDense = ch.Arm == 0
-		} else {
-			ch = h.Decide(planner.DecArrayDense, a.n, b.n)
-			notePlanDecision(e.st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
-			fromDense = ch.Arm == 1
-		}
-	}
-	pstart := planStart(ch)
-	if fromDense {
-		n, err = e.denseProbeCtx(ctx, b, a, dst)
-	} else {
-		n, err = e.elemsProbeCtx(ctx, a.reordered, b, dst)
-	}
-	if err != nil {
-		// Cancelled passes are partial work; only completed ones feed the
-		// cost model.
-		return 0, planFeedback{}, err
-	}
-	return n, measured(ch, pstart), nil
-}
-
-// elemsProbeCtx probes a sorted element slice against any set in
-// ctxProbeBlock chunks, checking the context between chunks.
-func (e *Executor) elemsProbeCtx(ctx checkpoint, elems []uint32, other *Set, dst []uint32) (int, error) {
-	n := 0
-	for lo := 0; lo < len(elems); lo += ctxProbeBlock {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		for _, x := range elems[lo:min(lo+ctxProbeBlock, len(elems))] {
-			if other.Contains(x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-			}
-		}
-	}
-	return n, nil
-}
-
-// denseProbeCtx walks a dense set's words in ctxWordBlock chunks, probing
-// each decoded element against other.
-func (e *Executor) denseProbeCtx(ctx checkpoint, den, other *Set, dst []uint32) (int, error) {
-	n := 0
-	for lo := 0; lo < len(den.dense); lo += ctxWordBlock {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		hi := min(lo+ctxWordBlock, len(den.dense))
-		for wi := lo; wi < hi; wi++ {
-			w := den.dense[wi]
-			for w != 0 {
-				x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-				w &= w - 1
-				if other.Contains(x) {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-				}
-			}
-		}
-	}
-	return n, nil
-}
-
-// denseDenseCtx is denseDenseRun with the word AND chunked by ctxWordBlock.
-func (e *Executor) denseDenseCtx(ctx checkpoint, a, b *Set, dst []uint32) (int, error) {
-	lo, wa, wb, nw := denseOverlap(a, b)
-	if nw <= 0 {
-		return 0, nil
-	}
-	e.denseAnd = growU64(e.denseAnd, min(nw, ctxWordBlock))
-	buf := e.denseAnd
-	n := 0
-	for off := 0; off < nw; off += ctxWordBlock {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		cn := min(ctxWordBlock, nw-off)
-		nonZero := simd.AndWords(buf[:cn], a.dense[wa+off:wa+off+cn], b.dense[wb+off:wb+off+cn])
-		if nonZero == 0 {
-			continue
-		}
-		for wi, w := range buf[:cn] {
-			if dst == nil {
-				n += bits.OnesCount64(w)
-				continue
-			}
-			for w != 0 {
-				dst[n] = lo + uint32(off+wi)<<6 + uint32(simd.Tzcnt64(w))
-				n++
-				w &= w - 1
-			}
-		}
-	}
-	return n, nil
 }

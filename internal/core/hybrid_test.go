@@ -88,8 +88,10 @@ func hybridShapes(rng *rand.Rand) [][2][]uint32 {
 
 // TestHybridPairParity drives every (Rep × Rep) pair through every two-set
 // entry point — free functions, Executor methods, parallel and context
-// variants — and requires exact agreement with the scalar reference.
-// runBothBackends covers the asm and pure-Go kernel paths in one run.
+// variants — and requires exact agreement with the scalar reference, and the
+// materializing and streaming entry points to produce Executor.Intersect's
+// elements in its order. runBothBackends covers the asm and pure-Go kernel
+// paths in one run.
 func TestHybridPairParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	e := NewExecutor()
@@ -123,14 +125,30 @@ func TestHybridPairParity(t *testing.T) {
 				dst := make([]uint32, want+8)
 				n := e.Intersect(dst, a, b)
 				check("Intersect", n)
-				got := append([]uint32(nil), dst[:n]...)
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+				order := append([]uint32(nil), dst[:n]...)
+				got := sortedCopy(order)
 				for i := range ref {
 					if got[i] != ref[i] {
 						t.Fatalf("shape %d %v×%v Intersect element %d = %d, want %d",
 							si, ra, rb, i, got[i], ref[i])
 					}
 				}
+				sameOrder := func(name string, got []uint32) {
+					t.Helper()
+					if !slices.Equal(got, order) {
+						t.Fatalf("shape %d %v×%v %s = %d elements, not Executor.Intersect's %d in its order",
+							si, ra, rb, name, len(got), len(order))
+					}
+				}
+				nc, err := e.IntersectIntoCtx(context.Background(), dst, a, b)
+				if err != nil {
+					t.Fatalf("shape %d %v×%v IntersectIntoCtx: %v", si, ra, rb, err)
+				}
+				sameOrder("IntersectIntoCtx", dst[:nc])
+				sameOrder("free Intersect", dst[:Intersect(dst, a, b)])
+				var streamed []uint32
+				e.Visit(a, b, func(v uint32) { streamed = append(streamed, v) })
+				sameOrder("Visit", streamed)
 				check("free IntersectMerge", IntersectMerge(dst, a, b))
 				check("free IntersectHash", IntersectHash(dst, a, b))
 				check("IntersectMergeParallel", e.IntersectMergeParallel(dst, a, b, 4))
@@ -145,16 +163,11 @@ func TestHybridPairParity(t *testing.T) {
 				e.VisitHash(a, b, func(uint32) { visited++ })
 				check("VisitHash", visited)
 
-				nc, err := e.CountCtx(context.Background(), a, b)
+				nc, err = e.CountCtx(context.Background(), a, b)
 				if err != nil {
 					t.Fatalf("shape %d %v×%v CountCtx: %v", si, ra, rb, err)
 				}
 				check("CountCtx", nc)
-				nc, err = e.IntersectIntoCtx(context.Background(), dst, a, b)
-				if err != nil {
-					t.Fatalf("shape %d %v×%v IntersectIntoCtx: %v", si, ra, rb, err)
-				}
-				check("IntersectIntoCtx", nc)
 			}
 		}
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"time"
 
-	"fesia/internal/bitmap"
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -15,9 +13,9 @@ import (
 // skew of about 1/4.
 const SkewThreshold = 0.25
 
-// coreChunkBlocks sizes the stack mask buffer of the chunked fast paths in
-// countMergeRange and stageSegPairsRange: 256 blocks = 1024 bitmap words per
-// chunk, matching internal/bitmap's fast filter.
+// coreChunkBlocks sizes the stack mask buffer of stageSegPairsRange's chunked
+// fast path: 256 blocks = 1024 bitmap words per chunk, matching
+// internal/bitmap's fast filter.
 const coreChunkBlocks = 256
 
 // CountMerge returns |a ∩ b| using the two-step FESIA algorithm
@@ -25,185 +23,23 @@ const coreChunkBlocks = 256
 // surviving segment pairs. This is the paper's FESIAmerge. Pairs involving a
 // non-segmented set have no merge/hash strategy distinction; they route to
 // the cross-representation dispatch matrix (hybrid.go).
-func CountMerge(a, b *Set) int {
-	if crossPair(a, b) {
-		return crossCountFree(a, b)
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	return countMergeRange(x, y, 0, len(x.bm.Words()), nil, nil)
-}
-
-// countMergeRange is the hot loop: it fuses the three bitmap-level steps of
-// Section IV (word AND, segment transformation, index extraction) with the
-// jump-table dispatch of Listing 2, over words [lo, hi) of the larger
-// bitmap. x must be the larger-bitmap set.
 //
-// st, when non-nil, receives the segment-survival counters at range
-// granularity; the pair tally itself is a register increment kept
-// unconditional so the disabled path stays branch-free. kst, when non-nil,
-// additionally receives the per-pair kernel-dispatch histogram — callers pass
-// it for 1 in stats.KernelSampleRate queries (see Executor.kernelSampled), so
-// the histogram's per-pair cost is paid on a thin sample while every counter
-// stays exact.
-func countMergeRange(x, y *Set, lo, hi int, st, kst *stats.Shard) int {
-	d := &x.build.disp
-	xw, yw := x.bm.Words(), y.bm.Words()
-	wordMask := len(yw) - 1
-	spw := x.bm.SegmentsPerWord()
-	segBits := x.bm.SegBits()
-	segMaskY := y.bm.NumSegments() - 1
-	xo, yo := x.offsets, y.offsets
-	xr, yr := x.reordered, y.reordered
-
-	// Segment extraction: tzcnt finds the lowest live bit, then the whole
-	// segment's bits are cleared at once, so the inner loop runs once per
-	// live segment (Section IV steps 2+3 fused, branch-free).
-	segClear := uint64(1)<<uint(segBits) - 1
-	segShift := uint(simd.Tzcnt32(uint32(segBits))) // log2(segBits)
-	alignMask := segBits - 1
-
-	n := 0
-	pairs := 0
-	i := lo
-	if simd.AsmActive() && len(yw) >= simd.BlockWords && hi-lo >= 2*simd.BlockWords {
-		// Chunked mask-stream fast path: the fused AndSegMasks kernel emits
-		// one live-segment mask per 4-word block into a stack buffer, and the
-		// kernel dispatch walks the mask stream. Range edges are handled by
-		// computing the full edge block and trimming out-of-range segment
-		// bits (the over-read stays inside the bitmap: word counts on this
-		// path are powers of two >= 2*BlockWords).
-		loDown := lo &^ (simd.BlockWords - 1)
-		hiUp := (hi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
-		var masks [coreChunkBlocks]uint32
-		for cb := loDown; cb < hiUp; {
-			nb := (hiUp - cb) / simd.BlockWords
-			if nb > coreChunkBlocks {
-				nb = coreChunkBlocks
-			}
-			live := simd.AndSegMasksWrap(masks[:nb], xw, yw, cb, segBits)
-			if live != 0 {
-				if cb < lo {
-					masks[0] &^= 1<<uint((lo-cb)*spw) - 1
-				}
-				if end := cb + nb*simd.BlockWords; end > hi {
-					masks[nb-1] &= 1<<uint((hi-(end-simd.BlockWords))*spw) - 1
-				}
-				for bi := 0; bi < nb; bi++ {
-					m := masks[bi]
-					if m == 0 {
-						continue
-					}
-					base := (cb + bi*simd.BlockWords) * spw
-					for m != 0 {
-						seg := base + simd.Tzcnt32(m)
-						m &= m - 1
-						segY := seg & segMaskY
-						oa, oaEnd := xo[seg], xo[seg+1]
-						ob, obEnd := yo[segY], yo[segY+1]
-						la := int(oaEnd - oa)
-						lb := int(obEnd - ob)
-						pairs++
-						if kst != nil {
-							kst.Kernel(la, lb)
-						}
-						if la > d.Cap || lb > d.Cap {
-							n += kernels.GenericCount(xr[oa:oaEnd], yr[ob:obEnd])
-							continue
-						}
-						ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-						n += d.Count[ctrl](xr[oa:oaEnd], yr[ob:obEnd])
-					}
-				}
-			}
-			cb += nb * simd.BlockWords
-		}
-		i = hi
-	}
-	for ; i < hi; i++ {
-		w := xw[i] & yw[i&wordMask]
-		if w == 0 {
-			continue
-		}
-		base := i * spw
-		for w != 0 {
-			bit := simd.Tzcnt64(w)
-			segOff := bit &^ alignMask
-			w &^= segClear << uint(segOff)
-			seg := base + segOff>>segShift
-			segY := seg & segMaskY
-			oa, oaEnd := xo[seg], xo[seg+1]
-			ob, obEnd := yo[segY], yo[segY+1]
-			la := int(oaEnd - oa)
-			lb := int(obEnd - ob)
-			pairs++
-			if kst != nil {
-				kst.Kernel(la, lb)
-			}
-			if la > d.Cap || lb > d.Cap {
-				n += kernels.GenericCount(xr[oa:oaEnd], yr[ob:obEnd])
-				continue
-			}
-			ctrl := int(d.Round[la])<<d.Bits | int(d.Round[lb])
-			n += d.Count[ctrl](xr[oa:oaEnd], yr[ob:obEnd])
-		}
-	}
-	if st != nil {
-		st.Add(stats.CtrSegPairs, uint64(pairs))
-		st.Add(stats.CtrSegmentsScanned, uint64((hi-lo)*spw))
-	}
-	return n
-}
+// Like every package-level two-set function it runs on a pooled default
+// Executor, so it records into the active stats sink and consults the active
+// planner; hot loops should hold their own Executor.
+func CountMerge(a, b *Set) int { return pooledPair(a, b, armMerge, nil) }
 
 // IntersectMerge writes a ∩ b into dst and returns the count. dst must have
 // room for min(a.Len(), b.Len()) elements. Results are emitted in segment
 // order (ascending within each segment); use sort.Slice for value order.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func IntersectMerge(dst []uint32, a, b *Set) int {
-	if crossPair(a, b) {
-		return crossIntersectFree(dst, a, b)
-	}
-	compatible(a, b)
-	x, y := ordered(a, b)
-	t := x.build.table
-	n := 0
-	forEachSegPair(x, y, func(sx, sy int) {
-		n += t.Intersect(dst[n:], x.segment(sx), y.segment(sy))
-	})
-	return n
-}
+func IntersectMerge(dst []uint32, a, b *Set) int { return pooledPair(a, b, armMerge, dst) }
 
-// forEachSegPair streams the surviving segment pairs of the bitmap-level
-// intersection, with x the larger-bitmap set.
-func forEachSegPair(x, y *Set, fn func(sx, sy int)) {
-	bitmap.ForEachIntersectingSegment(&x.bm, &y.bm, fn)
-}
-
-func forEachSegPairRange(x, y *Set, wordLo, wordHi int, fn func(sx, sy int)) {
-	bitmap.ForEachIntersectingSegmentRange(&x.bm, &y.bm, wordLo, wordHi, fn)
-}
-
-// hashProbeRange is the one hash-probe loop behind CountHash, IntersectHash,
-// VisitHash and CountHashParallel: elements small.reordered[lo:hi] each probe
-// the larger set's bitmap, and only elements whose bit is set are compared
-// against the one segment list the bit selects (Section VI). Every match is
-// counted and, when emit is non-nil, streamed through it. Returns the match
-// count.
-// All per-probe invariants are hoisted out of the loop: the bitmap word
-// slice, the hasher, and — crucially — the segment divide, which becomes a
-// shift by the precomputed log2(segBits) instead of Bitmap.SegmentOf's
-// division by a variable. The segment slice assembly is additionally cached
-// behind a last-segment check: consecutive probes frequently land in the
-// same segment — notably when the two bitmaps are the same size, so that
-// the smaller set's segment-ordered reordered array maps runs of elements
-// onto one segment of the larger set — and skewed inputs concentrate probes
-// on the dense segments.
-//
-// st, when non-nil, receives the probe/survivor counters (the hash-side
-// selectivity signal); the survivor tally itself is a register increment
-// kept unconditionally so the disabled path stays branch-free.
-func hashProbeRange(small, large *Set, lo, hi int, emit Visitor, st *stats.Shard) int {
-	return hashProbeElems(small.reordered[lo:hi], large, nil, emit, st)
+// pooledPair runs one pair query on a pooled default Executor.
+func pooledPair(a, b *Set, force pairArm, dst []uint32) int {
+	e := getExecutor()
+	defer putExecutor(e)
+	return e.run(a, b, force, dst, nil)
 }
 
 // gatherProbeMaxBits is the largest bitmap the gathered AVX-512 probe stage
@@ -212,10 +48,22 @@ func hashProbeRange(small, large *Set, lo, hi int, emit Visitor, st *stats.Shard
 // scalar probe loop.
 const gatherProbeMaxBits = 1 << 32
 
-// hashProbeElems is the probe loop proper, over any sorted element slice —
-// the segmented-set membership kernel shared by the hash strategy and the
-// array×seg entry of the cross-representation dispatch matrix. Matches are
-// appended to dst (when non-nil) and streamed through emit (when non-nil).
+// hashProbeElems is the probe loop proper, over any sorted element slice:
+// each element probes the larger set's bitmap, and only elements whose bit is
+// set are compared against the one segment list the bit selects (Section VI).
+// It is the segmented-set membership kernel of the hash arm, of the
+// element-driven cross pairs (probeRun) and of the k-way probe chain. Matches
+// are counted, appended to dst (when non-nil) and streamed through emit (when
+// non-nil). All per-probe invariants are hoisted out of the loop: the bitmap
+// word slice, the hasher, and the segment divide, which becomes a shift by
+// the precomputed log2(segBits). The segment slice assembly is cached behind
+// a last-segment check: consecutive probes frequently land in the same
+// segment — notably when the two bitmaps are the same size, so that the
+// smaller set's segment-ordered reordered array maps runs of elements onto
+// one segment of the larger set — and skewed inputs concentrate probes on the
+// dense segments. st, when non-nil, receives the probe/survivor counters (the
+// hash-side selectivity signal).
+//
 // On the AVX-512 rung the hash+bitmap-test half of the loop runs through the
 // gathered probe stage (simd.ProbeStage) sixteen elements at a time; the
 // surviving segment scans, match order and counters are identical either
@@ -295,11 +143,7 @@ func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor
 	// Sub-16 tail: the scalar loop finishes the remainder (and adds its own
 	// share of the counters).
 	if done < len(elems) {
-		rest := dst
-		if dst != nil {
-			rest = dst[n:]
-		}
-		n += hashProbeElemsScalar(elems[done:], large, rest, emit, st)
+		n += hashProbeElemsScalar(elems[done:], large, tail(dst, n), emit, st)
 	}
 	return n
 }
@@ -366,51 +210,22 @@ func hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor
 // CountHash returns |a ∩ b| with the skewed-input strategy of Section VI.
 // Complexity O(min(n1, n2)). This is the paper's FESIAhash.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func CountHash(a, b *Set) int {
-	if crossPair(a, b) {
-		return crossCountFree(a, b)
-	}
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	return hashProbeRange(small, large, 0, small.n, nil, nil)
-}
+func CountHash(a, b *Set) int { return pooledPair(a, b, armHash, nil) }
 
 // IntersectHash writes a ∩ b into dst using the skewed-input strategy and
 // returns the count. Results follow the smaller set's segment order.
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
-func IntersectHash(dst []uint32, a, b *Set) int {
-	if crossPair(a, b) {
-		return crossIntersectFree(dst, a, b)
-	}
-	compatible(a, b)
-	small, large := a, b
-	if small.n > large.n {
-		small, large = large, small
-	}
-	return hashProbeElems(small.reordered, large, dst, nil, nil)
-}
+func IntersectHash(dst []uint32, a, b *Set) int { return pooledPair(a, b, armHash, dst) }
 
-// Count picks the strategy adaptively: the hash probe when one set is
-// dramatically smaller (skew below SkewThreshold), the two-step merge
-// otherwise — matching the FESIAmerge/FESIAhash crossover of Fig. 11.
-func Count(a, b *Set) int {
-	if useHash(a, b) {
-		return CountHash(a, b)
-	}
-	return CountMerge(a, b)
-}
+// Count picks the strategy adaptively: the active planner's choice, or with
+// the planner off the hash probe when one set is dramatically smaller (skew
+// below SkewThreshold) and the two-step merge otherwise — the
+// FESIAmerge/FESIAhash crossover of Fig. 11.
+func Count(a, b *Set) int { return pooledPair(a, b, armAuto, nil) }
 
 // Intersect writes a ∩ b into dst with the adaptively chosen strategy and
-// returns the count.
-func Intersect(dst []uint32, a, b *Set) int {
-	if useHash(a, b) {
-		return IntersectHash(dst, a, b)
-	}
-	return IntersectMerge(dst, a, b)
-}
+// returns the count, in Executor.Intersect's order.
+func Intersect(dst []uint32, a, b *Set) int { return pooledPair(a, b, armAuto, dst) }
 
 func useHash(a, b *Set) bool {
 	small, large := a.n, b.n
@@ -500,20 +315,23 @@ func CountHashParallel(a, b *Set, workers int) int {
 
 // DispatchTrace returns the (sizeA, sizeB) segment-size pairs that the
 // two-step intersection would dispatch to kernels, in dispatch order. The
-// instruction-cache simulation behind Table II replays this trace. The trace
-// is sized exactly by a bitmap pre-pass, so the only allocation is the
-// returned slice itself. Cross-representation pairs dispatch no segment
-// kernels; the trace is nil.
+// instruction-cache simulation behind Table II replays this trace. The pairs
+// are staged in a pooled executor's buffer, so once it is warm the only
+// allocation is the returned slice itself. Cross-representation pairs
+// dispatch no segment kernels; the trace is nil.
 func DispatchTrace(a, b *Set) [][2]int {
 	if crossPair(a, b) {
 		return nil
 	}
 	compatible(a, b)
 	x, y := ordered(a, b)
-	trace := make([][2]int, 0, bitmap.CountIntersectingSegments(&x.bm, &y.bm))
-	forEachSegPair(x, y, func(sx, sy int) {
-		trace = append(trace, [2]int{len(x.segment(sx)), len(y.segment(sy))})
-	})
+	e := getExecutor()
+	defer putExecutor(e)
+	e.staged = stageSegPairs(x, y, e.staged[:0])
+	trace := make([][2]int, len(e.staged))
+	for i, r := range e.staged {
+		trace[i] = [2]int{int(r.oaEnd - r.oa), int(r.obEnd - r.ob)}
+	}
 	return trace
 }
 
@@ -541,7 +359,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
 		start := time.Now()
-		n := crossRun(e.plan, &e.denseAnd, a, b, nil, nil, e.st)
+		n := crossStep(e.plan, e.st, &e.denseAnd, a, b, nil, nil)
 		return Breakdown{SegmentTime: time.Since(start), Count: n}
 	}
 	x, y := ordered(a, b)
@@ -596,7 +414,7 @@ func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
 		start := time.Now()
-		n := crossRun(e.plan, &e.denseAnd, a, b, nil, nil, e.st)
+		n := crossStep(e.plan, e.st, &e.denseAnd, a, b, nil, nil)
 		return HashBreakdown{
 			ScanTime: time.Since(start),
 			Probes:   min(a.n, b.n),

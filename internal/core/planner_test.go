@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"fesia/internal/planner"
@@ -274,17 +275,23 @@ func TestPlannerGlobalAttach(t *testing.T) {
 }
 
 // cancelAfter is a context whose Err reports cancellation from its n+1-th
-// call on, so a test can cancel a query at one exact checkpoint.
+// call on, so a test can cancel a query at one exact checkpoint. It is safe
+// for the concurrent checks of a parallel batch's workers.
 type cancelAfter struct {
 	context.Context
-	n int
+	n atomic.Int64
+}
+
+func newCancelAfter(n int) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(int64(n))
+	return c
 }
 
 func (c *cancelAfter) Err() error {
-	if c.n <= 0 {
+	if c.n.Add(-1) < 0 {
 		return context.Canceled
 	}
-	c.n--
 	return nil
 }
 
@@ -339,7 +346,7 @@ func TestPlannerCancelledCtxNotRecorded(t *testing.T) {
 	seedChecks := 1 + (small.Len()+ctxProbeBlock-1)/ctxProbeBlock
 	cancelled := 0
 	for n := 0; ; n++ {
-		got, err := ex.CountKCtx(&cancelAfter{context.Background(), n}, sets...)
+		got, err := ex.CountKCtx(newCancelAfter(n), sets...)
 		if err == nil {
 			if got != want {
 				t.Fatalf("CountKCtx = %d, want %d", got, want)

@@ -35,7 +35,7 @@ func hashProbeRangeNoHoist(small, large *Set, lo, hi int, emit Visitor) int {
 }
 
 // TestHashProbeNoHoistParity pins the baseline copy to the real loop, so the
-// benchmark comparison below stays honest if hashProbeRange evolves.
+// benchmark comparison below stays honest if hashProbeElems evolves.
 func TestHashProbeNoHoistParity(t *testing.T) {
 	for _, sizes := range [][2]int{{1000, 1000}, {1000, 100_000}, {317, 40_000}} {
 		sa, sb := benchPair(max(sizes[0], sizes[1]), 0.3, DefaultConfig())
@@ -43,7 +43,7 @@ func TestHashProbeNoHoistParity(t *testing.T) {
 		if small.n > large.n {
 			small, large = large, small
 		}
-		want := hashProbeRange(small, large, 0, small.n, nil, nil)
+		want := hashProbeElems(small.reordered, large, nil, nil, nil)
 		if got := hashProbeRangeNoHoist(small, large, 0, small.n, nil); got != want {
 			t.Fatalf("sizes %v: no-hoist %d, hoisted %d", sizes, got, want)
 		}
@@ -51,7 +51,7 @@ func TestHashProbeNoHoistParity(t *testing.T) {
 }
 
 // BenchmarkHashProbeHoist measures the last-segment-cache hoist in
-// hashProbeRange. "equal" is the regime the hoist targets: equal-size
+// hashProbeElems. "equal" is the regime the hoist targets: equal-size
 // bitmaps, where the smaller set's segment-ordered element array maps whole
 // runs of consecutive probes onto one segment of the larger set. "skewed" is
 // the adversarial regime: a much larger target bitmap scatters consecutive
@@ -77,7 +77,7 @@ func BenchmarkHashProbeHoist(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("%s/hoisted", r.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink += hashProbeRange(small, large, 0, small.n, nil, nil)
+				benchSink += hashProbeElems(small.reordered, large, nil, nil, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("%s/nohoist", r.name), func(b *testing.B) {

@@ -665,8 +665,9 @@ func compatible(a, b *Set) {
 	}
 }
 
-// ordered returns the pair with the larger bitmap first, as
-// bitmap.ForEachIntersectingSegment requires.
+// ordered returns the pair with the larger bitmap first, as the staging
+// pass (stageSegPairsRange) requires: it walks the larger bitmap's words and
+// wraps the smaller one's.
 func ordered(a, b *Set) (large, small *Set) {
 	if a.bm.Bits() >= b.bm.Bits() {
 		return a, b

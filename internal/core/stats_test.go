@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fesia/internal/stats"
+	"fesia/internal/trace"
 )
 
 // statsSkewedPair returns a (small, large) pair whose size ratio forces the
@@ -271,5 +273,77 @@ func TestStatsConcurrentExecutors(t *testing.T) {
 	}
 	if got, want := snap.Counter(stats.CtrPoolDoDone), snap.Counter(stats.CtrPoolDo); got != want {
 		t.Errorf("PoolDoDone = %d, want %d", got, want)
+	}
+}
+
+// TestPairObservabilityParity: every two-set entry point is observed the same
+// way — one strategy span naming the arm that ran, one query counter and one
+// latency observation per call — on a merge, a hash and a cross pair.
+func TestPairObservabilityParity(t *testing.T) {
+	a, b := benchPair(20_000, 0.3, DefaultConfig())
+	small, large := statsSkewedPair(t)
+	arr := buildRep(t, small.Elements(), RepArray)
+	tr := trace.New(trace.Config{})
+	cell := tr.ShardCell(0, 0)
+	k := stats.New()
+	e := NewExecutor()
+	e.EnableStats(k)
+	e.SetTraceCell(cell)
+	dst := make([]uint32, 20_000)
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		fn   func(x, y *Set)
+	}{
+		{"Count", func(x, y *Set) { e.Count(x, y) }},
+		{"Intersect", func(x, y *Set) { e.Intersect(dst, x, y) }},
+		{"Visit", func(x, y *Set) { e.Visit(x, y, func(uint32) {}) }},
+		{"CountCtx", func(x, y *Set) { e.CountCtx(ctx, x, y) }},
+		{"IntersectIntoCtx", func(x, y *Set) { e.IntersectIntoCtx(ctx, dst, x, y) }},
+	}
+	pairs := []struct {
+		arm  string
+		x, y *Set
+		q    stats.Counter
+		lat  stats.LatHist
+	}{
+		{"merge", a, b, stats.CtrQueriesMerge, stats.LatMerge},
+		{"hash", small, large, stats.CtrQueriesHash, stats.LatHash},
+		{"cross", arr, large, stats.CtrQueriesCross, stats.LatCross},
+	}
+	allQueries := func(s *stats.Snapshot) (n uint64) {
+		for _, c := range []stats.Counter{stats.CtrQueriesMerge, stats.CtrQueriesHash, stats.CtrQueriesCross} {
+			n += s.Counter(c)
+		}
+		return n
+	}
+	for _, p := range pairs {
+		for _, c := range calls {
+			before := e.Stats()
+			base := time.Now()
+			tr.Begin(0, base)
+			cell.Reset(base)
+			c.fn(p.x, p.y)
+			capd := tr.Capture(0, tr.Finish(0, time.Since(base), true))
+			var arms []string
+			for _, sp := range capd.Spans {
+				if sp.Kind == "strategy" {
+					arms = append(arms, sp.Arm)
+				}
+			}
+			if len(arms) != 1 || arms[0] != p.arm {
+				t.Errorf("%s on the %s pair: strategy spans %v, want one %q", c.name, p.arm, arms, p.arm)
+			}
+			after := e.Stats()
+			if got := after.Counter(p.q) - before.Counter(p.q); got != 1 {
+				t.Errorf("%s on the %s pair: %d %s queries recorded, want 1", c.name, p.arm, got, p.arm)
+			}
+			if got := allQueries(&after) - allQueries(&before); got != 1 {
+				t.Errorf("%s on the %s pair: %d pair queries recorded, want 1", c.name, p.arm, got)
+			}
+			if got := after.Latency(p.lat).Count - before.Latency(p.lat).Count; got != 1 {
+				t.Errorf("%s on the %s pair: %d latency observations, want 1", c.name, p.arm, got)
+			}
+		}
 	}
 }

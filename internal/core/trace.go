@@ -8,13 +8,13 @@ import (
 // Per-query tracing wiring. The serving tier owns the trace topology — one
 // staging cell per (document shard × admission slot) — and points the
 // slot's executor at the part's cell before each shard part runs. The
-// executor's context-aware query paths (the ones the tier's shard parts
-// call) then append strategy spans, planner-decision events and kernel
-// dispatch marks to the cell with plain single-writer stores. With no cell
-// attached (the default) every seam costs exactly one nil check, mirroring
-// the stats and planner layers.
+// executor's sequential pair and k-way query paths then append strategy
+// spans, planner-decision events and kernel dispatch marks to the cell with
+// plain single-writer stores, whichever entry point — plain or ctx — ran
+// the query. With no cell attached (the default) every seam costs exactly
+// one nil check, mirroring the stats and planner layers.
 
-// SetTraceCell attaches the executor's sequential ctx paths to a tracing
+// SetTraceCell attaches the executor's sequential query paths to a tracing
 // staging cell; nil detaches. The caller owns the cell's reset cadence (the
 // serving tier resets it at the start of every query before the executor
 // runs).

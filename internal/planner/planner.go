@@ -333,6 +333,14 @@ type Handle struct {
 	sampleEvery  uint64
 	rng          uint64 // xorshift state for exploration + sampling draws
 	recorded     uint64 // samples recorded since the last re-fit attempt
+	holding      bool   // between Hold and Release: Record buffers into held
+	held         []heldSample
+}
+
+// heldSample is one Record buffered by Hold.
+type heldSample struct {
+	c       Choice
+	elapsed time.Duration
 }
 
 // next draws the handle's next pseudo-random value (xorshift64). Stride
@@ -426,6 +434,10 @@ func (h *Handle) Record(c Choice, elapsed time.Duration) {
 	if !c.measure || h.shard == nil {
 		return
 	}
+	if h.holding {
+		h.held = append(h.held, heldSample{c, elapsed})
+		return
+	}
 	if elapsed < 0 {
 		elapsed = 0
 	}
@@ -437,6 +449,26 @@ func (h *Handle) Record(c Choice, elapsed time.Duration) {
 	if h.recorded%refitEvery == 0 {
 		h.m.refit()
 	}
+}
+
+// Hold makes Record buffer its samples until Release: a caller whose query
+// may yet be abandoned holds them, so that a cancelled query feeds the model
+// nothing.
+func (h *Handle) Hold() {
+	h.holding = true
+	h.held = h.held[:0]
+}
+
+// Release ends a Hold: with commit the buffered samples are recorded,
+// otherwise they are dropped.
+func (h *Handle) Release(commit bool) {
+	h.holding = false
+	if commit {
+		for _, r := range h.held {
+			h.Record(r.c, r.elapsed)
+		}
+	}
+	h.held = h.held[:0]
 }
 
 // ProbeCost returns the fitted per-probe membership cost of compacting a

@@ -147,6 +147,44 @@ func TestRefitConsumesDeltas(t *testing.T) {
 	}
 }
 
+// TestHoldRelease: samples recorded under Hold reach the model only when
+// Release commits them; an uncommitted Release drops them.
+func TestHoldRelease(t *testing.T) {
+	m := New(WithMode(ModeLearned), WithSampleEvery(1), WithExploreEvery(0))
+	h := m.NewHandle()
+	samples := func() (n uint64) {
+		m.Refit()
+		for _, c := range m.Snapshot().Cells {
+			n += c.Samples
+		}
+		return n
+	}
+	record := func(k int) {
+		for i := 0; i < k; i++ {
+			h.Record(h.Decide(DecSegSeg, 1000, 10_000_000), time.Microsecond)
+		}
+	}
+	h.Hold()
+	record(3)
+	h.Release(false)
+	if got := samples(); got != 0 {
+		t.Fatalf("dropped hold left %d samples, want 0", got)
+	}
+	h.Hold()
+	record(3)
+	if got := samples(); got != 0 {
+		t.Fatalf("held samples reached the model before Release: %d", got)
+	}
+	h.Release(true)
+	if got := samples(); got != 3 {
+		t.Fatalf("committed hold recorded %d samples, want 3", got)
+	}
+	record(2)
+	if got := samples(); got != 5 {
+		t.Fatalf("Record after Release recorded %d samples in all, want 5", got)
+	}
+}
+
 // TestKWayProbePlane: recorded compaction passes move the per-rep probe cost
 // and surface in the snapshot.
 func TestKWayProbePlane(t *testing.T) {
