@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench poolbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench poolbench swapbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -132,14 +132,23 @@ kwaybench:
 poolbench:
 	$(GO) test -run '^$$' -bench BenchmarkPoolHandoff -benchtime 0.5s -count 5 ./internal/core | tee poolbench.txt
 
+# The three ways a corpus of search-swap's size (25,000 docs, 62,500 items,
+# mean length 40) reaches a query server: BuildSets from its lists,
+# ReadCorpus of its snapshot, and a serving tier's SwapFromReader of it: the
+# source of EXPERIMENTS.md's swap table (5 runs each).
+swapbench:
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildSets|BenchmarkReadCorpus|BenchmarkSwapFromReader' -benchmem -count 5 ./internal/serve | tee swapbench.txt
+
 ablation:
 	$(GO) test -bench=Ablation -benchmem .
 
 # Differential fuzzing, 30s per target (the CI fuzz-smoke job runs this): the
 # intersection strategies (both segmented-only and the cross-representation
 # dispatch matrix, k-way arms included), the batch one-vs-many engine, the
-# streaming visitors, the snapshot deserializers, and the ISA-ladder parity
-# targets (every tier vs pure Go, including forced-AVX2 on AVX-512 hardware).
+# streaming visitors, the snapshot deserializers, the segmented-set validator
+# behind valid checksums against its sort-based oracle, and the ISA-ladder
+# parity targets (every tier vs pure Go, including forced-AVX2 on AVX-512
+# hardware).
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzIntersect -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzHybridIntersect -fuzztime=30s
@@ -147,6 +156,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzVisitParity -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadSet -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzReadCorpus -fuzztime=30s
+	$(GO) test ./internal/core -fuzz=FuzzValidateShell -fuzztime=30s
 	$(GO) test ./internal/kernels -fuzz=FuzzTableCount -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzAndSegMasksParity -fuzztime=30s
 	$(GO) test ./internal/simd -fuzz=FuzzCountSmallParity -fuzztime=30s

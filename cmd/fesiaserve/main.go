@@ -1,9 +1,8 @@
-// Command fesiaserve is the sharded HTTP serving front-end over the
-// inverted-index workload (Section VII-F): conjunctive keyword queries
-// answered by a serve.Tier — document shards queried in turn on the
-// request's own goroutine, with admission control, latency-driven load
-// shedding, hot corpus swaps, and graceful shutdown — rather than a bare
-// index.
+// Command fesiaserve is the HTTP serving front-end over the inverted-index
+// workload (Section VII-F): conjunctive keyword queries answered by a
+// serve.Tier — the query run on the request's own goroutine, with admission
+// control, latency-driven load shedding, hot corpus swaps, and graceful
+// shutdown — rather than a bare index.
 //
 // Two listeners split the traffic classes: the public address serves only
 // /query and the landing page, while -admin carries everything operational
@@ -156,7 +155,7 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	fmt.Fprintf(w, `fesiaserve: sharded conjunctive-query tier, %d shards, generation %d
+	fmt.Fprintf(w, `fesiaserve: conjunctive-query tier, generation %d
   /query?items=a,b,...  conjunctive document count (comma-separated item IDs)
   /query?rand=k         random k-keyword query from the corpus
   X-Fesia-Deadline-Ms   per-request deadline override (header)
@@ -168,7 +167,7 @@ admin listener:
   /debug/slow           slow-query log with full span breakdowns (JSON)
   /debug/pprof/         pprof index
   /admin/swap           POST ?seed=N or ?file=PATH: hot corpus swap
-`, s.tier.NumShards(), s.tier.Generation())
+`, s.tier.Generation())
 }
 
 // queryDeadline resolves the per-request deadline: the X-Fesia-Deadline-Ms
@@ -221,8 +220,8 @@ func retryAfterFor(err error) string {
 }
 
 // handleQuery answers one conjunctive query through the full serving path —
-// shedding, admission, every document shard in turn — bounded by the
-// request context plus the resolved deadline.
+// shedding, admission, the query — bounded by the request context plus the
+// resolved deadline.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var items []uint32
 	switch {
@@ -401,7 +400,6 @@ func main() {
 	delay := flag.Duration("delay", 5*time.Millisecond, "load-generator pause between 64-query batches")
 	timeout := flag.Duration("timeout", time.Second, "default per-query deadline (X-Fesia-Deadline-Ms overrides)")
 	plannerMode := flag.String("planner", "learned", "adaptive strategy planner: off, prior or learned")
-	shards := flag.Int("shards", 0, "document shards (0 = auto)")
 	maxConc := flag.Int("maxconc", 0, "max concurrent queries (0 = 2x GOMAXPROCS)")
 	maxQueue := flag.Int("maxqueue", 0, "admission queue depth (0 = 2x maxconc)")
 	queueWait := flag.Duration("queuewait", 0, "admission queue wait budget (0 = 50ms)")
@@ -415,7 +413,6 @@ func main() {
 		docs: *docs, items: *items, meanLen: *meanLen, seed: *seed, timeout: *timeout,
 		planner: *plannerMode,
 		tier: serve.Config{
-			Shards:        *shards,
 			MaxConcurrent: *maxConc,
 			MaxQueue:      *maxQueue,
 			MaxQueueWait:  *queueWait,

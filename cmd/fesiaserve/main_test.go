@@ -21,7 +21,7 @@ func testServer(t *testing.T) *server {
 	t.Helper()
 	s, err := newServer(serverConfig{
 		docs: 3_000, items: 6_000, meanLen: 25, seed: 7, timeout: 2 * time.Second,
-		tier: serve.Config{Shards: 2},
+		tier: serve.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestOverloadFlavorsRoundTripHTTP(t *testing.T) {
 func TestTraceHeaderReturnsBreakdown(t *testing.T) {
 	s, err := newServer(serverConfig{
 		docs: 3_000, items: 6_000, meanLen: 25, seed: 7, timeout: 2 * time.Second,
-		tier: serve.Config{Shards: 2, TraceSample: 64, SlowQuery: time.Minute},
+		tier: serve.Config{TraceSample: 64, SlowQuery: time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"fesia/internal/testutil"
@@ -183,6 +185,33 @@ func TestCorpusDetectsStrayBitBehindValidCRC(t *testing.T) {
 	}
 }
 
+// TestCorpusValidatesBitmapBehindValidCRC plants a stray bit in a loaded
+// set's bitmap words — the first payload bytes, after magic(8) + config(28)
+// + numSets(8) + one (rep, base, n, mBits) entry (24) — and recomputes the
+// trailing checksum: the corpus read path must run the bitmap check on the
+// sets it copies into its arena.
+func TestCorpusValidatesBitmapBehindValidCRC(t *testing.T) {
+	sets := corpusFixture(t, 75, 1, 40)
+	data := corpusBytes(t, sets)
+	wordsOff := 8 + 28 + 8 + 24
+	wordsLen := int(sets[0].BitmapBits() / 8)
+	planted := false
+	for off := wordsOff; off < wordsOff+wordsLen && !planted; off++ {
+		if data[off] == 0 {
+			data[off] = 1
+			planted = true
+		}
+	}
+	if !planted {
+		t.Fatal("fixture bitmap has no zero byte to plant a stray bit in")
+	}
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32cOf(data[:len(data)-4]))
+	_, err := ReadCorpus(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "stray or missing bits") {
+		t.Fatalf("stray bit behind a valid checksum: err = %v, want the bitmap check", err)
+	}
+}
+
 // TestCorpusFaultyMedia drives the reader and writer through the injected
 // fault fakes: mid-stream read failures and write failures at every point
 // must surface as errors.
@@ -235,6 +264,37 @@ func TestCorpusForgedHeaders(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ReadCorpus(bytes.NewReader(c.data)); err == nil {
 			t.Errorf("%s: forged header accepted", c.name)
+		}
+	}
+
+	// Sizes that pass the header checks, over a stream that ends right
+	// after the one set's header entry: the read must fail at the missing
+	// payload without first allocating what the header declares.
+	headerOnly := func(rep Rep, n, mBits uint64) []byte {
+		le := binary.LittleEndian
+		out := append([]byte(nil), data[:8+28]...) // magic, config
+		out = le.AppendUint64(out, 1)              // numSets
+		out = le.AppendUint32(out, uint32(rep))
+		out = le.AppendUint32(out, 0) // base
+		out = le.AppendUint64(out, n)
+		return le.AppendUint64(out, mBits)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"segmented n=2^36 mBits=2^40", headerOnly(RepSegmented, 1<<36, 1<<40)},
+		{"dense mBits=2^32", headerOnly(RepDense, 1, 1<<32)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCorpus(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: forged header accepted", c.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+			t.Errorf("%s: failing read allocated %d bytes, want under 8 MiB", c.name, alloc)
 		}
 	}
 }

@@ -204,14 +204,9 @@ func FuzzReadSet(f *testing.F) {
 	valid := MustNewSet([]uint32{1, 5, 9, 1 << 30}, DefaultConfig())
 	var buf bytes.Buffer
 	if _, err := valid.WriteTo(&buf); err != nil {
-		f.Fatal(err) // v2 checksummed seed
+		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	var v1 bytes.Buffer
-	if _, err := writeSetV1(&v1, valid); err != nil {
-		f.Fatal(err) // legacy unchecksummed seed
-	}
-	f.Add(v1.Bytes())
 	bigger := MustNewSet([]uint32{2, 4, 8, 16, 1 << 10, 1 << 20, 1<<20 + 1}, DefaultConfig())
 	var v2b bytes.Buffer
 	if _, err := bigger.WriteTo(&v2b); err != nil {
@@ -290,12 +285,6 @@ func FuzzReadCorpus(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mixedBuf.Bytes())
-	// Legacy segmented-only v2 corpus seed: the reader must keep accepting it.
-	var v2Buf bytes.Buffer
-	if _, err := writeCorpusV2(&v2Buf, sets); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2Buf.Bytes())
 	f.Add([]byte("FESIAC2\x00junk"))
 	f.Add([]byte("FESIAC3\x00junk"))
 	f.Add([]byte{})

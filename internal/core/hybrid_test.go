@@ -492,31 +492,6 @@ func TestHybridSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHybridSerializeLegacyV2: the pre-hybrid checksummed v2 stream must
-// keep loading, and the legacy writers must refuse non-segmented sets.
-func TestHybridSerializeLegacyV2(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	orig := buildRep(t, randSet(rng, 2000, 1<<18), RepSegmented)
-	var buf bytes.Buffer
-	if _, err := writeSetV2(&buf, orig); err != nil {
-		t.Fatalf("writeSetV2: %v", err)
-	}
-	got, err := ReadSet(&buf)
-	if err != nil {
-		t.Fatalf("ReadSet(v2): %v", err)
-	}
-	if got.Rep() != RepSegmented || got.Len() != orig.Len() || CountMerge(got, orig) != orig.Len() {
-		t.Fatal("v2 round trip changed the set")
-	}
-	arr := buildRep(t, randSet(rng, 100, 1<<18), RepArray)
-	if _, err := writeSetV2(&bytes.Buffer{}, arr); err == nil {
-		t.Error("writeSetV2 accepted an array set")
-	}
-	if _, err := writeSetV1(&bytes.Buffer{}, arr); err == nil {
-		t.Error("writeSetV1 accepted an array set")
-	}
-}
-
 // TestHybridSnapshotIntegrity: every single-byte flip and every truncation
 // of a v3 array or dense snapshot must fail the load.
 func TestHybridSnapshotIntegrity(t *testing.T) {
@@ -613,46 +588,6 @@ func TestHybridCorpusRoundTrip(t *testing.T) {
 			t.Fatalf("corpus flip at byte %d loaded successfully", pos)
 		}
 	})
-}
-
-// TestHybridCorpusLegacyV2: the segmented-only FESIAC2 stream must keep
-// loading, and the legacy writer must refuse mixed corpora.
-func TestHybridCorpusLegacyV2(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	lists := [][]uint32{
-		randSet(rng, 2000, 1<<16),
-		{},
-		randSet(rng, 500, 1<<16),
-	}
-	sets, err := BuildSets(lists, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := writeCorpusV2(&buf, sets); err != nil {
-		t.Fatalf("writeCorpusV2: %v", err)
-	}
-	loaded, err := ReadCorpus(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadCorpus(v2): %v", err)
-	}
-	for i, s := range loaded {
-		if s.Rep() != RepSegmented {
-			t.Fatalf("v2 corpus set %d loaded as %v", i, s.Rep())
-		}
-		if Count(s, sets[i]) != sets[i].Len() {
-			t.Fatalf("v2 corpus set %d differs after load", i)
-		}
-	}
-	cfg := DefaultConfig()
-	cfg.Rep = RepAuto
-	mixed, err := BuildSets(lists, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeCorpusV2(&bytes.Buffer{}, mixed); err == nil {
-		t.Error("writeCorpusV2 accepted a non-segmented set")
-	}
 }
 
 // TestHybridSetAccessors pins the per-representation accessor behavior the

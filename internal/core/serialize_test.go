@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fesia/internal/simd"
@@ -160,41 +162,53 @@ func TestWriteToErrors(t *testing.T) {
 	}
 }
 
-// TestReadSetAcceptsV1 pins backward compatibility: streams written by the
-// pre-checksum v1 format must keep loading, and the loaded set must be
-// indistinguishable from a v2 round trip.
-func TestReadSetAcceptsV1(t *testing.T) {
+// TestReadRejectsRetiredFormats: v3 is the only format read. The
+// pre-hybrid set streams (FESIA1 without checksums, FESIA2 with them) and
+// the segmented-only corpus stream (FESIAC2) fail at the magic, with an
+// error that names it.
+func TestReadRejectsRetiredFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	for _, n := range []int{0, 1, 300, 4000} {
-		orig := MustNewSet(randSet(rng, n, 1<<18), DefaultConfig())
-		var buf bytes.Buffer
-		if _, err := writeSetV1(&buf, orig); err != nil {
-			t.Fatalf("writeSetV1: %v", err)
-		}
-		got, err := ReadSet(&buf)
-		if err != nil {
-			t.Fatalf("ReadSet(v1, n=%d): %v", n, err)
-		}
-		if got.Len() != orig.Len() || CountMerge(got, orig) != orig.Len() {
-			t.Fatalf("v1 round trip changed the set (n=%d)", n)
+	s := MustNewSet(randSet(rng, 300, 1<<18), DefaultConfig())
+	var set bytes.Buffer
+	if _, err := s.WriteTo(&set); err != nil {
+		t.Fatal(err)
+	}
+	readSet := func(b []byte) error { _, err := ReadSet(bytes.NewReader(b)); return err }
+	readCorpus := func(b []byte) error { _, err := ReadCorpus(bytes.NewReader(b)); return err }
+	for _, c := range []struct {
+		magic  string
+		stream []byte
+		read   func([]byte) error
+	}{
+		{"FESIA1", set.Bytes(), readSet},
+		{"FESIA2", set.Bytes(), readSet},
+		{"FESIAC2", corpusBytes(t, []*Set{s}), readCorpus},
+	} {
+		retagged := append([]byte(nil), c.stream...)
+		copy(retagged, c.magic)
+		err := c.read(retagged)
+		if err == nil || !strings.Contains(err.Error(), c.magic) {
+			t.Errorf("%s stream: err = %v, want a bad-magic error naming %s", c.magic, err, c.magic)
 		}
 	}
 }
 
 // TestReadSetRejectsStrayBits is the regression test for the bitmap/element
-// consistency hole: a v1 stream (no checksums to defeat) with an extra set
-// bit that no element hashes to must be rejected, not loaded into a set
-// whose bitmap disagrees with its element lists.
+// consistency hole: a stream with an extra set bit that no element hashes to
+// must be rejected, not loaded into a set whose bitmap disagrees with its
+// element lists. The bitmap section's checksum is recomputed, so only the
+// structural validator stands in the way.
 func TestReadSetRejectsStrayBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	orig := MustNewSet(randSet(rng, 60, 1<<12), DefaultConfig())
 	var buf bytes.Buffer
-	if _, err := writeSetV1(&buf, orig); err != nil {
+	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// v1 layout: magic(8) + header(44), then bitmap words.
-	wordsOff := 8 + 44
+	// v3 layout: magic(8) + header(52) + header CRC(4), then the bitmap
+	// words and their CRC.
+	wordsOff := 8 + 52 + 4
 	wordsLen := int(orig.BitmapBits() / 8)
 	planted := false
 	for off := wordsOff; off < wordsOff+wordsLen; off++ {
@@ -207,8 +221,13 @@ func TestReadSetRejectsStrayBits(t *testing.T) {
 	if !planted {
 		t.Fatal("fixture bitmap has no zero byte to plant a stray bit in")
 	}
-	if _, err := ReadSet(bytes.NewReader(data)); err == nil {
+	binary.LittleEndian.PutUint32(data[wordsOff+wordsLen:], crc32cOf(data[wordsOff:wordsOff+wordsLen]))
+	_, err := ReadSet(bytes.NewReader(data))
+	if err == nil {
 		t.Fatal("stray set bit accepted")
+	}
+	if !strings.Contains(err.Error(), "stray or missing bits") {
+		t.Fatalf("stray set bit rejected by %v, want the bitmap check", err)
 	}
 }
 

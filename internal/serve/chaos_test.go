@@ -38,7 +38,7 @@ func corpusSnapshot(t *testing.T, lists [][]uint32) []byte {
 func TestSwapFaultsLeaveOldCorpusServing(t *testing.T) {
 	a := genLists(8, 200, 0.2, 20)
 	b := genLists(8, 200, 0.2, 21)
-	tier, err := NewTier(a, Config{Shards: 2})
+	tier, err := NewTier(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,6 @@ func TestTierChaosStress(t *testing.T) {
 	a := genLists(16, 400, 0.2, 22)
 	b := genLists(16, 400, 0.2, 23)
 	tier, err := NewTier(a, Config{
-		Shards:        3,
 		MaxConcurrent: 4,
 		MaxQueue:      4,
 		MaxQueueWait:  5 * time.Millisecond,

@@ -1,11 +1,10 @@
-// Package serve is the sharded serving tier over the FESIA query engine:
-// the robustness layer that turns per-query speed (PAPER.md Section VII-F)
-// into served throughput that survives overload and reload.
+// Package serve is the serving tier over the FESIA query engine: the
+// robustness layer that turns per-query speed (PAPER.md Section VII-F) into
+// served throughput that survives overload and reload.
 //
-// A Tier partitions the corpus into document shards and answers a
-// conjunctive query by running it against every shard in turn on the
-// goroutine that holds the query's admission slot, summing the per-shard
-// counts, with deadline propagation into the cancellable query paths. Each
+// A Tier holds one corpus, one FESIA set per item in one arena, and answers
+// a conjunctive query on the goroutine that holds the query's admission
+// slot, with deadline propagation into the cancellable query paths. Each
 // slot owns one executor and stats shard (extending the engine's
 // single-writer discipline). Around that core sit four robustness
 // mechanisms:
@@ -16,8 +15,9 @@
 //   - load shedding: when the p99 of admitted queries breaches the target,
 //     a growing fraction of incoming traffic is dropped before admission,
 //     recovering when latency does (shed.go);
-//   - hot snapshot swap: an atomic pointer flip to a freshly built corpus
-//     epoch, the old one retired only after in-flight queries drain
+//   - hot snapshot swap: an atomic pointer flip to a fresh corpus epoch —
+//     built from lists, or the sets a snapshot decodes to, served as they
+//     are — the old one retired only after in-flight queries drain
 //     (core.DrainGroup); a failed load leaves the old epoch serving;
 //   - graceful shutdown: stop admitting, drain in-flight queries, leave the
 //     stats sink consistent for a final flush.
@@ -41,11 +41,9 @@ import (
 
 // Config shapes a Tier. The zero value of every field selects a sensible
 // default (see each field); the zero Config is usable. Concurrency comes
-// from concurrent queries, one per admission slot: a query runs its shard
-// parts one after another on its own goroutine.
+// from concurrent queries, one per admission slot, each on its own
+// goroutine.
 type Config struct {
-	// Shards is the number of document shards. Default: min(4, GOMAXPROCS).
-	Shards int
 	// MaxConcurrent bounds queries executing at once (the admission slots,
 	// one executor each). Default: 2 × GOMAXPROCS.
 	MaxConcurrent int
@@ -67,8 +65,9 @@ type Config struct {
 	// MaxShedFraction caps the drop probability so some traffic always
 	// probes the true latency. Default: 0.95.
 	MaxShedFraction float64
-	// Build is the FESIA build configuration for every shard's sets.
-	// Zero value: core.DefaultConfig().
+	// Build is the FESIA build configuration for a corpus given as lists
+	// (NewTier, Swap). A snapshot swap serves its sets with the
+	// configuration the snapshot records. Zero value: core.DefaultConfig().
 	Build core.Config
 	// TraceSample enables per-query tracing with head sampling: one query
 	// in TraceSample per admission slot is retained into the trace rings.
@@ -84,9 +83,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = min(4, runtime.GOMAXPROCS(0))
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -111,8 +107,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Tier is the sharded serving layer. Construct with NewTier; safe for
-// concurrent use.
+// Tier is the serving layer. Construct with NewTier; safe for concurrent
+// use.
 type Tier struct {
 	cfg  Config
 	lim  *limiter
@@ -122,10 +118,9 @@ type Tier struct {
 	// current corpus epoch, hot-swappable; see Swap.
 	epoch atomic.Pointer[epoch]
 
-	// exs[slot] is the executor pinned to that admission slot; it runs
-	// every shard part of the slot's query. setsBufs[slot] is its set-pointer
-	// scratch. Both survive swaps — they hold query scratch, never corpus
-	// data.
+	// exs[slot] is the executor pinned to that admission slot; it runs the
+	// slot's query. setsBufs[slot] is its set-pointer scratch. Both survive
+	// swaps — they hold query scratch, never corpus data.
 	exs      []*core.Executor
 	setsBufs [][]*core.Set
 
@@ -134,7 +129,8 @@ type Tier struct {
 	slotStats []*stats.Shard
 
 	// matrix is the per-(shard × slot) serve-metrics matrix behind the
-	// `shard`-labelled Prometheus/expvar series; always on.
+	// `shard`-labelled Prometheus/expvar series, with one shard row; always
+	// on.
 	matrix *stats.ServeMatrix
 
 	// tracer is the per-query tracing layer; nil unless Config enabled it.
@@ -142,11 +138,12 @@ type Tier struct {
 	tracer    *trace.Tracer
 	exemplars *stats.ExemplarStore
 
-	// partDelay is a test hook injecting latency into one shard part — how
-	// the slow-shard forensics tests fabricate a straggler.
-	partDelay func(shard int)
+	// partDelay is a test hook injecting latency into a query's part, after
+	// the part's span opens — how the slow-query forensics tests fabricate a
+	// straggler.
+	partDelay func()
 
-	swapMu sync.Mutex // serializes Swap; gen is owned by it
+	swapMu sync.Mutex // serializes publish; gen is owned by it
 	gen    uint64
 
 	closed atomic.Bool
@@ -166,11 +163,11 @@ func NewTier(lists [][]uint32, cfg Config) (*Tier, error) {
 	if t.sink == nil {
 		t.sink = stats.New()
 	}
-	e, err := buildEpoch(lists, cfg.Shards, cfg.Build, 0)
+	sets, err := core.NewSetBatch(lists, cfg.Build)
 	if err != nil {
 		return nil, err
 	}
-	t.epoch.Store(e)
+	t.epoch.Store(newEpoch(sets, 0))
 	t.lim = newLimiter(cfg.MaxConcurrent, cfg.MaxQueue, cfg.MaxQueueWait)
 	t.shed = newShedder(cfg.ShedTargetP99, cfg.MaxShedFraction, cfg.ShedMinSamples)
 	t.exs = make([]*core.Executor, cfg.MaxConcurrent)
@@ -181,11 +178,10 @@ func NewTier(lists [][]uint32, cfg Config) (*Tier, error) {
 		t.exs[s].EnableStats(t.sink)
 		t.slotStats[s] = t.sink.NewShard()
 	}
-	t.matrix = stats.NewServeMatrix(cfg.Shards, cfg.MaxConcurrent)
+	t.matrix = stats.NewServeMatrix(1, cfg.MaxConcurrent)
 	t.sink.SetServeMatrix(t.matrix)
 	if cfg.TraceSample > 0 || cfg.SlowQuery > 0 {
 		t.tracer = trace.New(trace.Config{
-			Shards:  cfg.Shards,
 			Slots:   cfg.MaxConcurrent,
 			SampleN: cfg.TraceSample,
 			Slow:    cfg.SlowQuery,
@@ -234,10 +230,9 @@ func (t *Tier) acquireEpoch() *epoch {
 
 // QueryCount answers one conjunctive query — the number of documents
 // containing every item — through the full serving path: shed check,
-// admission, every shard part in turn, deadline propagation. It returns
-// *OverloadError (matching ErrOverload) on shed or admission rejection,
-// ErrShuttingDown after Shutdown, and the context error when the deadline
-// expires first.
+// admission, the query, deadline propagation. It returns *OverloadError
+// (matching ErrOverload) on shed or admission rejection, ErrShuttingDown
+// after Shutdown, and the context error when the deadline expires first.
 func (t *Tier) QueryCount(ctx context.Context, items ...uint32) (int, error) {
 	n, _, err := t.queryCount(ctx, false, items)
 	return n, err
@@ -252,10 +247,10 @@ func (t *Tier) QueryCountTraced(ctx context.Context, items ...uint32) (int, *tra
 	return t.queryCount(ctx, true, items)
 }
 
-// queryCount reads the clock once per part boundary: arrival (which is also
-// the start when admission did not wait), then one stamp at the end of each
-// shard part, the last of which closes the latency observation and the
-// trace's scatter and root spans. Tracing reads no clock of its own.
+// queryCount reads the clock twice when admission does not wait: at arrival,
+// which is then also the start, and at the end of the query's part, which
+// closes the latency observation and the trace's part, scatter and root
+// spans. Tracing reads no clock of its own.
 func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int, *trace.Captured, error) {
 	if t.closed.Load() {
 		return 0, nil, ErrShuttingDown
@@ -292,7 +287,7 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 		tr.TierCell(slot).Span(trace.KindQueue, trace.ArmNone, 0,
 			arrival, start.Sub(arrival), 0, 0)
 	}
-	n, end, err := t.scatter(ctx, slot, start, items)
+	n, end, err := t.queryPart(ctx, slot, start, items)
 	el := end.Sub(start)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -324,7 +319,7 @@ func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced b
 		flags |= trace.FlagTruncated
 	}
 	cell.Span(trace.KindScatter, trace.ArmNone, flags&trace.FlagError,
-		start, el, uint64(t.cfg.Shards), 0)
+		start, el, 1, 0)
 	cell.Span(trace.KindQuery, trace.ArmNone, flags,
 		arrival, d, uint64(nitems), uint64(count))
 	v := tr.Finish(slot, d, forced)
@@ -345,84 +340,92 @@ func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced b
 	return nil
 }
 
-// scatter runs the query against every shard in turn on the calling
-// goroutine — the slot owner — and sums the counts. A part is a few µs of
-// work, far below the work per part at which handing it to a pool worker
-// starts to pay (BenchmarkPoolHandoff; EXPERIMENTS.md, "Serving tier").
-// start opens part 0 and each part's end stamp opens the next; the last
-// part's end is returned to close the query. The first failing part, by
-// shard order, ends the query and its error wins; later parts never run.
-func (t *Tier) scatter(ctx context.Context, slot int, start time.Time, items []uint32) (int, time.Time, error) {
+// queryPart runs the query against the current epoch's sets on the slot's
+// executor, on the calling goroutine — the slot owner. A query is a few µs
+// of work, far below the work at which handing it to a pool worker starts to
+// pay (BenchmarkPoolHandoff; EXPERIMENTS.md, "Serving tier"). It runs from
+// start to the end stamp it returns, records itself into the serve matrix's
+// one shard row and, when tracing, points the executor at the slot's shard
+// cell before it runs and appends the part's span after.
+func (t *Tier) queryPart(ctx context.Context, slot int, start time.Time, items []uint32) (int, time.Time, error) {
 	e := t.acquireEpoch()
 	defer e.drain.Release()
-	total, at := 0, start
-	for part := range e.shards {
-		n, end, err := t.queryPart(ctx, e, part, slot, at, items)
-		at = end
-		if err != nil {
-			return 0, at, err
-		}
-		total += n
-	}
-	return total, at, nil
-}
-
-// queryPart runs one shard part: the query against document shard `part` on
-// the slot's executor, from ps (the previous part boundary) to the end stamp
-// it returns. It records the part into the per-shard serve matrix and, when
-// tracing, points the executor at the (shard × slot) staging cell before it
-// runs and appends the part's span after.
-func (t *Tier) queryPart(ctx context.Context, e *epoch, part, slot int, ps time.Time, items []uint32) (int, time.Time, error) {
 	ex := t.exs[slot]
 	var cell *trace.Cell
 	if tr := t.tracer; tr != nil {
-		cell = tr.ShardCell(part, slot)
+		cell = tr.ShardCell(0, slot)
 		cell.Reset(tr.TierCell(slot).Base())
 		ex.SetTraceCell(cell)
 	}
-	t.matrix.Enter(part, slot)
+	t.matrix.Enter(0, slot)
 	if d := t.partDelay; d != nil {
-		d(part)
+		d()
 	}
-	n, err := queryShard(ctx, e.shards[part], ex, &t.setsBufs[slot], items)
+	n, err := e.countSets(ctx, ex, &t.setsBufs[slot], items)
 	end := time.Now()
-	el := end.Sub(ps)
+	el := end.Sub(start)
 	if err != nil {
-		t.matrix.ExitErr(part, slot)
+		t.matrix.ExitErr(0, slot)
 	} else {
-		t.matrix.ExitOK(part, slot, el)
+		t.matrix.ExitOK(0, slot, el)
 	}
 	if cell != nil {
 		var flags uint8
 		if err != nil {
 			flags = trace.FlagError
 		}
-		cell.Span(trace.KindShard, trace.ArmNone, flags, ps, el, uint64(n), 0)
+		cell.Span(trace.KindShard, trace.ArmNone, flags, start, el, uint64(n), 0)
 	}
 	return n, end, err
 }
 
 // Swap atomically replaces the corpus with one built from lists (the same
-// shape NewTier takes). The fresh epoch is fully built and validated before
-// the pointer flips — any build error leaves the old corpus serving
+// shape NewTier takes) with Config.Build. The fresh epoch is fully built
+// before the pointer flips — any build error leaves the old corpus serving
 // untouched — and the old epoch is retired only after every in-flight query
 // on it has drained. Returns the new generation number. ctx bounds the
 // drain wait: on expiry the swap is already published and the error reports
 // the unfinished drain.
 func (t *Tier) Swap(ctx context.Context, lists [][]uint32) (uint64, error) {
+	if t.closed.Load() {
+		return 0, ErrShuttingDown
+	}
+	sets, err := core.NewSetBatch(lists, t.cfg.Build)
+	if err != nil {
+		t.sink.Inc(stats.CtrServeSwapErrors)
+		return 0, err
+	}
+	return t.publish(ctx, sets)
+}
+
+// SwapFromReader is Swap loading the corpus from a snapshot stream written
+// by fesia.WriteCorpus / core.WriteCorpus: set i is item i's posting set.
+// The sets the stream decodes to are served as they are, with the build
+// configuration the snapshot records, so a swap costs one read. The stream
+// is fully read, checksummed and validated before anything flips; a
+// truncated or corrupted snapshot counts a swap error and leaves the old
+// corpus serving — the all-or-nothing contract the chaos tests pin down.
+func (t *Tier) SwapFromReader(ctx context.Context, r io.Reader) (uint64, error) {
+	sets, err := core.ReadCorpus(r)
+	if err != nil {
+		t.sink.Inc(stats.CtrServeSwapErrors)
+		return 0, fmt.Errorf("serve: loading corpus snapshot: %w", err)
+	}
+	return t.publish(ctx, sets)
+}
+
+// publish makes sets the next generation's corpus for Swap and
+// SwapFromReader: the pointer flip, then the old epoch's drain, bounded by
+// ctx as Swap describes.
+func (t *Tier) publish(ctx context.Context, sets []*core.Set) (uint64, error) {
 	t.swapMu.Lock()
 	defer t.swapMu.Unlock()
 	if t.closed.Load() {
 		return 0, ErrShuttingDown
 	}
-	gen := t.gen + 1
-	fresh, err := buildEpoch(lists, t.cfg.Shards, t.cfg.Build, gen)
-	if err != nil {
-		t.sink.Inc(stats.CtrServeSwapErrors)
-		return 0, err
-	}
-	t.gen = gen
-	old := t.epoch.Swap(fresh)
+	t.gen++
+	gen := t.gen
+	old := t.epoch.Swap(newEpoch(sets, gen))
 	old.drain.Retire()
 	select {
 	case <-old.drain.Drained():
@@ -431,24 +434,6 @@ func (t *Tier) Swap(ctx context.Context, lists [][]uint32) (uint64, error) {
 	}
 	t.sink.Inc(stats.CtrServeSwaps)
 	return gen, nil
-}
-
-// SwapFromReader is Swap loading the corpus from a snapshot stream written
-// by fesia.WriteCorpus / core.WriteCorpus: set i is item i's posting set.
-// The stream is fully read, checksummed and rebuilt before anything flips;
-// a truncated or corrupted snapshot counts a swap error and leaves the old
-// corpus serving — the all-or-nothing contract the chaos tests pin down.
-func (t *Tier) SwapFromReader(ctx context.Context, r io.Reader) (uint64, error) {
-	sets, err := core.ReadCorpus(r)
-	if err != nil {
-		t.sink.Inc(stats.CtrServeSwapErrors)
-		return 0, fmt.Errorf("serve: loading corpus snapshot: %w", err)
-	}
-	lists := make([][]uint32, len(sets))
-	for i, s := range sets {
-		lists[i] = s.Elements()
-	}
-	return t.Swap(ctx, lists)
 }
 
 // SwapFromFile is SwapFromReader over a snapshot file.
@@ -479,8 +464,9 @@ func (t *Tier) Shutdown(ctx context.Context) error {
 // bumped by every successful Swap).
 func (t *Tier) Generation() uint64 { return t.epoch.Load().gen }
 
-// NumShards returns the tier's shard count.
-func (t *Tier) NumShards() int { return t.cfg.Shards }
+// NumShards returns 1: the tier serves its corpus as one shard. It is kept
+// for callers that report a shard count.
+func (t *Tier) NumShards() int { return 1 }
 
 // MaxConcurrent returns the admission slot count.
 func (t *Tier) MaxConcurrent() int { return t.cfg.MaxConcurrent }

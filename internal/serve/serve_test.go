@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -69,34 +70,32 @@ func ctr(tier *Tier, c stats.Counter) uint64 {
 
 func TestTierQueryCountMatchesBrute(t *testing.T) {
 	lists := genLists(32, 500, 0.15, 1)
-	for _, shards := range []int{1, 2, 3, 4, 7} {
-		tier, err := NewTier(lists, Config{Shards: shards})
+	tier, err := NewTier(lists, Config{})
+	if err != nil {
+		t.Fatalf("NewTier: %v", err)
+	}
+	queries := [][]uint32{
+		{}, {3}, {0, 1}, {5, 9}, {2, 4, 8}, {1, 3, 5, 7, 9, 11},
+		{31}, {0, 31}, {99}, {4, 99},
+	}
+	for _, q := range queries {
+		got, err := tier.QueryCount(context.Background(), q...)
 		if err != nil {
-			t.Fatalf("shards=%d: NewTier: %v", shards, err)
+			t.Fatalf("query %v: %v", q, err)
 		}
-		queries := [][]uint32{
-			{}, {3}, {0, 1}, {5, 9}, {2, 4, 8}, {1, 3, 5, 7, 9, 11},
-			{31}, {0, 31}, {99}, {4, 99},
+		if want := bruteCount(lists, q); got != want {
+			t.Errorf("query %v: got %d, want %d", q, got, want)
 		}
-		for _, q := range queries {
-			got, err := tier.QueryCount(context.Background(), q...)
-			if err != nil {
-				t.Fatalf("shards=%d query %v: %v", shards, q, err)
-			}
-			if want := bruteCount(lists, q); got != want {
-				t.Errorf("shards=%d query %v: got %d, want %d", shards, q, got, want)
-			}
-		}
-		if err := tier.Shutdown(context.Background()); err != nil {
-			t.Fatalf("shards=%d: Shutdown: %v", shards, err)
-		}
+	}
+	if err := tier.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }
 
 func TestTierSwap(t *testing.T) {
 	a := genLists(16, 300, 0.2, 2)
 	b := genLists(16, 300, 0.2, 3)
-	tier, err := NewTier(a, Config{Shards: 3})
+	tier, err := NewTier(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +122,82 @@ func TestTierSwap(t *testing.T) {
 	if snap.Counter(stats.CtrServeSwaps) != 1 {
 		t.Fatalf("swap counter = %d, want 1", snap.Counter(stats.CtrServeSwaps))
 	}
+
+	// A snapshot built with another configuration is served with the
+	// configuration it records, not the tier's default Build: 16-bit
+	// segments, and RepAuto's mix of representations. Every count must match
+	// the lists it was built from.
+	c := genLists(16, 300, 0.2, 4) // array sets (at most 256 elements)
+	c[0] = []uint32{5, 9, 17}
+	c[1], c[2] = nil, nil
+	for d := uint32(0); d < 300; d++ {
+		c[1] = append(c[1], 3+d)  // dense: one bit per document
+		c[2] = append(c[2], 17*d) // segmented: too sparse for dense
+	}
+	sets, err := core.BuildSets(c, core.Config{SegBits: 16, Rep: core.RepAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := map[core.Rep]bool{}
+	for _, s := range sets {
+		reps[s.Rep()] = true
+	}
+	if len(reps) != 3 {
+		t.Fatalf("snapshot fixture lacks a representation: %v", reps)
+	}
+	var buf bytes.Buffer
+	if _, err := core.WriteCorpus(&buf, sets); err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := tier.SwapFromReader(context.Background(), &buf); err != nil || gen != 2 {
+		t.Fatalf("SwapFromReader = %d, %v; want generation 2", gen, err)
+	}
+	for _, q := range [][]uint32{{0}, {1}, {0, 1}, {1, 2}, {2, 3}, {1, 2, 3}, {4, 5, 6, 7}, {0, 15}} {
+		got, err := tier.QueryCount(context.Background(), q...)
+		if err != nil {
+			t.Fatalf("query %v on the snapshot: %v", q, err)
+		}
+		if want := bruteCount(c, q); got != want {
+			t.Errorf("query %v on the snapshot: got %d, want %d", q, got, want)
+		}
+	}
+}
+
+// TestSwapAllocsPerSet: a snapshot swap makes a fixed number of
+// allocations, not a number that grows with the set count — the bar
+// TestBuildAndLoadAllocsPerSet sets for ReadCorpus, which a swap now is
+// plus the epoch flip.
+func TestSwapAllocsPerSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	lists := make([][]uint32, 10_000)
+	for i := range lists {
+		for range 8 {
+			lists[i] = append(lists[i], uint32(rng.Intn(1<<20)))
+		}
+	}
+	sets, err := core.BuildSets(lists, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := core.WriteCorpus(&buf, sets); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	tier, err := NewTier(nil, Config{ShedTargetP99: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Shutdown(context.Background())
+	perSet := testing.AllocsPerRun(3, func() {
+		if _, err := tier.SwapFromReader(context.Background(), bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(lists))
+	t.Logf("allocations per set: SwapFromReader %.4f", perSet)
+	if perSet >= 0.05 {
+		t.Errorf("SwapFromReader makes %.3f allocations per set, want under 0.05", perSet)
+	}
 }
 
 func TestNewTierRejectsBadBuildConfig(t *testing.T) {
@@ -133,7 +208,7 @@ func TestNewTierRejectsBadBuildConfig(t *testing.T) {
 }
 
 func TestTierShutdown(t *testing.T) {
-	tier, err := NewTier(genLists(8, 100, 0.2, 5), Config{Shards: 2})
+	tier, err := NewTier(genLists(8, 100, 0.2, 5), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +228,7 @@ func TestTierShutdown(t *testing.T) {
 }
 
 func TestTierShutdownWaitsForInFlight(t *testing.T) {
-	tier, err := NewTier(genLists(8, 100, 0.2, 7), Config{Shards: 2, MaxConcurrent: 2})
+	tier, err := NewTier(genLists(8, 100, 0.2, 7), Config{MaxConcurrent: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +249,7 @@ func TestTierShutdownWaitsForInFlight(t *testing.T) {
 }
 
 func TestTierShedRejects(t *testing.T) {
-	tier, err := NewTier(genLists(8, 100, 0.2, 8), Config{Shards: 2})
+	tier, err := NewTier(genLists(8, 100, 0.2, 8), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +272,7 @@ func TestTierShedRejects(t *testing.T) {
 }
 
 func TestTierDeadlinePropagation(t *testing.T) {
-	tier, err := NewTier(genLists(8, 2000, 0.3, 9), Config{Shards: 2})
+	tier, err := NewTier(genLists(8, 2000, 0.3, 9), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,32 +291,28 @@ func TestTierDeadlinePropagation(t *testing.T) {
 		t.Fatal("deadline counter not incremented")
 	}
 
-	// A deadline that expires inside part 0: the query fails with
-	// DeadlineExceeded and part 1 never runs, so shard 1's serve-matrix row
-	// records no entry.
+	// A deadline that expires inside the query's part: the query fails with
+	// DeadlineExceeded, and the serve matrix's one row records an error, not
+	// a completed query.
 	pctx, pcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer pcancel()
-	tier.partDelay = func(shard int) {
-		if shard == 0 {
-			<-pctx.Done()
-		}
-	}
+	tier.partDelay = func() { <-pctx.Done() }
 	before := tier.Stats().ServeShards
 	if _, err := tier.QueryCount(pctx, 1, 2, 3); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline inside part 0: err = %v, want deadline exceeded", err)
+		t.Fatalf("deadline inside the part: err = %v, want deadline exceeded", err)
 	}
 	after := tier.Stats().ServeShards
-	if after[0].Errors != before[0].Errors+1 {
-		t.Fatalf("shard 0 errors %d -> %d, want one more", before[0].Errors, after[0].Errors)
+	if len(after) != 1 {
+		t.Fatalf("serve matrix has %d rows, want 1", len(after))
 	}
-	if after[1].Queries != before[1].Queries || after[1].Errors != before[1].Errors {
-		t.Fatalf("part 1 ran after part 0's deadline: shard 1 row %+v -> %+v", before[1], after[1])
+	if after[0].Errors != before[0].Errors+1 || after[0].Queries != before[0].Queries {
+		t.Fatalf("deadline inside the part: row %+v -> %+v, want one more error and no more queries", before[0], after[0])
 	}
 }
 
 func TestTierQueueFullRejects(t *testing.T) {
 	tier, err := NewTier(genLists(8, 100, 0.2, 10),
-		Config{Shards: 2, MaxConcurrent: 1, MaxQueue: 1, MaxQueueWait: time.Minute})
+		Config{MaxConcurrent: 1, MaxQueue: 1, MaxQueueWait: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +355,7 @@ func TestTierQueueFullRejects(t *testing.T) {
 func TestTierQueryDuringSwapSeesOneEpoch(t *testing.T) {
 	a := genLists(16, 400, 0.2, 11)
 	b := genLists(16, 400, 0.2, 12)
-	tier, err := NewTier(a, Config{Shards: 3})
+	tier, err := NewTier(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

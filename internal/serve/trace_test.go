@@ -13,10 +13,9 @@ import (
 )
 
 // traceTier builds a tier over a moderate corpus with tracing enabled.
-func traceTier(t *testing.T, shards int, cfg Config) (*Tier, [][]uint32) {
+func traceTier(t *testing.T, cfg Config) (*Tier, [][]uint32) {
 	t.Helper()
 	lists := genLists(48, 4000, 0.2, 7)
-	cfg.Shards = shards
 	tier, err := NewTier(lists, cfg)
 	if err != nil {
 		t.Fatalf("NewTier: %v", err)
@@ -26,7 +25,7 @@ func traceTier(t *testing.T, shards int, cfg Config) (*Tier, [][]uint32) {
 }
 
 func TestTracerNilWhenDisabled(t *testing.T) {
-	tier, _ := traceTier(t, 2, Config{})
+	tier, _ := traceTier(t, Config{})
 	if tier.Tracer() != nil {
 		t.Fatal("tracing off by default, but tier has a tracer")
 	}
@@ -45,10 +44,10 @@ func TestTracerNilWhenDisabled(t *testing.T) {
 
 // TestForcedCaptureBreakdown is the acceptance-criteria test: a forced
 // capture returns a span breakdown whose stage durations (queue + scatter)
-// sum to within 10% of the root span's end-to-end latency, and the
-// per-shard spans carry the executor-level strategy detail.
+// sum to within 10% of the root span's end-to-end latency, and the query's
+// part span carries the executor-level strategy detail.
 func TestForcedCaptureBreakdown(t *testing.T) {
-	tier, lists := traceTier(t, 3, Config{TraceSample: 0, SlowQuery: time.Hour})
+	tier, lists := traceTier(t, Config{TraceSample: 0, SlowQuery: time.Hour})
 	items := []uint32{2, 5, 9}
 	want := bruteCount(lists, items)
 
@@ -90,8 +89,8 @@ func TestForcedCaptureBreakdown(t *testing.T) {
 	if root == nil || queue == nil || scatter == nil {
 		t.Fatalf("missing tier spans: %+v", capd.Spans)
 	}
-	if shardSpans != 3 {
-		t.Fatalf("%d shard spans, want 3", shardSpans)
+	if shardSpans != 1 {
+		t.Fatalf("%d shard spans, want 1", shardSpans)
 	}
 	if strategySpans == 0 {
 		t.Fatalf("no strategy spans in capture: %+v", capd.Spans)
@@ -116,29 +115,28 @@ func TestForcedCaptureBreakdown(t *testing.T) {
 			t.Fatalf("equal-size 3-keyword query ran arm %q, want kway: %+v", sp.Arm, sp)
 		}
 	}
-	// The shard parts run one after another on the slot owner: their spans
-	// are disjoint and together fit inside the scatter span. Spans arrive
-	// sorted by start offset.
+	// The query's part runs on the slot owner: its span fits inside the
+	// scatter span. Spans arrive sorted by start offset.
 	at := scatter.StartNs
 	for _, sp := range capd.Spans {
 		if sp.Kind != "shard" {
 			continue
 		}
 		if sp.StartNs < at {
-			t.Fatalf("shard %d span starts at %dns, before %dns (the scatter start or the previous shard's end): %+v",
+			t.Fatalf("shard %d span starts at %dns, before the scatter start %dns: %+v",
 				sp.Shard, sp.StartNs, at, capd.Spans)
 		}
 		at = sp.StartNs + sp.DurNs
 	}
 	if end := scatter.StartNs + scatter.DurNs; at > end {
-		t.Fatalf("shard spans end at %dns, after the scatter span's end %dns: %+v", at, end, capd.Spans)
+		t.Fatalf("shard span ends at %dns, after the scatter span's end %dns: %+v", at, end, capd.Spans)
 	}
 
 	// A skewed 3-keyword query — a list of ~1% of the documents against two
-	// of ~20% — runs the probe chain on every shard: the strategy spans and
-	// the tier's counters name the same arm.
+	// of ~20% — runs the probe chain: the strategy span and the tier's
+	// counters name the same arm.
 	lists = append(lists, genLists(1, 4000, 0.01, 8)...)
-	skewed, err := NewTier(lists, Config{Shards: 3, SlowQuery: time.Hour})
+	skewed, err := NewTier(lists, Config{SlowQuery: time.Hour})
 	if err != nil {
 		t.Fatalf("NewTier: %v", err)
 	}
@@ -158,25 +156,22 @@ func TestForcedCaptureBreakdown(t *testing.T) {
 		}
 		probeSpans++
 	}
-	if probeSpans != 3 {
-		t.Fatalf("%d kway-probe strategy spans, want one per shard (3)", probeSpans)
+	if probeSpans != 1 {
+		t.Fatalf("%d kway-probe strategy spans, want 1", probeSpans)
 	}
-	if got := ctr(skewed, stats.CtrQueriesKWayProbe); got != 3 {
-		t.Fatalf("probe-chain counter = %d, want 3", got)
+	if got := ctr(skewed, stats.CtrQueriesKWayProbe); got != 1 {
+		t.Fatalf("probe-chain counter = %d, want 1", got)
 	}
 }
 
-// TestSlowShardForensics is the second acceptance-criteria test: one shard
-// is deliberately slowed, and the straggler must be identifiable from the
-// /debug/slow output — its shard span dominates the breakdown.
+// TestSlowShardForensics is the second acceptance-criteria test: the
+// query's part is deliberately slowed, and the straggler must be
+// identifiable from the /debug/slow output — its part span dominates the
+// breakdown.
 func TestSlowShardForensics(t *testing.T) {
-	const laggard = 1
-	tier, _ := traceTier(t, 3, Config{SlowQuery: 3 * time.Millisecond})
-	tier.partDelay = func(shard int) {
-		if shard == laggard {
-			time.Sleep(8 * time.Millisecond)
-		}
-	}
+	const delay = 8 * time.Millisecond
+	tier, _ := traceTier(t, Config{SlowQuery: 3 * time.Millisecond})
+	tier.partDelay = func() { time.Sleep(delay) }
 	if _, err := tier.QueryCount(context.Background(), 2, 5); err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -196,41 +191,36 @@ func TestSlowShardForensics(t *testing.T) {
 	if e.Reason != "slow" {
 		t.Fatalf("slow entry reason %q, want slow", e.Reason)
 	}
-	// Find the slowest shard span; it must be the laggard, by a wide margin.
-	slowest, slowestDur := -1, uint64(0)
-	var otherMax uint64
+	// The part span must hold the injected delay and most of the query's
+	// time, by a wide margin over every span it does not contain.
+	var part, root, otherMax uint64
 	for _, sp := range e.Spans {
-		if sp.Kind != "shard" {
-			continue
-		}
-		if sp.DurNs > slowestDur {
-			if slowest >= 0 && slowestDur > otherMax {
-				otherMax = slowestDur
-			}
-			slowest, slowestDur = sp.Shard, sp.DurNs
-		} else if sp.DurNs > otherMax {
-			otherMax = sp.DurNs
+		switch sp.Kind {
+		case "shard":
+			part = sp.DurNs
+		case "query":
+			root = sp.DurNs
+		case "scatter":
+		default:
+			otherMax = max(otherMax, sp.DurNs)
 		}
 	}
-	if slowest != laggard {
-		t.Fatalf("slowest shard in /debug/slow is %d, want %d (spans: %+v)", slowest, laggard, e.Spans)
+	if part < uint64(delay) || 2*part < root || part < 2*otherMax {
+		t.Fatalf("slow part not clearly identifiable: part %dns, query %dns, next span %dns (spans: %+v)",
+			part, root, otherMax, e.Spans)
 	}
-	if slowestDur < uint64(8*time.Millisecond) || slowestDur < 2*otherMax {
-		t.Fatalf("laggard shard %d not clearly identifiable: %dns vs next %dns",
-			laggard, slowestDur, otherMax)
-	}
-	// And the per-shard matrix shows the same straggler without tracing.
+	// And the serve matrix shows the same straggler without tracing.
 	rows := tier.Stats().ServeShards
-	if len(rows) != 3 {
-		t.Fatalf("stats carry %d serve shards, want 3", len(rows))
+	if len(rows) != 1 {
+		t.Fatalf("stats carry %d serve shards, want 1", len(rows))
 	}
-	if m := rows[laggard].Latency.Mean(); m < 8*time.Millisecond {
-		t.Fatalf("shard matrix mean %v does not show the injected 8ms delay", m)
+	if m := rows[0].Latency.Mean(); m < delay {
+		t.Fatalf("serve matrix mean %v does not show the injected %v delay", m, delay)
 	}
 }
 
 func TestTraceRetentionCountersAndExemplars(t *testing.T) {
-	tier, _ := traceTier(t, 2, Config{TraceSample: 4, SlowQuery: time.Hour})
+	tier, _ := traceTier(t, Config{TraceSample: 4, SlowQuery: time.Hour})
 	for i := 0; i < 32; i++ {
 		if _, err := tier.QueryCount(context.Background(), 1, 3); err != nil {
 			t.Fatalf("query %d: %v", i, err)
@@ -258,7 +248,7 @@ func TestTraceRetentionCountersAndExemplars(t *testing.T) {
 func TestOverloadFlavorCounters(t *testing.T) {
 	lists := genLists(16, 200, 0.2, 3)
 	tier, err := NewTier(lists, Config{
-		Shards: 1, MaxConcurrent: 1, MaxQueue: 1,
+		MaxConcurrent: 1, MaxQueue: 1,
 		MaxQueueWait: 5 * time.Millisecond, ShedTargetP99: -1,
 	})
 	if err != nil {
@@ -301,7 +291,7 @@ func TestOverloadFlavorCounters(t *testing.T) {
 }
 
 // TestTraceZeroAllocWarm pins the warm allocation count of the whole serve
-// path: a warm 2-shard query allocates nothing with tracing off, and a tier
+// path: a warm query allocates nothing with tracing off, and a tier
 // with tracing at default sampling must allocate exactly as much.
 func TestTraceZeroAllocWarm(t *testing.T) {
 	measure := func(cfg Config) float64 {
@@ -323,18 +313,18 @@ func TestTraceZeroAllocWarm(t *testing.T) {
 			}
 		})
 	}
-	off := measure(Config{Shards: 2, ShedTargetP99: -1})
+	off := measure(Config{ShedTargetP99: -1})
 	if off != 0 {
-		t.Fatalf("untraced tier allocates %.2f per warm 2-shard query, want 0", off)
+		t.Fatalf("untraced tier allocates %.2f per warm query, want 0", off)
 	}
-	on := measure(Config{Shards: 2, ShedTargetP99: -1, TraceSample: 64, SlowQuery: 20 * time.Millisecond})
+	on := measure(Config{ShedTargetP99: -1, TraceSample: 64, SlowQuery: 20 * time.Millisecond})
 	if on != off {
 		t.Fatalf("tracing on allocates %.2f per warm query vs %.2f off; tracing must add 0", on, off)
 	}
 }
 
 func TestTracedQueryMatchesBrute(t *testing.T) {
-	tier, lists := traceTier(t, 4, Config{TraceSample: 2, SlowQuery: time.Millisecond})
+	tier, lists := traceTier(t, Config{TraceSample: 2, SlowQuery: time.Millisecond})
 	queries := [][]uint32{{1}, {2, 6}, {3, 8, 12}, {4, 9, 14, 21}}
 	for _, q := range queries {
 		n, _, err := tier.QueryCountTraced(context.Background(), q...)
