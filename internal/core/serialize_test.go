@@ -184,12 +184,14 @@ func TestReadRejectsRetiredFormats(t *testing.T) {
 		{"FESIA2", set.Bytes(), readSet},
 		{"FESIAC2", corpusBytes(t, []*Set{s}), readCorpus},
 	} {
-		retagged := append([]byte(nil), c.stream...)
-		copy(retagged, c.magic)
-		err := c.read(retagged)
-		if err == nil || !strings.Contains(err.Error(), c.magic) {
-			t.Errorf("%s stream: err = %v, want a bad-magic error naming %s", c.magic, err, c.magic)
-		}
+		t.Run(c.magic, func(t *testing.T) {
+			retagged := append([]byte(nil), c.stream...)
+			copy(retagged, c.magic)
+			err := c.read(retagged)
+			if err == nil || !strings.Contains(err.Error(), c.magic) {
+				t.Errorf("%s stream: err = %v, want a bad-magic error naming %s", c.magic, err, c.magic)
+			}
+		})
 	}
 }
 
