@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench poolbench swapbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench probebench poolbench swapbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -125,6 +125,13 @@ tracebench:
 # queries: the source of EXPERIMENTS.md's k-way table (medians of 5).
 kwaybench:
 	$(GO) test -run '^$$' -bench BenchmarkKWayArms -benchtime 0.5s -count 5 ./internal/core | tee kwaybench.txt
+
+# The segmented membership probe's two bodies, the direct loop and the staged
+# body, over list lengths 4-8,192 in a memory-bound and two cache-resident
+# regimes on each available rung, alternating which body runs first: the
+# source of probeStagedMin and of EXPERIMENTS.md's probe table (medians of 5).
+probebench:
+	$(GO) test -run '^$$' -bench BenchmarkProbeArms -benchtime 0.3s -count 5 ./internal/core | tee probebench.txt
 
 # Pool.Do over two parts vs the same parts inline, from ~0.1 to ~200 us of
 # work per part: the source of EXPERIMENTS.md's pool hand-off break-even

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"time"
 
 	"fesia/internal/kernels"
@@ -225,53 +226,46 @@ func visitStaged(d *kernels.Dispatcher, scratch, xr, yr []uint32, recs []stagedS
 	return n
 }
 
-// dispatchStaged runs pass 2 of the merge arm over x and y's staged records
-// into the sink, with one switch per block: the counting kernels when dst
-// and emit are nil, the materializing kernels into dst, or visitStaged
-// through emit (scratch sized as it requires). With ck non-nil the records
-// run in ctxStageBlock blocks with a checkpoint before each.
-func dispatchStaged(ck checkpoint, x, y *Set, recs []stagedSeg, scratch, dst []uint32, emit Visitor) (n int, touch uint32, err error) {
+// dispatchStaged runs pass 2 of the merge arm over the lane's staged
+// records of x and y into the sink, with one switch per block: the counting
+// kernels when dst and emit are nil, the materializing kernels into dst, or
+// visitStaged through emit (on the lane's scratch, sized as it requires).
+// With ck non-nil the records run in ctxStageBlock blocks with a checkpoint
+// before each. The read-ahead touches fold into the lane's touch.
+func (l *lane) dispatchStaged(ck checkpoint, x, y *Set, dst []uint32, emit Visitor) (int, error) {
 	d := &x.build.disp
 	xr, yr := x.reordered, y.reordered
+	recs := l.staged
+	if emit != nil {
+		l.scratch = growU32(l.scratch, max(min(x.maxSeg, y.maxSeg), 1))
+	}
+	n := 0
 	step := stride(ck, ctxStageBlock, len(recs))
 	for lo := 0; lo < len(recs); lo += step {
 		if err := stop(ck); err != nil {
-			return 0, touch, err
+			return 0, err
 		}
 		blk := recs[lo:min(lo+step, len(recs))]
 		var dn int
 		var dt uint32
 		switch {
 		case emit != nil:
-			dn = visitStaged(d, scratch, xr, yr, blk, emit)
+			dn = visitStaged(d, l.scratch, xr, yr, blk, emit)
 		case dst != nil:
 			dn, dt = dispatchStagedIntersect(d, dst[n:], xr, yr, blk)
 		default:
 			dn, dt = dispatchStagedCount(d, xr, yr, blk)
 		}
 		n += dn
-		touch += dt
+		l.touch += dt
 	}
-	return n, touch, nil
-}
-
-// countMergeStaged is the staged-dispatch CountMerge of the batch paths:
-// stage into recs, dispatch, return the count and the (possibly grown) record
-// buffer.
-func countMergeStaged(a, b *Set, recs []stagedSeg, st, kst *stats.Shard) (int, []stagedSeg, uint32) {
-	x, y := ordered(a, b)
-	recs = stageSegPairs(x, y, recs[:0])
-	if st != nil { // inline, so a batch without stats makes no call per candidate
-		noteStaged(st, kst, recs, x.bm.NumSegments())
-	}
-	n, touch := dispatchStagedCount(&x.build.disp, x.reordered, y.reordered, recs)
-	return n, recs, touch
+	return n, nil
 }
 
 // noteStaged records one staged pass 1 — a merge's, or a parallel worker's
 // share of one — into st, when non-nil: the exact segment-pair counter, the
 // bitmap segments the pass scanned and, when kst is non-nil (the sampled
-// fraction of queries, see Executor.kernelSampled), the kernel-dispatch
+// fraction of queries, see lane.kernelShard), the kernel-dispatch
 // histogram replayed from the records, so the dispatch loop itself stays
 // untouched.
 func noteStaged(st, kst *stats.Shard, recs []stagedSeg, segments int) {
@@ -289,18 +283,8 @@ func noteStaged(st, kst *stats.Shard, recs []stagedSeg, segments int) {
 }
 
 // ---------------------------------------------------------------------------
-// Staged hash probe: the batch engine's version of the skewed-input strategy.
+// One-vs-many batch queries: one Many frame over the pair engine's bodies.
 // ---------------------------------------------------------------------------
-
-// probeBlock is the staging block of the batch hash probe. One block's
-// positions fit comfortably in L1 while giving the out-of-order core dozens
-// of independent loads to overlap.
-const probeBlock = 128
-
-// containsCutover is the segment length above which survivor scans use the
-// assembly compare-all-lanes probe instead of the scalar early-exit scan —
-// two full ymm registers of elements, enough to amortize the masked tail.
-const containsCutover = 16
 
 // batchParallelMinWork is CountManyParallel's serial cutover: batches whose
 // estimated element work is below this run on the serial batch path. Sits
@@ -308,365 +292,172 @@ const containsCutover = 16
 // and the uniform/c256 regime (~2M units, parallel starts paying off).
 const batchParallelMinWork = 1 << 19
 
-// probeRec is one surviving probe staged by phase 2: the probed element and
-// its target segment's half-open range in the large set's reordered array.
-type probeRec struct{ x, oa, oaEnd uint32 }
-
-// hashProbeStaged probes every element of small against large in fixed-size
-// blocks of two phases — the staged-dispatch idea applied to the hash
-// strategy. The staging phase is completely branch-free: every element's
-// bitmap word, segment bounds and first segment word are loaded
-// unconditionally, and survivors are compacted into the stage buffer with a
-// conditional index increment instead of a branch. With no unpredictable
-// branches in the way, the out-of-order core streams the (cache-missing)
-// loads of many probes at once instead of serializing them behind
-// mispredicts — the same memory-level-parallelism trick as the merge path's
-// two-pass dispatch. The scan phase then walks the staged segment lists,
-// whose cache lines the staging phase already set in flight. Matches are
-// counted, and either appended to dst (when non-nil) or streamed through
-// emit (when non-nil), in the same order hashProbeElems produces.
-//
-// stage must hold probeBlock entries. The accumulated touch value is
-// returned so the read-ahead loads cannot be dead-code-eliminated. st, when
-// non-nil, receives the probe/survivor counters at block granularity (the
-// block compaction rate of the staged probe).
-func hashProbeStaged(small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	if simd.GatherProbeActive() && small.n >= 16 && large.bm.Bits() <= gatherProbeMaxBits {
-		return hashProbeStagedGather(small, large, stage, dst, emit, st)
-	}
-	lb := &large.bm
-	words := lb.Words()
-	mBits := lb.Bits()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	hasher := large.build.hasher
-	elems := small.reordered
-
-	n := 0
-	survivors := 0
-	var touch uint64
-	for lo := 0; lo < len(elems); lo += probeBlock {
-		blk := elems[lo:min(lo+probeBlock, len(elems))]
-		// Staging phase (branch-free).
-		ns := 0
-		for _, x := range blk {
-			p := hasher.Pos(x, mBits)
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
-		}
-		survivors += ns
-		// Touch pass: issue every survivor's first segment load back to back,
-		// so the (serialized, short-scan) scan phase finds the lines already
-		// in flight. Survivors' segments are never empty — their bit was set.
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
-		}
-		// Scan phase over the staged (and now in-flight) segment lists.
-		n = scanStage(stage[:ns], reord, dst, emit, n)
-	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
-	return n, uint32(touch)
+// manySink is a batch's output, picked once per call: out[i] receives
+// candidate i's count; dst, when non-nil, every candidate's matches back to
+// back; emit, when non-nil, streams them, with *cand set to the candidate's
+// index first.
+type manySink struct {
+	out  []int
+	dst  []uint32
+	emit Visitor
+	cand *int
 }
 
-// hashProbeStagedGather is hashProbeStaged with the staging phase run
-// through the AVX-512 gathered probe: hash, bitmap gather and bit test all
-// happen in zmm lanes (simd.ProbeStage), and the stage records are then
-// built from the compress-stored survivors only — the segment-bound loads
-// the scalar staging phase issues for *every* probe happen just for the
-// survivors here. The touch pass and scan phase are unchanged, so match
-// order and output are identical. The out arrays live on the stack
-// (ProbeStage's pointers do not escape), keeping the warm path
-// allocation-free.
-func hashProbeStagedGather(small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	lb := &large.bm
-	words := lb.Words()
-	mBits := lb.Bits()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	hasher := large.build.hasher
-	seed := hasher.Seed()
-	elems := small.reordered
-
-	n := 0
-	survivors := 0
-	var touch uint64
-	var outE, outP [probeBlock]uint32
-	lo := 0
-	for lo+16 <= len(elems) {
-		blk := elems[lo:min(lo+probeBlock, len(elems))]
-		ns, consumed := simd.ProbeStage(blk, words, seed, mBits-1, outE[:], outP[:])
-		lo += consumed
-		survivors += ns
-		for i := 0; i < ns; i++ {
-			seg := int(outP[i]) >> segShift
-			stage[i] = probeRec{outE[i], offs[seg], offs[seg+1]}
-		}
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
-		}
-		n = scanStage(stage[:ns], reord, dst, emit, n)
+// many is the query frame of every one-vs-many entry point. It runs the one
+// candidate loop (lane.many) on the executor's lane after a touch pass over
+// the candidates (touchHeaders), or, with workers > 1 and the count sink, on
+// that many pool workers, each over its share of a size-ordered schedule.
+// It records the batch once: the candidate and batch counters and latency
+// off two clock reads, and with a checkpoint the release of the planner
+// samples each lane held, so a cancelled batch feeds the planner nothing and
+// records only CtrCancellations. It returns the total match count.
+func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s manySink) (int, error) {
+	if s.emit == nil && len(s.out) < len(cands) {
+		panic("core: batch output shorter than candidate list")
 	}
-	// Sub-16 tail: one scalar staging block.
-	if lo < len(elems) {
-		ns := 0
-		for _, x := range elems[lo:] {
-			p := hasher.Pos(x, mBits)
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
-		}
-		survivors += ns
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
-		}
-		n = scanStage(stage[:ns], reord, dst, emit, n)
+	if err := stop(ck); err != nil {
+		return 0, e.noteCancel(err)
 	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
+	if len(cands) == 0 {
+		return 0, nil
 	}
-	return n, uint32(touch)
-}
-
-// scanStage walks one staging block's surviving probes against the large
-// set's segment lists, counting matches and appending to dst / streaming
-// through emit when non-nil. n is the running match count (and dst write
-// cursor); the updated count is returned.
-func scanStage(recs []probeRec, reord, dst []uint32, emit Visitor, n int) int {
-	for _, r := range recs {
-		x := r.x
-		if seg := reord[r.oa:r.oaEnd]; simd.AsmActive() && len(seg) >= containsCutover {
-			// Long segments: the 8-lane compare probe beats the scalar
-			// early-exit scan once it has a few registers' worth to chew on.
-			if simd.Contains(seg, x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
-			continue
-		}
-		for _, v := range reord[r.oa:r.oaEnd] {
-			if v == x {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-				break
-			}
-			if v > x {
-				break
+	var start time.Time
+	if e.st != nil {
+		start = time.Now()
+	}
+	var total int
+	var err error
+	if workers <= 1 {
+		e.touch += touchHeaders(cands)
+		total, err = e.lane.many(ck, q, cands, nil, 0, 1, s)
+		e.release(ck, err)
+	} else {
+		e.batch = manyRun{ck, q, cands, e.schedule(cands), workers, s}
+		if e.batchPart == nil {
+			e.batchPart = func(w int) {
+				ws := &e.workers[w]
+				b := &e.batch
+				_, ws.err = ws.many(b.ck, b.q, b.cands, b.sched, w, b.step, b.s)
 			}
 		}
-	}
-	return n
-}
-
-// probeCache memoizes one set's hash positions for one bitmap size. Within a
-// batch call the query set is fixed, so when the query is the smaller (= the
-// probing) side of the hash strategy, every same-bitmap-size candidate sees
-// the exact same probe positions — the hash need only be computed for the
-// first such candidate, not once per candidate. The cache is invalidated at
-// the start of every batch call (the query may have changed) and whenever a
-// candidate's bitmap size differs from the cached one.
-type probeCache struct {
-	pos  []uint64
-	bits uint64 // bitmap size the cache holds positions for; 0 = invalid
-}
-
-// fill recomputes the cache for q against bitmap size mBits.
-func (c *probeCache) fill(q *Set, mBits uint64) {
-	if cap(c.pos) < q.n {
-		c.pos = make([]uint64, q.n)
-	}
-	c.pos = c.pos[:q.n]
-	h := q.build.hasher
-	for i, x := range q.reordered {
-		c.pos[i] = h.Pos(x, mBits)
-	}
-	c.bits = mBits
-}
-
-// hashProbeBatch routes one batch hash-strategy step: when the query itself
-// is the probing side and big enough to amortize staging, the probe runs on
-// the executor's memoized position cache; otherwise it falls through to the
-// self-hashing staged probe. On the AVX-512 rung the position cache is
-// skipped entirely: the gathered stage recomputes the hash in zmm lanes for
-// less than the cache's per-element load costs, and folds the bitmap test
-// into the same pass.
-func hashProbeBatch(c *probeCache, q, small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	if simd.GatherProbeActive() && large.bm.Bits() <= gatherProbeMaxBits {
-		return hashProbeStaged(small, large, stage, dst, emit, st)
-	}
-	if small == q && small.n >= probeBlock {
-		if mBits := large.bm.Bits(); c.bits != mBits {
-			c.fill(q, mBits)
+		e.ensureWorkers(workers)
+		e.parallel(workers, e.batchPart)
+		e.batch = manyRun{} // drop the batch's references
+		for w := range workers {
+			err = cmp.Or(err, e.workers[w].err)
 		}
-		return hashProbeStagedPos(c.pos, small, large, stage, dst, emit, st)
-	}
-	return hashProbeStaged(small, large, stage, dst, emit, st)
-}
-
-// hashProbeStagedPos is hashProbeStaged with the probe positions read from a
-// precomputed cache instead of hashed on the fly — the staging phase becomes
-// pure loads and shifts.
-func hashProbeStagedPos(pos []uint64, small, large *Set, stage []probeRec, dst []uint32, emit Visitor, st *stats.Shard) (int, uint32) {
-	lb := &large.bm
-	words := lb.Words()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	elems := small.reordered
-
-	n := 0
-	survivors := 0
-	var touch uint64
-	for lo := 0; lo < len(elems); lo += probeBlock {
-		hi := min(lo+probeBlock, len(elems))
-		blk := elems[lo:hi]
-		posBlk := pos[lo:hi]
-		ns := 0
-		for k, x := range blk {
-			p := posBlk[k]
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
+		for w := range workers {
+			e.workers[w].release(ck, err)
 		}
-		survivors += ns
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
+	}
+	if err != nil {
+		return 0, e.noteCancel(err)
+	}
+	if e.st != nil {
+		e.st.Add(stats.CtrBatchCandidates, uint64(len(cands)))
+		observeSince(e.st, stats.CtrQueriesBatch, stats.LatBatch, start)
+	}
+	return total, nil
+}
+
+// touchHeaders loads every segmented candidate's first bitmap word and last
+// offset back to back, so the candidates' header and arena misses overlap
+// instead of queuing one per candidate in the loop that follows. The loads'
+// sum is returned so they are not dead code.
+func touchHeaders(cands []*Set) (touch uint32) {
+	for _, c := range cands {
+		if c.rep == RepSegmented {
+			touch += uint32(c.bm.Words()[0]) + c.offsets[len(c.offsets)-1]
 		}
-		n = scanStage(stage[:ns], reord, dst, emit, n)
 	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
-	return n, uint32(touch)
+	return touch
 }
 
-// ensureProbe sizes the executor's staged-probe buffer and invalidates the
-// query position cache (each batch call may carry a different query).
-func (e *Executor) ensureProbe() {
-	if cap(e.probeStage) < probeBlock {
-		e.probeStage = make([]probeRec, probeBlock)
-	}
-	e.probeStage = e.probeStage[:probeBlock]
-	e.qcache.bits = 0
+// manyRun is the arguments of a parallel batch's candidate loop, which each
+// worker's part reads: checkpoint ck, query q, the candidates, their
+// size-ordered schedule, the stride between a worker's indices (the worker
+// count) and the sink.
+type manyRun struct {
+	ck    checkpoint
+	q     *Set
+	cands []*Set
+	sched []int32
+	step  int
+	s     manySink
 }
 
-// ---------------------------------------------------------------------------
-// One-vs-many batch queries.
-// ---------------------------------------------------------------------------
+// many is the one candidate loop of the batch engine: for k = first,
+// first+step, ... below len(cands), candidate sched[k] (k itself when sched
+// is nil) is planned through planPair and run through runPair into the sink
+// — the bodies the pair frame runs, untraced — and its planner sample is
+// recorded as it completes. A non-nil checkpoint is tested once per
+// candidate, and the lane's planner samples are held until the frame
+// releases them.
+func (l *lane) many(ck checkpoint, q *Set, cands []*Set, sched []int32, first, step int, s manySink) (int, error) {
+	if ck != nil && l.plan != nil {
+		l.plan.Hold()
+	}
+	total := 0
+	for k := first; k < len(cands); k += step {
+		if err := stop(ck); err != nil {
+			return 0, err
+		}
+		i := k
+		if sched != nil {
+			i = int(sched[k])
+		}
+		c := cands[i]
+		compatible(q, c)
+		n := 0
+		if q.n != 0 && c.n != 0 {
+			if s.cand != nil {
+				*s.cand = i
+			}
+			p, ch := l.planPair(nil, q, c, armAuto)
+			start := planStart(ch)
+			n, _ = l.runPair(nil, nil, p, q, c, tail(s.dst, total), s.emit)
+			measured(ch, start).record(l.plan)
+		}
+		if s.out != nil {
+			s.out[i] = n
+		}
+		total += n
+	}
+	return total, nil
+}
+
+// release ends the hold lane.many took on the lane's planner samples for a
+// checkpointed batch: they are kept when the batch completed (err nil) and
+// dropped when it was cancelled.
+func (l *lane) release(ck checkpoint, err error) {
+	if ck != nil && l.plan != nil {
+		l.plan.Release(err == nil)
+	}
+}
+
+// schedule fills the executor's schedule with the candidate indices sorted
+// by descending set size. Dealing index k to worker k mod workers bounds any
+// worker's load at (total + max)/workers.
+func (e *Executor) schedule(cands []*Set) []int32 {
+	if cap(e.sched) < len(cands) {
+		e.sched = make([]int32, len(cands))
+	}
+	sched := e.sched[:len(cands)]
+	for i := range sched {
+		sched[i] = int32(i)
+	}
+	sortIdxByLenDesc(sched, cands)
+	return sched
+}
 
 // CountMany fills out[i] with |q ∩ candidates[i]| for every candidate,
 // exactly matching a loop of Count(q, candidates[i]) — including the
 // per-candidate adaptive merge/hash switch — but amortizing query-side work
 // across the batch: q's bitmap words, dispatcher and the staging buffer stay
-// hot, and the merge pairs run through the staged two-pass dispatch. out must
-// have at least len(candidates) entries. Zero heap allocations once the
-// staging buffer has grown to the workload's largest candidate.
+// hot. out must have at least len(candidates) entries. Zero heap allocations
+// once the staging buffer has grown to the workload's largest candidate.
 func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
-	e.countMany(nil, q, candidates, out)
-}
-
-// countMany is the one batch loop of CountMany and CountManyCtx, testing a
-// non-nil ck once per candidate. The per-candidate body stays inline: a call
-// per candidate costs several percent on tiny candidates. A cancellable batch
-// holds its planner samples (planner.Handle.Hold) until it completes.
-func (e *Executor) countMany(ck checkpoint, q *Set, candidates []*Set, out []int) error {
-	if len(out) < len(candidates) {
-		panic("core: CountMany output shorter than candidate list")
-	}
-	if err := stop(ck); err != nil {
-		return e.noteCancel(err)
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	st := e.st
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
-	e.ensureProbe()
-	recs := e.staged
-	var touch uint32
-	// Touch pass: load every segmented candidate's first bitmap word and last
-	// offset back to back, so the candidates' header and arena misses overlap
-	// instead of queuing one per candidate in the loop below.
-	for _, c := range candidates {
-		if c.rep == RepSegmented {
-			touch += uint32(c.bm.Words()[0]) + c.offsets[len(c.offsets)-1]
-		}
-	}
-	h := e.plan
-	if ck != nil && h != nil {
-		h.Hold() // until the batch completes: a cancelled one feeds the planner nothing
-	}
-	var err error
-	for i, c := range candidates {
-		if err = stop(ck); err != nil {
-			break
-		}
-		compatible(q, c)
-		switch {
-		case c.n == 0 || q.n == 0:
-			out[i] = 0
-		case crossPair(q, c):
-			out[i] = crossStep(h, st, &e.denseAnd, q, c, nil, nil)
-		default:
-			ch, hash := planSegSeg(h, st, q, c)
-			pstart := planStart(ch)
-			if hash {
-				small, large := q, c
-				if small.n > large.n {
-					small, large = large, small
-				}
-				var t uint32
-				out[i], t = hashProbeBatch(&e.qcache, q, small, large, e.probeStage, nil, nil, st)
-				touch += t
-			} else {
-				var n int
-				var t uint32
-				n, recs, t = countMergeStaged(q, c, recs, st, e.kernelShard())
-				out[i] = n
-				touch += t
-			}
-			planRecord(h, ch, pstart)
-		}
-	}
-	e.staged = recs
-	e.touchSink += touch
-	if ck != nil && h != nil {
-		h.Release(err == nil)
-	}
-	if err != nil {
-		return e.noteCancel(err)
-	}
-	if st != nil {
-		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)
-	}
-	return nil
+	e.many(nil, q, candidates, 1, manySink{out: out})
 }
 
 // IntersectManyInto writes q ∩ candidates[i] for every candidate into dst,
@@ -677,110 +468,18 @@ func (e *Executor) countMany(ck checkpoint, q *Set, candidates []*Set, out []int
 // min(q.Len(), candidate.Len()); counts must have at least len(candidates)
 // entries. Zero heap allocations once warm.
 func (e *Executor) IntersectManyInto(dst []uint32, counts []int, q *Set, candidates []*Set) int {
-	if len(counts) < len(candidates) {
-		panic("core: IntersectManyInto counts shorter than candidate list")
-	}
-	st := e.st
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
-	e.ensureProbe()
-	recs := e.staged
-	var touch uint32
-	h := e.plan
-	total := 0
-	for i, c := range candidates {
-		compatible(q, c)
-		n := 0
-		switch {
-		case c.n == 0 || q.n == 0:
-			// nothing to write
-		case crossPair(q, c):
-			n = crossStep(h, st, &e.denseAnd, q, c, dst[total:], nil)
-		default:
-			ch, hash := planSegSeg(h, st, q, c)
-			pstart := planStart(ch)
-			if hash {
-				small, large := q, c
-				if small.n > large.n {
-					small, large = large, small
-				}
-				var t uint32
-				n, t = hashProbeBatch(&e.qcache, q, small, large, e.probeStage, dst[total:], nil, st)
-				touch += t
-			} else {
-				x, y := ordered(q, c)
-				recs = stageSegPairs(x, y, recs[:0])
-				noteStaged(st, e.kernelShard(), recs, x.bm.NumSegments())
-				var t uint32
-				n, t = dispatchStagedIntersect(&x.build.disp, dst[total:], x.reordered, y.reordered, recs)
-				touch += t
-			}
-			planRecord(h, ch, pstart)
-		}
-		counts[i] = n
-		total += n
-	}
-	e.staged = recs
-	e.touchSink += touch
-	if st != nil {
-		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)
-	}
-	return total
+	n, _ := e.many(nil, q, candidates, 1, manySink{out: counts, dst: dst})
+	return n
 }
 
 // VisitMany streams every q ∩ candidates[i] through emit as (candidate
 // index, element) pairs, in the same per-candidate order IntersectManyInto
-// writes, without materializing any result. The only steady-state allocation
-// is one adapter closure per call.
+// writes, without materializing any result. The only steady-state
+// allocation is the adapter closure, and the candidate index it reads, per
+// call.
 func (e *Executor) VisitMany(q *Set, candidates []*Set, emit func(candidate int, v uint32)) {
-	st := e.st
-	var start time.Time
-	if st != nil {
-		start = time.Now()
-	}
-	e.ensureProbe()
-	recs := e.staged
-	scratch := e.scratch
-	h := e.plan
 	cand := 0
-	emit1 := func(v uint32) { emit(cand, v) }
-	for i, c := range candidates {
-		compatible(q, c)
-		cand = i
-		switch {
-		case c.n == 0 || q.n == 0:
-			// nothing to emit
-		case crossPair(q, c):
-			crossStep(h, st, &e.denseAnd, q, c, nil, emit1)
-		default:
-			ch, hash := planSegSeg(h, st, q, c)
-			pstart := planStart(ch)
-			if hash {
-				small, large := q, c
-				if small.n > large.n {
-					small, large = large, small
-				}
-				_, t := hashProbeBatch(&e.qcache, q, small, large, e.probeStage, nil, emit1, st)
-				e.touchSink += t
-			} else {
-				x, y := ordered(q, c)
-				recs = stageSegPairs(x, y, recs[:0])
-				noteStaged(st, e.kernelShard(), recs, x.bm.NumSegments())
-				scratch = growU32(scratch, max(min(x.maxSeg, y.maxSeg), 1))
-				visitStaged(&x.build.disp, scratch, x.reordered, y.reordered, recs, emit1)
-			}
-			planRecord(h, ch, pstart)
-		}
-	}
-	e.staged = recs
-	e.scratch = scratch
-	if st != nil {
-		st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(st, stats.CtrQueriesBatch, stats.LatBatch, start)
-	}
+	e.many(nil, q, candidates, 1, manySink{emit: func(v uint32) { emit(cand, v) }, cand: &cand})
 }
 
 // CountManyParallel is CountMany with the *candidate list* partitioned across
@@ -795,120 +494,29 @@ func (e *Executor) CountManyParallel(q *Set, candidates []*Set, out []int, worke
 }
 
 // countManyParallel is the one body of CountManyParallel and
-// CountManyParallelCtx; every worker tests a non-nil ck once per candidate.
+// CountManyParallelCtx: the Many frame on min(workers, len(candidates))
+// workers, or on the executor's lane when the batch's work cannot amortize
+// the pool hand-off — at small scale the fork/join and per-worker cache
+// re-warming cost more than they save (BENCH_batch.json's skewed/c256
+// regime). The work proxy charges each candidate its strategy's dominant
+// term: probes for the hash side, both segment streams otherwise.
 func (e *Executor) countManyParallel(ck checkpoint, q *Set, candidates []*Set, out []int, workers int) error {
-	if len(out) < len(candidates) {
-		panic("core: CountManyParallel output shorter than candidate list")
-	}
 	workers = min(max(workers, 1), len(candidates))
-	if workers <= 1 {
-		return e.countMany(ck, q, candidates, out)
-	}
-	// Work-size cutover: a batch whose total work cannot amortize the pool
-	// hand-off runs serially on the warm batch path — at small scale the
-	// fork/join and per-worker cache re-warming cost more than they save
-	// (BENCH_batch.json's skewed/c256 regime). The proxy charges each
-	// candidate its strategy's dominant term: probes for the hash side,
-	// both segment streams for the merge side.
-	work := 0
-	for _, c := range candidates {
-		switch {
-		case crossPair(q, c):
-			work += q.n + c.n
-		case useHash(q, c):
-			work += min(q.n, c.n)
-		default:
-			work += q.n + c.n
-		}
-	}
-	if work < batchParallelMinWork {
-		return e.countMany(ck, q, candidates, out)
-	}
-	if err := stop(ck); err != nil {
-		return e.noteCancel(err)
-	}
-	var start time.Time
-	if e.st != nil {
-		start = time.Now()
-	}
-	// Size-ordered schedule: sort candidate indices by descending set size,
-	// then deal index k to worker k mod workers. Round-robin over a sorted
-	// order bounds any worker's load at (total + max)/workers.
-	if cap(e.sched) < len(candidates) {
-		e.sched = make([]int32, len(candidates))
-	}
-	sched := e.sched[:len(candidates)]
-	for i := range sched {
-		sched[i] = int32(i)
-	}
-	sortIdxByLenDesc(sched, candidates)
-	e.ensureWorkers(workers)
-	e.getPool().Do(workers, func(w int) {
-		ws := &e.workers[w]
-		if cap(ws.probeStage) < probeBlock {
-			ws.probeStage = make([]probeRec, probeBlock)
-		}
-		ws.qcache.bits = 0
-		recs := ws.staged
-		var touch uint32
-		h := ws.plan
-		if ck != nil && h != nil {
-			h.Hold()
-		}
-		seq := 0 // per-worker merge-candidate index for kernel sampling
-		for k := w; k < len(sched); k += workers {
-			if stop(ck) != nil {
-				break
-			}
-			i := sched[k]
-			c := candidates[i]
-			compatible(q, c)
-			switch {
-			case c.n == 0 || q.n == 0:
-				out[i] = 0
-			case crossPair(q, c):
-				out[i] = crossStep(h, ws.st, &ws.denseAnd, q, c, nil, nil)
-			default:
-				ch, hash := planSegSeg(h, ws.st, q, c)
-				pstart := planStart(ch)
-				if hash {
-					small, large := q, c
-					if small.n > large.n {
-						small, large = large, small
-					}
-					var t uint32
-					out[i], t = hashProbeBatch(&ws.qcache, q, small, large, ws.probeStage, nil, nil, ws.st)
-					touch += t
-				} else {
-					var n int
-					var t uint32
-					n, recs, t = countMergeStaged(q, c, recs, ws.st, sampleShard(ws.st, seq))
-					seq++
-					out[i] = n
-					touch += t
-				}
-				planRecord(h, ch, pstart)
+	if workers > 1 {
+		work := 0
+		for _, c := range candidates {
+			if !crossPair(q, c) && useHash(q, c) {
+				work += min(q.n, c.n)
+			} else {
+				work += q.n + c.n
 			}
 		}
-		ws.staged = recs
-		ws.touch = touch
-	})
-	err := stop(ck)
-	if ck != nil {
-		for w := range workers {
-			if h := e.workers[w].plan; h != nil {
-				h.Release(err == nil)
-			}
+		if work < batchParallelMinWork {
+			workers = 1
 		}
 	}
-	if err != nil {
-		return e.noteCancel(err)
-	}
-	if e.st != nil {
-		e.st.Add(stats.CtrBatchCandidates, uint64(len(candidates)))
-		observeSince(e.st, stats.CtrQueriesBatch, stats.LatBatch, start)
-	}
-	return nil
+	_, err := e.many(ck, q, candidates, workers, manySink{out: out})
+	return err
 }
 
 // ---------------------------------------------------------------------------

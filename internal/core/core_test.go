@@ -583,27 +583,41 @@ func TestHashBreakdown(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	small := MustNewSet(randSet(rng, 1000, 40000), DefaultConfig())
 	large := MustNewSet(randSet(rng, 20000, 40000), DefaultConfig())
-	bd := CountHashBreakdown(small, large)
 	want := CountHash(small, large)
-	if bd.Count != want {
-		t.Errorf("HashBreakdown.Count = %d, want %d", bd.Count, want)
-	}
-	if bd.Probes != small.Len() {
-		t.Errorf("Probes = %d, want smaller set's size %d", bd.Probes, small.Len())
-	}
-	if bd.Survivors < bd.Count || bd.Survivors > bd.Probes {
-		t.Errorf("Survivors = %d, want in [Count=%d, Probes=%d]", bd.Survivors, bd.Count, bd.Probes)
-	}
-	if wantBlocks := (small.Len() + probeBlock - 1) / probeBlock; bd.Blocks != wantBlocks {
-		t.Errorf("Blocks = %d, want %d", bd.Blocks, wantBlocks)
-	}
-	if bd.StageTime <= 0 || bd.TouchTime < 0 || bd.ScanTime < 0 {
-		t.Errorf("times: stage=%v touch=%v scan=%v", bd.StageTime, bd.TouchTime, bd.ScanTime)
-	}
-	// Argument order must not matter (the smaller set always probes).
-	if bd2 := CountHashBreakdown(large, small); bd2.Count != want || bd2.Probes != small.Len() {
-		t.Errorf("swapped args: Count=%d Probes=%d, want %d, %d", bd2.Count, bd2.Probes, want, small.Len())
-	}
+	// Every rung: the staged body's phases on the gathered rung, the direct
+	// loop as ScanTime with Blocks 0 on the others.
+	runTiers(t, func() any {
+		bd := CountHashBreakdown(small, large)
+		if bd.Count != want {
+			t.Errorf("%s: HashBreakdown.Count = %d, want %d", simd.Backend(), bd.Count, want)
+		}
+		if bd.Probes != small.Len() {
+			t.Errorf("%s: Probes = %d, want smaller set's size %d", simd.Backend(), bd.Probes, small.Len())
+		}
+		if bd.Survivors < bd.Count || bd.Survivors > bd.Probes {
+			t.Errorf("%s: Survivors = %d, want in [Count=%d, Probes=%d]", simd.Backend(), bd.Survivors, bd.Count, bd.Probes)
+		}
+		if probeStages(small.Len(), large) {
+			// Full blocks, plus a last block when its 16-multiple prefix is
+			// non-empty; the sub-16 tail runs the direct loop.
+			wantBlocks := small.Len() / probeBlock
+			if small.Len()%probeBlock >= 16 {
+				wantBlocks++
+			}
+			if bd.Blocks != wantBlocks || bd.StageTime <= 0 || bd.TouchTime < 0 || bd.ScanTime < 0 {
+				t.Errorf("%s: staged Blocks = %d (want %d), stage=%v touch=%v scan=%v",
+					simd.Backend(), bd.Blocks, wantBlocks, bd.StageTime, bd.TouchTime, bd.ScanTime)
+			}
+		} else if bd.Blocks != 0 || bd.StageTime != 0 || bd.TouchTime != 0 || bd.ScanTime <= 0 {
+			t.Errorf("%s: direct Blocks = %d, stage=%v touch=%v scan=%v; want 0, 0, 0 and scan > 0",
+				simd.Backend(), bd.Blocks, bd.StageTime, bd.TouchTime, bd.ScanTime)
+		}
+		// Argument order must not matter (the smaller set always probes).
+		if bd2 := CountHashBreakdown(large, small); bd2.Count != want || bd2.Probes != small.Len() {
+			t.Errorf("%s: swapped args: Count=%d Probes=%d, want %d, %d", simd.Backend(), bd2.Count, bd2.Probes, want, small.Len())
+		}
+		return nil
+	})
 }
 
 func TestHashProbeTrace(t *testing.T) {

@@ -156,59 +156,40 @@ func TestCorpusDetectsByteFlips(t *testing.T) {
 	})
 }
 
-// TestCorpusDetectsStrayBitBehindValidCRC plants a stray bitmap bit AND
-// recomputes the trailing checksum, proving structural validation still runs
-// after the CRC gate passes (defense in depth against a buggy writer, not
-// just bit rot).
-func TestCorpusDetectsStrayBitBehindValidCRC(t *testing.T) {
-	sets := corpusFixture(t, 75, 1, 40)
-	data := corpusBytes(t, sets)
-	// Payload starts after magic(8) + config(28) + numSets(8) + one
-	// (n, mBits) pair (16); the first payload bytes are bitmap words.
-	wordsOff := 8 + 28 + 8 + 16
-	wordsLen := int(sets[0].BitmapBits() / 8)
-	planted := false
-	for off := wordsOff; off < wordsOff+wordsLen; off++ {
-		if data[off] == 0 {
-			data[off] = 1 // a set bit no element hashes to
-			planted = true
-			break
-		}
-	}
-	if !planted {
-		t.Skip("bitmap too dense to plant a stray bit")
-	}
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32cOf(data[:len(data)-4]))
-	_, err := ReadCorpus(bytes.NewReader(data))
-	if err == nil {
-		t.Fatal("stray bit behind a valid checksum loaded successfully")
-	}
-}
-
-// TestCorpusValidatesBitmapBehindValidCRC plants a stray bit in a loaded
-// set's bitmap words — the first payload bytes, after magic(8) + config(28)
-// + numSets(8) + one (rep, base, n, mBits) entry (24) — and recomputes the
-// trailing checksum: the corpus read path must run the bitmap check on the
-// sets it copies into its arena.
+// TestCorpusValidatesBitmapBehindValidCRC forges one byte of a one-set
+// corpus, recomputes the trailing checksum, and asserts which check rejects
+// each forged offset, proving structural validation still runs after the
+// checksum gate passes (defense in depth against a buggy writer, not just
+// bit rot). The v3 layout puts the set's entry — rep, base, n, mBits (24
+// bytes) — after magic(8) + config(28) + numSets(8), and its bitmap words
+// right after the entry. A byte of mBits fails the header check; a stray bit
+// in the bitmap words fails the bitmap check the read runs on the sets it
+// copies into its arena.
 func TestCorpusValidatesBitmapBehindValidCRC(t *testing.T) {
 	sets := corpusFixture(t, 75, 1, 40)
 	data := corpusBytes(t, sets)
-	wordsOff := 8 + 28 + 8 + 24
-	wordsLen := int(sets[0].BitmapBits() / 8)
-	planted := false
-	for off := wordsOff; off < wordsOff+wordsLen && !planted; off++ {
-		if data[off] == 0 {
-			data[off] = 1
-			planted = true
-		}
-	}
-	if !planted {
+	entry := 8 + 28 + 8
+	wordsOff, wordsLen := entry+24, int(sets[0].BitmapBits()/8)
+	stray := slices.Index(data[wordsOff:wordsOff+wordsLen], 0)
+	if stray < 0 {
 		t.Fatal("fixture bitmap has no zero byte to plant a stray bit in")
 	}
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32cOf(data[:len(data)-4]))
-	_, err := ReadCorpus(bytes.NewReader(data))
-	if err == nil || !strings.Contains(err.Error(), "stray or missing bits") {
-		t.Fatalf("stray bit behind a valid checksum: err = %v, want the bitmap check", err)
+	for _, tc := range []struct {
+		name string
+		off  int    // the byte forged: its low bit flips
+		want string // the rejecting check's error
+	}{
+		{"mBits", entry + 16, "invalid bitmap size"},
+		{"bitmap", wordsOff + stray, "stray or missing bits"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := slices.Clone(data)
+			forged[tc.off] ^= 1
+			binary.LittleEndian.PutUint32(forged[len(forged)-4:], crc32cOf(forged[:len(forged)-4]))
+			if _, err := ReadCorpus(bytes.NewReader(forged)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("byte %d forged behind a valid checksum: err = %v, want %q", tc.off, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -95,7 +95,8 @@ func (e *Executor) CountKCtx(ctx context.Context, sets ...*Set) (int, error) {
 // before the context fired. On cancellation it returns ctx.Err() and the tail
 // of out is unspecified.
 func (e *Executor) CountManyCtx(ctx context.Context, q *Set, candidates []*Set, out []int) error {
-	return e.countMany(ctx, q, candidates, out)
+	_, err := e.many(ctx, q, candidates, 1, manySink{out: out})
+	return err
 }
 
 // CountManyParallelCtx is CountManyParallel with cooperative cancellation:

@@ -17,12 +17,13 @@ import (
 type Visitor func(uint32)
 
 // Executor owns all query-time scratch state for the online intersection
-// phase: the staged segment-pair records of the merge arm, the k-way pairwise
-// chain buffers, and the per-worker state of the parallel paths. The FESIA
-// paper's premise is that construction is the one-time offline step and
-// queries are the cheap repeated step; an Executor makes the repeated step
-// allocation-free — after warm-up, Count, Intersect (into a caller buffer),
-// CountK, and the visitor methods perform zero heap allocations.
+// phase: the lane the sequential paths run on (staged segment-pair records,
+// k-way chain buffers, kernel scratch) and one lane per parallel worker. The
+// FESIA paper's premise is that construction is the one-time offline step
+// and queries are the cheap repeated step; an Executor makes the repeated
+// step allocation-free — after warm-up, Count, Intersect (into a caller
+// buffer), CountK, CountMany and the visitor methods perform zero heap
+// allocations.
 //
 // The zero value is ready to use (buffers grow on demand and are retained
 // across calls; parallel methods lazily attach to SharedPool). An Executor
@@ -30,58 +31,60 @@ type Visitor func(uint32)
 // from multiple goroutines at once — give each query goroutine its own, or
 // recycle them through a sync.Pool as the package-level wrappers do.
 type Executor struct {
-	scratch []uint32 // kernel output the merge arm's visit sink replays
-	chain1  []uint32 // k-way pairwise chain buffer A
-	chain2  []uint32 // k-way pairwise chain buffer B
-	ord     []*Set   // k-way bitmap-size ordering scratch
-	maps    []*bitmap.Bitmap
-	workers []execWorker
+	lane                     // the sequential paths' scratch, stats shard and planner handle
+	ord     []*Set           // k-way bitmap-size ordering scratch
+	maps    []*bitmap.Bitmap // k-way bitmaps in ord's order
+	sched   []int32          // candidate scheduling order (CountManyParallel)
+	workers []worker
 	pool    *Pool
 
-	staged     []stagedSeg // staged two-pass dispatch records (merge arm, batch)
-	sched      []int32     // candidate scheduling order (CountManyParallel)
-	probeStage []probeRec  // staged hash probe: survivor records
-	qcache     probeCache  // query hash positions, memoized per bitmap size
-	denseAnd   []uint64    // dense×dense word-AND scratch (cross-rep paths)
-	touchSink  uint32      // accumulates read-ahead touches so they are not DCE'd
-
-	// Observability (nil when stats are disabled — the default). st is this
-	// executor's single-writer shard for its sequential paths; each parallel
-	// worker slot carries its own shard. qseq numbers the merge queries for
-	// kernel-histogram sampling (kernelSampled). See stats.go for the
-	// ownership model.
-	st   *stats.Shard
-	sink *stats.Sink
-	qseq uint64
-
-	// Adaptive planner (nil when off — the default). plan is this executor's
-	// single-writer decision handle for its sequential paths; each parallel
-	// worker slot carries its own. See plan.go for the ownership model.
-	plan      *planner.Handle
-	planModel *planner.Model
+	sink      *stats.Sink    // the sink st and the workers' shards record into
+	planModel *planner.Model // the model plan and the workers' handles decide from
 
 	// Per-query tracing (nil when no tracer is installed — the default).
 	// tr is this executor's (shard × slot) staging cell in the serving
-	// tier's tracer; the sequential pair and k-way paths append strategy,
-	// planner and kernel records to it. See trace.go for the ownership model.
+	// tier's tracer; the sequential pair and k-way query paths append
+	// strategy, planner and kernel records to it. See trace.go for the
+	// ownership model.
 	tr *trace.Cell
+
+	// The pool hand-off state: the executor's completion group, and the
+	// running parallel batch, which the workers' parts read, with its part
+	// function, bound once so a parallel batch allocates nothing.
+	group     doGroup
+	batch     manyRun
+	batchPart func(w int)
 }
 
-// execWorker is one worker's private state inside an Executor's parallel
-// methods. Buffers persist across queries so a warm executor's parallel paths
-// stop allocating once every worker has seen its largest range.
-type execWorker struct {
-	count      int
-	buf        []uint32 // materialization buffer (IntersectMergeParallel)
-	chain1     []uint32 // k-way chain scratch
-	chain2     []uint32
-	staged     []stagedSeg // per-worker staged dispatch records
-	probeStage []probeRec  // per-worker staged probe buffer
-	qcache     probeCache  // per-worker query position cache
-	denseAnd   []uint64    // per-worker dense×dense AND scratch (cross-rep)
-	touch      uint32      // per-worker read-ahead sink
-	st         *stats.Shard
-	plan       *planner.Handle
+// lane is the private state of one thread of query work: the executor's own
+// for its sequential paths, and one per pool worker of a parallel path. The
+// arm bodies and the batch loop run on a lane, so every field has a single
+// writer. Buffers persist across queries, so a warm lane stops allocating
+// once it has seen its largest query.
+type lane struct {
+	staged   []stagedSeg // merge arm: pass-1 records
+	scratch  []uint32    // merge arm: kernel output the visit sink replays
+	chain1   []uint32    // k-way chain buffer A
+	chain2   []uint32    // k-way chain buffer B
+	denseAnd []uint64    // dense×dense word-AND scratch (cross pairs)
+	touch    uint32      // accumulates read-ahead touches so they are not DCE'd
+
+	// Observability and planning, nil when off (the default): the lane's
+	// single-writer stats shard and planner decision handle. kseq numbers
+	// its merge queries for kernel-histogram sampling (kernelShard). See
+	// stats.go and plan.go for the ownership model.
+	st   *stats.Shard
+	plan *planner.Handle
+	kseq uint64
+}
+
+// worker is one pool worker's state inside an Executor's parallel methods:
+// its lane plus the share's results, which the caller gathers after Do.
+type worker struct {
+	lane
+	count int      // the share's count
+	err   error    // the share's checkpoint error (CountManyParallel)
+	buf   []uint32 // materialization buffer (IntersectMergeParallel)
 }
 
 // NewExecutor returns an Executor attached to the shared worker pool. If a
@@ -103,11 +106,13 @@ func NewExecutorWithPool(p *Pool) *Executor {
 	return e
 }
 
-func (e *Executor) getPool() *Pool {
+// parallel runs fn(0), ..., fn(parts-1) on the executor's pool (Pool.Do) with
+// the executor's own completion group.
+func (e *Executor) parallel(parts int, fn func(part int)) {
 	if e.pool == nil {
 		e.pool = SharedPool()
 	}
-	return e.pool
+	e.pool.do(&e.group, parts, fn)
 }
 
 // growU32 returns a slice of length n, reusing buf's storage when it is large
@@ -121,7 +126,7 @@ func growU32(buf []uint32, n int) []uint32 {
 
 func (e *Executor) ensureWorkers(n int) {
 	for len(e.workers) < n {
-		w := execWorker{}
+		w := worker{}
 		if e.sink != nil {
 			w.st = e.sink.NewShard()
 		}
@@ -153,27 +158,33 @@ const (
 // pairPlan is one pair query's resolved strategy.
 type pairPlan struct {
 	arm       pairArm
-	fromDense bool           // armCross: walk the dense side (crossPlan)
-	ch        planner.Choice // the planner's token when it decided
+	fromDense bool // armCross: walk the dense side (crossPlan)
 }
 
 // planPair resolves a pair's arm: the cross matrix when a side is not
 // segmented (crossPlan picks its probing side), force when it pins a seg×seg
-// arm, and planSegSeg's choice otherwise, traced as a plan event.
-func (e *Executor) planPair(a, b *Set, force pairArm) pairPlan {
+// arm, and planSegSeg's choice otherwise, traced as a plan event into tr
+// when non-nil. The planner's token for the decision, if it made one, is
+// returned beside the plan.
+func (l *lane) planPair(tr *trace.Cell, a, b *Set, force pairArm) (pairPlan, planner.Choice) {
 	if crossPair(a, b) {
-		ch, fromDense := crossPlan(e.plan, e.st, a, b)
-		return pairPlan{armCross, fromDense, ch}
+		ch, fromDense := crossPlan(l.plan, l.st, a, b)
+		return pairPlan{armCross, fromDense}, ch
 	}
 	if force != armAuto {
-		return pairPlan{arm: force}
+		return pairPlan{arm: force}, planner.Choice{}
 	}
-	ch, hash := planSegSeg(e.plan, e.st, a, b)
-	tracePlanSegSeg(e.tr, e.plan, ch, a, b)
+	ch, hash := planner.Choice{}, useHash(a, b)
+	if l.plan != nil { // tested here, so planning with the planner off makes no call
+		ch, hash = planSegSeg(l.plan, l.st, a, b)
+	}
+	if tr != nil {
+		tracePlanSegSeg(tr, l.plan, ch, a, b)
+	}
 	if hash {
-		return pairPlan{arm: armHash, ch: ch}
+		return pairPlan{arm: armHash}, ch
 	}
-	return pairPlan{arm: armMerge, ch: ch}
+	return pairPlan{arm: armMerge}, ch
 }
 
 // pair is the query frame of every two-set entry point. It plans the pair
@@ -188,13 +199,13 @@ func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, e
 	if err := stop(ck); err != nil {
 		return 0, e.noteCancel(err)
 	}
-	p := e.planPair(a, b, force)
-	timed := e.st != nil || e.tr != nil || p.ch.Measure()
+	p, ch := e.planPair(e.tr, a, b, force)
+	timed := e.st != nil || e.tr != nil || ch.Measure()
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	n, err := e.runPair(ck, p, a, b, dst, emit)
+	n, err := e.runPair(ck, e.tr, p, a, b, dst, emit)
 	if err != nil {
 		return 0, e.noteCancel(err)
 	}
@@ -216,7 +227,7 @@ func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, e
 	if e.tr != nil {
 		e.tr.Span(trace.KindStrategy, uint8(p.arm), 0, start, el, uint64(a.n), uint64(b.n))
 	}
-	planFeedback{p.ch, el}.record(e.plan)
+	planFeedback{ch, el}.record(e.plan)
 	return n, nil
 }
 
@@ -228,52 +239,46 @@ func (e *Executor) run(a, b *Set, force pairArm, dst []uint32, emit Visitor) int
 }
 
 // runPair runs plan p's body into the sink, stopping at ck's checkpoints. It
-// records the body's counters and kernel trace event, not the query; the
-// frame and the k-way seed pair share it.
-func (e *Executor) runPair(ck checkpoint, p pairPlan, a, b *Set, dst []uint32, emit Visitor) (int, error) {
+// records the body's counters and, into tr when non-nil, its kernel trace
+// event, not the query; the pair frame, the batch loop and the k-way seed
+// pair share it.
+//
+// The merge arm is the two-step merge (Algorithm 1) as a staged two-pass
+// dispatch: pass 1 ANDs the bitmaps and stages the surviving segment pairs
+// (stageSegPairsRange), pass 2 runs their kernels into the sink
+// (dispatchStaged). With ck non-nil pass 1 runs in ctxWordBlock word blocks
+// with a checkpoint before each.
+func (l *lane) runPair(ck checkpoint, tr *trace.Cell, p pairPlan, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	switch p.arm {
 	case armCross:
-		return crossRun(ck, &e.denseAnd, a, b, p.fromDense, dst, emit, e.st)
+		return l.crossRun(ck, a, b, p.fromDense, dst, emit)
 	case armHash:
 		small, large := a, b
 		if small.n > large.n {
 			small, large = large, small
 		}
-		if e.tr != nil {
-			e.tr.Event(trace.KindKernel, trace.ArmHash, 0, uint64(small.n), uint64(large.n))
+		if tr != nil {
+			tr.Event(trace.KindKernel, trace.ArmHash, 0, uint64(small.n), uint64(large.n))
 		}
-		return probeRun(ck, small.reordered, large, dst, emit, e.st)
+		return l.probeRun(ck, small.reordered, large, dst, emit, l.st)
 	}
-	return e.mergeArm(ck, a, b, dst, emit)
-}
-
-// mergeArm is the two-step merge (Algorithm 1) as a staged two-pass dispatch:
-// pass 1 ANDs the bitmaps and stages the surviving segment pairs
-// (stageSegPairsRange), pass 2 runs their kernels into the sink
-// (dispatchStaged). With ck non-nil pass 1 runs in ctxWordBlock word blocks
-// with a checkpoint before each.
-func (e *Executor) mergeArm(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	x, y := ordered(a, b)
 	words := len(x.bm.Words())
 	step := stride(ck, ctxWordBlock, words)
-	e.staged = e.staged[:0]
+	l.staged = l.staged[:0]
 	for lo := 0; lo < words; lo += step {
 		if err := stop(ck); err != nil {
 			return 0, err
 		}
-		e.staged = stageSegPairsRange(x, y, e.staged, lo, min(lo+step, words))
+		l.staged = stageSegPairsRange(x, y, l.staged, lo, min(lo+step, words))
 	}
-	recs := e.staged
-	noteStaged(e.st, e.kernelShard(), recs, x.bm.NumSegments())
-	if e.tr != nil {
-		e.tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(len(recs)), uint64(x.bm.NumSegments()))
+	if l.st != nil { // tested here, so a batch without stats makes no call per candidate
+		noteStaged(l.st, l.kernelShard(), l.staged, x.bm.NumSegments())
 	}
-	if emit != nil {
-		e.scratch = growU32(e.scratch, max(min(x.maxSeg, y.maxSeg), 1))
+	if tr != nil {
+		tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(len(l.staged)), uint64(x.bm.NumSegments()))
 	}
-	n, touch, err := dispatchStaged(ck, x, y, recs, e.scratch, dst, emit)
-	e.touchSink += touch
-	return n, err
+	return l.dispatchStaged(ck, x, y, dst, emit)
 }
 
 // Count returns |a ∩ b| with the adaptively chosen strategy (FESIAmerge vs
@@ -601,7 +606,7 @@ func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []u
 			t0 = time.Now()
 		}
 		// In place: each kept element lands at or before the one just read.
-		k, err := probeRun(ctx, cur, s, cur, nil, nil)
+		k, err := e.probeRun(ctx, cur, s, cur, nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -623,13 +628,13 @@ func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []u
 // whole query has finished.
 func (e *Executor) seedPair(ctx checkpoint, a, b *Set) ([]uint32, planFeedback, error) {
 	e.chain1 = growU32(e.chain1, max(min(a.n, b.n), 1))
-	p := e.planPair(a, b, armAuto)
-	start := planStart(p.ch)
-	n, err := e.runPair(ctx, p, a, b, e.chain1, nil)
+	p, ch := e.planPair(e.tr, a, b, armAuto)
+	start := planStart(ch)
+	n, err := e.runPair(ctx, e.tr, p, a, b, e.chain1, nil)
 	if err != nil {
 		return nil, planFeedback{}, err
 	}
-	return e.chain1[:n], measured(p.ch, start), nil
+	return e.chain1[:n], measured(ch, start), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -670,10 +675,10 @@ func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 	if e.st != nil {
 		start = time.Now()
 	}
-	sampled := e.kernelSampled()
+	sampled := e.kernelShard() != nil
 	e.ensureWorkers(workers)
 	chunk := (words + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
+	e.parallel(workers, func(w int) {
 		ws := &e.workers[w]
 		lo := min(w*chunk, words)
 		hi := min(lo+chunk, words)
@@ -692,7 +697,7 @@ func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 			ws.buf = growU32(ws.buf, bound)
 			out = ws.buf
 		}
-		ws.count, ws.touch, _ = dispatchStaged(nil, x, y, ws.staged, nil, out, nil)
+		ws.count, _ = ws.dispatchStaged(nil, x, y, out, nil)
 	})
 	total := 0
 	for w := 0; w < workers; w++ {
@@ -727,10 +732,11 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 	}
 	e.ensureWorkers(workers)
 	chunk := (small.n + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
+	e.parallel(workers, func(w int) {
+		ws := &e.workers[w]
 		lo := min(w*chunk, small.n)
 		hi := min(lo+chunk, small.n)
-		e.workers[w].count = hashProbeElems(small.reordered[lo:hi], large, nil, nil, e.workers[w].st)
+		ws.count, ws.touch = probe(small.reordered[lo:hi], large, nil, nil, ws.st)
 	})
 	total := 0
 	for w := 0; w < workers; w++ {
@@ -781,7 +787,7 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	maxSeg := kwayMaxSeg(e.ord)
 	e.ensureWorkers(workers)
 	chunk := (words + workers - 1) / workers
-	e.getPool().Do(workers, func(w int) {
+	e.parallel(workers, func(w int) {
 		ws := &e.workers[w]
 		lo := w * chunk
 		hi := min(lo+chunk, words)

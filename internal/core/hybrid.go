@@ -106,14 +106,14 @@ func crossPlan(h *planner.Handle, st *stats.Shard, a, b *Set) (planner.Choice, b
 // (when non-nil) streams them, and with both nil only the count is produced.
 // The match count is returned. fromDense is crossPlan's probing side for the
 // ×dense pairs; seg×array is driven from the array unless the segmented side
-// is smaller. denseAnd is the caller's persistent dense-AND scratch (grown in
-// place). st, when non-nil, receives the dispatch-pair counter and, on
-// hash-probing paths, the probe/survivor counters. With ck non-nil the
-// driving loop runs in checkpoint blocks — ctxProbeBlock elements or
-// ctxWordBlock dense words — and stops with ck's error.
-func crossRun(ck checkpoint, denseAnd *[]uint64, a, b *Set, fromDense bool, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
-	if st != nil {
-		st.Inc(repPairCounter(a.rep, b.rep))
+// is smaller. The lane's stats shard, when non-nil, receives the
+// dispatch-pair counter and, on hash-probing paths, the probe/survivor
+// counters. With ck non-nil the driving loop runs in checkpoint blocks —
+// ctxProbeBlock elements or ctxWordBlock dense words — and stops with ck's
+// error.
+func (l *lane) crossRun(ck checkpoint, a, b *Set, fromDense bool, dst []uint32, emit Visitor) (int, error) {
+	if l.st != nil {
+		l.st.Inc(repPairCounter(a.rep, b.rep))
 	}
 	if a.rep > b.rep {
 		a, b = b, a
@@ -122,25 +122,15 @@ func crossRun(ck checkpoint, denseAnd *[]uint64, a, b *Set, fromDense bool, dst 
 	case a.n == 0 || b.n == 0:
 		return 0, nil
 	case a.rep == RepDense:
-		return denseDenseRun(ck, denseAnd, a, b, dst, emit)
+		return denseDenseRun(ck, &l.denseAnd, a, b, dst, emit)
 	case a.rep == RepArray && b.rep == RepArray:
 		return arrayArrayRun(ck, a, b, dst, emit)
 	case b.rep == RepDense && fromDense:
-		return denseProbeRun(ck, b, a, dst, emit, st)
+		return l.denseProbeRun(ck, b, a, dst, emit)
 	case b.rep == RepArray && b.n <= a.n:
-		return probeRun(ck, b.reordered, a, dst, emit, st)
+		a, b = b, a
 	}
-	return probeRun(ck, a.reordered, b, dst, emit, st)
-}
-
-// crossStep runs one cross pair of a batch: crossRun on crossPlan's side,
-// feeding the planner the run's own timing.
-func crossStep(h *planner.Handle, st *stats.Shard, denseAnd *[]uint64, q, c *Set, dst []uint32, emit Visitor) int {
-	ch, fromDense := crossPlan(h, st, q, c)
-	start := planStart(ch)
-	n, _ := crossRun(nil, denseAnd, q, c, fromDense, dst, emit, st)
-	planRecord(h, ch, start)
-	return n
+	return l.probeRun(ck, a.reordered, b, dst, emit, l.st)
 }
 
 // put hands match x to the sink — dst[n] when dst is non-nil, emit when
@@ -164,12 +154,13 @@ func tail(dst []uint32, n int) []uint32 {
 }
 
 // probeRun has each of the sorted elems probe other for membership, keeping
-// elems' order: the hash probe (hashProbeElems) into a segmented set,
-// Contains otherwise. It is the hash arm's body, the element-driven cross
-// pairs' and the probe chain's compaction; dst may alias elems' prefix, since
-// each write lands at or before the element just read. With ck non-nil it
+// elems' order: the segmented membership probe (probe) into a segmented set,
+// Contains otherwise. It is the hash arm's body, the cross pairs' driven by
+// elements or dense words, and the probe chain's compaction; dst may alias
+// elems' prefix, since each write lands at or before the element just read.
+// st, when non-nil, receives the probe/survivor counters. With ck non-nil it
 // runs in ctxProbeBlock blocks.
-func probeRun(ck checkpoint, elems []uint32, other *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
+func (l *lane) probeRun(ck checkpoint, elems []uint32, other *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
 	n := 0
 	step := stride(ck, ctxProbeBlock, len(elems))
 	for lo := 0; lo < len(elems); lo += step {
@@ -178,7 +169,9 @@ func probeRun(ck checkpoint, elems []uint32, other *Set, dst []uint32, emit Visi
 		}
 		blk := elems[lo:min(lo+step, len(elems))]
 		if other.rep == RepSegmented {
-			n += hashProbeElems(blk, other, tail(dst, n), emit, st)
+			k, touch := probe(blk, other, tail(dst, n), emit, st)
+			n += k
+			l.touch += touch
 			continue
 		}
 		for _, x := range blk {
@@ -190,12 +183,12 @@ func probeRun(ck checkpoint, elems []uint32, other *Set, dst []uint32, emit Visi
 	return n, nil
 }
 
-// denseProbeRun walks a dense set's words, probing each decoded element
-// against other (hash probes, counted in CtrHashProbes, when other is
-// segmented); results are ascending. With ck non-nil it runs in ctxWordBlock
-// word blocks.
-func denseProbeRun(ck checkpoint, den, other *Set, dst []uint32, emit Visitor, st *stats.Shard) (int, error) {
-	n, probes := 0, 0
+// denseProbeRun walks a dense set's words and probes the decoded elements,
+// probeBlock at a time, against other through probeRun; results are
+// ascending. With ck non-nil it runs in ctxWordBlock word blocks.
+func (l *lane) denseProbeRun(ck checkpoint, den, other *Set, dst []uint32, emit Visitor) (int, error) {
+	var blk [probeBlock]uint32
+	n, k := 0, 0
 	words := den.dense
 	step := stride(ck, ctxWordBlock, len(words))
 	for lo := 0; lo < len(words); lo += step {
@@ -204,18 +197,16 @@ func denseProbeRun(ck checkpoint, den, other *Set, dst []uint32, emit Visitor, s
 		}
 		for wi := lo; wi < min(lo+step, len(words)); wi++ {
 			for w := words[wi]; w != 0; w &= w - 1 {
-				x := den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
-				probes++
-				if other.Contains(x) {
-					n = put(dst, emit, n, x)
+				blk[k] = den.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
+				if k++; k == len(blk) {
+					m, _ := l.probeRun(nil, blk[:], other, tail(dst, n), emit, l.st)
+					n, k = n+m, 0
 				}
 			}
 		}
 	}
-	if st != nil && other.rep == RepSegmented {
-		st.Add(stats.CtrHashProbes, uint64(probes))
-	}
-	return n, nil
+	m, _ := l.probeRun(nil, blk[:k], other, tail(dst, n), emit, l.st)
+	return n + m, nil
 }
 
 // arrayArrayRun intersects two sorted arrays: the jump-table kernels when

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"fesia/internal/simd"
-	"fesia/internal/stats"
-)
+import "time"
 
 // SkewThreshold is the size ratio below which the adaptive strategy switches
 // from the merge-style two-step intersection (FESIAmerge) to the per-element
@@ -40,171 +35,6 @@ func pooledPair(a, b *Set, force pairArm, dst []uint32) int {
 	e := getExecutor()
 	defer putExecutor(e)
 	return e.run(a, b, force, dst, nil)
-}
-
-// gatherProbeMaxBits is the largest bitmap the gathered AVX-512 probe stage
-// can serve: survivor positions are compress-stored as uint32 lanes. Bitmaps
-// beyond 4 Gbit (64 Gi elements at the paper's scale) fall back to the
-// scalar probe loop.
-const gatherProbeMaxBits = 1 << 32
-
-// hashProbeElems is the probe loop proper, over any sorted element slice:
-// each element probes the larger set's bitmap, and only elements whose bit is
-// set are compared against the one segment list the bit selects (Section VI).
-// It is the segmented-set membership kernel of the hash arm, of the
-// element-driven cross pairs (probeRun) and of the k-way probe chain. Matches
-// are counted, appended to dst (when non-nil) and streamed through emit (when
-// non-nil). All per-probe invariants are hoisted out of the loop: the bitmap
-// word slice, the hasher, and the segment divide, which becomes a shift by
-// the precomputed log2(segBits). The segment slice assembly is cached behind
-// a last-segment check: consecutive probes frequently land in the same
-// segment — notably when the two bitmaps are the same size, so that the
-// smaller set's segment-ordered reordered array maps runs of elements onto
-// one segment of the larger set — and skewed inputs concentrate probes on the
-// dense segments. st, when non-nil, receives the probe/survivor counters (the
-// hash-side selectivity signal).
-//
-// On the AVX-512 rung the hash+bitmap-test half of the loop runs through the
-// gathered probe stage (simd.ProbeStage) sixteen elements at a time; the
-// surviving segment scans, match order and counters are identical either
-// way.
-func hashProbeElems(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
-	if simd.GatherProbeActive() && len(elems) >= 16 && large.bm.Bits() <= gatherProbeMaxBits {
-		return hashProbeElemsGather(elems, large, dst, emit, st)
-	}
-	return hashProbeElemsScalar(elems, large, dst, emit, st)
-}
-
-// hashProbeElemsGather is hashProbeElems with the probe half vectorized:
-// blocks of up to ProbeStageBlock elements are hashed, bitmap-gathered and
-// bit-tested in zmm lanes, and only the compress-stored survivors reach the
-// segment-scan loop below — which is the same last-segment-cached scan the
-// scalar path runs, reading the survivor's position instead of recomputing
-// it. The out arrays live on the stack (ProbeStage's pointers do not
-// escape), keeping the warm path allocation-free.
-func hashProbeElemsGather(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
-	n := 0
-	survivors := 0
-	lb := &large.bm
-	mBits := lb.Bits()
-	words := lb.Words()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	seed := large.build.hasher.Seed()
-	lastSeg := -1
-	var segList []uint32
-	var outE, outP [simd.ProbeStageBlock]uint32
-	done := 0
-	for done+16 <= len(elems) {
-		blk := elems[done:min(done+simd.ProbeStageBlock, len(elems))]
-		ns, consumed := simd.ProbeStage(blk, words, seed, mBits-1, outE[:], outP[:])
-		done += consumed
-		survivors += ns
-		for i := 0; i < ns; i++ {
-			x := outE[i]
-			if seg := int(outP[i]) >> segShift; seg != lastSeg {
-				lastSeg = seg
-				segList = reord[offs[seg]:offs[seg+1]]
-			}
-			if len(segList) >= containsCutover {
-				if simd.Contains(segList, x) {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-					if emit != nil {
-						emit(x)
-					}
-				}
-				continue
-			}
-			for _, v := range segList {
-				if v == x {
-					if dst != nil {
-						dst[n] = x
-					}
-					n++
-					if emit != nil {
-						emit(x)
-					}
-					break
-				}
-				if v > x {
-					break
-				}
-			}
-		}
-	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(done))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
-	// Sub-16 tail: the scalar loop finishes the remainder (and adds its own
-	// share of the counters).
-	if done < len(elems) {
-		n += hashProbeElemsScalar(elems[done:], large, tail(dst, n), emit, st)
-	}
-	return n
-}
-
-// hashProbeElemsScalar is the scalar probe loop — the reference semantics of
-// hashProbeElems and the only path below the AVX-512 rung.
-func hashProbeElemsScalar(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Shard) int {
-	n := 0
-	survivors := 0
-	lb := &large.bm
-	mBits := lb.Bits()
-	words := lb.Words()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	hasher := large.build.hasher
-	lastSeg := -1
-	var segList []uint32
-	for _, x := range elems {
-		pos := hasher.Pos(x, mBits)
-		if words[pos>>6]&(1<<(pos&63)) == 0 {
-			continue
-		}
-		survivors++
-		if seg := int(pos) >> segShift; seg != lastSeg {
-			lastSeg = seg
-			segList = reord[offs[seg]:offs[seg+1]]
-		}
-		if simd.AsmActive() && len(segList) >= containsCutover {
-			if simd.Contains(segList, x) {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-			}
-			continue
-		}
-		for _, v := range segList {
-			if v == x {
-				if dst != nil {
-					dst[n] = x
-				}
-				n++
-				if emit != nil {
-					emit(x)
-				}
-				break
-			}
-			if v > x {
-				break
-			}
-		}
-	}
-	if st != nil {
-		st.Add(stats.CtrHashProbes, uint64(len(elems)))
-		st.Add(stats.CtrHashSurvivors, uint64(survivors))
-	}
-	return n
 }
 
 // CountHash returns |a ∩ b| with the skewed-input strategy of Section VI.
@@ -358,9 +188,8 @@ type Breakdown struct {
 func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
-		start := time.Now()
-		n := crossStep(e.plan, e.st, &e.denseAnd, a, b, nil, nil)
-		return Breakdown{SegmentTime: time.Since(start), Count: n}
+		n, el := e.crossTimed(a, b)
+		return Breakdown{SegmentTime: el, Count: n}
 	}
 	x, y := ordered(a, b)
 
@@ -372,7 +201,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	start = time.Now()
 	n, touch := dispatchStagedCount(&x.build.disp, x.reordered, y.reordered, recs)
 	segTime := time.Since(start)
-	e.touchSink += touch
+	e.touch += touch
 
 	return Breakdown{
 		BitmapTime:  bitmapTime,
@@ -380,6 +209,18 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 		SegPairs:    len(recs),
 		Count:       n,
 	}
+}
+
+// crossTimed runs a cross-representation pair on the pair engine's plan and
+// body, feeding the planner, and returns its count and run time: the whole of
+// a breakdown of a pair with no bitmap phases.
+func (e *Executor) crossTimed(a, b *Set) (int, time.Duration) {
+	p, ch := e.planPair(nil, a, b, armAuto)
+	start := time.Now()
+	n, _ := e.runPair(nil, nil, p, a, b, nil, nil)
+	el := time.Since(start)
+	planFeedback{ch, el}.record(e.plan)
+	return n, el
 }
 
 // CountMergeBreakdown is the pooled-executor compatibility wrapper; hot
@@ -399,70 +240,54 @@ type HashBreakdown struct {
 	ScanTime  time.Duration // survivor segment-list scans
 	Probes    int           // elements probed (the smaller set's size)
 	Survivors int           // probes whose bitmap bit was set (true + false positive)
-	Blocks    int           // probeBlock-sized staging blocks processed
+	Blocks    int           // staged blocks of up to probeBlock elements (0 on the direct loop)
 	Count     int           // final intersection size
 }
 
-// CountHashBreakdown is CountHash with per-phase timing, running the staged
-// two-phase probe (batch engine layout) so the branch-free staging, the
-// read-ahead touch pass and the segment scans are each timed in isolation.
-// The stage buffer is the executor's persistent one, so repeated breakdown
-// sweeps are allocation-free once warm. The count is identical to CountHash.
-// Cross-representation pairs have no staged probe; their whole run is
+// CountHashBreakdown is CountHash with per-phase timing of the body the hash
+// arm runs (probe). On the staged body each block's gathered staging, touch
+// pass and segment scans are timed in isolation, and the sub-16 tail, which
+// runs the direct loop, counts as scan time. On the direct loop — below
+// probeStagedMin elements, or on rungs without the gathered stage — the whole
+// loop is reported as ScanTime with Blocks 0. The count is identical to
+// CountHash, and repeated sweeps are allocation-free.
+// Cross-representation pairs have no probe phases; their whole run is
 // reported as ScanTime with the probing-side size as Probes.
 func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
-		start := time.Now()
-		n := crossStep(e.plan, e.st, &e.denseAnd, a, b, nil, nil)
-		return HashBreakdown{
-			ScanTime: time.Since(start),
-			Probes:   min(a.n, b.n),
-			Count:    n,
-		}
+		n, el := e.crossTimed(a, b)
+		return HashBreakdown{ScanTime: el, Probes: min(a.n, b.n), Count: n}
 	}
 	small, large := a, b
 	if small.n > large.n {
 		small, large = large, small
 	}
-	e.ensureProbe()
-	stage := e.probeStage
-	lb := &large.bm
-	words := lb.Words()
-	mBits := lb.Bits()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	hasher := large.build.hasher
 	elems := small.reordered
-
 	bd := HashBreakdown{Probes: small.n}
-	var touch uint64
-	for lo := 0; lo < len(elems); lo += probeBlock {
-		blk := elems[lo:min(lo+probeBlock, len(elems))]
-		bd.Blocks++
-		t0 := time.Now()
-		ns := 0
-		for _, x := range blk {
-			p := hasher.Pos(x, mBits)
-			hit := int(words[p>>6] >> (p & 63) & 1)
-			seg := int(p) >> segShift
-			oa, oaEnd := offs[seg], offs[seg+1]
-			stage[ns] = probeRec{x, oa, oaEnd}
-			ns += hit
+	done := 0
+	if probeStages(len(elems), large) {
+		var sb stageBuf
+		for done+16 <= len(elems) {
+			t0 := time.Now()
+			ns, consumed := sb.stage(elems[done:min(done+probeBlock, len(elems))], large)
+			t1 := time.Now()
+			e.touch += sb.touch(ns, large)
+			t2 := time.Now()
+			bd.Count = sb.scan(ns, large, nil, nil, bd.Count)
+			bd.ScanTime += time.Since(t2)
+			bd.StageTime += t1.Sub(t0)
+			bd.TouchTime += t2.Sub(t1)
+			bd.Blocks++
+			bd.Survivors += ns
+			done += consumed
 		}
-		bd.Survivors += ns
-		t1 := time.Now()
-		bd.StageTime += t1.Sub(t0)
-		for i := range stage[:ns] {
-			touch += uint64(reord[stage[i].oa])
-		}
-		t2 := time.Now()
-		bd.TouchTime += t2.Sub(t1)
-		bd.Count = scanStage(stage[:ns], reord, nil, nil, bd.Count)
-		bd.ScanTime += time.Since(t2)
 	}
-	e.touchSink += uint32(touch)
+	t0 := time.Now()
+	n, survivors := probeDirect(elems[done:], large, nil, nil)
+	bd.ScanTime += time.Since(t0)
+	bd.Count += n
+	bd.Survivors += survivors
 	return bd
 }
 
@@ -498,30 +323,13 @@ func HashProbeTrace(a, b *Set) []HashProbe {
 		small, large = large, small
 	}
 	lb := &large.bm
-	mBits := lb.Bits()
-	words := lb.Words()
-	segShift := uint(simd.Tzcnt32(uint32(lb.SegBits()))) // log2(segBits)
-	offs := large.offsets
-	reord := large.reordered
-	hasher := large.build.hasher
 	trace := make([]HashProbe, 0, small.n)
 	for _, x := range small.reordered {
-		pos := hasher.Pos(x, mBits)
+		pos := large.build.hasher.Pos(x, lb.Bits())
 		p := HashProbe{Elem: x}
-		if words[pos>>6]&(1<<(pos&63)) != 0 {
-			p.Survived = true
-			seg := int(pos) >> segShift
-			list := reord[offs[seg]:offs[seg+1]]
-			p.SegLen = len(list)
-			for _, v := range list {
-				if v == x {
-					p.Match = true
-					break
-				}
-				if v > x {
-					break
-				}
-			}
+		if lb.Test(pos) {
+			list := large.segment(lb.SegmentOf(pos))
+			p.Survived, p.SegLen, p.Match = true, len(list), member(list, x)
 		}
 		trace = append(trace, p)
 	}

@@ -92,7 +92,7 @@ func notePlanDecision(st *stats.Shard, d planner.Decision, ch planner.Choice, ov
 // planner when h is non-nil (arm 0 = merge, work = the larger set; arm 1 =
 // hash, work = the smaller set), by the static SkewThreshold rule otherwise.
 // The returned Choice is the planner's bookkeeping token — when it asks for
-// measurement, time the chosen strategy and hand it back via planRecord.
+// measurement, time the chosen strategy and hand it back via measured.
 func planSegSeg(h *planner.Handle, st *stats.Shard, a, b *Set) (planner.Choice, bool) {
 	if h == nil {
 		return planner.Choice{}, useHash(a, b)
@@ -114,12 +114,6 @@ func planStart(ch planner.Choice) time.Time {
 		return time.Now()
 	}
 	return time.Time{}
-}
-
-// planRecord feeds a measured choice's observed latency back into the
-// handle; no-op for unmeasured choices.
-func planRecord(h *planner.Handle, ch planner.Choice, start time.Time) {
-	measured(ch, start).record(h)
 }
 
 // planFeedback is one measured choice whose record waits for the query that

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -123,99 +124,15 @@ func TestPlannerLearnedPairParity(t *testing.T) {
 	}
 }
 
-// TestPlannerBatchParity drives the batch and k-way engines with a learned
-// planner over a shuffled mixed-representation corpus and compares every path
-// against a planner-free executor.
+// TestPlannerBatchParity drives the k-way engine's planner-guided seed pick
+// with a learned planner over mixed representations and compares every path
+// against the reference intersection. (The batch engine's planner lattice is
+// TestManyFrame.)
 func TestPlannerBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	qElems := randSet(rng, 4000, 1<<15)
-	var candElems [][]uint32
-	var cands []*Set
-	for i := 0; i < 24; i++ {
-		var el []uint32
-		switch i % 4 {
-		case 0:
-			el = randSet(rng, 300+rng.Intn(3000), 1<<15) // merge-favored
-		case 1:
-			el = randSet(rng, 10+rng.Intn(200), 1<<15) // hash-favored skew
-		case 2:
-			el = randSet(rng, 500+rng.Intn(2000), 1<<12) // packed
-		case 3:
-			el = nil
-		}
-		candElems = append(candElems, el)
-		cands = append(cands, buildRep(t, el, allReps[i%3]))
-	}
-	rng.Shuffle(len(cands), func(i, j int) {
-		cands[i], cands[j] = cands[j], cands[i]
-		candElems[i], candElems[j] = candElems[j], candElems[i]
-	})
-
-	plain := NewExecutor()
 	m := newTestModel()
 	ex := NewExecutor()
 	ex.EnablePlanner(m)
-
-	for _, qRep := range allReps {
-		q := buildRep(t, qElems, qRep)
-		want := make([]int, len(cands))
-		plain.CountMany(q, cands, want)
-		out := make([]int, len(cands))
-		for round := 0; round < 3; round++ {
-			check := func(name string) {
-				t.Helper()
-				for i := range want {
-					if out[i] != want[i] {
-						t.Fatalf("round %d qRep %v %s[%d] = %d, want %d", round, qRep, name, i, out[i], want[i])
-					}
-				}
-			}
-			ex.CountMany(q, cands, out)
-			check("CountMany")
-			ex.CountManyParallel(q, cands, out, 4)
-			check("CountManyParallel")
-			if err := ex.CountManyCtx(context.Background(), q, cands, out); err != nil {
-				t.Fatal(err)
-			}
-			check("CountManyCtx")
-			if err := ex.CountManyParallelCtx(context.Background(), q, cands, out, 4); err != nil {
-				t.Fatal(err)
-			}
-			check("CountManyParallelCtx")
-
-			total := 0
-			for _, w := range want {
-				total += w
-			}
-			dst := make([]uint32, total+8)
-			counts := make([]int, len(cands))
-			if n := ex.IntersectManyInto(dst, counts, q, cands); n != total {
-				t.Fatalf("round %d qRep %v IntersectManyInto = %d, want %d", round, qRep, n, total)
-			}
-			off := 0
-			for i, c := range counts {
-				if c != want[i] {
-					t.Fatalf("round %d qRep %v IntersectManyInto counts[%d] = %d, want %d", round, qRep, i, c, want[i])
-				}
-				ref := refIntersect(qElems, candElems[i])
-				if !equalU32(sortedCopy(dst[off:off+c]), ref) {
-					t.Fatalf("round %d qRep %v IntersectManyInto candidate %d element mismatch", round, qRep, i)
-				}
-				off += c
-			}
-
-			visited := make([][]uint32, len(cands))
-			ex.VisitMany(q, cands, func(ci int, v uint32) { visited[ci] = append(visited[ci], v) })
-			for i := range cands {
-				ref := refIntersect(qElems, candElems[i])
-				sort.Slice(visited[i], func(a, b int) bool { return visited[i][a] < visited[i][b] })
-				if !equalU32(visited[i], ref) {
-					t.Fatalf("round %d qRep %v VisitMany candidate %d mismatch", round, qRep, i)
-				}
-			}
-			m.Refit()
-		}
-	}
 
 	// k-way with mixed representations through the planner-guided seed pick.
 	lists := [][]uint32{
@@ -456,5 +373,36 @@ func TestPlannerConcurrentExecutors(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPlanDecide prices one seg×seg strategy decision (planSegSeg) over
+// pairs whose skews straddle SkewThreshold: with no planner handle, the
+// static useHash rule, against a prior-mode handle, which makes the same
+// decisions from the cost model (TestPlannerPriorBitIdentical). Planner off
+// can become prior mode without sampling, and the static rule can go, once
+// the prior-mode decision costs about what the rule does.
+func BenchmarkPlanDecide(b *testing.B) {
+	rng := rand.New(rand.NewSource(87))
+	sets := make([]*Set, 64)
+	for i := range sets {
+		sets[i] = MustNewSet(randSet(rng, 1+int(math.Pow(1.15, float64(i))), 1<<20), DefaultConfig())
+	}
+	for _, mode := range []struct {
+		name string
+		h    *planner.Handle
+	}{
+		{"rule", nil},
+		{"prior", planner.New(planner.WithMode(planner.ModePrior)).NewHandle()},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			hashes := 0
+			for i := 0; i < b.N; i++ {
+				if _, hash := planSegSeg(mode.h, nil, sets[i&63], sets[(i*7+3)&63]); hash {
+					hashes++
+				}
+			}
+			benchSink += hashes
+		})
 	}
 }

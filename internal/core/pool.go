@@ -61,16 +61,6 @@ func (g *doGroup) capture(part int, v any) {
 	g.panMu.Unlock()
 }
 
-// rethrow re-raises the first captured panic, if any, on the caller.
-func (g *doGroup) rethrow() {
-	g.panMu.Lock()
-	tp := g.pan
-	g.panMu.Unlock()
-	if tp != nil {
-		panic(tp)
-	}
-}
-
 // TaskPanic is the value Pool.Do panics with when one of its parts panicked:
 // the original panic value plus the stack captured at the point of the panic,
 // so the fault's origin survives the hop from the worker goroutine to the Do
@@ -167,10 +157,15 @@ func (p *Pool) Close() {
 // panics with a *TaskPanic wrapping the first captured panic value and its
 // original stack. The pool itself is unaffected: no worker dies, and the pool
 // remains usable for subsequent calls.
-func (p *Pool) Do(parts int, fn func(part int)) {
+func (p *Pool) Do(parts int, fn func(part int)) { p.do(new(doGroup), parts, fn) }
+
+// do is Do on the caller's completion group g, which no other do may be
+// using. An Executor passes its own, so its parallel paths allocate no group.
+func (p *Pool) do(g *doGroup, parts int, fn func(part int)) {
 	if parts <= 0 {
 		return
 	}
+	g.pan = nil
 	// Pool events go to the global sink's shared shard: Do may run on any
 	// goroutine, so the single-writer shard discipline does not apply. Loaded
 	// once per Do, never per part.
@@ -178,16 +173,15 @@ func (p *Pool) Do(parts int, fn func(part int)) {
 	if sk != nil {
 		sk.Inc(stats.CtrPoolDo)
 	}
-	var g doGroup
 	if parts > 1 {
 		g.wg.Add(parts - 1)
 		pooled, inline := uint64(0), uint64(0)
 		for i := 1; i < parts; i++ {
 			select {
-			case p.tasks <- poolTask{fn, i, &g}:
+			case p.tasks <- poolTask{fn, i, g}:
 				pooled++
 			default:
-				poolTask{fn, i, &g}.run()
+				poolTask{fn, i, g}.run()
 				inline++
 			}
 		}
@@ -199,14 +193,17 @@ func (p *Pool) Do(parts int, fn func(part int)) {
 	// Part 0 runs on the caller, with the same containment as pooled parts so
 	// the in-flight workers are always awaited before any panic propagates.
 	g.wg.Add(1)
-	poolTask{fn, 0, &g}.run()
+	poolTask{fn, 0, g}.run()
 	g.wg.Wait()
-	// Done must be counted before rethrow, or a contained panic would leak an
-	// in-flight unit into the gauge forever.
+	// Done must be counted before the re-raise, or a contained panic would
+	// leak an in-flight unit into the gauge forever. Every part has finished,
+	// so g.pan is read without its lock.
 	if sk != nil {
 		sk.Inc(stats.CtrPoolDoDone)
 	}
-	g.rethrow()
+	if g.pan != nil {
+		panic(g.pan)
+	}
 }
 
 var (
