@@ -36,7 +36,7 @@ func main() {
 	c := fesia.MustBuild([]uint32{21, 23, 40, 50})
 	fmt.Println("A ∩ B ∩ C =", fesia.IntersectK(a, b, c))
 
-	// The structure is compact: bitmap + offsets + sizes + reordered set.
+	// The structure is compact: bitmap + rank directory + reordered set.
 	fmt.Printf("A: %d elements, %d-bit bitmap, ~%d bytes\n",
 		a.Len(), a.BitmapBits(), a.MemoryBytes())
 }

@@ -3,14 +3,19 @@
 //
 // A segmented bitmap is an m-bit vector (m a power of two) whose bits are
 // grouped into segments of s bits. Set elements are hashed to bit positions;
-// a segment is "live" when any of its bits is set. Intersecting two bitmaps
+// a segment is "live" when any of its bits is set. Intersecting bitmaps
 // word-by-word and extracting the indices of non-zero segments yields the
-// candidate segment pairs whose element lists the segment-level kernels then
+// candidate segments whose element lists the segment-level kernels then
 // intersect.
 //
-// The three steps of Section IV map onto this package as follows:
+// This package holds the bitmap and the k-way walk of Section VI
+// (ForEachIntersectingSegmentK); the two-set walk is core's pass-1 staging
+// (core.stageSegPairsRange), which fuses it with the segment bounds. The
+// three steps of Section IV map onto both as follows:
 //
-//	Step 1 (bitwise AND, "vandps")        → the word loop in ForEachIntersectingSegment
+//	Step 1 (bitwise AND, "vandps")        → the word loop of ForEachIntersectingSegmentK
+//	                                         and of core's staging, or simd.AndSegMasks
+//	                                         over 4-word blocks on the assembly backend
 //	Step 2 (segment transformation,        → simd.SegmentMask8/16/32, producing one
 //	        "pcmpeq*")                       bit per non-zero segment of a word
 //	Step 3 (index extraction,              → the tzcnt/clear-lowest-bit loop over
@@ -129,91 +134,6 @@ func segMask(w uint64, segBits int) uint32 {
 	}
 }
 
-// ForEachIntersectingSegment streams the bitwise AND of a and b and invokes
-// fn(segA, segB) for every segment pair whose AND is non-zero.
-//
-// a's bitmap must be at least as large as b's; both must share the same
-// segment size. When a is larger, segment i of a is matched with segment
-// i mod (m_b/s) of b per Section III-C (both sizes are powers of two, so b's
-// size always divides a's).
-func ForEachIntersectingSegment(a, b *Bitmap, fn func(segA, segB int)) {
-	if a.segBits != b.segBits {
-		panic("bitmap: mismatched segment sizes")
-	}
-	if a.mBits < b.mBits {
-		panic("bitmap: first bitmap must be the larger one")
-	}
-	if fastFilterOK(b, 0, len(a.words)) {
-		forEachSegFastRange(a, b, 0, len(a.words), fn)
-		return
-	}
-	spw := a.SegmentsPerWord()
-	if a.mBits == b.mBits {
-		for i, wa := range a.words {
-			w := wa & b.words[i]
-			if w == 0 {
-				continue
-			}
-			base := i * spw
-			m := segMask(w, a.segBits)
-			for m != 0 {
-				seg := base + simd.Tzcnt32(m)
-				fn(seg, seg)
-				m &= m - 1
-			}
-		}
-		return
-	}
-	wordMask := len(b.words) - 1
-	segMaskB := b.NumSegments() - 1
-	for i, wa := range a.words {
-		w := wa & b.words[i&wordMask]
-		if w == 0 {
-			continue
-		}
-		base := i * spw
-		m := segMask(w, a.segBits)
-		for m != 0 {
-			seg := base + simd.Tzcnt32(m)
-			fn(seg, seg&segMaskB)
-			m &= m - 1
-		}
-	}
-}
-
-// ForEachIntersectingSegmentRange is ForEachIntersectingSegment restricted to
-// words [wordLo, wordHi) of a's bitmap. It is the unit of multicore
-// partitioning (Section VI): disjoint word ranges touch disjoint segments.
-func ForEachIntersectingSegmentRange(a, b *Bitmap, wordLo, wordHi int, fn func(segA, segB int)) {
-	if a.segBits != b.segBits {
-		panic("bitmap: mismatched segment sizes")
-	}
-	if a.mBits < b.mBits {
-		panic("bitmap: first bitmap must be the larger one")
-	}
-	if fastFilterOK(b, wordLo, wordHi) {
-		forEachSegFastRange(a, b, wordLo, wordHi, fn)
-		return
-	}
-	spw := a.SegmentsPerWord()
-	// Word counts are powers of two, so wrapped indexing is a mask.
-	wordMask := len(b.words) - 1
-	segMaskB := b.NumSegments() - 1
-	for i := wordLo; i < wordHi; i++ {
-		w := a.words[i] & b.words[i&wordMask]
-		if w == 0 {
-			continue
-		}
-		base := i * spw
-		m := segMask(w, a.segBits)
-		for m != 0 {
-			seg := base + simd.Tzcnt32(m)
-			fn(seg, seg&segMaskB)
-			m &= m - 1
-		}
-	}
-}
-
 // ForEachIntersectingSegmentK streams the k-way AND of Section VI. maps must
 // be ordered with the largest bitmap first and all share one segment size;
 // every smaller bitmap's size divides the largest (automatic for powers of
@@ -295,13 +215,4 @@ func ForEachIntersectingSegmentKRange(maps []*Bitmap, wordLo, wordHi int, fn fun
 			m &= m - 1
 		}
 	}
-}
-
-// CountIntersectingSegments returns how many segment pairs survive the
-// bitmap-level filter — the quantity E(I) of Proposition 1 (true matches
-// plus false positives). Used by tests and the Fig. 14 breakdown.
-func CountIntersectingSegments(a, b *Bitmap) int {
-	n := 0
-	ForEachIntersectingSegment(a, b, func(_, _ int) { n++ })
-	return n
 }

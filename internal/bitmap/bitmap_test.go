@@ -54,6 +54,9 @@ func TestSetTest(t *testing.T) {
 	}
 }
 
+// The two-set walk is core's pass-1 staging; these tests hold the k-way
+// walk over two bitmaps to the same Section IV semantics.
+
 func TestForEachIntersectingSegmentSameSize(t *testing.T) {
 	// Reproduce Example 1 of the paper, scaled to a legal bitmap size.
 	// Elements of A hash (identity mod 128) to bits {1,4,15,21,32,34};
@@ -68,15 +71,10 @@ func TestForEachIntersectingSegmentSameSize(t *testing.T) {
 	for _, p := range []uint64{2, 6, 12, 16, 21, 23} {
 		b.Set(p)
 	}
-	var pairs [][2]int
-	ForEachIntersectingSegment(a, b, func(sa, sb int) {
-		pairs = append(pairs, [2]int{sa, sb})
-	})
-	if len(pairs) != 1 || pairs[0] != [2]int{2, 2} {
-		t.Errorf("pairs = %v, want [[2 2]]", pairs)
-	}
-	if CountIntersectingSegments(a, b) != 1 {
-		t.Error("CountIntersectingSegments != 1")
+	var segs []int
+	ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) { segs = append(segs, s) })
+	if len(segs) != 1 || segs[0] != 2 {
+		t.Errorf("segments = %v, want [2]", segs)
 	}
 }
 
@@ -86,44 +84,21 @@ func TestForEachIntersectingSegmentDifferentSizes(t *testing.T) {
 	b := New(64, 8)
 	a.Set(200) // segment 25 of a -> segment 25 mod 8 = 1 of b (bits 8..15)
 	b.Set(8)   // same bit offset within the wrapped word: 200 mod 64 = 8 ✓
-	var got [][2]int
-	ForEachIntersectingSegment(a, b, func(sa, sb int) { got = append(got, [2]int{sa, sb}) })
-	if len(got) != 1 || got[0] != [2]int{25, 1} {
-		t.Errorf("got %v, want [[25 1]]", got)
+	var got []int
+	ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) { got = append(got, s) })
+	if len(got) != 1 || got[0] != 25 || got[0]%b.NumSegments() != 1 {
+		t.Errorf("got %v, want [25] (segment 1 of b)", got)
 	}
 	// A bit of b that wraps to no set bit of a must produce nothing extra.
 	b.Set(63)
 	got = nil
-	ForEachIntersectingSegment(a, b, func(sa, sb int) { got = append(got, [2]int{sa, sb}) })
+	ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) { got = append(got, s) })
 	if len(got) != 1 {
 		t.Errorf("after extra b bit: got %v", got)
 	}
 }
 
-func TestForEachPanics(t *testing.T) {
-	a := New(64, 8)
-	b16 := New(64, 16)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("mismatched segment sizes should panic")
-			}
-		}()
-		ForEachIntersectingSegment(a, b16, func(_, _ int) {})
-	}()
-	small := New(64, 8)
-	big := New(128, 8)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("smaller-first should panic")
-			}
-		}()
-		ForEachIntersectingSegment(small, big, func(_, _ int) {})
-	}()
-}
-
-// Property: the streamed segment pairs are exactly the segments where both
+// Property: the streamed segments are exactly the segments where both
 // bitmaps have at least one common set bit, for all segment sizes.
 func TestForEachIntersectingSegmentProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -146,14 +121,11 @@ func TestForEachIntersectingSegmentProperty(t *testing.T) {
 				}
 			}
 			got := map[int]bool{}
-			ForEachIntersectingSegment(a, b, func(sa, sb int) {
-				if sa != sb {
-					t.Fatalf("same-size bitmaps produced different segments %d, %d", sa, sb)
+			ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) {
+				if got[s] {
+					t.Fatalf("segment %d reported twice", s)
 				}
-				if got[sa] {
-					t.Fatalf("segment %d reported twice", sa)
-				}
-				got[sa] = true
+				got[s] = true
 			})
 			if len(got) != len(want) {
 				t.Fatalf("segBits %d: got %d segments, want %d", segBits, len(got), len(want))
@@ -167,46 +139,18 @@ func TestForEachIntersectingSegmentProperty(t *testing.T) {
 	}
 }
 
-// Property: the range variant over a full partition visits exactly the same
-// pairs as the unpartitioned stream, in any split.
-func TestRangePartitionProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		a := New(512, 8)
-		b := New(512, 8)
-		for i := 0; i < 200; i++ {
-			a.Set(uint64(rng.Intn(512)))
-			b.Set(uint64(rng.Intn(512)))
-		}
-		var whole [][2]int
-		ForEachIntersectingSegment(a, b, func(sa, sb int) { whole = append(whole, [2]int{sa, sb}) })
-		cut := rng.Intn(len(a.Words()) + 1)
-		var parts [][2]int
-		ForEachIntersectingSegmentRange(a, b, 0, cut, func(sa, sb int) { parts = append(parts, [2]int{sa, sb}) })
-		ForEachIntersectingSegmentRange(a, b, cut, len(a.Words()), func(sa, sb int) { parts = append(parts, [2]int{sa, sb}) })
-		if len(whole) != len(parts) {
-			t.Fatalf("partition at %d: %d pairs vs %d", cut, len(parts), len(whole))
-		}
-		for i := range whole {
-			if whole[i] != parts[i] {
-				t.Fatalf("partition at %d: pair %d = %v, want %v", cut, i, parts[i], whole[i])
-			}
-		}
-	}
-}
-
 func TestRangeDifferentSizes(t *testing.T) {
 	a := New(256, 16)
 	b := New(128, 16)
 	a.Set(130)
 	b.Set(2)
-	var got [][2]int
-	ForEachIntersectingSegmentRange(a, b, 0, len(a.Words()), func(sa, sb int) {
-		got = append(got, [2]int{sa, sb})
+	var got []int
+	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) {
+		got = append(got, s)
 	})
 	// bit 130 of a is segment 8 (s=16); 130 mod 128 = 2 -> b segment 0.
-	if len(got) != 1 || got[0] != [2]int{8, 0} {
-		t.Errorf("got %v, want [[8 0]]", got)
+	if len(got) != 1 || got[0] != 8 || got[0]%b.NumSegments() != 0 {
+		t.Errorf("got %v, want [8] (segment 0 of b)", got)
 	}
 }
 

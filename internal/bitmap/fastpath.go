@@ -2,74 +2,23 @@ package bitmap
 
 import "fesia/internal/simd"
 
-// Chunked mask-stream fast path for the bitmap-level filter. When the
-// assembly backend is active, the word loop of ForEachIntersectingSegment*
-// is replaced by simd.AndSegMasks over 4-word blocks: the fused
-// VPAND + VPCMPEQ + VPMOVMSKB kernel emits one compact live-segment mask per
-// block into a stack buffer, and index extraction then runs over the mask
-// stream — one branch per block instead of one per word, and the filter
-// itself branch-free. Partial blocks at the range edges are handled by
-// computing the full block's mask and trimming the out-of-range segment bits
-// (reads beyond [lo,hi) stay inside the bitmap because word counts on this
-// path are multiples of BlockWords; concurrent range workers only ever read
-// the shared words).
+// Chunked mask-stream fast path for the k-way bitmap filter. When the
+// assembly backend is active, the word loop of ForEachIntersectingSegmentK*
+// is replaced by a chunk-wise k-way AND followed by simd.AndSegMasks over
+// 4-word blocks: the fused VPAND + VPCMPEQ + VPMOVMSKB kernel emits one
+// compact live-segment mask per block into a stack buffer, and index
+// extraction then runs over the mask stream — one branch per block instead
+// of one per word, and the filter itself branch-free. Partial blocks at the
+// range edges are handled by computing the full block's mask and trimming
+// the out-of-range segment bits (reads beyond [lo,hi) stay inside the
+// bitmap because word counts on this path are multiples of BlockWords;
+// concurrent range workers only ever read the shared words).
 
 // fastChunkBlocks is the mask buffer size: 256 blocks = 1024 words = 8 KiB of
 // bitmap per side per chunk, L1-resident alongside the segment data.
 const fastChunkBlocks = 256
 
 const fastChunkWords = fastChunkBlocks * simd.BlockWords
-
-// fastFilterOK reports whether the chunked fast path applies to a range of
-// the pairwise filter: backend active, the smaller bitmap at least one block
-// (so wrap boundaries fall on block boundaries), and the range long enough to
-// amortize the chunk setup.
-func fastFilterOK(b *Bitmap, lo, hi int) bool {
-	return simd.AsmActive() && len(b.words) >= simd.BlockWords && hi-lo >= 2*simd.BlockWords
-}
-
-// forEachSegFastRange is the fast-path body of ForEachIntersectingSegmentRange
-// (equal sizes are the wordMask == full-range special case). Preconditions of
-// fastFilterOK hold.
-func forEachSegFastRange(a, b *Bitmap, lo, hi int, fn func(segA, segB int)) {
-	spw := a.SegmentsPerWord()
-	segBits := a.segBits
-	segMaskB := b.NumSegments() - 1
-	loDown := lo &^ (simd.BlockWords - 1)
-	hiUp := (hi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
-	var masks [fastChunkBlocks]uint32
-	for cb := loDown; cb < hiUp; {
-		nb := (hiUp - cb) / simd.BlockWords
-		if nb > fastChunkBlocks {
-			nb = fastChunkBlocks
-		}
-		live := simd.AndSegMasksWrap(masks[:nb], a.words, b.words, cb, segBits)
-		if live != 0 {
-			// Trim segments outside [lo, hi): bits only ever get cleared, so
-			// a live==0 chunk needs no trim and was skipped correctly.
-			if cb < lo {
-				masks[0] &^= 1<<uint((lo-cb)*spw) - 1
-			}
-			if end := cb + nb*simd.BlockWords; end > hi {
-				last := end - simd.BlockWords
-				masks[nb-1] &= 1<<uint((hi-last)*spw) - 1
-			}
-			for bi := 0; bi < nb; bi++ {
-				m := masks[bi]
-				if m == 0 {
-					continue
-				}
-				base := (cb + bi*simd.BlockWords) * spw
-				for m != 0 {
-					seg := base + simd.Tzcnt32(m)
-					fn(seg, seg&segMaskB)
-					m &= m - 1
-				}
-			}
-		}
-		cb += nb * simd.BlockWords
-	}
-}
 
 // forEachSegKFastRange is the fast-path body of the k-way filter: the k-way
 // AND is materialized chunk-wise into a stack buffer (contiguous sub-runs per

@@ -8,16 +8,6 @@ import (
 	"fesia/internal/simd"
 )
 
-// collectPairs gathers (segA, segB) pairs from the pairwise filter under the
-// current dispatch state.
-func collectPairs(a, b *Bitmap, lo, hi int) [][2]int {
-	var out [][2]int
-	ForEachIntersectingSegmentRange(a, b, lo, hi, func(sa, sb int) {
-		out = append(out, [2]int{sa, sb})
-	})
-	return out
-}
-
 func randBitmap(rng *rand.Rand, mBits uint64, segBits int, density float64) *Bitmap {
 	bm := New(mBits, segBits)
 	n := int(float64(mBits) * density)
@@ -27,67 +17,9 @@ func randBitmap(rng *rand.Rand, mBits uint64, segBits int, density float64) *Bit
 	return bm
 }
 
-// TestFastFilterParity compares the chunked mask-stream fast path against the
-// scalar word loop over random bitmaps: equal and different sizes, every
-// segment width, sparse through dense, and arbitrary word sub-ranges.
-func TestFastFilterParity(t *testing.T) {
-	if !simd.HasAsm() {
-		t.Skip("assembly backend not available")
-	}
-	rng := rand.New(rand.NewSource(21))
-	for _, segBits := range SupportedSegBits {
-		for _, sizes := range [][2]uint64{{4096, 4096}, {8192, 512}, {65536, 256}, {512, 512}} {
-			for _, density := range []float64{0.001, 0.05, 0.4} {
-				a := randBitmap(rng, sizes[0], segBits, density)
-				b := randBitmap(rng, sizes[1], segBits, density)
-				nw := len(a.Words())
-				ranges := clampRanges([][2]int{{0, nw}, {1, nw - 1}, {3, nw / 2}, {nw / 3, nw/3 + 17}}, nw)
-				for _, r := range ranges {
-					prev := simd.SetAsmEnabled(true)
-					got := collectPairs(a, b, r[0], r[1])
-					simd.SetAsmEnabled(false)
-					want := collectPairs(a, b, r[0], r[1])
-					simd.SetAsmEnabled(prev)
-					if !pairsEqual(got, want) {
-						t.Fatalf("segBits=%d sizes=%v density=%v range=%v: fast=%d pairs, scalar=%d pairs",
-							segBits, sizes, density, r, len(got), len(want))
-					}
-				}
-			}
-		}
-	}
-}
-
-// clampRanges clips test ranges into [0, nw] and drops empty ones.
-func clampRanges(ranges [][2]int, nw int) [][2]int {
-	var out [][2]int
-	for _, r := range ranges {
-		if r[0] < 0 {
-			r[0] = 0
-		}
-		if r[1] > nw {
-			r[1] = nw
-		}
-		if r[0] < r[1] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func pairsEqual(a, b [][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestFastFilterKParity does the same for the k-way filter.
+// TestFastFilterKParity compares the chunked mask-stream fast path of the
+// k-way filter against its scalar word loop over random bitmaps: every
+// segment width, two to five maps of halving sizes, and word sub-ranges.
 func TestFastFilterKParity(t *testing.T) {
 	if !simd.HasAsm() {
 		t.Skip("assembly backend not available")
@@ -128,25 +60,4 @@ func max64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-func BenchmarkForEachIntersectingSegment(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	x := randBitmap(rng, 1<<16, 16, 0.1)
-	y := randBitmap(rng, 1<<14, 16, 0.1)
-	for _, backend := range []string{"go", "asm"} {
-		if backend == "asm" && !simd.HasAsm() {
-			continue
-		}
-		b.Run(backend, func(b *testing.B) {
-			prev := simd.SetAsmEnabled(backend == "asm")
-			defer simd.SetAsmEnabled(prev)
-			b.ReportAllocs()
-			n := 0
-			for i := 0; i < b.N; i++ {
-				ForEachIntersectingSegment(x, y, func(_, _ int) { n++ })
-			}
-			_ = n
-		})
-	}
 }

@@ -48,9 +48,10 @@ const stageReadAhead = 8
 
 // stageSegPairs runs dispatch pass 1 over the whole bitmap: the fused
 // word-AND / segment-extraction loop (Section IV steps 1-3), staging one
-// record per surviving segment pair. x must be the larger-bitmap set. Records
-// are appended to recs (reset by the caller); the possibly-grown slice is
-// returned.
+// record per surviving segment pair with each side's bounds taken from the
+// bitmap word just ANDed and its rank directory (span). x must be the
+// larger-bitmap set. Records are appended to recs (reset by the caller); the
+// possibly-grown slice is returned.
 func stageSegPairs(x, y *Set, recs []stagedSeg) []stagedSeg {
 	return stageSegPairsRange(x, y, recs, 0, len(x.bm.Words()))
 }
@@ -59,17 +60,21 @@ func stageSegPairs(x, y *Set, recs []stagedSeg) []stagedSeg {
 // x's bitmap — a parallel worker's share, or one checkpoint block of a
 // cancellable query (ctx.go).
 func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
+	if !x.hasDirectory() || !y.hasDirectory() {
+		return stageSegPairsWide(x, y, recs, wordLo, wordHi)
+	}
 	d := &x.build.disp
 	xw, yw := x.bm.Words(), y.bm.Words()
+	xd, yd := x.dir, y.dir
 	wordMask := len(yw) - 1
 	spw := x.bm.SegmentsPerWord()
 	segBits := x.bm.SegBits()
-	segMaskY := y.bm.NumSegments() - 1
-	xo, yo := x.offsets, y.offsets
 
 	segClear := uint64(1)<<uint(segBits) - 1
 	segShift := uint(simd.Tzcnt32(uint32(segBits))) // log2(segBits)
+	wordShift := 6 - segShift                       // log2(spw)
 	alignMask := segBits - 1
+	sb := uint(segBits)
 
 	i := wordLo
 	if simd.AsmActive() && len(yw) >= simd.BlockWords && wordHi-wordLo >= 2*simd.BlockWords {
@@ -104,16 +109,11 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 					for m != 0 {
 						seg := base + simd.Tzcnt32(m)
 						m &= m - 1
-						segY := seg & segMaskY
-						oa, oaEnd := xo[seg], xo[seg+1]
-						ob, obEnd := yo[segY], yo[segY+1]
-						la := int(oaEnd - oa)
-						lb := int(obEnd - ob)
-						ctrl := stagedGeneric
-						if la <= d.Cap && lb <= d.Cap {
-							ctrl = int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
-						}
-						recs = appendStaged(recs, oa, oaEnd, ob, obEnd, ctrl)
+						wx, k := uint(seg>>wordShift), uint(seg<<segShift)&63
+						wy := wx & uint(wordMask)
+						oa, oaEnd := span(xd, wx, k, k+sb, xw[wx])
+						ob, obEnd := span(yd, wy, k, k+sb, yw[wy])
+						recs = appendStaged(recs, oa, oaEnd, ob, obEnd, stagedCtrl(d, oa, oaEnd, ob, obEnd))
 					}
 				}
 			}
@@ -122,29 +122,52 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 		i = wordHi
 	}
 	for ; i < wordHi; i++ {
-		w := xw[i] & yw[i&wordMask]
+		xwi, ywi := xw[i], yw[i&wordMask]
+		w := xwi & ywi
 		if w == 0 {
 			continue
 		}
-		base := i * spw
+		ui, uy := uint(i), uint(i&wordMask)
 		for w != 0 {
-			bit := simd.Tzcnt64(w)
-			segOff := bit &^ alignMask
-			w &^= segClear << uint(segOff)
-			seg := base + segOff>>segShift
-			segY := seg & segMaskY
-			oa, oaEnd := xo[seg], xo[seg+1]
-			ob, obEnd := yo[segY], yo[segY+1]
-			la := int(oaEnd - oa)
-			lb := int(obEnd - ob)
-			ctrl := stagedGeneric
-			if la <= d.Cap && lb <= d.Cap {
-				ctrl = int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
-			}
-			recs = appendStaged(recs, oa, oaEnd, ob, obEnd, ctrl)
+			k := uint(simd.Tzcnt64(w) &^ alignMask) // the segment's first bit
+			w &^= segClear << k
+			oa, oaEnd := span(xd, ui, k, k+sb, xwi)
+			ob, obEnd := span(yd, uy, k, k+sb, ywi)
+			recs = appendStaged(recs, oa, oaEnd, ob, obEnd, stagedCtrl(d, oa, oaEnd, ob, obEnd))
 		}
 	}
 	return recs
+}
+
+// stageSegPairsWide is stageSegPairsRange for a pair in which a set keeps
+// its offsets rather than a rank directory: the plain word loop, reading
+// each side's bounds through bounds.
+func stageSegPairsWide(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
+	xw, yw := x.bm.Words(), y.bm.Words()
+	segBits := x.bm.SegBits()
+	segMaskY := y.bm.NumSegments() - 1
+	for i := wordLo; i < wordHi; i++ {
+		w := xw[i] & yw[i&(len(yw)-1)]
+		for w != 0 {
+			k := simd.Tzcnt64(w) &^ (segBits - 1)
+			w &^= (1<<segBits - 1) << k
+			seg := (64*i + k) / segBits
+			oa, oaEnd := x.bounds(seg)
+			ob, obEnd := y.bounds(seg & segMaskY)
+			recs = appendStaged(recs, oa, oaEnd, ob, obEnd, stagedCtrl(&x.build.disp, oa, oaEnd, ob, obEnd))
+		}
+	}
+	return recs
+}
+
+// stagedCtrl is a staged pair's jump-table control code: the rounded sizes
+// of its two sides, or stagedGeneric when either exceeds the table.
+func stagedCtrl(d *kernels.Dispatcher, oa, oaEnd, ob, obEnd uint32) int32 {
+	la, lb := int(oaEnd-oa), int(obEnd-ob)
+	if la > d.Cap || lb > d.Cap {
+		return stagedGeneric
+	}
+	return int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
 }
 
 // appendStaged appends one record, storing its fields in place: appending a
@@ -360,14 +383,14 @@ func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s many
 	return total, nil
 }
 
-// touchHeaders loads every segmented candidate's first bitmap word and last
-// offset back to back, so the candidates' header and arena misses overlap
-// instead of queuing one per candidate in the loop that follows. The loads'
-// sum is returned so they are not dead code.
+// touchHeaders loads every segmented candidate's first bitmap word and first
+// rank directory entry back to back, so the candidates' header and arena
+// misses overlap instead of queuing one per candidate in the loop that
+// follows. The loads' sum is returned so they are not dead code.
 func touchHeaders(cands []*Set) (touch uint32) {
 	for _, c := range cands {
 		if c.rep == RepSegmented {
-			touch += uint32(c.bm.Words()[0]) + c.offsets[len(c.offsets)-1]
+			touch += uint32(c.bm.Words()[0]) + c.dir[0]
 		}
 	}
 	return touch

@@ -57,6 +57,117 @@ func TestSetHeaderSize(t *testing.T) {
 	}
 }
 
+// TestSegmentDirectory checks every segment's bounds against a prefix sum
+// of the elements' hash segments, over segment sizes, bitmap scales and list
+// lengths, and each set's merge and hash arms against the reference
+// intersection with the next set. Both bound layouts are reached: at Scale
+// 1 hash collisions overflow some word's surplus nibble, so some set keeps
+// its offsets, while at the default scale every set has a rank directory.
+func TestSegmentDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sizes := []int{0, 1, 8, 17, 300, 5000}
+	for _, segBits := range []int{8, 16, 32} {
+		for _, scale := range []float64{0, 4, 2, 1} {
+			lists := make([][]uint32, len(sizes))
+			for i, n := range sizes {
+				lists[i] = randSet(rng, n, 1<<24)
+			}
+			sets, err := BuildSets(lists, Config{SegBits: segBits, Scale: scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := 0 // sets that keep their offsets
+			for i, s := range sets {
+				if !s.hasDirectory() {
+					kept++
+				}
+				nseg := s.NumSegments()
+				start := make([]uint32, nseg+1)
+				for _, x := range s.Elements() {
+					start[s.bm.SegmentOf(s.build.hasher.Pos(x, s.bm.Bits()))+1]++
+				}
+				for seg := range nseg {
+					start[seg+1] += start[seg]
+				}
+				for seg := range nseg {
+					if lo, hi := s.bounds(seg); lo != start[seg] || hi != start[seg+1] {
+						t.Fatalf("segBits %d scale %v set %d (n=%d, directory %v): segment %d bounds [%d, %d), want [%d, %d)",
+							segBits, scale, i, s.Len(), s.hasDirectory(), seg, lo, hi, start[seg], start[seg+1])
+					}
+				}
+			}
+			for i, a := range sets {
+				b := sets[(i+1)%len(sets)]
+				want := len(refIntersect(a.Elements(), b.Elements()))
+				if m, h := CountMerge(a, b), CountHash(a, b); m != want || h != want {
+					t.Fatalf("segBits %d scale %v sets %d, %d (directory %v, %v): merge %d, hash %d, want %d",
+						segBits, scale, i, (i+1)%len(sets), a.hasDirectory(), b.hasDirectory(), m, h, want)
+				}
+			}
+			if scale == 1 && kept == 0 {
+				t.Errorf("segBits %d scale 1: no set kept its offsets", segBits)
+			}
+			if scale == 0 && kept > 0 {
+				t.Errorf("segBits %d default scale: %d sets kept their offsets", segBits, kept)
+			}
+		}
+	}
+}
+
+// TestMemoryBytesCoversArena: the regions of a BuildSets corpus tile its
+// arena in input order, and the sets' MemoryBytes sum to the arena's bytes
+// less each region's alignment padding (4 bytes after an odd count of
+// uint32s), so every payload byte is counted once.
+func TestMemoryBytesCoversArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	lists := make([][]uint32, 40)
+	for i := range lists {
+		n := 1 + rng.Intn(2000)
+		if i%3 == 0 {
+			lists[i] = randSet(rng, n, uint32(4*n)) // dense under RepAuto
+		} else {
+			lists[i] = randSet(rng, n, 1<<24)
+		}
+	}
+	for _, rep := range []Rep{RepSegmented, RepAuto} {
+		cfg := DefaultConfig()
+		cfg.Rep = rep
+		sets, err := BuildSets(lists, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := regionStart(sets[0])
+		arena, padding, mem := uintptr(0), 0, 0
+		for i, s := range sets {
+			if s.rep == RepSegmented && !s.hasDirectory() {
+				t.Fatalf("%v set %d has no rank directory at the default scale", rep, i)
+			}
+			if got := regionStart(s); got != first+arena {
+				t.Fatalf("%v set %d region starts at arena byte %d, want %d", rep, i, got-first, arena)
+			}
+			arena += 8 * uintptr(arenaWords(s.rep, uint64(s.n), s.BitmapBits()))
+			if s.rep != RepDense && s.n%2 == 1 {
+				padding += 4
+			}
+			mem += s.MemoryBytes()
+		}
+		if mem != int(arena)-padding {
+			t.Errorf("%v: MemoryBytes sum %d, arena %d bytes less %d of padding", rep, mem, arena, padding)
+		}
+	}
+}
+
+// regionStart is the address of the first arena word of a non-empty set.
+func regionStart(s *Set) uintptr {
+	switch s.rep {
+	case RepArray:
+		return uintptr(unsafe.Pointer(unsafe.SliceData(s.reordered)))
+	case RepDense:
+		return uintptr(unsafe.Pointer(unsafe.SliceData(s.dense)))
+	}
+	return uintptr(unsafe.Pointer(unsafe.SliceData(s.bm.Words())))
+}
+
 func TestConfigNormalize(t *testing.T) {
 	cfg, err := Config{}.normalize()
 	if err != nil {
@@ -709,9 +820,8 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	maps := []*bitmap.Bitmap{&sets[0].bm, &sets[1].bm, &sets[2].bm}
 	survivors := 0
 	bitmap.ForEachIntersectingSegmentK(maps, func(int) { survivors++ })
-	// 2-way survivors for comparison.
-	two := 0
-	bitmap.ForEachIntersectingSegment(&sets[0].bm, &sets[1].bm, func(_, _ int) { two++ })
+	// 2-way survivors for comparison: the segment pairs pass 1 stages.
+	two := len(stageSegPairs(sets[0], sets[1], nil)) // equal sizes, so either order
 	if survivors >= two/4 {
 		t.Errorf("3-way survivors %d not far below 2-way %d (Proposition 2)", survivors, two)
 	}

@@ -16,8 +16,9 @@ import (
 // Corpus snapshots: one stream persisting an entire BuildSets/BuildBatch
 // corpus, so the offline builder ships a single artifact to query servers and
 // the loader reconstructs the sets into ONE contiguous arena — the same
-// memory layout BuildSets produces (per set: bitmap or dense words, then any
-// word-aligned uint32 region), preserving the batch engine's locality.
+// memory layout BuildSets produces (per set: bitmap words and their rank
+// directory, or dense words, then any word-aligned uint32 region),
+// preserving the batch engine's locality.
 //
 // The v3 stream ("FESIAC3") is representation-aware, a fixed-layout
 // little-endian format treated as untrusted:
@@ -33,7 +34,9 @@ import (
 //	  RepDense:     dense words (mBits/64 × uint64) over [base, base+mBits)
 //	whole-file CRC32C (uint32, covering magic through the last payload byte)
 //
-// Segment lengths come from the offsets, exactly as for ReadSet. Any
+// Segment lengths come from the offsets, exactly as for ReadSet: the writer
+// expands each set's rank directory into them, and the reader validates them
+// and derives the directory. Any
 // truncation or bit flip fails the trailing checksum or a
 // structural check; a corrupt stream can never produce a loadable corpus.
 // v3 is the only corpus format written or read: the earlier segmented-only
@@ -90,11 +93,13 @@ func writeCorpus(w io.Writer, sets []*Set) (int64, error) {
 			}
 		}
 	}
+	var off []uint32 // the directory expanded into offsets, reused across sets
 	for _, s := range sets {
 		var sections []interface{}
 		switch s.rep {
 		case RepSegmented:
-			sections = []interface{}{s.bm.Words(), s.offsets, s.reordered}
+			off = s.offsets(off)
+			sections = []interface{}{s.bm.Words(), off, s.reordered}
 		case RepArray:
 			sections = []interface{}{s.reordered}
 		case RepDense:
@@ -138,8 +143,7 @@ func corpusConfig(sets []*Set) (Config, error) {
 	return cfg, nil
 }
 
-// payloadBytes returns how many stream bytes the set's payload occupies:
-// its arena region (arenaWords) without the padding that word-aligns it.
+// payloadBytes returns how many stream bytes the set's payload occupies.
 func (m setMeta) payloadBytes(cfg Config) uint64 {
 	switch m.rep {
 	case RepArray:
@@ -194,15 +198,18 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 	// contributes arena words, and the meta records themselves bound the
 	// loop via the stream length).
 	metas := make([]setMeta, 0, min(numSets, 1<<16))
-	var totalU64, payloadBytes uint64
+	var totalU64, payloadBytes, maxOffsets uint64
 	hb := new([24]byte)
 	for i := uint64(0); i < numSets; i++ {
 		m, err := readSetMeta(cr, hb)
 		if err != nil {
 			return nil, fmt.Errorf("core: set %d: %w", i, err)
 		}
-		totalU64 += arenaWords(m.rep, uint64(m.n), m.mBits, cfg.SegBits)
+		totalU64 += arenaWords(m.rep, uint64(m.n), m.mBits)
 		payloadBytes += m.payloadBytes(cfg)
+		if m.rep == RepSegmented {
+			maxOffsets = max(maxOffsets, m.mBits/uint64(cfg.SegBits)+1)
+		}
 		if totalU64 > maxReasonable {
 			return nil, fmt.Errorf("core: corpus arena implausibly large (%d words)", totalU64)
 		}
@@ -226,18 +233,17 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 	}
 
 	// Checksum verified, and the arena is no larger than the payload just
-	// received. Each set's payload is its arena region less the alignment
-	// padding, so loading a set is a copy; validation then walks it in
-	// place.
+	// received. Each set's payload is decoded into its arena region: the
+	// words and elements are copies, and a segmented set's offsets land in
+	// one scratch, are validated there, and become its rank directory.
 	arena := make([]uint64, totalU64)
-	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(arena))), 8*len(arena))
+	off := make([]uint32, maxOffsets) // no larger than the largest offsets section received
 	payload := chunkCursor{chunks: chunks}
 	b := newBuildState(cfg)
 	slab := make([]Set, len(metas))
 	sets := make([]*Set, len(metas))
 	at := 0
 	for i, m := range metas {
-		payload.copyTo(raw[8*at : 8*at+int(m.payloadBytes(cfg))])
 		s := &slab[i]
 		var err error
 		switch m.rep {
@@ -246,7 +252,7 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 			if m.n > 0 {
 				elems = unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), m.n)
 				at += (m.n + 1) / 2
-				fromLittleEndian32(elems)
+				payload.read32(elems)
 			}
 			*s = newArrayShell(b, elems)
 			err = validateArrayShell(s)
@@ -254,18 +260,19 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 			nwords := int(m.mBits) / 64
 			words := arena[at : at+nwords : at+nwords]
 			at += nwords
-			fromLittleEndian64(words)
+			payload.read64(words)
 			*s = newDenseShell(b, words, m.base, m.n)
 			err = validateDenseShell(s)
 		default:
 			var words []uint64
-			var offsets, reordered []uint32
-			words, offsets, reordered, at = segmentedRegion(arena, at, m.mBits, cfg.SegBits, m.n)
-			fromLittleEndian64(words)
-			fromLittleEndian32(offsets)
-			fromLittleEndian32(reordered)
-			*s = newShell(b, words, offsets, reordered)
-			err = validateShell(s)
+			var dir, reordered []uint32
+			words, dir, reordered, at = segmentedRegion(arena, at, m.mBits, m.n)
+			o := off[:m.mBits/uint64(cfg.SegBits)+1]
+			payload.read64(words)
+			payload.read32(o)
+			payload.read32(reordered)
+			*s = newShell(b, words, dir, reordered)
+			err = validateShell(s, o)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: set %d: %w", i, err)
@@ -291,14 +298,9 @@ func (c *chunkCursor) copyTo(dst []byte) {
 	}
 }
 
-// bigEndianHost reports whether the host stores integers big-endian. The
-// stream is little-endian, so on any other host a payload section is its
-// arena region byte for byte.
-func bigEndianHost() bool { return binary.NativeEndian.Uint16([]byte{1, 0}) != 1 }
-
-// fromLittleEndian64 turns words copied raw from the stream into host order:
-// a no-op on little-endian hosts.
-func fromLittleEndian64(ws []uint64) {
+// read64 fills ws with the next little-endian uint64s of the payload.
+func (c *chunkCursor) read64(ws []uint64) {
+	c.copyTo(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 8*len(ws)))
 	if bigEndianHost() {
 		for i, w := range ws {
 			ws[i] = bits.ReverseBytes64(w)
@@ -306,14 +308,20 @@ func fromLittleEndian64(ws []uint64) {
 	}
 }
 
-// fromLittleEndian32 is fromLittleEndian64 for uint32s.
-func fromLittleEndian32(vs []uint32) {
+// read32 fills vs with the next little-endian uint32s of the payload.
+func (c *chunkCursor) read32(vs []uint32) {
+	c.copyTo(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 4*len(vs)))
 	if bigEndianHost() {
 		for i, v := range vs {
 			vs[i] = bits.ReverseBytes32(v)
 		}
 	}
 }
+
+// bigEndianHost reports whether the host stores integers big-endian. The
+// stream is little-endian, so on any other host a payload section's bytes
+// are its values' bytes.
+func bigEndianHost() bool { return binary.NativeEndian.Uint16([]byte{1, 0}) != 1 }
 
 // crc32cOf is a convenience for tests: the CRC32C of data.
 func crc32cOf(data []byte) uint32 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -44,8 +45,39 @@ func corpusBytes(t *testing.T, sets []*Set) []byte {
 	return buf.Bytes()
 }
 
+// TestCorpusRoundTrip round-trips a corpus at the default scale, where every
+// segmented set has a rank directory, and at Scale 1, where some keep their
+// offsets instead: BuildSets, NewSet, ReadSet and ReadCorpus must agree on
+// every segment of every set in both layouts.
 func TestCorpusRoundTrip(t *testing.T) {
-	sets := corpusFixture(t, 71, 9, 120) // includes empty sets (rng.Intn can be 0)
+	scale1 := DefaultConfig()
+	scale1.Scale = 1
+	for _, cfg := range []Config{DefaultConfig(), scale1} {
+		t.Run(fmt.Sprintf("scale=%v", cfg.Scale), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(71))
+			lists := make([][]uint32, 9)
+			for i := range lists {
+				lists[i] = randSet(rng, rng.Intn(121), 1<<14) // includes empty sets
+			}
+			sets, err := BuildSets(lists, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testCorpusRoundTrip(t, sets, cfg)
+			kept := 0
+			for _, s := range sets {
+				if !s.hasDirectory() {
+					kept++
+				}
+			}
+			if cfg.Scale == 1 && kept == 0 {
+				t.Error("no set of the Scale-1 corpus kept its offsets")
+			}
+		})
+	}
+}
+
+func testCorpusRoundTrip(t *testing.T, sets []*Set, cfg Config) {
 	data := corpusBytes(t, sets)
 	got, err := ReadCorpus(bytes.NewReader(data))
 	if err != nil {
@@ -68,16 +100,27 @@ func TestCorpusRoundTrip(t *testing.T) {
 			t.Fatalf("set %d: round trip changed serialized form", i)
 		}
 	}
-	// BuildSets, NewSet and ReadCorpus all take segment lengths from the
-	// offsets, and must agree on the layout they describe.
+	// BuildSets, NewSet, ReadSet and ReadCorpus must agree on the layout the
+	// offsets describe, whichever form each set keeps its bounds in.
 	for i, built := range sets {
-		fresh := MustNewSet(built.Elements(), DefaultConfig())
-		for name, s := range map[string]*Set{"NewSet": fresh, "ReadCorpus": got[i]} {
+		var snap bytes.Buffer
+		if _, err := built.WriteTo(&snap); err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadSet(&snap)
+		if err != nil {
+			t.Fatalf("set %d: ReadSet: %v", i, err)
+		}
+		fresh := MustNewSet(built.Elements(), cfg)
+		for name, s := range map[string]*Set{"NewSet": fresh, "ReadSet": read, "ReadCorpus": got[i]} {
 			if !reflect.DeepEqual(s.Stats(), built.Stats()) {
 				t.Errorf("set %d: %s Stats %+v, BuildSets %+v", i, name, s.Stats(), built.Stats())
 			}
 			if s.MemoryBytes() != built.MemoryBytes() {
 				t.Errorf("set %d: %s MemoryBytes %d, BuildSets %d", i, name, s.MemoryBytes(), built.MemoryBytes())
+			}
+			if s.hasDirectory() != built.hasDirectory() {
+				t.Errorf("set %d: %s directory %v, BuildSets %v", i, name, s.hasDirectory(), built.hasDirectory())
 			}
 			for seg := range built.NumSegments() {
 				if !slices.Equal(s.Segment(seg), built.Segment(seg)) {

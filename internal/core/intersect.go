@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"fesia/internal/simd"
+)
 
 // SkewThreshold is the size ratio below which the adaptive strategy switches
 // from the merge-style two-step intersection (FESIAmerge) to the per-element
@@ -329,7 +333,8 @@ func HashProbeTrace(a, b *Set) []HashProbe {
 		p := HashProbe{Elem: x}
 		if lb.Test(pos) {
 			list := large.segment(lb.SegmentOf(pos))
-			p.Survived, p.SegLen, p.Match = true, len(list), member(list, x)
+			hit, ok := member(list, x)
+			p.Survived, p.SegLen, p.Match = true, len(list), hit || !ok && simd.Contains(list, x)
 		}
 		trace = append(trace, p)
 	}

@@ -76,9 +76,10 @@ func probe(elems []uint32, large *Set, dst []uint32, emit Visitor, st *stats.Sha
 }
 
 // probeStages reports whether probe runs the staged body for n elements
-// probing large: the AVX-512 rung is live and n is at least probeStagedMin.
+// probing large: the AVX-512 rung is live, n is at least probeStagedMin and
+// large has a rank directory.
 func probeStages(n int, large *Set) bool {
-	return n >= probeStagedMin && gathers(large)
+	return n >= probeStagedMin && gathers(large) && large.hasDirectory()
 }
 
 // gathers reports whether the gathered stage can probe large: the AVX-512
@@ -98,12 +99,15 @@ func gathers(large *Set) bool {
 // live on the stack (ProbeStage's pointers do not escape), so the warm path
 // allocates nothing.
 func probeDirect(elems []uint32, large *Set, dst []uint32, emit Visitor) (n, survivors int) {
+	if !large.hasDirectory() {
+		return probeWide(elems, large, dst, emit)
+	}
 	lb := &large.bm
 	mBits := lb.Bits()
 	words := lb.Words()
 	shift := segShift(large)
-	offs := large.offsets
-	reord := large.reordered
+	segBits := uint(lb.SegBits())
+	dir, reord := large.dir, large.reordered
 	lastSeg := -1
 	var segList []uint32
 	done := 0
@@ -116,11 +120,14 @@ func probeDirect(elems []uint32, large *Set, dst []uint32, emit Visitor) (n, sur
 			done += consumed
 			survivors += ns
 			for i, x := range outE[:ns] {
-				if seg := int(outP[i] >> shift); seg != lastSeg {
+				p := uint(outP[i])
+				if seg := int(p >> shift); seg != lastSeg {
 					lastSeg = seg
-					segList = reord[offs[seg]:offs[seg+1]]
+					k := p & 63 &^ (segBits - 1)
+					lo, hi := span(dir, p>>6, k, k+segBits, words[p>>6])
+					segList = reord[lo:hi]
 				}
-				if member(segList, x) {
+				if hit, ok := member(segList, x); hit || !ok && simd.Contains(segList, x) {
 					n = put(dst, emit, n, x)
 				}
 			}
@@ -129,15 +136,37 @@ func probeDirect(elems []uint32, large *Set, dst []uint32, emit Visitor) (n, sur
 	hasher := large.build.hasher
 	for _, x := range elems[done:] {
 		pos := hasher.Pos(x, mBits)
-		if words[pos>>6]&(1<<(pos&63)) == 0 {
+		w := words[pos>>6]
+		if w&(1<<(pos&63)) == 0 {
 			continue
 		}
 		survivors++
 		if seg := int(pos >> shift); seg != lastSeg {
 			lastSeg = seg
-			segList = reord[offs[seg]:offs[seg+1]]
+			k := uint(pos&63) &^ (segBits - 1)
+			lo, hi := span(dir, uint(pos>>6), k, k+segBits, w)
+			segList = reord[lo:hi]
 		}
-		if member(segList, x) {
+		if hit, ok := member(segList, x); hit || !ok && simd.Contains(segList, x) {
+			n = put(dst, emit, n, x)
+		}
+	}
+	return n, survivors
+}
+
+// probeWide is the direct loop for a large set that keeps its offsets
+// rather than a rank directory: hash, test and scan one element at a time,
+// reading each survivor's segment through bounds.
+func probeWide(elems []uint32, large *Set, dst []uint32, emit Visitor) (n, survivors int) {
+	lb := &large.bm
+	for _, x := range elems {
+		pos := large.build.hasher.Pos(x, lb.Bits())
+		if !lb.Test(pos) {
+			continue
+		}
+		survivors++
+		list := large.segment(lb.SegmentOf(pos))
+		if hit, ok := member(list, x); hit || !ok && simd.Contains(list, x) {
 			n = put(dst, emit, n, x)
 		}
 	}
@@ -175,14 +204,15 @@ func (sb *stageBuf) stage(blk []uint32, large *Set) (ns, consumed int) {
 	return simd.ProbeStage(blk, lb.Words(), large.build.hasher.Seed(), lb.Bits()-1, sb.outE[:], sb.outP[:])
 }
 
-// touch loads the first ns survivors' segment offsets and first segment
-// elements back to back, so the scan finds their lines already in flight; a
-// survivor's segment is never empty, since its bit was set. The loads' sum
-// is returned so they are not dead code.
+// touch loads the first ns survivors' rank directory entries and the first
+// element stored in each one's bitmap word back to back, so the scan finds
+// their lines already in flight: a survivor's segment starts a few elements
+// on, usually in the same line. A survivor's word is never empty, since its
+// bit was set. The loads' sum is returned so they are not dead code.
 func (sb *stageBuf) touch(ns int, large *Set) (touch uint32) {
-	shift := segShift(large)
+	dir, reord := large.dir, large.reordered
 	for _, p := range sb.outP[:ns] {
-		touch += large.reordered[large.offsets[p>>shift]]
+		touch += reord[dir[p>>6<<1]]
 	}
 	return touch
 }
@@ -191,11 +221,14 @@ func (sb *stageBuf) touch(ns int, large *Set) (touch uint32) {
 // sink. n is the running match count (and dst write cursor); the updated
 // count is returned.
 func (sb *stageBuf) scan(ns int, large *Set, dst []uint32, emit Visitor, n int) int {
-	shift := segShift(large)
-	offs, reord := large.offsets, large.reordered
+	words, segBits := large.bm.Words(), uint(large.bm.SegBits())
+	dir, reord := large.dir, large.reordered
 	for i, x := range sb.outE[:ns] {
-		seg := sb.outP[i] >> shift
-		if member(reord[offs[seg]:offs[seg+1]], x) {
+		p := uint(sb.outP[i])
+		k := p & 63 &^ (segBits - 1)
+		lo, hi := span(dir, p>>6, k, k+segBits, words[p>>6])
+		list := reord[lo:hi]
+		if hit, ok := member(list, x); hit || !ok && simd.Contains(list, x) {
 			n = put(dst, emit, n, x)
 		}
 	}
@@ -206,18 +239,20 @@ func (sb *stageBuf) scan(ns int, large *Set, dst []uint32, emit Visitor, n int) 
 // it is the position's segment.
 func segShift(s *Set) uint { return uint(simd.Tzcnt32(uint32(s.bm.SegBits()))) }
 
-// member reports whether x is in the sorted segment list: simd.Contains —
-// the assembly compare-all-lanes probe when the backend is active — for
-// lists of containsCutover elements or more, the scalar early-exit scan
-// otherwise.
-func member(list []uint32, x uint32) bool {
+// member reports whether x is in the sorted segment list by the scalar
+// early-exit scan, with ok true, for lists shorter than containsCutover.
+// For longer lists it returns ok false, and the caller calls simd.Contains,
+// the assembly compare-all-lanes probe when the backend is active. With
+// that call in the caller, member stays within the inlining budget, so the
+// scan most survivors take costs no call in the probe loops.
+func member(list []uint32, x uint32) (found, ok bool) {
 	if len(list) >= containsCutover {
-		return simd.Contains(list, x)
+		return false, false
 	}
 	for _, v := range list {
 		if v >= x {
-			return v == x
+			return v == x, true
 		}
 	}
-	return false
+	return false, true
 }

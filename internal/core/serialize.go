@@ -37,9 +37,12 @@ import (
 //	  RepDense:     dense words (mBits/64 × uint64) covering value range
 //	                [base, base+mBits)
 //
-// Segment lengths come from the offsets; maxSeg is recomputed on load. v3 is
-// the only format written or read: the earlier FESIA1 and FESIA2 streams
-// (segmented-only) fail as a bad magic.
+// Segment lengths come from the offsets; maxSeg is recomputed on load. The
+// stream keeps the offsets, not the in-memory rank directory: the writer
+// expands the directory into them and the reader derives it from them once
+// they validate, so the in-memory layout may change without the stream
+// changing. v3 is the only format written or read: the earlier FESIA1 and
+// FESIA2 streams (segmented-only) fail as a bad magic.
 
 var setMagicV3 = [8]byte{'F', 'E', 'S', 'I', 'A', '3', 0, 0}
 
@@ -167,7 +170,7 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 	var sections []interface{}
 	switch s.rep {
 	case RepSegmented:
-		sections = []interface{}{s.bm.Words(), s.offsets, s.reordered}
+		sections = []interface{}{s.bm.Words(), s.offsets(nil), s.reordered}
 	case RepArray:
 		sections = []interface{}{s.reordered}
 	case RepDense:
@@ -380,29 +383,30 @@ func readSet(r io.Reader) (*Set, error) {
 	if err := cr.checkCRC("elements"); err != nil {
 		return nil, err
 	}
-	s := newShell(b, words, offsets, reordered)
-	if err := validateShell(&s); err != nil {
+	s := newShell(b, words, make([]uint32, 2*len(words)), reordered)
+	if err := validateShell(&s, offsets); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
 // validateShell checks every structural invariant of a deserialized
-// segmented shell, filling in maxSeg as it walks: the offsets are monotone
-// and bounded, every element hashes into the segment that stores it, each
-// segment is strictly ascending, and the bitmap is exactly the set of the
-// elements' hash bits. That last check runs one bitmap word at a time: the
-// hash bits of the elements stored in the word's segments are ORed into an
-// accumulator, which must equal the stored word. A stored bit with no
-// element behind it (a stray bit) and an element whose bit is clear (a
-// missing bit) both make the two differ. The walk is O(n + m/64), visits no
-// empty segment and needs no scratch. It is shared by ReadSet and
-// ReadCorpus.
-func validateShell(s *Set) error {
+// segmented shell against off, the nseg+1 segment starts it was read with,
+// filling in maxSeg as it walks: the offsets are monotone and bounded, every
+// element hashes into the segment that stores it, each segment is strictly
+// ascending, and the bitmap is exactly the set of the elements' hash bits.
+// That last check runs one bitmap word at a time: the hash bits of the
+// elements stored in the word's segments are ORed into an accumulator,
+// which must equal the stored word. A stored bit with no element behind it
+// (a stray bit) and an element whose bit is clear (a missing bit) both make
+// the two differ. The walk is O(n + m/64), visits no empty segment and
+// needs no scratch. Once every check holds, the set's segment bounds are
+// indexed from off. It is shared by ReadSet and ReadCorpus.
+func validateShell(s *Set, off []uint32) error {
 	n := s.n
 	nseg := s.bm.NumSegments()
 	mBits := s.bm.Bits()
-	off, elems := s.offsets, s.reordered
+	elems := s.reordered
 
 	// Validate the whole offset array before any element is read by it.
 	if off[0] != 0 || off[nseg] != uint32(n) {
@@ -436,6 +440,7 @@ func validateShell(s *Set) error {
 				w, stored, acc)
 		}
 	}
+	s.index(off)
 	return nil
 }
 

@@ -6,8 +6,12 @@
 // III-B): elements are hashed into an m-bit bitmap (m a power of two,
 // m ≈ n·√w by default), bits are grouped into s-bit segments, and the
 // elements are stored segment-by-segment (sorted within each segment) in a
-// reordered array with nseg+1 per-segment offsets — the paper's Fig. 1, whose
-// Size array is the difference of consecutive offsets.
+// reordered array. The paper's Fig. 1 keeps per-segment Size and Offset
+// arrays beside it; here a segment's bounds come from a rank directory of
+// 8 bytes per bitmap word (span): the elements stored before the word,
+// plus the word's set bits below the segment, plus the few hash collisions
+// below it, which each word records in 4-bit prefixes. A set whose
+// collisions overflow a prefix keeps the nseg+1 u32 offsets instead.
 //
 // Intersections then run in two steps (Section III-C): a bitmap-level AND
 // prunes segments with no common bits, and specialized kernels (package
@@ -23,6 +27,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -77,10 +82,10 @@ func (r Rep) String() string {
 // Representation-selection heuristic thresholds (RepAuto).
 const (
 	// ArrayMaxLen: sets at or below this size take the array representation.
-	// A segmented bitmap at the default m = n·√w scale costs ~14-21 bytes per
-	// element (2-4 in bitmap words, 8-16 in offsets, 4 in elements); a sorted
-	// array costs 4. Below this size the bitmap filter has nothing to
-	// amortize against.
+	// A segmented bitmap at the default m = n·√w scale costs ~8-12 bytes per
+	// element (2-4 in bitmap words, 2-4 in its rank directory, 4 in
+	// elements); a sorted array costs 4. Below this size the bitmap filter
+	// has nothing to amortize against.
 	ArrayMaxLen = 256
 	// DenseMaxBitsPerElem: sets whose value span is at most this many bits
 	// per element take the dense-bitmap representation. At 16 bits per
@@ -217,9 +222,9 @@ func (c Config) table() *kernels.Table {
 // build, and the fields a pair step reads come first.
 type Set struct {
 	// Segmented-bitmap state (RepSegmented). reordered doubles as the
-	// sorted element array of RepArray sets (with bm/offsets empty).
+	// sorted element array of RepArray sets (with bm/dir empty).
 	bm        bitmap.Bitmap
-	offsets   []uint32 // nseg+1 prefix sums: segment i is reordered[offsets[i]:offsets[i+1]]
+	dir       []uint32 // segment bounds: the rank directory (span), or an overflowing set's offsets
 	reordered []uint32 // the paper's ReorderedSet; ascending elements for RepArray
 	n         int
 	build     *buildState
@@ -269,9 +274,11 @@ func NewSetBatch(lists [][]uint32, cfg Config) ([]*Set, error) {
 
 // BuildSets constructs a whole corpus of Sets into ONE contiguous backing
 // allocation: for each set, its 64-bit word region (segmented-bitmap words
-// or dense-bitmap words), then its uint32 region (offsets+reordered for
-// segmented sets, the sorted element array for array sets) padded to word
-// alignment, laid out back to back in input order. The set headers share one
+// then their rank directory, or dense-bitmap words), then its uint32 region
+// (the reordered elements of segmented sets, the sorted element array of
+// array sets) padded to word alignment, laid out back to back in input
+// order. A segmented set whose hash collisions overflow the directory keeps
+// its offsets in an allocation of its own (Set.bounds). The set headers share one
 // slab beside it. A workload that intersects one query against many small
 // candidate sets — per-vertex neighbor lists in triangle counting,
 // per-keyword posting lists in an inverted index — then walks two
@@ -295,6 +302,7 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 	sortedLists := make([][]uint32, len(lists))
 	reps := make([]Rep, len(lists))
 	totalU64 := uint64(0) // arena size in 64-bit words
+	maxSegs := 0          // the most segments of any segmented set
 	for i, l := range lists {
 		sorted := sortDedup(buf[:len(l):len(l)], l)
 		buf = buf[len(l):]
@@ -304,13 +312,18 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 		switch reps[i] {
 		case RepSegmented:
 			mBits = bitmapBits(len(sorted), cfg.Scale)
+			maxSegs = max(maxSegs, int(mBits)/cfg.SegBits)
 		case RepDense:
 			_, nwords := denseLayout(sorted)
 			mBits = uint64(nwords) * 64
 		}
-		totalU64 += arenaWords(reps[i], uint64(len(sorted)), mBits, cfg.SegBits)
+		totalU64 += arenaWords(reps[i], uint64(len(sorted)), mBits)
 	}
 	arena := make([]uint64, totalU64)
+	var cur []uint32 // fill's cursor scratch
+	if maxSegs > 0 {
+		cur = make([]uint32, maxSegs+1)
+	}
 	b := newBuildState(cfg)
 	slab := make([]Set, len(lists))
 	sets := make([]*Set, len(lists))
@@ -335,11 +348,11 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 			statsInc(stats.CtrBuildDense)
 		default:
 			var words []uint64
-			var offsets, reordered []uint32
-			words, offsets, reordered, at = segmentedRegion(arena, at,
-				bitmapBits(len(sorted), cfg.Scale), cfg.SegBits, len(sorted))
-			slab[i] = newShell(b, words, offsets, reordered)
-			slab[i].fill(sorted)
+			var dir, reordered []uint32
+			words, dir, reordered, at = segmentedRegion(arena, at,
+				bitmapBits(len(sorted), cfg.Scale), len(sorted))
+			slab[i] = newShell(b, words, dir, reordered)
+			slab[i].fill(sorted, cur)
 			statsInc(stats.CtrBuildSegmented)
 		}
 		sets[i] = &slab[i]
@@ -348,31 +361,29 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 }
 
 // arenaWords returns one set's arena footprint in 64-bit words: mBits/64
-// bitmap or dense words, then the uint32 region (nseg+1 offsets and n
-// elements for segmented sets, n elements for array sets) rounded up to a
-// whole word. mBits is 0 for array sets.
-func arenaWords(rep Rep, n, mBits uint64, segBits int) uint64 {
+// bitmap or dense words, then a segmented set's rank directory (one word per
+// bitmap word), then the uint32 elements (n for segmented and array sets)
+// rounded up to a whole word. mBits is 0 for array sets.
+func arenaWords(rep Rep, n, mBits uint64) uint64 {
 	switch rep {
 	case RepArray:
 		return (n + 1) / 2
 	case RepDense:
 		return mBits / 64
 	}
-	u32 := mBits/uint64(segBits) + 1 + n // offsets + reordered
-	return mBits/64 + (u32+1)/2
+	return 2*(mBits/64) + (n+1)/2 // words + directory + reordered
 }
 
 // segmentedRegion carves one segmented set's region out of the arena at
-// word at — mBits/64 bitmap words, then nseg+1 offsets and n reordered
-// elements as uint32s — and returns the word index just past it.
-func segmentedRegion(arena []uint64, at int, mBits uint64, segBits, n int) (words []uint64, offsets, reordered []uint32, end int) {
+// word at — mBits/64 bitmap words, their rank directory as two uint32s per
+// word, then n reordered elements as uint32s — and returns the word index
+// just past it.
+func segmentedRegion(arena []uint64, at int, mBits uint64, n int) (words []uint64, dir, reordered []uint32, end int) {
 	nwords := int(mBits / 64)
-	nseg := int(mBits) / segBits
 	words = arena[at : at+nwords : at+nwords]
 	at += nwords
-	u32Len := nseg + 1 + n
-	u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), u32Len)
-	return words, u32[: nseg+1 : nseg+1], u32[nseg+1:], at + (u32Len+1)/2
+	u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), 2*nwords+n)
+	return words, u32[: 2*nwords : 2*nwords], u32[2*nwords:], at + nwords + (n+1)/2
 }
 
 // sortDedup copies elems into dst, which must be as long, sorts and
@@ -393,15 +404,16 @@ func bitmapBits(n int, scale float64) uint64 {
 }
 
 // newShell assembles a segmented Set header around preallocated (possibly
-// arena-backed) bitmap words and offsets/reordered storage. Callers must
-// fill() it before use.
-func newShell(b *buildState, words []uint64, offsets, reordered []uint32) Set {
+// arena-backed) bitmap words, rank directory (two uint32s per word) and
+// reordered storage. Callers must fill() it, or validate it against the
+// offsets it was read with (validateShell), before use.
+func newShell(b *buildState, words []uint64, dir, reordered []uint32) Set {
 	return Set{
 		build:     b,
 		rep:       RepSegmented,
 		bm:        bitmap.NewFromWords(words, uint64(len(words))*64, b.cfg.SegBits),
 		n:         len(reordered),
-		offsets:   offsets,
+		dir:       dir,
 		reordered: reordered,
 	}
 }
@@ -438,34 +450,118 @@ func fillDense(words []uint64, base uint32, sorted []uint32) {
 	}
 }
 
-// fill populates the bitmap and the Fig. 1 arrays from a sorted
-// duplicate-free element list, in place and without scratch: offsets first
-// counts each segment, then holds each segment's end, and placing the
-// elements in descending order while decrementing their segment's end leaves
-// every offset at its segment's start and every segment ascending, as the
-// paper requires.
-func (s *Set) fill(sorted []uint32) {
+// fill populates the bitmap, the reordered elements and the segment bounds
+// from a sorted duplicate-free element list. cur is the build's cursor
+// scratch, at least nseg+1 long: it first counts each segment, then holds
+// each segment's end, and placing the elements in descending order while
+// decrementing their segment's end leaves every cursor at its segment's
+// start and every segment ascending, as the paper requires. The bounds are
+// then indexed from the starts.
+func (s *Set) fill(sorted []uint32, cur []uint32) {
 	mBits := s.bm.Bits()
 	nseg := s.bm.NumSegments()
 	h := s.build.hasher
+	cur = cur[:nseg+1]
+	clear(cur)
 	for _, x := range sorted {
 		pos := h.Pos(x, mBits)
 		s.bm.Set(pos)
-		s.offsets[s.bm.SegmentOf(pos)]++
+		cur[s.bm.SegmentOf(pos)]++
 	}
 	sum := uint32(0)
-	for i, c := range s.offsets[:nseg] {
+	for i, c := range cur[:nseg] {
 		s.maxSeg = max(s.maxSeg, int(c))
 		sum += c
-		s.offsets[i] = sum
+		cur[i] = sum
 	}
-	s.offsets[nseg] = sum
+	cur[nseg] = sum
 	for i := len(sorted) - 1; i >= 0; i-- {
 		x := sorted[i]
 		seg := s.bm.SegmentOf(h.Pos(x, mBits))
-		s.offsets[seg]--
-		s.reordered[s.offsets[seg]] = x
+		cur[seg]--
+		s.reordered[cur[seg]] = x
 	}
+	s.index(cur)
+}
+
+// maxSurplus is the largest surplus a rank directory nibble holds.
+const maxSurplus = 15
+
+// index sets the segment bounds from off, the nseg+1 segment starts of a
+// consistent shell (every set bit has an element behind it, so a word's
+// surplus only grows from bit to bit): it derives the rank directory into
+// s.dir (see span), or, when some word stores more than maxSurplus elements
+// beyond its set bits, gives the set a copy of off as its offsets.
+func (s *Set) index(off []uint32) {
+	segBits := s.bm.SegBits()
+	spw := s.bm.SegmentsPerWord()
+	for w, word := range s.bm.Words() {
+		base := off[w*spw]
+		extra := off[(w+1)*spw] - base - uint32(bits.OnesCount64(word))
+		if extra > maxSurplus {
+			s.dir = slices.Clone(off)
+			return
+		}
+		sur := extra << 28 // nibble 7: the surplus below bit 64
+		for j := 1; extra > 0 && j < spw; j++ {
+			k := j * segBits // the bit just past segment j-1 of the word
+			sur |= (off[w*spw+j] - base - uint32(bits.OnesCount64(word<<(64-k)))) << (k/2 - 4)
+		}
+		s.dir[2*w], s.dir[2*w+1] = base, sur
+	}
+}
+
+// hasDirectory reports whether the segment bounds come from the rank
+// directory, two uint32s per bitmap word, rather than from an overflowing
+// set's nseg+1 offsets (an even count against an odd one). The hot loops
+// test it once per call and read a directory through span; a set that keeps
+// its offsets takes their plain loops, which read bounds.
+func (s *Set) hasDirectory() bool { return len(s.dir)&1 == 0 }
+
+// span returns the range [lo, hi) of a set's reordered elements that holds
+// the segment of bitmap word i from bit k to bit end, read from the set's
+// rank directory dir; w must be word i. It is the bounds reader of the hot
+// loops, which load dir once and call span inlined.
+//
+// Word i's directory entry is dir[2i], the elements stored before the word,
+// and dir[2i+1], whose nibble t holds the word's surplus below bit 8(t+1):
+// the elements hashed below that bit beyond the word's set bits below it,
+// at most maxSurplus. The elements stored before bit j of the word are then
+// dir[2i], plus the set bits below j, plus the surplus below j (none below
+// bit 0). Only the nibbles at segment boundaries are read. A segment starts
+// at k <= 56 and ends at end <= 64, so no shift below reaches the width of
+// its operand; the masks say so to the compiler.
+func span(dir []uint32, i, k, end uint, w uint64) (lo, hi uint32) {
+	sur, base := dir[2*i+1], dir[2*i]
+	return base + uint32(bits.OnesCount64(w&(1<<(k&63)-1))) + sur<<4>>(k/2&31)&maxSurplus,
+		base + uint32(bits.OnesCount64(w<<((64-end)&63))) + sur>>((end/2-4)&31)&maxSurplus
+}
+
+// bounds returns segment seg's range [lo, hi) of s.reordered, from either
+// layout.
+func (s *Set) bounds(seg int) (lo, hi uint32) {
+	if !s.hasDirectory() {
+		return s.dir[seg], s.dir[seg+1]
+	}
+	sb := uint(s.bm.SegBits())
+	bit := uint(seg) * sb
+	return span(s.dir, bit>>6, bit&63, bit&63+sb, s.bm.Words()[bit>>6])
+}
+
+// offsets writes the set's nseg+1 segment starts, the snapshot stream's
+// offsets section, into buf (grown as needed) and returns them: a copy of
+// the offsets an overflowing set keeps, or its directory expanded.
+func (s *Set) offsets(buf []uint32) []uint32 {
+	if !s.hasDirectory() {
+		return append(buf[:0], s.dir...)
+	}
+	nseg := s.bm.NumSegments()
+	buf = growU32(buf, nseg+1)
+	for i := range nseg {
+		buf[i], _ = s.bounds(i)
+	}
+	buf[nseg] = uint32(s.n)
+	return buf
 }
 
 // MustNewSet is NewSet for known-good configurations; it panics on error.
@@ -512,7 +608,8 @@ func (s *Set) MaxSegmentLen() int { return s.maxSeg }
 
 // segment returns the sorted element list of segment i.
 func (s *Set) segment(i int) []uint32 {
-	return s.reordered[s.offsets[i]:s.offsets[i+1]]
+	lo, hi := s.bounds(i)
+	return s.reordered[lo:hi]
 }
 
 // Segment returns a copy-free view of segment i's sorted elements (segmented
@@ -579,8 +676,10 @@ func (s *Set) Elements() []uint32 {
 	return out
 }
 
-// MemoryBytes reports the approximate heap footprint of the structure, for
-// the dataset tables.
+// MemoryBytes reports the payload bytes the set owns, for the dataset
+// tables: bitmap words, plus the rank directory or an overflowing set's
+// offsets, plus elements (dense words alone for dense sets). The header is
+// not counted.
 func (s *Set) MemoryBytes() int {
 	switch s.rep {
 	case RepArray:
@@ -588,7 +687,7 @@ func (s *Set) MemoryBytes() int {
 	case RepDense:
 		return len(s.dense) * 8
 	}
-	return len(s.bm.Words())*8 + len(s.offsets)*4 + len(s.reordered)*4
+	return len(s.bm.Words())*8 + len(s.dir)*4 + len(s.reordered)*4
 }
 
 // Stats summarizes the physical layout of a Set. The segment-level fields

@@ -12,28 +12,29 @@ import (
 )
 
 // validateShellSorted is the segmented-shell validator ReadSet and
-// ReadCorpus ran before the word-by-word bitmap check, kept verbatim as the
-// reference oracle for FuzzValidateShell. Per segment it sorts the
-// elements' hash positions and compares the distinct count with the
-// segment's popcount; pos is hash-position scratch, returned grown.
-func validateShellSorted(s *Set, pos []uint64) ([]uint64, error) {
+// ReadCorpus ran before the word-by-word bitmap check, kept as the reference
+// oracle for FuzzValidateShell; it reads the shell's bitmap and elements and
+// the offsets off it was read with. Per segment it sorts the elements' hash
+// positions and compares the distinct count with the segment's popcount;
+// pos is hash-position scratch, returned grown.
+func validateShellSorted(s *Set, off []uint32, pos []uint64) ([]uint64, error) {
 	n := s.n
 	nseg := s.bm.NumSegments()
 	mBits := s.bm.Bits()
 
 	// Validate the whole offset array before any slicing, then walk the
 	// segments it delimits.
-	if s.offsets[0] != 0 || s.offsets[nseg] != uint32(n) {
+	if off[0] != 0 || off[nseg] != uint32(n) {
 		return pos, fmt.Errorf("core: offset bounds corrupt (first=%d last=%d n=%d)",
-			s.offsets[0], s.offsets[nseg], n)
+			off[0], off[nseg], n)
 	}
 	for i := 0; i < nseg; i++ {
-		if s.offsets[i] > s.offsets[i+1] || s.offsets[i+1] > uint32(n) {
+		if off[i] > off[i+1] || off[i+1] > uint32(n) {
 			return pos, fmt.Errorf("core: offsets corrupt at segment %d", i)
 		}
 	}
 	for i := 0; i < nseg; i++ {
-		lst := s.segment(i)
+		lst := s.reordered[off[i]:off[i+1]]
 		s.maxSeg = max(s.maxSeg, len(lst))
 		pos = pos[:0]
 		for j, v := range lst {
@@ -82,16 +83,24 @@ func segmentPopcount(bm *bitmap.Bitmap, seg int) int {
 
 // FuzzValidateShell is the differential test of the segmented-set
 // validator. It builds a set from fuzz-chosen elements at a fuzz-chosen
-// segment size, edits one byte or uint32 of the written stream's bitmap,
-// offsets or elements section, and recomputes the section checksums, so the
-// edit reaches the validator instead of dying at a CRC. ReadSet must accept
-// exactly when the sort-based oracle accepts the same edited shell, and an
-// accepted set must intersect with itself to its own length.
+// segment size, at the default bitmap scale or (segSel/3 odd) at Scale 1,
+// where hash collisions often overflow the rank directory, so ReadSet also
+// reaches the offsets fallback. It edits one byte or uint32 of the written
+// stream's bitmap, offsets or elements section, and recomputes the section
+// checksums, so the edit reaches the validator instead of dying at a CRC.
+// ReadSet must accept exactly when the sort-based oracle accepts the same
+// edited shell, and an accepted set must intersect with itself to its own
+// length.
 func FuzzValidateShell(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 3, 0, 200, 1, 7, 9}, uint8(0), uint8(0), uint8(0), uint32(3), uint32(1))
 	f.Add([]byte{1, 0, 2, 0, 3, 0, 200, 1, 7, 9}, uint8(1), uint8(1), uint8(1), uint32(1), uint32(2))
 	f.Add([]byte{9, 9, 8, 8, 7, 7, 6, 6, 5, 5, 4, 4}, uint8(2), uint8(2), uint8(2), uint32(0), uint32(0))
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint32(0), uint32(0xff))
+	dense := make([]byte, 2*60) // 60 elements in a 64-bit Scale-1 bitmap
+	for i := range 60 {
+		dense[2*i] = byte(7 * i)
+	}
+	f.Add(dense, uint8(3), uint8(1), uint8(1), uint32(4), uint32(9))
 	f.Fuzz(func(t *testing.T, raw []byte, segSel, section, mode uint8, at, val uint32) {
 		elems := make([]uint32, len(raw)/2)
 		for i := range elems {
@@ -99,6 +108,9 @@ func FuzzValidateShell(f *testing.F) {
 		}
 		cfg := DefaultConfig()
 		cfg.SegBits = []int{8, 16, 32}[segSel%3]
+		if segSel/3%2 == 1 {
+			cfg.Scale = 1
+		}
 		orig := MustNewSet(elems, cfg)
 		var buf bytes.Buffer
 		if _, err := orig.WriteTo(&buf); err != nil {
@@ -108,7 +120,7 @@ func FuzzValidateShell(f *testing.F) {
 
 		// v3 layout: magic(8) + header(52) + header CRC(4), then the bitmap,
 		// offsets and elements sections, each followed by its CRC.
-		lens := []int{8 * len(orig.bm.Words()), 4 * len(orig.offsets), 4 * orig.n}
+		lens := []int{8 * len(orig.bm.Words()), 4 * (orig.NumSegments() + 1), 4 * orig.n}
 		starts := []int{64, 64 + lens[0] + 4, 64 + lens[0] + lens[1] + 8}
 		sec := int(section % 3)
 		start, l := starts[sec], lens[sec]
@@ -130,7 +142,7 @@ func FuzzValidateShell(f *testing.F) {
 		}
 
 		words := make([]uint64, len(orig.bm.Words()))
-		offsets := make([]uint32, len(orig.offsets))
+		offsets := make([]uint32, orig.NumSegments()+1)
 		reordered := make([]uint32, orig.n)
 		for i := range words {
 			words[i] = binary.LittleEndian.Uint64(data[starts[0]+8*i:])
@@ -141,8 +153,8 @@ func FuzzValidateShell(f *testing.F) {
 		for i := range reordered {
 			reordered[i] = binary.LittleEndian.Uint32(data[starts[2]+4*i:])
 		}
-		shell := newShell(orig.build, words, offsets, reordered)
-		_, oracleErr := validateShellSorted(&shell, nil)
+		shell := newShell(orig.build, words, nil, reordered)
+		_, oracleErr := validateShellSorted(&shell, offsets, nil)
 
 		s, err := ReadSet(bytes.NewReader(data))
 		if (err == nil) != (oracleErr == nil) {

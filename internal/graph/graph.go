@@ -230,8 +230,10 @@ func (fg *FesiaGraph) CountTriangles(workers int) int64 {
 			}
 			cands = cands[:0]
 			for _, v := range g.Neighbors(u) {
-				if sv := fg.sets[v]; sv.Len() > 0 {
-					cands = append(cands, sv)
+				// v's set is its forward list: the degree reads the CSR
+				// beside the loop instead of loading the set's header.
+				if g.Degree(int(v)) > 0 {
+					cands = append(cands, fg.sets[v])
 				}
 			}
 			if len(cands) == 0 {
