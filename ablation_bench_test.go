@@ -37,17 +37,7 @@ func BenchmarkAblationSpecialization(b *testing.B) {
 	cfg := core.Config{Width: simd.WidthAVX}
 	sa := core.MustNewSet(ea, cfg)
 	sb := core.MustNewSet(eb, cfg)
-	trace := core.DispatchTrace(sa, sb)
-
-	// Rebuild the actual segment slices the dispatcher would see.
-	type pair struct{ a, b []uint32 }
-	pairs := make([]pair, 0, len(trace))
-	segRNG := rand.New(rand.NewSource(32))
-	for _, t := range trace {
-		x, y := datasets.GenPair(segRNG, t[0], t[1],
-			segRNG.Intn(min(t[0], t[1])+1), uint32(8*(t[0]+t[1]+2)))
-		pairs = append(pairs, pair{x, y})
-	}
+	pairs := tracePairs(core.DispatchTrace(sa, sb), 32)
 	tbl := kernels.ForWidth(simd.WidthAVX)
 	b.Run("specialized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -63,6 +53,22 @@ func BenchmarkAblationSpecialization(b *testing.B) {
 			}
 		}
 	})
+}
+
+// segPair is one segment pair of a replayed dispatch trace.
+type segPair struct{ a, b []uint32 }
+
+// tracePairs rebuilds segment slices of the sizes a DispatchTrace records,
+// with random overlaps, for replaying the trace through a kernel table.
+func tracePairs(trace [][2]int, seed int64) []segPair {
+	pairs := make([]segPair, 0, len(trace))
+	rng := rand.New(rand.NewSource(seed))
+	for _, t := range trace {
+		x, y := datasets.GenPair(rng, t[0], t[1],
+			rng.Intn(min(t[0], t[1])+1), uint32(8*(t[0]+t[1]+2)))
+		pairs = append(pairs, segPair{x, y})
+	}
+	return pairs
 }
 
 // BenchmarkAblationFastVsFESIA isolates FESIA's SIMD design (segment
@@ -194,18 +200,21 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 
 // BenchmarkAblationKernelStride measures the run-time cost of stride
 // sampling (redundant comparisons from rounded-up kernels) that Table II's
-// code-size savings buy.
+// code-size savings buy, by replaying one pair's dispatch trace through each
+// sampled AVX512 table (kernels.ForStride).
 func BenchmarkAblationKernelStride(b *testing.B) {
 	rng := rand.New(rand.NewSource(36))
 	const n = 200_000
 	ea, eb := datasets.GenPairSelectivity(rng, n, n, 0.01, uint32(16*n))
+	cfg := core.Config{Width: simd.WidthAVX512}
+	pairs := tracePairs(core.DispatchTrace(core.MustNewSet(ea, cfg), core.MustNewSet(eb, cfg)), 36)
 	for _, stride := range []int{1, 4, 8} {
-		cfg := core.Config{Width: simd.WidthAVX512, Stride: stride}
-		sa := core.MustNewSet(ea, cfg)
-		sb := core.MustNewSet(eb, cfg)
+		tbl := kernels.ForStride(stride)
 		b.Run(fmt.Sprintf("stride=%d", stride), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink += core.CountMerge(sa, sb)
+				for _, p := range pairs {
+					benchSink += tbl.Count(p.a, p.b)
+				}
 			}
 		})
 	}

@@ -295,13 +295,11 @@ func BenchmarkTable2KernelStride(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const n = 200_000
 	ea, eb := datasets.GenPairSelectivity(rng, n, n, 0.01, uint32(16*n))
+	// A dense bitmap (Scale 1.5) spreads dispatches across many kernel
+	// sizes, the regime Table II's stride sampling addresses.
+	cfg := core.Config{Width: simd.WidthAVX512, Scale: 1.5}
+	trace := core.DispatchTrace(core.MustNewSet(ea, cfg), core.MustNewSet(eb, cfg))
 	for _, stride := range []int{1, 4, 8} {
-		// A dense bitmap (Scale 1.5) spreads dispatches across many kernel
-		// sizes, the regime Table II's stride sampling addresses.
-		cfg := core.Config{Width: simd.WidthAVX512, Stride: stride, Scale: 1.5}
-		sa := core.MustNewSet(ea, cfg)
-		sb := core.MustNewSet(eb, cfg)
-		trace := core.DispatchTrace(sa, sb)
 		layout := icachesim.NewLayout(kernels.ForStride(stride))
 		b.Run(fmt.Sprintf("stride=%d", stride), func(b *testing.B) {
 			misses := 0
@@ -312,12 +310,6 @@ func BenchmarkTable2KernelStride(b *testing.B) {
 			}
 			b.ReportMetric(float64(layout.CodeBytes()), "code-bytes")
 			b.ReportMetric(float64(misses), "l1i-misses")
-		})
-		// The intersection itself must stay correct and fast per stride.
-		b.Run(fmt.Sprintf("stride=%d/count", stride), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink += core.CountMerge(sa, sb)
-			}
 		})
 	}
 }

@@ -2,9 +2,8 @@
 // routine against its pure-Go reference on the same inputs and writes one row
 // per ladder tier to BENCH_simd.json. Each routine appears up to three times —
 // "<name>/avx512", "<name>/avx2" and "<name>/go" — toggled via
-// simd.SetAsmEnabled / simd.SetAvx512Enabled / kernels.UseAsmKernels, so the
-// file documents exactly what each rung of the ISA ladder buys on the build
-// machine. The mode also enforces structural gates at generation time: the
+// simd.SetAsmEnabled / simd.SetAvx512Enabled, so the file documents exactly
+// what each rung of the ISA ladder buys on the build machine. The mode also enforces structural gates at generation time: the
 // fused bitmap-filter kernel must beat the pure-Go loop by
 // simdFilterMinSpeedup, the end-to-end merge count must not be slower with
 // the backend on, and — only on AVX-512 hardware — the compress-store
@@ -23,7 +22,6 @@ import (
 	"fesia/internal/core"
 	"fesia/internal/datasets"
 	"fesia/internal/hashutil"
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 )
 
@@ -176,7 +174,6 @@ func runSimdBench(path string, quick bool) ([]benchResult, error) {
 			}
 			prevAsm := simd.SetAsmEnabled(tier.asm)
 			prevAvx512 := simd.SetAvx512Enabled(tier.avx512)
-			prevK := kernels.UseAsmKernels(tier.asm)
 			count := c.run() // warm up outside the measurement
 			r := testing.Benchmark(func(tb *testing.B) {
 				tb.ReportAllocs()
@@ -184,7 +181,6 @@ func runSimdBench(path string, quick bool) ([]benchResult, error) {
 					c.run()
 				}
 			})
-			kernels.UseAsmKernels(prevK)
 			simd.SetAvx512Enabled(prevAvx512)
 			simd.SetAsmEnabled(prevAsm)
 			name := c.name + "/" + tier.suffix

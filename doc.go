@@ -8,20 +8,18 @@
 // an m-bit bitmap (m ≈ n·√w for SIMD width w), every s bits form a segment,
 // and elements are stored segment-by-segment in a reordered array.
 // Intersection then runs in two steps — a wide bitwise AND over the bitmaps
-// prunes segments that cannot intersect, and small specialized kernels
-// (dispatched by exact segment sizes through a jump table) intersect the few
-// surviving segment pairs. The expected cost is O(n/√w + r) instead of the
-// O(n1 + n2) of merge-based methods.
+// prunes segments that cannot intersect, and small kernels intersect the few
+// surviving segment pairs: on amd64 a masked AVX2 or AVX-512 routine when one
+// side fits a register, a scalar merge otherwise. The expected cost is
+// O(n/√w + r) instead of the O(n1 + n2) of merge-based methods.
 //
-// Because Go has no SIMD intrinsics, the kernels execute the paper's exact
-// comparison streams as branchless scalar code (one op per element
+// The paper's size-specialized kernels and their jump tables are generated
+// in internal/kernels as branchless scalar code (one op per element
 // comparison — the same currency every baseline in this repository uses),
 // validated against an emulated vector ISA that serves as their executable
-// specification (see internal/simd); the bitmap filter runs on native
-// 64-bit words, which is genuine data parallelism. The algorithmic
-// behaviour — work proportional to intersection size, strategy crossovers,
-// kernel specialization — is faithfully reproduced; the V-fold throughput
-// of real vector instructions is not claimed.
+// specification (see internal/simd); they reproduce Figs 4-6 and Table II.
+// The bitmap filter runs on native 64-bit words, with AVX2 routines where
+// the CPU has them.
 //
 // # Quick start
 //
@@ -30,8 +28,8 @@
 //	common := fesia.Intersect(a, b) // [21]
 //
 // Sets that will be intersected together must be built with the same
-// options (width, segment bits, seed, kernel stride); bitmap sizes adapt to
-// each set's cardinality and are reconciled automatically.
+// segment bits and seed; bitmap sizes adapt to each set's cardinality (and
+// width, which sets the default scale) and are reconciled automatically.
 //
 // # Choosing a strategy
 //

@@ -7,7 +7,7 @@ import (
 	"fesia/internal/simd"
 )
 
-// Width selects the emulated vector ISA a set is built for.
+// Width is the paper's vector width w a set is built for.
 type Width = simd.Width
 
 // Supported ISA widths.
@@ -31,7 +31,7 @@ const (
 	// the default, and the historical behavior.
 	RepSegmented = core.RepSegmented
 	// RepArray forces the sorted-array representation: 4 bytes per element,
-	// intersected with SIMD jump-table kernels.
+	// intersected with the small-set SIMD kernels.
 	RepArray = core.RepArray
 	// RepDense forces the dense-bitmap representation: one bit per value in
 	// the set's span, intersected by word-AND + popcount. Empty sets fall
@@ -49,8 +49,8 @@ type Set struct {
 // Option customizes Build.
 type Option func(*core.Config)
 
-// WithWidth selects the emulated vector ISA (SSE, AVX, AVX512).
-// Default: AVX.
+// WithWidth sets the paper's vector width w (SSE, AVX, AVX512), which picks
+// the default bitmap scale √w and is recorded in snapshots. Default: AVX.
 func WithWidth(w Width) Option {
 	return func(c *core.Config) { c.Width = w }
 }
@@ -73,13 +73,6 @@ func WithBitmapScale(scale float64) Option {
 // seed.
 func WithSeed(seed uint64) Option {
 	return func(c *core.Config) { c.Seed = seed }
-}
-
-// WithKernelStride samples the specialized-kernel sizes at the given stride
-// (1, 4 or 8), shrinking the kernel jump table as in Section VI / Table II.
-// Strides above 1 require AVX512.
-func WithKernelStride(stride int) Option {
-	return func(c *core.Config) { c.Stride = stride }
 }
 
 // WithRepresentation selects the physical representation: RepSegmented (the

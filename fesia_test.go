@@ -23,7 +23,7 @@ func TestBuildOptions(t *testing.T) {
 	elems := []uint32{10, 20, 30}
 	for _, opts := range [][]Option{
 		{WithWidth(SSE)},
-		{WithWidth(AVX512), WithKernelStride(4)},
+		{WithWidth(AVX512)},
 		{WithSegmentBits(16), WithBitmapScale(8), WithSeed(99)},
 	} {
 		s, err := Build(elems, opts...)
@@ -37,8 +37,8 @@ func TestBuildOptions(t *testing.T) {
 	if _, err := Build(elems, WithSegmentBits(5)); err == nil {
 		t.Error("invalid option should error")
 	}
-	if _, err := Build(elems, WithWidth(SSE), WithKernelStride(4)); err == nil {
-		t.Error("stride on SSE should error")
+	if _, err := Build(elems, WithWidth(Width(100))); err == nil {
+		t.Error("invalid width should error")
 	}
 	func() {
 		defer func() {

@@ -9,11 +9,11 @@
 // intersect.
 //
 // This package holds the bitmap and the k-way walk of Section VI
-// (ForEachIntersectingSegmentK); the two-set walk is core's pass-1 staging
-// (core.stageSegPairsRange), which fuses it with the segment bounds. The
-// three steps of Section IV map onto both as follows:
+// (ForEachIntersectingSegmentKRange); the two-set walk is core's pass-1
+// staging (core.stageSegPairsRange), which fuses it with the segment bounds.
+// The three steps of Section IV map onto both as follows:
 //
-//	Step 1 (bitwise AND, "vandps")        → the word loop of ForEachIntersectingSegmentK
+//	Step 1 (bitwise AND, "vandps")        → the word loop of ForEachIntersectingSegmentKRange
 //	                                         and of core's staging, or simd.AndSegMasks
 //	                                         over 4-word blocks on the assembly backend
 //	Step 2 (segment transformation,        → simd.SegmentMask8/16/32, producing one
@@ -134,51 +134,14 @@ func segMask(w uint64, segBits int) uint32 {
 	}
 }
 
-// ForEachIntersectingSegmentK streams the k-way AND of Section VI. maps must
-// be ordered with the largest bitmap first and all share one segment size;
-// every smaller bitmap's size divides the largest (automatic for powers of
-// two). fn receives the segment index in the largest bitmap; callers recover
-// each set's own segment as segA mod that set's segment count.
-func ForEachIntersectingSegmentK(maps []*Bitmap, fn func(segA int)) {
-	if len(maps) == 0 {
-		panic("bitmap: no bitmaps")
-	}
-	a := maps[0]
-	for _, m := range maps[1:] {
-		if m.segBits != a.segBits {
-			panic("bitmap: mismatched segment sizes")
-		}
-		if m.mBits > a.mBits {
-			panic("bitmap: largest bitmap must come first")
-		}
-	}
-	if len(maps) >= 2 && simd.AsmActive() && len(a.words) >= 2*simd.BlockWords {
-		forEachSegKFastRange(maps, 0, len(a.words), fn)
-		return
-	}
-	spw := a.SegmentsPerWord()
-	for i, w := range a.words {
-		for _, bm := range maps[1:] {
-			w &= bm.words[i&(len(bm.words)-1)]
-			if w == 0 {
-				break
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		base := i * spw
-		m := segMask(w, a.segBits)
-		for m != 0 {
-			fn(base + simd.Tzcnt32(m))
-			m &= m - 1
-		}
-	}
-}
-
-// ForEachIntersectingSegmentKRange is ForEachIntersectingSegmentK restricted
-// to words [wordLo, wordHi) of the largest bitmap — the unit of multicore
-// partitioning for k-way intersection.
+// ForEachIntersectingSegmentKRange streams the k-way AND of Section VI over
+// words [wordLo, wordHi) of the largest bitmap — [0, len(Words())) for the
+// whole bitmap, a share of it for multicore partitioning or a cancellable
+// query's block. maps must be ordered with the largest bitmap first and all
+// share one segment size; every smaller bitmap's size divides the largest
+// (automatic for powers of two). fn receives the segment index in the
+// largest bitmap; callers recover each set's own segment as segA mod that
+// set's segment count.
 func ForEachIntersectingSegmentKRange(maps []*Bitmap, wordLo, wordHi int, fn func(segA int)) {
 	if len(maps) == 0 {
 		panic("bitmap: no bitmaps")

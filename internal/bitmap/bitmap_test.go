@@ -72,7 +72,7 @@ func TestForEachIntersectingSegmentSameSize(t *testing.T) {
 		b.Set(p)
 	}
 	var segs []int
-	ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) { segs = append(segs, s) })
+	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) { segs = append(segs, s) })
 	if len(segs) != 1 || segs[0] != 2 {
 		t.Errorf("segments = %v, want [2]", segs)
 	}
@@ -85,14 +85,14 @@ func TestForEachIntersectingSegmentDifferentSizes(t *testing.T) {
 	a.Set(200) // segment 25 of a -> segment 25 mod 8 = 1 of b (bits 8..15)
 	b.Set(8)   // same bit offset within the wrapped word: 200 mod 64 = 8 ✓
 	var got []int
-	ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) { got = append(got, s) })
+	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) { got = append(got, s) })
 	if len(got) != 1 || got[0] != 25 || got[0]%b.NumSegments() != 1 {
 		t.Errorf("got %v, want [25] (segment 1 of b)", got)
 	}
 	// A bit of b that wraps to no set bit of a must produce nothing extra.
 	b.Set(63)
 	got = nil
-	ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) { got = append(got, s) })
+	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) { got = append(got, s) })
 	if len(got) != 1 {
 		t.Errorf("after extra b bit: got %v", got)
 	}
@@ -121,7 +121,7 @@ func TestForEachIntersectingSegmentProperty(t *testing.T) {
 				}
 			}
 			got := map[int]bool{}
-			ForEachIntersectingSegmentK([]*Bitmap{a, b}, func(s int) {
+			ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) {
 				if got[s] {
 					t.Fatalf("segment %d reported twice", s)
 				}
@@ -167,41 +167,14 @@ func TestKWay(t *testing.T) {
 	b.Set(11)
 	c.Set(12)
 	var segs []int
-	ForEachIntersectingSegmentK([]*Bitmap{a, b, c}, func(s int) { segs = append(segs, s) })
+	ForEachIntersectingSegmentKRange([]*Bitmap{a, b, c}, 0, len(a.Words()), func(s int) { segs = append(segs, s) })
 	if len(segs) != 1 || segs[0] != 70/8 {
 		t.Errorf("k-way segs = %v, want [%d]", segs, 70/8)
 	}
 }
 
-func TestKWayPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty maps should panic")
-			}
-		}()
-		ForEachIntersectingSegmentK(nil, func(int) {})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("larger-later should panic")
-			}
-		}()
-		ForEachIntersectingSegmentK([]*Bitmap{New(64, 8), New(128, 8)}, func(int) {})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("seg mismatch should panic")
-			}
-		}()
-		ForEachIntersectingSegmentK([]*Bitmap{New(128, 8), New(64, 16)}, func(int) {})
-	}()
-}
-
-// Property: the ranged k-way variant over any full partition visits exactly
-// the segments of the unpartitioned stream, in order.
+// Property: the k-way walk split at any word visits exactly the segments of
+// the walk over the whole bitmap, in order.
 func TestKWayRangePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -215,7 +188,7 @@ func TestKWayRangePartition(t *testing.T) {
 		}
 		maps := []*Bitmap{a, b, c}
 		var whole []int
-		ForEachIntersectingSegmentK(maps, func(s int) { whole = append(whole, s) })
+		ForEachIntersectingSegmentKRange(maps, 0, len(maps[0].Words()), func(s int) { whole = append(whole, s) })
 		cut := rng.Intn(len(a.Words()) + 1)
 		var parts []int
 		ForEachIntersectingSegmentKRange(maps, 0, cut, func(s int) { parts = append(parts, s) })
@@ -277,7 +250,7 @@ func TestKWayProperty(t *testing.T) {
 			}
 		}
 		got := map[int]bool{}
-		ForEachIntersectingSegmentK([]*Bitmap{a, b, c}, func(s int) { got[s] = true })
+		ForEachIntersectingSegmentKRange([]*Bitmap{a, b, c}, 0, len(a.Words()), func(s int) { got[s] = true })
 		if len(got) != len(want) {
 			return false
 		}

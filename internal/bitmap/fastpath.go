@@ -3,7 +3,7 @@ package bitmap
 import "fesia/internal/simd"
 
 // Chunked mask-stream fast path for the k-way bitmap filter. When the
-// assembly backend is active, the word loop of ForEachIntersectingSegmentK*
+// assembly backend is active, the word loop of ForEachIntersectingSegmentKRange
 // is replaced by a chunk-wise k-way AND followed by simd.AndSegMasks over
 // 4-word blocks: the fused VPAND + VPCMPEQ + VPMOVMSKB kernel emits one
 // compact live-segment mask per block into a stack buffer, and index

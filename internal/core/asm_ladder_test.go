@@ -5,24 +5,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 )
 
 // runTiers runs f once per available dispatch tier — scalar, avx2 (which on
-// AVX-512 hardware is the forced-AVX2 tier), avx512 — with the jump tables
-// patched, and returns the tier names alongside the results so callers can
-// require every tier to agree with the scalar reference. Dispatch state is
-// restored afterwards.
+// AVX-512 hardware is the forced-AVX2 tier), avx512 — and returns the tier
+// names alongside the results so callers can require every tier to agree
+// with the scalar reference. Dispatch state is restored afterwards.
 func runTiers(t *testing.T, f func() any) (names []string, results []any) {
 	t.Helper()
-	prevK := kernels.UseAsmKernels(true)
 	prevAsm := simd.SetAsmEnabled(false)
 	prevAvx512 := simd.SetAvx512Enabled(false)
 	defer func() {
 		simd.SetAvx512Enabled(prevAvx512)
 		simd.SetAsmEnabled(prevAsm)
-		kernels.UseAsmKernels(prevK)
 	}()
 	names = append(names, "scalar")
 	results = append(results, f())
@@ -152,6 +148,36 @@ func TestExecutorTierParity(t *testing.T) {
 	}
 }
 
+// TestIntersectExactDst holds every tier to the dst contract at its
+// tightest: room for min(a.Len(), b.Len()) elements, exactly the result when
+// the smaller set is a subset of the larger. Pass 2 then hands the pairs
+// staged after the last match (false positives of the bitmap filter) a tail
+// of dst with no room left, which the SIMD kernels must not need.
+func TestIntersectExactDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 300; trial++ {
+		cfg := Config{Scale: []float64{1, 2, 4, 0}[trial%4]}
+		large := MustNewSet(randSet(rng, 50+rng.Intn(2000), 1<<14), cfg)
+		elems := large.Elements()
+		sub := make([]uint32, 0, 64)
+		for _, i := range rng.Perm(len(elems))[:1+rng.Intn(min(64, len(elems)))] {
+			sub = append(sub, elems[i])
+		}
+		small := MustNewSet(sub, cfg)
+		runTiers(t, func() any {
+			for _, n := range []int{
+				IntersectMerge(make([]uint32, small.Len()), small, large),
+				Intersect(make([]uint32, small.Len()), large, small),
+			} {
+				if n != small.Len() {
+					t.Fatalf("trial %d: %d elements, want %d", trial, n, small.Len())
+				}
+			}
+			return nil
+		})
+	}
+}
+
 // TestMaterializeZeroAlloc asserts the 0 allocs/op warm guarantee holds for
 // the new materialize and gathered-probe paths with the full ladder active:
 // the compress-store kernels write straight into the caller's dst and the
@@ -160,13 +186,11 @@ func TestMaterializeZeroAlloc(t *testing.T) {
 	if !simd.HasAVX512() {
 		t.Skip("AVX-512 rung not available")
 	}
-	prevK := kernels.UseAsmKernels(true)
 	prevAsm := simd.SetAsmEnabled(true)
 	prevAvx512 := simd.SetAvx512Enabled(true)
 	defer func() {
 		simd.SetAvx512Enabled(prevAvx512)
 		simd.SetAsmEnabled(prevAsm)
-		kernels.UseAsmKernels(prevK)
 	}()
 	rng := rand.New(rand.NewSource(42))
 	cfg := Config{Scale: 1} // big segments: exercises the 16-lane kernels

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 )
 
@@ -15,11 +14,9 @@ import (
 func runBothBackends(t *testing.T, f func() any) (asm, scalar any) {
 	t.Helper()
 	prevAsm := simd.SetAsmEnabled(true)
-	prevK := kernels.UseAsmKernels(true)
 	asm = f()
 	simd.SetAsmEnabled(false)
 	scalar = f()
-	kernels.UseAsmKernels(prevK)
 	simd.SetAsmEnabled(prevAsm)
 	return asm, scalar
 }
@@ -108,11 +105,7 @@ func TestAsmPathsZeroAlloc(t *testing.T) {
 		t.Skip("assembly backend not available")
 	}
 	prevAsm := simd.SetAsmEnabled(true)
-	prevK := kernels.UseAsmKernels(true)
-	defer func() {
-		kernels.UseAsmKernels(prevK)
-		simd.SetAsmEnabled(prevAsm)
-	}()
+	defer simd.SetAsmEnabled(prevAsm)
 	rng := rand.New(rand.NewSource(32))
 	a := MustNewSet(randSet(rng, 20000, 300000), DefaultConfig())
 	b := MustNewSet(randSet(rng, 15000, 300000), DefaultConfig())

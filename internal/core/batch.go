@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"time"
 
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -14,31 +13,26 @@ import (
 // paper's database-query task (Section VII-F, one keyword's posting list vs
 // many others) and of triangle counting (one vertex's forward neighbors vs
 // each neighbor's list). The engine amortizes per-query work across the
-// candidate list: the query set's bitmap words, dispatcher and staging
-// scratch stay pinned hot instead of being re-derived per pair, and the
-// two-step algorithm runs as a *staged two-pass dispatch* — the split the
-// paper's Fig. 14 breakdown instruments, used here as an optimization.
+// candidate list: the query set's bitmap words and staging scratch stay
+// pinned hot instead of being re-derived per pair, and the two-step
+// algorithm runs as a *staged two-pass dispatch* — the split the paper's
+// Fig. 14 breakdown instruments, used here as an optimization.
 //
 // Pass 1 streams the bitmap word-AND and stages every surviving segment pair
-// as a compact (oa, oaEnd, ob, obEnd, ctrl) record in a reusable executor
-// buffer. Pass 2 walks the staged records and dispatches the specialized
-// kernels, touching the reordered data of segments a fixed distance ahead so
-// their cache lines are in flight by the time their kernel runs. Separating
-// the phases keeps the unpredictable tzcnt/branch phase out of the kernel
-// phase's pipeline, and the record walk itself is branch-predictable.
+// as a compact (oa, oaEnd, ob, obEnd) record in a reusable executor buffer.
+// Pass 2 walks the staged records and runs the small-set kernels
+// (simd.CountSmall, simd.IntersectSmall), touching the reordered data of
+// segments a fixed distance ahead so their cache lines are in flight by the
+// time their kernel runs. Separating the phases keeps the unpredictable
+// tzcnt/branch phase out of the kernel phase's pipeline, and the record walk
+// itself is branch-predictable.
 
 // stagedSeg is one surviving segment pair staged by dispatch pass 1:
-// half-open offset ranges into the two sets' reordered arrays plus the
-// precomputed jump-table control code (stagedGeneric when either side
-// exceeds the table capacity and must take the generic kernel).
+// half-open offset ranges into the two sets' reordered arrays.
 type stagedSeg struct {
 	oa, oaEnd uint32 // x-side range in the larger-bitmap set's reordered array
 	ob, obEnd uint32 // y-side range in the other set's reordered array
-	ctrl      int32
 }
-
-// stagedGeneric marks a staged pair that falls through to the generic kernel.
-const stagedGeneric = int32(-1)
 
 // stageReadAhead is the fixed dispatch-to-touch distance of pass 2: while
 // record i's kernel runs, the first cache line of record i+stageReadAhead's
@@ -63,7 +57,6 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 	if !x.hasDirectory() || !y.hasDirectory() {
 		return stageSegPairsWide(x, y, recs, wordLo, wordHi)
 	}
-	d := &x.build.disp
 	xw, yw := x.bm.Words(), y.bm.Words()
 	xd, yd := x.dir, y.dir
 	wordMask := len(yw) - 1
@@ -113,7 +106,7 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 						wy := wx & uint(wordMask)
 						oa, oaEnd := span(xd, wx, k, k+sb, xw[wx])
 						ob, obEnd := span(yd, wy, k, k+sb, yw[wy])
-						recs = appendStaged(recs, oa, oaEnd, ob, obEnd, stagedCtrl(d, oa, oaEnd, ob, obEnd))
+						recs = appendStaged(recs, oa, oaEnd, ob, obEnd)
 					}
 				}
 			}
@@ -133,7 +126,7 @@ func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stage
 			w &^= segClear << k
 			oa, oaEnd := span(xd, ui, k, k+sb, xwi)
 			ob, obEnd := span(yd, uy, k, k+sb, ywi)
-			recs = appendStaged(recs, oa, oaEnd, ob, obEnd, stagedCtrl(d, oa, oaEnd, ob, obEnd))
+			recs = appendStaged(recs, oa, oaEnd, ob, obEnd)
 		}
 	}
 	return recs
@@ -154,93 +147,63 @@ func stageSegPairsWide(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []staged
 			seg := (64*i + k) / segBits
 			oa, oaEnd := x.bounds(seg)
 			ob, obEnd := y.bounds(seg & segMaskY)
-			recs = appendStaged(recs, oa, oaEnd, ob, obEnd, stagedCtrl(&x.build.disp, oa, oaEnd, ob, obEnd))
+			recs = appendStaged(recs, oa, oaEnd, ob, obEnd)
 		}
 	}
 	return recs
-}
-
-// stagedCtrl is a staged pair's jump-table control code: the rounded sizes
-// of its two sides, or stagedGeneric when either exceeds the table.
-func stagedCtrl(d *kernels.Dispatcher, oa, oaEnd, ob, obEnd uint32) int32 {
-	la, lb := int(oaEnd-oa), int(obEnd-ob)
-	if la > d.Cap || lb > d.Cap {
-		return stagedGeneric
-	}
-	return int32(int(d.Round[la])<<d.Bits | int(d.Round[lb]))
 }
 
 // appendStaged appends one record, storing its fields in place: appending a
 // stagedSeg literal builds it on the stack with 4-byte stores and copies it
 // with wider loads that stall on store forwarding (pass 1 ran up to 1.3×
 // slower that way on a 2-vCPU AVX-512 host).
-func appendStaged(recs []stagedSeg, oa, oaEnd, ob, obEnd uint32, ctrl int32) []stagedSeg {
+func appendStaged(recs []stagedSeg, oa, oaEnd, ob, obEnd uint32) []stagedSeg {
 	recs = append(recs, stagedSeg{})
 	r := &recs[len(recs)-1]
-	r.oa, r.oaEnd, r.ob, r.obEnd, r.ctrl = oa, oaEnd, ob, obEnd, ctrl
+	r.oa, r.oaEnd, r.ob, r.obEnd = oa, oaEnd, ob, obEnd
 	return recs
 }
 
 // dispatchStagedCount runs dispatch pass 2 for counting: every staged record
-// is dispatched to its counting kernel, with the fixed-distance read-ahead
-// touch of upcoming segment data. The touched words are accumulated and
-// returned so the loads cannot be dead-code-eliminated; callers fold the
-// value into a sink.
-func dispatchStagedCount(d *kernels.Dispatcher, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
-	cnt := d.Count
+// is counted by simd.CountSmall, with the fixed-distance read-ahead touch of
+// upcoming segment data. The touched words are accumulated and returned so
+// the loads cannot be dead-code-eliminated; callers fold the value into a
+// sink.
+func dispatchStagedCount(xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
 	for i := range recs {
 		if j := i + stageReadAhead; j < len(recs) {
 			rj := &recs[j]
 			touch += xr[rj.oa] + yr[rj.ob]
 		}
 		r := &recs[i]
-		a := xr[r.oa:r.oaEnd]
-		b := yr[r.ob:r.obEnd]
-		if r.ctrl == stagedGeneric {
-			n += kernels.GenericCount(a, b)
-			continue
-		}
-		n += cnt[r.ctrl](a, b)
+		n += simd.CountSmall(xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
 	}
 	return n, touch
 }
 
-// dispatchStagedIntersect is pass 2 for materialization: kernels write into
-// dst (which must have room for every pair's smaller side) in staged order —
-// the same segment order IntersectMerge produces.
-func dispatchStagedIntersect(d *kernels.Dispatcher, dst, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
-	inter := d.Inter
+// dispatchStagedIntersect is pass 2 for materialization: simd.IntersectSmall
+// writes into dst (which must have room for every pair's smaller side) in
+// staged order — the same segment order IntersectMerge produces.
+func dispatchStagedIntersect(dst, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
 	for i := range recs {
 		if j := i + stageReadAhead; j < len(recs) {
 			rj := &recs[j]
 			touch += xr[rj.oa] + yr[rj.ob]
 		}
 		r := &recs[i]
-		a := xr[r.oa:r.oaEnd]
-		b := yr[r.ob:r.obEnd]
-		if r.ctrl == stagedGeneric {
-			n += kernels.GenericIntersect(dst[n:], a, b)
-			continue
-		}
-		n += inter[r.ctrl](dst[n:], a, b)
+		n += simd.IntersectSmall(dst[n:], xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
 	}
 	return n, touch
 }
 
-// visitStaged is pass 2 for streaming: each record's kernel intersects into
-// scratch (room for the smaller side of any staged pair) and the matches
-// replay through emit, in the order dispatchStagedIntersect writes. It
-// returns the match count.
-func visitStaged(d *kernels.Dispatcher, scratch, xr, yr []uint32, recs []stagedSeg, emit Visitor) int {
+// visitStaged is pass 2 for streaming: each record intersects into scratch
+// (room for the smaller side of any staged pair) and the matches replay
+// through emit, in the order dispatchStagedIntersect writes. It returns the
+// match count.
+func visitStaged(scratch, xr, yr []uint32, recs []stagedSeg, emit Visitor) int {
 	n := 0
 	for _, r := range recs {
-		a, b := xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd]
-		var k int
-		if r.ctrl == stagedGeneric {
-			k = kernels.GenericIntersect(scratch, a, b)
-		} else {
-			k = d.Inter[r.ctrl](scratch, a, b)
-		}
+		k := simd.IntersectSmall(scratch, xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
 		for _, v := range scratch[:k] {
 			emit(v)
 		}
@@ -256,7 +219,6 @@ func visitStaged(d *kernels.Dispatcher, scratch, xr, yr []uint32, recs []stagedS
 // With ck non-nil the records run in ctxStageBlock blocks with a checkpoint
 // before each. The read-ahead touches fold into the lane's touch.
 func (l *lane) dispatchStaged(ck checkpoint, x, y *Set, dst []uint32, emit Visitor) (int, error) {
-	d := &x.build.disp
 	xr, yr := x.reordered, y.reordered
 	recs := l.staged
 	if emit != nil {
@@ -273,11 +235,11 @@ func (l *lane) dispatchStaged(ck checkpoint, x, y *Set, dst []uint32, emit Visit
 		var dt uint32
 		switch {
 		case emit != nil:
-			dn = visitStaged(d, l.scratch, xr, yr, blk, emit)
+			dn = visitStaged(l.scratch, xr, yr, blk, emit)
 		case dst != nil:
-			dn, dt = dispatchStagedIntersect(d, dst[n:], xr, yr, blk)
+			dn, dt = dispatchStagedIntersect(dst[n:], xr, yr, blk)
 		default:
-			dn, dt = dispatchStagedCount(d, xr, yr, blk)
+			dn, dt = dispatchStagedCount(xr, yr, blk)
 		}
 		n += dn
 		l.touch += dt
@@ -476,9 +438,9 @@ func (e *Executor) schedule(cands []*Set) []int32 {
 // CountMany fills out[i] with |q ∩ candidates[i]| for every candidate,
 // exactly matching a loop of Count(q, candidates[i]) — including the
 // per-candidate adaptive merge/hash switch — but amortizing query-side work
-// across the batch: q's bitmap words, dispatcher and the staging buffer stay
-// hot. out must have at least len(candidates) entries. Zero heap allocations
-// once the staging buffer has grown to the workload's largest candidate.
+// across the batch: q's bitmap words and the staging buffer stay hot. out
+// must have at least len(candidates) entries. Zero heap allocations once the
+// staging buffer has grown to the workload's largest candidate.
 func (e *Executor) CountMany(q *Set, candidates []*Set, out []int) {
 	e.many(nil, q, candidates, 1, manySink{out: out})
 }

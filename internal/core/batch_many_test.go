@@ -221,8 +221,8 @@ func TestCountManyEdgeCases(t *testing.T) {
 		ex.CountMany(q, []*Set{c, c}, make([]int, 1))
 	}()
 
-	// Incompatible candidates panic: a seed, segment-size or width mismatch.
-	for _, cfg := range []Config{{Seed: 99}, {SegBits: 16}, {Width: simd.WidthSSE}} {
+	// Incompatible candidates panic: a seed or segment-size mismatch.
+	for _, cfg := range []Config{{Seed: 99}, {SegBits: 16}} {
 		other := MustNewSet(randSet(rng, 50, 1<<12), cfg)
 		func() {
 			defer func() {
@@ -232,6 +232,13 @@ func TestCountManyEdgeCases(t *testing.T) {
 			}()
 			ex.CountMany(q, []*Set{other}, out)
 		}()
+	}
+	// A width mismatch only changes the bitmap's default scale: the
+	// candidate intersects like any other.
+	sse := MustNewSet(randSet(rng, 500, 1<<12), Config{Width: simd.WidthSSE})
+	ex.CountMany(q, []*Set{sse}, out)
+	if want := ex.Count(q, sse); out[0] != want {
+		t.Errorf("SSE-width candidate count = %d, want %d", out[0], want)
 	}
 
 	// Sets of two BuildSets calls with equal configs share no build state:

@@ -173,7 +173,7 @@ func TestConfigNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Width != simd.WidthAVX || cfg.SegBits != 8 || cfg.Stride != 1 {
+	if cfg.Width != simd.WidthAVX || cfg.SegBits != 8 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	if cfg.Scale < 15.9 || cfg.Scale > 16.1 {
@@ -183,17 +183,11 @@ func TestConfigNormalize(t *testing.T) {
 		{Width: 99},
 		{SegBits: 7},
 		{Scale: -1},
-		{Width: simd.WidthSSE, Stride: 4},
-		{Width: simd.WidthAVX512, Stride: 3},
 	}
 	for _, c := range bad {
 		if _, err := c.normalize(); err == nil {
 			t.Errorf("config %+v should be rejected", c)
 		}
-	}
-	// Valid strided config.
-	if _, err := (Config{Width: simd.WidthAVX512, Stride: 8}).normalize(); err != nil {
-		t.Errorf("AVX512 stride 8 rejected: %v", err)
 	}
 }
 
@@ -342,7 +336,7 @@ func TestStats(t *testing.T) {
 
 // TestIntersectAllConfigs is the central correctness test: FESIA (merge,
 // hash, adaptive, materializing, parallel) against scalar ground truth for
-// every width, several segment sizes, strides, scales, and skews.
+// every width, several segment sizes, scales, and skews.
 func TestIntersectAllConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	type variant struct {
@@ -353,8 +347,6 @@ func TestIntersectAllConfigs(t *testing.T) {
 		{"SSE", Config{Width: simd.WidthSSE}},
 		{"AVX", Config{Width: simd.WidthAVX}},
 		{"AVX512", Config{Width: simd.WidthAVX512}},
-		{"AVX512s4", Config{Width: simd.WidthAVX512, Stride: 4}},
-		{"AVX512s8", Config{Width: simd.WidthAVX512, Stride: 8}},
 		{"seg16", Config{SegBits: 16}},
 		{"seg32", Config{SegBits: 32}},
 		{"denseBitmap", Config{Scale: 2}}, // crowded segments, big kernel sizes
@@ -493,7 +485,6 @@ func TestCompatibilityPanics(t *testing.T) {
 	cases := []Config{
 		{Seed: 42},
 		{SegBits: 16},
-		{Width: simd.WidthSSE},
 	}
 	for _, c := range cases {
 		other := MustNewSet([]uint32{1, 2, 3}, c)
@@ -505,6 +496,28 @@ func TestCompatibilityPanics(t *testing.T) {
 			}()
 			CountMerge(base, other)
 		}()
+	}
+	// Width only sizes the bitmap (its default scale √w), so sets built with
+	// different widths intersect like sets of different sizes.
+	rng := rand.New(rand.NewSource(9))
+	ea, eb, ec := randSet(rng, 3000, 20000), randSet(rng, 2000, 20000), randSet(rng, 2500, 20000)
+	want := len(refIntersect(ea, eb))
+	wantK := len(refIntersect(refIntersect(ea, eb), ec))
+	a := MustNewSet(ea, DefaultConfig())
+	for _, w := range []simd.Width{simd.WidthSSE, simd.WidthAVX512} {
+		b := MustNewSet(eb, Config{Width: w})
+		c := MustNewSet(ec, Config{Width: w})
+		for name, got := range map[string]int{
+			"CountMerge": CountMerge(a, b), "CountMerge swapped": CountMerge(b, a),
+			"CountHash": CountHash(a, b), "Count": Count(a, b),
+		} {
+			if got != want {
+				t.Errorf("width %v: %s = %d, want %d", w, name, got, want)
+			}
+		}
+		if got := CountK(a, b, c); got != wantK {
+			t.Errorf("width %v: CountK = %d, want %d", w, got, wantK)
+		}
 	}
 }
 
@@ -819,7 +832,7 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	}
 	maps := []*bitmap.Bitmap{&sets[0].bm, &sets[1].bm, &sets[2].bm}
 	survivors := 0
-	bitmap.ForEachIntersectingSegmentK(maps, func(int) { survivors++ })
+	bitmap.ForEachIntersectingSegmentKRange(maps, 0, len(maps[0].Words()), func(int) { survivors++ })
 	// 2-way survivors for comparison: the segment pairs pass 1 stages.
 	two := len(stageSegPairs(sets[0], sets[1], nil)) // equal sizes, so either order
 	if survivors >= two/4 {

@@ -25,6 +25,7 @@ import (
 //
 //	magic "FESIAC3\x00" (8 bytes)
 //	config: width, segBits, stride (uint32 each), scale (float64), seed (uint64)
+//	        (stride is written as 1 and otherwise ignored; see readConfig)
 //	numSets (uint64)
 //	per set: rep (uint32), base (uint32), n (uint64), mBits (uint64)
 //	per set payload:
@@ -68,7 +69,7 @@ func writeCorpus(w io.Writer, sets []*Set) (int64, error) {
 		return cw.n, err
 	}
 	hdr := []interface{}{
-		uint32(cfg.Width), uint32(cfg.SegBits), uint32(cfg.Stride),
+		uint32(cfg.Width), uint32(cfg.SegBits), uint32(1), // kernel stride
 		math.Float64bits(cfg.Scale), cfg.Seed,
 		uint64(len(sets)),
 	}

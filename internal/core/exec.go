@@ -6,6 +6,7 @@ import (
 
 	"fesia/internal/bitmap"
 	"fesia/internal/planner"
+	"fesia/internal/simd"
 	"fesia/internal/stats"
 	"fesia/internal/trace"
 )
@@ -538,7 +539,6 @@ func kwayMaxSeg(sets []*Set) int {
 // survivor count. It reads e.maps but writes no executor state, so the
 // parallel chain's workers share it.
 func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, buf1, buf2 []uint32, sink func(cur []uint32)) int {
-	t := x.build.table
 	total := 0
 	bitmap.ForEachIntersectingSegmentKRange(e.maps, wordLo, wordHi, func(seg int) {
 		cur := x.segment(seg)
@@ -546,7 +546,7 @@ func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, buf1,
 		out := buf1
 		for _, s := range rest {
 			sseg := s.segment(seg & (s.bm.NumSegments() - 1))
-			n = t.Intersect(out, cur, sseg)
+			n = simd.IntersectSmall(out, cur, sseg)
 			if n == 0 {
 				return
 			}

@@ -24,9 +24,6 @@ func decodeSets(data []byte) (ea, eb []uint32, cfg Config) {
 		Width:   widths[int(sel)%3],
 		SegBits: []int{8, 16, 32}[int(sel>>2)%3],
 	}
-	if sel>>4&1 == 1 && cfg.Width == simd.WidthAVX512 {
-		cfg.Stride = []int{4, 8}[int(sel>>5)%2]
-	}
 	split := len(data) / 2
 	toSet := func(b []byte) []uint32 {
 		out := make([]uint32, 0, len(b)/3)

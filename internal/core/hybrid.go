@@ -16,8 +16,8 @@ import (
 // SIMD paths, and every other pair routes here. The matrix picks the cheaper
 // side to drive each pair:
 //
-//	array×array  sorted-merge via the jump-table count/intersect kernels when
-//	             both sides fit the table, the generic merge otherwise
+//	array×array  sorted-merge via simd.CountSmall/IntersectSmall (a SIMD
+//	             body when one side fits a register, a scalar merge otherwise)
 //	array×seg    the smaller side probes the other, the array on ties
 //	             (hash probe one way, binary search the other)
 //	array×dense  the smaller side probes the other (bit test one way, binary
@@ -209,14 +209,14 @@ func (l *lane) denseProbeRun(ck checkpoint, den, other *Set, dst []uint32, emit 
 	return n + m, nil
 }
 
-// arrayArrayRun intersects two sorted arrays: the jump-table kernels when
-// both sides fit the table (the SIMD small-merge path), the generic scalar
-// merge otherwise. Results are ascending. With ck non-nil a's elements merge
+// arrayArrayRun intersects two sorted arrays with the small-set kernels
+// (simd.CountSmall, simd.IntersectSmall), which run a SIMD body when one
+// side fits a register and a scalar merge otherwise; a Visitor streams from
+// the scalar merge. Results are ascending. With ck non-nil a's elements merge
 // in ctxProbeBlock blocks, each against the run of b up to the block's last
 // element.
 func arrayArrayRun(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	xa, xb := a.reordered, b.reordered
-	d := &a.build.disp
 	n, j := 0, 0
 	step := stride(ck, ctxProbeBlock, len(xa))
 	for lo := 0; lo < len(xa); lo += step {
@@ -231,21 +231,13 @@ func arrayArrayRun(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, e
 		}
 		bb := xb[j:end]
 		j = end
-		ctrl := -1
-		if len(ba) <= d.Cap && len(bb) <= d.Cap {
-			ctrl = int(d.Round[len(ba)])<<d.Bits | int(d.Round[len(bb)])
-		}
 		switch {
 		case emit != nil:
 			kernels.GenericVisit(ba, bb, func(v uint32) { n++; emit(v) })
-		case dst != nil && ctrl >= 0:
-			n += d.Inter[ctrl](dst[n:], ba, bb)
 		case dst != nil:
-			n += kernels.GenericIntersect(dst[n:], ba, bb)
-		case ctrl >= 0:
-			n += d.Count[ctrl](ba, bb)
+			n += simd.IntersectSmall(dst[n:], ba, bb)
 		default:
-			n += kernels.GenericCount(ba, bb)
+			n += simd.CountSmall(ba, bb)
 		}
 	}
 	return n, nil

@@ -203,7 +203,7 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	bitmapTime := time.Since(start)
 
 	start = time.Now()
-	n, touch := dispatchStagedCount(&x.build.disp, x.reordered, y.reordered, recs)
+	n, touch := dispatchStagedCount(x.reordered, y.reordered, recs)
 	segTime := time.Since(start)
 	e.touch += touch
 

@@ -44,9 +44,10 @@ const probeBlock = simd.ProbeStageBlock
 // length (EXPERIMENTS.md).
 const probeStagedMin = 512
 
-// containsCutover is the segment length from which a survivor's scan uses
-// the assembly compare-all-lanes probe instead of the scalar early-exit scan
-// — two full ymm registers of elements, enough to amortize the masked tail.
+// containsCutover is the segment length from which a survivor's scan calls
+// simd.Contains, which runs the AVX-512 compare-all-lanes probe on that rung
+// (one full zmm register of elements) and the scalar early-exit scan below
+// it.
 const containsCutover = 16
 
 // gatherProbeMaxBits is the largest bitmap the gathered stage can serve:
@@ -242,7 +243,7 @@ func segShift(s *Set) uint { return uint(simd.Tzcnt32(uint32(s.bm.SegBits()))) }
 // member reports whether x is in the sorted segment list by the scalar
 // early-exit scan, with ok true, for lists shorter than containsCutover.
 // For longer lists it returns ok false, and the caller calls simd.Contains,
-// the assembly compare-all-lanes probe when the backend is active. With
+// the compare-all-lanes probe on the AVX-512 rung. With
 // that call in the caller, member stays within the inlining budget, so the
 // scan most survivors take costs no call in the probe loops.
 func member(list []uint32, x uint32) (found, ok bool) {

@@ -27,6 +27,7 @@ import (
 //
 //	magic "FESIA3\x00\x00" (8 bytes)
 //	config: width, segBits, stride (uint32 each), scale (float64), seed (uint64)
+//	        (stride is written as 1 and otherwise ignored; see readConfig)
 //	rep (uint32), base (uint32)
 //	n (uint64), mBits (uint64)
 //	header CRC32C (uint32, covering magic + everything above)
@@ -154,7 +155,7 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 		mBits = uint64(len(s.dense)) * 64
 	}
 	hdr := []interface{}{
-		uint32(cfg.Width), uint32(cfg.SegBits), uint32(cfg.Stride),
+		uint32(cfg.Width), uint32(cfg.SegBits), uint32(1), // kernel stride
 		math.Float64bits(cfg.Scale), cfg.Seed,
 		uint32(s.rep), base,
 		uint64(s.n), mBits,
@@ -226,7 +227,9 @@ const maxReasonable = 1 << 40
 
 // readConfig decodes and normalizes the build configuration that opens both
 // stream headers: width, segBits, stride (uint32 each), scale (float64) and
-// seed (uint64).
+// seed (uint64). The stride field names a sampled kernel table, which no
+// query reads: writers record 1, and a valid stride (0 or 1, or 4 or 8 with
+// AVX512) is accepted and otherwise ignored.
 func readConfig(r io.Reader) (Config, error) {
 	var b [28]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -236,12 +239,14 @@ func readConfig(r io.Reader) (Config, error) {
 	cfg, err := Config{
 		Width:   simd.Width(le.Uint32(b[0:])),
 		SegBits: int(le.Uint32(b[4:])),
-		Stride:  int(le.Uint32(b[8:])),
 		Scale:   math.Float64frombits(le.Uint64(b[12:])),
 		Seed:    le.Uint64(b[20:]),
 	}.normalize()
 	if err != nil {
 		return cfg, fmt.Errorf("core: invalid serialized config: %w", err)
+	}
+	if st := le.Uint32(b[8:]); st > 1 && (cfg.Width != simd.WidthAVX512 || st != 4 && st != 8) {
+		return cfg, fmt.Errorf("core: invalid serialized config: kernel stride %d", st)
 	}
 	return cfg, nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,12 +32,80 @@ func roundTrip(t *testing.T, s *Set) *Set {
 	return got
 }
 
+// TestReadStrideField checks the v3 headers' kernel-stride field on both
+// readers. Writers record 1. No query reads a kernel table, so a stream
+// whose header names a sampled AVX512 table (stride 4 or 8) still loads,
+// with the same elements, and a stride no table ever had is rejected.
+func TestReadStrideField(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cfg := Config{Width: simd.WidthAVX512}
+	set := MustNewSet(randSet(rng, 500, 1<<16), cfg)
+	var buf bytes.Buffer
+	if _, err := set.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	setData := buf.Bytes()
+	corpus, err := BuildSets([][]uint32{randSet(rng, 300, 1<<16), randSet(rng, 40, 1<<16)}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpusData := corpusBytes(t, corpus)
+	le := binary.LittleEndian
+	for _, data := range [][]byte{setData, corpusData} {
+		if st := le.Uint32(data[16:]); st != 1 {
+			t.Fatalf("writer recorded stride %d, want 1", st)
+		}
+	}
+	// forge rewrites the width and stride fields and re-seals the checksum
+	// that covers them: the set header's, or the corpus's trailing one.
+	forge := func(data []byte, crcAt int, w simd.Width, stride uint32) []byte {
+		out := bytes.Clone(data)
+		le.PutUint32(out[8:], uint32(w))
+		le.PutUint32(out[16:], stride)
+		if crcAt < 0 {
+			crcAt = len(out) - 4
+		}
+		le.PutUint32(out[crcAt:], crc32cOf(out[:crcAt]))
+		return out
+	}
+	for _, tc := range []struct {
+		w      simd.Width
+		stride uint32
+		ok     bool
+	}{
+		{simd.WidthAVX512, 0, true},
+		{simd.WidthAVX512, 4, true},
+		{simd.WidthAVX512, 8, true},
+		{simd.WidthAVX512, 3, false},
+		{simd.WidthAVX, 4, false},
+	} {
+		got, err := ReadSet(bytes.NewReader(forge(setData, 60, tc.w, tc.stride)))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("ReadSet, width %v stride %d: %v", tc.w, tc.stride, err)
+		case tc.ok && !slices.Equal(got.Elements(), set.Elements()):
+			t.Errorf("ReadSet, width %v stride %d: elements changed", tc.w, tc.stride)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "kernel stride")):
+			t.Errorf("ReadSet, width %v stride %d: err = %v, want a kernel stride error", tc.w, tc.stride, err)
+		}
+		sets, err := ReadCorpus(bytes.NewReader(forge(corpusData, -1, tc.w, tc.stride)))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("ReadCorpus, width %v stride %d: %v", tc.w, tc.stride, err)
+		case tc.ok && (len(sets) != 2 || !slices.Equal(sets[1].Elements(), corpus[1].Elements())):
+			t.Errorf("ReadCorpus, width %v stride %d: sets changed", tc.w, tc.stride)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "kernel stride")):
+			t.Errorf("ReadCorpus, width %v stride %d: err = %v, want a kernel stride error", tc.w, tc.stride, err)
+		}
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	configs := []Config{
 		{},
 		{Width: simd.WidthSSE, SegBits: 16},
-		{Width: simd.WidthAVX512, Stride: 4, Scale: 4, Seed: 99},
+		{Width: simd.WidthAVX512, Scale: 4, Seed: 99},
 	}
 	for _, cfg := range configs {
 		for _, n := range []int{0, 1, 100, 5000} {

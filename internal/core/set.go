@@ -14,9 +14,9 @@
 // collisions overflow a prefix keeps the nseg+1 u32 offsets instead.
 //
 // Intersections then run in two steps (Section III-C): a bitmap-level AND
-// prunes segments with no common bits, and specialized kernels (package
-// kernels) intersect the element lists of the surviving segment pairs. The
-// expected work is O(n/√w + r) (Proposition 1).
+// prunes segments with no common bits, and small-set kernels
+// (simd.CountSmall, simd.IntersectSmall) intersect the element lists of the
+// surviving segment pairs. The expected work is O(n/√w + r) (Proposition 1).
 //
 // The package also provides the paper's extensions: k-way intersection
 // (Section VI, O(kn/√w + r)), the hash-probe strategy for dramatically
@@ -33,7 +33,6 @@ import (
 
 	"fesia/internal/bitmap"
 	"fesia/internal/hashutil"
-	"fesia/internal/kernels"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -121,12 +120,15 @@ func chooseRep(sorted []uint32, force Rep) Rep {
 }
 
 // Config controls how a Set is built. Sets that will be intersected together
-// must be built with identical Width, SegBits, Seed and Stride; bitmap sizes
-// may differ (they are reconciled via the power-of-two wrapping rule).
-// Representations may differ freely across sets of one corpus.
+// must be built with identical SegBits and Seed; bitmap sizes may differ
+// (they are reconciled via the power-of-two wrapping rule), and so may Width
+// and Scale, which only size the bitmap. Representations may differ freely
+// across sets of one corpus.
 type Config struct {
-	// Width selects the emulated vector ISA (SSE, AVX, AVX512).
-	// Default: AVX.
+	// Width is the paper's vector width w (SSE, AVX, AVX512). It sets the
+	// default Scale, √w bitmap bits per element, and is recorded in
+	// snapshots; the query path's small-set kernels are chosen at run time
+	// by internal/simd, not by Width. Default: AVX.
 	Width simd.Width
 
 	// SegBits is the segment size s in bits: 8, 16 or 32. Smaller segments
@@ -141,12 +143,6 @@ type Config struct {
 	// Seed salts the universal hash function.
 	Seed uint64
 
-	// Stride samples the specialized-kernel sizes (Section VI): 1 keeps
-	// every kernel; 4 and 8 shrink the jump table as in Table II. Strides
-	// other than 1 require Width == AVX512 (the generated tables).
-	// Default: 1.
-	Stride int
-
 	// Rep selects the per-set representation. The zero value RepSegmented
 	// builds the paper's segmented bitmap for every set (the historical
 	// behavior); RepAuto picks segmented / array / dense per set by the
@@ -160,7 +156,7 @@ type Config struct {
 // DefaultConfig returns the configuration used throughout the paper's main
 // experiments: AVX-256, 8-bit segments, m = n·√w.
 func DefaultConfig() Config {
-	return Config{Width: simd.WidthAVX, SegBits: 8, Scale: 0, Seed: 0, Stride: 1}
+	return Config{Width: simd.WidthAVX, SegBits: 8, Scale: 0, Seed: 0}
 }
 
 // normalize validates cfg and fills defaults.
@@ -189,26 +185,10 @@ func (c Config) normalize() (Config, error) {
 	if c.Scale <= 0 || math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) {
 		return c, fmt.Errorf("core: invalid bitmap scale %v", c.Scale)
 	}
-	if c.Stride == 0 {
-		c.Stride = 1
-	}
-	if c.Stride != 1 && c.Width != simd.WidthAVX512 {
-		return c, fmt.Errorf("core: kernel stride %d requires AVX512", c.Stride)
-	}
-	if c.Stride != 1 && c.Stride != 4 && c.Stride != 8 {
-		return c, fmt.Errorf("core: unsupported kernel stride %d", c.Stride)
-	}
 	if c.Rep >= numReps && c.Rep != RepAuto {
 		return c, fmt.Errorf("core: invalid representation %d", c.Rep)
 	}
 	return c, nil
-}
-
-func (c Config) table() *kernels.Table {
-	if c.Stride != 1 {
-		return kernels.ForStride(c.Stride)
-	}
-	return kernels.ForWidth(c.Width)
 }
 
 // Set is an immutable FESIA set in one of three physical representations:
@@ -245,13 +225,10 @@ type Set struct {
 type buildState struct {
 	cfg    Config
 	hasher hashutil.Hasher
-	table  *kernels.Table
-	disp   kernels.Dispatcher // cached jump-table view for the hot loop
 }
 
 func newBuildState(cfg Config) *buildState {
-	table := cfg.table()
-	return &buildState{cfg: cfg, hasher: hashutil.New(cfg.Seed), table: table, disp: table.Dispatcher()}
+	return &buildState{cfg: cfg, hasher: hashutil.New(cfg.Seed)}
 }
 
 // NewSet builds a Set from elems. The input may be unsorted and contain
@@ -758,9 +735,6 @@ func compatible(a, b *Set) {
 	}
 	if a.build.cfg.SegBits != b.build.cfg.SegBits {
 		panic("core: sets built with different segment sizes")
-	}
-	if a.build.table != b.build.table {
-		panic("core: sets built with different kernel tables")
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 )
 
 // FuzzTableCount differentially tests every kernel table (all widths, all
-// strides) against the scalar generic kernel on fuzzer-chosen segment
-// contents and sizes, including the over-cap fallback boundary.
+// strides) and, on every dispatch tier, the query path's small-set kernels
+// (simd.CountSmall, simd.IntersectSmall) against the scalar generic kernel
+// on fuzzer-chosen segment contents and sizes, including the over-cap
+// fallback boundary.
 func FuzzTableCount(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 1, 2, 3, 4})
 	f.Add([]byte{0})
@@ -34,10 +36,21 @@ func FuzzTableCount(f *testing.F) {
 		dst := make([]uint32, min(len(a), len(b))+1)
 		wantDst := make([]uint32, min(len(a), len(b))+1)
 		GenericIntersect(wantDst, a, b)
-		// Each dispatch tier must agree: the patched jump-table wrappers
-		// re-check the live switches, so forcing a tier exercises its
-		// kernels (including forced-AVX2 on AVX-512 hardware).
+		// Each dispatch tier must agree: forcing a tier exercises its
+		// small-set kernels (including forced-AVX2 on AVX-512 hardware).
 		forEachTier(t, func(t *testing.T, _ string) {
+			if got := simd.CountSmall(a, b); got != want {
+				t.Fatalf("CountSmall = %d, want %d\na=%v\nb=%v", got, want, a, b)
+			}
+			n := simd.IntersectSmall(dst, a, b)
+			if n != want {
+				t.Fatalf("IntersectSmall = %d, want %d", n, want)
+			}
+			for i, v := range dst[:n] {
+				if v != wantDst[i] {
+					t.Fatalf("IntersectSmall elem %d = %d, want %d (ordered output)", i, v, wantDst[i])
+				}
+			}
 			for _, tbl := range Tables() {
 				if got := tbl.Count(a, b); got != want {
 					t.Fatalf("%v stride %d Count = %d, want %d\na=%v\nb=%v",

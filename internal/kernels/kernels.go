@@ -20,6 +20,12 @@
 //
 // Sizes beyond a table's capacity fall through to the scalar generic kernel,
 // mirroring the paper's "default: GeneralIntersection()" switch arm.
+//
+// The tables are the apparatus of Figs 4-6 (ForWidth against GeneralCount)
+// and Table II (ForStride, with internal/icachesim). No query reads them:
+// internal/core sends each segment pair to simd.CountSmall or
+// simd.IntersectSmall, which pick a masked SIMD body or a scalar merge from
+// the pair's sizes (DESIGN.md §2).
 package kernels
 
 import (
@@ -215,28 +221,9 @@ func Tables() []*Table {
 	return []*Table{TableSSE, TableAVX, TableAVX512, TableAVX512S4, TableAVX512S8}
 }
 
-// Dispatcher exposes the raw jump table for hot loops that cannot afford a
-// call through Table.Count per segment pair (the bitmap word loop in
-// internal/core dispatches millions of times per intersection). Callers are
-// responsible for routing sizes above Cap to GenericCount/GenericIntersect.
-type Dispatcher struct {
-	Count []CountFunc
-	Inter []IntersectFunc
-	Round []uint8
-	Bits  uint
-	Cap   int
-}
-
-// Dispatcher returns the raw dispatch components of the table.
-func (t *Table) Dispatcher() Dispatcher {
-	return Dispatcher{
-		Count: t.count,
-		Inter: t.inter,
-		Round: t.round,
-		Bits:  t.bits,
-		Cap:   t.cap,
-	}
-}
+// AsmKernelsActive reports whether the query path's small-set kernels run
+// the assembly backend: simd.AsmActive.
+func AsmKernelsActive() bool { return simd.AsmActive() }
 
 // ---------------------------------------------------------------------------
 // Helpers shared by generated kernels.

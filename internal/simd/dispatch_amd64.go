@@ -97,9 +97,6 @@ func andWordsAVX2(dst, a, b *uint64, nblocks int) int
 //go:noescape
 func countSmallAVX2(a *uint32, la int, b *uint32, lb int) int
 
-//go:noescape
-func containsAVX2(b *uint32, lb int, x uint32) int
-
 // AVX-512 routine declarations (simd_avx512_amd64.s).
 
 //go:noescape
@@ -178,11 +175,14 @@ func pickRegisterSide(a, b []uint32, lanes int) ([]uint32, []uint32, bool) {
 // loop-free VPCONFLICTD kernel is dispatched (measured faster than the
 // broadcast loop on Ice Lake-class cores, where VPCONFLICTD is cheap);
 // otherwise the 16-lane broadcast kernel runs with the longer side in the
-// register. ok is false when the top rung is off or neither side fits 16
-// lanes. Either side may be compressed: segment element lists are sorted, so
-// register-side order equals loop-side order.
+// register. ok is false when the top rung is off, neither side fits 16
+// lanes, or dst has room for fewer than min(len(a), len(b)) elements, the
+// most a kernel can store: a merge writing into the tail of its output may
+// pass less, and the scalar merge then writes only the matches. Either side
+// may be compressed: segment element lists are sorted, so register-side
+// order equals loop-side order.
 func intersectSmallAsm(dst, a, b []uint32) (int, bool) {
-	if !avx512On {
+	if !avx512On || len(dst) < min(len(a), len(b)) {
 		return 0, false
 	}
 	if len(a) <= 8 && len(b) <= 8 {
@@ -206,11 +206,9 @@ func IntersectSmallConflict(dst, a, b []uint32) (int, bool) {
 	return intersectConflictAVX512(&dst[0], &a[0], len(a), &b[0], len(b)), true
 }
 
-func containsAsmDispatch(list []uint32, x uint32) bool {
-	if avx512On && len(list) >= 16 {
-		return containsAVX512(&list[0], len(list), x) != 0
-	}
-	return containsAVX2(&list[0], len(list), x) != 0
+// containsAsm is the AVX-512 membership probe over a non-empty list.
+func containsAsm(list []uint32, x uint32) bool {
+	return containsAVX512(&list[0], len(list), x) != 0
 }
 
 // probeStageAsm runs the gathered hash-probe stage over n elements (n a

@@ -49,7 +49,7 @@ func intersectSmallAsm(dst, a, b []uint32) (int, bool) { return 0, false }
 // scalar-only builds.
 func IntersectSmallConflict(dst, a, b []uint32) (int, bool) { return 0, false }
 
-func containsAsmDispatch(list []uint32, x uint32) bool {
+func containsAsm(list []uint32, x uint32) bool {
 	panic("simd: no assembly backend")
 }
 

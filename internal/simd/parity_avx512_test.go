@@ -1,7 +1,9 @@
 package simd
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fesia/internal/hashutil"
@@ -46,17 +48,43 @@ func TestBackendLadder(t *testing.T) {
 	})
 }
 
-// TestCountSmallTierParity runs CountSmall across every tier with sizes
-// reaching the 16-lane register and loop sides beyond it.
+// smallSizes draws one pair of side lengths for the small-kernel parity
+// tests, covering the three bodies the kernels choose from their sizes:
+// both sides within one 16-lane register, one side in a register against a
+// loop side of up to a few hundred (either order), and both sides past 16
+// lanes (the scalar fallback). Segment pairs at Scale 1, k-way chain lists
+// and arrayArrayRun's blocks reach every regime from internal/core.
+func smallSizes(rng *rand.Rand) (la, lb int) {
+	switch rng.Intn(3) {
+	case 0:
+		la, lb = rng.Intn(17), rng.Intn(17)
+	case 1:
+		la, lb = rng.Intn(17), rng.Intn(400)
+	default:
+		la, lb = 17+rng.Intn(300), 17+rng.Intn(300)
+	}
+	if rng.Intn(2) == 0 {
+		la, lb = lb, la
+	}
+	return la, lb
+}
+
+// smallPair draws two sorted sets of the given lengths from a span small
+// enough that they overlap.
+func smallPair(rng *rand.Rand, la, lb int) (a, b []uint32) {
+	span := uint32(2*max(la, lb) + 40 + rng.Intn(48))
+	return randSorted(rng, la, span), randSorted(rng, lb, span)
+}
+
+// TestCountSmallTierParity runs CountSmall across every tier at the sizes
+// smallSizes draws: register sides, loop sides of a few hundred, and the
+// scalar fallback.
 func TestCountSmallTierParity(t *testing.T) {
 	forEachTier(t, func(t *testing.T, _ string) {
 		rng := rand.New(rand.NewSource(11))
 		for trial := 0; trial < 3000; trial++ {
-			la := rng.Intn(17)
-			lb := rng.Intn(25)                // loop side past 16 lanes
-			span := uint32(40 + rng.Intn(48)) // small span forces overlaps; > la+lb so randSorted can draw
-			a := randSorted(rng, la, span)
-			b := randSorted(rng, lb, span)
+			la, lb := smallSizes(rng)
+			a, b := smallPair(rng, la, lb)
 			got := CountSmall(a, b)
 			want := countSmallGeneric(a, b)
 			if got != want {
@@ -71,18 +99,16 @@ func TestCountSmallTierParity(t *testing.T) {
 }
 
 // TestIntersectSmallTierParity checks the materializing kernel across every
-// tier: count and emitted prefix must match the scalar merge bit for bit.
+// tier at the sizes smallSizes draws: count and output must match the scalar
+// merge bit for bit, and the slots past the output must stay untouched.
 func TestIntersectSmallTierParity(t *testing.T) {
 	forEachTier(t, func(t *testing.T, _ string) {
 		rng := rand.New(rand.NewSource(12))
 		for trial := 0; trial < 3000; trial++ {
-			la := rng.Intn(17)
-			lb := rng.Intn(25)
-			span := uint32(40 + rng.Intn(48))
-			a := randSorted(rng, la, span)
-			b := randSorted(rng, lb, span)
-			got := make([]uint32, 32)
-			want := make([]uint32, 32)
+			la, lb := smallSizes(rng)
+			a, b := smallPair(rng, la, lb)
+			got := make([]uint32, min(la, lb)+4)
+			want := make([]uint32, len(got))
 			for i := range got {
 				got[i] = 0xDEADBEEF // poison: untouched slots must stay equal
 				want[i] = 0xDEADBEEF
@@ -92,9 +118,9 @@ func TestIntersectSmallTierParity(t *testing.T) {
 			if gn != wn {
 				t.Fatalf("trial=%d a=%v b=%v: got n=%d want n=%d", trial, a, b, gn, wn)
 			}
-			for i := 0; i < wn; i++ {
+			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial=%d a=%v b=%v elem %d: got=%d want=%d", trial, a, b, i, got[i], want[i])
+					t.Fatalf("trial=%d a=%v b=%v slot %d (n=%d): got=%d want=%d", trial, a, b, i, wn, got[i], want[i])
 				}
 			}
 		}
@@ -102,6 +128,18 @@ func TestIntersectSmallTierParity(t *testing.T) {
 		dst[0] = 7
 		if n := IntersectSmall(dst[:], []uint32{0}, []uint32{0}); n != 1 || dst[0] != 0 {
 			t.Fatalf("IntersectSmall({0},{0}) = (%d, %v), want (1, [0])", n, dst)
+		}
+		// dst with room for the matches only, down to none, as pass 2 passes
+		// the tail of a buffer sized for the whole result.
+		for trial := 0; trial < 500; trial++ {
+			la, lb := smallSizes(rng)
+			a, b := smallPair(rng, la, lb)
+			want := make([]uint32, min(la, lb))
+			wn := IntersectSmallGeneric(want, a, b)
+			got := make([]uint32, wn)
+			if gn := IntersectSmall(got, a, b); gn != wn || !slices.Equal(got, want[:wn]) {
+				t.Fatalf("trial=%d a=%v b=%v into exact dst: got %v want %v", trial, a, b, got[:gn], want[:wn])
+			}
 		}
 	})
 }
@@ -234,31 +272,10 @@ func TestProbeStageParity(t *testing.T) {
 func FuzzIntersectSmallParity(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{0}, []byte{0})
+	f.Add(bytes.Repeat([]byte{3}, 40), bytes.Repeat([]byte{1, 6}, 150))
 	f.Fuzz(func(t *testing.T, ra, rb []byte) {
-		if len(ra) > 16 {
-			ra = ra[:16]
-		}
-		if len(rb) > 20 {
-			rb = rb[:20]
-		}
-		toSorted := func(r []byte) []uint32 {
-			seen := map[uint32]bool{}
-			var out []uint32
-			for _, v := range r {
-				if !seen[uint32(v)] {
-					seen[uint32(v)] = true
-					out = append(out, uint32(v))
-				}
-			}
-			for i := 1; i < len(out); i++ {
-				for j := i; j > 0 && out[j] < out[j-1]; j-- {
-					out[j], out[j-1] = out[j-1], out[j]
-				}
-			}
-			return out
-		}
-		a, b := toSorted(ra), toSorted(rb)
-		want := make([]uint32, 16)
+		a, b := fuzzSorted(ra), fuzzSorted(rb)
+		want := make([]uint32, min(len(a), len(b)))
 		wn := IntersectSmallGeneric(want, a, b)
 		if !HasAsm() {
 			return
@@ -267,7 +284,7 @@ func FuzzIntersectSmallParity(f *testing.F) {
 		defer SetAsmEnabled(prevAsm)
 		for _, avx512 := range []bool{false, true} {
 			prev := SetAvx512Enabled(avx512)
-			got := make([]uint32, 16)
+			got := make([]uint32, len(want))
 			gn := IntersectSmall(got, a, b)
 			SetAvx512Enabled(prev)
 			if gn != wn {

@@ -1,7 +1,9 @@
 package simd
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -127,11 +129,7 @@ func randSorted(rng *rand.Rand, n int, span uint32) []uint32 {
 			out = append(out, v)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -215,41 +213,38 @@ func FuzzAndSegMasksParity(f *testing.F) {
 func FuzzCountSmallParity(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{0}, []byte{0})
+	f.Add(bytes.Repeat([]byte{3}, 40), bytes.Repeat([]byte{1, 6}, 150))
 	f.Fuzz(func(t *testing.T, ra, rb []byte) {
-		if len(ra) > 8 {
-			ra = ra[:8]
-		}
-		if len(rb) > 8 {
-			rb = rb[:8]
-		}
-		toSorted := func(r []byte) []uint32 {
-			seen := map[uint32]bool{}
-			var out []uint32
-			for _, v := range r {
-				if !seen[uint32(v)] {
-					seen[uint32(v)] = true
-					out = append(out, uint32(v))
-				}
-			}
-			for i := 1; i < len(out); i++ {
-				for j := i; j > 0 && out[j] < out[j-1]; j-- {
-					out[j], out[j-1] = out[j-1], out[j]
-				}
-			}
-			return out
-		}
-		a, b := toSorted(ra), toSorted(rb)
+		a, b := fuzzSorted(ra), fuzzSorted(rb)
 		want := countSmallGeneric(a, b)
 		if !HasAsm() {
 			return
 		}
-		prev := SetAsmEnabled(true)
-		got := CountSmall(a, b)
-		SetAsmEnabled(prev)
-		if got != want {
-			t.Fatalf("a=%v b=%v: asm=%d go=%d", a, b, got, want)
+		prevAsm := SetAsmEnabled(true)
+		defer SetAsmEnabled(prevAsm)
+		for _, avx512 := range []bool{false, true} {
+			prev := SetAvx512Enabled(avx512)
+			got := CountSmall(a, b)
+			SetAvx512Enabled(prev)
+			if got != want {
+				t.Fatalf("avx512=%v a=%v b=%v: asm=%d go=%d", avx512, a, b, got, want)
+			}
 		}
 	})
+}
+
+// fuzzSorted decodes fuzz bytes as the gaps (1 to 8) of an ascending list
+// starting at 0 to 7, at most 400 elements long: two inputs overlap densely,
+// and the length reaches past the 16-lane register on either side.
+func fuzzSorted(r []byte) []uint32 {
+	r = r[:min(len(r), 400)]
+	out := make([]uint32, len(r))
+	v := ^uint32(0)
+	for i, g := range r {
+		v += 1 + uint32(g&7)
+		out[i] = v
+	}
+	return out
 }
 
 func BenchmarkAndSegMasks(b *testing.B) {

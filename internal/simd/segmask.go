@@ -145,13 +145,13 @@ func segMaskWord32(w uint64) uint32 {
 	return uint32((lo|-lo)>>63) | uint32((hi|-hi)>>63)<<1
 }
 
-// CountSmall counts |a ∩ b| for two small sorted sets using the AVX2
-// broadcast-compare kernel when the backend is active and either side fits a
-// register (≤ 8 lanes): the shorter side is masked-loaded once, every element
-// of the longer side is broadcast against it, and matches accumulate as
-// VPSUBD of the compare masks — the Lemire intersection idiom. Falls back to
-// a scalar merge otherwise. The specialized jump tables in internal/kernels
-// route their small-size entries here when the backend is active.
+// CountSmall counts |a ∩ b| for two sorted sets of any sizes, choosing its
+// body from the sizes and the live rung: when either side fits a register
+// (16 lanes on the AVX-512 rung, 8 on AVX2), that side is masked-loaded
+// once, every element of the other side is broadcast against it, and the
+// compare masks accumulate — the Lemire intersection idiom. Otherwise, and
+// on the scalar rung, it runs a scalar merge. internal/core counts every
+// segment pair, k-way chain step and array pair here.
 func CountSmall(a, b []uint32) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
@@ -165,13 +165,16 @@ func CountSmall(a, b []uint32) int {
 }
 
 // IntersectSmall writes a ∩ b to dst in ascending order and returns the
-// number of elements written; dst must have room for min(len(a), len(b)).
+// number of elements written. dst must have room for the matches; the SIMD
+// bodies run only when it has room for min(len(a), len(b)), so a caller
+// writing into the tail of a buffer sized for its whole result (core's
+// pass 2) may pass less.
 // On the AVX-512 rung the register side is mask-loaded once, the loop side
 // broadcast-compared against it, and one VPCOMPRESSD stores the matching
 // lanes contiguously in order — the compress-store materialize path the AVX2
-// rung lacks (it can only count). Falls back to a scalar merge on the lower
-// rungs. The specialized jump tables in internal/kernels route their
-// intersect entries here when the top rung is active.
+// rung lacks (it can only count). It runs a scalar merge when neither side
+// fits 16 lanes and on the lower rungs. internal/core materializes every
+// segment pair, k-way chain step and array pair here.
 func IntersectSmall(dst, a, b []uint32) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
@@ -224,13 +227,14 @@ func countSmallGeneric(a, b []uint32) int {
 	return n
 }
 
-// Contains reports whether x occurs in the sorted list, with the AVX2
-// compare-all-lanes probe when the backend is active (the hash-probe
-// strategy's segment scan for longer segments) and a scalar early-exit scan
-// otherwise.
+// Contains reports whether x occurs in the sorted list: the AVX-512
+// compare-all-lanes probe for lists of 16 or more elements on that rung (the
+// hash-probe strategy's scan of longer segments), a scalar early-exit scan
+// otherwise. The AVX2 rung has no probe of its own: its compare-all-lanes
+// loop read slower than the scalar scan (EXPERIMENTS.md).
 func Contains(list []uint32, x uint32) bool {
-	if AsmActive() && len(list) > 0 {
-		return containsAsmDispatch(list, x)
+	if Avx512Active() && len(list) >= 16 {
+		return containsAsm(list, x)
 	}
 	for _, v := range list {
 		if v == x {

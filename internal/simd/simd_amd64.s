@@ -235,43 +235,3 @@ cntdone:
 	VZEROUPPER
 	MOVQ    AX, ret+32(FP)
 	RET
-
-// func containsAVX2(b *uint32, lb int, x uint32) int
-//
-// Membership probe: broadcast x, compare against b eight lanes at a time
-// (masked tail), OR the movemasks. Returns non-zero iff x occurs in b.
-TEXT ·containsAVX2(SB), NOSPLIT, $0-32
-	MOVQ b+0(FP), DX
-	MOVQ lb+8(FP), CX
-	MOVL x+16(FP), R11
-	VMOVD R11, X0
-	VPBROADCASTD X0, Y0
-	XORQ AX, AX
-
-cblocks:
-	CMPQ CX, $8
-	JLT  ctail
-	VMOVDQU   (DX), Y1
-	VPCMPEQD  Y0, Y1, Y1
-	VPMOVMSKB Y1, R10
-	ORL       R10, AX
-	ADDQ      $32, DX
-	SUBQ      $8, CX
-	JMP       cblocks
-
-ctail:
-	TESTQ CX, CX
-	JE    cdone
-	SHLQ  $5, CX
-	LEAQ  laneMask<>(SB), R9
-	VMOVDQU    (R9)(CX*1), Y3
-	VPMASKMOVD (DX), Y3, Y1
-	VPCMPEQD   Y0, Y1, Y1
-	VPAND      Y3, Y1, Y1
-	VPMOVMSKB  Y1, R10
-	ORL        R10, AX
-
-cdone:
-	VZEROUPPER
-	MOVQ AX, ret+24(FP)
-	RET
