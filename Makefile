@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench probebench poolbench swapbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench pairbench probebench poolbench swapbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -125,6 +125,15 @@ tracebench:
 # queries: the source of EXPERIMENTS.md's k-way table (medians of 5).
 kwaybench:
 	$(GO) test -run '^$$' -bench BenchmarkKWayArms -benchtime 0.5s -count 5 ./internal/core | tee kwaybench.txt
+
+# The two seg×seg arms, forced merge against forced hash, over the larger
+# side (16 to 4Mi elements), the size ratio (1/64 to 1), selectivity (0.1,
+# 0.5, 0.9) and a cache-resident and a memory-bound pool, on each available
+# rung, alternating which arm runs first: the source of planner.HashSegSeg's
+# HashFloor and SkewThreshold and of EXPERIMENTS.md's "Fig 11 on the shipped
+# path" (medians of 3). Takes ~22 min and ~1.1 GB.
+pairbench:
+	$(GO) test -run '^$$' -bench BenchmarkPairArms -benchtime 0.05s -count 3 -timeout 60m ./internal/core | tee pairbench.txt
 
 # The segmented membership probe's two bodies, the direct loop and the staged
 # body, over list lengths 4-8,192 in a memory-bound and two cache-resident

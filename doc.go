@@ -34,10 +34,13 @@
 // # Choosing a strategy
 //
 // IntersectCount picks between the two-step merge (FESIAmerge) and a
-// per-element hash probe (FESIAhash) based on the size ratio of the inputs,
-// mirroring the crossover at skew ≈ 1/4 in Fig. 11 of the paper. The
-// specific strategies are available as MergeCount/HashCount when the
-// adaptive choice needs overriding.
+// per-element hash probe (FESIAhash) from the input sizes and the ISA rung:
+// the hash probe when the smaller set is under 1/4 of the larger, the
+// crossover of Fig. 11 in the paper, and on the AVX-512 rung also whenever
+// the smaller set holds at least 16 elements, one gathered probe group,
+// where a sweep of the shipped arms has the probe ahead. The specific
+// strategies are available as MergeCount/HashCount when the adaptive choice
+// needs overriding.
 //
 // # Reproduction harness
 //

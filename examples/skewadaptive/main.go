@@ -4,8 +4,8 @@
 // When one input is dramatically smaller than the other, probing each small
 // element through the large set's bitmap (FESIAhash, O(min(n1, n2))) beats
 // scanning both bitmaps (FESIAmerge). This example sweeps the size ratio
-// and shows where each strategy wins and what the adaptive entry point
-// picks.
+// and shows where each strategy wins and which arm the adaptive entry point
+// ran, read from the library's per-arm query counters.
 //
 // Run with:
 //
@@ -24,8 +24,11 @@ import (
 func main() {
 	const n2 = 200_000
 	rng := rand.New(rand.NewSource(3))
+	// Before the first query, so every executor records the arm it runs.
+	fesia.EnableStats()
 
-	fmt.Printf("%-12s %12s %12s %12s %s\n", "skew n1/n2", "merge", "hash", "adaptive", "adaptive picked")
+	fmt.Printf("backend %s\n", fesia.Backend())
+	fmt.Printf("%-12s %12s %12s %12s %s\n", "skew n1/n2", "merge", "hash", "adaptive", "adaptive ran")
 	for _, skew := range []float64{1.0 / 64, 1.0 / 16, 1.0 / 4, 1.0 / 2, 1} {
 		n1 := int(float64(n2) * skew)
 		ea, eb := datasets.GenPair(rng, n1, n2, n1/10, 1<<24)
@@ -36,17 +39,24 @@ func main() {
 		tHash := timeIt(func() int { return fesia.HashCount(a, b) })
 		tAuto := timeIt(func() int { return fesia.IntersectCount(a, b) })
 
-		// The adaptive rule (core.SkewThreshold): hash below skew 1/4.
-		picked := "merge"
-		if float64(n1) < 0.25*float64(n2) {
-			picked = "hash"
-		}
 		fmt.Printf("%-12s %10.0fus %10.0fus %10.0fus %s\n",
 			fmt.Sprintf("%d/%d", n1, n2),
-			us(tMerge), us(tHash), us(tAuto), picked)
+			us(tMerge), us(tHash), us(tAuto), adaptiveArm(a, b))
 	}
-	fmt.Println("\nThe adaptive strategy switches to the hash probe below a size")
-	fmt.Println("ratio of 1/4, matching the crossover in Fig. 11 of the paper.")
+	fmt.Println("\nThe adaptive strategy hashes below a size ratio of 1/4, the")
+	fmt.Println("crossover in Fig. 11 of the paper, and on the avx512 backend also")
+	fmt.Println("whenever the smaller set fills one 16-element gathered probe group.")
+}
+
+// adaptiveArm runs one adaptive intersection and names the arm it took, from
+// the per-arm query counters it moved.
+func adaptiveArm(a, b *fesia.Set) string {
+	before := fesia.Stats()
+	sink += fesia.IntersectCount(a, b)
+	if after := fesia.Stats(); after.Counter(fesia.CtrQueriesHash) > before.Counter(fesia.CtrQueriesHash) {
+		return "hash"
+	}
+	return "merge"
 }
 
 func timeIt(f func() int) time.Duration {

@@ -46,7 +46,9 @@ func (e *Executor) unwrap(sets []*Set) []*core.Set {
 }
 
 // IntersectCount returns |a ∩ b|, choosing between the two-step merge and
-// the hash-probe strategy by input skew (Section VI). Zero heap allocations.
+// the hash-probe strategy by the static rule: input skew below 1/4 (Section
+// VI), or on the AVX-512 rung a smaller set of at least 16 elements. Zero
+// heap allocations.
 func (e *Executor) IntersectCount(a, b *Set) int { return e.inner.Count(a.inner, b.inner) }
 
 // MergeCount forces the two-step FESIAmerge strategy (Algorithm 1).

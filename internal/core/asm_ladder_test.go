@@ -3,16 +3,16 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fesia/internal/simd"
 )
 
-// runTiers runs f once per available dispatch tier — scalar, avx2 (which on
-// AVX-512 hardware is the forced-AVX2 tier), avx512 — and returns the tier
-// names alongside the results so callers can require every tier to agree
-// with the scalar reference. Dispatch state is restored afterwards.
-func runTiers(t *testing.T, f func() any) (names []string, results []any) {
+// eachRung runs f once per available dispatch tier — scalar, avx2 (which on
+// AVX-512 hardware is the forced-AVX2 tier), avx512 — with the tier live and
+// its name passed in. Dispatch state is restored afterwards.
+func eachRung(t *testing.T, f func(rung string)) {
 	t.Helper()
 	prevAsm := simd.SetAsmEnabled(false)
 	prevAvx512 := simd.SetAvx512Enabled(false)
@@ -20,27 +20,66 @@ func runTiers(t *testing.T, f func() any) (names []string, results []any) {
 		simd.SetAvx512Enabled(prevAvx512)
 		simd.SetAsmEnabled(prevAsm)
 	}()
-	names = append(names, "scalar")
-	results = append(results, f())
+	f("scalar")
 	if simd.HasAsm() {
 		simd.SetAsmEnabled(true)
-		names = append(names, "avx2")
-		results = append(results, f())
+		f("avx2")
 	}
 	if simd.HasAVX512() {
 		simd.SetAvx512Enabled(true)
-		names = append(names, "avx512")
-		results = append(results, f())
+		f("avx512")
 	}
+}
+
+// runTiers runs f once per available dispatch tier (eachRung) and returns
+// the tier names alongside the results so callers can require every tier to
+// agree with the scalar reference.
+func runTiers(t *testing.T, f func() any) (names []string, results []any) {
+	t.Helper()
+	eachRung(t, func(rung string) {
+		names = append(names, rung)
+		results = append(results, f())
+	})
 	return names, results
+}
+
+// ruleOrder returns a ∩ b in the order of the arm the static rule (useHash)
+// picks on the live rung: merge emits in the larger bitmap's segment order,
+// hash in the smaller set's. It is the order of the adaptive entry points,
+// which therefore follows the rung wherever the rule's arm does.
+func ruleOrder(a, b *Set) []uint32 {
+	dst := make([]uint32, min(a.Len(), b.Len()))
+	if useHash(a, b) {
+		return dst[:IntersectHash(dst, a, b)]
+	}
+	return dst[:IntersectMerge(dst, a, b)]
+}
+
+// probeChainOrder returns the k-way probe chain's output order for sets of
+// distinct lengths: its seed pair, the two shortest sets, in ruleOrder, kept
+// where every set holds the element.
+func probeChainOrder(sets []*Set) []uint32 {
+	s := slices.Clone(sets)
+	slices.SortFunc(s, func(x, y *Set) int { return x.Len() - y.Len() })
+	var out []uint32
+	for _, x := range ruleOrder(s[0], s[1]) {
+		if !slices.ContainsFunc(s[2:], func(o *Set) bool { return !o.Contains(x) }) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // TestExecutorTierParity drives the executor's query shapes through every
 // tier of the ladder on the same inputs and requires identical results —
-// including the materializing paths (Intersect, IntersectManyInto, Visit,
-// and IntersectK on both k-way arms)
-// that the AVX-512 rung now serves with compress-store kernels, and the
-// hash-probe paths served by the gathered stage. Scale 1 shrinks the bitmap
+// including the materializing paths (IntersectMerge, IntersectHash and
+// IntersectK on both k-way arms) that the AVX-512 rung serves with
+// compress-store kernels, and the hash-probe paths served by the gathered
+// stage. The adaptive materializing paths (Intersect, Visit,
+// IntersectManyInto, and IntersectK's probe chain through its seed pair)
+// emit in the order of the arm the rung's rule picks, so
+// on each tier they must equal that arm's output exactly (ruleOrder), and
+// across tiers they must hold the same elements. Scale 1 shrinks the bitmap
 // so segments grow into the 9..16 kernel range only the AVX-512 register
 // covers.
 func TestExecutorTierParity(t *testing.T) {
@@ -76,7 +115,7 @@ func TestExecutorTierParity(t *testing.T) {
 		{Width: simd.WidthAVX512},
 	}
 	shapes := []struct{ na, nb int }{
-		{2500, 2100},  // merge, similar sizes
+		{2500, 2100},  // similar sizes: merge, hash on the AVX-512 rung
 		{6000, 250},   // hash, skewed: the gathered probe path
 		{30000, 8000}, // bigger bitmaps
 	}
@@ -94,12 +133,26 @@ func TestExecutorTierParity(t *testing.T) {
 			names, res = runTiers(t, func() any { return CountHash(a, b) })
 			check("CountHash", names, res)
 
+			// ruled holds an adaptive path's output to the order of the arm
+			// the rung's rule picks, and hands back its elements sorted for
+			// the cross-tier check.
+			ruled := func(op string, got, want []uint32) any {
+				if !equalU32(got, want) {
+					t.Fatalf("%s: %d elements out of the rule's arm order (%d)", op, len(got), len(want))
+				}
+				return sortedCopy(got)
+			}
 			dst := make([]uint32, min(a.Len(), b.Len()))
 			names, res = runTiers(t, func() any {
 				n := e.Intersect(dst, a, b)
-				return append([]uint32(nil), dst[:n]...)
+				return ruled("Intersect", dst[:n], ruleOrder(a, b))
 			})
 			check("Intersect", names, res)
+			names, res = runTiers(t, func() any {
+				n := IntersectMerge(dst, a, b)
+				return append([]uint32(nil), dst[:n]...)
+			})
+			check("IntersectMerge", names, res)
 			names, res = runTiers(t, func() any {
 				n := IntersectHash(dst, a, b)
 				return append([]uint32(nil), dst[:n]...)
@@ -108,7 +161,7 @@ func TestExecutorTierParity(t *testing.T) {
 			names, res = runTiers(t, func() any {
 				var got []uint32
 				e.Visit(a, b, func(x uint32) { got = append(got, x) })
-				return got
+				return ruled("Visit", got, ruleOrder(a, b))
 			})
 			check("Visit", names, res)
 
@@ -117,7 +170,11 @@ func TestExecutorTierParity(t *testing.T) {
 				counts := make([]int, len(cands))
 				buf := make([]uint32, a.Len()*3)
 				total := e.IntersectManyInto(buf, counts, a, cands)
-				return append([]uint32(nil), buf[:total]...)
+				var want []uint32
+				for _, c := range cands {
+					want = append(want, ruleOrder(a, c)...)
+				}
+				return ruled("IntersectManyInto", buf[:total], want)
 			})
 			check("IntersectManyInto", names, res)
 
@@ -129,8 +186,11 @@ func TestExecutorTierParity(t *testing.T) {
 			check("CountK", names, res)
 			names, res = runTiers(t, func() any {
 				buf := make([]uint32, c.Len())
-				n := e.IntersectK(buf, ks...)
-				return buf[:n]
+				got := buf[:e.IntersectK(buf, ks...)]
+				if !kwayProbe(ks) {
+					return got
+				}
+				return ruled("IntersectK", got, probeChainOrder(ks))
 			})
 			check("IntersectK", names, res)
 			names, res = runTiers(t, func() any {

@@ -24,7 +24,9 @@ func runBothBackends(t *testing.T, f func() any) (asm, scalar any) {
 // TestExecutorAsmParity drives every Executor query shape through both
 // backends on the same inputs and requires identical results: the dispatched
 // assembly must be observationally equivalent to the pure-Go reference at the
-// API surface, not just per-routine.
+// API surface, not just per-routine. The adaptive Intersect emits in the
+// order of the arm the backend's rule picks (ruleOrder), so it must equal
+// that arm's output on each backend and hold the same elements on both.
 func TestExecutorAsmParity(t *testing.T) {
 	if !simd.HasAsm() {
 		t.Skip("assembly backend not available")
@@ -34,9 +36,9 @@ func TestExecutorAsmParity(t *testing.T) {
 	shapes := []struct {
 		na, nb int
 	}{
-		{2000, 1800},  // merge, similar sizes
+		{2000, 1800},  // similar sizes: merge, hash on the AVX-512 rung
 		{5000, 300},   // hash, skewed
-		{40000, 9000}, // merge, big bitmaps
+		{40000, 9000}, // big bitmaps
 		{64, 48},      // tiny
 	}
 	for _, cfg := range []Config{DefaultConfig(), {SegBits: 16}, {SegBits: 32}} {
@@ -67,17 +69,32 @@ func TestExecutorAsmParity(t *testing.T) {
 			}
 
 			dst := make([]uint32, min(a.Len(), b.Len()))
-			interAsm, interGo := runBothBackends(t, func() any {
-				n := e.Intersect(dst, a, b)
-				return append([]uint32(nil), dst[:n]...)
-			})
-			ia, ig := interAsm.([]uint32), interGo.([]uint32)
-			if len(ia) != len(ig) {
-				t.Fatalf("cfg=%+v shape=%+v Intersect: asm n=%d go n=%d", cfg, sh, len(ia), len(ig))
-			}
-			for i := range ia {
-				if ia[i] != ig[i] {
-					t.Fatalf("cfg=%+v shape=%+v Intersect elem %d: asm=%d go=%d", cfg, sh, i, ia[i], ig[i])
+			for _, op := range []struct {
+				name     string
+				run      func() int
+				adaptive bool
+			}{
+				{"Intersect", func() int { return e.Intersect(dst, a, b) }, true},
+				{"IntersectMerge", func() int { return e.run(a, b, armMerge, dst, nil) }, false},
+			} {
+				interAsm, interGo := runBothBackends(t, func() any {
+					got := append([]uint32(nil), dst[:op.run()]...)
+					if !op.adaptive {
+						return got
+					}
+					if !equalU32(got, ruleOrder(a, b)) {
+						t.Fatalf("cfg=%+v shape=%+v Intersect: out of the rule's arm order", cfg, sh)
+					}
+					return sortedCopy(got)
+				})
+				ia, ig := interAsm.([]uint32), interGo.([]uint32)
+				if len(ia) != len(ig) {
+					t.Fatalf("cfg=%+v shape=%+v %s: asm n=%d go n=%d", cfg, sh, op.name, len(ia), len(ig))
+				}
+				for i := range ia {
+					if ia[i] != ig[i] {
+						t.Fatalf("cfg=%+v shape=%+v %s elem %d: asm=%d go=%d", cfg, sh, op.name, i, ia[i], ig[i])
+					}
 				}
 			}
 

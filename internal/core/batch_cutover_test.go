@@ -14,19 +14,20 @@ import (
 func TestCountManyParallelCutover(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cfg := DefaultConfig()
-	q := MustNewSet(randSet(rng, 1000, 1<<20), cfg)
+	q := MustNewSet(randSet(rng, 2000, 1<<20), cfg)
 
 	small := make([]*Set, 16)
 	for i := range small {
 		small[i] = MustNewSet(randSet(rng, 2000, 1<<20), cfg)
 	}
-	// 16 hash-regime candidates: work ~ 16 * 1000 probes, far below the
+	// 16 candidates: work at most 16 * (2000+2000) elements, far below the
 	// cutover.
 	large := make([]*Set, 0, 300)
 	for i := 0; i < 300; i++ {
 		large = append(large, MustNewSet(randSet(rng, 4000, 1<<20), cfg))
 	}
-	// 300 merge/hash candidates * (1000+4000) elements ~ 1.5M units, above it.
+	// 300 candidates: ~300 * 2000 probes where the rule hashes them (the
+	// AVX-512 rung), 300 * (2000+4000) elements where it merges, above it.
 
 	k := stats.New()
 	EnableStats(k)

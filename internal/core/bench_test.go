@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"fesia/internal/datasets"
 	"fesia/internal/simd"
@@ -239,4 +241,175 @@ func BenchmarkKWayArms(b *testing.B) {
 			})
 		}
 	}
+}
+
+// pairArmsLarge returns p sorted, duplicate-free lists of n even values,
+// spread evenly over the uint32 range with random jitter: the larger sides
+// of one BenchmarkPairArms pool. No odd value is a member, so the smaller
+// sides draw their non-matching elements from the odd values.
+func pairArmsLarge(rng *rand.Rand, p, n int) [][]uint32 {
+	g := 1 << 31 / n
+	lists := make([][]uint32, p)
+	for i := range lists {
+		l := make([]uint32, n)
+		for k := range l {
+			l[k] = 2 * uint32(k*g+rng.Intn(g))
+		}
+		lists[i] = l
+	}
+	return lists
+}
+
+// pairArmsSmall returns one pool pair's smaller side: m sorted,
+// duplicate-free values, common of them members of large (one from each of
+// common equal stretches of it) and the rest odd, so they match nothing.
+func pairArmsSmall(rng *rand.Rand, large []uint32, m, common int) []uint32 {
+	hit := make([]uint32, common)
+	for j := range hit {
+		st := len(large) / common
+		hit[j] = large[j*st+rng.Intn(st)]
+	}
+	miss := make([]uint32, m-common)
+	for j := range miss {
+		g := 1 << 31 / len(miss)
+		miss[j] = 2*uint32(j*g+rng.Intn(g)) + 1
+	}
+	out := make([]uint32, 0, m)
+	for len(hit) > 0 && len(miss) > 0 {
+		if hit[0] < miss[0] {
+			out, hit = append(out, hit[0]), hit[1:]
+		} else {
+			out, miss = append(out, miss[0]), miss[1:]
+		}
+	}
+	return append(append(out, hit...), miss...)
+}
+
+// BenchmarkPairArms times the two seg×seg arms the library ships, the
+// forced Executor.CountMerge against the forced Executor.CountHash, over a
+// pool of pairs per cell: the larger side n from 16 to 4Mi elements, the
+// smaller side n/64 to n, selectivity (matches per smaller-side element)
+// 0.1, 0.5 and 0.9, and two residencies. A "cache" pool's larger sides fill
+// 512 KiB (at most 512 pairs), so a whole cell stays in the 2 MiB L2; a
+// "mem" pool's larger sides fill 256 MiB, so a cell spans 256-512 MiB and
+// every pass streams past L3. Each cell runs on every rung the host has
+// (scalar, avx2, avx512; the toggles FESIA_DISABLE_AVX512 and -tags=noasm
+// fix at start-up), alternating which arm goes first. It reports each arm's
+// ns per pair, hash/merge (below 1 where hash wins), and merge-filter-frac,
+// the share of merge's time in pass 1, the bitmap filter, from
+// CountMergeBreakdown. This is the sweep behind planner.HashSegSeg's
+// HashFloor and SkewThreshold, and EXPERIMENTS.md's "Fig 11 on the shipped
+// path" (make pairbench).
+func BenchmarkPairArms(b *testing.B) {
+	const (
+		maxCachePairs = 512
+		perSetBytes   = 144 // header, beside MemoryBytes' payload
+	)
+	residencies := []struct {
+		name  string
+		bytes int
+	}{{"cache", 512 << 10}, {"mem", 256 << 20}}
+	prevAsm, prevAvx512 := simd.SetAsmEnabled(true), simd.SetAvx512Enabled(true)
+	defer func() {
+		simd.SetAvx512Enabled(prevAvx512)
+		simd.SetAsmEnabled(prevAsm)
+	}()
+	e := NewExecutor()
+	for _, res := range residencies {
+		for n := 16; n <= 4<<20; n *= 4 {
+			rng := rand.New(rand.NewSource(int64(n)))
+			one := MustNewSet(pairArmsLarge(rng, 1, n)[0], DefaultConfig())
+			p := res.bytes / (one.MemoryBytes() + perSetBytes)
+			if res.name == "cache" {
+				p = min(p, maxCachePairs)
+			}
+			if p < 2 {
+				continue
+			}
+			largeLists := pairArmsLarge(rng, p, n)
+			larges, err := BuildSets(largeLists, DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, den := range []int{64, 16, 4, 2, 1} {
+				m := n / den
+				if m < 1 {
+					continue
+				}
+				for _, sel := range []float64{0.1, 0.5, 0.9} {
+					common := int(sel*float64(m) + 0.5)
+					smallLists := make([][]uint32, p)
+					for i := range smallLists {
+						smallLists[i] = pairArmsSmall(rng, largeLists[i], m, common)
+					}
+					smalls, err := BuildSets(smallLists, DefaultConfig())
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, rung := range []string{"scalar", "avx2", "avx512"} {
+						if (rung == "avx2" && !simd.HasAsm()) || (rung == "avx512" && !simd.HasAVX512()) {
+							continue
+						}
+						simd.SetAsmEnabled(rung != "scalar")
+						simd.SetAvx512Enabled(rung == "avx512")
+						name := fmt.Sprintf("%s/%s/n=%d/ratio=1:%d/sel=%.1f", rung, res.name, n, den, sel)
+						pairArmsCell(b, name, e, smalls, larges)
+					}
+					smalls, smallLists = nil, nil
+					runtime.GC()
+				}
+			}
+			larges, largeLists = nil, nil
+			runtime.GC()
+		}
+	}
+}
+
+// pairArmsCell runs one BenchmarkPairArms cell: the forced arms over every
+// pool pair, checked against each other on the first call, then timed
+// alternately.
+func pairArmsCell(b *testing.B, name string, e *Executor, smalls, larges []*Set) {
+	var filter, segment time.Duration
+	checked, mergeFirst := false, true
+	b.Run(name, func(b *testing.B) {
+		if !checked {
+			for i, s := range smalls {
+				if m, h := e.CountMerge(s, larges[i]), e.CountHash(s, larges[i]); m != h {
+					b.Fatalf("pair %d: CountMerge = %d, CountHash = %d", i, m, h)
+				}
+				bd := e.CountMergeBreakdown(s, larges[i])
+				filter += bd.BitmapTime
+				segment += bd.SegmentTime
+			}
+			checked = true
+		}
+		var merge, hash time.Duration
+		pass := func(useHash bool) {
+			start := time.Now()
+			for i, s := range smalls {
+				if useHash {
+					benchSink += e.CountHash(s, larges[i])
+				} else {
+					benchSink += e.CountMerge(s, larges[i])
+				}
+			}
+			if useHash {
+				hash += time.Since(start)
+			} else {
+				merge += time.Since(start)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			first := (i%2 == 0) == mergeFirst
+			pass(!first)
+			pass(first)
+		}
+		mergeFirst = !mergeFirst
+		pairs := float64(b.N * len(smalls))
+		b.ReportMetric(float64(merge)/pairs, "merge-ns/pair")
+		b.ReportMetric(float64(hash)/pairs, "hash-ns/pair")
+		b.ReportMetric(float64(hash)/float64(merge), "hash/merge")
+		b.ReportMetric(float64(filter)/float64(filter+segment), "merge-filter-frac")
+	})
 }

@@ -12,6 +12,7 @@ import (
 
 	"fesia/internal/bitmap"
 	"fesia/internal/datasets"
+	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -846,16 +847,103 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	}
 }
 
+// TestUseHashThreshold pins the static seg×seg rule on every rung: the
+// paper's ratio (hash iff small < large/4) everywhere, and on the AVX-512
+// rung also every pair whose smaller side holds planner.HashFloor elements.
 func TestUseHashThreshold(t *testing.T) {
 	mk := func(n int) *Set {
-		rng := rand.New(rand.NewSource(int64(n)))
-		return MustNewSet(randSet(rng, n, 1<<24), DefaultConfig())
+		elems := make([]uint32, n)
+		for i := range elems {
+			elems[i] = uint32(i) * 7
+		}
+		return MustNewSet(elems, DefaultConfig())
 	}
-	big := mk(10000)
-	if !useHash(mk(100), big) {
-		t.Error("skew 1/100 should use hash")
+	f := planner.HashFloor
+	cases := []struct {
+		small, large     int
+		gathered, others bool // the rule's arm (true: hash) on the AVX-512 rung, on the others
+	}{
+		{0, 0, false, false},
+		{1, 1, false, false},
+		{f - 1, f - 1, false, false},       // below the floor, ratio 1: merge
+		{f - 1, 4 * (f - 1), false, false}, // below the floor, ratio exactly 1/4: merge
+		{f - 1, 4*(f-1) + 1, true, true},   // below the floor, ratio under 1/4: hash
+		{f, f, true, false},                // at the floor: hash where the stage gathers
+		{f, 4 * f, true, false},            // at the floor, ratio exactly 1/4
+		{f + 1, 2 * f, true, false},        // above the floor, ratio ~1/2
+		{100, 10_000, true, true},          // skew 1/100
+		{2500, 10_000, true, false},        // ratio exactly 1/4
+		{9000, 10_000, true, false},        // skew ~0.9
+		{50_000, 50_000, true, false},      // equal sizes
+		{3, 13, true, true},                // tiny, skewed
+		{3, 12, false, false},              // tiny, ratio exactly 1/4
 	}
-	if useHash(mk(9000), big) {
-		t.Error("skew ~0.9 should use merge")
+	eachRung(t, func(rung string) {
+		for _, c := range cases {
+			want := c.others
+			if rung == "avx512" {
+				want = c.gathered
+			}
+			a, b := mk(c.small), mk(c.large)
+			if got := useHash(a, b); got != want || useHash(b, a) != want {
+				t.Errorf("%s: useHash(%d, %d) = %v, want %v", rung, c.small, c.large, got, want)
+			}
+		}
+	})
+}
+
+// TestHashFloorBoundary: at HashFloor-1, HashFloor and HashFloor+1 elements
+// on the smaller side, at ratios 1, 1/2 and 1/4, both forced arms and the
+// adaptive arm count and materialize exactly the oracle on every rung, and
+// the adaptive arm runs the arm the rung's rule picks.
+func TestHashFloorBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	e := NewExecutor()
+	k := stats.New()
+	e.EnableStats(k)
+	f := planner.HashFloor
+	for _, m := range []int{f - 1, f, f + 1} {
+		for _, ratio := range []int{1, 2, 4} {
+			largeElems := make([]uint32, ratio*m)
+			for i, v := range rng.Perm(64 * f)[:ratio*m] {
+				largeElems[i] = uint32(v)
+			}
+			large := MustNewSet(largeElems, DefaultConfig())
+			smallElems := large.Elements()[:m/2]
+			for j := 0; len(smallElems) < m; j++ {
+				smallElems = append(smallElems, uint32(64*f+1+2*j))
+			}
+			small := MustNewSet(smallElems, DefaultConfig())
+			if small.Len() != m || large.Len() != ratio*m {
+				t.Fatalf("sizes %d, %d, want %d, %d", small.Len(), large.Len(), m, ratio*m)
+			}
+			want := refIntersect(small.Elements(), large.Elements())
+			eachRung(t, func(rung string) {
+				wantHash := rung == "avx512" && m >= f // every ratio is at least 1/4
+				before := k.Snapshot()
+				for _, arm := range []struct {
+					name  string
+					force pairArm
+				}{{"merge", armMerge}, {"hash", armHash}, {"adaptive", armAuto}} {
+					if n := e.run(small, large, arm.force, nil, nil); n != len(want) {
+						t.Fatalf("%s %d×%d %s count = %d, want %d", rung, m, ratio*m, arm.name, n, len(want))
+					}
+					dst := make([]uint32, m)
+					n := e.run(large, small, arm.force, dst, nil)
+					if !equalU32(sortedCopy(dst[:n]), want) {
+						t.Fatalf("%s %d×%d %s materialized %v, want %v", rung, m, ratio*m, arm.name, dst[:n], want)
+					}
+				}
+				after := k.Snapshot()
+				hashes := after.Counter(stats.CtrQueriesHash) - before.Counter(stats.CtrQueriesHash)
+				wantHashes := uint64(2) // the forced hash arm's two calls
+				if wantHash {
+					wantHashes += 2
+				}
+				if hashes != wantHashes {
+					t.Errorf("%s %d×%d: %d hash queries, want %d (adaptive hash %v)", rung, m, ratio*m, hashes, wantHashes, wantHash)
+				}
+			})
+		}
 	}
 }

@@ -332,10 +332,12 @@ func (e *Executor) VisitHash(a, b *Set, emit Visitor) { e.run(a, b, armHash, nil
 // sets leaves the Section VI bitmap chain for the probe chain: the probe
 // chain runs when the smallest set's length times kwayProbeRatio is below
 // the largest's. The chain ANDs every bitmap in lock step, so its cost
-// follows the largest set; the probe chain's follows the smallest. 4 is the
-// pair rule's 1/4 (SkewThreshold); the committed k-way sweep
-// (BenchmarkKWayArms, EXPERIMENTS.md) puts the skew crossover between 4 and
-// 6, and ratio 4 fastest of those swept on the Zipf search queries.
+// follows the largest set; the probe chain's follows the smallest. It is
+// its own rule, chosen from its own sweep, independent of the pair rule
+// (useHash) that picks the probe chain's seed-pair arm. The committed k-way
+// sweep (BenchmarkKWayArms, EXPERIMENTS.md) puts the skew crossover near 3
+// now that the seed pair hashes on the AVX-512 rung, and no swept ratio
+// ahead of 4 beyond the noise on the Zipf search queries.
 const kwayProbeRatio = 4
 
 // kwayProbe reports whether a query of three or more sets runs the probe

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"fesia/internal/kernels"
 	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
@@ -233,7 +232,7 @@ func arrayArrayRun(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, e
 		j = end
 		switch {
 		case emit != nil:
-			kernels.GenericVisit(ba, bb, func(v uint32) { n++; emit(v) })
+			n += visitSorted(ba, bb, emit)
 		case dst != nil:
 			n += simd.IntersectSmall(dst[n:], ba, bb)
 		default:
@@ -241,6 +240,26 @@ func arrayArrayRun(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, e
 		}
 	}
 	return n, nil
+}
+
+// visitSorted streams a ∩ b of two sorted lists through emit in ascending
+// order by a scalar two-pointer merge and returns the match count.
+func visitSorted(a, b []uint32, emit Visitor) (n int) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch av, bv := a[i], b[j]; {
+		case av < bv:
+			i++
+		case av > bv:
+			j++
+		default:
+			emit(av)
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // denseDenseRun intersects two dense bitmaps: the overlapping word window

@@ -3,14 +3,9 @@ package core
 import (
 	"time"
 
+	"fesia/internal/planner"
 	"fesia/internal/simd"
 )
-
-// SkewThreshold is the size ratio below which the adaptive strategy switches
-// from the merge-style two-step intersection (FESIAmerge) to the per-element
-// hash probe (FESIAhash). Fig. 11 of the paper places the crossover at a
-// skew of about 1/4.
-const SkewThreshold = 0.25
 
 // coreChunkBlocks sizes the stack mask buffer of stageSegPairsRange's chunked
 // fast path: 256 blocks = 1024 bitmap words per chunk, matching
@@ -52,25 +47,22 @@ func CountHash(a, b *Set) int { return pooledPair(a, b, armHash, nil) }
 func IntersectHash(dst []uint32, a, b *Set) int { return pooledPair(a, b, armHash, dst) }
 
 // Count picks the strategy adaptively: the active planner's choice, or with
-// the planner off the hash probe when one set is dramatically smaller (skew
-// below SkewThreshold) and the two-step merge otherwise — the
-// FESIAmerge/FESIAhash crossover of Fig. 11.
+// the planner off the static rule (useHash): the hash probe when one set is
+// dramatically smaller (skew below planner.SkewThreshold, Fig. 11's
+// crossover) or, on the AVX-512 rung, when the smaller set holds at least
+// planner.HashFloor elements; the two-step merge otherwise.
 func Count(a, b *Set) int { return pooledPair(a, b, armAuto, nil) }
 
 // Intersect writes a ∩ b into dst with the adaptively chosen strategy and
 // returns the count, in Executor.Intersect's order.
 func Intersect(dst []uint32, a, b *Set) int { return pooledPair(a, b, armAuto, dst) }
 
-func useHash(a, b *Set) bool {
-	small, large := a.n, b.n
-	if small > large {
-		small, large = large, small
-	}
-	if large == 0 {
-		return false
-	}
-	return float64(small) < SkewThreshold*float64(large)
-}
+// useHash is the static seg×seg merge/hash rule, planner.HashSegSeg, on a
+// and b's lengths: the paper's small < SkewThreshold·large on every rung,
+// and on the AVX-512 rung also every pair whose smaller side fills a
+// gathered probe group (HashFloor). The planner's seg×seg priors read the
+// same rule, so a prior-mode planner decides as the planner-off engine does.
+func useHash(a, b *Set) bool { return planner.HashSegSeg(min(a.n, b.n), max(a.n, b.n)) }
 
 // ---------------------------------------------------------------------------
 // k-way intersection (Section VI).

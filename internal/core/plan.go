@@ -90,7 +90,7 @@ func notePlanDecision(st *stats.Shard, d planner.Decision, ch planner.Choice, ov
 
 // planSegSeg resolves the seg×seg merge-vs-hash dispatch: through the
 // planner when h is non-nil (arm 0 = merge, work = the larger set; arm 1 =
-// hash, work = the smaller set), by the static SkewThreshold rule otherwise.
+// hash, work = the smaller set), by the static rule (useHash) otherwise.
 // The returned Choice is the planner's bookkeeping token — when it asks for
 // measurement, time the chosen strategy and hand it back via measured.
 func planSegSeg(h *planner.Handle, st *stats.Shard, a, b *Set) (planner.Choice, bool) {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fesia/internal/datasets"
 	"fesia/internal/planner"
 )
 
@@ -34,44 +35,66 @@ func equalU32(a, b []uint32) bool {
 }
 
 // TestPlannerPriorBitIdentical: a prior-mode planner reproduces the static
-// heuristics' decisions exactly, so every entry point must return the exact
-// same bytes — including emission order — as a planner-free executor, across
-// all nine representation pairs.
+// rules' decisions exactly, so every entry point must return the exact same
+// bytes — including emission order — as a planner-free executor, across all
+// nine representation pairs, on every rung. The model is built once, before
+// the rungs are walked, so every rung after the first is reached by toggling
+// AVX-512 (and assembly) under a live model. The shapes include pairs on both
+// sides of planner.HashFloor, and every seg×seg length pair up to
+// 8×HashFloor is decided both ways.
 func TestPlannerPriorBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	plain := NewExecutor()
 	ex := NewExecutor()
 	ex.EnablePlanner(planner.New(planner.WithMode(planner.ModePrior)))
-	for si, shape := range hybridShapes(rng) {
-		for _, ra := range allReps {
-			for _, rb := range allReps {
-				a := buildRep(t, shape[0], ra)
-				b := buildRep(t, shape[1], rb)
-				want := plain.Count(a, b)
-				if got := ex.Count(a, b); got != want {
-					t.Fatalf("shape %d %v×%v Count = %d, static %d", si, ra, rb, got, want)
-				}
-				dstP := make([]uint32, want+8)
-				dstL := make([]uint32, want+8)
-				nP := plain.Intersect(dstP, a, b)
-				nL := ex.Intersect(dstL, a, b)
-				if nP != nL || !equalU32(dstP[:nP], dstL[:nL]) {
-					t.Fatalf("shape %d %v×%v Intersect diverges from static (prior mode must be bit-identical)",
-						si, ra, rb)
-				}
-				var visP, visL []uint32
-				plain.Visit(a, b, func(v uint32) { visP = append(visP, v) })
-				ex.Visit(a, b, func(v uint32) { visL = append(visL, v) })
-				if !equalU32(visP, visL) {
-					t.Fatalf("shape %d %v×%v Visit order diverges from static", si, ra, rb)
-				}
-				nc, err := ex.CountCtx(context.Background(), a, b)
-				if err != nil || nc != want {
-					t.Fatalf("shape %d %v×%v CountCtx = %d, %v, want %d", si, ra, rb, nc, err, want)
+	f := planner.HashFloor
+	shapes := hybridShapes(rng)
+	for _, sh := range [][2]int{{f - 1, f - 1}, {f, f}, {f + 1, f + 1}, {f - 1, 2 * (f - 1)}, {f, 4 * f}, {f + 1, 3 * f}} {
+		shapes = append(shapes, [2][]uint32{datasets.GenSorted(rng, sh[0], 1<<10), datasets.GenSorted(rng, sh[1], 1<<10)})
+	}
+	bySize := make([]*Set, 8*f+1)
+	for n := range bySize {
+		bySize[n] = MustNewSet(datasets.GenSorted(rng, n, 1<<12), DefaultConfig())
+	}
+	eachRung(t, func(rung string) {
+		for i, a := range bySize {
+			for _, b := range bySize[i:] {
+				if _, hash := planSegSeg(ex.plan, nil, a, b); hash != useHash(a, b) {
+					t.Fatalf("%s: prior decides hash=%v for %d×%d, the rule %v", rung, hash, a.Len(), b.Len(), !hash)
 				}
 			}
 		}
-	}
+		for si, shape := range shapes {
+			for _, ra := range allReps {
+				for _, rb := range allReps {
+					a := buildRep(t, shape[0], ra)
+					b := buildRep(t, shape[1], rb)
+					want := plain.Count(a, b)
+					if got := ex.Count(a, b); got != want {
+						t.Fatalf("%s shape %d %v×%v Count = %d, static %d", rung, si, ra, rb, got, want)
+					}
+					dstP := make([]uint32, want+8)
+					dstL := make([]uint32, want+8)
+					nP := plain.Intersect(dstP, a, b)
+					nL := ex.Intersect(dstL, a, b)
+					if nP != nL || !equalU32(dstP[:nP], dstL[:nL]) {
+						t.Fatalf("%s shape %d %v×%v Intersect diverges from static (prior mode must be bit-identical)",
+							rung, si, ra, rb)
+					}
+					var visP, visL []uint32
+					plain.Visit(a, b, func(v uint32) { visP = append(visP, v) })
+					ex.Visit(a, b, func(v uint32) { visL = append(visL, v) })
+					if !equalU32(visP, visL) {
+						t.Fatalf("%s shape %d %v×%v Visit order diverges from static", rung, si, ra, rb)
+					}
+					nc, err := ex.CountCtx(context.Background(), a, b)
+					if err != nil || nc != want {
+						t.Fatalf("%s shape %d %v×%v CountCtx = %d, %v, want %d", rung, si, ra, rb, nc, err, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestPlannerLearnedPairParity: a learned planner under maximum churn (every
@@ -377,9 +400,11 @@ func TestPlannerConcurrentExecutors(t *testing.T) {
 }
 
 // BenchmarkPlanDecide prices one seg×seg strategy decision (planSegSeg) over
-// pairs whose skews straddle SkewThreshold: with no planner handle, the
-// static useHash rule, against a prior-mode handle, which makes the same
-// decisions from the cost model (TestPlannerPriorBitIdentical). Planner off
+// pairs whose lengths straddle the rule in force (1 to ~7,000 elements:
+// both sides of planner.SkewThreshold, and on the AVX-512 rung of
+// planner.HashFloor): with no planner handle, the static useHash rule,
+// against a prior-mode handle, which makes the same decisions from the cost
+// model (TestPlannerPriorBitIdentical). Planner off
 // can become prior mode without sampling, and the static rule can go, once
 // the prior-mode decision costs about what the rule does.
 func BenchmarkPlanDecide(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fesia/internal/planner"
 	"fesia/internal/stats"
 	"fesia/internal/trace"
 )
@@ -24,18 +25,31 @@ func statsSkewedPair(t testing.TB) (*Set, *Set) {
 	return small, large
 }
 
+// statsMergePair returns a pair the static rule merges on every rung: equal
+// lengths one short of planner.HashFloor, sharing half their elements, so
+// segment pairs survive the filter.
+func statsMergePair(t testing.TB) (*Set, *Set) {
+	t.Helper()
+	a, b := benchPair(planner.HashFloor-1, 0.5, DefaultConfig())
+	if useHash(a, b) {
+		t.Fatal("pair not below the hash floor")
+	}
+	return a, b
+}
+
 // TestExecutorStatsRecording drives every instrumented strategy through one
 // executor and checks the snapshot reflects it — and that every result is
 // identical to the uninstrumented free functions (instrumentation must never
 // change answers).
 func TestExecutorStatsRecording(t *testing.T) {
 	a, b := benchPair(20_000, 0.3, DefaultConfig())
+	ma, mb := statsMergePair(t)
 	small, large := statsSkewedPair(t)
 	k := stats.New()
 	e := NewExecutor()
 	e.EnableStats(k)
 
-	if got, want := e.Count(a, b), Count(a, b); got != want {
+	if got, want := e.Count(ma, mb), Count(ma, mb); got != want {
 		t.Fatalf("merge count with stats = %d, want %d", got, want)
 	}
 	if got, want := e.Count(small, large), Count(small, large); got != want {
@@ -147,7 +161,7 @@ func TestExecutorStatsParallelAndPool(t *testing.T) {
 
 // TestStatsCancellationCounter checks a cancelled query counts exactly once.
 func TestStatsCancellationCounter(t *testing.T) {
-	a, b := benchPair(10_000, 0.3, DefaultConfig())
+	a, b := statsMergePair(t)
 	k := stats.New()
 	e := NewExecutor()
 	e.EnableStats(k)
@@ -244,6 +258,7 @@ func TestStatsZeroAllocWarm(t *testing.T) {
 // to end; the final snapshot proves no query was lost.
 func TestStatsConcurrentExecutors(t *testing.T) {
 	a, b := benchPair(20_000, 0.3, DefaultConfig())
+	ma, mb := statsMergePair(t)
 	k := stats.New()
 	EnableStats(k)
 	defer EnableStats(nil)
@@ -257,7 +272,7 @@ func TestStatsConcurrentExecutors(t *testing.T) {
 			defer wg.Done()
 			e := NewExecutor()
 			for i := 0; i < iters; i++ {
-				e.Count(a, b)
+				e.Count(ma, mb)
 				e.CountMergeParallel(a, b, 3)
 			}
 		}()
@@ -280,7 +295,7 @@ func TestStatsConcurrentExecutors(t *testing.T) {
 // way — one strategy span naming the arm that ran, one query counter and one
 // latency observation per call — on a merge, a hash and a cross pair.
 func TestPairObservabilityParity(t *testing.T) {
-	a, b := benchPair(20_000, 0.3, DefaultConfig())
+	a, b := statsMergePair(t)
 	small, large := statsSkewedPair(t)
 	arr := buildRep(t, small.Elements(), RepArray)
 	tr := trace.New(trace.Config{})

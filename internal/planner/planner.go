@@ -1,6 +1,6 @@
 // Package planner is the adaptive per-pair strategy planner of the online
 // intersection phase: a live cost model that replaces the engine's static
-// dispatch thresholds (the SkewThreshold merge/hash cutover, the
+// dispatch thresholds (the seg×seg merge/hash rule HashSegSeg, the
 // cross-representation probe-side size rules, the k-way smallest-set seed)
 // with decisions derived from measured latencies.
 //
@@ -15,12 +15,16 @@
 // argmin over arm of cost[arm]·work[arm], i.e. ~one table lookup plus two
 // multiplies on the hot path, with zero allocations.
 //
-// Cold start: cells are initialized to priors that reproduce the static
-// heuristics exactly — the seg×seg prior cost ratio of 4:1 (hash:merge) is
-// precisely the paper's SkewThreshold = 0.25 crossover, and the
-// cross-representation priors are equal, reducing to the probe-smaller-side
-// rules. A planner in ModePrior therefore makes bit-identical decisions to
-// the static engine; ModeLearned re-fits the cells online.
+// Cold start: a cell no re-fit has touched reads its prior, derived from the
+// static rules. The seg×seg priors come from HashSegSeg, the one definition
+// of the static merge/hash rule: a hash:merge cost ratio of 1/SkewThreshold
+// (4:1) reproduces the paper's ratio rule, and on the AVX-512 rung the cells
+// whose smaller side is at or above HashFloor carry a hash prior below
+// merge's, so every pair in them hashes. The cross-representation priors are
+// equal, reducing to the probe-smaller-side rules. Priors are read at
+// decision time, on the rung live then. A planner in ModePrior therefore
+// makes bit-identical decisions to the static engine on every rung;
+// ModeLearned re-fits the cells online.
 //
 // Learning follows the stats package's ownership model: each executor (and
 // each parallel worker slot) holds a Handle with a private single-writer
@@ -80,7 +84,7 @@ type Decision uint8
 const (
 	// DecSegSeg picks the seg×seg pair strategy: arm 0 is the two-step
 	// merge (work ∝ the larger set), arm 1 the per-element hash probe
-	// (work ∝ the smaller set). Replaces the SkewThreshold cutover.
+	// (work ∝ the smaller set). Replaces the static rule HashSegSeg.
 	DecSegSeg Decision = iota
 	// DecSegDense picks the probing side of a seg×dense pair: arm 0 decodes
 	// the dense bits and probes the segmented set (work ∝ the dense size),
@@ -164,21 +168,60 @@ func cellOf(d Decision, w0, w1 int) int {
 	return (int(d)*numBuckets+bucketOf(w0))*numBuckets + bucketOf(w1)
 }
 
-// priorCost returns the cold-start per-unit cost of one decision arm, chosen
-// so that argmin cost·work reproduces the engine's static heuristics exactly
-// (see the package comment).
-func priorCost(d Decision, arm int) float64 {
-	if d == DecSegSeg && arm == 1 {
-		// hash:merge = 4:1 ⇔ hash iff small < large/4 — the paper's
-		// SkewThreshold = 0.25 crossover of Fig. 11.
-		return 4.0
-	}
-	if d == DecSegSeg {
+// SkewThreshold is the size ratio below which the static seg×seg rule
+// (HashSegSeg) hashes on every rung: Section VI's FESIAmerge/FESIAhash
+// crossover, which the paper's Fig. 11 places at a skew of about 1/4. The
+// sweep of the arms that ship (BenchmarkPairArms, EXPERIMENTS.md "Fig 11 on
+// the shipped path") keeps it on the AVX2 and scalar rungs.
+const SkewThreshold = 0.25
+
+// HashFloor is the smaller side's length from which the static seg×seg rule
+// hashes every pair on the AVX-512 rung, where the probe hashes, gathers and
+// bit-tests sixteen elements at a time (simd.ProbeStage) and a probe is
+// filtered by one bitmap bit, not by an 8-bit segment. The sweep
+// (EXPERIMENTS.md "Fig 11 on the shipped path") has hash ahead on that rung
+// in every cell whose smaller side fills a gathered group, but for two
+// 16-element sides at low selectivity, and the arms mixed below it. It is a
+// power of two, so it starts a size bucket and the priors carry it exactly.
+const HashFloor = 16
+
+// HashSegSeg is the static seg×seg merge/hash rule: the hash probe when the
+// smaller side's length is below SkewThreshold times the larger's, or, on
+// the AVX-512 rung, when the smaller side holds at least HashFloor elements;
+// the two-step merge otherwise. Core's planner-off dispatch and this
+// package's seg×seg priors both read it.
+func HashSegSeg(small, large int) bool {
+	return float64(small) < SkewThreshold*float64(large) || small >= HashFloor && simd.GatherProbeActive()
+}
+
+// priorCost returns the cold-start per-unit cost of one decision arm in a
+// cell whose arm-1 work size falls in bucket b1, chosen so that argmin
+// cost·work reproduces the engine's static rules exactly (see the package
+// comment). It reads the live rung, so call it at decision time.
+func priorCost(d Decision, arm, b1 int) float64 {
+	switch {
+	case d != DecSegSeg:
+		// Cross-representation probe-side priors are equal: argmin reduces
+		// to the probe-smaller-side size rules.
+		return 2.0
+	case arm == 0:
 		return 1.0
+	case HashSegSeg(bucketMin(b1), bucketMin(b1)):
+		// The rule hashes the cell's smallest equal-size pair, so (HashFloor
+		// being a bucket boundary) it hashes every pair in the cell: a hash
+		// cost below merge's gives cost·small < small ≤ large.
+		return 0.5
 	}
-	// Cross-representation probe-side priors are equal: argmin reduces to
-	// the probe-smaller-side size rules.
-	return 2.0
+	// hash:merge = 1/SkewThreshold ⇔ hash iff small < SkewThreshold·large.
+	return 1 / SkewThreshold
+}
+
+// bucketMin returns the smallest work size in bucket b.
+func bucketMin(b int) int {
+	if b == 0 {
+		return 0
+	}
+	return 1 << (b - 1)
 }
 
 // kProbePrior is the cold-start per-probe cost of the k-way compaction
@@ -220,7 +263,8 @@ type Model struct {
 	sampleEvery  uint64
 
 	// cost holds the fitted per-unit costs as float64 bits, read with
-	// atomic loads on every decision and stored by the re-fit pass.
+	// atomic loads on every decision and stored by the re-fit pass; 0 marks
+	// an entry still at its prior (loadCost).
 	cost  [numEntries]uint64
 	kCost [numKReps]uint64
 
@@ -271,7 +315,7 @@ func WithSampleEvery(everyN int) Option {
 	}
 }
 
-// New returns a Model with every cell at its static-heuristic prior.
+// New returns a Model with every cell at its static-rule prior.
 func New(opts ...Option) *Model {
 	m := &Model{
 		mode:         ModeLearned,
@@ -280,15 +324,6 @@ func New(opts ...Option) *Model {
 	}
 	for _, o := range opts {
 		o(m)
-	}
-	for d := Decision(0); d < NumDecisions; d++ {
-		for b0 := 0; b0 < numBuckets; b0++ {
-			for b1 := 0; b1 < numBuckets; b1++ {
-				cell := (int(d)*numBuckets+b0)*numBuckets + b1
-				m.cost[2*cell] = math.Float64bits(priorCost(d, 0))
-				m.cost[2*cell+1] = math.Float64bits(priorCost(d, 1))
-			}
-		}
 	}
 	for r := range m.kCost {
 		m.kCost[r] = math.Float64bits(kProbePrior)
@@ -299,8 +334,15 @@ func New(opts ...Option) *Model {
 // Mode returns the mode the model was constructed with.
 func (m *Model) Mode() Mode { return m.mode }
 
+// loadCost returns a cell-arm entry's fitted per-unit cost, or its prior
+// while no re-fit has folded a sample into it (a fitted cost is never 0: it
+// starts at a positive prior and moves toward non-negative observations).
 func (m *Model) loadCost(entry int) float64 {
-	return math.Float64frombits(atomic.LoadUint64(&m.cost[entry]))
+	if c := atomic.LoadUint64(&m.cost[entry]); c != 0 {
+		return math.Float64frombits(c)
+	}
+	cell := entry / 2
+	return priorCost(Decision(cell/(numBuckets*numBuckets)), entry&1, cell%numBuckets)
 }
 
 // NewHandle registers and returns a fresh decision handle. A Handle is
@@ -384,7 +426,7 @@ func (h *Handle) Decide(d Decision, w0, w1 int) Choice {
 	est0 := h.m.loadCost(2*cell) * float64(w0)
 	est1 := h.m.loadCost(2*cell+1) * float64(w1)
 	var arm uint8
-	// Tie rule per decision kind: the static heuristics' boundary behavior
+	// Tie rule per decision kind: the static rules' boundary behavior
 	// (merge at the SkewThreshold boundary, seg-probes-dense at den==seg,
 	// array-probes-dense at arr==den).
 	if est1 < est0 || (est1 == est0 && d == DecSegDense) {
@@ -532,7 +574,7 @@ func (m *Model) refit() {
 		dSum, dWork := sum-m.prevSum[e], work-m.prevWork[e]
 		if dWork > 0 && cnt > m.prevCnt[e] {
 			obs := float64(dSum) / float64(dWork)
-			old := math.Float64frombits(atomic.LoadUint64(&m.cost[e]))
+			old := m.loadCost(e)
 			atomic.StoreUint64(&m.cost[e], math.Float64bits(old+alpha*(obs-old)))
 			m.prevSum[e], m.prevWork[e], m.prevCnt[e] = sum, work, cnt
 		}

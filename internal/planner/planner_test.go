@@ -3,53 +3,87 @@ package planner
 import (
 	"testing"
 	"time"
+
+	"fesia/internal/simd"
 )
+
+// onEachRung runs f with the AVX-512 rung off, then (where the host has it)
+// on, and restores the dispatch state: the seg×seg rule and its priors
+// differ between the two.
+func onEachRung(f func(gathered bool)) {
+	prevAsm, prevAvx512 := simd.SetAsmEnabled(true), simd.SetAvx512Enabled(false)
+	defer func() {
+		simd.SetAvx512Enabled(prevAvx512)
+		simd.SetAsmEnabled(prevAsm)
+	}()
+	f(false)
+	if simd.SetAvx512Enabled(true); simd.GatherProbeActive() {
+		f(true)
+	}
+}
 
 // TestPriorMatchesStatic sweeps work-size pairs across every decision kind
 // and checks that a cold model (prior costs only) reproduces the static size
-// heuristics bit for bit, including the boundary tie-breaks: merge at
-// small == large/4, seg-probes-dense at den == seg, array-probes-dense at
-// arr == den.
+// rules bit for bit on each rung, including the boundary tie-breaks: merge
+// at small == large/4 (below the hash floor, or off the AVX-512 rung),
+// seg-probes-dense at den == seg, array-probes-dense at arr == den. The model
+// is built before the rungs are walked, so its priors must follow a toggle.
 func TestPriorMatchesStatic(t *testing.T) {
 	m := New(WithMode(ModePrior))
 	h := m.NewHandle()
-	sizes := []int{1, 3, 16, 63, 64, 255, 1024, 4096, 65536, 1 << 20, 1 << 26, 1 << 28}
-	for _, a := range sizes {
-		for _, b := range sizes {
-			// seg×seg: arm 1 (hash) iff the static skew rule fires.
-			small, large := a, b
-			if small > large {
-				small, large = large, small
-			}
-			wantHash := float64(small) < 0.25*float64(large)
-			if got := h.Decide(DecSegSeg, large, small).Arm == 1; got != wantHash {
-				t.Errorf("DecSegSeg(%d, %d): hash=%v, static wants %v", large, small, got, wantHash)
-			}
-			// seg×dense: arm 0 (probe from dense) iff den.n < seg.n.
-			den, seg := a, b
-			wantFromDense := den < seg
-			if got := h.Decide(DecSegDense, den, seg).Arm == 0; got != wantFromDense {
-				t.Errorf("DecSegDense(den=%d, seg=%d): fromDense=%v, static wants %v", den, seg, got, wantFromDense)
-			}
-			// array×dense: arm 0 (probe from array) iff arr.n <= den.n.
-			arr, dn := a, b
-			wantFromArray := arr <= dn
-			if got := h.Decide(DecArrayDense, arr, dn).Arm == 0; got != wantFromArray {
-				t.Errorf("DecArrayDense(arr=%d, den=%d): fromArray=%v, static wants %v", arr, dn, got, wantFromArray)
+	sizes := []int{0, 1, 3, 15, 16, 17, 31, 32, 63, 64, 255, 1024, 4096, 65536, 1 << 20, 1 << 26, 1 << 28}
+	onEachRung(func(gathered bool) {
+		for _, a := range sizes {
+			for _, b := range sizes {
+				// seg×seg: arm 1 (hash) iff small < large/4, or, on the
+				// AVX-512 rung, small holds at least 16 elements.
+				small, large := a, b
+				if small > large {
+					small, large = large, small
+				}
+				wantHash := 4*small < large || gathered && small >= 16
+				if HashSegSeg(small, large) != wantHash {
+					t.Errorf("gathered=%v HashSegSeg(%d, %d) = %v, want %v", gathered, small, large, !wantHash, wantHash)
+				}
+				if got := h.Decide(DecSegSeg, large, small).Arm == 1; got != wantHash {
+					t.Errorf("gathered=%v DecSegSeg(%d, %d): hash=%v, static wants %v", gathered, large, small, got, wantHash)
+				}
+				// seg×dense: arm 0 (probe from dense) iff den.n < seg.n.
+				den, seg := a, b
+				wantFromDense := den < seg
+				if got := h.Decide(DecSegDense, den, seg).Arm == 0; got != wantFromDense {
+					t.Errorf("DecSegDense(den=%d, seg=%d): fromDense=%v, static wants %v", den, seg, got, wantFromDense)
+				}
+				// array×dense: arm 0 (probe from array) iff arr.n <= den.n.
+				arr, dn := a, b
+				wantFromArray := arr <= dn
+				if got := h.Decide(DecArrayDense, arr, dn).Arm == 0; got != wantFromArray {
+					t.Errorf("DecArrayDense(arr=%d, den=%d): fromArray=%v, static wants %v", arr, dn, got, wantFromArray)
+				}
 			}
 		}
-	}
-	// Boundary cases called out explicitly: exact quarter ratio stays merge.
-	for _, large := range []int{4, 400, 1 << 20} {
-		if h.Decide(DecSegSeg, large, large/4).Arm != 0 {
-			t.Errorf("DecSegSeg(%d, %d): boundary must stay merge", large, large/4)
+		// Boundary cases called out explicitly: the exact quarter ratio
+		// stays merge below the floor, and off the AVX-512 rung above it.
+		for _, large := range []int{4, 60, 400, 1 << 20} {
+			wantHash := gathered && large/4 >= HashFloor
+			if got := h.Decide(DecSegSeg, large, large/4).Arm == 1; got != wantHash {
+				t.Errorf("gathered=%v DecSegSeg(%d, %d): hash=%v at the quarter boundary, want %v", gathered, large, large/4, got, wantHash)
+			}
 		}
-	}
+	})
 	if h.Decide(DecSegDense, 512, 512).Arm != 1 {
 		t.Error("DecSegDense tie must probe from the segmented side (arm 1)")
 	}
 	if h.Decide(DecArrayDense, 512, 512).Arm != 0 {
 		t.Error("DecArrayDense tie must probe from the array side (arm 0)")
+	}
+}
+
+// TestHashFloorIsBucketBoundary: the priors carry the hash floor exactly
+// only because a size bucket starts at it.
+func TestHashFloorIsBucketBoundary(t *testing.T) {
+	if bucketMin(bucketOf(HashFloor)) != HashFloor {
+		t.Fatalf("HashFloor %d does not start a size bucket", HashFloor)
 	}
 }
 
@@ -70,14 +104,15 @@ func TestPriorModeNeverMeasures(t *testing.T) {
 func TestLearnedFlipsDecision(t *testing.T) {
 	m := New(WithMode(ModeLearned), WithSampleEvery(1), WithExploreEvery(0))
 	h := m.NewHandle()
-	// Priors pick merge for (large=1000, small=500): est0 = 1000 < est1 = 2000.
-	if h.Decide(DecSegSeg, 1000, 500).Arm != 0 {
-		t.Fatal("priors should pick merge at ratio 1/2")
+	// Priors pick merge for (large=12, small=8) on every rung, the smaller
+	// side being under the hash floor: est0 = 12 < est1 = 32.
+	if h.Decide(DecSegSeg, 12, 8).Arm != 0 {
+		t.Fatal("priors should pick merge at ratio 2/3 below the hash floor")
 	}
 	// Measure merge as catastrophically slow (100ns per element) for as long
 	// as the model keeps picking it.
 	for i := 0; i < 64; i++ {
-		ch := h.Decide(DecSegSeg, 1000, 500)
+		ch := h.Decide(DecSegSeg, 12, 8)
 		if ch.Arm == 1 {
 			break // flipped
 		}
@@ -87,11 +122,11 @@ func TestLearnedFlipsDecision(t *testing.T) {
 		h.Record(ch, 100_000*time.Nanosecond)
 		m.Refit()
 	}
-	if h.Decide(DecSegSeg, 1000, 500).Arm != 1 {
+	if h.Decide(DecSegSeg, 12, 8).Arm != 1 {
 		t.Fatal("measured merge cost 100ns/elem should flip the decision to hash")
 	}
-	// The same pair in a different bucket is unaffected.
-	if h.Decide(DecSegSeg, 1<<20, 1<<19).Arm != 0 {
+	// The same ratio in a different bucket is unaffected.
+	if h.Decide(DecSegSeg, 6, 4).Arm != 0 {
 		t.Error("a different size bucket must keep its prior")
 	}
 }
