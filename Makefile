@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint loc bench benchcheck batchbench planbench servebench tracebench kwaybench pairbench probebench poolbench swapbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test race cover check lint loc bench benchcheck batchbench servebench tracebench kwaybench pairbench probebench poolbench swapbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -64,7 +64,7 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Benchmark regression gate, five parts:
+# Benchmark regression gate, six parts:
 #   1. strategy micro-benchmarks vs the committed baseline (>15% ns/op fails);
 #   2. SIMD backend pairing — every asm routine vs its pure-Go reference,
 #      with built-in structural gates (fused filter >= 1.5x, end-to-end merge
@@ -75,16 +75,12 @@ bench:
 #      sparse-heavy corpus and >= 1.2x CountMany throughput on the
 #      dense-heavy corpus (built-in gates in -hybridjson, BENCH_hybrid.json
 #      regenerated);
-#   5. the adaptive planner vs the static heuristics — learned mode must beat
-#      static by >= 1.10x on the mispriced crossover corpus and stay within
-#      noise of it on the uniform corpus (built-in gates in -planjson,
-#      BENCH_planner.json regenerated);
-#   6. the serving-tier saturation ramp — essentially no overload outcomes
+#   5. the serving-tier saturation ramp — essentially no overload outcomes
 #      below saturation, push-back engaged with bounded admitted p99 (not
 #      collapse) under 4x-concurrency overload, and hot swaps under that
 #      storm with zero failed in-flight queries (built-in gates in
 #      -servejson, BENCH_serve.json regenerated);
-#   7. the trace-overhead pairing — a tier with tracing at the default
+#   6. the trace-overhead pairing — a tier with tracing at the default
 #      1-in-64 sampling vs an identical untraced tier on the same query
 #      stream, interleaved rounds; the on/off ratio of median serve latency
 #      must stay within 1.05x (built-in gate in -tracejson, BENCH_trace.json
@@ -96,13 +92,8 @@ benchcheck:
 	$(GO) run ./cmd/fesiabench -simdjson -quick
 	$(GO) run ./cmd/fesiabench -batchjson -quick
 	$(GO) run ./cmd/fesiabench -hybridjson -quick
-	$(GO) run ./cmd/fesiabench -planjson -quick
 	$(GO) run ./cmd/fesiabench -servejson -quick
 	$(GO) run ./cmd/fesiabench -tracejson -quick
-
-# Adaptive planner vs static heuristics at full scale (writes BENCH_planner.json).
-planbench:
-	$(GO) run ./cmd/fesiabench -planjson
 
 # One-vs-many batch engine vs pairwise loop (writes BENCH_batch.json).
 batchbench:
@@ -129,7 +120,7 @@ kwaybench:
 # The two seg×seg arms, forced merge against forced hash, over the larger
 # side (16 to 4Mi elements), the size ratio (1/64 to 1), selectivity (0.1,
 # 0.5, 0.9) and a cache-resident and a memory-bound pool, on each available
-# rung, alternating which arm runs first: the source of planner.HashSegSeg's
+# rung, alternating which arm runs first: the source of core.HashSegSeg's
 # HashFloor and SkewThreshold and of EXPERIMENTS.md's "Fig 11 on the shipped
 # path" (medians of 3). Takes ~22 min and ~1.1 GB.
 pairbench:

@@ -119,7 +119,6 @@ func main() {
 	batchJSON := flag.Bool("batchjson", false, "benchmark the one-vs-many batch engine and write BENCH_batch.json")
 	simdJSON := flag.Bool("simdjson", false, "benchmark the assembly backend against pure Go and write BENCH_simd.json")
 	hybridJSON := flag.Bool("hybridjson", false, "benchmark hybrid per-set representations against all-segmented and write BENCH_hybrid.json")
-	planJSON := flag.Bool("planjson", false, "benchmark the adaptive planner against the static heuristics and write BENCH_planner.json")
 	serveJSON := flag.Bool("servejson", false, "run the serving-tier saturation ramp (admission, shedding, hot swaps) and write BENCH_serve.json")
 	traceJSON := flag.Bool("tracejson", false, "paired tracing-off vs tracing-on serve benchmark and write BENCH_trace.json")
 	snapshot := flag.Bool("snapshot", false, "round-trip a corpus through the checksummed snapshot files and verify")
@@ -173,13 +172,6 @@ func main() {
 	if *hybridJSON {
 		fmt.Printf("fesiabench: hybrid representation benchmarks (quick=%v)\n", *quick)
 		if err := runHybridBench("BENCH_hybrid.json", *quick); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *planJSON {
-		fmt.Printf("fesiabench: adaptive planner benchmarks (quick=%v, backend=%s)\n", *quick, simd.Backend())
-		if err := runPlannerBench("BENCH_planner.json", *quick); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -54,7 +54,6 @@ type serverConfig struct {
 	meanLen int
 	seed    int64
 	timeout time.Duration // default per-query deadline (header-overridable)
-	planner string        // adaptive-planner mode: off, prior or learned
 	tier    serve.Config
 }
 
@@ -88,21 +87,11 @@ func corpusLists(cfg serverConfig, seed int64) [][]uint32 {
 	return lists
 }
 
-// newServer enables the process-wide stats sink and the adaptive planner
-// (both before any executor exists, so the tier's executors are instrumented
-// and planner-attached), builds the corpus, and raises the serving tier.
+// newServer enables the process-wide stats sink (before any executor exists,
+// so the tier's executors are instrumented), builds the corpus, and raises
+// the serving tier.
 func newServer(cfg serverConfig) (*server, error) {
 	fesia.EnableStats()
-	switch cfg.planner {
-	case "", "off":
-		fesia.EnablePlanner(fesia.WithPlanner(fesia.PlannerOff))
-	case "prior":
-		fesia.EnablePlanner(fesia.WithPlanner(fesia.PlannerPrior))
-	case "learned":
-		fesia.EnablePlanner(fesia.WithPlanner(fesia.PlannerLearned))
-	default:
-		return nil, fmt.Errorf("fesiaserve: unknown planner mode %q (off, prior or learned)", cfg.planner)
-	}
 	if cfg.timeout <= 0 {
 		cfg.timeout = time.Second
 	}
@@ -399,7 +388,6 @@ func main() {
 	load := flag.Int("load", 0, "background load-generator workers (0 = none)")
 	delay := flag.Duration("delay", 5*time.Millisecond, "load-generator pause between 64-query batches")
 	timeout := flag.Duration("timeout", time.Second, "default per-query deadline (X-Fesia-Deadline-Ms overrides)")
-	plannerMode := flag.String("planner", "learned", "adaptive strategy planner: off, prior or learned")
 	maxConc := flag.Int("maxconc", 0, "max concurrent queries (0 = 2x GOMAXPROCS)")
 	maxQueue := flag.Int("maxqueue", 0, "admission queue depth (0 = 2x maxconc)")
 	queueWait := flag.Duration("queuewait", 0, "admission queue wait budget (0 = 50ms)")
@@ -411,7 +399,6 @@ func main() {
 	log.Printf("building corpus (%d docs, %d items)...", *docs, *items)
 	s, err := newServer(serverConfig{
 		docs: *docs, items: *items, meanLen: *meanLen, seed: *seed, timeout: *timeout,
-		planner: *plannerMode,
 		tier: serve.Config{
 			MaxConcurrent: *maxConc,
 			MaxQueue:      *maxQueue,
@@ -456,8 +443,9 @@ func main() {
 	if tr := s.tier.Tracer(); tr != nil {
 		traceInfo = fmt.Sprintf("sample=1/%d slow=%v", tr.SampleN(), tr.SlowThreshold())
 	}
-	log.Printf("serving on %s, admin on %s (backend %s, planner %s, %d shards, tracing %s)",
-		*addr, *adminAddr, fesia.Backend(), fesia.ActivePlannerMode(), s.tier.NumShards(), traceInfo)
+	// bench/http.go reads the "planner off, N shards" fragment.
+	log.Printf("serving on %s, admin on %s (backend %s, planner off, %d shards, tracing %s)",
+		*addr, *adminAddr, fesia.Backend(), s.tier.NumShards(), traceInfo)
 
 	<-ctx.Done()
 	log.Printf("signal received; draining...")

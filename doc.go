@@ -38,9 +38,9 @@
 // the hash probe when the smaller set is under 1/4 of the larger, the
 // crossover of Fig. 11 in the paper, and on the AVX-512 rung also whenever
 // the smaller set holds at least 16 elements, one gathered probe group,
-// where a sweep of the shipped arms has the probe ahead. The specific
-// strategies are available as MergeCount/HashCount when the adaptive choice
-// needs overriding.
+// where a sweep of the shipped arms has the probe ahead. That rule is the
+// only strategy decision, with no state or feedback; the specific strategies
+// are available as MergeCount/HashCount when it needs overriding.
 //
 // # Reproduction harness
 //

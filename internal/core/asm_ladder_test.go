@@ -137,7 +137,7 @@ func TestExecutorTierParity(t *testing.T) {
 			// the rung's rule picks, and hands back its elements sorted for
 			// the cross-tier check.
 			ruled := func(op string, got, want []uint32) any {
-				if !equalU32(got, want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s: %d elements out of the rule's arm order (%d)", op, len(got), len(want))
 				}
 				return sortedCopy(got)

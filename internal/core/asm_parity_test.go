@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fesia/internal/simd"
@@ -82,7 +83,7 @@ func TestExecutorAsmParity(t *testing.T) {
 					if !op.adaptive {
 						return got
 					}
-					if !equalU32(got, ruleOrder(a, b)) {
+					if !slices.Equal(got, ruleOrder(a, b)) {
 						t.Fatalf("cfg=%+v shape=%+v Intersect: out of the rule's arm order", cfg, sh)
 					}
 					return sortedCopy(got)

@@ -293,9 +293,8 @@ type manySink struct {
 // the candidates (touchHeaders), or, with workers > 1 and the count sink, on
 // that many pool workers, each over its share of a size-ordered schedule.
 // It records the batch once: the candidate and batch counters and latency
-// off two clock reads, and with a checkpoint the release of the planner
-// samples each lane held, so a cancelled batch feeds the planner nothing and
-// records only CtrCancellations. It returns the total match count.
+// off two clock reads; a cancelled batch records only CtrCancellations. It
+// returns the total match count.
 func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s manySink) (int, error) {
 	if s.emit == nil && len(s.out) < len(cands) {
 		panic("core: batch output shorter than candidate list")
@@ -315,7 +314,6 @@ func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s many
 	if workers <= 1 {
 		e.touch += touchHeaders(cands)
 		total, err = e.lane.many(ck, q, cands, nil, 0, 1, s)
-		e.release(ck, err)
 	} else {
 		e.batch = manyRun{ck, q, cands, e.schedule(cands), workers, s}
 		if e.batchPart == nil {
@@ -330,9 +328,6 @@ func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s many
 		e.batch = manyRun{} // drop the batch's references
 		for w := range workers {
 			err = cmp.Or(err, e.workers[w].err)
-		}
-		for w := range workers {
-			e.workers[w].release(ck, err)
 		}
 	}
 	if err != nil {
@@ -374,14 +369,9 @@ type manyRun struct {
 // many is the one candidate loop of the batch engine: for k = first,
 // first+step, ... below len(cands), candidate sched[k] (k itself when sched
 // is nil) is planned through planPair and run through runPair into the sink
-// — the bodies the pair frame runs, untraced — and its planner sample is
-// recorded as it completes. A non-nil checkpoint is tested once per
-// candidate, and the lane's planner samples are held until the frame
-// releases them.
+// — the bodies the pair frame runs, untraced. A non-nil checkpoint is tested
+// once per candidate.
 func (l *lane) many(ck checkpoint, q *Set, cands []*Set, sched []int32, first, step int, s manySink) (int, error) {
-	if ck != nil && l.plan != nil {
-		l.plan.Hold()
-	}
 	total := 0
 	for k := first; k < len(cands); k += step {
 		if err := stop(ck); err != nil {
@@ -398,10 +388,7 @@ func (l *lane) many(ck checkpoint, q *Set, cands []*Set, sched []int32, first, s
 			if s.cand != nil {
 				*s.cand = i
 			}
-			p, ch := l.planPair(nil, q, c, armAuto)
-			start := planStart(ch)
-			n, _ = l.runPair(nil, nil, p, q, c, tail(s.dst, total), s.emit)
-			measured(ch, start).record(l.plan)
+			n, _ = l.runPair(nil, nil, planPair(q, c, armAuto), q, c, tail(s.dst, total), s.emit)
 		}
 		if s.out != nil {
 			s.out[i] = n
@@ -409,15 +396,6 @@ func (l *lane) many(ck checkpoint, q *Set, cands []*Set, sched []int32, first, s
 		total += n
 	}
 	return total, nil
-}
-
-// release ends the hold lane.many took on the lane's planner samples for a
-// checkpointed batch: they are kept when the batch completed (err nil) and
-// dropped when it was cancelled.
-func (l *lane) release(ck checkpoint, err error) {
-	if ck != nil && l.plan != nil {
-		l.plan.Release(err == nil)
-	}
 }
 
 // schedule fills the executor's schedule with the candidate indices sorted

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -344,20 +343,16 @@ func BenchmarkCountManyVsPairwise(b *testing.B) {
 //
 //   - sink: count, materialize (counts plus dst) or visit;
 //   - checkpoint: none, live, or cancelled after k candidates;
-//   - planner: off, prior or learned (every decision measured, every other
-//     one explored);
 //   - representation pair: each batch interleaves candidates of all three
 //     representations and sizes from skewed to larger than the query, so
 //     every query representation meets all 3×3 query/candidate pairs;
 //   - workers: 1, or 4 pool workers over the size-ordered schedule (the
 //     count sink; the frame parallelizes nothing else).
 //
-// An uncancelled batch must match the pairwise Count and Intersect of a
-// planner-free executor per candidate: counts exactly, and element order
-// exactly with the planner off or in prior mode (a learned planner may pick
-// the other arm, so there the elements are compared as sets). A cancelled
-// batch must return the checkpoint's error, feed the planner nothing and
-// count one cancellation. Warm count and materialize batches must make 0
+// An uncancelled batch must match the pairwise Count and Intersect of
+// another executor per candidate: counts and element order exactly. A
+// cancelled batch must return the checkpoint's error and count one
+// cancellation. Warm count and materialize batches must make 0
 // allocations. The public entry points are checked against the frame.
 func TestManyFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
@@ -383,14 +378,6 @@ func TestManyFrame(t *testing.T) {
 		cands[i] = buildRep(t, el, allReps[i%3])
 	}
 
-	planners := []struct {
-		name  string
-		model func() *planner.Model
-	}{
-		{"off", func() *planner.Model { return nil }},
-		{"prior", func() *planner.Model { return planner.New(planner.WithMode(planner.ModePrior)) }},
-		{"learned", newTestModel},
-	}
 	sinks := []string{"count", "materialize", "visit"}
 	checkpoints := []string{"none", "live", "cancelled"}
 	live, cancel := context.WithCancel(context.Background())
@@ -412,133 +399,113 @@ func TestManyFrame(t *testing.T) {
 			}
 			bound += len(buf)
 		}
-		for _, pl := range planners {
-			m := pl.model()
-			e := NewExecutor()
-			e.EnableStats(stats.New())
-			e.EnablePlanner(m)
-			cancellations := func() uint64 {
-				snap := e.Stats()
-				return snap.Counter(stats.CtrCancellations)
-			}
-			samples := func() (n uint64) {
-				if m != nil {
-					for _, c := range m.Snapshot().Cells {
-						n += c.Samples
-					}
+		e := NewExecutor()
+		e.EnableStats(stats.New())
+		cancellations := func() uint64 {
+			snap := e.Stats()
+			return snap.Counter(stats.CtrCancellations)
+		}
+		out := make([]int, len(cands))
+		dst := make([]uint32, bound)
+		visited := make([][]uint32, len(cands))
+		cand := 0
+		emit := func(v uint32) { visited[cand] = append(visited[cand], v) }
+		for _, sink := range sinks {
+			for _, workers := range []int{1, 4} {
+				if workers > 1 && sink != "count" {
+					continue
 				}
-				return n
-			}
-			out := make([]int, len(cands))
-			dst := make([]uint32, bound)
-			visited := make([][]uint32, len(cands))
-			cand := 0
-			emit := func(v uint32) { visited[cand] = append(visited[cand], v) }
-			for _, sink := range sinks {
-				for _, workers := range []int{1, 4} {
-					if workers > 1 && sink != "count" {
+				s := manySink{out: out}
+				switch sink {
+				case "materialize":
+					s.dst = dst
+				case "visit":
+					s = manySink{emit: emit, cand: &cand}
+				}
+				for _, cp := range checkpoints {
+					name := fmt.Sprintf("qRep %v sink %s workers %d checkpoint %s", qRep, sink, workers, cp)
+					var ck checkpoint
+					switch cp {
+					case "live":
+						ck = live
+					case "cancelled":
+						ck = newCancelAfter(1 + len(cands)/2) // the entry check, then half the candidates
+					}
+					clear(out)
+					for i := range visited {
+						visited[i] = visited[i][:0]
+					}
+					cancels := cancellations()
+					total, err := e.many(ck, q, cands, workers, s)
+					if cp == "cancelled" {
+						if !errors.Is(err, context.Canceled) || total != 0 {
+							t.Fatalf("%s: = %d, %v; want 0, context.Canceled", name, total, err)
+						}
+						if got := cancellations() - cancels; got != 1 {
+							t.Fatalf("%s: counted %d cancellations, want 1", name, got)
+						}
 						continue
 					}
-					s := manySink{out: out}
-					switch sink {
-					case "materialize":
-						s.dst = dst
-					case "visit":
-						s = manySink{emit: emit, cand: &cand}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					for _, cp := range checkpoints {
-						name := fmt.Sprintf("qRep %v planner %s sink %s workers %d checkpoint %s", qRep, pl.name, sink, workers, cp)
-						var ck checkpoint
-						switch cp {
-						case "live":
-							ck = live
-						case "cancelled":
-							ck = newCancelAfter(1 + len(cands)/2) // the entry check, then half the candidates
-						}
-						clear(out)
-						for i := range visited {
-							visited[i] = visited[i][:0]
-						}
-						before, cancels := samples(), cancellations()
-						total, err := e.many(ck, q, cands, workers, s)
-						if cp == "cancelled" {
-							if !errors.Is(err, context.Canceled) || total != 0 {
-								t.Fatalf("%s: = %d, %v; want 0, context.Canceled", name, total, err)
-							}
-							if got := samples(); got != before {
-								t.Fatalf("%s: fed the planner %d samples", name, got-before)
-							}
-							if got := cancellations() - cancels; got != 1 {
-								t.Fatalf("%s: counted %d cancellations, want 1", name, got)
+					off := 0
+					for i := range cands {
+						var got []uint32
+						switch sink {
+						case "count":
+							if out[i] != wantCount[i] {
+								t.Fatalf("%s: candidate %d counted %d, pairwise %d", name, i, out[i], wantCount[i])
 							}
 							continue
+						case "materialize":
+							if out[i] != wantCount[i] {
+								t.Fatalf("%s: candidate %d counted %d, pairwise %d", name, i, out[i], wantCount[i])
+							}
+							got = dst[off : off+out[i]]
+							off += out[i]
+						case "visit":
+							got = visited[i]
 						}
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+						if !slices.Equal(got, wantElems[i]) {
+							t.Fatalf("%s: candidate %d wrote %d elements, pairwise %d, or their order differs",
+								name, i, len(got), len(wantElems[i]))
 						}
-						off := 0
-						for i := range cands {
-							var got []uint32
-							switch sink {
-							case "count":
-								if out[i] != wantCount[i] {
-									t.Fatalf("%s: candidate %d counted %d, pairwise %d", name, i, out[i], wantCount[i])
-								}
-								continue
-							case "materialize":
-								if out[i] != wantCount[i] {
-									t.Fatalf("%s: candidate %d counted %d, pairwise %d", name, i, out[i], wantCount[i])
-								}
-								got = dst[off : off+out[i]]
-								off += out[i]
-							case "visit":
-								got = visited[i]
-							}
-							want := wantElems[i]
-							if pl.name == "learned" {
-								got, want = sortedCopy(got), sortedCopy(want)
-							}
-							if !slices.Equal(got, want) {
-								t.Fatalf("%s: candidate %d wrote %d elements, pairwise %d, or their order differs",
-									name, i, len(got), len(want))
-							}
+					}
+					if sink == "materialize" && total != off {
+						t.Fatalf("%s: total %d, counts sum to %d", name, total, off)
+					}
+					if sink != "visit" {
+						// Warm every lane's buffers.
+						warm := func() { e.many(ck, q, cands, workers, s) }
+						for range 4 {
+							warm()
 						}
-						if sink == "materialize" && total != off {
-							t.Fatalf("%s: total %d, counts sum to %d", name, total, off)
-						}
-						if sink != "visit" {
-							// Warm every lane's buffers on both arms of the
-							// candidates a learned planner explores.
-							warm := func() { e.many(ck, q, cands, workers, s) }
-							for range 4 {
-								warm()
-							}
-							if n := testing.AllocsPerRun(5, warm); n != 0 {
-								t.Fatalf("%s: a warm batch makes %v allocations", name, n)
-							}
+						if n := testing.AllocsPerRun(5, warm); n != 0 {
+							t.Fatalf("%s: a warm batch makes %v allocations", name, n)
 						}
 					}
 				}
 			}
-			// The entry points are calls into the frame.
-			ctx := context.Background()
-			for _, run := range []func() error{
-				func() error { e.CountMany(q, cands, out); return nil },
-				func() error { return e.CountManyCtx(ctx, q, cands, out) },
-				func() error { e.CountManyParallel(q, cands, out, 4); return nil },
-				func() error { return e.CountManyParallelCtx(ctx, q, cands, out, 4) },
-				func() error { e.IntersectManyInto(dst, out, q, cands); return nil },
-			} {
-				clear(out)
-				if err := run(); err != nil || !slices.Equal(out, wantCount) {
-					t.Fatalf("qRep %v planner %s: an entry point's counts diverge from the pairwise loop (%v)", qRep, pl.name, err)
-				}
+		}
+		// The entry points are calls into the frame.
+		ctx := context.Background()
+		for _, run := range []func() error{
+			func() error { e.CountMany(q, cands, out); return nil },
+			func() error { return e.CountManyCtx(ctx, q, cands, out) },
+			func() error { e.CountManyParallel(q, cands, out, 4); return nil },
+			func() error { return e.CountManyParallelCtx(ctx, q, cands, out, 4) },
+			func() error { e.IntersectManyInto(dst, out, q, cands); return nil },
+		} {
+			clear(out)
+			if err := run(); err != nil || !slices.Equal(out, wantCount) {
+				t.Fatalf("qRep %v: an entry point's counts diverge from the pairwise loop (%v)", qRep, err)
 			}
-			perCand := make([]int, len(cands))
-			e.VisitMany(q, cands, func(i int, _ uint32) { perCand[i]++ })
-			if !slices.Equal(perCand, wantCount) {
-				t.Fatalf("qRep %v planner %s: VisitMany's counts diverge from the pairwise loop", qRep, pl.name)
-			}
+		}
+		perCand := make([]int, len(cands))
+		e.VisitMany(q, cands, func(i int, _ uint32) { perCand[i]++ })
+		if !slices.Equal(perCand, wantCount) {
+			t.Fatalf("qRep %v: VisitMany's counts diverge from the pairwise loop", qRep)
 		}
 	}
 }

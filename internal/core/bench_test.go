@@ -297,7 +297,7 @@ func pairArmsSmall(rng *rand.Rand, large []uint32, m, common int) []uint32 {
 // fix at start-up), alternating which arm goes first. It reports each arm's
 // ns per pair, hash/merge (below 1 where hash wins), and merge-filter-frac,
 // the share of merge's time in pass 1, the bitmap filter, from
-// CountMergeBreakdown. This is the sweep behind planner.HashSegSeg's
+// CountMergeBreakdown. This is the sweep behind HashSegSeg's
 // HashFloor and SkewThreshold, and EXPERIMENTS.md's "Fig 11 on the shipped
 // path" (make pairbench).
 func BenchmarkPairArms(b *testing.B) {

@@ -12,7 +12,6 @@ import (
 
 	"fesia/internal/bitmap"
 	"fesia/internal/datasets"
-	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -849,7 +848,7 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 
 // TestUseHashThreshold pins the static seg×seg rule on every rung: the
 // paper's ratio (hash iff small < large/4) everywhere, and on the AVX-512
-// rung also every pair whose smaller side holds planner.HashFloor elements.
+// rung also every pair whose smaller side holds HashFloor elements.
 func TestUseHashThreshold(t *testing.T) {
 	mk := func(n int) *Set {
 		elems := make([]uint32, n)
@@ -858,7 +857,7 @@ func TestUseHashThreshold(t *testing.T) {
 		}
 		return MustNewSet(elems, DefaultConfig())
 	}
-	f := planner.HashFloor
+	f := HashFloor
 	cases := []struct {
 		small, large     int
 		gathered, others bool // the rule's arm (true: hash) on the AVX-512 rung, on the others
@@ -901,7 +900,7 @@ func TestHashFloorBoundary(t *testing.T) {
 	e := NewExecutor()
 	k := stats.New()
 	e.EnableStats(k)
-	f := planner.HashFloor
+	f := HashFloor
 	for _, m := range []int{f - 1, f, f + 1} {
 		for _, ratio := range []int{1, 2, 4} {
 			largeElems := make([]uint32, ratio*m)
@@ -930,7 +929,7 @@ func TestHashFloorBoundary(t *testing.T) {
 					}
 					dst := make([]uint32, m)
 					n := e.run(large, small, arm.force, dst, nil)
-					if !equalU32(sortedCopy(dst[:n]), want) {
+					if !slices.Equal(sortedCopy(dst[:n]), want) {
 						t.Fatalf("%s %d×%d %s materialized %v, want %v", rung, m, ratio*m, arm.name, dst[:n], want)
 					}
 				}

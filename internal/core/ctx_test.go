@@ -5,10 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"fesia/internal/planner"
 	"fesia/internal/stats"
 )
 
@@ -204,15 +204,13 @@ func TestCtxBlockBoundaries(t *testing.T) {
 // IntersectIntoCtx on both seg×seg arms and all five cross pairs, CountKCtx
 // on both k-way arms, and the two batch loops. Each cancelled call must
 // return (0, context.Canceled), count one cancellation and no query or
-// latency, feed the planner no sample, and leave the executor answering the
-// next uncancelled query correctly.
+// latency, and leave the executor answering the next uncancelled query
+// correctly.
 func TestCtxCancelInsideEveryArm(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	sink := stats.New()
-	m := planner.New(planner.WithMode(planner.ModeLearned), planner.WithSampleEvery(1))
 	e := NewExecutor()
 	e.EnableStats(sink)
-	e.EnablePlanner(m)
 
 	// 40k-element segmented sets have 4096-word bitmaps (four ctxWordBlock
 	// blocks); 7k probing elements are four ctxProbeBlock blocks; a 20k
@@ -236,18 +234,6 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 	arr, arr2 := buildRep(t, l4, RepArray), buildRep(t, l1, RepArray)
 	den, den2 := buildRep(t, l5, RepDense), buildRep(t, l6, RepDense)
 
-	// Snapshot counts the shards' samples without a re-fit, so the model
-	// keeps its priors and every pair runs the arm its name says.
-	samples := func() (n uint64) {
-		snap := m.Snapshot()
-		for _, c := range snap.Cells {
-			n += c.Samples
-		}
-		for _, c := range snap.KProbe {
-			n += c.Samples
-		}
-		return n
-	}
 	queries := func() (n uint64) {
 		snap := e.Stats()
 		for _, c := range []stats.Counter{stats.CtrQueriesMerge, stats.CtrQueriesHash,
@@ -267,7 +253,7 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 		t.Helper()
 		for k := 1; k <= 3; k++ {
 			cancels := cancellations()
-			q, s := queries(), samples()
+			q := queries()
 			if n, err := call(newCancelAfter(k - 1)); n != 0 || !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s cancelled at checkpoint %d = %d, %v; want 0, context.Canceled", name, k, n, err)
 			}
@@ -276,9 +262,6 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 			}
 			if queries() != q {
 				t.Fatalf("%s cancelled at checkpoint %d recorded a query counter or latency", name, k)
-			}
-			if samples() != s {
-				t.Fatalf("%s cancelled at checkpoint %d fed the planner a sample", name, k)
 			}
 			if n, err := call(context.Background()); err != nil || n != want {
 				t.Fatalf("%s after a cancellation at checkpoint %d = %d, %v; want %d", name, k, n, err, want)
@@ -350,4 +333,65 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 	check("CountManyParallelCtx", want, func(ctx context.Context) (int, error) {
 		return sum(e.CountManyParallelCtx(ctx, seg1, cands, out, 2))
 	})
+}
+
+// TestKWayProbeCtxEveryCheckpoint cancels a skewed k-way query at each of
+// its checkpoints in turn, until a run finishes: CountKCtx's entry check,
+// every probe block of the probe chain's seed pair and every block of its
+// compaction passes. Each cancelled run must return (0, context.Canceled),
+// and some must land past the seed pair, in a compaction pass.
+func TestKWayProbeCtxEveryCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	ex := NewExecutor()
+	// Over dense lists the 20k-element seed probes b in ctxProbeBlock
+	// blocks, and its ~3000 survivors take two blocks to compact through a.
+	small := buildRep(t, randSet(rng, 20_000, 1<<20), RepSegmented)
+	b := buildRep(t, randSet(rng, 150_000, 1<<20), RepSegmented)
+	a := buildRep(t, randSet(rng, 200_000, 1<<20), RepSegmented)
+	sets := []*Set{a, b, small}
+	if !kwayProbe(sets) {
+		t.Fatal("query does not select the probe chain")
+	}
+	want := len(refIntersect(refIntersect(small.Elements(), b.Elements()), a.Elements()))
+	// CountKCtx's own check plus one per seed-pair probe block.
+	seedChecks := 1 + (small.Len()+ctxProbeBlock-1)/ctxProbeBlock
+	cancelled := 0
+	for n := 0; ; n++ {
+		got, err := ex.CountKCtx(newCancelAfter(n), sets...)
+		if err == nil {
+			if got != want {
+				t.Fatalf("CountKCtx = %d, want %d", got, want)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || got != 0 {
+			t.Fatalf("cancelled at checkpoint %d: CountKCtx = %d, %v, want 0, context.Canceled", n, got, err)
+		}
+		cancelled++
+	}
+	if cancelled <= seedChecks {
+		t.Fatalf("%d checkpoints, none past the seed pair's %d: no compaction pass was cancelled",
+			cancelled, seedChecks)
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its n+1-th
+// call on, so a test can cancel a query at one exact checkpoint. It is safe
+// for the concurrent checks of a parallel batch's workers.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func newCancelAfter(n int) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(int64(n))
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }

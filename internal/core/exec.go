@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fesia/internal/bitmap"
-	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 	"fesia/internal/trace"
@@ -32,20 +31,19 @@ type Visitor func(uint32)
 // from multiple goroutines at once — give each query goroutine its own, or
 // recycle them through a sync.Pool as the package-level wrappers do.
 type Executor struct {
-	lane                     // the sequential paths' scratch, stats shard and planner handle
+	lane                     // the sequential paths' scratch and stats shard
 	ord     []*Set           // k-way bitmap-size ordering scratch
 	maps    []*bitmap.Bitmap // k-way bitmaps in ord's order
 	sched   []int32          // candidate scheduling order (CountManyParallel)
 	workers []worker
 	pool    *Pool
 
-	sink      *stats.Sink    // the sink st and the workers' shards record into
-	planModel *planner.Model // the model plan and the workers' handles decide from
+	sink *stats.Sink // the sink st and the workers' shards record into
 
 	// Per-query tracing (nil when no tracer is installed — the default).
 	// tr is this executor's (shard × slot) staging cell in the serving
 	// tier's tracer; the sequential pair and k-way query paths append
-	// strategy, planner and kernel records to it. See trace.go for the
+	// strategy and kernel records to it. See trace.go for the
 	// ownership model.
 	tr *trace.Cell
 
@@ -70,12 +68,10 @@ type lane struct {
 	denseAnd []uint64    // dense×dense word-AND scratch (cross pairs)
 	touch    uint32      // accumulates read-ahead touches so they are not DCE'd
 
-	// Observability and planning, nil when off (the default): the lane's
-	// single-writer stats shard and planner decision handle. kseq numbers
-	// its merge queries for kernel-histogram sampling (kernelShard). See
-	// stats.go and plan.go for the ownership model.
+	// Observability, nil when off (the default): the lane's single-writer
+	// stats shard. kseq numbers its merge queries for kernel-histogram
+	// sampling (kernelShard). See stats.go for the ownership model.
 	st   *stats.Shard
-	plan *planner.Handle
 	kseq uint64
 }
 
@@ -94,7 +90,6 @@ type worker struct {
 func NewExecutor() *Executor {
 	e := &Executor{pool: SharedPool()}
 	e.maybeAttachStats()
-	e.maybeAttachPlanner()
 	return e
 }
 
@@ -103,7 +98,6 @@ func NewExecutor() *Executor {
 func NewExecutorWithPool(p *Pool) *Executor {
 	e := &Executor{pool: p}
 	e.maybeAttachStats()
-	e.maybeAttachPlanner()
 	return e
 }
 
@@ -131,9 +125,6 @@ func (e *Executor) ensureWorkers(n int) {
 		if e.sink != nil {
 			w.st = e.sink.NewShard()
 		}
-		if e.planModel != nil {
-			w.plan = e.planModel.NewHandle()
-		}
 		e.workers = append(e.workers, w)
 	}
 }
@@ -153,7 +144,7 @@ const (
 	armMerge pairArm = trace.ArmMerge // two-step merge, seg×seg
 	armHash  pairArm = trace.ArmHash  // hash probe, seg×seg
 	armCross pairArm = trace.ArmCross // cross-representation matrix
-	armAuto  pairArm = trace.ArmNone  // merge or hash by planSegSeg
+	armAuto  pairArm = trace.ArmNone  // merge or hash by useHash
 )
 
 // pairPlan is one pair query's resolved strategy.
@@ -164,44 +155,32 @@ type pairPlan struct {
 
 // planPair resolves a pair's arm: the cross matrix when a side is not
 // segmented (crossPlan picks its probing side), force when it pins a seg×seg
-// arm, and planSegSeg's choice otherwise, traced as a plan event into tr
-// when non-nil. The planner's token for the decision, if it made one, is
-// returned beside the plan.
-func (l *lane) planPair(tr *trace.Cell, a, b *Set, force pairArm) (pairPlan, planner.Choice) {
-	if crossPair(a, b) {
-		ch, fromDense := crossPlan(l.plan, l.st, a, b)
-		return pairPlan{armCross, fromDense}, ch
+// arm, and the seg×seg rule (useHash) otherwise.
+func planPair(a, b *Set, force pairArm) pairPlan {
+	switch {
+	case crossPair(a, b):
+		return pairPlan{armCross, crossPlan(a, b)}
+	case force != armAuto:
+		return pairPlan{arm: force}
+	case useHash(a, b):
+		return pairPlan{arm: armHash}
 	}
-	if force != armAuto {
-		return pairPlan{arm: force}, planner.Choice{}
-	}
-	ch, hash := planner.Choice{}, useHash(a, b)
-	if l.plan != nil { // tested here, so planning with the planner off makes no call
-		ch, hash = planSegSeg(l.plan, l.st, a, b)
-	}
-	if tr != nil {
-		tracePlanSegSeg(tr, l.plan, ch, a, b)
-	}
-	if hash {
-		return pairPlan{arm: armHash}, ch
-	}
-	return pairPlan{arm: armMerge}, ch
+	return pairPlan{arm: armMerge}
 }
 
 // pair is the query frame of every two-set entry point. It plans the pair
-// (force pins the seg×seg arm; armAuto lets the planner or the static rule
-// choose), runs the arm with checkpoint ck (nil: uncancellable) into the
-// sink — dst non-nil materializes, emit non-nil streams, both nil count —
-// and records the query off at most two clock reads: the arm's query counter
-// and latency, its strategy span, and the planner feedback. A cancelled query
-// records only CtrCancellations.
+// (force pins the seg×seg arm; armAuto lets the rule choose), runs the arm
+// with checkpoint ck (nil: uncancellable) into the sink — dst non-nil
+// materializes, emit non-nil streams, both nil count — and records the query
+// off at most two clock reads: the arm's query counter and latency, and its
+// strategy span. A cancelled query records only CtrCancellations.
 func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, emit Visitor) (int, error) {
 	compatible(a, b)
 	if err := stop(ck); err != nil {
 		return 0, e.noteCancel(err)
 	}
-	p, ch := e.planPair(e.tr, a, b, force)
-	timed := e.st != nil || e.tr != nil || ch.Measure()
+	p := planPair(a, b, force)
+	timed := e.st != nil || e.tr != nil
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -228,7 +207,6 @@ func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, e
 	if e.tr != nil {
 		e.tr.Span(trace.KindStrategy, uint8(p.arm), 0, start, el, uint64(a.n), uint64(b.n))
 	}
-	planFeedback{ch, el}.record(e.plan)
 	return n, nil
 }
 
@@ -282,9 +260,9 @@ func (l *lane) runPair(ck checkpoint, tr *trace.Cell, p pairPlan, a, b *Set, dst
 	return l.dispatchStaged(ck, x, y, dst, emit)
 }
 
-// Count returns |a ∩ b| with the adaptively chosen strategy (FESIAmerge vs
-// FESIAhash, Fig. 11 crossover; the live cost model when a planner is
-// attached). Zero heap allocations.
+// Count returns |a ∩ b| with the strategy the seg×seg rule picks from the
+// lengths (FESIAmerge vs FESIAhash, Fig. 11 crossover; HashSegSeg). Zero
+// heap allocations.
 func (e *Executor) Count(a, b *Set) int { return e.run(a, b, armAuto, nil, nil) }
 
 // CountMerge forces the two-step FESIAmerge strategy. Zero heap allocations.
@@ -578,14 +556,12 @@ func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, buf1,
 //
 // With ctx non-nil, the seed pair runs on the pair bodies' checkpoints and
 // each compaction pass checks ctx every ctxProbeBlock elements; on
-// cancellation it returns ctx.Err() and feeds the planner nothing. With a
-// learned planner attached, sampled queries without a ctx time each
-// compaction pass to keep the per-representation probe costs fresh.
+// cancellation it returns ctx.Err().
 func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
 	for _, s := range sets[1:] {
 		compatible(sets[0], s)
 	}
-	sm := e.kwaySeed(sets)
+	sm := kwaySeed(sets)
 	e.ord = append(e.ord[:0], sets...)
 	e.ord[0], e.ord[sm] = e.ord[sm], e.ord[0]
 	rest := e.ord[1:]
@@ -594,30 +570,21 @@ func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []u
 			rest[j], rest[j-1] = rest[j-1], rest[j]
 		}
 	}
-	cur, fb, err := e.seedPair(ctx, e.ord[0], rest[0])
+	cur, err := e.seedPair(ctx, e.ord[0], rest[0])
 	if err != nil {
 		return 0, err
 	}
-	ksample := ctx == nil && e.plan != nil && e.plan.SampleKWay()
 	for _, s := range rest[1:] {
 		if len(cur) == 0 {
 			break
-		}
-		var t0 time.Time
-		if ksample {
-			t0 = time.Now()
 		}
 		// In place: each kept element lands at or before the one just read.
 		k, err := e.probeRun(ctx, cur, s, cur, nil, nil)
 		if err != nil {
 			return 0, err
 		}
-		if ksample {
-			e.plan.RecordProbe(int(s.rep), time.Since(t0), len(cur))
-		}
 		cur = cur[:k]
 	}
-	fb.record(e.plan)
 	if len(cur) > 0 && sink != nil {
 		sink(cur)
 	}
@@ -626,17 +593,14 @@ func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []u
 
 // seedPair intersects the probe chain's seed pair into the executor's chain
 // buffer on the pair engine's plan and bodies, without recording a pair
-// query. The planner feedback is returned for the caller to record once the
-// whole query has finished.
-func (e *Executor) seedPair(ctx checkpoint, a, b *Set) ([]uint32, planFeedback, error) {
+// query.
+func (e *Executor) seedPair(ctx checkpoint, a, b *Set) ([]uint32, error) {
 	e.chain1 = growU32(e.chain1, max(min(a.n, b.n), 1))
-	p, ch := e.planPair(e.tr, a, b, armAuto)
-	start := planStart(ch)
-	n, err := e.runPair(ctx, e.tr, p, a, b, e.chain1, nil)
+	n, err := e.runPair(ctx, e.tr, planPair(a, b, armAuto), a, b, e.chain1, nil)
 	if err != nil {
-		return nil, planFeedback{}, err
+		return nil, err
 	}
-	return e.chain1[:n], measured(ch, start), nil
+	return e.chain1[:n], nil
 }
 
 // ---------------------------------------------------------------------------
@@ -763,13 +727,9 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	case 1:
 		return sets[0].n
 	case 2:
-		// The planner decides but is not fed: a parallel wall time does not
-		// price the serial arms its model fits.
 		a, b := sets[0], sets[1]
-		if !crossPair(a, b) {
-			if _, hash := planSegSeg(e.plan, e.st, a, b); hash {
-				return e.CountHashParallel(a, b, workers)
-			}
+		if !crossPair(a, b) && useHash(a, b) {
+			return e.CountHashParallel(a, b, workers)
 		}
 		return e.CountMergeParallel(a, b, workers)
 	}
@@ -813,8 +773,7 @@ var defaultExecutors = sync.Pool{New: func() any { return NewExecutor() }}
 
 func getExecutor() *Executor {
 	e := defaultExecutors.Get().(*Executor)
-	e.maybeAttachStats()   // pooled executors may predate EnableStats
-	e.maybeAttachPlanner() // ... or EnablePlanner
+	e.maybeAttachStats() // pooled executors may predate EnableStats
 	return e
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"fesia/internal/planner"
 	"fesia/internal/simd"
 	"fesia/internal/stats"
 )
@@ -73,31 +72,18 @@ func growU64(buf []uint64, n int) []uint64 {
 	return buf[:n]
 }
 
-// crossPlan picks the probing side of a ×dense pair — walk the dense words
-// (fromDense) or probe the other set's sorted elements against the dense
-// span — through the planner when h is non-nil (the choice is its token), by
-// the smaller-side rule otherwise. The other pairs, and empty ones, have one
-// probing side: the zero choice.
-func crossPlan(h *planner.Handle, st *stats.Shard, a, b *Set) (planner.Choice, bool) {
+// crossPlan picks the probing side of a ×dense pair by the smaller-side
+// rule: walk the dense words (fromDense) when the dense side is the smaller,
+// else probe the other set's sorted elements against the dense span. The
+// other pairs, and empty ones, have one probing side: false.
+func crossPlan(a, b *Set) (fromDense bool) {
 	if a.rep > b.rep {
 		a, b = b, a
 	}
 	if b.rep != RepDense || a.rep == RepDense || a.n == 0 || b.n == 0 {
-		return planner.Choice{}, false
+		return false
 	}
-	fromDense := b.n < a.n
-	if h == nil {
-		return planner.Choice{}, fromDense
-	}
-	if a.rep == RepSegmented { // arm 0: dense bits hash-probe the segmented set
-		ch := h.Decide(planner.DecSegDense, b.n, a.n)
-		notePlanDecision(st, planner.DecSegDense, ch, (ch.Arm == 0) != fromDense)
-		return ch, ch.Arm == 0
-	}
-	// arm 0: array elements bit-test the dense span
-	ch := h.Decide(planner.DecArrayDense, a.n, b.n)
-	notePlanDecision(st, planner.DecArrayDense, ch, (ch.Arm == 1) != fromDense)
-	return ch, ch.Arm == 1
+	return b.n < a.n
 }
 
 // crossRun dispatches one pair intersection where at least one side is
@@ -348,27 +334,9 @@ func (s *Set) visitAll(emit Visitor) {
 	}
 }
 
-// kwaySeed picks the set a mixed-representation k-way chain materializes
-// first. With a planner handle the pick minimizes the modelled chain cost —
-// n_seed × Σ fitted per-probe cost of every other set's representation — so
-// a slightly larger seed wins when it avoids expensive probe targets; the
-// equal cold-start priors reduce this to the static smallest-set rule
-// (first-minimum tie break included).
-func (e *Executor) kwaySeed(sets []*Set) int {
-	if h := e.plan; h != nil {
-		var total float64
-		for _, s := range sets {
-			total += h.ProbeCost(int(s.rep))
-		}
-		best, bestEst := 0, 0.0
-		for i, s := range sets {
-			est := float64(s.n) * (total - h.ProbeCost(int(s.rep)))
-			if i == 0 || est < bestEst {
-				best, bestEst = i, est
-			}
-		}
-		return best
-	}
+// kwaySeed picks the set a k-way probe chain materializes first: the
+// smallest, the first of equals on a tie.
+func kwaySeed(sets []*Set) int {
 	sm := 0
 	for i, s := range sets {
 		if s.n < sets[sm].n {

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"fesia/internal/planner"
 	"fesia/internal/simd"
 )
 
@@ -19,8 +18,8 @@ const coreChunkBlocks = 256
 // the cross-representation dispatch matrix (hybrid.go).
 //
 // Like every package-level two-set function it runs on a pooled default
-// Executor, so it records into the active stats sink and consults the active
-// planner; hot loops should hold their own Executor.
+// Executor, so it records into the active stats sink; hot loops should hold
+// their own Executor.
 func CountMerge(a, b *Set) int { return pooledPair(a, b, armMerge, nil) }
 
 // IntersectMerge writes a ∩ b into dst and returns the count. dst must have
@@ -46,23 +45,43 @@ func CountHash(a, b *Set) int { return pooledPair(a, b, armHash, nil) }
 // Cross-representation pairs route to the dispatch matrix (hybrid.go).
 func IntersectHash(dst []uint32, a, b *Set) int { return pooledPair(a, b, armHash, dst) }
 
-// Count picks the strategy adaptively: the active planner's choice, or with
-// the planner off the static rule (useHash): the hash probe when one set is
-// dramatically smaller (skew below planner.SkewThreshold, Fig. 11's
+// Count picks the strategy from the sets' lengths (useHash): the hash probe
+// when one set is dramatically smaller (skew below SkewThreshold, Fig. 11's
 // crossover) or, on the AVX-512 rung, when the smaller set holds at least
-// planner.HashFloor elements; the two-step merge otherwise.
+// HashFloor elements; the two-step merge otherwise.
 func Count(a, b *Set) int { return pooledPair(a, b, armAuto, nil) }
 
 // Intersect writes a ∩ b into dst with the adaptively chosen strategy and
 // returns the count, in Executor.Intersect's order.
 func Intersect(dst []uint32, a, b *Set) int { return pooledPair(a, b, armAuto, dst) }
 
-// useHash is the static seg×seg merge/hash rule, planner.HashSegSeg, on a
-// and b's lengths: the paper's small < SkewThreshold·large on every rung,
-// and on the AVX-512 rung also every pair whose smaller side fills a
-// gathered probe group (HashFloor). The planner's seg×seg priors read the
-// same rule, so a prior-mode planner decides as the planner-off engine does.
-func useHash(a, b *Set) bool { return planner.HashSegSeg(min(a.n, b.n), max(a.n, b.n)) }
+// SkewThreshold is the size ratio below which the seg×seg rule (HashSegSeg)
+// hashes on every rung: Section VI's FESIAmerge/FESIAhash crossover, which
+// the paper's Fig. 11 places at a skew of about 1/4. The sweep of the arms
+// that ship (BenchmarkPairArms, EXPERIMENTS.md "Fig 11 on the shipped path")
+// keeps it on the AVX2 and scalar rungs.
+const SkewThreshold = 0.25
+
+// HashFloor is the smaller side's length from which the seg×seg rule hashes
+// every pair on the AVX-512 rung, where the probe hashes, gathers and
+// bit-tests sixteen elements at a time (simd.ProbeStage) and a probe is
+// filtered by one bitmap bit, not by an 8-bit segment. The sweep
+// (EXPERIMENTS.md "Fig 11 on the shipped path") has hash ahead on that rung
+// in every cell whose smaller side fills a gathered group, but for two
+// 16-element sides at low selectivity, and the arms mixed below it.
+const HashFloor = 16
+
+// HashSegSeg is the seg×seg merge/hash rule, the one strategy decision of a
+// segmented pair: the hash probe when the smaller side's length is below
+// SkewThreshold times the larger's, or, on the AVX-512 rung, when the smaller
+// side holds at least HashFloor elements; the two-step merge otherwise. It
+// reads the live rung, so a simd.SetAvx512Enabled toggle moves it.
+func HashSegSeg(small, large int) bool {
+	return float64(small) < SkewThreshold*float64(large) || small >= HashFloor && simd.GatherProbeActive()
+}
+
+// useHash is HashSegSeg on a and b's lengths.
+func useHash(a, b *Set) bool { return HashSegSeg(min(a.n, b.n), max(a.n, b.n)) }
 
 // ---------------------------------------------------------------------------
 // k-way intersection (Section VI).
@@ -208,15 +227,13 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 }
 
 // crossTimed runs a cross-representation pair on the pair engine's plan and
-// body, feeding the planner, and returns its count and run time: the whole of
-// a breakdown of a pair with no bitmap phases.
+// body, and returns its count and run time: the whole of a breakdown of a
+// pair with no bitmap phases.
 func (e *Executor) crossTimed(a, b *Set) (int, time.Duration) {
-	p, ch := e.planPair(nil, a, b, armAuto)
+	p := planPair(a, b, armAuto)
 	start := time.Now()
 	n, _ := e.runPair(nil, nil, p, a, b, nil, nil)
-	el := time.Since(start)
-	planFeedback{ch, el}.record(e.plan)
-	return n, el
+	return n, time.Since(start)
 }
 
 // CountMergeBreakdown is the pooled-executor compatibility wrapper; hot

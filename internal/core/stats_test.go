@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"fesia/internal/planner"
 	"fesia/internal/stats"
 	"fesia/internal/trace"
 )
@@ -26,11 +25,11 @@ func statsSkewedPair(t testing.TB) (*Set, *Set) {
 }
 
 // statsMergePair returns a pair the static rule merges on every rung: equal
-// lengths one short of planner.HashFloor, sharing half their elements, so
+// lengths one short of HashFloor, sharing half their elements, so
 // segment pairs survive the filter.
 func statsMergePair(t testing.TB) (*Set, *Set) {
 	t.Helper()
-	a, b := benchPair(planner.HashFloor-1, 0.5, DefaultConfig())
+	a, b := benchPair(HashFloor-1, 0.5, DefaultConfig())
 	if useHash(a, b) {
 		t.Fatal("pair not below the hash floor")
 	}

@@ -119,24 +119,6 @@ func (t *Table) Intersect(dst, a, b []uint32) int {
 	return t.inter[int(t.round[sa])<<t.bits|int(t.round[sb])](dst, a, b)
 }
 
-// Visit streams a ∩ b (ascending) through emit instead of materializing a
-// result slice — the sink end of the allocation-free query path. Pairs inside
-// the table capacity run the specialized materializing kernel into the
-// caller-owned scratch buffer (which needs room for min(len(a), len(b))
-// elements) and replay it element-wise; larger pairs stream directly from the
-// generic two-pointer merge without touching scratch.
-func (t *Table) Visit(scratch, a, b []uint32, emit func(uint32)) {
-	sa, sb := len(a), len(b)
-	if sa > t.cap || sb > t.cap {
-		GenericVisit(a, b, emit)
-		return
-	}
-	n := t.inter[int(t.round[sa])<<t.bits|int(t.round[sb])](scratch, a, b)
-	for _, v := range scratch[:n] {
-		emit(v)
-	}
-}
-
 // build populates the table from generated kernel entries. It is called from
 // generated init functions.
 func (t *Table) build(width simd.Width, capSize, stride int, entries []kernelEntry) {
@@ -297,24 +279,6 @@ func GenericIntersect(dst, a, b []uint32) int {
 		}
 	}
 	return n
-}
-
-// GenericVisit streams a ∩ b (ascending) through emit with a scalar
-// two-pointer merge, no destination buffer required.
-func GenericVisit(a, b []uint32, emit func(uint32)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		av, bv := a[i], b[j]
-		if av < bv {
-			i++
-		} else if av > bv {
-			j++
-		} else {
-			emit(av)
-			i++
-			j++
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 
-	"fesia/internal/planner"
 	"fesia/internal/simd"
 )
 
@@ -18,57 +17,49 @@ type promSeries struct {
 }
 
 var promCounters = [NumCounters]promSeries{
-	CtrQueriesMerge:            {"fesia_queries_total", `{strategy="merge"}`, "Queries answered, by intersection strategy."},
-	CtrQueriesHash:             {"fesia_queries_total", `{strategy="hash"}`, ""},
-	CtrQueriesKWay:             {"fesia_queries_total", `{strategy="kway"}`, ""},
-	CtrQueriesBatch:            {"fesia_queries_total", `{strategy="batch"}`, ""},
-	CtrQueriesCross:            {"fesia_queries_total", `{strategy="cross"}`, ""},
-	CtrQueriesKWayProbe:        {"fesia_kway_probe_queries_total", "", "K-way queries (3+ sets) that ran the probe chain; fesia_queries_total{strategy=\"kway\"} counts them too."},
-	CtrBuildSegmented:          {"fesia_sets_built_total", `{rep="segmented"}`, "Sets built, by physical representation."},
-	CtrBuildArray:              {"fesia_sets_built_total", `{rep="array"}`, ""},
-	CtrBuildDense:              {"fesia_sets_built_total", `{rep="dense"}`, ""},
-	CtrDispSegSeg:              {"fesia_rep_dispatch_total", `{pair="seg_seg"}`, "Pair queries routed through the cross-representation dispatch matrix, by unordered representation pair."},
-	CtrDispSegArray:            {"fesia_rep_dispatch_total", `{pair="seg_array"}`, ""},
-	CtrDispSegDense:            {"fesia_rep_dispatch_total", `{pair="seg_dense"}`, ""},
-	CtrDispArrayArray:          {"fesia_rep_dispatch_total", `{pair="array_array"}`, ""},
-	CtrDispArrayDense:          {"fesia_rep_dispatch_total", `{pair="array_dense"}`, ""},
-	CtrDispDenseDense:          {"fesia_rep_dispatch_total", `{pair="dense_dense"}`, ""},
-	CtrBatchCandidates:         {"fesia_batch_candidates_total", "", "Candidates processed by one-vs-many batch queries."},
-	CtrSegmentsScanned:         {"fesia_segments_scanned_total", "", "Segments examined by the bitmap word-AND pass (merge strategy)."},
-	CtrSegPairs:                {"fesia_segment_pairs_total", "", "Segment pairs surviving the bitmap filter and dispatched to kernels."},
-	CtrHashProbes:              {"fesia_hash_probes_total", "", "Elements probed by the hash strategy."},
-	CtrHashSurvivors:           {"fesia_hash_probe_survivors_total", "", "Hash probes whose bitmap bit was set (entered the segment scan)."},
-	CtrPlanSegSegMerge:         {"fesia_planner_decisions_total", `{decision="seg_seg",arm="merge"}`, "Adaptive-planner dispatch decisions, by decision kind and chosen arm."},
-	CtrPlanSegSegHash:          {"fesia_planner_decisions_total", `{decision="seg_seg",arm="hash"}`, ""},
-	CtrPlanSegDenseFromDense:   {"fesia_planner_decisions_total", `{decision="seg_dense",arm="probe_from_dense"}`, ""},
-	CtrPlanSegDenseFromSeg:     {"fesia_planner_decisions_total", `{decision="seg_dense",arm="probe_from_seg"}`, ""},
-	CtrPlanArrayDenseFromArray: {"fesia_planner_decisions_total", `{decision="array_dense",arm="probe_from_array"}`, ""},
-	CtrPlanArrayDenseFromDense: {"fesia_planner_decisions_total", `{decision="array_dense",arm="probe_from_dense"}`, ""},
-	CtrPlanExplored:            {"fesia_planner_explored_total", "", "Planner decisions that deliberately took the non-preferred arm (epsilon exploration)."},
-	CtrPlanOverrides:           {"fesia_planner_overrides_total", "", "Planner decisions that disagreed with the static heuristic."},
-	CtrCancellations:           {"fesia_query_cancellations_total", "", "Queries that returned ctx.Err() at a cooperative checkpoint."},
-	CtrPoolDo:                  {"fesia_pool_do_total", "", "Parallel Do calls entered on the worker pool."},
-	CtrPoolDoDone:              {"fesia_pool_do_done_total", "", "Parallel Do calls completed on the worker pool."},
-	CtrPoolPartsPooled:         {"fesia_pool_parts_total", `{mode="pooled"}`, "Task parts, by whether a parked worker took them or they ran inline."},
-	CtrPoolPartsInline:         {"fesia_pool_parts_total", `{mode="inline"}`, ""},
-	CtrPoolPanics:              {"fesia_pool_task_panics_total", "", "Panics contained by the worker pool."},
-	CtrSnapshotWrites:          {"fesia_snapshot_ops_total", `{op="write",outcome="ok"}`, "Snapshot codec operations, by direction and outcome."},
-	CtrSnapshotWriteErrors:     {"fesia_snapshot_ops_total", `{op="write",outcome="error"}`, ""},
-	CtrSnapshotReads:           {"fesia_snapshot_ops_total", `{op="read",outcome="ok"}`, ""},
-	CtrSnapshotReadErrors:      {"fesia_snapshot_ops_total", `{op="read",outcome="error"}`, ""},
-	CtrServeAdmitted:           {"fesia_serve_requests_total", `{outcome="admitted"}`, "Serving-tier requests, by admission outcome."},
-	CtrServeRejected:           {"fesia_serve_requests_total", `{outcome="rejected"}`, ""},
-	CtrServeShed:               {"fesia_serve_requests_total", `{outcome="shed"}`, ""},
-	CtrServeDeadline:           {"fesia_serve_deadline_expiries_total", "", "Admitted serving-tier queries that expired their deadline (HTTP 504s)."},
-	CtrServeQueueEnter:         {"fesia_serve_queue_events_total", `{event="enter"}`, "Admission-queue entries and exits (difference = live queue depth)."},
-	CtrServeQueueExit:          {"fesia_serve_queue_events_total", `{event="exit"}`, ""},
-	CtrServeSwaps:              {"fesia_serve_swaps_total", `{outcome="ok"}`, "Hot corpus snapshot swaps, by outcome."},
-	CtrServeSwapErrors:         {"fesia_serve_swaps_total", `{outcome="error"}`, ""},
-	CtrServeRejQueueFull:       {"fesia_serve_rejections_total", `{reason="queue_full"}`, "Admission-queue rejections by overload flavor (the shed flavor is fesia_serve_requests_total{outcome=\"shed\"})."},
-	CtrServeRejQueueWait:       {"fesia_serve_rejections_total", `{reason="queue_wait"}`, ""},
-	CtrTraceSampled:            {"fesia_trace_captured_total", `{reason="sampled"}`, "Queries retained by the tracing layer, by capture reason."},
-	CtrTraceSlow:               {"fesia_trace_captured_total", `{reason="slow"}`, ""},
-	CtrTraceForced:             {"fesia_trace_captured_total", `{reason="forced"}`, ""},
+	CtrQueriesMerge:        {"fesia_queries_total", `{strategy="merge"}`, "Queries answered, by intersection strategy."},
+	CtrQueriesHash:         {"fesia_queries_total", `{strategy="hash"}`, ""},
+	CtrQueriesKWay:         {"fesia_queries_total", `{strategy="kway"}`, ""},
+	CtrQueriesBatch:        {"fesia_queries_total", `{strategy="batch"}`, ""},
+	CtrQueriesCross:        {"fesia_queries_total", `{strategy="cross"}`, ""},
+	CtrQueriesKWayProbe:    {"fesia_kway_probe_queries_total", "", "K-way queries (3+ sets) that ran the probe chain; fesia_queries_total{strategy=\"kway\"} counts them too."},
+	CtrBuildSegmented:      {"fesia_sets_built_total", `{rep="segmented"}`, "Sets built, by physical representation."},
+	CtrBuildArray:          {"fesia_sets_built_total", `{rep="array"}`, ""},
+	CtrBuildDense:          {"fesia_sets_built_total", `{rep="dense"}`, ""},
+	CtrDispSegSeg:          {"fesia_rep_dispatch_total", `{pair="seg_seg"}`, "Pair queries routed through the cross-representation dispatch matrix, by unordered representation pair."},
+	CtrDispSegArray:        {"fesia_rep_dispatch_total", `{pair="seg_array"}`, ""},
+	CtrDispSegDense:        {"fesia_rep_dispatch_total", `{pair="seg_dense"}`, ""},
+	CtrDispArrayArray:      {"fesia_rep_dispatch_total", `{pair="array_array"}`, ""},
+	CtrDispArrayDense:      {"fesia_rep_dispatch_total", `{pair="array_dense"}`, ""},
+	CtrDispDenseDense:      {"fesia_rep_dispatch_total", `{pair="dense_dense"}`, ""},
+	CtrBatchCandidates:     {"fesia_batch_candidates_total", "", "Candidates processed by one-vs-many batch queries."},
+	CtrSegmentsScanned:     {"fesia_segments_scanned_total", "", "Segments examined by the bitmap word-AND pass (merge strategy)."},
+	CtrSegPairs:            {"fesia_segment_pairs_total", "", "Segment pairs surviving the bitmap filter and dispatched to kernels."},
+	CtrHashProbes:          {"fesia_hash_probes_total", "", "Elements probed by the hash strategy."},
+	CtrHashSurvivors:       {"fesia_hash_probe_survivors_total", "", "Hash probes whose bitmap bit was set (entered the segment scan)."},
+	CtrCancellations:       {"fesia_query_cancellations_total", "", "Queries that returned ctx.Err() at a cooperative checkpoint."},
+	CtrPoolDo:              {"fesia_pool_do_total", "", "Parallel Do calls entered on the worker pool."},
+	CtrPoolDoDone:          {"fesia_pool_do_done_total", "", "Parallel Do calls completed on the worker pool."},
+	CtrPoolPartsPooled:     {"fesia_pool_parts_total", `{mode="pooled"}`, "Task parts, by whether a parked worker took them or they ran inline."},
+	CtrPoolPartsInline:     {"fesia_pool_parts_total", `{mode="inline"}`, ""},
+	CtrPoolPanics:          {"fesia_pool_task_panics_total", "", "Panics contained by the worker pool."},
+	CtrSnapshotWrites:      {"fesia_snapshot_ops_total", `{op="write",outcome="ok"}`, "Snapshot codec operations, by direction and outcome."},
+	CtrSnapshotWriteErrors: {"fesia_snapshot_ops_total", `{op="write",outcome="error"}`, ""},
+	CtrSnapshotReads:       {"fesia_snapshot_ops_total", `{op="read",outcome="ok"}`, ""},
+	CtrSnapshotReadErrors:  {"fesia_snapshot_ops_total", `{op="read",outcome="error"}`, ""},
+	CtrServeAdmitted:       {"fesia_serve_requests_total", `{outcome="admitted"}`, "Serving-tier requests, by admission outcome."},
+	CtrServeRejected:       {"fesia_serve_requests_total", `{outcome="rejected"}`, ""},
+	CtrServeShed:           {"fesia_serve_requests_total", `{outcome="shed"}`, ""},
+	CtrServeDeadline:       {"fesia_serve_deadline_expiries_total", "", "Admitted serving-tier queries that expired their deadline (HTTP 504s)."},
+	CtrServeQueueEnter:     {"fesia_serve_queue_events_total", `{event="enter"}`, "Admission-queue entries and exits (difference = live queue depth)."},
+	CtrServeQueueExit:      {"fesia_serve_queue_events_total", `{event="exit"}`, ""},
+	CtrServeSwaps:          {"fesia_serve_swaps_total", `{outcome="ok"}`, "Hot corpus snapshot swaps, by outcome."},
+	CtrServeSwapErrors:     {"fesia_serve_swaps_total", `{outcome="error"}`, ""},
+	CtrServeRejQueueFull:   {"fesia_serve_rejections_total", `{reason="queue_full"}`, "Admission-queue rejections by overload flavor (the shed flavor is fesia_serve_requests_total{outcome=\"shed\"})."},
+	CtrServeRejQueueWait:   {"fesia_serve_rejections_total", `{reason="queue_wait"}`, ""},
+	CtrTraceSampled:        {"fesia_trace_captured_total", `{reason="sampled"}`, "Queries retained by the tracing layer, by capture reason."},
+	CtrTraceSlow:           {"fesia_trace_captured_total", `{reason="slow"}`, ""},
+	CtrTraceForced:         {"fesia_trace_captured_total", `{reason="forced"}`, ""},
 }
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition format
@@ -82,13 +73,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	// tier, "scalar" for the pure-Go reference). Scrapers join it against the
 	// query counters to attribute performance shifts to the backend in play.
 	if _, err := fmt.Fprintf(w, "# HELP fesia_build_info Constant 1, labelled with the active intersection backend.\n# TYPE fesia_build_info gauge\nfesia_build_info{backend=%q} 1\n", simd.Backend()); err != nil {
-		return err
-	}
-
-	// Planner-info gauge, the planner's counterpart of fesia_build_info: a
-	// constant 1 labelled with the process-wide adaptive-planner mode, so
-	// load-test runs are attributable to the dispatch policy in play.
-	if _, err := fmt.Fprintf(w, "# HELP fesia_planner_info Constant 1, labelled with the active adaptive-planner mode.\n# TYPE fesia_planner_info gauge\nfesia_planner_info{mode=%q} 1\n", planner.ActiveMode()); err != nil {
 		return err
 	}
 
@@ -226,30 +210,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		}
 	}
 
-	// Adaptive-planner cost table (sparse: only cells with recorded samples),
-	// plus the re-fit counter. Emitted only while a planner model is active.
-	if m := planner.Active(); m != nil {
-		ps := m.Snapshot()
-		if _, err := fmt.Fprintf(w, "# HELP fesia_planner_refits_total Completed online re-fit passes of the planner cost model.\n# TYPE fesia_planner_refits_total counter\nfesia_planner_refits_total %d\n", ps.Refits); err != nil {
-			return err
-		}
-		const costFamily = "fesia_planner_cost_ns_per_unit"
-		if _, err := fmt.Fprintf(w, "# HELP %s Fitted per-unit strategy cost (ns per element merged/probed), by decision cell and arm; only cells with recorded samples.\n# TYPE %s gauge\n", costFamily, costFamily); err != nil {
-			return err
-		}
-		for _, c := range ps.Cells {
-			if _, err := fmt.Fprintf(w, "%s{decision=%q,arm=%q,bucket_a=\"%d\",bucket_b=\"%d\"} %g\n",
-				costFamily, c.Decision, c.Arm, c.BucketA, c.BucketB, c.CostNs); err != nil {
-				return err
-			}
-		}
-		for _, kp := range ps.KProbe {
-			if _, err := fmt.Fprintf(w, "%s{decision=\"kway_probe\",arm=%q,bucket_a=\"0\",bucket_b=\"0\"} %g\n",
-				costFamily, kp.Rep, kp.CostNs); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

@@ -80,19 +80,6 @@ const (
 	CtrHashProbes
 	CtrHashSurvivors
 
-	// Planner decisions: one increment per dispatch decision resolved by the
-	// adaptive cost model, keyed by decision kind and chosen arm, plus the
-	// epsilon-exploration and static-disagreement tallies. Zero while the
-	// planner is off (the static heuristics don't count decisions).
-	CtrPlanSegSegMerge
-	CtrPlanSegSegHash
-	CtrPlanSegDenseFromDense
-	CtrPlanSegDenseFromSeg
-	CtrPlanArrayDenseFromArray
-	CtrPlanArrayDenseFromDense
-	CtrPlanExplored  // decisions that deliberately took the non-preferred arm
-	CtrPlanOverrides // decisions disagreeing with the static heuristic
-
 	// Cooperative cancellation: queries that returned ctx.Err().
 	CtrCancellations
 
@@ -146,57 +133,49 @@ const (
 // counterNames maps Counter IDs to their stable external names (expvar keys;
 // Prometheus names are derived in prometheus.go).
 var counterNames = [NumCounters]string{
-	CtrQueriesMerge:            "queries_merge",
-	CtrQueriesHash:             "queries_hash",
-	CtrQueriesKWay:             "queries_kway",
-	CtrQueriesBatch:            "queries_batch",
-	CtrQueriesCross:            "queries_cross",
-	CtrQueriesKWayProbe:        "queries_kway_probe",
-	CtrBuildSegmented:          "build_segmented",
-	CtrBuildArray:              "build_array",
-	CtrBuildDense:              "build_dense",
-	CtrDispSegSeg:              "dispatch_seg_seg",
-	CtrDispSegArray:            "dispatch_seg_array",
-	CtrDispSegDense:            "dispatch_seg_dense",
-	CtrDispArrayArray:          "dispatch_array_array",
-	CtrDispArrayDense:          "dispatch_array_dense",
-	CtrDispDenseDense:          "dispatch_dense_dense",
-	CtrBatchCandidates:         "batch_candidates",
-	CtrSegmentsScanned:         "segments_scanned",
-	CtrSegPairs:                "segment_pairs",
-	CtrHashProbes:              "hash_probes",
-	CtrHashSurvivors:           "hash_probe_survivors",
-	CtrPlanSegSegMerge:         "plan_segseg_merge",
-	CtrPlanSegSegHash:          "plan_segseg_hash",
-	CtrPlanSegDenseFromDense:   "plan_segdense_from_dense",
-	CtrPlanSegDenseFromSeg:     "plan_segdense_from_seg",
-	CtrPlanArrayDenseFromArray: "plan_arraydense_from_array",
-	CtrPlanArrayDenseFromDense: "plan_arraydense_from_dense",
-	CtrPlanExplored:            "plan_explored",
-	CtrPlanOverrides:           "plan_overrides",
-	CtrCancellations:           "query_cancellations",
-	CtrPoolDo:                  "pool_do",
-	CtrPoolDoDone:              "pool_do_done",
-	CtrPoolPartsPooled:         "pool_parts_pooled",
-	CtrPoolPartsInline:         "pool_parts_inline",
-	CtrPoolPanics:              "pool_task_panics",
-	CtrSnapshotWrites:          "snapshot_writes",
-	CtrSnapshotWriteErrors:     "snapshot_write_errors",
-	CtrSnapshotReads:           "snapshot_reads",
-	CtrSnapshotReadErrors:      "snapshot_read_errors",
-	CtrServeAdmitted:           "serve_admitted",
-	CtrServeRejected:           "serve_rejected",
-	CtrServeShed:               "serve_shed",
-	CtrServeDeadline:           "serve_deadline_expiries",
-	CtrServeQueueEnter:         "serve_queue_enter",
-	CtrServeQueueExit:          "serve_queue_exit",
-	CtrServeSwaps:              "serve_swaps",
-	CtrServeSwapErrors:         "serve_swap_errors",
-	CtrServeRejQueueFull:       "serve_rejected_queue_full",
-	CtrServeRejQueueWait:       "serve_rejected_queue_wait",
-	CtrTraceSampled:            "trace_sampled",
-	CtrTraceSlow:               "trace_slow",
-	CtrTraceForced:             "trace_forced",
+	CtrQueriesMerge:        "queries_merge",
+	CtrQueriesHash:         "queries_hash",
+	CtrQueriesKWay:         "queries_kway",
+	CtrQueriesBatch:        "queries_batch",
+	CtrQueriesCross:        "queries_cross",
+	CtrQueriesKWayProbe:    "queries_kway_probe",
+	CtrBuildSegmented:      "build_segmented",
+	CtrBuildArray:          "build_array",
+	CtrBuildDense:          "build_dense",
+	CtrDispSegSeg:          "dispatch_seg_seg",
+	CtrDispSegArray:        "dispatch_seg_array",
+	CtrDispSegDense:        "dispatch_seg_dense",
+	CtrDispArrayArray:      "dispatch_array_array",
+	CtrDispArrayDense:      "dispatch_array_dense",
+	CtrDispDenseDense:      "dispatch_dense_dense",
+	CtrBatchCandidates:     "batch_candidates",
+	CtrSegmentsScanned:     "segments_scanned",
+	CtrSegPairs:            "segment_pairs",
+	CtrHashProbes:          "hash_probes",
+	CtrHashSurvivors:       "hash_probe_survivors",
+	CtrCancellations:       "query_cancellations",
+	CtrPoolDo:              "pool_do",
+	CtrPoolDoDone:          "pool_do_done",
+	CtrPoolPartsPooled:     "pool_parts_pooled",
+	CtrPoolPartsInline:     "pool_parts_inline",
+	CtrPoolPanics:          "pool_task_panics",
+	CtrSnapshotWrites:      "snapshot_writes",
+	CtrSnapshotWriteErrors: "snapshot_write_errors",
+	CtrSnapshotReads:       "snapshot_reads",
+	CtrSnapshotReadErrors:  "snapshot_read_errors",
+	CtrServeAdmitted:       "serve_admitted",
+	CtrServeRejected:       "serve_rejected",
+	CtrServeShed:           "serve_shed",
+	CtrServeDeadline:       "serve_deadline_expiries",
+	CtrServeQueueEnter:     "serve_queue_enter",
+	CtrServeQueueExit:      "serve_queue_exit",
+	CtrServeSwaps:          "serve_swaps",
+	CtrServeSwapErrors:     "serve_swap_errors",
+	CtrServeRejQueueFull:   "serve_rejected_queue_full",
+	CtrServeRejQueueWait:   "serve_rejected_queue_wait",
+	CtrTraceSampled:        "trace_sampled",
+	CtrTraceSlow:           "trace_slow",
+	CtrTraceForced:         "trace_forced",
 }
 
 // Name returns the counter's stable external name.

@@ -2,8 +2,7 @@
 // forensic complement to the stats package's aggregates. Histograms answer
 // "how slow is the tier?"; a trace answers "why was *this* query slow?" by
 // attributing a single query's latency to admission wait, the scatter
-// fan-out, each shard's part, the strategy the engine picked there, the
-// planner decision behind that pick (with its predicted costs), and the
+// fan-out, each shard's part, the strategy the engine picked there, and the
 // kernel-level work the strategy dispatched.
 //
 // The design extends the single-writer slot discipline end to end. While a
@@ -28,8 +27,6 @@ package trace
 import (
 	"sync/atomic"
 	"time"
-
-	"fesia/internal/planner"
 )
 
 // Kind classifies one trace record.
@@ -50,10 +47,6 @@ const (
 	// which). V1, V2 = the input set sizes (V1 = set count, V2 = result count
 	// for ArmKWay and ArmKWayProbe).
 	KindStrategy
-	// KindPlan is a planner decision event: Arm = the chosen arm, V1/V2 = the
-	// model's predicted nanoseconds for arm 0/arm 1, and the flag byte packs
-	// the decision kind plus the exploration marker (PlanFlags).
-	KindPlan
 	// KindKernel is a kernel-level dispatch event. Merge: V1 = staged segment
 	// pairs, V2 = segments scanned. Hash: V1 = elements probed, V2 = build
 	// side size.
@@ -62,7 +55,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"query", "queue", "scatter", "shard", "strategy", "plan", "kernel",
+	"query", "queue", "scatter", "shard", "strategy", "kernel",
 }
 
 // String returns the kind's stable external name.
@@ -73,7 +66,7 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Strategy arms recorded on KindStrategy spans and KindPlan events.
+// Strategy arms recorded on KindStrategy spans and KindKernel events.
 const (
 	ArmMerge     = 0 // two-step merge (segment-pair staging + kernels)
 	ArmHash      = 1 // per-element hash probe
@@ -101,12 +94,8 @@ func ArmName(a uint8) string {
 	return ""
 }
 
-// Record flag bits. The high nibble of the flag byte carries the planner
-// decision kind on KindPlan records (PlanFlags / DecisionOf).
+// Record flag bits.
 const (
-	// FlagExplored marks a KindPlan record whose decision deliberately took
-	// the non-preferred arm (epsilon exploration).
-	FlagExplored = 1 << 0
 	// FlagError marks a span that finished with an error (cancellation,
 	// deadline, shard fault).
 	FlagError = 1 << 1
@@ -114,19 +103,6 @@ const (
 	// cell holds; the overflow was dropped.
 	FlagTruncated = 1 << 2
 )
-
-// PlanFlags packs a planner decision kind and the exploration marker into a
-// record flag byte.
-func PlanFlags(decision int, explored bool) uint8 {
-	f := uint8(decision&0x0F) << 4
-	if explored {
-		f |= FlagExplored
-	}
-	return f
-}
-
-// DecisionOf unpacks the planner decision kind from a KindPlan flag byte.
-func DecisionOf(flags uint8) int { return int(flags >> 4) }
 
 // Rec is one staged trace record. Staging writes are plain stores (the cell
 // is single-writer); the ring stores records packed to six atomic words —
@@ -172,7 +148,7 @@ func (c *Cell) Reset(base time.Time) {
 func (c *Cell) Base() time.Time { return c.base }
 
 // Event appends a zero-duration record without reading the clock — the
-// no-cost form for planner decisions and kernel dispatch marks.
+// no-cost form for kernel dispatch marks.
 func (c *Cell) Event(kind Kind, arm uint8, flags uint8, v1, v2 uint64) {
 	if c.n >= MaxSpans {
 		c.trunc = true
@@ -374,16 +350,14 @@ func (t *Tracer) Finish(slot int, d time.Duration, forced bool) Verdict {
 // Span is one trace record rendered for JSON output (admin endpoints and
 // forced-capture responses).
 type Span struct {
-	Kind     string `json:"kind"`
-	Arm      string `json:"arm,omitempty"`
-	Shard    int    `json:"shard"` // -1 for tier-level records
-	StartNs  uint64 `json:"start_ns"`
-	DurNs    uint64 `json:"dur_ns"`
-	V1       uint64 `json:"v1"`
-	V2       uint64 `json:"v2"`
-	Decision string `json:"decision,omitempty"` // KindPlan: decision kind
-	Explored bool   `json:"explored,omitempty"`
-	Error    bool   `json:"error,omitempty"`
+	Kind    string `json:"kind"`
+	Arm     string `json:"arm,omitempty"`
+	Shard   int    `json:"shard"` // -1 for tier-level records
+	StartNs uint64 `json:"start_ns"`
+	DurNs   uint64 `json:"dur_ns"`
+	V1      uint64 `json:"v1"`
+	V2      uint64 `json:"v2"`
+	Error   bool   `json:"error,omitempty"`
 }
 
 func renderSpan(r Rec, shard int) Span {
@@ -398,12 +372,6 @@ func renderSpan(r Rec, shard int) Span {
 	}
 	if r.Arm != ArmNone {
 		s.Arm = ArmName(r.Arm)
-	}
-	if r.Kind == KindPlan {
-		if d := DecisionOf(r.Flags); d < int(planner.NumDecisions) {
-			s.Decision = planner.Decision(d).String()
-		}
-		s.Explored = r.Flags&FlagExplored != 0
 	}
 	return s
 }

@@ -12,17 +12,17 @@ func TestCellStagingAndTruncation(t *testing.T) {
 	var c Cell
 	base := time.Now()
 	c.Reset(base)
-	c.Event(KindPlan, ArmMerge, PlanFlags(0, true), 10, 20)
+	c.Event(KindKernel, ArmMerge, FlagError, 10, 20)
 	c.Span(KindStrategy, ArmHash, 0, base.Add(time.Microsecond), 2*time.Microsecond, 5, 6)
 	if c.n != 2 {
 		t.Fatalf("staged %d records, want 2", c.n)
 	}
 	ev, sp := c.recs[0], c.recs[1]
-	if ev.Kind != KindPlan || ev.Start != 0 || ev.Dur != 0 || ev.V1 != 10 || ev.V2 != 20 {
+	if ev.Kind != KindKernel || ev.Arm != ArmMerge || ev.Start != 0 || ev.Dur != 0 || ev.V1 != 10 || ev.V2 != 20 {
 		t.Fatalf("event record mismatch: %+v", ev)
 	}
-	if ev.Flags&FlagExplored == 0 || DecisionOf(ev.Flags) != 0 {
-		t.Fatalf("plan flags mismatch: %#x", ev.Flags)
+	if ev.Flags != FlagError {
+		t.Fatalf("event flags mismatch: %#x", ev.Flags)
 	}
 	if sp.Kind != KindStrategy || sp.Arm != ArmHash {
 		t.Fatalf("span record mismatch: %+v", sp)

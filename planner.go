@@ -1,90 +1,39 @@
 package fesia
 
-import (
-	"fesia/internal/core"
-	"fesia/internal/planner"
-)
+// The seg×seg size rule (IntersectCount's) decides every pair's strategy;
+// there is no strategy planner to configure. The names below remain so that
+// callers written against the planner still compile. They select nothing.
 
-// Adaptive strategy planner. The engine's dispatch points — merge vs hash for
-// segmented pairs, which side probes in the cross-representation paths, which
-// set seeds the k-way chain — default to the paper's static size heuristics
-// (Section VI's skew cutover, smallest-set-first). The planner replaces those
-// fixed thresholds with a live cost model: per (size-bucket, strategy) cell
-// it maintains an EWMA of measured nanoseconds-per-element, seeded from the
-// static heuristics so a cold planner decides exactly like them, and refined
-// online from sampled query latencies on this machine's actual kernels. An
-// epsilon-exploration knob keeps the road not taken measured.
+// PlannerMode named a strategy planner mode.
 //
-// Typical serving setup:
-//
-//	fesia.EnablePlanner(fesia.WithPlanner(fesia.PlannerLearned)) // once, at startup
-//	...
-//	// executors created afterwards consult the model automatically;
-//	// /metrics exports fesia_planner_info, decision counters, and the
-//	// learned cost table.
-//
-// The hot-path cost is one table lookup per dispatch (a nil check when the
-// planner is off), and the warm query paths stay allocation-free.
+// Deprecated: the size rule decides every pair; no mode changes a decision.
+type PlannerMode uint8
 
-// PlannerMode selects how much the planner is allowed to do.
-type PlannerMode = planner.Mode
-
+// Planner modes.
+//
+// Deprecated: the size rule decides every pair; no mode changes a decision.
 const (
-	// PlannerOff disables the planner: every dispatch point uses the static
-	// size heuristics. This is the process default.
-	PlannerOff = planner.ModeOff
-	// PlannerPrior consults the planner's cost table but never measures or
-	// updates it, so decisions are bit-identical to the static heuristics —
-	// the escape hatch for verifying the wiring costs nothing.
-	PlannerPrior = planner.ModePrior
-	// PlannerLearned measures sampled query latencies and re-fits the cost
-	// table online; decisions follow the learned costs.
-	PlannerLearned = planner.ModeLearned
+	PlannerOff PlannerMode = iota
+	PlannerPrior
+	PlannerLearned
 )
 
-// PlannerOption configures EnablePlanner.
-type PlannerOption = planner.Option
+// PlannerOption configured EnablePlanner.
+//
+// Deprecated: EnablePlanner does nothing.
+type PlannerOption struct{}
 
-// WithPlanner sets the planner mode (default PlannerLearned).
-func WithPlanner(m PlannerMode) PlannerOption { return planner.WithMode(m) }
+// WithPlanner returns an option that selects nothing.
+//
+// Deprecated: the size rule decides every pair; no mode changes a decision.
+func WithPlanner(PlannerMode) PlannerOption { return PlannerOption{} }
 
-// WithPlannerExploration sets the epsilon-exploration period: one decision in
-// everyN deliberately takes the currently-dispreferred strategy (and measures
-// it), so both arms of every cell keep fresh cost estimates. 0 disables
-// exploration; the default is one in 64.
-func WithPlannerExploration(everyN int) PlannerOption { return planner.WithExploreEvery(everyN) }
+// EnablePlanner does nothing.
+//
+// Deprecated: the size rule decides every pair; there is no planner to enable.
+func EnablePlanner(...PlannerOption) {}
 
-// WithPlannerSampling sets the measurement period: one in everyN non-explored
-// decisions is timed and fed back into the model. Lower values learn faster
-// at slightly higher clock-read overhead; the default is one in 16.
-func WithPlannerSampling(everyN int) PlannerOption { return planner.WithSampleEvery(everyN) }
-
-// EnablePlanner builds an adaptive planner model (PlannerLearned unless
-// overridden with WithPlanner) and installs it process-wide. Executors created
-// afterwards — including the internal pool behind the package-level wrappers —
-// consult it automatically; executors created before keep their static
-// heuristics unless attached directly with (*Executor).EnablePlanner.
-// Calling it with WithPlanner(PlannerOff) deactivates the planner for future
-// executors.
-func EnablePlanner(opts ...PlannerOption) {
-	core.EnablePlanner(planner.New(opts...))
-}
-
-// ActivePlannerMode reports the process-wide planner mode as a string ("off",
-// "prior" or "learned") — the same value /metrics exports as the
-// fesia_planner_info gauge's mode label.
-func ActivePlannerMode() string { return planner.ActiveMode().String() }
-
-// EnablePlanner attaches this executor (and its parallel worker slots) to the
-// process-wide planner model, if one is active. Use for executors created
-// before the global EnablePlanner call; newer executors attach on
-// construction.
-func (e *Executor) EnablePlanner() {
-	if m := core.PlannerModel(); m != nil {
-		e.inner.EnablePlanner(m)
-	}
-}
-
-// DisablePlanner detaches this executor from the planner: its dispatch points
-// revert to the static size heuristics.
-func (e *Executor) DisablePlanner() { e.inner.DisablePlanner() }
+// ActivePlannerMode returns "off".
+//
+// Deprecated: the size rule decides every pair; there is no planner mode.
+func ActivePlannerMode() string { return "off" }

@@ -82,18 +82,6 @@ const (
 	CtrTraceSampled      = stats.CtrTraceSampled
 	CtrTraceSlow         = stats.CtrTraceSlow
 	CtrTraceForced       = stats.CtrTraceForced
-
-	// Planner decision counters: one per (dispatch point, chosen strategy),
-	// plus the exploration tally and the count of decisions where the learned
-	// model disagreed with the static heuristic.
-	CtrPlanSegSegMerge         = stats.CtrPlanSegSegMerge
-	CtrPlanSegSegHash          = stats.CtrPlanSegSegHash
-	CtrPlanSegDenseFromDense   = stats.CtrPlanSegDenseFromDense
-	CtrPlanSegDenseFromSeg     = stats.CtrPlanSegDenseFromSeg
-	CtrPlanArrayDenseFromArray = stats.CtrPlanArrayDenseFromArray
-	CtrPlanArrayDenseFromDense = stats.CtrPlanArrayDenseFromDense
-	CtrPlanExplored            = stats.CtrPlanExplored
-	CtrPlanOverrides           = stats.CtrPlanOverrides
 )
 
 // Backend reports which rung of the ISA ladder this process dispatches to:
