@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint loc bench benchcheck batchbench servebench tracebench kwaybench pairbench probebench poolbench swapbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test race cover check lint loc bench benchcheck batchbench servebench tracebench kwaybench pairbench probebench mergebench poolbench swapbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -132,6 +132,14 @@ pairbench:
 # source of probeStagedMin and of EXPERIMENTS.md's probe table (medians of 5).
 probebench:
 	$(GO) test -run '^$$' -bench BenchmarkProbeArms -benchtime 0.3s -count 5 ./internal/core | tee probebench.txt
+
+# The merge arm's two bodies, the direct body and the staged body, over
+# larger-side bitmaps of 1-256 words, size ratios 1:1 and 1:4, selectivities
+# 0.1 and 0.9 and a cache-resident and a past-L3 pool on each available
+# rung, alternating which body runs first: the source of mergeDirectWords
+# and of EXPERIMENTS.md's merge-body table (medians of 3).
+mergebench:
+	$(GO) test -run '^$$' -bench BenchmarkMergeBodies -benchtime 0.2s -count 3 -timeout 60m ./internal/core | tee mergebench.txt
 
 # Pool.Do over two parts vs the same parts inline, from ~0.1 to ~200 us of
 # work per part: the source of EXPERIMENTS.md's pool hand-off break-even

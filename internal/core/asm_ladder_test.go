@@ -55,6 +55,17 @@ func ruleOrder(a, b *Set) []uint32 {
 	return dst[:IntersectMerge(dst, a, b)]
 }
 
+// stagedOrder returns a ∩ b for a seg×seg pair as the merge arm's staged
+// body writes it, whichever body the arm picks for the pair: the order the
+// direct body must keep.
+func stagedOrder(a, b *Set) []uint32 {
+	var l lane
+	x, y := ordered(a, b)
+	dst := make([]uint32, min(a.Len(), b.Len()))
+	n, _ := l.mergeStaged(nil, nil, x, y, dst, nil)
+	return dst[:n]
+}
+
 // probeChainOrder returns the k-way probe chain's output order for sets of
 // distinct lengths: its seed pair, the two shortest sets, in ruleOrder, kept
 // where every set holds the element.
@@ -81,7 +92,8 @@ func probeChainOrder(sets []*Set) []uint32 {
 // on each tier they must equal that arm's output exactly (ruleOrder), and
 // across tiers they must hold the same elements. Scale 1 shrinks the bitmap
 // so segments grow into the 9..16 kernel range only the AVX-512 register
-// covers.
+// covers. The tiny shapes straddle the merge arm's cutover, and its forced
+// output (IntersectMerge) must keep the staged body's order on both bodies.
 func TestExecutorTierParity(t *testing.T) {
 	if !simd.HasAsm() {
 		t.Skip("assembly backend not available")
@@ -114,17 +126,30 @@ func TestExecutorTierParity(t *testing.T) {
 		{SegBits: 16},
 		{Width: simd.WidthAVX512},
 	}
-	shapes := []struct{ na, nb int }{
-		{2500, 2100},  // similar sizes: merge, hash on the AVX-512 rung
-		{6000, 250},   // hash, skewed: the gathered probe path
-		{30000, 8000}, // bigger bitmaps
+	shapes := []struct {
+		na, nb   int
+		universe uint32
+	}{
+		{2500, 2100, 80000},  // similar sizes: merge, hash on the AVX-512 rung
+		{6000, 250, 80000},   // hash, skewed: the gathered probe path
+		{30000, 8000, 80000}, // bigger bitmaps
+		// Tiny pairs from small universes, so they share elements: the
+		// merge arm's direct body (4 words against 1 at the default
+		// scale, so the smaller bitmap wraps; 16 words at {40, 12}), and
+		// its staged body at {200, 60}, a 64-word merge.
+		{12, 10, 36},
+		{12, 4, 36},
+		{40, 12, 120},
+		{200, 60, 600},
 	}
-	arms := map[bool]bool{} // k-way arms covered, keyed by kwayProbe
+	arms := map[bool]bool{}   // k-way arms covered, keyed by kwayProbe
+	bodies := map[bool]bool{} // merge bodies covered, keyed by mergesDirect
 	for _, cfg := range cfgs {
 		for _, sh := range shapes {
-			a := MustNewSet(randSet(rng, sh.na, 80000), cfg)
-			b := MustNewSet(randSet(rng, sh.nb, 80000), cfg)
-			c := MustNewSet(randSet(rng, sh.nb/2+1, 80000), cfg)
+			a := MustNewSet(randSet(rng, sh.na, sh.universe), cfg)
+			b := MustNewSet(randSet(rng, sh.nb, sh.universe), cfg)
+			c := MustNewSet(randSet(rng, sh.nb/2+1, sh.universe), cfg)
+			bodies[mergesDirect(ordered(a, b))] = true
 
 			names, res := runTiers(t, func() any { return e.Count(a, b) })
 			check("Count", names, res)
@@ -150,6 +175,9 @@ func TestExecutorTierParity(t *testing.T) {
 			check("Intersect", names, res)
 			names, res = runTiers(t, func() any {
 				n := IntersectMerge(dst, a, b)
+				if !slices.Equal(dst[:n], stagedOrder(a, b)) {
+					t.Fatalf("IntersectMerge %v: %d elements out of the staged body's order", sh, n)
+				}
 				return append([]uint32(nil), dst[:n]...)
 			})
 			check("IntersectMerge", names, res)
@@ -205,6 +233,9 @@ func TestExecutorTierParity(t *testing.T) {
 	}
 	if !arms[false] || !arms[true] {
 		t.Fatalf("k-way shapes cover one arm only: chain %v, probe %v", arms[false], arms[true])
+	}
+	if !bodies[false] || !bodies[true] {
+		t.Fatalf("shapes cover one merge body only: staged %v, direct %v", bodies[false], bodies[true])
 	}
 }
 

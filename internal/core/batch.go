@@ -6,26 +6,34 @@ import (
 
 	"fesia/internal/simd"
 	"fesia/internal/stats"
+	"fesia/internal/trace"
 )
 
-// This file implements the batch one-vs-many query engine: intersecting one
-// query set against a list of candidate sets, the access pattern of the
-// paper's database-query task (Section VII-F, one keyword's posting list vs
-// many others) and of triangle counting (one vertex's forward neighbors vs
-// each neighbor's list). The engine amortizes per-query work across the
-// candidate list: the query set's bitmap words and staging scratch stay
-// pinned hot instead of being re-derived per pair, and the two-step
-// algorithm runs as a *staged two-pass dispatch* — the split the paper's
-// Fig. 14 breakdown instruments, used here as an optimization.
+// This file implements the merge arm's two bodies and the batch one-vs-many
+// query engine: intersecting one query set against a list of candidate sets,
+// the access pattern of the paper's database-query task (Section VII-F, one
+// keyword's posting list vs many others) and of triangle counting (one
+// vertex's forward neighbors vs each neighbor's list). The engine amortizes
+// per-query work across the candidate list: the query set's bitmap words and
+// staging scratch stay pinned hot instead of being re-derived per pair.
 //
-// Pass 1 streams the bitmap word-AND and stages every surviving segment pair
-// as a compact (oa, oaEnd, ob, obEnd) record in a reusable executor buffer.
-// Pass 2 walks the staged records and runs the small-set kernels
-// (simd.CountSmall, simd.IntersectSmall), touching the reordered data of
-// segments a fixed distance ahead so their cache lines are in flight by the
-// time their kernel runs. Separating the phases keeps the unpredictable
-// tzcnt/branch phase out of the kernel phase's pipeline, and the record walk
-// itself is branch-predictable.
+// The merge arm picks its body from the larger bitmap's size. From
+// mergeDirectWords words up the two-step algorithm runs as a *staged
+// two-pass dispatch* (mergeStaged) — the split the paper's Fig. 14
+// breakdown instruments, used here as an optimization. Pass 1 streams the
+// bitmap word-AND and stages every surviving segment pair as a compact (oa,
+// oaEnd, ob, obEnd) record in a reusable lane buffer. Pass 2 walks the
+// staged records and runs the small-set kernels (simd.CountSmall,
+// simd.IntersectSmall), touching the reordered data of segments a fixed
+// distance ahead so their cache lines are in flight by the time their kernel
+// runs. Separating the phases keeps the unpredictable tzcnt/branch phase out
+// of the kernel phase's pipeline, and the record walk itself is
+// branch-predictable.
+//
+// Below mergeDirectWords the records, checkpoint blocks and read-ahead cost
+// more than they hide (a triangle-counting merge stages half a segment pair
+// on average). There the direct body (mergeDirect) ANDs the words and hands
+// each surviving pair straight to its kernel, in the same segment order.
 
 // stagedSeg is one surviving segment pair staged by dispatch pass 1:
 // half-open offset ranges into the two sets' reordered arrays.
@@ -210,6 +218,117 @@ func visitStaged(scratch, xr, yr []uint32, recs []stagedSeg, emit Visitor) int {
 		n += k
 	}
 	return n
+}
+
+// mergeStaged is the merge arm's staged body, a two-pass dispatch of x (the
+// larger-bitmap set) and y: pass 1 ANDs the bitmaps and stages the surviving
+// segment pairs (stageSegPairsRange), pass 2 runs their kernels into the
+// sink (dispatchStaged). With ck non-nil pass 1 runs in ctxWordBlock word
+// blocks with a checkpoint before each. It records the segment counters
+// (noteStaged) and, into tr when non-nil, the kernel trace event.
+func (l *lane) mergeStaged(ck checkpoint, tr *trace.Cell, x, y *Set, dst []uint32, emit Visitor) (int, error) {
+	words := len(x.bm.Words())
+	step := stride(ck, ctxWordBlock, words)
+	l.staged = l.staged[:0]
+	for lo := 0; lo < words; lo += step {
+		if err := stop(ck); err != nil {
+			return 0, err
+		}
+		l.staged = stageSegPairsRange(x, y, l.staged, lo, min(lo+step, words))
+	}
+	if l.st != nil { // tested here, so a batch without stats makes no call per candidate
+		noteStaged(l.st, l.kernelShard(), l.staged, x.bm.NumSegments())
+	}
+	if tr != nil {
+		tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(len(l.staged)), uint64(x.bm.NumSegments()))
+	}
+	return l.dispatchStaged(ck, x, y, dst, emit)
+}
+
+// mergeDirectWords is the larger bitmap's word count from which the merge
+// arm runs the staged body: below it, when both sets have a rank directory,
+// it runs the direct body (mergeDirect). The committed sweep
+// (BenchmarkMergeBodies, make mergebench, EXPERIMENTS.md "Tiny pairs in one
+// pass") times the two bodies (direct ÷ staged, medians of 3, 24 cells per
+// size: 3 rungs × 2 residencies × 2 ratios × 2 selectivities). Through 32
+// words the direct body leads in 21-24 of the cells at each size, with
+// per-size medians of 0.64-0.93. At 64 words it leads in 16 (median 0.96,
+// worst 1.16), and at 128-256 words the staged body's chunked AndSegMasks
+// filter leads at selectivity 0.1 on the AVX2 and AVX-512 rungs (0.99-1.13).
+// On the AVX-512 rung the seg×seg rule merges no pair past 16 words, so
+// every merge it picks runs the direct body.
+const mergeDirectWords = 16 * simd.BlockWords
+
+// mergesDirect reports whether the merge arm runs x (the larger-bitmap set)
+// and y on the direct body: x has fewer than mergeDirectWords words and both
+// sets have a rank directory. A tiny set that keeps its offsets (reachable
+// at Scale 1-2) takes the staged body, which reads them through bounds.
+func mergesDirect(x, y *Set) bool {
+	return len(x.bm.Words()) < mergeDirectWords && x.hasDirectory() && y.hasDirectory()
+}
+
+// mergeDirect is the merge arm's direct body for x (the larger-bitmap set,
+// with fewer than mergeDirectWords words) and y, both with a rank directory:
+// one loop ANDs each word of x with y's wrapped word and hands each
+// surviving segment pair, its bounds read by span, straight to the sink —
+// simd.CountSmall for counts, simd.IntersectSmall into dst[n:], or into the
+// lane's scratch replayed through emit — in the order the staged body
+// dispatches. It stages no record and tests ck once, before the loop. It
+// records what the staged body records: the segment pairs it ran and the
+// segments it scanned, on a sampled query (kernelShard) each pair's sizes,
+// and into tr when non-nil the kernel trace event.
+func (l *lane) mergeDirect(ck checkpoint, tr *trace.Cell, x, y *Set, dst []uint32, emit Visitor) (int, error) {
+	if err := stop(ck); err != nil {
+		return 0, err
+	}
+	var kst *stats.Shard
+	if l.st != nil {
+		kst = l.kernelShard()
+	}
+	if emit != nil {
+		l.scratch = growU32(l.scratch, max(min(x.maxSeg, y.maxSeg), 1))
+	}
+	xw, yw := x.bm.Words(), y.bm.Words()
+	xd, yd, xr, yr := x.dir, y.dir, x.reordered, y.reordered
+	wrap := uint(len(yw) - 1)
+	sb := uint(x.bm.SegBits())
+	segClear := uint64(1)<<sb - 1
+	n, pairs := 0, 0
+	for i, xwi := range xw {
+		ui := uint(i)
+		uy := ui & wrap
+		ywi := yw[uy]
+		for w := xwi & ywi; w != 0; pairs++ {
+			k := uint(simd.Tzcnt64(w)) &^ (sb - 1) // the segment's first bit
+			w &^= segClear << k
+			oa, oaEnd := span(xd, ui, k, k+sb, xwi)
+			ob, obEnd := span(yd, uy, k, k+sb, ywi)
+			xs, ys := xr[oa:oaEnd], yr[ob:obEnd]
+			if kst != nil {
+				kst.Kernel(len(xs), len(ys))
+			}
+			switch {
+			case emit != nil:
+				m := simd.IntersectSmall(l.scratch, xs, ys)
+				for _, v := range l.scratch[:m] {
+					emit(v)
+				}
+				n += m
+			case dst != nil:
+				n += simd.IntersectSmall(dst[n:], xs, ys)
+			default:
+				n += simd.CountSmall(xs, ys)
+			}
+		}
+	}
+	if l.st != nil {
+		l.st.Add(stats.CtrSegPairs, uint64(pairs))
+		l.st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
+	}
+	if tr != nil {
+		tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(pairs), uint64(x.bm.NumSegments()))
+	}
+	return n, nil
 }
 
 // dispatchStaged runs pass 2 of the merge arm over the lane's staged

@@ -347,13 +347,20 @@ func BenchmarkCountManyVsPairwise(b *testing.B) {
 //     representations and sizes from skewed to larger than the query, so
 //     every query representation meets all 3×3 query/candidate pairs;
 //   - workers: 1, or 4 pool workers over the size-ordered schedule (the
-//     count sink; the frame parallelizes nothing else).
+//     count sink; the frame parallelizes nothing else);
+//   - batch: a 4,000-element query, whose seg×seg merges run the merge
+//     arm's staged body, or a triangle-shaped one, a query of 8 elements
+//     against candidates of 0-40, whose merges run its direct body;
+//   - rung: every rung of the ladder, since the rule picks each rung's
+//     arms (the AVX-512 rung hashes every candidate of the 4,000-element
+//     query, so the staged body runs on the others).
 //
 // An uncancelled batch must match the pairwise Count and Intersect of
-// another executor per candidate: counts and element order exactly. A
-// cancelled batch must return the checkpoint's error and count one
-// cancellation. Warm count and materialize batches must make 0
-// allocations. The public entry points are checked against the frame.
+// another executor per candidate: counts and element order exactly, and a
+// merged seg×seg candidate's order must be the staged body's. A cancelled
+// batch must return the checkpoint's error and count one cancellation. Warm
+// count and materialize batches must make 0 allocations. The public entry
+// points are checked against the frame.
 func TestManyFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	qElems := randSet(rng, 4000, 1<<15)
@@ -372,6 +379,31 @@ func TestManyFrame(t *testing.T) {
 			candElems = append(candElems, randSet(rng, 20000, 1<<15)) // the query probes
 		}
 	}
+	// The triangle-shaped batch: a neighbor set of 8 against neighbor sets
+	// of 0-40 drawn from 128 vertices, so most candidates share a few.
+	triQ := randSet(rng, 8, 128)
+	var triElems [][]uint32
+	for i := 0; i < 60; i++ {
+		triElems = append(triElems, randSet(rng, rng.Intn(48), 128))
+	}
+	bodies := map[bool]bool{} // merge bodies run, keyed by mergesDirect
+	eachRung(t, func(rung string) {
+		for _, b := range []struct {
+			name   string
+			qElems []uint32
+			cands  [][]uint32
+		}{{rung + " wide", qElems, candElems}, {rung + " triangle", triQ, triElems}} {
+			manyFrameBatch(t, rng, b.name, b.qElems, b.cands, bodies)
+		}
+	})
+	if !bodies[true] || !bodies[false] {
+		t.Errorf("merges ran the direct body %v, the staged body %v; want both", bodies[true], bodies[false])
+	}
+}
+
+// manyFrameBatch runs TestManyFrame's lattice over one batch on the live
+// rung, marking in bodies the merge bodies its seg×seg merges run.
+func manyFrameBatch(t *testing.T, rng *rand.Rand, batch string, qElems []uint32, candElems [][]uint32, bodies map[bool]bool) {
 	rng.Shuffle(len(candElems), func(i, j int) { candElems[i], candElems[j] = candElems[j], candElems[i] })
 	cands := make([]*Set, len(candElems))
 	for i, el := range candElems {
@@ -394,8 +426,14 @@ func TestManyFrame(t *testing.T) {
 			wantCount[i] = plain.Count(q, c)
 			wantElems[i] = buf[:plain.Intersect(buf, q, c)]
 			if wantCount[i] != len(refIntersect(qElems, candElems[i])) || len(wantElems[i]) != wantCount[i] {
-				t.Fatalf("qRep %v candidate %d: pairwise Count %d, Intersect %d, reference %d",
-					qRep, i, wantCount[i], len(wantElems[i]), len(refIntersect(qElems, candElems[i])))
+				t.Fatalf("%s qRep %v candidate %d: pairwise Count %d, Intersect %d, reference %d",
+					batch, qRep, i, wantCount[i], len(wantElems[i]), len(refIntersect(qElems, candElems[i])))
+			}
+			if planPair(q, c, armAuto).arm == armMerge {
+				if !slices.Equal(wantElems[i], stagedOrder(q, c)) {
+					t.Fatalf("%s qRep %v candidate %d: the merge's order is not the staged body's", batch, qRep, i)
+				}
+				bodies[mergesDirect(ordered(q, c))] = true
 			}
 			bound += len(buf)
 		}
@@ -423,7 +461,7 @@ func TestManyFrame(t *testing.T) {
 					s = manySink{emit: emit, cand: &cand}
 				}
 				for _, cp := range checkpoints {
-					name := fmt.Sprintf("qRep %v sink %s workers %d checkpoint %s", qRep, sink, workers, cp)
+					name := fmt.Sprintf("%s qRep %v sink %s workers %d checkpoint %s", batch, qRep, sink, workers, cp)
 					var ck checkpoint
 					switch cp {
 					case "live":
@@ -499,13 +537,13 @@ func TestManyFrame(t *testing.T) {
 		} {
 			clear(out)
 			if err := run(); err != nil || !slices.Equal(out, wantCount) {
-				t.Fatalf("qRep %v: an entry point's counts diverge from the pairwise loop (%v)", qRep, err)
+				t.Fatalf("%s qRep %v: an entry point's counts diverge from the pairwise loop (%v)", batch, qRep, err)
 			}
 		}
 		perCand := make([]int, len(cands))
 		e.VisitMany(q, cands, func(i int, _ uint32) { perCand[i]++ })
 		if !slices.Equal(perCand, wantCount) {
-			t.Fatalf("qRep %v: VisitMany's counts diverge from the pairwise loop", qRep)
+			t.Fatalf("%s qRep %v: VisitMany's counts diverge from the pairwise loop", batch, qRep)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fesia/internal/datasets"
 	"fesia/internal/simd"
@@ -303,7 +304,7 @@ func pairArmsSmall(rng *rand.Rand, large []uint32, m, common int) []uint32 {
 func BenchmarkPairArms(b *testing.B) {
 	const (
 		maxCachePairs = 512
-		perSetBytes   = 144 // header, beside MemoryBytes' payload
+		perSetBytes   = int(unsafe.Sizeof(Set{})) // header, beside MemoryBytes' payload
 	)
 	residencies := []struct {
 		name  string
@@ -411,5 +412,127 @@ func pairArmsCell(b *testing.B, name string, e *Executor, smalls, larges []*Set)
 		b.ReportMetric(float64(hash)/pairs, "hash-ns/pair")
 		b.ReportMetric(float64(hash)/float64(merge), "hash/merge")
 		b.ReportMetric(float64(filter)/float64(filter+segment), "merge-filter-frac")
+	})
+}
+
+// BenchmarkMergeBodies is the sweep behind mergeDirectWords: the merge arm's
+// direct body (mergeDirect) against its staged body (mergeStaged), both
+// called directly on the count sink, over a pool of pairs per cell. The
+// larger side holds 4w elements, filling a bitmap of w = 1, 2, 4, ..., 256
+// words at the default scale; the smaller side holds as many or a quarter
+// as many (ratio 1:1 or 1:4), with selectivity (matches per smaller-side
+// element) 0.1 or 0.9. A "cache" pool holds 512 pairs, a few hundred KiB; a
+// "mem" pool's sets and headers fill 160 MiB, past the L3 of the 2-vCPU
+// AVX-512 host the sweep was recorded on, and is walked in a random order
+// so no prefetcher follows it. Each cell runs on every rung the host has,
+// alternating which body goes first, and reports each body's ns per pair and
+// direct/staged (below 1 where the direct body wins). make mergebench runs
+// it.
+func BenchmarkMergeBodies(b *testing.B) {
+	residencies := []struct {
+		name  string
+		bytes int
+	}{{"cache", 0}, {"mem", 160 << 20}}
+	prevAsm, prevAvx512 := simd.SetAsmEnabled(true), simd.SetAvx512Enabled(true)
+	defer func() {
+		simd.SetAvx512Enabled(prevAvx512)
+		simd.SetAsmEnabled(prevAsm)
+	}()
+	var l lane
+	for _, res := range residencies {
+		for w := 1; w <= 256; w *= 2 {
+			n := 4 * w
+			rng := rand.New(rand.NewSource(int64(n)))
+			p := 512
+			if res.bytes > 0 {
+				one := MustNewSet(pairArmsLarge(rng, 1, n)[0], DefaultConfig())
+				p = res.bytes / (2 * (one.MemoryBytes() + int(unsafe.Sizeof(Set{}))))
+			}
+			largeLists := pairArmsLarge(rng, p, n)
+			larges, err := BuildSets(largeLists, DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if words := len(larges[0].bm.Words()); words != w {
+				b.Fatalf("n=%d: %d bitmap words, want %d", n, words, w)
+			}
+			order := rng.Perm(p)
+			for _, den := range []int{1, 4} {
+				m := n / den
+				for _, sel := range []float64{0.1, 0.9} {
+					smallLists := make([][]uint32, p)
+					for i := range smallLists {
+						smallLists[i] = pairArmsSmall(rng, largeLists[i], m, int(sel*float64(m)+0.5))
+					}
+					smalls, err := BuildSets(smallLists, DefaultConfig())
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, rung := range []string{"scalar", "avx2", "avx512"} {
+						if (rung == "avx2" && !simd.HasAsm()) || (rung == "avx512" && !simd.HasAVX512()) {
+							continue
+						}
+						simd.SetAsmEnabled(rung != "scalar")
+						simd.SetAvx512Enabled(rung == "avx512")
+						name := fmt.Sprintf("%s/%s/words=%d/ratio=1:%d/sel=%.1f", rung, res.name, w, den, sel)
+						mergeBodiesCell(b, name, &l, smalls, larges, order)
+					}
+					smalls, smallLists = nil, nil
+					runtime.GC()
+				}
+			}
+			larges, largeLists = nil, nil
+			runtime.GC()
+		}
+	}
+}
+
+// mergeBodiesCell runs one BenchmarkMergeBodies cell: both bodies over every
+// pool pair in order, checked against each other on the first call, then
+// timed alternately.
+func mergeBodiesCell(b *testing.B, name string, l *lane, smalls, larges []*Set, order []int) {
+	checked, directFirst := false, true
+	b.Run(name, func(b *testing.B) {
+		if !checked {
+			for _, i := range order {
+				x, y := ordered(smalls[i], larges[i])
+				d, _ := l.mergeDirect(nil, nil, x, y, nil, nil)
+				s, _ := l.mergeStaged(nil, nil, x, y, nil, nil)
+				if d != s {
+					b.Fatalf("pair %d: direct body %d, staged body %d", i, d, s)
+				}
+			}
+			checked = true
+		}
+		var direct, staged time.Duration
+		pass := func(useDirect bool) {
+			start := time.Now()
+			for _, i := range order {
+				x, y := ordered(smalls[i], larges[i])
+				var n int
+				if useDirect {
+					n, _ = l.mergeDirect(nil, nil, x, y, nil, nil)
+				} else {
+					n, _ = l.mergeStaged(nil, nil, x, y, nil, nil)
+				}
+				benchSink += n
+			}
+			if useDirect {
+				direct += time.Since(start)
+			} else {
+				staged += time.Since(start)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			first := (i%2 == 0) == directFirst
+			pass(first)
+			pass(!first)
+		}
+		directFirst = !directFirst
+		pairs := float64(b.N * len(order))
+		b.ReportMetric(float64(direct)/pairs, "direct-ns/pair")
+		b.ReportMetric(float64(staged)/pairs, "staged-ns/pair")
+		b.ReportMetric(float64(direct)/float64(staged), "direct/staged")
 	})
 }

@@ -63,9 +63,12 @@ func TestSetHeaderSize(t *testing.T) {
 // intersection with the next set. Both bound layouts are reached: at Scale
 // 1 hash collisions overflow some word's surplus nibble, so some set keeps
 // its offsets, while at the default scale every set has a rank directory.
+// At Scale 1 the 250-element set fills a 4-word bitmap past the nibble and
+// keeps its offsets, so its merge with the 17-element set, below
+// mergeDirectWords, runs the staged body.
 func TestSegmentDirectory(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	sizes := []int{0, 1, 8, 17, 300, 5000}
+	sizes := []int{0, 1, 8, 17, 250, 300, 5000}
 	for _, segBits := range []int{8, 16, 32} {
 		for _, scale := range []float64{0, 4, 2, 1} {
 			lists := make([][]uint32, len(sizes))
@@ -106,6 +109,10 @@ func TestSegmentDirectory(t *testing.T) {
 			}
 			if scale == 1 && kept == 0 {
 				t.Errorf("segBits %d scale 1: no set kept its offsets", segBits)
+			}
+			if tiny := sets[4]; scale == 1 && (tiny.hasDirectory() || len(tiny.bm.Words()) >= mergeDirectWords) {
+				t.Errorf("segBits %d scale 1: the %d-element set has %d words and a directory %v; want a tiny set that keeps its offsets",
+					segBits, tiny.Len(), len(tiny.bm.Words()), tiny.hasDirectory())
 			}
 			if scale == 0 && kept > 0 {
 				t.Errorf("segBits %d default scale: %d sets kept their offsets", segBits, kept)

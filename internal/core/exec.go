@@ -222,11 +222,13 @@ func (e *Executor) run(a, b *Set, force pairArm, dst []uint32, emit Visitor) int
 // event, not the query; the pair frame, the batch loop and the k-way seed
 // pair share it.
 //
-// The merge arm is the two-step merge (Algorithm 1) as a staged two-pass
-// dispatch: pass 1 ANDs the bitmaps and stages the surviving segment pairs
-// (stageSegPairsRange), pass 2 runs their kernels into the sink
-// (dispatchStaged). With ck non-nil pass 1 runs in ctxWordBlock word blocks
-// with a checkpoint before each.
+// The merge arm is the two-step merge (Algorithm 1) with two bodies chosen
+// by the larger bitmap's word count. Below mergeDirectWords, when both sets
+// have a rank directory, the direct body (mergeDirect) ANDs the words and
+// runs each surviving segment pair's kernel in one pass. Otherwise the
+// staged body (mergeStaged) runs the two-pass dispatch. Both hand the sink
+// the pairs in the larger bitmap's segment order, so the choice changes the
+// time a merge takes, never its result.
 func (l *lane) runPair(ck checkpoint, tr *trace.Cell, p pairPlan, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	switch p.arm {
 	case armCross:
@@ -242,22 +244,10 @@ func (l *lane) runPair(ck checkpoint, tr *trace.Cell, p pairPlan, a, b *Set, dst
 		return l.probeRun(ck, small.reordered, large, dst, emit, l.st)
 	}
 	x, y := ordered(a, b)
-	words := len(x.bm.Words())
-	step := stride(ck, ctxWordBlock, words)
-	l.staged = l.staged[:0]
-	for lo := 0; lo < words; lo += step {
-		if err := stop(ck); err != nil {
-			return 0, err
-		}
-		l.staged = stageSegPairsRange(x, y, l.staged, lo, min(lo+step, words))
+	if mergesDirect(x, y) {
+		return l.mergeDirect(ck, tr, x, y, dst, emit)
 	}
-	if l.st != nil { // tested here, so a batch without stats makes no call per candidate
-		noteStaged(l.st, l.kernelShard(), l.staged, x.bm.NumSegments())
-	}
-	if tr != nil {
-		tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(len(l.staged)), uint64(x.bm.NumSegments()))
-	}
-	return l.dispatchStaged(ck, x, y, dst, emit)
+	return l.mergeStaged(ck, tr, x, y, dst, emit)
 }
 
 // Count returns |a ∩ b| with the strategy the seg×seg rule picks from the

@@ -159,7 +159,8 @@ func CountHashParallel(a, b *Set, workers int) int {
 }
 
 // DispatchTrace returns the (sizeA, sizeB) segment-size pairs that the
-// two-step intersection would dispatch to kernels, in dispatch order. The
+// two-step intersection would dispatch to kernels, in dispatch order — the
+// same on the merge arm's direct and staged bodies. The
 // instruction-cache simulation behind Table II replays this trace. The pairs
 // are staged in a pooled executor's buffer, so once it is warm the only
 // allocation is the returned slice itself. Cross-representation pairs
@@ -195,11 +196,13 @@ type Breakdown struct {
 // CountMergeBreakdown is CountMerge with per-step timing, running on the
 // executor's staged-dispatch scratch: pass 1 (bitmap AND + segment index
 // extraction) stages the surviving pairs, pass 2 dispatches the kernels, and
-// each pass is timed in isolation. The staging buffer is retained across
-// calls, so repeated Fig. 14 breakdown sweeps are allocation-free once warm.
-// The combined result is identical to CountMerge. Cross-representation pairs
-// have no bitmap pass; their whole matrix-dispatched run is reported as
-// SegmentTime with zero SegPairs.
+// each pass is timed in isolation. It times the staged body's passes even
+// for a pair whose queries run the merge arm's direct body (mergesDirect),
+// which has no separate passes to time. The staging buffer is retained
+// across calls, so repeated Fig. 14 breakdown sweeps are allocation-free
+// once warm. The combined result is identical to CountMerge.
+// Cross-representation pairs have no bitmap pass; their whole
+// matrix-dispatched run is reported as SegmentTime with zero SegPairs.
 func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	compatible(a, b)
 	if crossPair(a, b) {

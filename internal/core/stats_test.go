@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -50,6 +51,50 @@ func TestExecutorStatsRecording(t *testing.T) {
 
 	if got, want := e.Count(ma, mb), Count(ma, mb); got != want {
 		t.Fatalf("merge count with stats = %d, want %d", got, want)
+	}
+	// The merge pair runs the direct body, and the fresh executor samples its
+	// first merge query: the pair counter holds the staged dispatch trace's
+	// length and the kernel histogram its sizes.
+	x, y := ordered(ma, mb)
+	if !mergesDirect(x, y) {
+		t.Fatal("the merge pair does not run the direct body")
+	}
+	dt := DispatchTrace(ma, mb)
+	wantKernels := map[[2]int]uint64{}
+	for _, d := range dt {
+		wantKernels[d]++
+	}
+	first := e.Stats()
+	gotKernels := map[[2]int]uint64{}
+	for _, kb := range first.Kernels {
+		gotKernels[[2]int{kb.SizeA, kb.SizeB}] += kb.Count
+	}
+	if got := first.Counter(stats.CtrSegPairs); len(dt) == 0 || got != uint64(len(dt)) {
+		t.Errorf("direct merge: SegPairs = %d, want the dispatch trace's %d (non-zero)", got, len(dt))
+	}
+	if got, want := first.Counter(stats.CtrSegmentsScanned), uint64(x.NumSegments()); got != want {
+		t.Errorf("direct merge: SegmentsScanned = %d, want %d", got, want)
+	}
+	if !maps.Equal(gotKernels, wantKernels) {
+		t.Errorf("direct merge: kernel histogram %v, want the dispatch trace's %v", gotKernels, wantKernels)
+	}
+	// Its kernel trace event carries the same pairs and segments.
+	tr := trace.New(trace.Config{})
+	cell := tr.ShardCell(0, 0)
+	tracer := NewExecutor()
+	tracer.SetTraceCell(cell)
+	base := time.Now()
+	tr.Begin(0, base)
+	cell.Reset(base)
+	tracer.Count(ma, mb)
+	var kernelEvents []trace.Span
+	for _, sp := range tr.Capture(0, tr.Finish(0, time.Since(base), true)).Spans {
+		if sp.Kind == "kernel" {
+			kernelEvents = append(kernelEvents, sp)
+		}
+	}
+	if len(kernelEvents) != 1 || kernelEvents[0].V1 != uint64(len(dt)) || kernelEvents[0].V2 != uint64(x.NumSegments()) {
+		t.Errorf("direct merge: kernel events %+v, want one with v1 %d, v2 %d", kernelEvents, len(dt), x.NumSegments())
 	}
 	if got, want := e.Count(small, large), Count(small, large); got != want {
 		t.Fatalf("hash count with stats = %d, want %d", got, want)

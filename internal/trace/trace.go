@@ -47,9 +47,9 @@ const (
 	// which). V1, V2 = the input set sizes (V1 = set count, V2 = result count
 	// for ArmKWay and ArmKWayProbe).
 	KindStrategy
-	// KindKernel is a kernel-level dispatch event. Merge: V1 = staged segment
-	// pairs, V2 = segments scanned. Hash: V1 = elements probed, V2 = build
-	// side size.
+	// KindKernel is a kernel-level dispatch event. Merge: V1 = segment pairs
+	// run (staged, or on the direct body), V2 = segments scanned. Hash: V1 =
+	// elements probed, V2 = build side size.
 	KindKernel
 	numKinds
 )
