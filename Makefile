@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover check lint loc bench benchcheck batchbench servebench tracebench kwaybench pairbench probebench mergebench poolbench swapbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test tiers race cover check lint loc bench benchcheck batchbench servebench tracebench kwaybench pairbench probebench mergebench poolbench swapbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -41,6 +41,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The module's tests on every rung of the ISA ladder, never from the test
+# cache: the host's top rung, the AVX2 rung through the FESIA_DISABLE_AVX512
+# hatch (a no-op on hosts without AVX-512), and the pure-Go build. The hatch
+# is read in internal/cpuid's package init, before go test starts recording
+# the environment a test reads, so a cached run of one rung would otherwise
+# be replayed for another.
+tiers:
+	$(GO) test -count=1 ./...
+	FESIA_DISABLE_AVX512=1 $(GO) test -count=1 ./...
+	$(GO) test -count=1 -tags=noasm ./...
 
 race:
 	$(GO) test -race ./...
@@ -133,11 +144,12 @@ pairbench:
 probebench:
 	$(GO) test -run '^$$' -bench BenchmarkProbeArms -benchtime 0.3s -count 5 ./internal/core | tee probebench.txt
 
-# The merge arm's two bodies, the direct body and the staged body, over
-# larger-side bitmaps of 1-256 words, size ratios 1:1 and 1:4, selectivities
-# 0.1 and 0.9 and a cache-resident and a past-L3 pool on each available
-# rung, alternating which body runs first: the source of mergeDirectWords
-# and of EXPERIMENTS.md's merge-body table (medians of 3).
+# The merge body's two walks, the mask walk and the word loop, called
+# directly over larger-side bitmaps of 8-1,024 words, size ratios 1:1 and
+# 1:4, selectivities 0.1 and 0.9 and a cache-resident (at most 1 MiB) and a
+# past-L3 pool on each available rung, alternating which walk runs first:
+# the source of maskWalkWords and of EXPERIMENTS.md's "One merge body"
+# table (medians of 3).
 mergebench:
 	$(GO) test -run '^$$' -bench BenchmarkMergeBodies -benchtime 0.2s -count 3 -timeout 60m ./internal/core | tee mergebench.txt
 

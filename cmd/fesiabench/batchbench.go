@@ -7,7 +7,7 @@
 //     positions across same-sized candidates and stages probes in
 //     branch-free blocks.
 //   - uniform: query and candidates the same size — the merge strategy's
-//     regime, run through the staged two-pass dispatch.
+//     regime, run through the merge body.
 //
 // The pairwise baseline is the loop a caller would otherwise write: one
 // Executor.Count per candidate on a warm executor.

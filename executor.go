@@ -182,8 +182,8 @@ func (e *Executor) IntersectCountKParallel(workers int, sets ...*Set) int {
 
 // Context-aware variants. Serving systems need runaway queries to be
 // deadline-bounded and cancellable; these methods check ctx cooperatively at
-// coarse checkpoints (per bitmap-word block, per staged-segment block, per
-// probed-element block, per candidate) and return ctx.Err() as soon as one
+// coarse checkpoints (per bitmap-word block, per probed-element block, per
+// candidate) and return ctx.Err() as soon as one
 // observes the context done. Each runs the same loop as its plain
 // counterpart above, which passes no context and skips the checks, so both
 // return the same results in the same order and are observed the same way.

@@ -275,10 +275,15 @@ func IntersectCountKParallel(workers int, sets ...*Set) int {
 	return e.IntersectCountKParallel(workers, sets...)
 }
 
-// Breakdown reports per-step timing of one merge intersection (Fig. 14).
+// Breakdown reports the timing of a merge intersection's two steps, each run
+// in isolation (Fig. 14).
 type Breakdown = core.Breakdown
 
-// IntersectCountBreakdown runs MergeCount with per-step instrumentation.
+// IntersectCountBreakdown counts a ∩ b as MergeCount does, but runs the
+// paper's two steps apart and times each in isolation: step 1 walks the
+// bitmap AND and records the surviving segment pairs, step 2 runs the
+// segment kernels over the records. A query runs both steps in one pass, so
+// this is Fig. 14's instrumentation, not a profile of a query.
 func IntersectCountBreakdown(a, b *Set) Breakdown {
 	return core.CountMergeBreakdown(a.inner, b.inner)
 }

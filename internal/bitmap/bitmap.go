@@ -9,12 +9,14 @@
 // intersect.
 //
 // This package holds the bitmap and the k-way walk of Section VI
-// (ForEachIntersectingSegmentKRange); the two-set walk is core's pass-1
-// staging (core.stageSegPairsRange), which fuses it with the segment bounds.
-// The three steps of Section IV map onto both as follows:
+// (ForEachIntersectingSegmentKRange), which also serves the two-set
+// instrumentation (core.DispatchTrace, core.CountMergeBreakdown) at k = 2;
+// the queries' two-set walk is core's merge body (core.(*lane).merge), which
+// hands each live segment straight to its kernel. The three steps of Section
+// IV map onto both as follows:
 //
 //	Step 1 (bitwise AND, "vandps")        → the word loop of ForEachIntersectingSegmentKRange
-//	                                         and of core's staging, or simd.AndSegMasks
+//	                                         and of core's merge body, or simd.AndSegMasks
 //	                                         over 4-word blocks on the assembly backend
 //	Step 2 (segment transformation,        → simd.SegmentMask8/16/32, producing one
 //	        "pcmpeq*")                       bit per non-zero segment of a word

@@ -54,8 +54,9 @@ func TestSetTest(t *testing.T) {
 	}
 }
 
-// The two-set walk is core's pass-1 staging; these tests hold the k-way
-// walk over two bitmaps to the same Section IV semantics.
+// The queries' two-set walk is core's merge body, and the k-way walk over
+// two bitmaps is its instrumentation's step 1 (core.DispatchTrace); these
+// tests hold the k-way walk over two bitmaps to Section IV's semantics.
 
 func TestForEachIntersectingSegmentSameSize(t *testing.T) {
 	// Reproduce Example 1 of the paper, scaled to a legal bitmap size.

@@ -55,15 +55,29 @@ func ruleOrder(a, b *Set) []uint32 {
 	return dst[:IntersectMerge(dst, a, b)]
 }
 
-// stagedOrder returns a ∩ b for a seg×seg pair as the merge arm's staged
-// body writes it, whichever body the arm picks for the pair: the order the
-// direct body must keep.
-func stagedOrder(a, b *Set) []uint32 {
-	var l lane
+// segmentOrder is the merge arm's output-order oracle for a seg×seg pair:
+// for each segment of the larger-bitmap set in order, the sorted
+// intersection with the other set's wrapped segment. Each element's segment
+// comes from its hash, not from the sets' bounds, so every walk of the merge
+// body is held to it.
+func segmentOrder(a, b *Set) []uint32 {
 	x, y := ordered(a, b)
-	dst := make([]uint32, min(a.Len(), b.Len()))
-	n, _ := l.mergeStaged(nil, nil, x, y, dst, nil)
-	return dst[:n]
+	inY := map[uint32]bool{}
+	for _, v := range y.Elements() {
+		inY[v] = true
+	}
+	bySeg := make([][]uint32, x.NumSegments())
+	for _, v := range x.Elements() {
+		if inY[v] {
+			seg := x.bm.SegmentOf(x.build.hasher.Pos(v, x.bm.Bits()))
+			bySeg[seg] = append(bySeg[seg], v)
+		}
+	}
+	var out []uint32
+	for _, seg := range bySeg {
+		out = append(out, sortedCopy(seg)...)
+	}
+	return out
 }
 
 // probeChainOrder returns the k-way probe chain's output order for sets of
@@ -92,8 +106,10 @@ func probeChainOrder(sets []*Set) []uint32 {
 // on each tier they must equal that arm's output exactly (ruleOrder), and
 // across tiers they must hold the same elements. Scale 1 shrinks the bitmap
 // so segments grow into the 9..16 kernel range only the AVX-512 register
-// covers. The tiny shapes straddle the merge arm's cutover, and its forced
-// output (IntersectMerge) must keep the staged body's order on both bodies.
+// covers. The shapes straddle the merge body's mask-walk cutover at the
+// default scale, at Scale 1 and at SegBits 16, and reach its offsets loop at
+// Scale 1; its forced output (IntersectMerge) must keep the segment order
+// (segmentOrder) on every walk.
 func TestExecutorTierParity(t *testing.T) {
 	if !simd.HasAsm() {
 		t.Skip("assembly backend not available")
@@ -129,27 +145,39 @@ func TestExecutorTierParity(t *testing.T) {
 	shapes := []struct {
 		na, nb   int
 		universe uint32
+		dirs     bool // redraw the pair until both sets keep a rank directory
 	}{
-		{2500, 2100, 80000},  // similar sizes: merge, hash on the AVX-512 rung
-		{6000, 250, 80000},   // hash, skewed: the gathered probe path
-		{30000, 8000, 80000}, // bigger bitmaps
+		{2500, 2100, 80000, false},  // similar sizes: merge, hash on the AVX-512 rung
+		{6000, 250, 80000, false},   // hash, skewed: the gathered probe path
+		{30000, 8000, 80000, false}, // bigger bitmaps
 		// Tiny pairs from small universes, so they share elements: the
-		// merge arm's direct body (4 words against 1 at the default
-		// scale, so the smaller bitmap wraps; 16 words at {40, 12}), and
-		// its staged body at {200, 60}, a 64-word merge.
-		{12, 10, 36},
-		{12, 4, 36},
-		{40, 12, 120},
-		{200, 60, 600},
+		// merge body's word loop (4 words against 1 at the default scale,
+		// so the smaller bitmap wraps; 16 words at {40, 12}), and its
+		// mask walk at {200, 60}, a 64-word merge against 16 words.
+		{12, 10, 36, false},
+		{12, 4, 36, false},
+		{40, 12, 120, false},
+		{200, 60, 600, false},
+		// At Scale 1 a 2,300-element draw (~2,170 distinct) fills 64 words at
+		// about half an element per bit. Drawn until both sets keep a rank
+		// directory, its merge runs the mask walk; denser Scale 1 sets keep
+		// their offsets.
+		{2300, 600, 20000, true},
 	}
-	arms := map[bool]bool{}   // k-way arms covered, keyed by kwayProbe
-	bodies := map[bool]bool{} // merge bodies covered, keyed by mergesDirect
-	for _, cfg := range cfgs {
+	arms := map[bool]bool{} // k-way arms covered, keyed by kwayProbe
+	// The merge body's walks each config's IntersectMerge reached on the
+	// assembly rungs (walkOf).
+	walks := make([]map[mergeWalk]bool, len(cfgs))
+	for ci, cfg := range cfgs {
+		walks[ci] = map[mergeWalk]bool{}
 		for _, sh := range shapes {
 			a := MustNewSet(randSet(rng, sh.na, sh.universe), cfg)
 			b := MustNewSet(randSet(rng, sh.nb, sh.universe), cfg)
+			for try := 0; sh.dirs && try < 100 && !(a.hasDirectory() && b.hasDirectory()); try++ {
+				a = MustNewSet(randSet(rng, sh.na, sh.universe), cfg)
+				b = MustNewSet(randSet(rng, sh.nb, sh.universe), cfg)
+			}
 			c := MustNewSet(randSet(rng, sh.nb/2+1, sh.universe), cfg)
-			bodies[mergesDirect(ordered(a, b))] = true
 
 			names, res := runTiers(t, func() any { return e.Count(a, b) })
 			check("Count", names, res)
@@ -173,10 +201,14 @@ func TestExecutorTierParity(t *testing.T) {
 				return ruled("Intersect", dst[:n], ruleOrder(a, b))
 			})
 			check("Intersect", names, res)
+			order := segmentOrder(a, b)
 			names, res = runTiers(t, func() any {
 				n := IntersectMerge(dst, a, b)
-				if !slices.Equal(dst[:n], stagedOrder(a, b)) {
-					t.Fatalf("IntersectMerge %v: %d elements out of the staged body's order", sh, n)
+				if !slices.Equal(dst[:n], order) {
+					t.Fatalf("IntersectMerge %v: %d elements out of segment order", sh, n)
+				}
+				if simd.AsmActive() {
+					walks[ci][walkOf(ordered(a, b))] = true
 				}
 				return append([]uint32(nil), dst[:n]...)
 			})
@@ -234,16 +266,23 @@ func TestExecutorTierParity(t *testing.T) {
 	if !arms[false] || !arms[true] {
 		t.Fatalf("k-way shapes cover one arm only: chain %v, probe %v", arms[false], arms[true])
 	}
-	if !bodies[false] || !bodies[true] {
-		t.Fatalf("shapes cover one merge body only: staged %v, direct %v", bodies[false], bodies[true])
+	for ci, cfg := range cfgs[:3] {
+		if !walks[ci][walkWords] || !walks[ci][walkMasks] {
+			t.Errorf("config %+v: merges ran the word loop %v, the mask walk %v; want both",
+				cfg, walks[ci][walkWords], walks[ci][walkMasks])
+		}
+	}
+	if !walks[1][walkBounds] {
+		t.Error("no Scale 1 merge ran the offsets loop")
 	}
 }
 
 // TestIntersectExactDst holds every tier to the dst contract at its
 // tightest: room for min(a.Len(), b.Len()) elements, exactly the result when
-// the smaller set is a subset of the larger. Pass 2 then hands the pairs
-// staged after the last match (false positives of the bitmap filter) a tail
-// of dst with no room left, which the SIMD kernels must not need.
+// the smaller set is a subset of the larger. The merge body then hands the
+// pairs surviving after the last match (false positives of the bitmap
+// filter) a tail of dst with no room left, which the SIMD kernels must not
+// need.
 func TestIntersectExactDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 300; trial++ {

@@ -9,293 +9,85 @@ import (
 	"fesia/internal/trace"
 )
 
-// This file implements the merge arm's two bodies and the batch one-vs-many
-// query engine: intersecting one query set against a list of candidate sets,
-// the access pattern of the paper's database-query task (Section VII-F, one
+// This file implements the merge arm's body and the batch one-vs-many query
+// engine: intersecting one query set against a list of candidate sets, the
+// access pattern of the paper's database-query task (Section VII-F, one
 // keyword's posting list vs many others) and of triangle counting (one
 // vertex's forward neighbors vs each neighbor's list). The engine amortizes
 // per-query work across the candidate list: the query set's bitmap words and
-// staging scratch stay pinned hot instead of being re-derived per pair.
+// kernel scratch stay pinned hot instead of being re-derived per pair.
 //
-// The merge arm picks its body from the larger bitmap's size. From
-// mergeDirectWords words up the two-step algorithm runs as a *staged
-// two-pass dispatch* (mergeStaged) — the split the paper's Fig. 14
-// breakdown instruments, used here as an optimization. Pass 1 streams the
-// bitmap word-AND and stages every surviving segment pair as a compact (oa,
-// oaEnd, ob, obEnd) record in a reusable lane buffer. Pass 2 walks the
-// staged records and runs the small-set kernels (simd.CountSmall,
-// simd.IntersectSmall), touching the reordered data of segments a fixed
-// distance ahead so their cache lines are in flight by the time their kernel
-// runs. Separating the phases keeps the unpredictable tzcnt/branch phase out
-// of the kernel phase's pipeline, and the record walk itself is
-// branch-predictable.
-//
-// Below mergeDirectWords the records, checkpoint blocks and read-ahead cost
-// more than they hide (a triangle-counting merge stages half a segment pair
-// on average). There the direct body (mergeDirect) ANDs the words and hands
-// each surviving pair straight to its kernel, in the same segment order.
+// The merge arm runs Algorithm 1 in one pass, in one body (merge): step 1's
+// bitmap AND yields each live segment, and step 2 hands that segment pair,
+// its bounds read from both sets' rank directories (span), straight to its
+// kernel. The body picks the loop that yields the live segments (walkOf):
+// the word loop ANDs each word; from maskWalkWords words up on the assembly
+// rungs the mask walk reads the live-segment masks simd.AndSegMasksWrap
+// emits per 4-word block; a pair in which a set keeps its offsets runs the
+// offsets loop. All three hand the sink the pairs in the larger bitmap's
+// segment order.
 
-// stagedSeg is one surviving segment pair staged by dispatch pass 1:
-// half-open offset ranges into the two sets' reordered arrays.
-type stagedSeg struct {
-	oa, oaEnd uint32 // x-side range in the larger-bitmap set's reordered array
-	ob, obEnd uint32 // y-side range in the other set's reordered array
+// maskWalkWords is the larger bitmap's word count from which the merge body
+// runs the mask walk on the assembly rungs; below it, it runs the word loop.
+// The committed sweep (BenchmarkMergeBodies, make mergebench, EXPERIMENTS.md
+// "One merge body") times the body on each walk (mask ÷ word, medians of 3;
+// 16 cells per size on the AVX2 and AVX-512 rungs: 2 ratios × 2
+// selectivities × a cache-resident and a past-L3 pool). The mask walk leads
+// in 0, 1 and 2 of the cells at 8, 16 and 32 words (medians 1.13, 1.17,
+// 1.08), in 11 at 64 and 128 (0.98, 0.95), and in 13-14 from 256 to 1,024
+// (0.92). On the scalar rung, where AndSegMasks runs in Go, the word loop
+// leads at every size (medians 1.00-1.15), so it stays there.
+const maskWalkWords = 16 * simd.BlockWords
+
+// mergeWalk names the loop a merge runs over the larger bitmap's words.
+type mergeWalk uint8
+
+const (
+	walkWords  mergeWalk = iota // the word loop, in merge's own frame
+	walkMasks                   // the mask walk (mergeMasks)
+	walkBounds                  // the offsets loop (mergeBounds)
+)
+
+// walkOf picks the loop the merge body runs for x (the larger-bitmap set)
+// and y: the offsets loop when either set keeps its offsets rather than a
+// rank directory, the mask walk from maskWalkWords words up on the assembly
+// rungs when y fills a mask block, and the word loop otherwise.
+func walkOf(x, y *Set) mergeWalk {
+	switch {
+	case !x.hasDirectory() || !y.hasDirectory():
+		return walkBounds
+	case len(x.bm.Words()) >= maskWalkWords && len(y.bm.Words()) >= simd.BlockWords && simd.AsmActive():
+		return walkMasks
+	}
+	return walkWords
 }
 
-// stageReadAhead is the fixed dispatch-to-touch distance of pass 2: while
-// record i's kernel runs, the first cache line of record i+stageReadAhead's
-// segment data is being fetched. Segments are tiny (a handful of uint32s),
-// so one touch per side covers essentially the whole segment.
-const stageReadAhead = 8
-
-// stageSegPairs runs dispatch pass 1 over the whole bitmap: the fused
-// word-AND / segment-extraction loop (Section IV steps 1-3), staging one
-// record per surviving segment pair with each side's bounds taken from the
-// bitmap word just ANDed and its rank directory (span). x must be the
-// larger-bitmap set. Records are appended to recs (reset by the caller); the
-// possibly-grown slice is returned.
-func stageSegPairs(x, y *Set, recs []stagedSeg) []stagedSeg {
-	return stageSegPairsRange(x, y, recs, 0, len(x.bm.Words()))
-}
-
-// stageSegPairsRange is stageSegPairs restricted to words [wordLo, wordHi) of
-// x's bitmap — a parallel worker's share, or one checkpoint block of a
-// cancellable query (ctx.go).
-func stageSegPairsRange(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
-	if !x.hasDirectory() || !y.hasDirectory() {
-		return stageSegPairsWide(x, y, recs, wordLo, wordHi)
-	}
-	xw, yw := x.bm.Words(), y.bm.Words()
-	xd, yd := x.dir, y.dir
-	wordMask := len(yw) - 1
-	spw := x.bm.SegmentsPerWord()
-	segBits := x.bm.SegBits()
-
-	segClear := uint64(1)<<uint(segBits) - 1
-	segShift := uint(simd.Tzcnt32(uint32(segBits))) // log2(segBits)
-	wordShift := 6 - segShift                       // log2(spw)
-	alignMask := segBits - 1
-	sb := uint(segBits)
-
-	i := wordLo
-	if simd.AsmActive() && len(yw) >= simd.BlockWords && wordHi-wordLo >= 2*simd.BlockWords {
-		// Chunked mask-stream fast path: the fused AndSegMasks kernel emits
-		// one live-segment mask per 4-word block into a stack buffer, and the
-		// staging walks the mask stream. Range edges are handled by computing
-		// the full edge block and trimming out-of-range segment bits (the
-		// over-read stays inside the bitmap: word counts on this path are
-		// powers of two >= 2*BlockWords).
-		loDown := wordLo &^ (simd.BlockWords - 1)
-		hiUp := (wordHi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
-		var masks [coreChunkBlocks]uint32
-		for cb := loDown; cb < hiUp; {
-			nb := (hiUp - cb) / simd.BlockWords
-			if nb > coreChunkBlocks {
-				nb = coreChunkBlocks
-			}
-			live := simd.AndSegMasksWrap(masks[:nb], xw, yw, cb, segBits)
-			if live != 0 {
-				if cb < wordLo {
-					masks[0] &^= 1<<uint((wordLo-cb)*spw) - 1
-				}
-				if end := cb + nb*simd.BlockWords; end > wordHi {
-					masks[nb-1] &= 1<<uint((wordHi-(end-simd.BlockWords))*spw) - 1
-				}
-				for bi := 0; bi < nb; bi++ {
-					m := masks[bi]
-					if m == 0 {
-						continue
-					}
-					base := (cb + bi*simd.BlockWords) * spw
-					for m != 0 {
-						seg := base + simd.Tzcnt32(m)
-						m &= m - 1
-						wx, k := uint(seg>>wordShift), uint(seg<<segShift)&63
-						wy := wx & uint(wordMask)
-						oa, oaEnd := span(xd, wx, k, k+sb, xw[wx])
-						ob, obEnd := span(yd, wy, k, k+sb, yw[wy])
-						recs = appendStaged(recs, oa, oaEnd, ob, obEnd)
-					}
-				}
-			}
-			cb += nb * simd.BlockWords
-		}
-		i = wordHi
-	}
-	for ; i < wordHi; i++ {
-		xwi, ywi := xw[i], yw[i&wordMask]
-		w := xwi & ywi
-		if w == 0 {
-			continue
-		}
-		ui, uy := uint(i), uint(i&wordMask)
-		for w != 0 {
-			k := uint(simd.Tzcnt64(w) &^ alignMask) // the segment's first bit
-			w &^= segClear << k
-			oa, oaEnd := span(xd, ui, k, k+sb, xwi)
-			ob, obEnd := span(yd, uy, k, k+sb, ywi)
-			recs = appendStaged(recs, oa, oaEnd, ob, obEnd)
-		}
-	}
-	return recs
-}
-
-// stageSegPairsWide is stageSegPairsRange for a pair in which a set keeps
-// its offsets rather than a rank directory: the plain word loop, reading
-// each side's bounds through bounds.
-func stageSegPairsWide(x, y *Set, recs []stagedSeg, wordLo, wordHi int) []stagedSeg {
-	xw, yw := x.bm.Words(), y.bm.Words()
-	segBits := x.bm.SegBits()
-	segMaskY := y.bm.NumSegments() - 1
-	for i := wordLo; i < wordHi; i++ {
-		w := xw[i] & yw[i&(len(yw)-1)]
-		for w != 0 {
-			k := simd.Tzcnt64(w) &^ (segBits - 1)
-			w &^= (1<<segBits - 1) << k
-			seg := (64*i + k) / segBits
-			oa, oaEnd := x.bounds(seg)
-			ob, obEnd := y.bounds(seg & segMaskY)
-			recs = appendStaged(recs, oa, oaEnd, ob, obEnd)
-		}
-	}
-	return recs
-}
-
-// appendStaged appends one record, storing its fields in place: appending a
-// stagedSeg literal builds it on the stack with 4-byte stores and copies it
-// with wider loads that stall on store forwarding (pass 1 ran up to 1.3×
-// slower that way on a 2-vCPU AVX-512 host).
-func appendStaged(recs []stagedSeg, oa, oaEnd, ob, obEnd uint32) []stagedSeg {
-	recs = append(recs, stagedSeg{})
-	r := &recs[len(recs)-1]
-	r.oa, r.oaEnd, r.ob, r.obEnd = oa, oaEnd, ob, obEnd
-	return recs
-}
-
-// dispatchStagedCount runs dispatch pass 2 for counting: every staged record
-// is counted by simd.CountSmall, with the fixed-distance read-ahead touch of
-// upcoming segment data. The touched words are accumulated and returned so
-// the loads cannot be dead-code-eliminated; callers fold the value into a
-// sink.
-func dispatchStagedCount(xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
-	for i := range recs {
-		if j := i + stageReadAhead; j < len(recs) {
-			rj := &recs[j]
-			touch += xr[rj.oa] + yr[rj.ob]
-		}
-		r := &recs[i]
-		n += simd.CountSmall(xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
-	}
-	return n, touch
-}
-
-// dispatchStagedIntersect is pass 2 for materialization: simd.IntersectSmall
-// writes into dst (which must have room for every pair's smaller side) in
-// staged order — the same segment order IntersectMerge produces.
-func dispatchStagedIntersect(dst, xr, yr []uint32, recs []stagedSeg) (n int, touch uint32) {
-	for i := range recs {
-		if j := i + stageReadAhead; j < len(recs) {
-			rj := &recs[j]
-			touch += xr[rj.oa] + yr[rj.ob]
-		}
-		r := &recs[i]
-		n += simd.IntersectSmall(dst[n:], xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
-	}
-	return n, touch
-}
-
-// visitStaged is pass 2 for streaming: each record intersects into scratch
-// (room for the smaller side of any staged pair) and the matches replay
-// through emit, in the order dispatchStagedIntersect writes. It returns the
-// match count.
-func visitStaged(scratch, xr, yr []uint32, recs []stagedSeg, emit Visitor) int {
-	n := 0
-	for _, r := range recs {
-		k := simd.IntersectSmall(scratch, xr[r.oa:r.oaEnd], yr[r.ob:r.obEnd])
-		for _, v := range scratch[:k] {
-			emit(v)
-		}
-		n += k
-	}
-	return n
-}
-
-// mergeStaged is the merge arm's staged body, a two-pass dispatch of x (the
-// larger-bitmap set) and y: pass 1 ANDs the bitmaps and stages the surviving
-// segment pairs (stageSegPairsRange), pass 2 runs their kernels into the
-// sink (dispatchStaged). With ck non-nil pass 1 runs in ctxWordBlock word
-// blocks with a checkpoint before each. It records the segment counters
-// (noteStaged) and, into tr when non-nil, the kernel trace event.
-func (l *lane) mergeStaged(ck checkpoint, tr *trace.Cell, x, y *Set, dst []uint32, emit Visitor) (int, error) {
-	words := len(x.bm.Words())
-	step := stride(ck, ctxWordBlock, words)
-	l.staged = l.staged[:0]
-	for lo := 0; lo < words; lo += step {
-		if err := stop(ck); err != nil {
-			return 0, err
-		}
-		l.staged = stageSegPairsRange(x, y, l.staged, lo, min(lo+step, words))
-	}
-	if l.st != nil { // tested here, so a batch without stats makes no call per candidate
-		noteStaged(l.st, l.kernelShard(), l.staged, x.bm.NumSegments())
-	}
-	if tr != nil {
-		tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(len(l.staged)), uint64(x.bm.NumSegments()))
-	}
-	return l.dispatchStaged(ck, x, y, dst, emit)
-}
-
-// mergeDirectWords is the larger bitmap's word count from which the merge
-// arm runs the staged body: below it, when both sets have a rank directory,
-// it runs the direct body (mergeDirect). The committed sweep
-// (BenchmarkMergeBodies, make mergebench, EXPERIMENTS.md "Tiny pairs in one
-// pass") times the two bodies (direct ÷ staged, medians of 3, 24 cells per
-// size: 3 rungs × 2 residencies × 2 ratios × 2 selectivities). Through 32
-// words the direct body leads in 21-24 of the cells at each size, with
-// per-size medians of 0.64-0.93. At 64 words it leads in 16 (median 0.96,
-// worst 1.16), and at 128-256 words the staged body's chunked AndSegMasks
-// filter leads at selectivity 0.1 on the AVX2 and AVX-512 rungs (0.99-1.13).
-// On the AVX-512 rung the seg×seg rule merges no pair past 16 words, so
-// every merge it picks runs the direct body.
-const mergeDirectWords = 16 * simd.BlockWords
-
-// mergesDirect reports whether the merge arm runs x (the larger-bitmap set)
-// and y on the direct body: x has fewer than mergeDirectWords words and both
-// sets have a rank directory. A tiny set that keeps its offsets (reachable
-// at Scale 1-2) takes the staged body, which reads them through bounds.
-func mergesDirect(x, y *Set) bool {
-	return len(x.bm.Words()) < mergeDirectWords && x.hasDirectory() && y.hasDirectory()
-}
-
-// mergeDirect is the merge arm's direct body for x (the larger-bitmap set,
-// with fewer than mergeDirectWords words) and y, both with a rank directory:
-// one loop ANDs each word of x with y's wrapped word and hands each
-// surviving segment pair, its bounds read by span, straight to the sink —
+// merge is the merge arm's body over words [lo, hi) of x (the larger-bitmap
+// set) against y, on the loop that walk names (a query passes walkOf(x, y)):
+// each segment pair surviving the bitmap AND goes straight to the sink —
 // simd.CountSmall for counts, simd.IntersectSmall into dst[n:], or into the
-// lane's scratch replayed through emit — in the order the staged body
-// dispatches. It stages no record and tests ck once, before the loop. It
-// records what the staged body records: the segment pairs it ran and the
-// segments it scanned, on a sampled query (kernelShard) each pair's sizes,
-// and into tr when non-nil the kernel trace event.
-func (l *lane) mergeDirect(ck checkpoint, tr *trace.Cell, x, y *Set, dst []uint32, emit Visitor) (int, error) {
-	if err := stop(ck); err != nil {
-		return 0, err
-	}
-	var kst *stats.Shard
-	if l.st != nil {
-		kst = l.kernelShard()
-	}
+// lane's scratch replayed through emit — in the larger bitmap's segment
+// order, its sizes recorded into kst when non-nil (a sampled query,
+// kernelShard). It returns the match and segment-pair counts. An
+// uncancellable pair on the word loop runs the loop here, in the body's own
+// frame: a tiny merge is a few dozen nanoseconds, and calling the loop from
+// here took 7-11% more at 1-16 words (AVX-512 rung, cache-resident pairs).
+// Any other runs through mergeBlocks, which tests ck once per ctxWordBlock
+// words. Its callers record the query (noteMerge).
+func (l *lane) merge(ck checkpoint, kst *stats.Shard, walk mergeWalk, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int, err error) {
 	if emit != nil {
 		l.scratch = growU32(l.scratch, max(min(x.maxSeg, y.maxSeg), 1))
+	}
+	if ck != nil || walk != walkWords {
+		return l.mergeBlocks(ck, kst, walk, x, y, lo, hi, dst, emit)
 	}
 	xw, yw := x.bm.Words(), y.bm.Words()
 	xd, yd, xr, yr := x.dir, y.dir, x.reordered, y.reordered
 	wrap := uint(len(yw) - 1)
 	sb := uint(x.bm.SegBits())
 	segClear := uint64(1)<<sb - 1
-	n, pairs := 0, 0
-	for i, xwi := range xw {
-		ui := uint(i)
+	for i, xwi := range xw[lo:hi] {
+		ui := uint(lo + i)
 		uy := ui & wrap
 		ywi := yw[uy]
 		for w := xwi & ywi; w != 0; pairs++ {
@@ -321,69 +113,151 @@ func (l *lane) mergeDirect(ck checkpoint, tr *trace.Cell, x, y *Set, dst []uint3
 			}
 		}
 	}
-	if l.st != nil {
-		l.st.Add(stats.CtrSegPairs, uint64(pairs))
-		l.st.Add(stats.CtrSegmentsScanned, uint64(x.bm.NumSegments()))
-	}
-	if tr != nil {
-		tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(pairs), uint64(x.bm.NumSegments()))
-	}
-	return n, nil
+	return n, pairs, nil
 }
 
-// dispatchStaged runs pass 2 of the merge arm over the lane's staged
-// records of x and y into the sink, with one switch per block: the counting
-// kernels when dst and emit are nil, the materializing kernels into dst, or
-// visitStaged through emit (on the lane's scratch, sized as it requires).
-// With ck non-nil the records run in ctxStageBlock blocks with a checkpoint
-// before each. The read-ahead touches fold into the lane's touch.
-func (l *lane) dispatchStaged(ck checkpoint, x, y *Set, dst []uint32, emit Visitor) (int, error) {
-	xr, yr := x.reordered, y.reordered
-	recs := l.staged
-	if emit != nil {
-		l.scratch = growU32(l.scratch, max(min(x.maxSeg, y.maxSeg), 1))
-	}
-	n := 0
-	step := stride(ck, ctxStageBlock, len(recs))
-	for lo := 0; lo < len(recs); lo += step {
+// mergeBlocks runs merge's walk over words [lo, hi) of x in ctxWordBlock
+// blocks with a checkpoint before each when ck is non-nil (as one block
+// otherwise): the mask walk and the offsets loop as calls, the word loop as
+// an uncancellable merge of the block.
+func (l *lane) mergeBlocks(ck checkpoint, kst *stats.Shard, walk mergeWalk, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int, err error) {
+	step := stride(ck, ctxWordBlock, hi-lo)
+	for b := lo; b < hi; b += step {
 		if err := stop(ck); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		blk := recs[lo:min(lo+step, len(recs))]
-		var dn int
-		var dt uint32
-		switch {
-		case emit != nil:
-			dn = visitStaged(l.scratch, xr, yr, blk, emit)
-		case dst != nil:
-			dn, dt = dispatchStagedIntersect(dst[n:], xr, yr, blk)
+		e := min(b+step, hi)
+		var dn, dp int
+		switch walk {
+		case walkMasks:
+			dn, dp = l.mergeMasks(kst, x, y, b, e, tail(dst, n), emit)
+		case walkBounds:
+			dn, dp = l.mergeBounds(kst, x, y, b, e, tail(dst, n), emit)
 		default:
-			dn, dt = dispatchStagedCount(xr, yr, blk)
+			dn, dp, _ = l.merge(nil, kst, walkWords, x, y, b, e, tail(dst, n), emit)
 		}
 		n += dn
-		l.touch += dt
+		pairs += dp
 	}
-	return n, nil
+	return n, pairs, nil
 }
 
-// noteStaged records one staged pass 1 — a merge's, or a parallel worker's
-// share of one — into st, when non-nil: the exact segment-pair counter, the
-// bitmap segments the pass scanned and, when kst is non-nil (the sampled
-// fraction of queries, see lane.kernelShard), the kernel-dispatch
-// histogram replayed from the records, so the dispatch loop itself stays
-// untouched.
-func noteStaged(st, kst *stats.Shard, recs []stagedSeg, segments int) {
-	if st == nil {
-		return
+// noteMerge records one merge that ran pairs segment pairs over segments
+// segments of the larger bitmap: the stats counters when the lane has a
+// shard, and into tr when non-nil the kernel trace event.
+func (l *lane) noteMerge(tr *trace.Cell, pairs, segments int) {
+	if l.st != nil {
+		l.st.Add(stats.CtrSegPairs, uint64(pairs))
+		l.st.Add(stats.CtrSegmentsScanned, uint64(segments))
 	}
-	if kst != nil {
-		for i := range recs {
-			r := &recs[i]
-			kst.Kernel(int(r.oaEnd-r.oa), int(r.obEnd-r.ob))
+	if tr != nil {
+		tr.Event(trace.KindKernel, trace.ArmMerge, 0, uint64(pairs), uint64(segments))
+	}
+}
+
+// mergeMasks is the mask walk over words [lo, hi) of x, both sets with a
+// rank directory, x of at least maskWalkWords words and y of at least
+// simd.BlockWords: simd.AndSegMasksWrap emits one live-segment mask per
+// 4-word block into a stack buffer, up to coreChunkBlocks blocks at a time,
+// and each set bit's segment pair runs its kernel into the sink as the walk
+// reaches it. The buffer lives in this frame, not merge's, because Go zeroes
+// it on every call. Edge blocks are computed whole and their out-of-range segment
+// bits trimmed (x's word count is a multiple of the block, so the over-read
+// stays inside it). It returns the match and segment-pair counts.
+func (l *lane) mergeMasks(kst *stats.Shard, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int) {
+	xw, yw := x.bm.Words(), y.bm.Words()
+	xd, yd, xr, yr := x.dir, y.dir, x.reordered, y.reordered
+	wrap := uint(len(yw) - 1)
+	segBits := x.bm.SegBits()
+	spw := 64 / segBits
+	sb := uint(segBits)
+	segShift := uint(simd.Tzcnt32(uint32(segBits))) // log2(segBits)
+	wordShift := 6 - segShift                       // log2(spw)
+	var masks [coreChunkBlocks]uint32
+	loDown := lo &^ (simd.BlockWords - 1)
+	hiUp := (hi + simd.BlockWords - 1) &^ (simd.BlockWords - 1)
+	for cb := loDown; cb < hiUp; {
+		nb := min((hiUp-cb)/simd.BlockWords, coreChunkBlocks)
+		if simd.AndSegMasksWrap(masks[:nb], xw, yw, cb, segBits) != 0 {
+			if cb < lo {
+				masks[0] &^= 1<<uint((lo-cb)*spw) - 1
+			}
+			if end := cb + nb*simd.BlockWords; end > hi {
+				masks[nb-1] &= 1<<uint((hi-(end-simd.BlockWords))*spw) - 1
+			}
+			for bi, m := range masks[:nb] {
+				base := (cb + bi*simd.BlockWords) * spw
+				for ; m != 0; pairs++ {
+					seg := base + simd.Tzcnt32(m)
+					m &= m - 1
+					wx, k := uint(seg>>wordShift), uint(seg<<segShift)&63
+					wy := wx & wrap
+					oa, oaEnd := span(xd, wx, k, k+sb, xw[wx])
+					ob, obEnd := span(yd, wy, k, k+sb, yw[wy])
+					xs, ys := xr[oa:oaEnd], yr[ob:obEnd]
+					if kst != nil {
+						kst.Kernel(len(xs), len(ys))
+					}
+					switch {
+					case emit != nil:
+						c := simd.IntersectSmall(l.scratch, xs, ys)
+						for _, v := range l.scratch[:c] {
+							emit(v)
+						}
+						n += c
+					case dst != nil:
+						n += simd.IntersectSmall(dst[n:], xs, ys)
+					default:
+						n += simd.CountSmall(xs, ys)
+					}
+				}
+			}
+		}
+		cb += nb * simd.BlockWords
+	}
+	return n, pairs
+}
+
+// mergeBounds is the offsets loop over words [lo, hi) of x, for a pair in
+// which a set keeps its offsets rather than a rank directory (reachable at
+// Scale 1-2): the word loop, reading each side's bounds through bounds and
+// running each pair's kernel through segPair. It returns the match and
+// segment-pair counts.
+func (l *lane) mergeBounds(kst *stats.Shard, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int) {
+	xw, yw := x.bm.Words(), y.bm.Words()
+	segBits := x.bm.SegBits()
+	segMaskY := y.bm.NumSegments() - 1
+	for i := lo; i < hi; i++ {
+		for w := xw[i] & yw[i&(len(yw)-1)]; w != 0; pairs++ {
+			k := simd.Tzcnt64(w) &^ (segBits - 1)
+			w &^= (1<<segBits - 1) << k
+			seg := (64*i + k) / segBits
+			oa, oaEnd := x.bounds(seg)
+			ob, obEnd := y.bounds(seg & segMaskY)
+			n += l.segPair(kst, x.reordered[oa:oaEnd], y.reordered[ob:obEnd], tail(dst, n), emit)
 		}
 	}
-	st.Add(stats.CtrSegPairs, uint64(len(recs)))
-	st.Add(stats.CtrSegmentsScanned, uint64(segments))
+	return n, pairs
+}
+
+// segPair runs one segment pair's kernel into the sink and returns its match
+// count, recording the pair's sizes into kst when non-nil: the offsets
+// loop's dispatch, which the two hot walks write in place.
+func (l *lane) segPair(kst *stats.Shard, xs, ys, dst []uint32, emit Visitor) int {
+	if kst != nil {
+		kst.Kernel(len(xs), len(ys))
+	}
+	switch {
+	case emit != nil:
+		m := simd.IntersectSmall(l.scratch, xs, ys)
+		for _, v := range l.scratch[:m] {
+			emit(v)
+		}
+		return m
+	case dst != nil:
+		return simd.IntersectSmall(dst, xs, ys)
+	}
+	return simd.CountSmall(xs, ys)
 }
 
 // ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ func TestCountManyParity(t *testing.T) {
 				i, c.Len(), out[i], want)
 		}
 	}
-	// Repeat on the same executor: staged buffers must be reusable.
+	// Repeat on the same executor: its buffers must be reusable.
 	ex.CountMany(q, cands, out)
 	for i, c := range cands {
 		if want := Count(q, c); out[i] != want {
@@ -259,8 +259,8 @@ func TestCountManyEdgeCases(t *testing.T) {
 	}
 }
 
-// FuzzCountMany drives the staged dispatch path against the fused pairwise
-// loop with adversarial sizes and universes.
+// FuzzCountMany drives the batch engine against the pairwise loop with
+// adversarial sizes and universes.
 func FuzzCountMany(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(50), uint16(3000))
 	f.Add(int64(2), uint16(0), uint16(1), uint16(65535))
@@ -348,16 +348,17 @@ func BenchmarkCountManyVsPairwise(b *testing.B) {
 //     every query representation meets all 3×3 query/candidate pairs;
 //   - workers: 1, or 4 pool workers over the size-ordered schedule (the
 //     count sink; the frame parallelizes nothing else);
-//   - batch: a 4,000-element query, whose seg×seg merges run the merge
-//     arm's staged body, or a triangle-shaped one, a query of 8 elements
-//     against candidates of 0-40, whose merges run its direct body;
+//   - batch: a 4,000-element query (1,024 bitmap words), whose seg×seg
+//     merges run the merge body's mask walk on the AVX2 rung and its word
+//     loop on the scalar rung, or a triangle-shaped one, a query of 8
+//     elements against candidates of 0-40, whose merges run the word loop;
 //   - rung: every rung of the ladder, since the rule picks each rung's
 //     arms (the AVX-512 rung hashes every candidate of the 4,000-element
-//     query, so the staged body runs on the others).
+//     query, so its mask walk runs on the AVX2 rung).
 //
 // An uncancelled batch must match the pairwise Count and Intersect of
 // another executor per candidate: counts and element order exactly, and a
-// merged seg×seg candidate's order must be the staged body's. A cancelled
+// merged seg×seg candidate's order must be segmentOrder's. A cancelled
 // batch must return the checkpoint's error and count one cancellation. Warm
 // count and materialize batches must make 0 allocations. The public entry
 // points are checked against the frame.
@@ -386,24 +387,24 @@ func TestManyFrame(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		triElems = append(triElems, randSet(rng, rng.Intn(48), 128))
 	}
-	bodies := map[bool]bool{} // merge bodies run, keyed by mergesDirect
+	walks := map[mergeWalk]bool{} // the merge body's walks run (walkOf)
 	eachRung(t, func(rung string) {
 		for _, b := range []struct {
 			name   string
 			qElems []uint32
 			cands  [][]uint32
 		}{{rung + " wide", qElems, candElems}, {rung + " triangle", triQ, triElems}} {
-			manyFrameBatch(t, rng, b.name, b.qElems, b.cands, bodies)
+			manyFrameBatch(t, rng, b.name, b.qElems, b.cands, walks)
 		}
 	})
-	if !bodies[true] || !bodies[false] {
-		t.Errorf("merges ran the direct body %v, the staged body %v; want both", bodies[true], bodies[false])
+	if !walks[walkWords] || (simd.HasAsm() && !walks[walkMasks]) {
+		t.Errorf("merges ran the word loop %v, the mask walk %v; want both", walks[walkWords], walks[walkMasks])
 	}
 }
 
 // manyFrameBatch runs TestManyFrame's lattice over one batch on the live
-// rung, marking in bodies the merge bodies its seg×seg merges run.
-func manyFrameBatch(t *testing.T, rng *rand.Rand, batch string, qElems []uint32, candElems [][]uint32, bodies map[bool]bool) {
+// rung, marking in walks the merge body's walks its seg×seg merges run.
+func manyFrameBatch(t *testing.T, rng *rand.Rand, batch string, qElems []uint32, candElems [][]uint32, walks map[mergeWalk]bool) {
 	rng.Shuffle(len(candElems), func(i, j int) { candElems[i], candElems[j] = candElems[j], candElems[i] })
 	cands := make([]*Set, len(candElems))
 	for i, el := range candElems {
@@ -430,10 +431,10 @@ func manyFrameBatch(t *testing.T, rng *rand.Rand, batch string, qElems []uint32,
 					batch, qRep, i, wantCount[i], len(wantElems[i]), len(refIntersect(qElems, candElems[i])))
 			}
 			if planPair(q, c, armAuto).arm == armMerge {
-				if !slices.Equal(wantElems[i], stagedOrder(q, c)) {
-					t.Fatalf("%s qRep %v candidate %d: the merge's order is not the staged body's", batch, qRep, i)
+				if !slices.Equal(wantElems[i], segmentOrder(q, c)) {
+					t.Fatalf("%s qRep %v candidate %d: the merge's order is not segment order", batch, qRep, i)
 				}
-				bodies[mergesDirect(ordered(q, c))] = true
+				walks[walkOf(ordered(q, c))] = true
 			}
 			bound += len(buf)
 		}

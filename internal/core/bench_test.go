@@ -297,8 +297,8 @@ func pairArmsSmall(rng *rand.Rand, large []uint32, m, common int) []uint32 {
 // (scalar, avx2, avx512; the toggles FESIA_DISABLE_AVX512 and -tags=noasm
 // fix at start-up), alternating which arm goes first. It reports each arm's
 // ns per pair, hash/merge (below 1 where hash wins), and merge-filter-frac,
-// the share of merge's time in pass 1, the bitmap filter, from
-// CountMergeBreakdown. This is the sweep behind HashSegSeg's
+// the share of merge's time in step 1, the bitmap filter, from
+// CountMergeBreakdown's isolated steps. This is the sweep behind HashSegSeg's
 // HashFloor and SkewThreshold, and EXPERIMENTS.md's "Fig 11 on the shipped
 // path" (make pairbench).
 func BenchmarkPairArms(b *testing.B) {
@@ -415,24 +415,27 @@ func pairArmsCell(b *testing.B, name string, e *Executor, smalls, larges []*Set)
 	})
 }
 
-// BenchmarkMergeBodies is the sweep behind mergeDirectWords: the merge arm's
-// direct body (mergeDirect) against its staged body (mergeStaged), both
-// called directly on the count sink, over a pool of pairs per cell. The
-// larger side holds 4w elements, filling a bitmap of w = 1, 2, 4, ..., 256
-// words at the default scale; the smaller side holds as many or a quarter
-// as many (ratio 1:1 or 1:4), with selectivity (matches per smaller-side
-// element) 0.1 or 0.9. A "cache" pool holds 512 pairs, a few hundred KiB; a
-// "mem" pool's sets and headers fill 160 MiB, past the L3 of the 2-vCPU
-// AVX-512 host the sweep was recorded on, and is walked in a random order
-// so no prefetcher follows it. Each cell runs on every rung the host has,
-// alternating which body goes first, and reports each body's ns per pair and
-// direct/staged (below 1 where the direct body wins). make mergebench runs
-// it.
+// BenchmarkMergeBodies is the sweep behind maskWalkWords: the merge body on
+// its two walks over a pair with rank directories, the mask walk against the
+// word loop, each pinned in a direct call of the body on the count sink,
+// over a pool of pairs per cell. The larger side holds 4w elements, filling
+// a bitmap of w = 8, 16, ..., 1,024 words at the default scale; the smaller
+// side holds as many or a quarter as many (ratio 1:1 or 1:4), with
+// selectivity (matches per smaller-side element) 0.1 or 0.9. A "cache" pool
+// holds up to 512 pairs in at most 1 MiB; a "mem" pool's sets and headers
+// fill 160 MiB, past the L3 of the 2-vCPU AVX-512 host the sweep was
+// recorded on, and is walked in a random order so no prefetcher follows it.
+// Each cell runs on every rung the host has (on the scalar rung the mask
+// walk runs AndSegMasks' Go form), alternating which walk goes first, and
+// reports each walk's ns per pair and mask/word (below 1 where the mask walk
+// wins). A cell whose smaller bitmap has fewer words than one mask block is
+// skipped. make mergebench runs it.
 func BenchmarkMergeBodies(b *testing.B) {
+	const maxCachePairs = 512
 	residencies := []struct {
 		name  string
 		bytes int
-	}{{"cache", 0}, {"mem", 160 << 20}}
+	}{{"cache", 1 << 20}, {"mem", 160 << 20}}
 	prevAsm, prevAvx512 := simd.SetAsmEnabled(true), simd.SetAvx512Enabled(true)
 	defer func() {
 		simd.SetAvx512Enabled(prevAvx512)
@@ -440,13 +443,13 @@ func BenchmarkMergeBodies(b *testing.B) {
 	}()
 	var l lane
 	for _, res := range residencies {
-		for w := 1; w <= 256; w *= 2 {
+		for w := 2 * simd.BlockWords; w <= 1024; w *= 2 {
 			n := 4 * w
 			rng := rand.New(rand.NewSource(int64(n)))
-			p := 512
-			if res.bytes > 0 {
-				one := MustNewSet(pairArmsLarge(rng, 1, n)[0], DefaultConfig())
-				p = res.bytes / (2 * (one.MemoryBytes() + int(unsafe.Sizeof(Set{}))))
+			one := MustNewSet(pairArmsLarge(rng, 1, n)[0], DefaultConfig())
+			p := res.bytes / (2 * (one.MemoryBytes() + int(unsafe.Sizeof(Set{}))))
+			if res.name == "cache" {
+				p = min(p, maxCachePairs)
 			}
 			largeLists := pairArmsLarge(rng, p, n)
 			larges, err := BuildSets(largeLists, DefaultConfig())
@@ -468,6 +471,9 @@ func BenchmarkMergeBodies(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					if len(smalls[0].bm.Words()) < simd.BlockWords {
+						continue
+					}
 					for _, rung := range []string{"scalar", "avx2", "avx512"} {
 						if (rung == "avx2" && !simd.HasAsm()) || (rung == "avx512" && !simd.HasAVX512()) {
 							continue
@@ -487,52 +493,52 @@ func BenchmarkMergeBodies(b *testing.B) {
 	}
 }
 
-// mergeBodiesCell runs one BenchmarkMergeBodies cell: both bodies over every
+// mergeBodiesCell runs one BenchmarkMergeBodies cell: both walks over every
 // pool pair in order, checked against each other on the first call, then
 // timed alternately.
 func mergeBodiesCell(b *testing.B, name string, l *lane, smalls, larges []*Set, order []int) {
-	checked, directFirst := false, true
+	checked, maskFirst := false, true
+	walk := func(masks bool, x, y *Set) int {
+		w := walkWords
+		if masks {
+			w = walkMasks
+		}
+		n, _, _ := l.merge(nil, nil, w, x, y, 0, len(x.bm.Words()), nil, nil)
+		return n
+	}
 	b.Run(name, func(b *testing.B) {
 		if !checked {
 			for _, i := range order {
 				x, y := ordered(smalls[i], larges[i])
-				d, _ := l.mergeDirect(nil, nil, x, y, nil, nil)
-				s, _ := l.mergeStaged(nil, nil, x, y, nil, nil)
-				if d != s {
-					b.Fatalf("pair %d: direct body %d, staged body %d", i, d, s)
+				if m, w := walk(true, x, y), walk(false, x, y); m != w {
+					b.Fatalf("pair %d: mask walk %d, word loop %d", i, m, w)
 				}
 			}
 			checked = true
 		}
-		var direct, staged time.Duration
-		pass := func(useDirect bool) {
+		var mask, word time.Duration
+		pass := func(masks bool) {
 			start := time.Now()
 			for _, i := range order {
 				x, y := ordered(smalls[i], larges[i])
-				var n int
-				if useDirect {
-					n, _ = l.mergeDirect(nil, nil, x, y, nil, nil)
-				} else {
-					n, _ = l.mergeStaged(nil, nil, x, y, nil, nil)
-				}
-				benchSink += n
+				benchSink += walk(masks, x, y)
 			}
-			if useDirect {
-				direct += time.Since(start)
+			if masks {
+				mask += time.Since(start)
 			} else {
-				staged += time.Since(start)
+				word += time.Since(start)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			first := (i%2 == 0) == directFirst
+			first := (i%2 == 0) == maskFirst
 			pass(first)
 			pass(!first)
 		}
-		directFirst = !directFirst
+		maskFirst = !maskFirst
 		pairs := float64(b.N * len(order))
-		b.ReportMetric(float64(direct)/pairs, "direct-ns/pair")
-		b.ReportMetric(float64(staged)/pairs, "staged-ns/pair")
-		b.ReportMetric(float64(direct)/float64(staged), "direct/staged")
+		b.ReportMetric(float64(mask)/pairs, "mask-ns/pair")
+		b.ReportMetric(float64(word)/pairs, "word-ns/pair")
+		b.ReportMetric(float64(mask)/float64(word), "mask/word")
 	})
 }

@@ -65,7 +65,7 @@ func TestSetHeaderSize(t *testing.T) {
 // its offsets, while at the default scale every set has a rank directory.
 // At Scale 1 the 250-element set fills a 4-word bitmap past the nibble and
 // keeps its offsets, so its merge with the 17-element set, below
-// mergeDirectWords, runs the staged body.
+// maskWalkWords, runs the merge body's offsets loop.
 func TestSegmentDirectory(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	sizes := []int{0, 1, 8, 17, 250, 300, 5000}
@@ -110,7 +110,7 @@ func TestSegmentDirectory(t *testing.T) {
 			if scale == 1 && kept == 0 {
 				t.Errorf("segBits %d scale 1: no set kept its offsets", segBits)
 			}
-			if tiny := sets[4]; scale == 1 && (tiny.hasDirectory() || len(tiny.bm.Words()) >= mergeDirectWords) {
+			if tiny := sets[4]; scale == 1 && (tiny.hasDirectory() || len(tiny.bm.Words()) >= maskWalkWords) {
 				t.Errorf("segBits %d scale 1: the %d-element set has %d words and a directory %v; want a tiny set that keeps its offsets",
 					segBits, tiny.Len(), len(tiny.bm.Words()), tiny.hasDirectory())
 			}
@@ -840,8 +840,8 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	maps := []*bitmap.Bitmap{&sets[0].bm, &sets[1].bm, &sets[2].bm}
 	survivors := 0
 	bitmap.ForEachIntersectingSegmentKRange(maps, 0, len(maps[0].Words()), func(int) { survivors++ })
-	// 2-way survivors for comparison: the segment pairs pass 1 stages.
-	two := len(stageSegPairs(sets[0], sets[1], nil)) // equal sizes, so either order
+	// 2-way survivors for comparison: the segment pairs the merge dispatches.
+	two := len(DispatchTrace(sets[0], sets[1]))
 	if survivors >= two/4 {
 		t.Errorf("3-way survivors %d not far below 2-way %d (Proposition 2)", survivors, two)
 	}

@@ -10,9 +10,9 @@ import (
 // deadline-bounded and cancellable, so every query body takes a nil-able
 // checkpoint: the ctx entry points pass their context, the plain ones pass
 // nil. A non-nil checkpoint is tested at coarse granularity — per bitmap-word
-// block in dispatch pass 1, per staged-segment block in pass 2, per
-// probed-element block in the hash and element-driven cross loops, and per
-// candidate in the one-vs-many paths. The blocks are large enough that the
+// block in the merge body and the word-driven loops, per probed-element
+// block in the hash and element-driven cross loops, and per candidate in the
+// one-vs-many paths. The blocks are large enough that the
 // test is invisible next to the work between tests, yet small enough that
 // cancellation and deadlines are honored within microseconds of firing. A
 // nil checkpoint runs each loop as one block: the plain and ctx methods share
@@ -23,14 +23,10 @@ import (
 // unspecified partial data. No scratch state is corrupted — the executor
 // remains valid for further queries.
 const (
-	// ctxWordBlock is the pass-1 checkpoint unit: bitmap words ANDed (and
-	// their surviving pairs staged) between context checks. At a few cycles
-	// per word plus staging, 1024 words sit well under 10µs.
+	// ctxWordBlock is the word-driven checkpoint unit: bitmap words ANDed
+	// (and, in the merge body, their surviving pairs' kernels run) between
+	// context checks.
 	ctxWordBlock = 1024
-	// ctxStageBlock is the pass-2 checkpoint unit: staged segment records
-	// dispatched to kernels between checks. Segment kernels touch a handful
-	// of elements each, so 256 records is microseconds of work.
-	ctxStageBlock = 256
 	// ctxProbeBlock is the element-probe checkpoint unit: elements probed
 	// between checks.
 	ctxProbeBlock = 2048

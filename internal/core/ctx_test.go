@@ -200,11 +200,15 @@ func TestCtxBlockBoundaries(t *testing.T) {
 
 // TestCtxCancelInsideEveryArm cancels every ctx entry point at its first
 // three checkpoints — the entry check, then the first two blocks of the
-// driving loop — on inputs that span at least three blocks: CountCtx and
-// IntersectIntoCtx on both seg×seg arms and all five cross pairs, CountKCtx
-// on both k-way arms, and the two batch loops. Each cancelled call must
-// return (0, context.Canceled), count one cancellation and no query or
-// latency, and leave the executor answering the next uncancelled query
+// driving loop — on inputs that span at least three blocks: the pair frame
+// pinned to the merge arm (so a merge is cancelled on every rung, including
+// the AVX-512 one, whose rule hashes these pairs), CountCtx and
+// IntersectIntoCtx on the hash arm and all five cross pairs, CountKCtx on
+// both k-way arms, and the two batch loops. A merge below the mask-walk
+// cutover has two checkpoints, the entry check and its one word block, and
+// is cancelled at both. Each cancelled call must return (0,
+// context.Canceled), count one cancellation and no query or latency, and
+// leave the executor answering the next query, under a live checkpoint,
 // correctly.
 func TestCtxCancelInsideEveryArm(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
@@ -213,18 +217,16 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 	e.EnableStats(sink)
 
 	// 40k-element segmented sets have 4096-word bitmaps (four ctxWordBlock
-	// blocks); 7k probing elements are four ctxProbeBlock blocks; a 20k
-	// dense set over 2^18 values is four ctxWordBlock word blocks. A 4k set
-	// against itself has one word block and thousands of staged pairs, so
-	// its third checkpoint lands in pass 2.
+	// blocks, on the mask walk on the assembly rungs); 7k probing elements
+	// are four ctxProbeBlock blocks; a 20k dense set over 2^18 values is
+	// four ctxWordBlock word blocks. 100-element sets over 2^9 values share
+	// elements in 32-word bitmaps, below maskWalkWords.
 	big := func() []uint32 { return randSet(rng, 40_000, 1<<18) }
 	l1, l2, l3 := big(), big(), big()
-	m1 := randSet(rng, 4_000, 1<<18)
-	m2 := m1
-	pass2a, pass2b := buildRep(t, m1, RepSegmented), buildRep(t, m2, RepSegmented)
-	if x, y := ordered(pass2a, pass2b); len(x.bm.Words()) > ctxWordBlock ||
-		len(stageSegPairs(x, y, nil)) <= 2*ctxStageBlock {
-		t.Fatal("the pass-2 merge pair does not put its third checkpoint in pass 2")
+	m1, m2 := randSet(rng, 100, 1<<9), randSet(rng, 100, 1<<9)
+	tiny1, tiny2 := buildRep(t, m1, RepSegmented), buildRep(t, m2, RepSegmented)
+	if x, _ := ordered(tiny1, tiny2); len(x.bm.Words()) >= maskWalkWords {
+		t.Fatalf("the tiny merge pair has %d words, not below the mask walk", len(x.bm.Words()))
 	}
 	l4 := randSet(rng, 7_000, 1<<18)
 	l5 := randSet(rng, 20_000, 1<<18)
@@ -249,9 +251,10 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 		snap := e.Stats()
 		return snap.Counter(stats.CtrCancellations)
 	}
-	check := func(name string, want int, call func(ctx context.Context) (int, error)) {
+	// check cancels call at each of its first points checkpoints in turn.
+	check := func(name string, points, want int, call func(ctx context.Context) (int, error)) {
 		t.Helper()
-		for k := 1; k <= 3; k++ {
+		for k := 1; k <= points; k++ {
 			cancels := cancellations()
 			q := queries()
 			if n, err := call(newCancelAfter(k - 1)); n != 0 || !errors.Is(err, context.Canceled) {
@@ -269,14 +272,31 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 		}
 	}
 
+	merges := []struct {
+		name   string
+		a, b   *Set
+		la, lb []uint32
+		points int
+	}{
+		{"merge", seg1, seg2, l1, l2, 3},
+		{"merge below the mask walk", tiny1, tiny2, m1, m2, 2},
+	}
+	for _, p := range merges {
+		want := len(refIntersect(p.la, p.lb))
+		check("count "+p.name, p.points, want, func(ctx context.Context) (int, error) {
+			return e.pair(ctx, p.a, p.b, armMerge, nil, nil)
+		})
+		dst := make([]uint32, min(p.a.Len(), p.b.Len()))
+		check("intersect "+p.name, p.points, want, func(ctx context.Context) (int, error) {
+			return e.pair(ctx, p.a, p.b, armMerge, dst, nil)
+		})
+	}
 	pairs := []struct {
 		name string
 		a, b *Set
 		la   []uint32
 		lb   []uint32
 	}{
-		{"merge", seg1, seg2, l1, l2},
-		{"merge pass 2", pass2a, pass2b, m1, m2},
 		{"hash", small, seg1, l4, l1},
 		{"seg×array", seg1, arr, l1, l4},
 		{"seg×dense", seg1, den, l1, l5},
@@ -286,11 +306,11 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 	}
 	for _, p := range pairs {
 		want := len(refIntersect(p.la, p.lb))
-		check("CountCtx "+p.name, want, func(ctx context.Context) (int, error) {
+		check("CountCtx "+p.name, 3, want, func(ctx context.Context) (int, error) {
 			return e.CountCtx(ctx, p.a, p.b)
 		})
 		dst := make([]uint32, min(p.a.Len(), p.b.Len()))
-		check("IntersectIntoCtx "+p.name, want, func(ctx context.Context) (int, error) {
+		check("IntersectIntoCtx "+p.name, 3, want, func(ctx context.Context) (int, error) {
 			return e.IntersectIntoCtx(ctx, dst, p.a, p.b)
 		})
 	}
@@ -300,10 +320,10 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 	if kwayProbe(chain) || !kwayProbe(skewed) {
 		t.Fatal("k-way inputs do not cover both arms")
 	}
-	check("CountKCtx chain", len(refIntersect(refIntersect(l1, l2), l3)), func(ctx context.Context) (int, error) {
+	check("CountKCtx chain", 3, len(refIntersect(refIntersect(l1, l2), l3)), func(ctx context.Context) (int, error) {
 		return e.CountKCtx(ctx, chain...)
 	})
-	check("CountKCtx probe", len(refIntersect(refIntersect(l1, l2), l4)), func(ctx context.Context) (int, error) {
+	check("CountKCtx probe", 3, len(refIntersect(refIntersect(l1, l2), l4)), func(ctx context.Context) (int, error) {
 		return e.CountKCtx(ctx, skewed...)
 	})
 
@@ -327,10 +347,10 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 		}
 		return n, nil
 	}
-	check("CountManyCtx", want, func(ctx context.Context) (int, error) {
+	check("CountManyCtx", 3, want, func(ctx context.Context) (int, error) {
 		return sum(e.CountManyCtx(ctx, seg1, cands, out))
 	})
-	check("CountManyParallelCtx", want, func(ctx context.Context) (int, error) {
+	check("CountManyParallelCtx", 3, want, func(ctx context.Context) (int, error) {
 		return sum(e.CountManyParallelCtx(ctx, seg1, cands, out, 2))
 	})
 }

@@ -17,13 +17,12 @@ import (
 type Visitor func(uint32)
 
 // Executor owns all query-time scratch state for the online intersection
-// phase: the lane the sequential paths run on (staged segment-pair records,
-// k-way chain buffers, kernel scratch) and one lane per parallel worker. The
-// FESIA paper's premise is that construction is the one-time offline step
-// and queries are the cheap repeated step; an Executor makes the repeated
-// step allocation-free — after warm-up, Count, Intersect (into a caller
-// buffer), CountK, CountMany and the visitor methods perform zero heap
-// allocations.
+// phase: the lane the sequential paths run on (k-way chain buffers, kernel
+// scratch) and one lane per parallel worker. The FESIA paper's premise is
+// that construction is the one-time offline step and queries are the cheap
+// repeated step; an Executor makes the repeated step allocation-free — after
+// warm-up, Count, Intersect (into a caller buffer), CountK, CountMany and the
+// visitor methods perform zero heap allocations.
 //
 // The zero value is ready to use (buffers grow on demand and are retained
 // across calls; parallel methods lazily attach to SharedPool). An Executor
@@ -35,6 +34,7 @@ type Executor struct {
 	ord     []*Set           // k-way bitmap-size ordering scratch
 	maps    []*bitmap.Bitmap // k-way bitmaps in ord's order
 	sched   []int32          // candidate scheduling order (CountManyParallel)
+	walk    [][4]uint32      // surviving segment pairs' bounds (DispatchTrace, CountMergeBreakdown)
 	workers []worker
 	pool    *Pool
 
@@ -61,12 +61,11 @@ type Executor struct {
 // writer. Buffers persist across queries, so a warm lane stops allocating
 // once it has seen its largest query.
 type lane struct {
-	staged   []stagedSeg // merge arm: pass-1 records
-	scratch  []uint32    // merge arm: kernel output the visit sink replays
-	chain1   []uint32    // k-way chain buffer A
-	chain2   []uint32    // k-way chain buffer B
-	denseAnd []uint64    // dense×dense word-AND scratch (cross pairs)
-	touch    uint32      // accumulates read-ahead touches so they are not DCE'd
+	scratch  []uint32 // merge arm: kernel output the visit sink replays
+	chain1   []uint32 // k-way chain buffer A
+	chain2   []uint32 // k-way chain buffer B
+	denseAnd []uint64 // dense×dense word-AND scratch (cross pairs)
+	touch    uint32   // accumulates read-ahead touches so they are not DCE'd
 
 	// Observability, nil when off (the default): the lane's single-writer
 	// stats shard. kseq numbers its merge queries for kernel-histogram
@@ -222,13 +221,9 @@ func (e *Executor) run(a, b *Set, force pairArm, dst []uint32, emit Visitor) int
 // event, not the query; the pair frame, the batch loop and the k-way seed
 // pair share it.
 //
-// The merge arm is the two-step merge (Algorithm 1) with two bodies chosen
-// by the larger bitmap's word count. Below mergeDirectWords, when both sets
-// have a rank directory, the direct body (mergeDirect) ANDs the words and
-// runs each surviving segment pair's kernel in one pass. Otherwise the
-// staged body (mergeStaged) runs the two-pass dispatch. Both hand the sink
-// the pairs in the larger bitmap's segment order, so the choice changes the
-// time a merge takes, never its result.
+// The merge arm is the two-step merge (Algorithm 1) in one body (merge),
+// which runs each surviving segment pair's kernel as the bitmap AND yields
+// it, in the larger bitmap's segment order.
 func (l *lane) runPair(ck checkpoint, tr *trace.Cell, p pairPlan, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	switch p.arm {
 	case armCross:
@@ -244,10 +239,15 @@ func (l *lane) runPair(ck checkpoint, tr *trace.Cell, p pairPlan, a, b *Set, dst
 		return l.probeRun(ck, small.reordered, large, dst, emit, l.st)
 	}
 	x, y := ordered(a, b)
-	if mergesDirect(x, y) {
-		return l.mergeDirect(ck, tr, x, y, dst, emit)
+	var kst *stats.Shard
+	if l.st != nil {
+		kst = l.kernelShard()
 	}
-	return l.mergeStaged(ck, tr, x, y, dst, emit)
+	n, pairs, err := l.merge(ck, kst, walkOf(x, y), x, y, 0, len(x.bm.Words()), dst, emit)
+	if err == nil && (l.st != nil || tr != nil) {
+		l.noteMerge(tr, pairs, x.bm.NumSegments())
+	}
+	return n, err
 }
 
 // Count returns |a ∩ b| with the strategy the seg×seg rule picks from the
@@ -614,11 +614,11 @@ func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) 
 	return e.mergeParallel(a, b, dst, workers)
 }
 
-// mergeParallel runs the merge arm's two passes on disjoint word ranges of
-// the larger bitmap, one per worker, each staging into its own buffer and
-// dispatching into its own sink: a count, or (dst non-nil) a buffer pre-sized
-// from its staged pairs — the sum of each pair's smaller side bounds the
-// range's output exactly. One worker, or a cross pair, is the serial frame.
+// mergeParallel runs the merge body on disjoint word ranges of the larger
+// bitmap, one per worker, each into its own sink: a count, or (dst non-nil)
+// a buffer sized from the larger set's elements stored in its range, which
+// bound the range's matches. One worker, or a cross pair, is the serial
+// frame.
 func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 	compatible(a, b)
 	x, y := ordered(a, b)
@@ -631,29 +631,25 @@ func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 	if e.st != nil {
 		start = time.Now()
 	}
-	sampled := e.kernelShard() != nil
+	walk := walkOf(x, y)
 	e.ensureWorkers(workers)
 	chunk := (words + workers - 1) / workers
 	e.parallel(workers, func(w int) {
 		ws := &e.workers[w]
 		lo := min(w*chunk, words)
 		hi := min(lo+chunk, words)
-		ws.staged = stageSegPairsRange(x, y, ws.staged[:0], lo, hi)
-		kst := ws.st
-		if !sampled {
-			kst = nil
-		}
-		noteStaged(ws.st, kst, ws.staged, (hi-lo)*x.bm.SegmentsPerWord())
 		var out []uint32
 		if dst != nil {
-			bound := 0
-			for _, r := range ws.staged {
-				bound += int(min(r.oaEnd-r.oa, r.obEnd-r.ob))
-			}
-			ws.buf = growU32(ws.buf, bound)
+			ws.buf = growU32(ws.buf, x.stored(hi)-x.stored(lo))
 			out = ws.buf
 		}
-		ws.count, _ = ws.dispatchStaged(nil, x, y, out, nil)
+		var kst *stats.Shard
+		if ws.st != nil {
+			kst = ws.kernelShard()
+		}
+		var pairs int
+		ws.count, pairs, _ = ws.merge(nil, kst, walk, x, y, lo, hi, out, nil)
+		ws.noteMerge(nil, pairs, (hi-lo)*x.bm.SegmentsPerWord())
 	})
 	total := 0
 	for w := 0; w < workers; w++ {

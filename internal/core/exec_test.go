@@ -136,7 +136,8 @@ func TestExecutorMatchesFreeFunctions(t *testing.T) {
 }
 
 // TestIntersectMergeParallelPresized checks the pre-sized parallel
-// materialization against the sequential path, including output order.
+// materialization against the sequential path, including output order, over
+// worker counts whose word ranges split the mask walk's 4-word blocks.
 func TestIntersectMergeParallelPresized(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	e := NewExecutor()
@@ -152,6 +153,29 @@ func TestIntersectMergeParallelPresized(t *testing.T) {
 			if !slices.Equal(got[:gn], want[:wn]) {
 				t.Fatalf("trial %d workers %d: parallel output differs from sequential", trial, workers)
 			}
+		}
+	}
+	// Shares that start and end inside mask blocks and span several mask
+	// chunks: 3 and 5 workers over 4,096 words, and 30 workers over 64
+	// words (shares of 3 words).
+	for _, c := range []struct{ n, workers int }{{10_000, 3}, {10_000, 5}, {200, 30}} {
+		sa := MustNewSet(randSet(rng, c.n, uint32(4*c.n)), DefaultConfig())
+		sb := MustNewSet(randSet(rng, c.n, uint32(4*c.n)), DefaultConfig())
+		want := make([]uint32, c.n)
+		wn := IntersectMerge(want, sa, sb)
+		got := make([]uint32, c.n)
+		if gn := e.IntersectMergeParallel(got, sa, sb, c.workers); !slices.Equal(got[:gn], want[:wn]) {
+			t.Fatalf("%d-element sets, %d workers: parallel output differs from sequential", c.n, c.workers)
+		}
+		if gn := e.CountMergeParallel(sa, sb, c.workers); gn != wn {
+			t.Fatalf("%d-element sets, %d workers: parallel count %d, sequential %d", c.n, c.workers, gn, wn)
+		}
+		// A set against itself matches every element a share stores, so
+		// each worker's buffer must hold all of them.
+		self := make([]uint32, sa.Len())
+		sn := IntersectMerge(self, sa, sa)
+		if gn := e.IntersectMergeParallel(got, sa, sa, c.workers); sn != sa.Len() || !slices.Equal(got[:gn], self[:sn]) {
+			t.Fatalf("%d-element set, %d workers: parallel self-intersection differs from sequential", c.n, c.workers)
 		}
 	}
 }

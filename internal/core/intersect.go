@@ -3,12 +3,13 @@ package core
 import (
 	"time"
 
+	"fesia/internal/bitmap"
 	"fesia/internal/simd"
 )
 
-// coreChunkBlocks sizes the stack mask buffer of stageSegPairsRange's chunked
-// fast path: 256 blocks = 1024 bitmap words per chunk, matching
-// internal/bitmap's fast filter.
+// coreChunkBlocks sizes the stack mask buffer of the merge body's mask walk
+// (mergeMasks): 256 blocks = 1024 bitmap words per chunk, one ctxWordBlock,
+// matching internal/bitmap's fast filter.
 const coreChunkBlocks = 256
 
 // CountMerge returns |a ∩ b| using the two-step FESIA algorithm
@@ -159,33 +160,50 @@ func CountHashParallel(a, b *Set, workers int) int {
 }
 
 // DispatchTrace returns the (sizeA, sizeB) segment-size pairs that the
-// two-step intersection would dispatch to kernels, in dispatch order — the
-// same on the merge arm's direct and staged bodies. The
-// instruction-cache simulation behind Table II replays this trace. The pairs
-// are staged in a pooled executor's buffer, so once it is warm the only
-// allocation is the returned slice itself. Cross-representation pairs
-// dispatch no segment kernels; the trace is nil.
+// merge arm dispatches to kernels, in dispatch order (the larger bitmap's
+// segment order). The instruction-cache simulation behind Table II replays
+// this trace. It walks the pair with step 1 alone (walkPairs) into a pooled
+// executor's buffer, so once it is warm the only allocation is the returned
+// slice itself. Cross-representation pairs dispatch no segment kernels; the
+// trace is nil.
 func DispatchTrace(a, b *Set) [][2]int {
 	if crossPair(a, b) {
 		return nil
 	}
 	compatible(a, b)
-	x, y := ordered(a, b)
 	e := getExecutor()
 	defer putExecutor(e)
-	e.staged = stageSegPairs(x, y, e.staged[:0])
-	trace := make([][2]int, len(e.staged))
-	for i, r := range e.staged {
-		trace[i] = [2]int{int(r.oaEnd - r.oa), int(r.obEnd - r.ob)}
+	recs := e.walkPairs(ordered(a, b))
+	trace := make([][2]int, len(recs))
+	for i, r := range recs {
+		trace[i] = [2]int{int(r[1] - r[0]), int(r[3] - r[2])}
 	}
 	return trace
+}
+
+// walkPairs runs step 1 of Algorithm 1 on its own over x (the larger-bitmap
+// set) and y: the k = 2 form of bitmap.ForEachIntersectingSegmentKRange
+// yields each live segment, and each surviving pair's bounds (x's range,
+// then y's) are recorded, in segment order, in the executor's walk buffer,
+// which it returns. No query runs it; the instrumentation does.
+func (e *Executor) walkPairs(x, y *Set) [][4]uint32 {
+	e.maps = append(e.maps[:0], &x.bm, &y.bm)
+	e.walk = e.walk[:0]
+	segMaskY := y.bm.NumSegments() - 1
+	bitmap.ForEachIntersectingSegmentKRange(e.maps, 0, len(x.bm.Words()), func(seg int) {
+		oa, oaEnd := x.bounds(seg)
+		ob, obEnd := y.bounds(seg & segMaskY)
+		e.walk = append(e.walk, [4]uint32{oa, oaEnd, ob, obEnd})
+	})
+	return e.walk
 }
 
 // ---------------------------------------------------------------------------
 // Instrumented intersection for the Fig. 14 performance breakdown.
 // ---------------------------------------------------------------------------
 
-// Breakdown reports where time went during a two-step intersection.
+// Breakdown reports the time of a two-step intersection's two steps, each
+// run in isolation (CountMergeBreakdown).
 type Breakdown struct {
 	BitmapTime  time.Duration // step 1: bitmap AND + segment index extraction
 	SegmentTime time.Duration // step 2: specialized kernels
@@ -193,16 +211,17 @@ type Breakdown struct {
 	Count       int           // final intersection size
 }
 
-// CountMergeBreakdown is CountMerge with per-step timing, running on the
-// executor's staged-dispatch scratch: pass 1 (bitmap AND + segment index
-// extraction) stages the surviving pairs, pass 2 dispatches the kernels, and
-// each pass is timed in isolation. It times the staged body's passes even
-// for a pair whose queries run the merge arm's direct body (mergesDirect),
-// which has no separate passes to time. The staging buffer is retained
-// across calls, so repeated Fig. 14 breakdown sweeps are allocation-free
-// once warm. The combined result is identical to CountMerge.
-// Cross-representation pairs have no bitmap pass; their whole
-// matrix-dispatched run is reported as SegmentTime with zero SegPairs.
+// CountMergeBreakdown is CountMerge split into the two steps of Fig. 14, each
+// run and timed in isolation: step 1 (BitmapTime) walks the bitmap AND and
+// records each surviving segment pair's bounds (walkPairs), and step 2
+// (SegmentTime) runs simd.CountSmall over the records. No query runs the
+// steps apart — the merge body hands each pair to its kernel as the AND
+// yields it — so the split is the paper's instrumentation, not a profile of
+// that body; time a query for that. The record buffer is retained across
+// calls, so repeated Fig. 14 breakdown sweeps are allocation-free once warm.
+// The count is identical to CountMerge. Cross-representation pairs have no
+// bitmap step; their whole matrix-dispatched run is reported as SegmentTime
+// with zero SegPairs.
 func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
@@ -212,14 +231,15 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 	x, y := ordered(a, b)
 
 	start := time.Now()
-	recs := stageSegPairs(x, y, e.staged[:0])
-	e.staged = recs
+	recs := e.walkPairs(x, y)
 	bitmapTime := time.Since(start)
 
 	start = time.Now()
-	n, touch := dispatchStagedCount(x.reordered, y.reordered, recs)
+	n := 0
+	for _, r := range recs {
+		n += simd.CountSmall(x.reordered[r[0]:r[1]], y.reordered[r[2]:r[3]])
+	}
 	segTime := time.Since(start)
-	e.touch += touch
 
 	return Breakdown{
 		BitmapTime:  bitmapTime,
@@ -240,7 +260,7 @@ func (e *Executor) crossTimed(a, b *Set) (int, time.Duration) {
 }
 
 // CountMergeBreakdown is the pooled-executor compatibility wrapper; hot
-// breakdown sweeps should hold an Executor to keep its staging buffer warm.
+// breakdown sweeps should hold an Executor to keep its record buffer warm.
 func CountMergeBreakdown(a, b *Set) Breakdown {
 	e := getExecutor()
 	defer putExecutor(e)

@@ -525,6 +525,17 @@ func (s *Set) bounds(seg int) (lo, hi uint32) {
 	return span(s.dir, bit>>6, bit&63, bit&63+sb, s.bm.Words()[bit>>6])
 }
 
+// stored returns how many of the set's elements are stored before bitmap
+// word i, for i up to the word count: words [lo, hi) hold stored(hi) -
+// stored(lo) of them.
+func (s *Set) stored(i int) int {
+	if i >= len(s.bm.Words()) {
+		return s.n
+	}
+	lo, _ := s.bounds(i * s.bm.SegmentsPerWord())
+	return int(lo)
+}
+
 // offsets writes the set's nseg+1 segment starts, the snapshot stream's
 // offsets section, into buf (grown as needed) and returns them: a copy of
 // the offsets an overflowing set keeps, or its directory expanded.
@@ -738,9 +749,9 @@ func compatible(a, b *Set) {
 	}
 }
 
-// ordered returns the pair with the larger bitmap first, as the staging
-// pass (stageSegPairsRange) requires: it walks the larger bitmap's words and
-// wraps the smaller one's.
+// ordered returns the pair with the larger bitmap first, as the merge body
+// (merge) requires: it walks the larger bitmap's words and wraps the smaller
+// one's.
 func ordered(a, b *Set) (large, small *Set) {
 	if a.bm.Bits() >= b.bm.Bits() {
 		return a, b

@@ -52,31 +52,37 @@ func TestExecutorStatsRecording(t *testing.T) {
 	if got, want := e.Count(ma, mb), Count(ma, mb); got != want {
 		t.Fatalf("merge count with stats = %d, want %d", got, want)
 	}
-	// The merge pair runs the direct body, and the fresh executor samples its
-	// first merge query: the pair counter holds the staged dispatch trace's
-	// length and the kernel histogram its sizes.
+	// The merge pair runs the merge body's word loop, and the fresh executor
+	// samples its first merge query: the pair counter holds the dispatch
+	// trace's length and the kernel histogram its sizes.
 	x, y := ordered(ma, mb)
-	if !mergesDirect(x, y) {
-		t.Fatal("the merge pair does not run the direct body")
+	if walkOf(x, y) != walkWords {
+		t.Fatal("the merge pair does not run the word loop")
+	}
+	traceSizes := func(dt [][2]int) map[[2]int]uint64 {
+		m := map[[2]int]uint64{}
+		for _, d := range dt {
+			m[d]++
+		}
+		return m
+	}
+	kernelSizes := func(snap stats.Snapshot) map[[2]int]uint64 {
+		m := map[[2]int]uint64{}
+		for _, kb := range snap.Kernels {
+			m[[2]int{kb.SizeA, kb.SizeB}] += kb.Count
+		}
+		return m
 	}
 	dt := DispatchTrace(ma, mb)
-	wantKernels := map[[2]int]uint64{}
-	for _, d := range dt {
-		wantKernels[d]++
-	}
 	first := e.Stats()
-	gotKernels := map[[2]int]uint64{}
-	for _, kb := range first.Kernels {
-		gotKernels[[2]int{kb.SizeA, kb.SizeB}] += kb.Count
-	}
 	if got := first.Counter(stats.CtrSegPairs); len(dt) == 0 || got != uint64(len(dt)) {
-		t.Errorf("direct merge: SegPairs = %d, want the dispatch trace's %d (non-zero)", got, len(dt))
+		t.Errorf("word-loop merge: SegPairs = %d, want the dispatch trace's %d (non-zero)", got, len(dt))
 	}
 	if got, want := first.Counter(stats.CtrSegmentsScanned), uint64(x.NumSegments()); got != want {
-		t.Errorf("direct merge: SegmentsScanned = %d, want %d", got, want)
+		t.Errorf("word-loop merge: SegmentsScanned = %d, want %d", got, want)
 	}
-	if !maps.Equal(gotKernels, wantKernels) {
-		t.Errorf("direct merge: kernel histogram %v, want the dispatch trace's %v", gotKernels, wantKernels)
+	if got, want := kernelSizes(first), traceSizes(dt); !maps.Equal(got, want) {
+		t.Errorf("word-loop merge: kernel histogram %v, want the dispatch trace's %v", got, want)
 	}
 	// Its kernel trace event carries the same pairs and segments.
 	tr := trace.New(trace.Config{})
@@ -94,7 +100,35 @@ func TestExecutorStatsRecording(t *testing.T) {
 		}
 	}
 	if len(kernelEvents) != 1 || kernelEvents[0].V1 != uint64(len(dt)) || kernelEvents[0].V2 != uint64(x.NumSegments()) {
-		t.Errorf("direct merge: kernel events %+v, want one with v1 %d, v2 %d", kernelEvents, len(dt), x.NumSegments())
+		t.Errorf("word-loop merge: kernel events %+v, want one with v1 %d, v2 %d", kernelEvents, len(dt), x.NumSegments())
+	}
+	// A 128-word merge (the mask walk on the assembly rungs), serial and on
+	// 3 workers whose word ranges split mask blocks, records the same on a
+	// fresh executor, which samples its first merge query.
+	wa, wb := benchPair(400, 0.5, DefaultConfig())
+	if wx, _ := ordered(wa, wb); len(wx.bm.Words()) < maskWalkWords {
+		t.Fatalf("the wide merge pair has %d words, below the mask walk", len(wx.bm.Words()))
+	}
+	wdt := DispatchTrace(wa, wb)
+	for _, c := range []struct {
+		name string
+		run  func(e *Executor) int
+	}{
+		{"CountMerge", func(e *Executor) int { return e.CountMerge(wa, wb) }},
+		{"CountMergeParallel", func(e *Executor) int { return e.CountMergeParallel(wa, wb, 3) }},
+	} {
+		fresh := NewExecutor()
+		fresh.EnableStats(stats.New())
+		if got, want := c.run(fresh), CountMerge(wa, wb); got != want {
+			t.Fatalf("%s with stats = %d, want %d", c.name, got, want)
+		}
+		snap := fresh.Stats()
+		if got := snap.Counter(stats.CtrSegPairs); len(wdt) == 0 || got != uint64(len(wdt)) {
+			t.Errorf("%s: SegPairs = %d, want the dispatch trace's %d (non-zero)", c.name, got, len(wdt))
+		}
+		if got, want := kernelSizes(snap), traceSizes(wdt); !maps.Equal(got, want) {
+			t.Errorf("%s: kernel histogram %v, want the dispatch trace's %v", c.name, got, want)
+		}
 	}
 	if got, want := e.Count(small, large), Count(small, large); got != want {
 		t.Fatalf("hash count with stats = %d, want %d", got, want)

@@ -48,8 +48,8 @@ const (
 	// for ArmKWay and ArmKWayProbe).
 	KindStrategy
 	// KindKernel is a kernel-level dispatch event. Merge: V1 = segment pairs
-	// run (staged, or on the direct body), V2 = segments scanned. Hash: V1 =
-	// elements probed, V2 = build side size.
+	// run, V2 = segments scanned. Hash: V1 = elements probed, V2 = build side
+	// size.
 	KindKernel
 	numKinds
 )
