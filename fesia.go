@@ -151,7 +151,9 @@ func (s *Set) BitmapBits() uint64 { return s.inner.BitmapBits() }
 // actually chose, or the representation that was forced at build time.
 func (s *Set) Representation() Rep { return s.inner.Rep() }
 
-// MemoryBytes returns the approximate footprint of the structure.
+// MemoryBytes returns the payload bytes the set owns: bitmap words, rank
+// directory (or kept offsets) and elements, or dense words. The 32-byte
+// header is not counted.
 func (s *Set) MemoryBytes() int { return s.inner.MemoryBytes() }
 
 // Stats reports segmented-bitmap layout statistics (segment occupancy,

@@ -60,10 +60,11 @@ func New(mBits uint64, segBits int) *Bitmap {
 }
 
 // NewFromWords returns, by value, a bitmap whose word storage is the
-// caller-provided slice — typically a region of a shared arena, so many small
-// bitmaps can live in one allocation and inside their owners' headers
-// (core.BuildSets). len(words) must be mBits/64; the bitmap takes ownership
-// of the slice.
+// caller-provided slice — typically a set's region of a shared arena, so
+// many small bitmaps can live in one allocation (core.BuildSets), and a
+// query can build a bitmap over a set's words in its own scratch (core's
+// k-way chain). len(words) must be mBits/64; the bitmap takes ownership of
+// the slice.
 func NewFromWords(words []uint64, mBits uint64, segBits int) Bitmap {
 	if !hashutil.IsPow2(mBits) || mBits < 64 {
 		panic(fmt.Sprintf("bitmap: mBits %d must be a power of two >= 64", mBits))
@@ -144,12 +145,13 @@ func segMask(w uint64, segBits int) uint32 {
 // (automatic for powers of two). fn receives the segment index in the
 // largest bitmap; callers recover each set's own segment as segA mod that
 // set's segment count.
-func ForEachIntersectingSegmentKRange(maps []*Bitmap, wordLo, wordHi int, fn func(segA int)) {
+func ForEachIntersectingSegmentKRange(maps []Bitmap, wordLo, wordHi int, fn func(segA int)) {
 	if len(maps) == 0 {
 		panic("bitmap: no bitmaps")
 	}
-	a := maps[0]
-	for _, m := range maps[1:] {
+	a := &maps[0]
+	for i := range maps[1:] {
+		m := &maps[1+i]
 		if m.segBits != a.segBits {
 			panic("bitmap: mismatched segment sizes")
 		}
@@ -164,7 +166,8 @@ func ForEachIntersectingSegmentKRange(maps []*Bitmap, wordLo, wordHi int, fn fun
 	spw := a.SegmentsPerWord()
 	for i := wordLo; i < wordHi; i++ {
 		w := a.words[i]
-		for _, bm := range maps[1:] {
+		for j := range maps[1:] {
+			bm := &maps[1+j]
 			w &= bm.words[i&(len(bm.words)-1)]
 			if w == 0 {
 				break

@@ -73,7 +73,7 @@ func TestForEachIntersectingSegmentSameSize(t *testing.T) {
 		b.Set(p)
 	}
 	var segs []int
-	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) { segs = append(segs, s) })
+	ForEachIntersectingSegmentKRange([]Bitmap{*a, *b}, 0, len(a.Words()), func(s int) { segs = append(segs, s) })
 	if len(segs) != 1 || segs[0] != 2 {
 		t.Errorf("segments = %v, want [2]", segs)
 	}
@@ -86,14 +86,14 @@ func TestForEachIntersectingSegmentDifferentSizes(t *testing.T) {
 	a.Set(200) // segment 25 of a -> segment 25 mod 8 = 1 of b (bits 8..15)
 	b.Set(8)   // same bit offset within the wrapped word: 200 mod 64 = 8 ✓
 	var got []int
-	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) { got = append(got, s) })
+	ForEachIntersectingSegmentKRange([]Bitmap{*a, *b}, 0, len(a.Words()), func(s int) { got = append(got, s) })
 	if len(got) != 1 || got[0] != 25 || got[0]%b.NumSegments() != 1 {
 		t.Errorf("got %v, want [25] (segment 1 of b)", got)
 	}
 	// A bit of b that wraps to no set bit of a must produce nothing extra.
 	b.Set(63)
 	got = nil
-	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) { got = append(got, s) })
+	ForEachIntersectingSegmentKRange([]Bitmap{*a, *b}, 0, len(a.Words()), func(s int) { got = append(got, s) })
 	if len(got) != 1 {
 		t.Errorf("after extra b bit: got %v", got)
 	}
@@ -122,7 +122,7 @@ func TestForEachIntersectingSegmentProperty(t *testing.T) {
 				}
 			}
 			got := map[int]bool{}
-			ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) {
+			ForEachIntersectingSegmentKRange([]Bitmap{*a, *b}, 0, len(a.Words()), func(s int) {
 				if got[s] {
 					t.Fatalf("segment %d reported twice", s)
 				}
@@ -146,7 +146,7 @@ func TestRangeDifferentSizes(t *testing.T) {
 	a.Set(130)
 	b.Set(2)
 	var got []int
-	ForEachIntersectingSegmentKRange([]*Bitmap{a, b}, 0, len(a.Words()), func(s int) {
+	ForEachIntersectingSegmentKRange([]Bitmap{*a, *b}, 0, len(a.Words()), func(s int) {
 		got = append(got, s)
 	})
 	// bit 130 of a is segment 8 (s=16); 130 mod 128 = 2 -> b segment 0.
@@ -168,7 +168,7 @@ func TestKWay(t *testing.T) {
 	b.Set(11)
 	c.Set(12)
 	var segs []int
-	ForEachIntersectingSegmentKRange([]*Bitmap{a, b, c}, 0, len(a.Words()), func(s int) { segs = append(segs, s) })
+	ForEachIntersectingSegmentKRange([]Bitmap{*a, *b, *c}, 0, len(a.Words()), func(s int) { segs = append(segs, s) })
 	if len(segs) != 1 || segs[0] != 70/8 {
 		t.Errorf("k-way segs = %v, want [%d]", segs, 70/8)
 	}
@@ -187,7 +187,7 @@ func TestKWayRangePartition(t *testing.T) {
 			b.Set(uint64(rng.Intn(256)))
 			c.Set(uint64(rng.Intn(128)))
 		}
-		maps := []*Bitmap{a, b, c}
+		maps := []Bitmap{*a, *b, *c}
 		var whole []int
 		ForEachIntersectingSegmentKRange(maps, 0, len(maps[0].Words()), func(s int) { whole = append(whole, s) })
 		cut := rng.Intn(len(a.Words()) + 1)
@@ -220,7 +220,7 @@ func TestKWayRangePanics(t *testing.T) {
 				t.Error("larger-later should panic")
 			}
 		}()
-		ForEachIntersectingSegmentKRange([]*Bitmap{New(64, 8), New(128, 8)}, 0, 1, func(int) {})
+		ForEachIntersectingSegmentKRange([]Bitmap{*New(64, 8), *New(128, 8)}, 0, 1, func(int) {})
 	}()
 	func() {
 		defer func() {
@@ -228,7 +228,7 @@ func TestKWayRangePanics(t *testing.T) {
 				t.Error("seg-size mismatch should panic")
 			}
 		}()
-		ForEachIntersectingSegmentKRange([]*Bitmap{New(128, 8), New(64, 16)}, 0, 1, func(int) {})
+		ForEachIntersectingSegmentKRange([]Bitmap{*New(128, 8), *New(64, 16)}, 0, 1, func(int) {})
 	}()
 }
 
@@ -251,7 +251,7 @@ func TestKWayProperty(t *testing.T) {
 			}
 		}
 		got := map[int]bool{}
-		ForEachIntersectingSegmentKRange([]*Bitmap{a, b, c}, 0, len(a.Words()), func(s int) { got[s] = true })
+		ForEachIntersectingSegmentKRange([]Bitmap{*a, *b, *c}, 0, len(a.Words()), func(s int) { got[s] = true })
 		if len(got) != len(want) {
 			return false
 		}

@@ -26,8 +26,8 @@ const fastChunkWords = fastChunkBlocks * simd.BlockWords
 // runs on the result. maps is ordered largest-first; preconditions of the
 // caller's gate hold (range at least two blocks; the largest bitmap's word
 // count, being >= the range, is a multiple of BlockWords).
-func forEachSegKFastRange(maps []*Bitmap, lo, hi int, fn func(segA int)) {
-	a := maps[0]
+func forEachSegKFastRange(maps []Bitmap, lo, hi int, fn func(segA int)) {
+	a := &maps[0]
 	spw := a.SegmentsPerWord()
 	segBits := a.segBits
 	loDown := lo &^ (simd.BlockWords - 1)
@@ -41,8 +41,8 @@ func forEachSegKFastRange(maps []*Bitmap, lo, hi int, fn func(segA int)) {
 		}
 		chunk := tmp[:nw]
 		andWrapInto(chunk, a.words[cb:cb+nw], maps[1].words, cb)
-		for _, bm := range maps[2:] {
-			andWrapInto(chunk, chunk, bm.words, cb)
+		for j := range maps[2:] {
+			andWrapInto(chunk, chunk, maps[2+j].words, cb)
 		}
 		nb := nw / simd.BlockWords
 		live := simd.AndSegMasks(masks[:nb], chunk, chunk, segBits)

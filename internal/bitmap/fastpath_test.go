@@ -27,10 +27,10 @@ func TestFastFilterKParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, segBits := range SupportedSegBits {
 		for _, k := range []int{2, 3, 5} {
-			maps := make([]*Bitmap, k)
+			maps := make([]Bitmap, k)
 			mBits := uint64(16384)
 			for i := range maps {
-				maps[i] = randBitmap(rng, mBits, segBits, 0.3)
+				maps[i] = *randBitmap(rng, mBits, segBits, 0.3)
 				mBits = max64(256, mBits/2)
 			}
 			nw := len(maps[0].Words())

@@ -69,7 +69,7 @@ func segmentOrder(a, b *Set) []uint32 {
 	bySeg := make([][]uint32, x.NumSegments())
 	for _, v := range x.Elements() {
 		if inY[v] {
-			seg := x.bm.SegmentOf(x.build.hasher.Pos(v, x.bm.Bits()))
+			seg := hashSegment(x, v)
 			bySeg[seg] = append(bySeg[seg], v)
 		}
 	}

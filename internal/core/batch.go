@@ -56,7 +56,7 @@ func walkOf(x, y *Set) mergeWalk {
 	switch {
 	case !x.hasDirectory() || !y.hasDirectory():
 		return walkBounds
-	case len(x.bm.Words()) >= maskWalkWords && len(y.bm.Words()) >= simd.BlockWords && simd.AsmActive():
+	case x.nwords() >= maskWalkWords && y.nwords() >= simd.BlockWords && simd.AsmActive():
 		return walkMasks
 	}
 	return walkWords
@@ -76,15 +76,15 @@ func walkOf(x, y *Set) mergeWalk {
 // words. Its callers record the query (noteMerge).
 func (l *lane) merge(ck checkpoint, kst *stats.Shard, walk mergeWalk, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int, err error) {
 	if emit != nil {
-		l.scratch = growU32(l.scratch, max(min(x.maxSeg, y.maxSeg), 1))
+		l.scratch = growU32(l.scratch, int(max(min(x.maxSeg, y.maxSeg), 1)))
 	}
 	if ck != nil || walk != walkWords {
 		return l.mergeBlocks(ck, kst, walk, x, y, lo, hi, dst, emit)
 	}
-	xw, yw := x.bm.Words(), y.bm.Words()
-	xd, yd, xr, yr := x.dir, y.dir, x.reordered, y.reordered
+	xw, xd, xr := x.region()
+	yw, yd, yr := y.region()
 	wrap := uint(len(yw) - 1)
-	sb := uint(x.bm.SegBits())
+	sb := uint(x.segBits())
 	segClear := uint64(1)<<sb - 1
 	for i, xwi := range xw[lo:hi] {
 		ui := uint(lo + i)
@@ -165,10 +165,10 @@ func (l *lane) noteMerge(tr *trace.Cell, pairs, segments int) {
 // bits trimmed (x's word count is a multiple of the block, so the over-read
 // stays inside it). It returns the match and segment-pair counts.
 func (l *lane) mergeMasks(kst *stats.Shard, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int) {
-	xw, yw := x.bm.Words(), y.bm.Words()
-	xd, yd, xr, yr := x.dir, y.dir, x.reordered, y.reordered
+	xw, xd, xr := x.region()
+	yw, yd, yr := y.region()
 	wrap := uint(len(yw) - 1)
-	segBits := x.bm.SegBits()
+	segBits := x.segBits()
 	spw := 64 / segBits
 	sb := uint(segBits)
 	segShift := uint(simd.Tzcnt32(uint32(segBits))) // log2(segBits)
@@ -224,9 +224,10 @@ func (l *lane) mergeMasks(kst *stats.Shard, x, y *Set, lo, hi int, dst []uint32,
 // running each pair's kernel through segPair. It returns the match and
 // segment-pair counts.
 func (l *lane) mergeBounds(kst *stats.Shard, x, y *Set, lo, hi int, dst []uint32, emit Visitor) (n, pairs int) {
-	xw, yw := x.bm.Words(), y.bm.Words()
-	segBits := x.bm.SegBits()
-	segMaskY := y.bm.NumSegments() - 1
+	xw, _, xr := x.region()
+	yw, _, yr := y.region()
+	segBits := x.segBits()
+	segMaskY := y.numSegments() - 1
 	for i := lo; i < hi; i++ {
 		for w := xw[i] & yw[i&(len(yw)-1)]; w != 0; pairs++ {
 			k := simd.Tzcnt64(w) &^ (segBits - 1)
@@ -234,7 +235,7 @@ func (l *lane) mergeBounds(kst *stats.Shard, x, y *Set, lo, hi int, dst []uint32
 			seg := (64*i + k) / segBits
 			oa, oaEnd := x.bounds(seg)
 			ob, obEnd := y.bounds(seg & segMaskY)
-			n += l.segPair(kst, x.reordered[oa:oaEnd], y.reordered[ob:obEnd], tail(dst, n), emit)
+			n += l.segPair(kst, xr[oa:oaEnd], yr[ob:obEnd], tail(dst, n), emit)
 		}
 	}
 	return n, pairs
@@ -333,14 +334,20 @@ func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s many
 	return total, nil
 }
 
-// touchHeaders loads every segmented candidate's first bitmap word and first
-// rank directory entry back to back, so the candidates' header and arena
-// misses overlap instead of queuing one per candidate in the loop that
-// follows. The loads' sum is returned so they are not dead code.
+// touchHeaders loads every segmented candidate's header, its first bitmap
+// word and rank directory entry, and its last element back to back, so the
+// candidates' header and arena misses overlap instead of queuing one per
+// candidate in the loop that follows: a small candidate's region spans at
+// most two lines, its first and its last. The loads' sum is returned so they
+// are not dead code.
 func touchHeaders(cands []*Set) (touch uint32) {
 	for _, c := range cands {
 		if c.rep == RepSegmented {
-			touch += uint32(c.bm.Words()[0]) + c.dir[0]
+			words, dir, elems := c.region()
+			touch += uint32(words[0]) + dir[0]
+			if len(elems) > 0 {
+				touch += elems[len(elems)-1]
+			}
 		}
 	}
 	return touch
@@ -462,9 +469,9 @@ func (e *Executor) countManyParallel(ck checkpoint, q *Set, candidates []*Set, o
 		work := 0
 		for _, c := range candidates {
 			if !crossPair(q, c) && useHash(q, c) {
-				work += min(q.n, c.n)
+				work += int(min(q.n, c.n))
 			} else {
-				work += q.n + c.n
+				work += int(q.n) + int(c.n)
 			}
 		}
 		if work < batchParallelMinWork {

@@ -456,7 +456,7 @@ func BenchmarkMergeBodies(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if words := len(larges[0].bm.Words()); words != w {
+			if words := larges[0].nwords(); words != w {
 				b.Fatalf("n=%d: %d bitmap words, want %d", n, words, w)
 			}
 			order := rng.Perm(p)
@@ -471,7 +471,7 @@ func BenchmarkMergeBodies(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if len(smalls[0].bm.Words()) < simd.BlockWords {
+					if smalls[0].nwords() < simd.BlockWords {
 						continue
 					}
 					for _, rung := range []string{"scalar", "avx2", "avx512"} {
@@ -503,7 +503,7 @@ func mergeBodiesCell(b *testing.B, name string, l *lane, smalls, larges []*Set, 
 		if masks {
 			w = walkMasks
 		}
-		n, _, _ := l.merge(nil, nil, w, x, y, 0, len(x.bm.Words()), nil, nil)
+		n, _, _ := l.merge(nil, nil, w, x, y, 0, x.nwords(), nil, nil)
 		return n
 	}
 	b.Run(name, func(b *testing.B) {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -48,13 +51,18 @@ func sortedCopy(s []uint32) []uint32 {
 	return out
 }
 
-// TestSetHeaderSize pins the flat header: the bitmap inline, the build
-// state shared, small enough that a batch's headers pack densely in their
-// slab.
+// TestSetHeaderSize pins the 32-byte header: a build pointer, the region's
+// word offset and the lengths the accessors derive its parts from, so every
+// field a candidate's pair step reads sits in half a cache line.
 func TestSetHeaderSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Set{}); sz > 160 {
-		t.Errorf("Set header is %d bytes, want at most 160", sz)
+	if sz := unsafe.Sizeof(Set{}); sz > 32 {
+		t.Errorf("Set header is %d bytes, want at most 32", sz)
 	}
+}
+
+// hashSegment is the segment of segmented set s that x hashes to.
+func hashSegment(s *Set, x uint32) int {
+	return int(s.build.hasher.Pos(x, s.mBits()) >> segShift(s))
 }
 
 // TestSegmentDirectory checks every segment's bounds against a prefix sum
@@ -87,7 +95,7 @@ func TestSegmentDirectory(t *testing.T) {
 				nseg := s.NumSegments()
 				start := make([]uint32, nseg+1)
 				for _, x := range s.Elements() {
-					start[s.bm.SegmentOf(s.build.hasher.Pos(x, s.bm.Bits()))+1]++
+					start[hashSegment(s, x)+1]++
 				}
 				for seg := range nseg {
 					start[seg+1] += start[seg]
@@ -110,9 +118,9 @@ func TestSegmentDirectory(t *testing.T) {
 			if scale == 1 && kept == 0 {
 				t.Errorf("segBits %d scale 1: no set kept its offsets", segBits)
 			}
-			if tiny := sets[4]; scale == 1 && (tiny.hasDirectory() || len(tiny.bm.Words()) >= maskWalkWords) {
+			if tiny := sets[4]; scale == 1 && (tiny.hasDirectory() || tiny.nwords() >= maskWalkWords) {
 				t.Errorf("segBits %d scale 1: the %d-element set has %d words and a directory %v; want a tiny set that keeps its offsets",
-					segBits, tiny.Len(), len(tiny.bm.Words()), tiny.hasDirectory())
+					segBits, tiny.Len(), tiny.nwords(), tiny.hasDirectory())
 			}
 			if scale == 0 && kept > 0 {
 				t.Errorf("segBits %d default scale: %d sets kept their offsets", segBits, kept)
@@ -121,18 +129,24 @@ func TestSegmentDirectory(t *testing.T) {
 	}
 }
 
-// TestMemoryBytesCoversArena: the regions of a BuildSets corpus tile its
-// arena in input order, and the sets' MemoryBytes sum to the arena's bytes
-// less each region's alignment padding (4 bytes after an odd count of
-// uint32s), so every payload byte is counted once.
+// TestMemoryBytesCoversArena checks the layout the header offsets rely on,
+// on all four construction paths: BuildSets under RepSegmented and RepAuto,
+// ReadCorpus of those corpora, and NewSet and ReadSet of each of their sets.
+// Per build (assertArenaLayout), the sets share one buildState, their
+// regions tile its arena in input order, every part the accessors derive
+// lies inside its set's region, and MemoryBytes counts every payload byte
+// once.
 func TestMemoryBytesCoversArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	lists := make([][]uint32, 40)
 	for i := range lists {
 		n := 1 + rng.Intn(2000)
-		if i%3 == 0 {
+		switch {
+		case i%10 == 9:
+			lists[i] = nil // an empty set, with an empty region
+		case i%3 == 0:
 			lists[i] = randSet(rng, n, uint32(4*n)) // dense under RepAuto
-		} else {
+		default:
 			lists[i] = randSet(rng, n, 1<<24)
 		}
 	}
@@ -143,36 +157,127 @@ func TestMemoryBytesCoversArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := regionStart(sets[0])
-		arena, padding, mem := uintptr(0), 0, 0
-		for i, s := range sets {
-			if s.rep == RepSegmented && !s.hasDirectory() {
-				t.Fatalf("%v set %d has no rank directory at the default scale", rep, i)
-			}
-			if got := regionStart(s); got != first+arena {
-				t.Fatalf("%v set %d region starts at arena byte %d, want %d", rep, i, got-first, arena)
-			}
-			arena += 8 * uintptr(arenaWords(s.rep, uint64(s.n), s.BitmapBits()))
-			if s.rep != RepDense && s.n%2 == 1 {
-				padding += 4
-			}
-			mem += s.MemoryBytes()
+		assertArenaLayout(t, fmt.Sprintf("%v BuildSets", rep), sets)
+		read, err := ReadCorpus(bytes.NewReader(corpusBytes(t, sets)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if mem != int(arena)-padding {
-			t.Errorf("%v: MemoryBytes sum %d, arena %d bytes less %d of padding", rep, mem, arena, padding)
+		assertArenaLayout(t, fmt.Sprintf("%v ReadCorpus", rep), read)
+		for i, s := range sets {
+			assertArenaLayout(t, fmt.Sprintf("%v NewSet %d", rep, i), []*Set{MustNewSet(lists[i], cfg)})
+			var snap bytes.Buffer
+			if _, err := s.WriteTo(&snap); err != nil {
+				t.Fatal(err)
+			}
+			one, err := ReadSet(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertArenaLayout(t, fmt.Sprintf("%v ReadSet %d", rep, i), []*Set{one})
 		}
 	}
 }
 
-// regionStart is the address of the first arena word of a non-empty set.
-func regionStart(s *Set) uintptr {
+// assertArenaLayout checks one build's sets, in input order: they share one
+// buildState; their regions tile its arena from word 0 in input order, up
+// to its guard word; the parts the accessors derive from each header lie
+// inside its region; and, every segmented set having a rank directory at
+// the default scale, their MemoryBytes sum to the arena's bytes less each
+// region's alignment padding (4 bytes after an odd count of uint32s).
+func assertArenaLayout(t *testing.T, name string, sets []*Set) {
+	t.Helper()
+	b := sets[0].build
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(b.arena)))
+	at, padding, mem := uint64(0), 0, 0
+	for i, s := range sets {
+		if s.build != b {
+			t.Fatalf("%s: set %d has a buildState of its own", name, i)
+		}
+		if s.rep == RepSegmented && !s.hasDirectory() {
+			t.Fatalf("%s: set %d has no rank directory at the default scale", name, i)
+		}
+		if uint64(s.at) != at {
+			t.Fatalf("%s: set %d region starts at arena word %d, want %d", name, i, s.at, at)
+		}
+		words := arenaWords(s.rep, uint64(s.n), s.BitmapBits())
+		lo, hi := base+8*uintptr(at), base+8*uintptr(at+words)
+		for j, p := range regionParts(s) {
+			if p[0] < lo || p[1] > hi {
+				t.Fatalf("%s: set %d (%v) part %d is arena bytes [%d, %d), outside its region [%d, %d)",
+					name, i, s.rep, j, p[0]-base, p[1]-base, lo-base, hi-base)
+			}
+		}
+		at += words
+		if s.rep != RepDense && s.n%2 == 1 {
+			padding += 4
+		}
+		mem += s.MemoryBytes()
+	}
+	if at+1 != uint64(len(b.arena)) {
+		t.Fatalf("%s: regions end at word %d of a %d-word arena, want its guard word next", name, at, len(b.arena))
+	}
+	if mem != 8*int(at)-padding {
+		t.Errorf("%s: MemoryBytes sum %d, arena %d bytes less %d of padding", name, mem, 8*at, padding)
+	}
+}
+
+// TestArenaCap tests the arena cap BuildSets and ReadCorpus share
+// (checkArena) at its boundary, and that BuildSets' layout step fails at it
+// before it allocates an arena: an arena of maxArenaWords words passes, one
+// word more fails, as do sets whose regions sum past the cap and a set of
+// more elements than a header's u32 count holds.
+func TestArenaCap(t *testing.T) {
+	if err := checkArena(maxArenaWords); err != nil {
+		t.Errorf("an arena of %d words: %v", uint64(maxArenaWords), err)
+	}
+	capErr := checkArena(maxArenaWords + 1)
+	if capErr == nil {
+		t.Fatalf("an arena of %d words passed the cap", uint64(maxArenaWords)+1)
+	}
+	for _, c := range []struct {
+		name  string
+		metas []setMeta
+		atCap bool // the error must be the cap's
+	}{
+		{"a 2^31-word bitmap and its directory", []setMeta{{rep: RepSegmented, mBits: 64 << 31}}, true},
+		{"two arrays of 2^32-1 elements", []setMeta{{rep: RepArray, n: math.MaxUint32}, {rep: RepArray, n: math.MaxUint32}}, true},
+		{"an array of 2^32 elements", []setMeta{{rep: RepArray, n: 1 << 32}}, false},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := layout(DefaultConfig(), c.metas)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: layout passed", c.name)
+		} else if c.atCap && err.Error() != capErr.Error() {
+			t.Errorf("%s: err = %v, want %v", c.name, err, capErr)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: failing layout allocated %d bytes", c.name, alloc)
+		}
+	}
+}
+
+// regionParts returns the address ranges of the parts the accessors derive
+// from s's header: a segmented set's words, directory and elements, an
+// array set's elements, a dense set's words.
+func regionParts(s *Set) [][2]uintptr {
+	u64 := func(p []uint64) [2]uintptr {
+		a := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		return [2]uintptr{a, a + 8*uintptr(len(p))}
+	}
+	u32 := func(p []uint32) [2]uintptr {
+		a := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		return [2]uintptr{a, a + 4*uintptr(len(p))}
+	}
 	switch s.rep {
 	case RepArray:
-		return uintptr(unsafe.Pointer(unsafe.SliceData(s.reordered)))
+		return [][2]uintptr{u32(s.elems())}
 	case RepDense:
-		return uintptr(unsafe.Pointer(unsafe.SliceData(s.dense)))
+		return [][2]uintptr{u64(s.denseWords())}
 	}
-	return uintptr(unsafe.Pointer(unsafe.SliceData(s.bm.Words())))
+	words, dir, elems := s.region()
+	return [][2]uintptr{u64(words), u32(dir), u32(elems)}
 }
 
 func TestConfigNormalize(t *testing.T) {
@@ -282,10 +387,10 @@ func TestSegmentInvariants(t *testing.T) {
 					t.Fatalf("segment %d not strictly ascending: %v", seg, lst)
 				}
 				pos := s.build.hasher.Pos(v, s.BitmapBits())
-				if s.bm.SegmentOf(pos) != seg {
+				if hashSegment(s, v) != seg {
 					t.Fatalf("element %d in wrong segment %d", v, seg)
 				}
-				if !s.bm.Test(pos) {
+				if bm := s.asBitmap(); !bm.Test(pos) {
 					t.Fatalf("bit not set for element %d", v)
 				}
 			}
@@ -837,7 +942,7 @@ func TestKWayFalsePositiveBound(t *testing.T) {
 	for i := range sets {
 		sets[i] = MustNewSet(randSet(rng, n, 1<<28), DefaultConfig())
 	}
-	maps := []*bitmap.Bitmap{&sets[0].bm, &sets[1].bm, &sets[2].bm}
+	maps := []bitmap.Bitmap{sets[0].asBitmap(), sets[1].asBitmap(), sets[2].asBitmap()}
 	survivors := 0
 	bitmap.ForEachIntersectingSegmentKRange(maps, 0, len(maps[0].Words()), func(int) { survivors++ })
 	// 2-way survivors for comparison: the segment pairs the merge dispatches.

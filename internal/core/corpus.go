@@ -79,16 +79,7 @@ func writeCorpus(w io.Writer, sets []*Set) (int64, error) {
 		}
 	}
 	for _, s := range sets {
-		var base uint32
-		var mBits uint64
-		switch s.rep {
-		case RepSegmented:
-			mBits = s.bm.Bits()
-		case RepDense:
-			base = s.base
-			mBits = uint64(len(s.dense)) * 64
-		}
-		for _, v := range []interface{}{uint32(s.rep), base, uint64(s.n), mBits} {
+		for _, v := range []interface{}{uint32(s.rep), s.base, uint64(s.n), s.BitmapBits()} {
 			if err := write(v); err != nil {
 				return cw.n, err
 			}
@@ -97,15 +88,7 @@ func writeCorpus(w io.Writer, sets []*Set) (int64, error) {
 	var off []uint32 // the directory expanded into offsets, reused across sets
 	for _, s := range sets {
 		var sections []interface{}
-		switch s.rep {
-		case RepSegmented:
-			off = s.offsets(off)
-			sections = []interface{}{s.bm.Words(), off, s.reordered}
-		case RepArray:
-			sections = []interface{}{s.reordered}
-		case RepDense:
-			sections = []interface{}{s.dense}
-		}
+		off, sections = s.sections(off)
 		for _, section := range sections {
 			if err := write(section); err != nil {
 				return cw.n, err
@@ -156,9 +139,8 @@ func (m setMeta) payloadBytes(cfg Config) uint64 {
 	return m.mBits/8 + ((nseg+1)+uint64(m.n))*4 // words + offsets + reordered
 }
 
-// payloadChunk is how many payload bytes ReadCorpus reads at a time. Each
-// chunk is allocated only when its bytes are due, so a forged header meets a
-// short read after one chunk, never an allocation sized from its fields.
+// payloadChunk is how many payload bytes ReadCorpus and ReadSet read at a
+// time (readChunks).
 const payloadChunk = 1 << 20
 
 // ReadCorpus deserializes a corpus written by WriteCorpus. It verifies the
@@ -195,11 +177,11 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 
 	// Per-set headers, read incrementally so a forged numSets fails at the
 	// first short read instead of provoking a huge allocation; the running
-	// arena total is capped as it accumulates (every non-trivial entry
-	// contributes arena words, and the meta records themselves bound the
-	// loop via the stream length).
+	// arena total is checked as it accumulates (checkArena; every
+	// non-trivial entry contributes arena words, and the meta records
+	// themselves bound the loop via the stream length).
 	metas := make([]setMeta, 0, min(numSets, 1<<16))
-	var totalU64, payloadBytes, maxOffsets uint64
+	var totalU64, payloadBytes uint64
 	hb := new([24]byte)
 	for i := uint64(0); i < numSets; i++ {
 		m, err := readSetMeta(cr, hb)
@@ -208,11 +190,8 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 		}
 		totalU64 += arenaWords(m.rep, uint64(m.n), m.mBits)
 		payloadBytes += m.payloadBytes(cfg)
-		if m.rep == RepSegmented {
-			maxOffsets = max(maxOffsets, m.mBits/uint64(cfg.SegBits)+1)
-		}
-		if totalU64 > maxReasonable {
-			return nil, fmt.Errorf("core: corpus arena implausibly large (%d words)", totalU64)
+		if err := checkArena(totalU64); err != nil {
+			return nil, err
 		}
 		metas = append(metas, m)
 	}
@@ -220,67 +199,76 @@ func readCorpus(r io.Reader) ([]*Set, error) {
 	// Pull the payload through the checksum one fixed-size chunk at a time.
 	// Nothing is allocated ahead of the bytes that fill it, and the trailing
 	// CRC is verified before any payload byte is interpreted.
-	chunks := make([][]byte, 0, min(payloadBytes/payloadChunk+1, 1<<10))
-	for remaining := payloadBytes; remaining > 0; {
-		c := make([]byte, min(remaining, payloadChunk))
-		if _, err := io.ReadFull(cr, c); err != nil {
-			return nil, fmt.Errorf("core: reading corpus payload: %w", noEOF(err))
-		}
-		chunks = append(chunks, c)
-		remaining -= uint64(len(c))
+	chunks, err := readChunks(cr, payloadBytes, make([][]byte, 0, min(payloadBytes/payloadChunk+1, 1<<10)))
+	if err != nil {
+		return nil, fmt.Errorf("core: reading corpus payload: %w", err)
 	}
 	if err := cr.checkCRC("corpus"); err != nil {
 		return nil, err
 	}
 
 	// Checksum verified, and the arena is no larger than the payload just
-	// received. Each set's payload is decoded into its arena region: the
-	// words and elements are copies, and a segmented set's offsets land in
-	// one scratch, are validated there, and become its rank directory.
-	arena := make([]uint64, totalU64)
-	off := make([]uint32, maxOffsets) // no larger than the largest offsets section received
-	payload := chunkCursor{chunks: chunks}
-	b := newBuildState(cfg)
-	slab := make([]Set, len(metas))
-	sets := make([]*Set, len(metas))
-	at := 0
-	for i, m := range metas {
+	// received.
+	slab, err := layout(cfg, metas)
+	if err != nil {
+		return nil, err
+	}
+	sets, i, err := decode(slab, &chunkCursor{chunks: chunks})
+	if err != nil {
+		return nil, fmt.Errorf("core: set %d: %w", i, err)
+	}
+	return sets, nil
+}
+
+// readChunks reads n bytes from r into chunks of at most payloadChunk bytes,
+// appended to chunks. Each chunk is allocated only when its bytes are due,
+// so a forged header meets a short read after one chunk, never an
+// allocation sized from its fields.
+func readChunks(r io.Reader, n uint64, chunks [][]byte) ([][]byte, error) {
+	for n > 0 {
+		c := make([]byte, min(n, payloadChunk))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, noEOF(err)
+		}
+		chunks = append(chunks, c)
+		n -= uint64(len(c))
+	}
+	return chunks, nil
+}
+
+// decode copies each set's payload from the cursor, in stream order, into
+// the set's region of the arena layout allocated, and validates the set:
+// the words and elements are copies, and a segmented set's offsets land in
+// one scratch, are validated there, and become its rank directory or its
+// kept offsets. ReadSet and ReadCorpus share it. On error it returns the
+// index of the set that failed.
+func decode(slab []Set, payload *chunkCursor) ([]*Set, int, error) {
+	var off []uint32 // no larger than the largest offsets section received
+	sets := make([]*Set, len(slab))
+	for i := range slab {
 		s := &slab[i]
 		var err error
-		switch m.rep {
+		switch s.rep {
 		case RepArray:
-			var elems []uint32
-			if m.n > 0 {
-				elems = unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), m.n)
-				at += (m.n + 1) / 2
-				payload.read32(elems)
-			}
-			*s = newArrayShell(b, elems)
+			payload.read32(s.elems())
 			err = validateArrayShell(s)
 		case RepDense:
-			nwords := int(m.mBits) / 64
-			words := arena[at : at+nwords : at+nwords]
-			at += nwords
-			payload.read64(words)
-			*s = newDenseShell(b, words, m.base, m.n)
+			payload.read64(s.denseWords())
 			err = validateDenseShell(s)
 		default:
-			var words []uint64
-			var dir, reordered []uint32
-			words, dir, reordered, at = segmentedRegion(arena, at, m.mBits, m.n)
-			o := off[:m.mBits/uint64(cfg.SegBits)+1]
+			words, _, elems := s.region()
+			off = growU32(off, s.numSegments()+1)
 			payload.read64(words)
-			payload.read32(o)
-			payload.read32(reordered)
-			*s = newShell(b, words, dir, reordered)
-			err = validateShell(s, o)
+			payload.read32(off)
+			payload.read32(elems)
+			err = validateShell(s, off)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: set %d: %w", i, err)
+			return nil, i, err
 		}
 		sets[i] = s
 	}
-	return sets, nil
+	return sets, 0, nil
 }
 
 // chunkCursor hands out the received payload chunks in stream order.

@@ -303,12 +303,18 @@ func TestCorpusForgedHeaders(t *testing.T) {
 		out = le.AppendUint64(out, n)
 		return le.AppendUint64(out, mBits)
 	}
+	// The last case is an arena just past the cap a u32 word offset
+	// addresses (checkArena): a 2^31-word bitmap and its directory. Its
+	// error must come from the cap, before any payload is read.
+	capErr := checkArena(maxArenaWords + 1)
 	for _, c := range []struct {
 		name string
 		data []byte
+		want error // the error the read must return, when not nil
 	}{
-		{"segmented n=2^36 mBits=2^40", headerOnly(RepSegmented, 1<<36, 1<<40)},
-		{"dense mBits=2^32", headerOnly(RepDense, 1, 1<<32)},
+		{"segmented n=2^36 mBits=2^40", headerOnly(RepSegmented, 1<<36, 1<<40), nil},
+		{"dense mBits=2^32", headerOnly(RepDense, 1, 1<<32), nil},
+		{"arena of 2^32 words", headerOnly(RepSegmented, 0, 64<<31), capErr},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -316,6 +322,8 @@ func TestCorpusForgedHeaders(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: forged header accepted", c.name)
+		} else if c.want != nil && err.Error() != c.want.Error() {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
 			t.Errorf("%s: failing read allocated %d bytes, want under 8 MiB", c.name, alloc)

@@ -225,8 +225,8 @@ func TestCtxCancelInsideEveryArm(t *testing.T) {
 	l1, l2, l3 := big(), big(), big()
 	m1, m2 := randSet(rng, 100, 1<<9), randSet(rng, 100, 1<<9)
 	tiny1, tiny2 := buildRep(t, m1, RepSegmented), buildRep(t, m2, RepSegmented)
-	if x, _ := ordered(tiny1, tiny2); len(x.bm.Words()) >= maskWalkWords {
-		t.Fatalf("the tiny merge pair has %d words, not below the mask walk", len(x.bm.Words()))
+	if x, _ := ordered(tiny1, tiny2); x.nwords() >= maskWalkWords {
+		t.Fatalf("the tiny merge pair has %d words, not below the mask walk", x.nwords())
 	}
 	l4 := randSet(rng, 7_000, 1<<18)
 	l5 := randSet(rng, 20_000, 1<<18)

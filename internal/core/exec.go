@@ -30,11 +30,11 @@ type Visitor func(uint32)
 // from multiple goroutines at once — give each query goroutine its own, or
 // recycle them through a sync.Pool as the package-level wrappers do.
 type Executor struct {
-	lane                     // the sequential paths' scratch and stats shard
-	ord     []*Set           // k-way bitmap-size ordering scratch
-	maps    []*bitmap.Bitmap // k-way bitmaps in ord's order
-	sched   []int32          // candidate scheduling order (CountManyParallel)
-	walk    [][4]uint32      // surviving segment pairs' bounds (DispatchTrace, CountMergeBreakdown)
+	lane                    // the sequential paths' scratch and stats shard
+	ord     []*Set          // k-way bitmap-size ordering scratch
+	maps    []bitmap.Bitmap // k-way bitmaps in ord's order, built per query
+	sched   []int32         // candidate scheduling order (CountManyParallel)
+	walk    [][4]uint32     // surviving segment pairs' bounds (DispatchTrace, CountMergeBreakdown)
 	workers []worker
 	pool    *Pool
 
@@ -236,16 +236,16 @@ func (l *lane) runPair(ck checkpoint, tr *trace.Cell, p pairPlan, a, b *Set, dst
 		if tr != nil {
 			tr.Event(trace.KindKernel, trace.ArmHash, 0, uint64(small.n), uint64(large.n))
 		}
-		return l.probeRun(ck, small.reordered, large, dst, emit, l.st)
+		return l.probeRun(ck, small.elems(), large, dst, emit, l.st)
 	}
 	x, y := ordered(a, b)
 	var kst *stats.Shard
 	if l.st != nil {
 		kst = l.kernelShard()
 	}
-	n, pairs, err := l.merge(ck, kst, walkOf(x, y), x, y, 0, len(x.bm.Words()), dst, emit)
+	n, pairs, err := l.merge(ck, kst, walkOf(x, y), x, y, 0, x.nwords(), dst, emit)
 	if err == nil && (l.st != nil || tr != nil) {
-		l.noteMerge(tr, pairs, x.bm.NumSegments())
+		l.noteMerge(tr, pairs, x.numSegments())
 	}
 	return n, err
 }
@@ -393,7 +393,7 @@ func (e *Executor) countK(ck checkpoint, sets []*Set) (int, error) {
 		return 0, e.noteCancel(err)
 	}
 	if len(sets) == 1 {
-		return sets[0].n, nil
+		return int(sets[0].n), nil
 	}
 	n, err := e.kway(ck, sets, nil)
 	return n, e.noteCancel(err)
@@ -454,13 +454,13 @@ func (e *Executor) orderByBitmap(sets []*Set) {
 	e.ord = append(e.ord[:0], sets...)
 	ord := e.ord
 	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && ord[j].bm.Bits() > ord[j-1].bm.Bits(); j-- {
+		for j := i; j > 0 && ord[j].logW > ord[j-1].logW; j-- {
 			ord[j], ord[j-1] = ord[j-1], ord[j]
 		}
 	}
 	e.maps = e.maps[:0]
 	for _, s := range ord {
-		e.maps = append(e.maps, &s.bm)
+		e.maps = append(e.maps, s.asBitmap())
 	}
 }
 
@@ -471,7 +471,7 @@ func (e *Executor) orderByBitmap(sets []*Set) {
 // blocks with a context check before each.
 func (e *Executor) kwayChain(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
 	x, rest := e.kwayPrepare(sets)
-	words := len(x.bm.Words())
+	words := x.nwords()
 	step := stride(ctx, ctxWordBlock, words)
 	total := 0
 	for lo := 0; lo < words; lo += step {
@@ -498,7 +498,7 @@ func (e *Executor) kwayPrepare(sets []*Set) (x *Set, rest []*Set) {
 func kwayMaxSeg(sets []*Set) int {
 	m := 1
 	for _, s := range sets {
-		m = max(m, s.maxSeg)
+		m = max(m, int(s.maxSeg))
 	}
 	return m
 }
@@ -515,7 +515,7 @@ func (e *Executor) kwayChainRange(x *Set, rest []*Set, wordLo, wordHi int, buf1,
 		n := len(cur)
 		out := buf1
 		for _, s := range rest {
-			sseg := s.segment(seg & (s.bm.NumSegments() - 1))
+			sseg := s.segment(seg & (s.numSegments() - 1))
 			n = simd.IntersectSmall(out, cur, sseg)
 			if n == 0 {
 				return
@@ -585,7 +585,7 @@ func (e *Executor) kwayProbeChain(ctx checkpoint, sets []*Set, sink func(cur []u
 // buffer on the pair engine's plan and bodies, without recording a pair
 // query.
 func (e *Executor) seedPair(ctx checkpoint, a, b *Set) ([]uint32, error) {
-	e.chain1 = growU32(e.chain1, max(min(a.n, b.n), 1))
+	e.chain1 = growU32(e.chain1, int(max(min(a.n, b.n), 1)))
 	n, err := e.runPair(ctx, e.tr, planPair(a, b, armAuto), a, b, e.chain1, nil)
 	if err != nil {
 		return nil, err
@@ -622,7 +622,7 @@ func (e *Executor) IntersectMergeParallel(dst []uint32, a, b *Set, workers int) 
 func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 	compatible(a, b)
 	x, y := ordered(a, b)
-	words := len(x.bm.Words())
+	words := x.nwords()
 	workers = min(max(workers, 1), words)
 	if crossPair(a, b) || workers <= 1 {
 		return e.run(a, b, armMerge, dst, nil)
@@ -649,7 +649,7 @@ func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 		}
 		var pairs int
 		ws.count, pairs, _ = ws.merge(nil, kst, walk, x, y, lo, hi, out, nil)
-		ws.noteMerge(nil, pairs, (hi-lo)*x.bm.SegmentsPerWord())
+		ws.noteMerge(nil, pairs, (hi-lo)*(64/x.segBits()))
 	})
 	total := 0
 	for w := 0; w < workers; w++ {
@@ -674,7 +674,7 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 	if small.n > large.n {
 		small, large = large, small
 	}
-	workers = min(max(workers, 1), small.n)
+	workers = min(max(workers, 1), int(small.n))
 	if crossPair(a, b) || workers <= 1 {
 		return e.CountHash(a, b)
 	}
@@ -683,12 +683,13 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 		start = time.Now()
 	}
 	e.ensureWorkers(workers)
-	chunk := (small.n + workers - 1) / workers
+	elems := small.elems()
+	chunk := (len(elems) + workers - 1) / workers
 	e.parallel(workers, func(w int) {
 		ws := &e.workers[w]
-		lo := min(w*chunk, small.n)
-		hi := min(lo+chunk, small.n)
-		ws.count, ws.touch = probe(small.reordered[lo:hi], large, nil, nil, ws.st)
+		lo := min(w*chunk, len(elems))
+		hi := min(lo+chunk, len(elems))
+		ws.count, ws.touch = probe(elems[lo:hi], large, nil, nil, ws.st)
 	})
 	total := 0
 	for w := 0; w < workers; w++ {
@@ -711,7 +712,7 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	case 0:
 		panic("core: intersection of zero sets")
 	case 1:
-		return sets[0].n
+		return int(sets[0].n)
 	case 2:
 		a, b := sets[0], sets[1]
 		if !crossPair(a, b) && useHash(a, b) {
@@ -723,7 +724,7 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 		return e.CountK(sets...)
 	}
 	x, rest := e.kwayPrepare(sets)
-	words := len(x.bm.Words())
+	words := x.nwords()
 	workers = min(workers, words)
 	if workers <= 1 {
 		return e.CountK(sets...)

@@ -115,7 +115,7 @@ func (l *lane) crossRun(ck checkpoint, a, b *Set, fromDense bool, dst []uint32, 
 	case b.rep == RepArray && b.n <= a.n:
 		a, b = b, a
 	}
-	return l.probeRun(ck, a.reordered, b, dst, emit, l.st)
+	return l.probeRun(ck, a.elems(), b, dst, emit, l.st)
 }
 
 // put hands match x to the sink — dst[n] when dst is non-nil, emit when
@@ -174,7 +174,7 @@ func (l *lane) probeRun(ck checkpoint, elems []uint32, other *Set, dst []uint32,
 func (l *lane) denseProbeRun(ck checkpoint, den, other *Set, dst []uint32, emit Visitor) (int, error) {
 	var blk [probeBlock]uint32
 	n, k := 0, 0
-	words := den.dense
+	words := den.denseWords()
 	step := stride(ck, ctxWordBlock, len(words))
 	for lo := 0; lo < len(words); lo += step {
 		if err := stop(ck); err != nil {
@@ -201,7 +201,7 @@ func (l *lane) denseProbeRun(ck checkpoint, den, other *Set, dst []uint32, emit 
 // in ctxProbeBlock blocks, each against the run of b up to the block's last
 // element.
 func arrayArrayRun(ck checkpoint, a, b *Set, dst []uint32, emit Visitor) (int, error) {
-	xa, xb := a.reordered, b.reordered
+	xa, xb := a.elems(), b.elems()
 	n, j := 0, 0
 	step := stride(ck, ctxProbeBlock, len(xa))
 	for lo := 0; lo < len(xa); lo += step {
@@ -255,6 +255,7 @@ func visitSorted(a, b []uint32, emit Visitor) (n int) {
 // ctxWordBlock blocks.
 func denseDenseRun(ck checkpoint, denseAnd *[]uint64, a, b *Set, dst []uint32, emit Visitor) (int, error) {
 	lo, wa, wb, nw := denseOverlap(a, b)
+	da, db := a.denseWords(), b.denseWords()
 	n := 0
 	step := stride(ck, ctxWordBlock, nw)
 	for off := 0; off < nw; off += step {
@@ -264,7 +265,7 @@ func denseDenseRun(ck checkpoint, denseAnd *[]uint64, a, b *Set, dst []uint32, e
 		cn := min(step, nw-off)
 		buf := growU64(*denseAnd, cn)
 		*denseAnd = buf
-		if simd.AndWords(buf, a.dense[wa+off:wa+off+cn], b.dense[wb+off:wb+off+cn]) == 0 {
+		if simd.AndWords(buf, da[wa+off:wa+off+cn], db[wb+off:wb+off+cn]) == 0 {
 			continue
 		}
 		for wi, w := range buf {
@@ -285,8 +286,8 @@ func denseDenseRun(ck checkpoint, denseAnd *[]uint64, a, b *Set, dst []uint32, e
 // count (<= 0 when the spans are disjoint).
 func denseOverlap(a, b *Set) (lo uint32, wa, wb, nw int) {
 	loA, loB := uint64(a.base), uint64(b.base)
-	hiA := loA + uint64(len(a.dense))*64
-	hiB := loB + uint64(len(b.dense))*64
+	hiA := loA + uint64(a.aux)*64
+	hiB := loB + uint64(b.aux)*64
 	l := max(loA, loB)
 	h := min(hiA, hiB)
 	if h <= l {
@@ -304,10 +305,10 @@ func denseOverlap(a, b *Set) (lo uint32, wa, wb, nw int) {
 // for segmented sets (matching IntersectK's k==1 contract).
 func (s *Set) materialize(dst []uint32) int {
 	if s.rep != RepDense {
-		return copy(dst, s.reordered)
+		return copy(dst, s.elems())
 	}
 	n := 0
-	for wi, w := range s.dense {
+	for wi, w := range s.denseWords() {
 		for w != 0 {
 			dst[n] = s.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w))
 			n++
@@ -321,12 +322,12 @@ func (s *Set) materialize(dst []uint32) int {
 // order.
 func (s *Set) visitAll(emit Visitor) {
 	if s.rep != RepDense {
-		for _, v := range s.reordered {
+		for _, v := range s.elems() {
 			emit(v)
 		}
 		return
 	}
-	for wi, w := range s.dense {
+	for wi, w := range s.denseWords() {
 		for w != 0 {
 			emit(s.base + uint32(wi)<<6 + uint32(simd.Tzcnt64(w)))
 			w &= w - 1

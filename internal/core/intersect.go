@@ -82,7 +82,7 @@ func HashSegSeg(small, large int) bool {
 }
 
 // useHash is HashSegSeg on a and b's lengths.
-func useHash(a, b *Set) bool { return HashSegSeg(min(a.n, b.n), max(a.n, b.n)) }
+func useHash(a, b *Set) bool { return HashSegSeg(int(min(a.n, b.n)), int(max(a.n, b.n))) }
 
 // ---------------------------------------------------------------------------
 // k-way intersection (Section VI).
@@ -187,10 +187,10 @@ func DispatchTrace(a, b *Set) [][2]int {
 // then y's) are recorded, in segment order, in the executor's walk buffer,
 // which it returns. No query runs it; the instrumentation does.
 func (e *Executor) walkPairs(x, y *Set) [][4]uint32 {
-	e.maps = append(e.maps[:0], &x.bm, &y.bm)
+	e.maps = append(e.maps[:0], x.asBitmap(), y.asBitmap())
 	e.walk = e.walk[:0]
-	segMaskY := y.bm.NumSegments() - 1
-	bitmap.ForEachIntersectingSegmentKRange(e.maps, 0, len(x.bm.Words()), func(seg int) {
+	segMaskY := y.numSegments() - 1
+	bitmap.ForEachIntersectingSegmentKRange(e.maps, 0, x.nwords(), func(seg int) {
 		oa, oaEnd := x.bounds(seg)
 		ob, obEnd := y.bounds(seg & segMaskY)
 		e.walk = append(e.walk, [4]uint32{oa, oaEnd, ob, obEnd})
@@ -236,8 +236,9 @@ func (e *Executor) CountMergeBreakdown(a, b *Set) Breakdown {
 
 	start = time.Now()
 	n := 0
+	xr, yr := x.elems(), y.elems()
 	for _, r := range recs {
-		n += simd.CountSmall(x.reordered[r[0]:r[1]], y.reordered[r[2]:r[3]])
+		n += simd.CountSmall(xr[r[0]:r[1]], yr[r[2]:r[3]])
 	}
 	segTime := time.Since(start)
 
@@ -293,14 +294,14 @@ func (e *Executor) CountHashBreakdown(a, b *Set) HashBreakdown {
 	compatible(a, b)
 	if crossPair(a, b) {
 		n, el := e.crossTimed(a, b)
-		return HashBreakdown{ScanTime: el, Probes: min(a.n, b.n), Count: n}
+		return HashBreakdown{ScanTime: el, Probes: int(min(a.n, b.n)), Count: n}
 	}
 	small, large := a, b
 	if small.n > large.n {
 		small, large = large, small
 	}
-	elems := small.reordered
-	bd := HashBreakdown{Probes: small.n}
+	elems := small.elems()
+	bd := HashBreakdown{Probes: len(elems)}
 	done := 0
 	if probeStages(len(elems), large) {
 		var sb stageBuf
@@ -358,13 +359,14 @@ func HashProbeTrace(a, b *Set) []HashProbe {
 	if small.n > large.n {
 		small, large = large, small
 	}
-	lb := &large.bm
+	words, _, _ := large.region()
+	mBits, shift := large.mBits(), segShift(large)
 	trace := make([]HashProbe, 0, small.n)
-	for _, x := range small.reordered {
-		pos := large.build.hasher.Pos(x, lb.Bits())
+	for _, x := range small.elems() {
+		pos := large.build.hasher.Pos(x, mBits)
 		p := HashProbe{Elem: x}
-		if lb.Test(pos) {
-			list := large.segment(lb.SegmentOf(pos))
+		if words[pos>>6]&(1<<(pos&63)) != 0 {
+			list := large.segment(int(pos >> shift))
 			hit, ok := member(list, x)
 			p.Survived, p.SegLen, p.Match = true, len(list), hit || !ok && simd.Contains(list, x)
 		}

@@ -86,7 +86,7 @@ func probeStages(n int, large *Set) bool {
 // gathers reports whether the gathered stage can probe large: the AVX-512
 // rung is live and large's bitmap positions fit the stage's uint32 lanes.
 func gathers(large *Set) bool {
-	return simd.GatherProbeActive() && large.bm.Bits() <= gatherProbeMaxBits
+	return simd.GatherProbeActive() && large.mBits() <= gatherProbeMaxBits
 }
 
 // probeDirect is the direct probe loop. On the AVX-512 rung blocks of up to
@@ -103,12 +103,10 @@ func probeDirect(elems []uint32, large *Set, dst []uint32, emit Visitor) (n, sur
 	if !large.hasDirectory() {
 		return probeWide(elems, large, dst, emit)
 	}
-	lb := &large.bm
-	mBits := lb.Bits()
-	words := lb.Words()
+	words, dir, reord := large.region()
+	mBits := large.mBits()
 	shift := segShift(large)
-	segBits := uint(lb.SegBits())
-	dir, reord := large.dir, large.reordered
+	segBits := uint(large.segBits())
 	lastSeg := -1
 	var segList []uint32
 	done := 0
@@ -159,14 +157,15 @@ func probeDirect(elems []uint32, large *Set, dst []uint32, emit Visitor) (n, sur
 // rather than a rank directory: hash, test and scan one element at a time,
 // reading each survivor's segment through bounds.
 func probeWide(elems []uint32, large *Set, dst []uint32, emit Visitor) (n, survivors int) {
-	lb := &large.bm
+	words, _, _ := large.region()
+	mBits, shift := large.mBits(), segShift(large)
 	for _, x := range elems {
-		pos := large.build.hasher.Pos(x, lb.Bits())
-		if !lb.Test(pos) {
+		pos := large.build.hasher.Pos(x, mBits)
+		if words[pos>>6]&(1<<(pos&63)) == 0 {
 			continue
 		}
 		survivors++
-		list := large.segment(lb.SegmentOf(pos))
+		list := large.segment(int(pos >> shift))
 		if hit, ok := member(list, x); hit || !ok && simd.Contains(list, x) {
 			n = put(dst, emit, n, x)
 		}
@@ -201,8 +200,8 @@ type stageBuf struct{ outE, outP [probeBlock]uint32 }
 // 16-multiple prefix and compress-stores the survivors. It returns the
 // survivor and consumed element counts.
 func (sb *stageBuf) stage(blk []uint32, large *Set) (ns, consumed int) {
-	lb := &large.bm
-	return simd.ProbeStage(blk, lb.Words(), large.build.hasher.Seed(), lb.Bits()-1, sb.outE[:], sb.outP[:])
+	words, _, _ := large.region()
+	return simd.ProbeStage(blk, words, large.build.hasher.Seed(), large.mBits()-1, sb.outE[:], sb.outP[:])
 }
 
 // touch loads the first ns survivors' rank directory entries and the first
@@ -211,7 +210,7 @@ func (sb *stageBuf) stage(blk []uint32, large *Set) (ns, consumed int) {
 // on, usually in the same line. A survivor's word is never empty, since its
 // bit was set. The loads' sum is returned so they are not dead code.
 func (sb *stageBuf) touch(ns int, large *Set) (touch uint32) {
-	dir, reord := large.dir, large.reordered
+	_, dir, reord := large.region()
 	for _, p := range sb.outP[:ns] {
 		touch += reord[dir[p>>6<<1]]
 	}
@@ -222,8 +221,8 @@ func (sb *stageBuf) touch(ns int, large *Set) (touch uint32) {
 // sink. n is the running match count (and dst write cursor); the updated
 // count is returned.
 func (sb *stageBuf) scan(ns int, large *Set, dst []uint32, emit Visitor, n int) int {
-	words, segBits := large.bm.Words(), uint(large.bm.SegBits())
-	dir, reord := large.dir, large.reordered
+	words, dir, reord := large.region()
+	segBits := uint(large.segBits())
 	for i, x := range sb.outE[:ns] {
 		p := uint(sb.outP[i])
 		k := p & 63 &^ (segBits - 1)
@@ -238,7 +237,7 @@ func (sb *stageBuf) scan(ns int, large *Set, dst []uint32, emit Visitor, n int) 
 
 // segShift is log2 of s's segment size: a bitmap position shifted right by
 // it is the position's segment.
-func segShift(s *Set) uint { return uint(simd.Tzcnt32(uint32(s.bm.SegBits()))) }
+func segShift(s *Set) uint { return uint(simd.Tzcnt32(uint32(s.segBits()))) }
 
 // member reports whether x is in the sorted segment list by the scalar
 // early-exit scan, with ok true, for lists shorter than containsCutover.

@@ -17,14 +17,14 @@ import (
 // header, even when it lands in the same segment as its predecessor.
 func hashProbeRangeNoHoist(small, large *Set, lo, hi int, emit Visitor) int {
 	n := 0
-	lb := &large.bm
-	mBits := lb.Bits()
-	for _, x := range small.reordered[lo:hi] {
+	bm := large.asBitmap()
+	mBits := bm.Bits()
+	for _, x := range small.elems()[lo:hi] {
 		pos := large.build.hasher.Pos(x, mBits)
-		if !lb.Test(pos) {
+		if !bm.Test(pos) {
 			continue
 		}
-		for _, v := range large.segment(lb.SegmentOf(pos)) {
+		for _, v := range large.segment(bm.SegmentOf(pos)) {
 			if v == x {
 				n++
 				if emit != nil {
@@ -49,8 +49,8 @@ func TestHashProbeNoHoistParity(t *testing.T) {
 		if small.n > large.n {
 			small, large = large, small
 		}
-		want, _ := probeDirect(small.reordered, large, nil, nil)
-		if got := hashProbeRangeNoHoist(small, large, 0, small.n, nil); got != want {
+		want, _ := probeDirect(small.elems(), large, nil, nil)
+		if got := hashProbeRangeNoHoist(small, large, 0, small.Len(), nil); got != want {
 			t.Fatalf("sizes %v: no-hoist %d, hoisted %d", sizes, got, want)
 		}
 	}
@@ -76,20 +76,20 @@ func BenchmarkHashProbeHoist(b *testing.B) {
 		small, large := sa, sb
 		if r.nSmall < r.nLarge {
 			// Rebuild the probing side at its own size, overlapping large.
-			small = MustNewSet(append([]uint32(nil), large.reordered[:r.nSmall]...), DefaultConfig())
+			small = MustNewSet(append([]uint32(nil), large.elems()[:r.nSmall]...), DefaultConfig())
 		}
 		if small.n > large.n {
 			small, large = large, small
 		}
 		b.Run(fmt.Sprintf("%s/hoisted", r.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				n, _ := probeDirect(small.reordered, large, nil, nil)
+				n, _ := probeDirect(small.elems(), large, nil, nil)
 				benchSink += n
 			}
 		})
 		b.Run(fmt.Sprintf("%s/nohoist", r.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink += hashProbeRangeNoHoist(small, large, 0, small.n, nil)
+				benchSink += hashProbeRangeNoHoist(small, large, 0, small.Len(), nil)
 			}
 		})
 	}
@@ -106,7 +106,7 @@ func TestProbeParity(t *testing.T) {
 	large := MustNewSet(randSet(rng, 60_000, 1<<20), DefaultConfig())
 	for _, n := range []int{1, 15, 16, 17, 127, 128, 129, probeStagedMin - 1, probeStagedMin,
 		probeStagedMin + 17, 4*probeBlock + 15} {
-		elems := MustNewSet(randSet(rng, n, 1<<20), DefaultConfig()).reordered
+		elems := MustNewSet(randSet(rng, n, 1<<20), DefaultConfig()).elems()
 		var want []uint32
 		for _, x := range elems {
 			if large.Contains(x) {
@@ -175,7 +175,7 @@ func BenchmarkProbeArms(b *testing.B) {
 		for _, n := range []int{4, 16, 64, 128, 256, 512, 1024, 2048, 8192} {
 			lists := make([][]uint32, 32)
 			for i := range lists {
-				lists[i] = MustNewSet(randSet(rng, n, r.universe), DefaultConfig()).reordered
+				lists[i] = MustNewSet(randSet(rng, n, r.universe), DefaultConfig()).elems()
 			}
 			for _, rung := range []string{"scalar", "avx2", "avx512"} {
 				if (rung == "avx2" && !simd.HasAsm()) || (rung == "avx512" && !simd.HasAVX512()) {

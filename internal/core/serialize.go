@@ -145,20 +145,11 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 		return err
 	}
 	cfg := s.build.cfg
-	var base uint32
-	var mBits uint64
-	switch s.rep {
-	case RepSegmented:
-		mBits = s.bm.Bits()
-	case RepDense:
-		base = s.base
-		mBits = uint64(len(s.dense)) * 64
-	}
 	hdr := []interface{}{
 		uint32(cfg.Width), uint32(cfg.SegBits), uint32(1), // kernel stride
 		math.Float64bits(cfg.Scale), cfg.Seed,
-		uint32(s.rep), base,
-		uint64(s.n), mBits,
+		uint32(s.rep), s.base,
+		uint64(s.n), s.BitmapBits(),
 	}
 	for _, v := range hdr {
 		if err := write(v); err != nil {
@@ -168,15 +159,7 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 	if err := cw.emitCRC(); err != nil {
 		return err
 	}
-	var sections []interface{}
-	switch s.rep {
-	case RepSegmented:
-		sections = []interface{}{s.bm.Words(), s.offsets(nil), s.reordered}
-	case RepArray:
-		sections = []interface{}{s.reordered}
-	case RepDense:
-		sections = []interface{}{s.dense}
-	}
+	_, sections := s.sections(nil)
 	for _, section := range sections {
 		if err := write(section); err != nil {
 			return err
@@ -188,37 +171,20 @@ func writeSetBody(cw *crcWriter, s *Set) error {
 	return nil
 }
 
-// readChunkElems bounds how many array elements are decoded per read, so a
-// header demanding billions of elements fails at the first short chunk
-// instead of allocating first.
-const readChunkElems = 1 << 16
-
-func readU64s(r io.Reader, count int) ([]uint64, error) {
-	out := make([]uint64, 0, min(count, readChunkElems))
-	for count > 0 {
-		c := min(count, readChunkElems)
-		chunk := make([]uint64, c)
-		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-		count -= c
+// sections returns the set's payload sections in stream order, shared by
+// both stream writers: a segmented set's bitmap words, its offsets (the
+// directory expanded into off, grown as needed, which is returned) and its
+// reordered elements; an array set's elements; a dense set's words.
+func (s *Set) sections(off []uint32) ([]uint32, []interface{}) {
+	switch s.rep {
+	case RepArray:
+		return off, []interface{}{s.elems()}
+	case RepDense:
+		return off, []interface{}{s.denseWords()}
 	}
-	return out, nil
-}
-
-func readU32s(r io.Reader, count int) ([]uint32, error) {
-	out := make([]uint32, 0, min(count, readChunkElems))
-	for count > 0 {
-		c := min(count, readChunkElems)
-		chunk := make([]uint32, c)
-		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-		count -= c
-	}
-	return out, nil
+	words, _, elems := s.region()
+	off = s.offsets(off)
+	return off, []interface{}{words, off, elems}
 }
 
 // maxReasonable bounds header-declared sizes: anything above it is treated
@@ -334,65 +300,35 @@ func readSet(r io.Reader) (*Set, error) {
 	if err := cr.checkCRC("header"); err != nil {
 		return nil, err
 	}
-	b := newBuildState(cfg)
+	// Each section is read in bounded chunks, so a forged header cannot
+	// trigger a huge allocation before the (short) stream runs out, and its
+	// checksum is verified before any payload byte is interpreted.
+	names, sizes := []string{"elements"}, []uint64{4 * uint64(h.n)}
 	switch h.rep {
-	case RepArray:
-		elems, err := readU32s(cr, h.n)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading elements: %w", noEOF(err))
-		}
-		if err := cr.checkCRC("elements"); err != nil {
-			return nil, err
-		}
-		s := newArrayShell(b, elems)
-		if err := validateArrayShell(&s); err != nil {
-			return nil, err
-		}
-		return &s, nil
 	case RepDense:
-		words, err := readU64s(cr, int(h.mBits)/64)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading dense words: %w", noEOF(err))
+		names, sizes = []string{"dense words"}, []uint64{h.mBits / 8}
+	case RepSegmented:
+		names = []string{"bitmap", "offsets", "elements"}
+		sizes = []uint64{h.mBits / 8, 4 * (h.mBits/uint64(cfg.SegBits) + 1), 4 * uint64(h.n)}
+	}
+	var chunks [][]byte
+	for i, name := range names {
+		if chunks, err = readChunks(cr, sizes[i], chunks); err != nil {
+			return nil, fmt.Errorf("core: reading %s: %w", name, err)
 		}
-		if err := cr.checkCRC("dense words"); err != nil {
+		if err := cr.checkCRC(name); err != nil {
 			return nil, err
 		}
-		s := newDenseShell(b, words, h.base, h.n)
-		if err := validateDenseShell(&s); err != nil {
-			return nil, err
-		}
-		return &s, nil
 	}
-	nseg := int(h.mBits) / cfg.SegBits
-
-	// Payload arrays are read in bounded chunks so a forged header cannot
-	// trigger a huge allocation before the (short) stream runs out.
-	words, err := readU64s(cr, int(h.mBits)/64)
+	slab, err := layout(cfg, []setMeta{h})
 	if err != nil {
-		return nil, fmt.Errorf("core: reading bitmap: %w", noEOF(err))
-	}
-	if err := cr.checkCRC("bitmap"); err != nil {
 		return nil, err
 	}
-	offsets, err := readU32s(cr, nseg+1)
+	sets, _, err := decode(slab, &chunkCursor{chunks: chunks})
 	if err != nil {
-		return nil, fmt.Errorf("core: reading offsets: %w", noEOF(err))
-	}
-	if err := cr.checkCRC("offsets"); err != nil {
 		return nil, err
 	}
-	reordered, err := readU32s(cr, h.n)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading elements: %w", noEOF(err))
-	}
-	if err := cr.checkCRC("elements"); err != nil {
-		return nil, err
-	}
-	s := newShell(b, words, make([]uint32, 2*len(words)), reordered)
-	if err := validateShell(&s, offsets); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return sets[0], nil
 }
 
 // validateShell checks every structural invariant of a deserialized
@@ -408,25 +344,25 @@ func readSet(r io.Reader) (*Set, error) {
 // needs no scratch. Once every check holds, the set's segment bounds are
 // indexed from off. It is shared by ReadSet and ReadCorpus.
 func validateShell(s *Set, off []uint32) error {
+	words, _, elems := s.region()
 	n := s.n
-	nseg := s.bm.NumSegments()
-	mBits := s.bm.Bits()
-	elems := s.reordered
+	nseg := s.numSegments()
+	mBits := s.mBits()
 
 	// Validate the whole offset array before any element is read by it.
-	if off[0] != 0 || off[nseg] != uint32(n) {
+	if off[0] != 0 || off[nseg] != n {
 		return fmt.Errorf("core: offset bounds corrupt (first=%d last=%d n=%d)", off[0], off[nseg], n)
 	}
 	for i := 0; i < nseg; i++ {
-		if off[i] > off[i+1] || off[i+1] > uint32(n) {
+		if off[i] > off[i+1] || off[i+1] > n {
 			return fmt.Errorf("core: offsets corrupt at segment %d", i)
 		}
-		s.maxSeg = max(s.maxSeg, int(off[i+1]-off[i]))
+		s.maxSeg = max(s.maxSeg, off[i+1]-off[i])
 	}
 	h := s.build.hasher
-	segBits := uint64(s.bm.SegBits())
-	perWord := s.bm.SegmentsPerWord()
-	for w, stored := range s.bm.Words() {
+	segBits := uint64(s.segBits())
+	perWord := 64 / s.segBits()
+	for w, stored := range words {
 		var acc uint64
 		for j := off[w*perWord]; j < off[(w+1)*perWord]; j++ {
 			v := elems[j]
@@ -453,8 +389,9 @@ func validateShell(s *Set, off []uint32) error {
 // deserialized array set: the elements are strictly ascending (which also
 // rules out duplicates).
 func validateArrayShell(s *Set) error {
-	for i := 1; i < len(s.reordered); i++ {
-		if s.reordered[i-1] >= s.reordered[i] {
+	elems := s.elems()
+	for i := 1; i < len(elems); i++ {
+		if elems[i-1] >= elems[i] {
 			return fmt.Errorf("core: array elements not strictly ascending at index %d", i)
 		}
 	}
@@ -467,14 +404,15 @@ func validateArrayShell(s *Set) error {
 // logically-equal set has exactly one dense encoding (denseLayout's minimal
 // cover). The base/span domain checks already ran in readSetMeta.
 func validateDenseShell(s *Set) error {
+	words := s.denseWords()
 	total := 0
-	for _, w := range s.dense {
+	for _, w := range words {
 		total += bits.OnesCount64(w)
 	}
-	if total != s.n {
+	if total != int(s.n) {
 		return fmt.Errorf("core: dense popcount %d does not match header n=%d", total, s.n)
 	}
-	if s.dense[0] == 0 || s.dense[len(s.dense)-1] == 0 {
+	if words[0] == 0 || words[len(words)-1] == 0 {
 		return fmt.Errorf("core: dense cover not minimal (empty boundary word)")
 	}
 	return nil

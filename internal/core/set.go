@@ -197,44 +197,50 @@ func (c Config) normalize() (Config, error) {
 // (Config.Rep); every intersection path accepts any representation pair.
 // Sets are safe for concurrent reads.
 //
-// The header is small and flat: the bitmap lives inside it, the
-// configuration-derived state sits in one buildState shared by the whole
-// build, and the fields a pair step reads come first.
+// The header is 32 bytes and holds no slice: it addresses the set's region
+// of its build's one arena by a u32 word offset, and a few inlined
+// accessors derive the region's parts from it (region, elems, denseWords).
+// A segmented set's region is its bitmap words, their rank directory (two
+// uint32s per word) and its reordered elements, back to back; an array
+// set's is its sorted elements, a dense set's its words. Every field a pair
+// step reads sits in the header, so a candidate of a batch costs one header
+// line before its region.
 type Set struct {
-	// Segmented-bitmap state (RepSegmented). reordered doubles as the
-	// sorted element array of RepArray sets (with bm/dir empty).
-	bm        bitmap.Bitmap
-	dir       []uint32 // segment bounds: the rank directory (span), or an overflowing set's offsets
-	reordered []uint32 // the paper's ReorderedSet; ascending elements for RepArray
-	n         int
-	build     *buildState
-	rep       Rep
-
-	// Dense-bitmap state (RepDense): bit i of dense is set iff base+64*w+i
-	// is an element. base is 64-aligned; the first and last words are
-	// non-zero (canonical minimal cover).
-	base  uint32
-	dense []uint64
-
-	maxSeg int // largest segment size, for scratch buffer sizing
+	build  *buildState // the build's configuration, hasher, arena and kept offsets
+	at     uint32      // the region's first arena word
+	n      uint32      // distinct elements
+	maxSeg uint32      // largest segment size, for scratch buffer sizing
+	// base is a dense set's smallest value rounded down to a word: bit i of
+	// its words is set iff base+i is an element. The first and last words
+	// are non-zero (canonical minimal cover).
+	base uint32
+	// aux is a dense set's word count; for a segmented set, 0 when its
+	// segment bounds come from the rank directory, else one more than the
+	// index of its kept offsets in build.offsets.
+	aux  uint32
+	rep  Rep
+	logW uint8 // log2 of a segmented set's bitmap word count
 }
 
-// buildState is the configuration-derived state every set of one build
-// shares: one per BuildSets or ReadCorpus call, one per NewSet or ReadSet.
-// compatible passes two sets that share one at once.
+// buildState is the state every set of one build shares: one per BuildSets
+// or ReadCorpus call, one per NewSet or ReadSet. It holds the configuration
+// and its hasher, the arena of the sets' regions, and the offsets of the
+// sets whose collision surplus overflows the rank directory. compatible
+// passes two sets that share one at once.
 type buildState struct {
 	cfg    Config
 	hasher hashutil.Hasher
-}
-
-func newBuildState(cfg Config) *buildState {
-	return &buildState{cfg: cfg, hasher: hashutil.New(cfg.Seed)}
+	// arena holds the sets' regions in input order, then one guard word, so
+	// the end of any region, an empty one at the arena's end included, is
+	// an address inside the allocation.
+	arena   []uint64
+	offsets [][]uint32 // each overflowing set's nseg+1 segment starts
 }
 
 // NewSet builds a Set from elems. The input may be unsorted and contain
 // duplicates; it is copied, sorted, and deduplicated. NewSet returns an
 // error only for invalid configurations. It is BuildSets of one list, so the
-// set's storage is one allocation in the BuildSets layout.
+// set's storage is one region of its own arena.
 func NewSet(elems []uint32, cfg Config) (*Set, error) {
 	sets, err := BuildSets([][]uint32{elems}, cfg)
 	if err != nil {
@@ -254,15 +260,16 @@ func NewSetBatch(lists [][]uint32, cfg Config) ([]*Set, error) {
 // then their rank directory, or dense-bitmap words), then its uint32 region
 // (the reordered elements of segmented sets, the sorted element array of
 // array sets) padded to word alignment, laid out back to back in input
-// order. A segmented set whose hash collisions overflow the directory keeps
-// its offsets in an allocation of its own (Set.bounds). The set headers share one
-// slab beside it. A workload that intersects one query against many small
-// candidate sets — per-vertex neighbor lists in triangle counting,
-// per-keyword posting lists in an inverted index — then walks two
+// order (layout). A segmented set whose hash collisions overflow the
+// directory keeps its offsets in the build (Set.bounds). The 32-byte set
+// headers share one slab beside it. A workload that intersects one query
+// against many small candidate sets — per-vertex neighbor lists in triangle
+// counting, per-keyword posting lists in an inverted index — then walks two
 // allocations in candidate order instead of chasing pointers per set. Each
 // set's representation follows cfg.Rep (heuristic per set under RepAuto).
 // The sets behave exactly like NewSet's; note that every set keeps the whole
-// arena alive, so release all sets of a batch together.
+// arena alive, so release all sets of a batch together. An arena past
+// maxArenaWords is an error.
 func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -277,64 +284,94 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 	}
 	buf := make([]uint32, total) // every sorted copy, back to back
 	sortedLists := make([][]uint32, len(lists))
-	reps := make([]Rep, len(lists))
-	totalU64 := uint64(0) // arena size in 64-bit words
-	maxSegs := 0          // the most segments of any segmented set
+	metas := make([]setMeta, len(lists))
+	maxSegs := 0 // the most segments of any segmented set
 	for i, l := range lists {
 		sorted := sortDedup(buf[:len(l):len(l)], l)
 		buf = buf[len(l):]
 		sortedLists[i] = sorted
-		reps[i] = chooseRep(sorted, cfg.Rep)
-		mBits := uint64(0)
-		switch reps[i] {
+		m := setMeta{rep: chooseRep(sorted, cfg.Rep), n: len(sorted)}
+		switch m.rep {
 		case RepSegmented:
-			mBits = bitmapBits(len(sorted), cfg.Scale)
-			maxSegs = max(maxSegs, int(mBits)/cfg.SegBits)
+			m.mBits = bitmapBits(len(sorted), cfg.Scale)
+			maxSegs = max(maxSegs, int(m.mBits)/cfg.SegBits)
 		case RepDense:
-			_, nwords := denseLayout(sorted)
-			mBits = uint64(nwords) * 64
+			var nwords int
+			m.base, nwords = denseLayout(sorted)
+			m.mBits = uint64(nwords) * 64
 		}
-		totalU64 += arenaWords(reps[i], uint64(len(sorted)), mBits)
+		metas[i] = m
 	}
-	arena := make([]uint64, totalU64)
+	slab, err := layout(cfg, metas)
+	if err != nil {
+		return nil, err
+	}
 	var cur []uint32 // fill's cursor scratch
 	if maxSegs > 0 {
 		cur = make([]uint32, maxSegs+1)
 	}
-	b := newBuildState(cfg)
-	slab := make([]Set, len(lists))
 	sets := make([]*Set, len(lists))
-	at := 0
 	for i, sorted := range sortedLists {
-		switch reps[i] {
+		s := &slab[i]
+		switch s.rep {
 		case RepArray:
-			var elems []uint32
-			if len(sorted) > 0 {
-				elems = unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), len(sorted))
-				at += (len(sorted) + 1) / 2
-				copy(elems, sorted)
-			}
-			slab[i] = newArrayShell(b, elems)
+			copy(s.elems(), sorted)
 			statsInc(stats.CtrBuildArray)
 		case RepDense:
-			base, nwords := denseLayout(sorted)
-			words := arena[at : at+nwords : at+nwords]
-			at += nwords
-			fillDense(words, base, sorted)
-			slab[i] = newDenseShell(b, words, base, len(sorted))
+			fillDense(s.denseWords(), s.base, sorted)
 			statsInc(stats.CtrBuildDense)
 		default:
-			var words []uint64
-			var dir, reordered []uint32
-			words, dir, reordered, at = segmentedRegion(arena, at,
-				bitmapBits(len(sorted), cfg.Scale), len(sorted))
-			slab[i] = newShell(b, words, dir, reordered)
-			slab[i].fill(sorted, cur)
+			s.fill(sorted, cur)
 			statsInc(stats.CtrBuildSegmented)
 		}
-		sets[i] = &slab[i]
+		sets[i] = s
 	}
 	return sets, nil
+}
+
+// maxArenaWords is the largest arena one build may have, 2^32-1 64-bit
+// words (32 GiB), so that every region's u32 word offset, its end included,
+// fits its header.
+const maxArenaWords = math.MaxUint32
+
+// checkArena returns an error for a build whose arena of words 64-bit words
+// is past maxArenaWords. BuildSets and ReadCorpus both run it.
+func checkArena(words uint64) error {
+	if words > maxArenaWords {
+		return fmt.Errorf("core: arena of %d words exceeds the %d a set header addresses", words, uint64(maxArenaWords))
+	}
+	return nil
+}
+
+// layout lays out one build of the sets metas describe: it sizes their
+// regions, back to back in input order, checks the arena (checkArena),
+// allocates it zeroed with its guard word, and returns one header per set,
+// in one slab, addressing its region. The caller fills the regions.
+func layout(cfg Config, metas []setMeta) ([]Set, error) {
+	words := uint64(0)
+	for _, m := range metas {
+		if uint64(m.n) > math.MaxUint32 {
+			return nil, fmt.Errorf("core: a set of %d elements overflows its header's u32 count", m.n)
+		}
+		words += arenaWords(m.rep, uint64(m.n), m.mBits)
+	}
+	if err := checkArena(words); err != nil {
+		return nil, err
+	}
+	b := &buildState{cfg: cfg, hasher: hashutil.New(cfg.Seed), arena: make([]uint64, words+1)}
+	slab := make([]Set, len(metas))
+	at := uint64(0)
+	for i, m := range metas {
+		slab[i] = Set{build: b, at: uint32(at), n: uint32(m.n), rep: m.rep}
+		switch m.rep {
+		case RepSegmented:
+			slab[i].logW = uint8(bits.TrailingZeros64(m.mBits / 64))
+		case RepDense:
+			slab[i].base, slab[i].aux = m.base, uint32(m.mBits/64)
+		}
+		at += arenaWords(m.rep, uint64(m.n), m.mBits)
+	}
+	return slab, nil
 }
 
 // arenaWords returns one set's arena footprint in 64-bit words: mBits/64
@@ -351,17 +388,61 @@ func arenaWords(rep Rep, n, mBits uint64) uint64 {
 	return 2*(mBits/64) + (n+1)/2 // words + directory + reordered
 }
 
-// segmentedRegion carves one segmented set's region out of the arena at
-// word at — mBits/64 bitmap words, their rank directory as two uint32s per
-// word, then n reordered elements as uint32s — and returns the word index
-// just past it.
-func segmentedRegion(arena []uint64, at int, mBits uint64, n int) (words []uint64, dir, reordered []uint32, end int) {
-	nwords := int(mBits / 64)
-	words = arena[at : at+nwords : at+nwords]
-	at += nwords
-	u32 := unsafe.Slice((*uint32)(unsafe.Pointer(&arena[at])), 2*nwords+n)
-	return words, u32[: 2*nwords : 2*nwords], u32[2*nwords:], at + nwords + (n+1)/2
+// start is the address of the set's first arena word.
+func (s *Set) start() unsafe.Pointer {
+	return unsafe.Add(unsafe.Pointer(unsafe.SliceData(s.build.arena)), uintptr(s.at)*8)
 }
+
+// region returns a segmented set's bitmap words, their rank directory (two
+// uint32s per word; read it only when hasDirectory) and its reordered
+// elements, which lie back to back in its arena region. Each hot loop
+// derives them once per pair, in its own frame. The arena cap keeps a
+// bitmap under 2^31 words; the mask says so to the compiler.
+func (s *Set) region() (words []uint64, dir, elems []uint32) {
+	nw := uint(1) << (s.logW & 31)
+	p := s.start()
+	return (*[partWords]uint64)(p)[:nw:nw],
+		(*[2 * partWords]uint32)(unsafe.Add(p, 8*nw))[: 2*nw : 2*nw],
+		(*[2 * partWords]uint32)(unsafe.Add(p, 16*nw))[:s.n:s.n]
+}
+
+// partWords bounds the arrays the accessors slice a region's parts from:
+// the arena cap on 64-bit hosts, and on 32-bit ones the most that fits the
+// address space. Slicing a region from an array pointer bounds it by the
+// header's lengths alone, and under checkptr checks just those elements.
+const partWords = min(maxArenaWords, math.MaxInt/16)
+
+// elems returns the elements of a segmented set (its reordered array) or
+// of an array set (ascending). Dense sets store none.
+func (s *Set) elems() []uint32 {
+	var skip uint // a segmented set's words and directory
+	if s.rep == RepSegmented {
+		skip = 16 << (s.logW & 31)
+	}
+	return (*[2 * partWords]uint32)(unsafe.Add(s.start(), skip))[:s.n:s.n]
+}
+
+// denseWords returns a dense set's words.
+func (s *Set) denseWords() []uint64 { return (*[partWords]uint64)(s.start())[:s.aux:s.aux] }
+
+// asBitmap returns a segmented set's bitmap as a bitmap.Bitmap value over its
+// arena words, for the k-way AND.
+func (s *Set) asBitmap() bitmap.Bitmap {
+	words, _, _ := s.region()
+	return bitmap.NewFromWords(words, s.mBits(), s.segBits())
+}
+
+// segBits is the build's segment size s in bits.
+func (s *Set) segBits() int { return s.build.cfg.SegBits }
+
+// nwords is a segmented set's bitmap word count.
+func (s *Set) nwords() int { return 1 << s.logW }
+
+// mBits is a segmented set's bitmap size m in bits.
+func (s *Set) mBits() uint64 { return 64 << s.logW }
+
+// numSegments is a segmented set's segment count m/s.
+func (s *Set) numSegments() int { return int(s.mBits()) / s.segBits() }
 
 // sortDedup copies elems into dst, which must be as long, sorts and
 // deduplicates the copy, and returns its distinct prefix.
@@ -378,35 +459,6 @@ func bitmapBits(n int, scale float64) uint64 {
 		mBits = 64
 	}
 	return mBits
-}
-
-// newShell assembles a segmented Set header around preallocated (possibly
-// arena-backed) bitmap words, rank directory (two uint32s per word) and
-// reordered storage. Callers must fill() it, or validate it against the
-// offsets it was read with (validateShell), before use.
-func newShell(b *buildState, words []uint64, dir, reordered []uint32) Set {
-	return Set{
-		build:     b,
-		rep:       RepSegmented,
-		bm:        bitmap.NewFromWords(words, uint64(len(words))*64, b.cfg.SegBits),
-		n:         len(reordered),
-		dir:       dir,
-		reordered: reordered,
-	}
-}
-
-// newArrayShell assembles a RepArray Set header around a sorted,
-// duplicate-free (possibly arena-backed) element slice. elems is retained,
-// not copied.
-func newArrayShell(b *buildState, elems []uint32) Set {
-	return Set{build: b, rep: RepArray, n: len(elems), reordered: elems}
-}
-
-// newDenseShell assembles a RepDense Set header around a (possibly
-// arena-backed) word slice covering [base, base+64*len(words)). words is
-// retained.
-func newDenseShell(b *buildState, words []uint64, base uint32, n int) Set {
-	return Set{build: b, rep: RepDense, n: n, dense: words, base: base}
 }
 
 // denseLayout computes the canonical dense-bitmap cover of a non-empty
@@ -427,36 +479,38 @@ func fillDense(words []uint64, base uint32, sorted []uint32) {
 	}
 }
 
-// fill populates the bitmap, the reordered elements and the segment bounds
-// from a sorted duplicate-free element list. cur is the build's cursor
-// scratch, at least nseg+1 long: it first counts each segment, then holds
-// each segment's end, and placing the elements in descending order while
-// decrementing their segment's end leaves every cursor at its segment's
-// start and every segment ascending, as the paper requires. The bounds are
-// then indexed from the starts.
+// fill populates a segmented set's zeroed region — the bitmap, the
+// reordered elements and the segment bounds — from a sorted duplicate-free
+// element list. cur is the build's cursor scratch, at least nseg+1 long: it
+// first counts each segment, then holds each segment's end, and placing the
+// elements in descending order while decrementing their segment's end
+// leaves every cursor at its segment's start and every segment ascending,
+// as the paper requires. The bounds are then indexed from the starts.
 func (s *Set) fill(sorted []uint32, cur []uint32) {
-	mBits := s.bm.Bits()
-	nseg := s.bm.NumSegments()
+	words, _, elems := s.region()
+	mBits := s.mBits()
+	shift := segShift(s)
+	nseg := s.numSegments()
 	h := s.build.hasher
 	cur = cur[:nseg+1]
 	clear(cur)
 	for _, x := range sorted {
 		pos := h.Pos(x, mBits)
-		s.bm.Set(pos)
-		cur[s.bm.SegmentOf(pos)]++
+		words[pos>>6] |= 1 << (pos & 63)
+		cur[pos>>shift]++
 	}
 	sum := uint32(0)
 	for i, c := range cur[:nseg] {
-		s.maxSeg = max(s.maxSeg, int(c))
+		s.maxSeg = max(s.maxSeg, c)
 		sum += c
 		cur[i] = sum
 	}
 	cur[nseg] = sum
 	for i := len(sorted) - 1; i >= 0; i-- {
 		x := sorted[i]
-		seg := s.bm.SegmentOf(h.Pos(x, mBits))
+		seg := h.Pos(x, mBits) >> shift
 		cur[seg]--
-		s.reordered[cur[seg]] = x
+		elems[cur[seg]] = x
 	}
 	s.index(cur)
 }
@@ -467,16 +521,20 @@ const maxSurplus = 15
 // index sets the segment bounds from off, the nseg+1 segment starts of a
 // consistent shell (every set bit has an element behind it, so a word's
 // surplus only grows from bit to bit): it derives the rank directory into
-// s.dir (see span), or, when some word stores more than maxSurplus elements
-// beyond its set bits, gives the set a copy of off as its offsets.
+// the set's region (see span), or, when some word stores more than
+// maxSurplus elements beyond its set bits, keeps a copy of off in the build
+// and points the header at it.
 func (s *Set) index(off []uint32) {
-	segBits := s.bm.SegBits()
-	spw := s.bm.SegmentsPerWord()
-	for w, word := range s.bm.Words() {
+	words, dir, _ := s.region()
+	segBits := s.segBits()
+	spw := 64 / segBits
+	for w, word := range words {
 		base := off[w*spw]
 		extra := off[(w+1)*spw] - base - uint32(bits.OnesCount64(word))
 		if extra > maxSurplus {
-			s.dir = slices.Clone(off)
+			b := s.build
+			b.offsets = append(b.offsets, slices.Clone(off))
+			s.aux = uint32(len(b.offsets))
 			return
 		}
 		sur := extra << 28 // nibble 7: the surplus below bit 64
@@ -484,16 +542,20 @@ func (s *Set) index(off []uint32) {
 			k := j * segBits // the bit just past segment j-1 of the word
 			sur |= (off[w*spw+j] - base - uint32(bits.OnesCount64(word<<(64-k)))) << (k/2 - 4)
 		}
-		s.dir[2*w], s.dir[2*w+1] = base, sur
+		dir[2*w], dir[2*w+1] = base, sur
 	}
 }
 
-// hasDirectory reports whether the segment bounds come from the rank
-// directory, two uint32s per bitmap word, rather than from an overflowing
-// set's nseg+1 offsets (an even count against an odd one). The hot loops
-// test it once per call and read a directory through span; a set that keeps
-// its offsets takes their plain loops, which read bounds.
-func (s *Set) hasDirectory() bool { return len(s.dir)&1 == 0 }
+// hasDirectory reports whether a segmented set's bounds come from the rank
+// directory in its region rather than from the nseg+1 offsets it keeps in
+// the build. The hot loops test it once per call and read a directory
+// through span; a set that keeps its offsets takes their plain loops, which
+// read bounds.
+func (s *Set) hasDirectory() bool { return s.aux == 0 }
+
+// kept returns the nseg+1 offsets a segmented set without a rank directory
+// keeps in its build.
+func (s *Set) kept() []uint32 { return s.build.offsets[s.aux-1] }
 
 // span returns the range [lo, hi) of a set's reordered elements that holds
 // the segment of bitmap word i from bit k to bit end, read from the set's
@@ -514,25 +576,27 @@ func span(dir []uint32, i, k, end uint, w uint64) (lo, hi uint32) {
 		base + uint32(bits.OnesCount64(w<<((64-end)&63))) + sur>>((end/2-4)&31)&maxSurplus
 }
 
-// bounds returns segment seg's range [lo, hi) of s.reordered, from either
-// layout.
+// bounds returns segment seg's range [lo, hi) of a segmented set's
+// reordered elements, from either layout.
 func (s *Set) bounds(seg int) (lo, hi uint32) {
 	if !s.hasDirectory() {
-		return s.dir[seg], s.dir[seg+1]
+		off := s.kept()
+		return off[seg], off[seg+1]
 	}
-	sb := uint(s.bm.SegBits())
+	words, dir, _ := s.region()
+	sb := uint(s.segBits())
 	bit := uint(seg) * sb
-	return span(s.dir, bit>>6, bit&63, bit&63+sb, s.bm.Words()[bit>>6])
+	return span(dir, bit>>6, bit&63, bit&63+sb, words[bit>>6])
 }
 
 // stored returns how many of the set's elements are stored before bitmap
 // word i, for i up to the word count: words [lo, hi) hold stored(hi) -
 // stored(lo) of them.
 func (s *Set) stored(i int) int {
-	if i >= len(s.bm.Words()) {
-		return s.n
+	if i >= s.nwords() {
+		return int(s.n)
 	}
-	lo, _ := s.bounds(i * s.bm.SegmentsPerWord())
+	lo, _ := s.bounds(i * (64 / s.segBits()))
 	return int(lo)
 }
 
@@ -541,14 +605,14 @@ func (s *Set) stored(i int) int {
 // the offsets an overflowing set keeps, or its directory expanded.
 func (s *Set) offsets(buf []uint32) []uint32 {
 	if !s.hasDirectory() {
-		return append(buf[:0], s.dir...)
+		return append(buf[:0], s.kept()...)
 	}
-	nseg := s.bm.NumSegments()
+	nseg := s.numSegments()
 	buf = growU32(buf, nseg+1)
 	for i := range nseg {
 		buf[i], _ = s.bounds(i)
 	}
-	buf[nseg] = uint32(s.n)
+	buf[nseg] = s.n
 	return buf
 }
 
@@ -562,7 +626,7 @@ func MustNewSet(elems []uint32, cfg Config) *Set {
 }
 
 // Len returns the number of distinct elements.
-func (s *Set) Len() int { return s.n }
+func (s *Set) Len() int { return int(s.n) }
 
 // Config returns the normalized build configuration.
 func (s *Set) Config() Config { return s.build.cfg }
@@ -577,9 +641,9 @@ func (s *Set) BitmapBits() uint64 {
 	case RepArray:
 		return 0
 	case RepDense:
-		return uint64(len(s.dense)) * 64
+		return uint64(s.aux) * 64
 	}
-	return s.bm.Bits()
+	return s.mBits()
 }
 
 // NumSegments returns m/s for segmented sets and 0 otherwise.
@@ -587,17 +651,17 @@ func (s *Set) NumSegments() int {
 	if s.rep != RepSegmented {
 		return 0
 	}
-	return s.bm.NumSegments()
+	return s.numSegments()
 }
 
 // MaxSegmentLen returns the size of the largest segment list (0 for
 // non-segmented sets).
-func (s *Set) MaxSegmentLen() int { return s.maxSeg }
+func (s *Set) MaxSegmentLen() int { return int(s.maxSeg) }
 
 // segment returns the sorted element list of segment i.
 func (s *Set) segment(i int) []uint32 {
 	lo, hi := s.bounds(i)
-	return s.reordered[lo:hi]
+	return s.elems()[lo:hi]
 }
 
 // Segment returns a copy-free view of segment i's sorted elements (segmented
@@ -616,23 +680,23 @@ func (s *Set) Segment(i int) []uint32 {
 func (s *Set) Contains(x uint32) bool {
 	switch s.rep {
 	case RepArray:
-		_, found := slices.BinarySearch(s.reordered, x)
+		_, found := slices.BinarySearch(s.elems(), x)
 		return found
 	case RepDense:
 		if x < s.base {
 			return false
 		}
 		idx := x - s.base
-		if int(idx>>6) >= len(s.dense) {
+		if idx>>6 >= s.aux {
 			return false
 		}
-		return s.dense[idx>>6]&(1<<(idx&63)) != 0
+		return s.denseWords()[idx>>6]&(1<<(idx&63)) != 0
 	}
-	pos := s.build.hasher.Pos(x, s.bm.Bits())
-	if !s.bm.Test(pos) {
+	pos := s.build.hasher.Pos(x, s.mBits())
+	if words, _, _ := s.region(); words[pos>>6]&(1<<(pos&63)) == 0 {
 		return false
 	}
-	for _, v := range s.segment(s.bm.SegmentOf(pos)) {
+	for _, v := range s.segment(int(pos >> segShift(s))) {
 		if v == x {
 			return true
 		}
@@ -646,12 +710,9 @@ func (s *Set) Contains(x uint32) bool {
 // Elements returns the set's distinct elements in ascending order (a fresh
 // slice).
 func (s *Set) Elements() []uint32 {
-	switch s.rep {
-	case RepArray:
-		return append([]uint32(nil), s.reordered...)
-	case RepDense:
+	if s.rep == RepDense {
 		out := make([]uint32, 0, s.n)
-		for w, word := range s.dense {
+		for w, word := range s.denseWords() {
 			for word != 0 {
 				out = append(out, s.base+uint32(w)<<6+uint32(simd.Tzcnt64(word)))
 				word &= word - 1
@@ -659,23 +720,29 @@ func (s *Set) Elements() []uint32 {
 		}
 		return out
 	}
-	out := append([]uint32(nil), s.reordered...)
-	slices.Sort(out)
+	out := append([]uint32(nil), s.elems()...)
+	if s.rep == RepSegmented {
+		slices.Sort(out)
+	}
 	return out
 }
 
 // MemoryBytes reports the payload bytes the set owns, for the dataset
 // tables: bitmap words, plus the rank directory or an overflowing set's
-// offsets, plus elements (dense words alone for dense sets). The header is
-// not counted.
+// offsets, plus elements (dense words alone for dense sets). The 32-byte
+// header is not counted.
 func (s *Set) MemoryBytes() int {
 	switch s.rep {
 	case RepArray:
-		return len(s.reordered) * 4
+		return int(s.n) * 4
 	case RepDense:
-		return len(s.dense) * 8
+		return int(s.aux) * 8
 	}
-	return len(s.bm.Words())*8 + len(s.dir)*4 + len(s.reordered)*4
+	dir := 8 * s.nwords() // two uint32s per bitmap word
+	if !s.hasDirectory() {
+		dir = 4 * (s.numSegments() + 1)
+	}
+	return 8*s.nwords() + dir + 4*int(s.n)
 }
 
 // Stats summarizes the physical layout of a Set. The segment-level fields
@@ -685,7 +752,7 @@ func (s *Set) MemoryBytes() int {
 type Stats struct {
 	Rep              Rep     // physical representation
 	N                int     // distinct elements
-	MemoryBytes      int     // approximate heap footprint
+	MemoryBytes      int     // payload bytes (Set.MemoryBytes); the 32-byte header is not counted
 	BitmapBits       uint64  // m (segmented) / covered span (dense) / 0 (array)
 	SegmentBits      int     // s
 	Segments         int     // m/s
@@ -703,7 +770,7 @@ type Stats struct {
 func (s *Set) Stats() Stats {
 	st := Stats{
 		Rep:         s.rep,
-		N:           s.n,
+		N:           int(s.n),
 		MemoryBytes: s.MemoryBytes(),
 		BitmapBits:  s.BitmapBits(),
 	}
@@ -711,13 +778,13 @@ func (s *Set) Stats() Stats {
 	case RepArray:
 		return st
 	case RepDense:
-		if len(s.dense) > 0 {
-			st.BitDensity = float64(s.n) / float64(64*len(s.dense))
+		if s.aux > 0 {
+			st.BitDensity = float64(s.n) / float64(64*s.aux)
 		}
 		return st
 	}
-	st.SegmentBits = s.bm.SegBits()
-	st.Segments = s.bm.NumSegments()
+	st.SegmentBits = s.segBits()
+	st.Segments = s.numSegments()
 	const histBuckets = 9
 	st.SegmentSizeHist = make([]int, histBuckets)
 	for i := range st.Segments {
@@ -731,7 +798,12 @@ func (s *Set) Stats() Stats {
 	if st.NonEmptySegments > 0 {
 		st.MeanOccupied = float64(s.n) / float64(st.NonEmptySegments)
 	}
-	st.BitDensity = float64(s.bm.PopCount()) / float64(s.bm.Bits())
+	words, _, _ := s.region()
+	pop := 0
+	for _, w := range words {
+		pop += bits.OnesCount64(w)
+	}
+	st.BitDensity = float64(pop) / float64(s.mBits())
 	return st
 }
 
@@ -753,7 +825,7 @@ func compatible(a, b *Set) {
 // (merge) requires: it walks the larger bitmap's words and wraps the smaller
 // one's.
 func ordered(a, b *Set) (large, small *Set) {
-	if a.bm.Bits() >= b.bm.Bits() {
+	if a.logW >= b.logW {
 		return a, b
 	}
 	return b, a

@@ -18,7 +18,7 @@ import (
 func statsSkewedPair(t testing.TB) (*Set, *Set) {
 	t.Helper()
 	_, large := benchPair(40_000, 0.5, DefaultConfig())
-	small := MustNewSet(append([]uint32(nil), large.reordered[:500]...), DefaultConfig())
+	small := MustNewSet(append([]uint32(nil), large.elems()[:500]...), DefaultConfig())
 	if !useHash(small, large) {
 		t.Fatal("pair not skewed enough for the hash strategy")
 	}
@@ -106,8 +106,8 @@ func TestExecutorStatsRecording(t *testing.T) {
 	// 3 workers whose word ranges split mask blocks, records the same on a
 	// fresh executor, which samples its first merge query.
 	wa, wb := benchPair(400, 0.5, DefaultConfig())
-	if wx, _ := ordered(wa, wb); len(wx.bm.Words()) < maskWalkWords {
-		t.Fatalf("the wide merge pair has %d words, below the mask walk", len(wx.bm.Words()))
+	if wx, _ := ordered(wa, wb); wx.nwords() < maskWalkWords {
+		t.Fatalf("the wide merge pair has %d words, below the mask walk", wx.nwords())
 	}
 	wdt := DispatchTrace(wa, wb)
 	for _, c := range []struct {

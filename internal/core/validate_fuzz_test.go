@@ -9,44 +9,44 @@ import (
 	"testing"
 
 	"fesia/internal/bitmap"
+	"fesia/internal/hashutil"
 )
 
 // validateShellSorted is the segmented-shell validator ReadSet and
 // ReadCorpus ran before the word-by-word bitmap check, kept as the reference
-// oracle for FuzzValidateShell; it reads the shell's bitmap and elements and
-// the offsets off it was read with. Per segment it sorts the elements' hash
-// positions and compares the distinct count with the segment's popcount;
-// pos is hash-position scratch, returned grown.
-func validateShellSorted(s *Set, off []uint32, pos []uint64) ([]uint64, error) {
-	n := s.n
-	nseg := s.bm.NumSegments()
-	mBits := s.bm.Bits()
+// oracle for FuzzValidateShell; it reads a shell's bitmap bm and reordered
+// elements, hashed by h, and the offsets off it was read with. Per segment
+// it sorts the elements' hash positions and compares the distinct count
+// with the segment's popcount; pos is hash-position scratch, returned grown.
+func validateShellSorted(h hashutil.Hasher, bm *bitmap.Bitmap, reordered, off []uint32, pos []uint64) ([]uint64, error) {
+	n := uint32(len(reordered))
+	nseg := bm.NumSegments()
+	mBits := bm.Bits()
 
 	// Validate the whole offset array before any slicing, then walk the
 	// segments it delimits.
-	if off[0] != 0 || off[nseg] != uint32(n) {
+	if off[0] != 0 || off[nseg] != n {
 		return pos, fmt.Errorf("core: offset bounds corrupt (first=%d last=%d n=%d)",
 			off[0], off[nseg], n)
 	}
 	for i := 0; i < nseg; i++ {
-		if off[i] > off[i+1] || off[i+1] > uint32(n) {
+		if off[i] > off[i+1] || off[i+1] > n {
 			return pos, fmt.Errorf("core: offsets corrupt at segment %d", i)
 		}
 	}
 	for i := 0; i < nseg; i++ {
-		lst := s.reordered[off[i]:off[i+1]]
-		s.maxSeg = max(s.maxSeg, len(lst))
+		lst := reordered[off[i]:off[i+1]]
 		pos = pos[:0]
 		for j, v := range lst {
 			if j > 0 && lst[j-1] >= v {
 				return pos, fmt.Errorf("core: segment %d not strictly ascending", i)
 			}
-			p := s.build.hasher.Pos(v, mBits)
-			if s.bm.SegmentOf(p) != i {
+			p := h.Pos(v, mBits)
+			if bm.SegmentOf(p) != i {
 				return pos, fmt.Errorf("core: element %d stored in segment %d, hashes to %d",
-					v, i, s.bm.SegmentOf(p))
+					v, i, bm.SegmentOf(p))
 			}
-			if !s.bm.Test(p) {
+			if !bm.Test(p) {
 				return pos, fmt.Errorf("core: bitmap bit missing for element %d", v)
 			}
 			pos = append(pos, p)
@@ -63,7 +63,7 @@ func validateShellSorted(s *Set, off []uint32, pos []uint64) ([]uint64, error) {
 				distinct++
 			}
 		}
-		if pop := segmentPopcount(&s.bm, i); pop != distinct {
+		if pop := segmentPopcount(bm, i); pop != distinct {
 			return pos, fmt.Errorf("core: segment %d has %d set bits but %d element hash positions (stray or missing bits)",
 				i, pop, distinct)
 		}
@@ -120,7 +120,7 @@ func FuzzValidateShell(f *testing.F) {
 
 		// v3 layout: magic(8) + header(52) + header CRC(4), then the bitmap,
 		// offsets and elements sections, each followed by its CRC.
-		lens := []int{8 * len(orig.bm.Words()), 4 * (orig.NumSegments() + 1), 4 * orig.n}
+		lens := []int{8 * orig.nwords(), 4 * (orig.NumSegments() + 1), 4 * orig.Len()}
 		starts := []int{64, 64 + lens[0] + 4, 64 + lens[0] + lens[1] + 8}
 		sec := int(section % 3)
 		start, l := starts[sec], lens[sec]
@@ -141,9 +141,9 @@ func FuzzValidateShell(f *testing.F) {
 			binary.LittleEndian.PutUint32(data[end:], crc32cOf(data[starts[i]:end]))
 		}
 
-		words := make([]uint64, len(orig.bm.Words()))
+		words := make([]uint64, orig.nwords())
 		offsets := make([]uint32, orig.NumSegments()+1)
-		reordered := make([]uint32, orig.n)
+		reordered := make([]uint32, orig.Len())
 		for i := range words {
 			words[i] = binary.LittleEndian.Uint64(data[starts[0]+8*i:])
 		}
@@ -153,8 +153,8 @@ func FuzzValidateShell(f *testing.F) {
 		for i := range reordered {
 			reordered[i] = binary.LittleEndian.Uint32(data[starts[2]+4*i:])
 		}
-		shell := newShell(orig.build, words, nil, reordered)
-		_, oracleErr := validateShellSorted(&shell, offsets, nil)
+		bm := bitmap.NewFromWords(words, orig.mBits(), cfg.SegBits)
+		_, oracleErr := validateShellSorted(orig.build.hasher, &bm, reordered, offsets, nil)
 
 		s, err := ReadSet(bytes.NewReader(data))
 		if (err == nil) != (oracleErr == nil) {

@@ -168,7 +168,7 @@ func CountSmall(a, b []uint32) int {
 // number of elements written. dst must have room for the matches; the SIMD
 // bodies run only when it has room for min(len(a), len(b)), so a caller
 // writing into the tail of a buffer sized for its whole result (core's
-// pass 2) may pass less.
+// merge body, (*lane).merge) may pass less.
 // On the AVX-512 rung the register side is mask-loaded once, the loop side
 // broadcast-compared against it, and one VPCOMPRESSD stores the matching
 // lanes contiguously in order — the compress-store materialize path the AVX2
