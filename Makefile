@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test tiers race cover check lint loc bench benchcheck batchbench servebench tracebench kwaybench pairbench probebench mergebench poolbench swapbench ablation fuzz kernels experiments examples clean
+.PHONY: all build test tiers race cover check lint loc bench benchcheck batchbench servebench tracebench kwaybench pairbench probebench mergebench poolbench swapbench tierbench ablation fuzz kernels experiments examples clean
 
 all: build test
 
@@ -165,6 +165,14 @@ poolbench:
 # source of EXPERIMENTS.md's swap table (5 runs each).
 swapbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildSets|BenchmarkReadCorpus|BenchmarkSwapFromReader' -benchmem -count 5 ./internal/serve | tee swapbench.txt
+
+# One query of search-swap's trace (its corpus and query mix) three ways over
+# the same sets: a bare executor's CountK, a stats-attached executor's
+# CountKCtx and Tier.QueryCount. Their differences are the serving tier's
+# fixed cost per query: the source of EXPERIMENTS.md's "One end stamp per
+# served query" table (9 runs each).
+tierbench:
+	$(GO) test -run '^$$' -bench BenchmarkTierQuery -benchtime 300000x -count 9 ./internal/serve | tee tierbench.txt
 
 ablation:
 	$(GO) test -bench=Ablation -benchmem .

@@ -213,17 +213,18 @@ func retryAfterFor(err error) string {
 // resolved deadline.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var items []uint32
+	params := r.URL.Query() // parsed once: each call re-parses the raw query
 	switch {
-	case r.URL.Query().Get("rand") != "":
-		k, err := strconv.Atoi(r.URL.Query().Get("rand"))
+	case params.Get("rand") != "":
+		k, err := strconv.Atoi(params.Get("rand"))
 		if err != nil || k < 1 || k > 16 {
 			http.Error(w, "rand must be an integer in [1, 16]", http.StatusBadRequest)
 			return
 		}
 		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 		items = s.sampleItems(rng, k)
-	case r.URL.Query().Get("items") != "":
-		for _, f := range strings.Split(r.URL.Query().Get("items"), ",") {
+	case params.Get("items") != "":
+		for _, f := range strings.Split(params.Get("items"), ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 32)
 			if err != nil {
 				http.Error(w, "items must be comma-separated uint32 IDs", http.StatusBadRequest)

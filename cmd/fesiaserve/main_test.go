@@ -107,6 +107,25 @@ func TestServeQueryEndpoint(t *testing.T) {
 		t.Errorf("/query count = %d, want %d", got.Count, want)
 	}
 
+	// An items list with spaces around the IDs, and a rand= request.
+	for _, good := range []string{fmt.Sprintf("/query?items=%d,%%20%d+", a, b), "/query?rand=2"} {
+		resp, err := http.Get(srv.URL + good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Count int `json:"count"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("GET %s: status %d, decode error %v", good, resp.StatusCode, err)
+		}
+		if strings.Contains(good, "items=") && got.Count != want {
+			t.Errorf("GET %s: count %d, want %d", good, got.Count, want)
+		}
+	}
+
 	for _, bad := range []string{"/query", "/query?items=x", "/query?rand=99"} {
 		resp, err := http.Get(srv.URL + bad)
 		if err != nil {

@@ -301,7 +301,7 @@ func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s many
 	}
 	var start time.Time
 	if e.st != nil {
-		start = time.Now()
+		start = Now()
 	}
 	var total int
 	var err error
@@ -329,7 +329,7 @@ func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s many
 	}
 	if e.st != nil {
 		e.st.Add(stats.CtrBatchCandidates, uint64(len(cands)))
-		observeSince(e.st, stats.CtrQueriesBatch, stats.LatBatch, start)
+		e.observeSince(stats.CtrQueriesBatch, stats.LatBatch, start)
 	}
 	return total, nil
 }

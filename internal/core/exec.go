@@ -53,6 +53,10 @@ type Executor struct {
 	group     doGroup
 	batch     manyRun
 	batchPart func(w int)
+
+	// end is the end stamp of the last query frame that timed itself, kept
+	// for the goroutine running the executor (TakeEnd); zero once taken.
+	end time.Time
 }
 
 // lane is the private state of one thread of query work: the executor's own
@@ -172,7 +176,8 @@ func planPair(a, b *Set, force pairArm) pairPlan {
 // with checkpoint ck (nil: uncancellable) into the sink — dst non-nil
 // materializes, emit non-nil streams, both nil count — and records the query
 // off at most two clock reads: the arm's query counter and latency, and its
-// strategy span. A cancelled query records only CtrCancellations.
+// strategy span. The second read is the end stamp TakeEnd returns. A
+// cancelled query records only CtrCancellations.
 func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, emit Visitor) (int, error) {
 	compatible(a, b)
 	if err := stop(ck); err != nil {
@@ -182,7 +187,7 @@ func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, e
 	timed := e.st != nil || e.tr != nil
 	var start time.Time
 	if timed {
-		start = time.Now()
+		start = Now()
 	}
 	n, err := e.runPair(ck, e.tr, p, a, b, dst, emit)
 	if err != nil {
@@ -191,7 +196,7 @@ func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, e
 	if !timed {
 		return n, nil
 	}
-	el := time.Since(start)
+	el := e.since(start)
 	if e.st != nil {
 		q, lat := stats.CtrQueriesMerge, stats.LatMerge
 		switch p.arm {
@@ -331,7 +336,7 @@ func kwayProbe(sets []*Set) bool {
 func (e *Executor) kway(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
 	var start time.Time
 	if e.st != nil || e.tr != nil {
-		start = time.Now()
+		start = Now()
 	}
 	probe := kwayProbe(sets)
 	var total int
@@ -349,12 +354,12 @@ func (e *Executor) kway(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (i
 }
 
 // observeKWay records one k-way query into the stats sink and the trace
-// cell off a single shared clock read.
+// cell off a single shared clock read, the end stamp TakeEnd returns.
 func (e *Executor) observeKWay(start time.Time, probe bool, nsets, total int) {
 	if e.st == nil && e.tr == nil {
 		return
 	}
-	el := time.Since(start)
+	el := e.since(start)
 	arm := uint8(trace.ArmKWay)
 	if probe {
 		arm = trace.ArmKWayProbe
@@ -629,7 +634,7 @@ func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 	}
 	var start time.Time
 	if e.st != nil {
-		start = time.Now()
+		start = Now()
 	}
 	walk := walkOf(x, y)
 	e.ensureWorkers(workers)
@@ -660,7 +665,7 @@ func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 		total += ws.count
 	}
 	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesMerge, stats.LatMerge, start)
+		e.observeSince(stats.CtrQueriesMerge, stats.LatMerge, start)
 	}
 	return total
 }
@@ -680,7 +685,7 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 	}
 	var start time.Time
 	if e.st != nil {
-		start = time.Now()
+		start = Now()
 	}
 	e.ensureWorkers(workers)
 	elems := small.elems()
@@ -696,7 +701,7 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 		total += e.workers[w].count
 	}
 	if e.st != nil {
-		observeSince(e.st, stats.CtrQueriesHash, stats.LatHash, start)
+		e.observeSince(stats.CtrQueriesHash, stats.LatHash, start)
 	}
 	return total
 }
@@ -731,7 +736,7 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	}
 	var start time.Time
 	if e.st != nil || e.tr != nil {
-		start = time.Now()
+		start = Now()
 	}
 	maxSeg := kwayMaxSeg(e.ord)
 	e.ensureWorkers(workers)

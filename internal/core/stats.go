@@ -113,10 +113,41 @@ func (l *lane) kernelShard() *stats.Shard {
 	return nil
 }
 
-// observeSince records one query's strategy count and latency. The two
-// time.Now calls around a query are the only instrumentation overhead paid
-// at query granularity (~40ns, invisible next to any real intersection).
-func observeSince(st *stats.Shard, q stats.Counter, h stats.LatHist, start time.Time) {
-	st.Inc(q)
-	st.Observe(h, time.Since(start))
+// clockAnchor is the origin Now reads the clock from. It carries a
+// monotonic reading, so every time Now derives from it does too.
+var clockAnchor = time.Now()
+
+// Now returns the current time off one monotonic clock read: time.Since of
+// a time that carries a monotonic reading reads only the monotonic clock,
+// where time.Now reads the wall clock as well. Subtracting two Now stamps
+// uses their monotonic readings. A stamp's wall reading is the anchor's plus
+// the monotonic time since, so it misses any step the system clock took
+// after start; the query path only ever subtracts stamps. Every timed frame
+// and the serving tier read the clock through Now.
+func Now() time.Time { return clockAnchor.Add(time.Since(clockAnchor)) }
+
+// since reads a timed frame's end stamp, keeps it for TakeEnd and returns
+// the time the frame ran from start.
+func (e *Executor) since(start time.Time) time.Duration {
+	e.end = Now()
+	return e.end.Sub(start)
+}
+
+// TakeEnd returns the end stamp of the last query frame this executor
+// timed, and clears it; ok is false when no frame timed itself since the
+// last call. A frame times itself when stats or a trace cell are attached,
+// and stamps its end only when it succeeds. A serving tier closes its own
+// latency and spans on this stamp instead of reading the clock again.
+func (e *Executor) TakeEnd() (end time.Time, ok bool) {
+	end, e.end = e.end, time.Time{}
+	return end, !end.IsZero()
+}
+
+// observeSince records one query's strategy count and its latency from
+// start to the frame's end stamp (since) into the executor's shard. A timed
+// frame reads the clock twice, once at each end, off the monotonic clock
+// (Now).
+func (e *Executor) observeSince(q stats.Counter, h stats.LatHist, start time.Time) {
+	e.st.Inc(q)
+	e.st.Observe(h, e.since(start))
 }

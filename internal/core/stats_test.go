@@ -267,6 +267,50 @@ func TestStatsCancellationCounter(t *testing.T) {
 	}
 }
 
+// TestTakeEnd pins the end stamp a timed frame hands its caller: a pair or
+// k-way query with stats attached leaves one stamp, taken once; a query no
+// frame timed (one set, a context already done) leaves none, and an
+// executor with neither stats nor a trace cell never stamps.
+func TestTakeEnd(t *testing.T) {
+	a, b := statsMergePair(t)
+	e := NewExecutor()
+	e.EnableStats(stats.New())
+	ctx := context.Background()
+	before := Now()
+	if _, err := e.CountKCtx(ctx, a, b); err != nil {
+		t.Fatal(err)
+	}
+	end, ok := e.TakeEnd()
+	if after := Now(); !ok || end.Before(before) || end.After(after) {
+		t.Fatalf("pair query: TakeEnd = %v, %v; want a stamp in [%v, %v]", end, ok, before, after)
+	}
+	if _, ok := e.TakeEnd(); ok {
+		t.Fatal("a second TakeEnd returned the stamp again")
+	}
+	if _, err := e.CountKCtx(ctx, a, b, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.TakeEnd(); !ok {
+		t.Fatal("k-way query left no end stamp")
+	}
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := e.CountKCtx(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CountKCtx(done, a, b); err == nil {
+		t.Fatal("CountKCtx on a done context returned nil error")
+	}
+	if end, ok := e.TakeEnd(); ok {
+		t.Fatalf("untimed queries left an end stamp %v", end)
+	}
+	plain := &Executor{}
+	plain.Count(a, b)
+	if end, ok := plain.TakeEnd(); ok {
+		t.Fatalf("executor without stats stamped %v", end)
+	}
+}
+
 // TestStatsSnapshotCodecCounters checks the serialization outcome counters on
 // the global sink, including the error paths.
 func TestStatsSnapshotCodecCounters(t *testing.T) {

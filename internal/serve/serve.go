@@ -9,9 +9,9 @@
 // single-writer discipline). Around that core sit four robustness
 // mechanisms:
 //
-//   - admission control: a slot semaphore with a bounded wait queue,
-//     rejecting with a typed *OverloadError once depth or wait budget is
-//     exceeded (admission.go);
+//   - admission control: a slot semaphore (a free-slot bitmap) with a
+//     bounded wait queue, rejecting with a typed *OverloadError once depth
+//     or wait budget is exceeded (admission.go);
 //   - load shedding: when the p99 of admitted queries breaches the target,
 //     a growing fraction of incoming traffic is dropped before admission,
 //     recovering when latency does (shed.go);
@@ -128,20 +128,16 @@ type Tier struct {
 	// holding that admission slot.
 	slotStats []*stats.Shard
 
-	// matrix is the per-(shard × slot) serve-metrics matrix behind the
-	// `shard`-labelled Prometheus/expvar series, with one shard row; always
-	// on.
-	matrix *stats.ServeMatrix
-
 	// tracer is the per-query tracing layer; nil unless Config enabled it.
 	// exemplars links LatServe buckets to retained trace IDs.
 	tracer    *trace.Tracer
 	exemplars *stats.ExemplarStore
 
-	// partDelay is a test hook injecting latency into a query's part, after
-	// the part's span opens — how the slow-query forensics tests fabricate a
-	// straggler.
-	partDelay func()
+	// partDelay is a test hook run inside a query's part, on the slot the
+	// query holds, after the part's span opens — how the slow-query
+	// forensics tests fabricate a straggler and the admission tests watch
+	// slot ownership.
+	partDelay func(slot int)
 
 	swapMu sync.Mutex // serializes publish; gen is owned by it
 	gen    uint64
@@ -178,8 +174,7 @@ func NewTier(lists [][]uint32, cfg Config) (*Tier, error) {
 		t.exs[s].EnableStats(t.sink)
 		t.slotStats[s] = t.sink.NewShard()
 	}
-	t.matrix = stats.NewServeMatrix(1, cfg.MaxConcurrent)
-	t.sink.SetServeMatrix(t.matrix)
+	t.sink.SetServeInFlight(t.lim.inUse)
 	if cfg.TraceSample > 0 || cfg.SlowQuery > 0 {
 		t.tracer = trace.New(trace.Config{
 			Slots:   cfg.MaxConcurrent,
@@ -247,10 +242,12 @@ func (t *Tier) QueryCountTraced(ctx context.Context, items ...uint32) (int, *tra
 	return t.queryCount(ctx, true, items)
 }
 
-// queryCount reads the clock twice when admission does not wait: at arrival,
-// which is then also the start, and at the end of the query's part, which
-// closes the latency observation and the trace's part, scatter and root
-// spans. Tracing reads no clock of its own.
+// queryCount reads the clock once itself when admission does not wait: at
+// arrival, which is then also the start. The executor frame reads it twice,
+// at its own start and end, and its end stamp is the query's end: it closes
+// the LatServe observation and the trace's part, scatter and root spans
+// (queryPart). Every read is monotonic only (core.Now), and tracing reads no
+// clock of its own.
 func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int, *trace.Captured, error) {
 	if t.closed.Load() {
 		return 0, nil, ErrShuttingDown
@@ -259,7 +256,7 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 		t.sink.Inc(stats.CtrServeShed)
 		return 0, nil, errShed
 	}
-	arrival := time.Now()
+	arrival := core.Now()
 	slot, waited, err := t.lim.acquire(ctx, t.sink)
 	if err != nil {
 		var oe *OverloadError
@@ -279,7 +276,7 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 	st.Inc(stats.CtrServeAdmitted)
 	start := arrival
 	if waited {
-		start = time.Now()
+		start = core.Now()
 	}
 	tr := t.tracer
 	if tr != nil {
@@ -344,9 +341,11 @@ func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced b
 // executor, on the calling goroutine — the slot owner. A query is a few µs
 // of work, far below the work at which handing it to a pool worker starts to
 // pay (BenchmarkPoolHandoff; EXPERIMENTS.md, "Serving tier"). It runs from
-// start to the end stamp it returns, records itself into the serve matrix's
-// one shard row and, when tracing, points the executor at the slot's shard
-// cell before it runs and appends the part's span after.
+// start to the end stamp it returns: the executor frame's (core's TakeEnd),
+// or a clock read of its own when no frame timed the query (one set, an
+// unknown item, a context already done, a cancelled frame). When tracing, it
+// points the executor at the slot's shard cell before the query runs and
+// appends the part's span after.
 func (t *Tier) queryPart(ctx context.Context, slot int, start time.Time, items []uint32) (int, time.Time, error) {
 	e := t.acquireEpoch()
 	defer e.drain.Release()
@@ -357,24 +356,20 @@ func (t *Tier) queryPart(ctx context.Context, slot int, start time.Time, items [
 		cell.Reset(tr.TierCell(slot).Base())
 		ex.SetTraceCell(cell)
 	}
-	t.matrix.Enter(0, slot)
 	if d := t.partDelay; d != nil {
-		d()
+		d(slot)
 	}
 	n, err := e.countSets(ctx, ex, &t.setsBufs[slot], items)
-	end := time.Now()
-	el := end.Sub(start)
-	if err != nil {
-		t.matrix.ExitErr(0, slot)
-	} else {
-		t.matrix.ExitOK(0, slot, el)
+	end, ok := ex.TakeEnd()
+	if !ok {
+		end = core.Now()
 	}
 	if cell != nil {
 		var flags uint8
 		if err != nil {
 			flags = trace.FlagError
 		}
-		cell.Span(trace.KindShard, trace.ArmNone, flags, start, el, uint64(n), 0)
+		cell.Span(trace.KindShard, trace.ArmNone, flags, start, end.Sub(start), uint64(n), 0)
 	}
 	return n, end, err
 }

@@ -292,21 +292,21 @@ func TestTierDeadlinePropagation(t *testing.T) {
 	}
 
 	// A deadline that expires inside the query's part: the query fails with
-	// DeadlineExceeded, and the serve matrix's one row records an error, not
-	// a completed query.
+	// DeadlineExceeded, counts one more deadline expiry, and records no
+	// latency (only completed queries feed LatServe).
 	pctx, pcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer pcancel()
-	tier.partDelay = func() { <-pctx.Done() }
-	before := tier.Stats().ServeShards
+	tier.partDelay = func(int) { <-pctx.Done() }
+	before := tier.Stats()
 	if _, err := tier.QueryCount(pctx, 1, 2, 3); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline inside the part: err = %v, want deadline exceeded", err)
 	}
-	after := tier.Stats().ServeShards
-	if len(after) != 1 {
-		t.Fatalf("serve matrix has %d rows, want 1", len(after))
+	after := tier.Stats()
+	if d0, d1 := before.Counter(stats.CtrServeDeadline), after.Counter(stats.CtrServeDeadline); d1 != d0+1 {
+		t.Fatalf("deadline inside the part: deadline counter %d -> %d, want one more", d0, d1)
 	}
-	if after[0].Errors != before[0].Errors+1 || after[0].Queries != before[0].Queries {
-		t.Fatalf("deadline inside the part: row %+v -> %+v, want one more error and no more queries", before[0], after[0])
+	if c0, c1 := before.Latency(stats.LatServe).Count, after.Latency(stats.LatServe).Count; c1 != c0 {
+		t.Fatalf("deadline inside the part: LatServe count %d -> %d, want unchanged", c0, c1)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestForcedCaptureBreakdown(t *testing.T) {
 func TestSlowShardForensics(t *testing.T) {
 	const delay = 8 * time.Millisecond
 	tier, _ := traceTier(t, Config{SlowQuery: 3 * time.Millisecond})
-	tier.partDelay = func() { time.Sleep(delay) }
+	tier.partDelay = func(int) { time.Sleep(delay) }
 	if _, err := tier.QueryCount(context.Background(), 2, 5); err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -209,13 +209,11 @@ func TestSlowShardForensics(t *testing.T) {
 		t.Fatalf("slow part not clearly identifiable: part %dns, query %dns, next span %dns (spans: %+v)",
 			part, root, otherMax, e.Spans)
 	}
-	// And the serve matrix shows the same straggler without tracing.
-	rows := tier.Stats().ServeShards
-	if len(rows) != 1 {
-		t.Fatalf("stats carry %d serve shards, want 1", len(rows))
-	}
-	if m := rows[0].Latency.Mean(); m < delay {
-		t.Fatalf("serve matrix mean %v does not show the injected %v delay", m, delay)
+	// And the serve latency histogram shows the same straggler without
+	// tracing.
+	snap := tier.Stats()
+	if m := snap.Latency(stats.LatServe).Mean(); m < delay {
+		t.Fatalf("LatServe mean %v does not show the injected %v delay", m, delay)
 	}
 }
 
@@ -249,26 +247,38 @@ func TestOverloadFlavorCounters(t *testing.T) {
 	lists := genLists(16, 200, 0.2, 3)
 	tier, err := NewTier(lists, Config{
 		MaxConcurrent: 1, MaxQueue: 1,
-		MaxQueueWait: 5 * time.Millisecond, ShedTargetP99: -1,
+		MaxQueueWait: 100 * time.Millisecond, ShedTargetP99: -1,
 	})
 	if err != nil {
 		t.Fatalf("NewTier: %v", err)
 	}
 	defer tier.Shutdown(context.Background())
 
-	// Occupy the only slot.
+	// Occupy the only slot. A failed assertion must still return it, or
+	// the deferred Shutdown waits for it forever.
 	slot, _, err := tier.lim.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
+	held := true
+	defer func() {
+		if held {
+			tier.lim.release(slot)
+		}
+	}()
 	// First waiter joins the queue and times out -> queue_wait.
 	waitErr := make(chan error, 1)
 	go func() {
 		_, err := tier.QueryCount(context.Background(), 1)
 		waitErr <- err
 	}()
-	// Give the waiter time to enter the queue, then overflow it -> queue_full.
-	time.Sleep(2 * time.Millisecond)
+	// Once the waiter holds the queue's one seat, overflow it -> queue_full.
+	for i := 0; tier.lim.queued.Load() == 0; i++ {
+		if i > 5000 {
+			t.Fatal("waiter never queued")
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
 	_, fullErr := tier.QueryCount(context.Background(), 1)
 	var oe *OverloadError
 	if !errors.As(fullErr, &oe) || oe.Reason != ReasonQueueFull {
@@ -278,6 +288,7 @@ func TestOverloadFlavorCounters(t *testing.T) {
 		t.Fatalf("queued rejection = %v, want queue_wait", err)
 	}
 	tier.lim.release(slot)
+	held = false
 
 	if got := ctr(tier, stats.CtrServeRejQueueFull); got != 1 {
 		t.Fatalf("queue_full counter %d, want 1", got)

@@ -10,12 +10,13 @@ import (
 // mean and coarse percentiles per strategy; the kernel histogram is a sparse
 // list of [sizeA, sizeB, count] triples in descending count order.
 func (s *Snapshot) Map() map[string]any {
-	m := make(map[string]any, int(NumCounters)+2)
+	m := make(map[string]any, int(NumCounters)+3)
 	for c := Counter(0); c < NumCounters; c++ {
 		m[c.Name()] = s.Counters[c]
 	}
 	m["pool_inflight"] = s.PoolInFlight()
 	m["serve_queue_depth"] = s.ServeQueueDepth()
+	m["serve_inflight"] = s.ServeInFlight
 	lat := make(map[string]any, NumLatHists)
 	for h := LatHist(0); h < NumLatHists; h++ {
 		l := s.Latencies[h]
@@ -34,20 +35,6 @@ func (s *Snapshot) Map() map[string]any {
 		}
 	}
 	m["latency"] = lat
-	if len(s.ServeShards) > 0 {
-		rows := make([]map[string]any, 0, len(s.ServeShards))
-		for _, r := range s.ServeShards {
-			rows = append(rows, map[string]any{
-				"shard":    r.Shard,
-				"queries":  r.Queries,
-				"errors":   r.Errors,
-				"inflight": r.InFlight,
-				"mean_ns":  uint64(r.Latency.Mean()),
-				"p99_ns":   uint64(r.Latency.Quantile(0.99)),
-			})
-		}
-		m["serve_shards"] = rows
-	}
 	if len(s.ServeExemplars) > 0 {
 		exs := make([]map[string]any, 0, len(s.ServeExemplars))
 		for _, ex := range s.ServeExemplars {

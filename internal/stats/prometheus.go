@@ -106,50 +106,10 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		return err
 	}
 
-	// Per-shard serving rows (slots merged away): counts, the in-flight
-	// gauge, and latency sum/count plus a p99 gauge per shard — enough to
-	// spot a straggler shard on a dashboard without tracing enabled.
-	if len(s.ServeShards) > 0 {
-		if _, err := fmt.Fprintf(w, "# HELP fesia_serve_shard_queries_total Scatter parts completed, by document shard.\n# TYPE fesia_serve_shard_queries_total counter\n"); err != nil {
-			return err
-		}
-		for _, r := range s.ServeShards {
-			if _, err := fmt.Fprintf(w, "fesia_serve_shard_queries_total{shard=\"%d\"} %d\n", r.Shard, r.Queries); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# HELP fesia_serve_shard_errors_total Scatter parts that returned an error, by document shard.\n# TYPE fesia_serve_shard_errors_total counter\n"); err != nil {
-			return err
-		}
-		for _, r := range s.ServeShards {
-			if _, err := fmt.Fprintf(w, "fesia_serve_shard_errors_total{shard=\"%d\"} %d\n", r.Shard, r.Errors); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# HELP fesia_serve_shard_inflight Scatter parts currently executing, by document shard.\n# TYPE fesia_serve_shard_inflight gauge\n"); err != nil {
-			return err
-		}
-		for _, r := range s.ServeShards {
-			if _, err := fmt.Fprintf(w, "fesia_serve_shard_inflight{shard=\"%d\"} %d\n", r.Shard, r.InFlight); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# HELP fesia_serve_shard_latency_seconds_sum Total scatter-part latency, by document shard.\n# TYPE fesia_serve_shard_latency_seconds_sum counter\n"); err != nil {
-			return err
-		}
-		for _, r := range s.ServeShards {
-			if _, err := fmt.Fprintf(w, "fesia_serve_shard_latency_seconds_sum{shard=\"%d\"} %g\n", r.Shard, float64(r.Latency.SumNanos)/1e9); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# HELP fesia_serve_shard_p99_seconds Upper-bound p99 of scatter-part latency, by document shard.\n# TYPE fesia_serve_shard_p99_seconds gauge\n"); err != nil {
-			return err
-		}
-		for _, r := range s.ServeShards {
-			if _, err := fmt.Fprintf(w, "fesia_serve_shard_p99_seconds{shard=\"%d\"} %g\n", r.Shard, r.Latency.Quantile(0.99).Seconds()); err != nil {
-				return err
-			}
-		}
+	// Serving-tier in-flight gauge, read off the admission slots at scrape
+	// time.
+	if _, err := fmt.Fprintf(w, "# HELP fesia_serve_inflight Admitted queries currently holding an admission slot.\n# TYPE fesia_serve_inflight gauge\nfesia_serve_inflight %d\n", s.ServeInFlight); err != nil {
+		return err
 	}
 
 	// LatServe exemplars: one recent retained trace ID per occupied latency

@@ -298,19 +298,17 @@ type Sink struct {
 	multi  Shard // shared multi-writer shard (real atomic adds)
 
 	// Optional serving-tier attachments, registered by internal/serve: the
-	// per-(shard × slot) serve matrix and the tracing layer's latency
-	// exemplars. Atomic pointers so registration never races a snapshot;
-	// when several tiers share one sink, the last registration wins.
-	serveMatrix    atomic.Pointer[ServeMatrix]
+	// in-flight gauge's reader and the tracing layer's latency exemplars.
+	// Atomic pointers so registration never races a snapshot; when several
+	// tiers share one sink, the last registration wins.
+	serveInFlight  atomic.Pointer[func() uint64]
 	serveExemplars atomic.Pointer[ExemplarStore]
 }
 
-// SetServeMatrix attaches a per-shard serving-metrics matrix; its rows ride
-// along in every Snapshot and in the Prometheus/expvar output.
-func (k *Sink) SetServeMatrix(m *ServeMatrix) { k.serveMatrix.Store(m) }
-
-// ServeMatrix returns the attached matrix, or nil.
-func (k *Sink) ServeMatrix() *ServeMatrix { return k.serveMatrix.Load() }
+// SetServeInFlight attaches the serving tier's in-flight reader: the
+// admitted queries holding an admission slot, read at snapshot time, so
+// nothing is recorded per query for the gauge.
+func (k *Sink) SetServeInFlight(f func() uint64) { k.serveInFlight.Store(&f) }
 
 // SetServeExemplars attaches the tracing layer's LatServe exemplar store.
 func (k *Sink) SetServeExemplars(x *ExemplarStore) { k.serveExemplars.Store(x) }
@@ -414,9 +412,9 @@ type Snapshot struct {
 	Kernels   []KernelBucket
 	NumShards int // single-writer shards merged (excludes the shared shard)
 
-	// ServeShards is the per-document-shard serving view (one row per shard,
-	// slots merged away); empty unless a ServeMatrix is attached to the sink.
-	ServeShards []ServeShardStats
+	// ServeInFlight is the serving tier's admitted queries in flight, read
+	// at snapshot time; 0 unless a tier attached its reader.
+	ServeInFlight uint64
 	// ServeExemplars links LatServe buckets to recent retained trace IDs;
 	// empty unless the tracing layer attached an ExemplarStore.
 	ServeExemplars []LatencyExemplar
@@ -491,8 +489,8 @@ func (k *Sink) Snapshot() Snapshot {
 			snap.Kernels[j], snap.Kernels[j-1] = snap.Kernels[j-1], snap.Kernels[j]
 		}
 	}
-	if m := k.serveMatrix.Load(); m != nil {
-		snap.ServeShards = m.Snapshot()
+	if f := k.serveInFlight.Load(); f != nil {
+		snap.ServeInFlight = (*f)()
 	}
 	if x := k.serveExemplars.Load(); x != nil {
 		snap.ServeExemplars = x.Snapshot()
