@@ -159,10 +159,11 @@ mergebench:
 poolbench:
 	$(GO) test -run '^$$' -bench BenchmarkPoolHandoff -benchtime 0.5s -count 5 ./internal/core | tee poolbench.txt
 
-# The three ways a corpus of search-swap's size (25,000 docs, 62,500 items,
-# mean length 40) reaches a query server: BuildSets from its lists,
-# ReadCorpus of its snapshot, and a serving tier's SwapFromReader of it: the
-# source of EXPERIMENTS.md's swap table (5 runs each).
+# The three ways a corpus reaches a query server: BuildSets from its lists,
+# ReadCorpus of its snapshot, and a serving tier's SwapFromReader of it, at
+# search-swap's size (25,000 docs, 62,500 items, mean length 40) and at the
+# full search corpus's (200,000 docs, 500,000 items): the source of
+# EXPERIMENTS.md's swap tables (5 runs each).
 swapbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildSets|BenchmarkReadCorpus|BenchmarkSwapFromReader' -benchmem -count 5 ./internal/serve | tee swapbench.txt
 

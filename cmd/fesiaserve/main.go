@@ -261,17 +261,24 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusForError(err))
 		return
 	}
-	resp := map[string]any{
-		"items":      items,
-		"count":      n,
-		"elapsed_us": time.Since(start).Microseconds(),
-		"generation": s.tier.Generation(),
-	}
-	if capd != nil {
-		resp["trace"] = capd
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	json.NewEncoder(w).Encode(queryResponse{
+		Count:      n,
+		ElapsedUs:  time.Since(start).Microseconds(),
+		Generation: s.tier.Generation(),
+		Items:      items,
+		Trace:      capd,
+	})
+}
+
+// queryResponse is /query's body, its keys in the order a map of them
+// encoded in; the trace is present only for a forced capture.
+type queryResponse struct {
+	Count      int             `json:"count"`
+	ElapsedUs  int64           `json:"elapsed_us"`
+	Generation uint64          `json:"generation"`
+	Items      []uint32        `json:"items"`
+	Trace      *trace.Captured `json:"trace,omitempty"`
 }
 
 // handleSwap hot-swaps the corpus under live traffic: ?file=PATH loads a
@@ -287,14 +294,15 @@ func (s *server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), time.Minute)
 	defer cancel()
 	start := time.Now()
+	params := r.URL.Query() // parsed once: each call re-parses the raw query
 	var gen uint64
 	var err error
 	switch {
-	case r.URL.Query().Get("file") != "":
-		gen, err = s.tier.SwapFromFile(ctx, r.URL.Query().Get("file"))
-	case r.URL.Query().Get("seed") != "":
+	case params.Get("file") != "":
+		gen, err = s.tier.SwapFromFile(ctx, params.Get("file"))
+	case params.Get("seed") != "":
 		var seed int64
-		seed, err = strconv.ParseInt(r.URL.Query().Get("seed"), 10, 64)
+		seed, err = strconv.ParseInt(params.Get("seed"), 10, 64)
 		if err != nil {
 			http.Error(w, "seed must be an integer", http.StatusBadRequest)
 			return

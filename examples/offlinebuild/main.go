@@ -111,8 +111,8 @@ func main() {
 	}
 	fmt.Printf("query: probe vs %d corpus sets, %d total matches\n", len(counts), total)
 
-	// Corruption is detected at load time, not at query time: with the v3
-	// checksummed format, any single flipped byte fails the load.
+	// Corruption is detected at load time, not at query time: the snapshot
+	// carries a CRC32C, so any single flipped byte fails the load.
 	var buf bytes.Buffer
 	if _, err := set.WriteTo(&buf); err != nil {
 		fail(err)

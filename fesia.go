@@ -166,11 +166,13 @@ func (s *Set) Stats() SetStats { return s.inner.Stats() }
 
 // WriteTo serializes the set (construction is the expensive offline step;
 // the serialized form can be shipped to query servers and loaded with
-// ReadSet). It implements io.WriterTo.
+// ReadSet). It writes the corpus snapshot format holding the one set: its
+// arena region as it lies in memory under a CRC32C. It implements
+// io.WriterTo.
 func (s *Set) WriteTo(w io.Writer) (int64, error) { return s.inner.WriteTo(w) }
 
-// ReadSet deserializes a Set written by Set.WriteTo, validating structural
-// invariants; corrupted input yields an error.
+// ReadSet deserializes a Set written by Set.WriteTo, or a v3 set snapshot,
+// validating structural invariants; corrupted input yields an error.
 func ReadSet(r io.Reader) (*Set, error) {
 	inner, err := core.ReadSet(r)
 	if err != nil {
@@ -180,9 +182,10 @@ func ReadSet(r io.Reader) (*Set, error) {
 }
 
 // WriteCorpus serializes a whole corpus of sets — typically a BuildBatch
-// result — into one stream with a trailing whole-file CRC32C checksum. All
-// sets must share one build configuration. The corresponding loader is
-// ReadCorpus.
+// result — into one v4 stream: one entry per set, then the sets' arena
+// regions as they lie in memory, under a trailing whole-file CRC32C
+// checksum. All sets must share one build configuration. The corresponding
+// loader is ReadCorpus.
 func WriteCorpus(w io.Writer, sets []*Set) (int64, error) {
 	inner := make([]*core.Set, len(sets))
 	for i, s := range sets {
@@ -191,11 +194,12 @@ func WriteCorpus(w io.Writer, sets []*Set) (int64, error) {
 	return core.WriteCorpus(w, inner)
 }
 
-// ReadCorpus deserializes a corpus written by WriteCorpus, verifying the
-// whole-file checksum before any structural interpretation and rebuilding the
-// sets into one contiguous arena (the BuildBatch memory layout). Corruption —
-// truncation, bit flips, forged headers — yields an error, never a panic or a
-// silently wrong set.
+// ReadCorpus deserializes a corpus written by WriteCorpus, or a v3 corpus
+// snapshot. It reads the sets straight into one contiguous arena (the
+// BuildBatch memory layout), verifies the whole-file checksum before any
+// structural interpretation, then validates each set in one walk.
+// Corruption — truncation, bit flips, forged headers — yields an error,
+// never a panic or a silently wrong set.
 func ReadCorpus(r io.Reader) ([]*Set, error) {
 	inner, err := core.ReadCorpus(r)
 	if err != nil {

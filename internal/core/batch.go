@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"time"
 
 	"fesia/internal/simd"
 	"fesia/internal/stats"
@@ -299,7 +298,7 @@ func (e *Executor) many(ck checkpoint, q *Set, cands []*Set, workers int, s many
 	if len(cands) == 0 {
 		return 0, nil
 	}
-	var start time.Time
+	var start trace.Stamp
 	if e.st != nil {
 		start = Now()
 	}

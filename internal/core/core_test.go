@@ -163,6 +163,11 @@ func TestMemoryBytesCoversArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertArenaLayout(t, fmt.Sprintf("%v ReadCorpus", rep), read)
+		hidden, err := ReadCorpus(hideLength{bytes.NewReader(corpusBytes(t, sets))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertArenaLayout(t, fmt.Sprintf("%v ReadCorpus, length hidden", rep), hidden)
 		for i, s := range sets {
 			assertArenaLayout(t, fmt.Sprintf("%v NewSet %d", rep, i), []*Set{MustNewSet(lists[i], cfg)})
 			var snap bytes.Buffer
@@ -176,6 +181,22 @@ func TestMemoryBytesCoversArena(t *testing.T) {
 			assertArenaLayout(t, fmt.Sprintf("%v ReadSet %d", rep, i), []*Set{one})
 		}
 	}
+	// A read that cannot tell the stream's length grows the arena as bytes
+	// arrive; one whose regions end exactly where an allocation does must
+	// still leave room for the guard word.
+	exact := make([]uint32, 2*payloadChunk/8) // one array region of payloadChunk bytes
+	for i := range exact {
+		exact[i] = uint32(i)
+	}
+	sets, err := BuildSets([][]uint32{exact, nil}, Config{Rep: RepArray})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadCorpus(hideLength{bytes.NewReader(corpusBytes(t, sets))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertArenaLayout(t, "a payloadChunk arena, length hidden", read)
 }
 
 // assertArenaLayout checks one build's sets, in input order: they share one
@@ -245,7 +266,7 @@ func TestArenaCap(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := layout(DefaultConfig(), c.metas)
+		_, err := layout(DefaultConfig(), c.metas, nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: layout passed", c.name)

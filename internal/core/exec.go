@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"fesia/internal/bitmap"
 	"fesia/internal/simd"
@@ -56,7 +55,7 @@ type Executor struct {
 
 	// end is the end stamp of the last query frame that timed itself, kept
 	// for the goroutine running the executor (TakeEnd); zero once taken.
-	end time.Time
+	end trace.Stamp
 }
 
 // lane is the private state of one thread of query work: the executor's own
@@ -185,7 +184,7 @@ func (e *Executor) pair(ck checkpoint, a, b *Set, force pairArm, dst []uint32, e
 	}
 	p := planPair(a, b, force)
 	timed := e.st != nil || e.tr != nil
-	var start time.Time
+	var start trace.Stamp
 	if timed {
 		start = Now()
 	}
@@ -334,7 +333,7 @@ func kwayProbe(sets []*Set) bool {
 // their checkpoints once ctx is done; the error is then ctx.Err(), sink has
 // not seen a partial result of the probe chain, and nothing is recorded.
 func (e *Executor) kway(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (int, error) {
-	var start time.Time
+	var start trace.Stamp
 	if e.st != nil || e.tr != nil {
 		start = Now()
 	}
@@ -355,7 +354,7 @@ func (e *Executor) kway(ctx checkpoint, sets []*Set, sink func(cur []uint32)) (i
 
 // observeKWay records one k-way query into the stats sink and the trace
 // cell off a single shared clock read, the end stamp TakeEnd returns.
-func (e *Executor) observeKWay(start time.Time, probe bool, nsets, total int) {
+func (e *Executor) observeKWay(start trace.Stamp, probe bool, nsets, total int) {
 	if e.st == nil && e.tr == nil {
 		return
 	}
@@ -632,7 +631,7 @@ func (e *Executor) mergeParallel(a, b *Set, dst []uint32, workers int) int {
 	if crossPair(a, b) || workers <= 1 {
 		return e.run(a, b, armMerge, dst, nil)
 	}
-	var start time.Time
+	var start trace.Stamp
 	if e.st != nil {
 		start = Now()
 	}
@@ -683,7 +682,7 @@ func (e *Executor) CountHashParallel(a, b *Set, workers int) int {
 	if crossPair(a, b) || workers <= 1 {
 		return e.CountHash(a, b)
 	}
-	var start time.Time
+	var start trace.Stamp
 	if e.st != nil {
 		start = Now()
 	}
@@ -734,7 +733,7 @@ func (e *Executor) CountKParallel(workers int, sets ...*Set) int {
 	if workers <= 1 {
 		return e.CountK(sets...)
 	}
-	var start time.Time
+	var start trace.Stamp
 	if e.st != nil || e.tr != nil {
 		start = Now()
 	}

@@ -179,7 +179,7 @@ func FuzzHybridIntersect(f *testing.F) {
 		if got, want3 := CountK(sa, sb, sc), refCountMap(ec, eb); got != want3 {
 			t.Fatalf("CountK(%v×%v×%v) = %d, want %d", sa.Rep(), sb.Rep(), sc.Rep(), got, want3)
 		}
-		// Round-trip both sets through the v3 codec and recheck: the
+		// Round-trip both sets through the snapshot codec and recheck: the
 		// deserialized pair must intersect identically.
 		var buf bytes.Buffer
 		if _, err := sa.WriteTo(&buf); err != nil {
@@ -196,28 +196,17 @@ func FuzzHybridIntersect(f *testing.F) {
 }
 
 // FuzzReadSet throws arbitrary bytes at the deserializer: it must never
-// panic, and anything it accepts must be structurally sound.
+// panic, and anything it accepts must be structurally sound. It seeds v4
+// and v3 streams of each representation.
 func FuzzReadSet(f *testing.F) {
 	valid := MustNewSet([]uint32{1, 5, 9, 1 << 30}, DefaultConfig())
-	var buf bytes.Buffer
-	if _, err := valid.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	bigger := MustNewSet([]uint32{2, 4, 8, 16, 1 << 10, 1 << 20, 1<<20 + 1}, DefaultConfig())
-	var v2b bytes.Buffer
-	if _, err := bigger.WriteTo(&v2b); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2b.Bytes())
-	// v3 representation-tagged seeds: one per representation.
+	seeds := []*Set{valid, MustNewSet([]uint32{2, 4, 8, 16, 1 << 10, 1 << 20, 1<<20 + 1}, DefaultConfig())}
 	for _, cfg := range []Config{{Rep: RepArray}, {Rep: RepDense}, {Rep: RepSegmented}} {
-		s := MustNewSet([]uint32{3, 6, 9, 70, 131}, cfg)
-		var b bytes.Buffer
-		if _, err := s.WriteTo(&b); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b.Bytes())
+		seeds = append(seeds, MustNewSet([]uint32{3, 6, 9, 70, 131}, cfg))
+	}
+	for _, s := range seeds {
+		f.Add(setBytes(f, s, false))
+		f.Add(setBytes(f, s, true))
 	}
 	f.Add([]byte("FESIA1\x00\x00junk"))
 	f.Add([]byte("FESIA2\x00\x00junk"))
@@ -225,7 +214,7 @@ func FuzzReadSet(f *testing.F) {
 	f.Add([]byte{})
 	// Regression: a forged header demanding a multi-terabyte bitmap must
 	// fail at the first short read, not allocate (found by fuzzing).
-	huge := append([]byte(nil), buf.Bytes()[:28]...)
+	huge := append([]byte(nil), setBytes(f, valid, true)[:28]...)
 	huge = append(huge, 0, 0, 0, 0, 0, 0, 0, 0)       // seed
 	huge = append(huge, 0, 0, 0, 0, 0, 0, 0, 0)       // n = 0
 	huge = append(huge, 0, 0, 0, 0, 0, 0, 0x30, 0x40) // mBits = enormous pow2-ish
@@ -244,7 +233,8 @@ func FuzzReadSet(f *testing.F) {
 
 // FuzzReadCorpus throws arbitrary bytes at the corpus deserializer: it must
 // never panic or allocate absurdly, and any corpus it accepts must consist of
-// structurally sound, mutually intersectable sets.
+// structurally sound, mutually intersectable sets. It seeds v4 and v3
+// streams, of one representation and of mixed ones.
 func FuzzReadCorpus(f *testing.F) {
 	lists := [][]uint32{
 		{1, 5, 9, 1 << 30},
@@ -255,18 +245,7 @@ func FuzzReadCorpus(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := WriteCorpus(&buf, sets); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	var empty bytes.Buffer
-	if _, err := WriteCorpus(&empty, nil); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
-	// Mixed-representation v3 corpus seed: auto picks array, dense and
-	// segmented across these lists.
+	// Auto picks array, dense and segmented across these lists.
 	autoCfg := DefaultConfig()
 	autoCfg.Rep = RepAuto
 	mixed, err := BuildSets([][]uint32{
@@ -277,17 +256,16 @@ func FuzzReadCorpus(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var mixedBuf bytes.Buffer
-	if _, err := WriteCorpus(&mixedBuf, mixed); err != nil {
-		f.Fatal(err)
+	for _, c := range [][]*Set{sets, nil, mixed} {
+		f.Add(corpusBytes(f, c))
+		f.Add(corpusBytesV3(f, c))
 	}
-	f.Add(mixedBuf.Bytes())
 	f.Add([]byte("FESIAC2\x00junk"))
 	f.Add([]byte("FESIAC3\x00junk"))
 	f.Add([]byte{})
 	// Forged header demanding an enormous corpus: must fail at a short read,
 	// not allocate.
-	huge := append([]byte(nil), buf.Bytes()[:8+28]...)
+	huge := append([]byte(nil), corpusBytes(f, sets)[:8+28]...)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F) // numSets
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {

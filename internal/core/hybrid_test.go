@@ -451,7 +451,7 @@ func TestHybridStatsCounters(t *testing.T) {
 	}
 }
 
-// TestHybridSerializeRoundTrip: v3 single-set snapshots must round-trip all
+// TestHybridSerializeRoundTrip: single-set snapshots must round-trip all
 // three representations bit-exactly, preserving the representation.
 func TestHybridSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -493,7 +493,7 @@ func TestHybridSerializeRoundTrip(t *testing.T) {
 }
 
 // TestHybridSnapshotIntegrity: every single-byte flip and every truncation
-// of a v3 array or dense snapshot must fail the load.
+// of an array or dense snapshot must fail the load.
 func TestHybridSnapshotIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for _, rep := range []Rep{RepArray, RepDense} {
@@ -526,8 +526,8 @@ func TestHybridSnapshotIntegrity(t *testing.T) {
 }
 
 // TestHybridCorpusRoundTrip: a mixed-representation corpus must round-trip
-// through the v3 corpus stream with representations preserved and the sets
-// rebuilt into a working arena.
+// through the corpus stream with representations preserved and the sets
+// read into a working arena.
 func TestHybridCorpusRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	lists := [][]uint32{

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"fesia/internal/hashutil"
 	"fesia/internal/simd"
@@ -17,13 +18,16 @@ import (
 // Serialization of a Set, so the offline construction phase (Section VII-A:
 // "the data structure of our approach is built offline") can be paid once
 // and the structure shipped to query servers. Snapshots travel through
-// object stores and disks the query servers do not control, so the stream is
-// treated as untrusted: every section carries a CRC32C checksum and the
-// reader re-validates every structural invariant, turning bit rot into a
-// load-time error instead of silent result corruption.
+// object stores and disks the query servers do not control, so a stream is
+// treated as untrusted: it carries CRC32C checksums and the reader
+// re-validates every structural invariant, turning bit rot into a load-time
+// error instead of silent result corruption.
 //
-// v3 ("FESIA3") records the representation per set — the first format aware
-// of the hybrid layouts — as a fixed little-endian stream:
+// One format is written: the v4 stream of corpus.go, the sets' arena
+// regions as they lie in memory. Set.WriteTo writes it with one set, and
+// ReadSet reads it holding exactly one. ReadSet also reads the v3 set stream
+// ("FESIA3") for files already written, a fixed little-endian stream that
+// keeps offsets in place of the rank directory:
 //
 //	magic "FESIA3\x00\x00" (8 bytes)
 //	config: width, segBits, stride (uint32 each), scale (float64), seed (uint64)
@@ -38,12 +42,8 @@ import (
 //	  RepDense:     dense words (mBits/64 × uint64) covering value range
 //	                [base, base+mBits)
 //
-// Segment lengths come from the offsets; maxSeg is recomputed on load. The
-// stream keeps the offsets, not the in-memory rank directory: the writer
-// expands the directory into them and the reader derives it from them once
-// they validate, so the in-memory layout may change without the stream
-// changing. v3 is the only format written or read: the earlier FESIA1 and
-// FESIA2 streams (segmented-only) fail as a bad magic.
+// Its reader validates the offsets and derives the directory from them. The
+// earlier FESIA1 and FESIA2 streams (segmented-only) fail as a bad magic.
 
 var setMagicV3 = [8]byte{'F', 'E', 'S', 'I', 'A', '3', 0, 0}
 
@@ -115,92 +115,37 @@ func noEOF(err error) error {
 	return err
 }
 
-// WriteTo serializes the set in the v3 checksummed format. It implements
-// io.WriterTo.
+// WriteTo serializes the set as a v4 stream holding it alone (see
+// WriteCorpus). It implements io.WriterTo.
 func (s *Set) WriteTo(w io.Writer) (int64, error) {
-	n, err := s.writeTo(w)
+	n, err := writeSnapshot(w, []*Set{s}, bigEndianHost())
 	statsOutcome(err, stats.CtrSnapshotWrites, stats.CtrSnapshotWriteErrors)
 	return n, err
-}
-
-func (s *Set) writeTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if err := writeSetBody(cw, s); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// writeSetBody writes one set's v3 stream: representation-tagged header
-// followed by the representation's payload sections, each checksummed.
-func writeSetBody(cw *crcWriter, s *Set) error {
-	write := func(v interface{}) error {
-		return binary.Write(cw, binary.LittleEndian, v)
-	}
-	if _, err := cw.Write(setMagicV3[:]); err != nil {
-		return err
-	}
-	cfg := s.build.cfg
-	hdr := []interface{}{
-		uint32(cfg.Width), uint32(cfg.SegBits), uint32(1), // kernel stride
-		math.Float64bits(cfg.Scale), cfg.Seed,
-		uint32(s.rep), s.base,
-		uint64(s.n), s.BitmapBits(),
-	}
-	for _, v := range hdr {
-		if err := write(v); err != nil {
-			return err
-		}
-	}
-	if err := cw.emitCRC(); err != nil {
-		return err
-	}
-	_, sections := s.sections(nil)
-	for _, section := range sections {
-		if err := write(section); err != nil {
-			return err
-		}
-		if err := cw.emitCRC(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sections returns the set's payload sections in stream order, shared by
-// both stream writers: a segmented set's bitmap words, its offsets (the
-// directory expanded into off, grown as needed, which is returned) and its
-// reordered elements; an array set's elements; a dense set's words.
-func (s *Set) sections(off []uint32) ([]uint32, []interface{}) {
-	switch s.rep {
-	case RepArray:
-		return off, []interface{}{s.elems()}
-	case RepDense:
-		return off, []interface{}{s.denseWords()}
-	}
-	words, _, elems := s.region()
-	off = s.offsets(off)
-	return off, []interface{}{words, off, elems}
 }
 
 // maxReasonable bounds header-declared sizes: anything above it is treated
 // as corruption rather than attempted.
 const maxReasonable = 1 << 40
 
-// readConfig decodes and normalizes the build configuration that opens both
-// stream headers: width, segBits, stride (uint32 each), scale (float64) and
-// seed (uint64). The stride field names a sampled kernel table, which no
-// query reads: writers record 1, and a valid stride (0 or 1, or 4 or 8 with
-// AVX512) is accepted and otherwise ignored.
+// readConfig reads and decodes the build configuration that opens every
+// stream header (parseConfig).
 func readConfig(r io.Reader) (Config, error) {
-	var b [28]byte
+	var b [configBytes]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return Config{}, fmt.Errorf("core: reading header: %w", noEOF(err))
 	}
+	return parseConfig(b[:])
+}
+
+// configBytes is the size of a stream header's configuration.
+const configBytes = 28
+
+// parseConfig decodes and normalizes a stream header's build configuration:
+// width, segBits, stride (uint32 each), scale (float64) and seed (uint64).
+// The stride field names a sampled kernel table, which no query reads:
+// writers record 1, and a valid stride (0 or 1, or 4 or 8 with AVX512) is
+// accepted and otherwise ignored.
+func parseConfig(b []byte) (Config, error) {
 	le := binary.LittleEndian
 	cfg, err := Config{
 		Width:   simd.Width(le.Uint32(b[0:])),
@@ -217,31 +162,59 @@ func readConfig(r io.Reader) (Config, error) {
 	return cfg, nil
 }
 
+// appendConfig appends cfg as parseConfig decodes it, with stride 1.
+func appendConfig(b []byte, cfg Config) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(cfg.Width))
+	b = le.AppendUint32(b, uint32(cfg.SegBits))
+	b = le.AppendUint32(b, 1) // kernel stride
+	b = le.AppendUint64(b, math.Float64bits(cfg.Scale))
+	return le.AppendUint64(b, cfg.Seed)
+}
+
 // setMeta is one set's header entry: the representation plus the quantities
 // every array length derives from.
 type setMeta struct {
 	rep   Rep
+	kept  bool // a v4 entry's flag: the segmented set keeps its offsets
 	base  uint32
 	n     int
 	mBits uint64
 }
 
-// readSetMeta reads one set's header entry into b — rep and base (uint32
-// each), n and mBits (uint64 each) — and applies the per-representation
-// domain checks. b is the caller's, so a corpus reuses one buffer.
-func readSetMeta(r io.Reader, b *[24]byte) (setMeta, error) {
+// entryBytes is the size of one set's header entry.
+const entryBytes = 24
+
+// readSetMeta reads one v3 header entry into b (parseSetMeta). b is the
+// caller's, so a corpus reuses one buffer.
+func readSetMeta(r io.Reader, b *[entryBytes]byte) (setMeta, error) {
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return setMeta{}, fmt.Errorf("reading set header: %w", noEOF(err))
 	}
+	return parseSetMeta(b[:], false)
+}
+
+// parseSetMeta decodes one set's header entry — rep and base (uint32 each),
+// n and mBits (uint64 each) — and applies the per-representation domain
+// checks. In a v4 entry the rep field's second byte is the kept flag, 0 or
+// 1, and 1 only for a segmented set; its upper two bytes are zero.
+func parseSetMeta(b []byte, v4 bool) (setMeta, error) {
 	le := binary.LittleEndian
 	rep32, n64 := le.Uint32(b[0:]), le.Uint64(b[8:])
+	kept := false
+	if v4 {
+		if flag := rep32 >> 8; flag > 1 || flag == 1 && Rep(rep32) != RepSegmented {
+			return setMeta{}, fmt.Errorf("invalid entry flags %#x", flag)
+		}
+		kept, rep32 = rep32>>8 == 1, rep32&0xff
+	}
 	if rep32 >= uint32(numReps) {
 		return setMeta{}, fmt.Errorf("invalid representation %d", rep32)
 	}
 	if n64 > maxReasonable {
 		return setMeta{}, fmt.Errorf("implausible set size %d", n64)
 	}
-	m := setMeta{rep: Rep(rep32), base: le.Uint32(b[4:]), n: int(n64), mBits: le.Uint64(b[16:])}
+	m := setMeta{rep: Rep(rep32), kept: kept, base: le.Uint32(b[4:]), n: int(n64), mBits: le.Uint64(b[16:])}
 	switch m.rep {
 	case RepSegmented:
 		if !hashutil.IsPow2(m.mBits) || m.mBits < 64 || m.mBits > maxReasonable {
@@ -269,10 +242,23 @@ func readSetMeta(r io.Reader, b *[24]byte) (setMeta, error) {
 	return m, nil
 }
 
-// ReadSet deserializes a Set written by WriteTo, validating the section
-// checksums, the header, and every structural invariant — a corrupted or
-// truncated stream yields an error, never a panic or a silently wrong set.
-// Only the v3 format is read.
+// appendEntry appends s's v4 header entry.
+func appendEntry(b []byte, s *Set) []byte {
+	le := binary.LittleEndian
+	rep := uint32(s.rep)
+	if s.rep == RepSegmented && !s.hasDirectory() {
+		rep |= 1 << 8 // kept
+	}
+	b = le.AppendUint32(b, rep)
+	b = le.AppendUint32(b, s.base)
+	b = le.AppendUint64(b, uint64(s.n))
+	return le.AppendUint64(b, s.BitmapBits())
+}
+
+// ReadSet deserializes a Set written by WriteTo — a v4 stream holding one
+// set — or a v3 set stream, validating the checksums, the header, and every
+// structural invariant: a corrupted or truncated stream yields an error,
+// never a panic or a silently wrong set.
 func ReadSet(r io.Reader) (*Set, error) {
 	s, err := readSet(r)
 	statsOutcome(err, stats.CtrSnapshotReads, stats.CtrSnapshotReadErrors)
@@ -280,20 +266,31 @@ func ReadSet(r io.Reader) (*Set, error) {
 }
 
 func readSet(r io.Reader) (*Set, error) {
-	br := bufio.NewReader(r)
+	sr := newStreamReader(r)
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", noEOF(err))
+	if err := sr.read(magic[:]); err != nil {
+		return nil, fmt.Errorf("core: reading magic: %w", err)
 	}
-	if magic != setMagicV3 {
-		return nil, fmt.Errorf("core: bad magic %q (only %q is read)", magic[:], setMagicV3[:])
+	switch magic {
+	case corpusMagicV4:
+		sets, err := readV4(sr, true, bigEndianHost())
+		if err != nil {
+			return nil, err
+		}
+		return sets[0], nil
+	case setMagicV3:
+		return readSetV3(&crcReader{r: bufio.NewReader(r), crc: sr.crc})
 	}
-	cr := &crcReader{r: br, crc: crc32.Update(0, castagnoli, magic[:])}
+	return nil, fmt.Errorf("core: bad magic %q (only %q and %q are read)", magic[:], corpusMagicV4[:], setMagicV3[:])
+}
+
+// readSetV3 reads the rest of a v3 set stream, past its magic.
+func readSetV3(cr *crcReader) (*Set, error) {
 	cfg, err := readConfig(cr)
 	if err != nil {
 		return nil, err
 	}
-	h, err := readSetMeta(cr, new([24]byte))
+	h, err := readSetMeta(cr, new([entryBytes]byte))
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -320,7 +317,7 @@ func readSet(r io.Reader) (*Set, error) {
 			return nil, err
 		}
 	}
-	slab, err := layout(cfg, []setMeta{h})
+	slab, err := layout(cfg, []setMeta{h}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -341,8 +338,8 @@ func readSet(r io.Reader) (*Set, error) {
 // which must equal the stored word. A stored bit with no element behind it
 // (a stray bit) and an element whose bit is clear (a missing bit) both make
 // the two differ. The walk is O(n + m/64), visits no empty segment and
-// needs no scratch. Once every check holds, the set's segment bounds are
-// indexed from off. It is shared by ReadSet and ReadCorpus.
+// needs no scratch. It checks a v3 set and a v4 set that keeps its offsets;
+// the caller then derives the set's bounds from off (index, keep).
 func validateShell(s *Set, off []uint32) error {
 	words, _, elems := s.region()
 	n := s.n
@@ -381,8 +378,132 @@ func validateShell(s *Set, off []uint32) error {
 				w, stored, acc)
 		}
 	}
-	s.index(off)
 	return nil
+}
+
+// walk validates a segmented set read from a v4 stream with its rank
+// directory in one pass over its bitmap words, and sets maxSeg. Per word,
+// in order: the directory's base equals the elements stored before the
+// word; each element up to the next word's base (past the last word, up
+// to n) hashes into the word, its segment is not below the previous
+// element's, and within a segment the elements strictly ascend; the OR of
+// the elements' bits equals the word; and the surplus entry is the one
+// index derives: zero when the word stores as many elements as it has set
+// bits (one compare), else derived from its elements (surplusOf). maxSeg is
+// the longest run of one segment. It accepts exactly the shells
+// validateShell accepts with the offsets the directory expands to, and
+// index derives exactly their directory.
+func (s *Set) walk() error {
+	words, dir, elems := s.region()
+	h := s.build.hasher
+	mBits := s.mBits()
+	shift := segShift(s)
+	n := s.n
+	count, run, maxSeg := uint32(0), uint32(0), uint32(0)
+	prev := int64(-1) // the previous element's segment
+	for w, word := range words {
+		if dir[2*w] != count {
+			return fmt.Errorf("core: rank directory says %d elements precede bitmap word %d, %d do", dir[2*w], w, count)
+		}
+		end := n
+		if w+1 < len(words) {
+			end = dir[2*w+2]
+		}
+		if end < count || end > n {
+			return fmt.Errorf("core: rank directory corrupt at bitmap word %d (ends at %d of %d elements)", w, end, n)
+		}
+		var acc uint64
+		for j := count; j < end; j++ {
+			v := elems[j]
+			p := h.Pos(v, mBits)
+			if p>>6 != uint64(w) {
+				return fmt.Errorf("core: element %d stored in bitmap word %d hashes to word %d", v, w, p>>6)
+			}
+			seg := int64(p >> shift)
+			switch {
+			case seg < prev:
+				return fmt.Errorf("core: element %d of segment %d stored after segment %d", v, seg, prev)
+			case seg == prev:
+				if elems[j-1] >= v {
+					return fmt.Errorf("core: segment %d not strictly ascending", seg)
+				}
+				run++
+			default:
+				prev, run = seg, 1
+			}
+			maxSeg = max(maxSeg, run)
+			acc |= 1 << (p & 63)
+		}
+		if acc != word {
+			return fmt.Errorf("core: bitmap word %d is %016x, its elements hash to %016x (stray or missing bits)",
+				w, word, acc)
+		}
+		sur := uint32(0)
+		if end-count != uint32(bits.OnesCount64(word)) {
+			var ok bool
+			if sur, ok = s.surplusOf(word, elems[count:end]); !ok {
+				return fmt.Errorf("core: bitmap word %d's hash collisions overflow its rank directory entry", w)
+			}
+		}
+		if dir[2*w+1] != sur {
+			return fmt.Errorf("core: rank directory surplus of bitmap word %d is %08x, its elements give %08x", w, dir[2*w+1], sur)
+		}
+		count = end
+	}
+	s.maxSeg = maxSeg
+	return nil
+}
+
+// surplusOf derives the surplus entry of a bitmap word from elems, the
+// elements it stores, whose hash bits collide: it counts them per segment
+// of the word and hands the segment starts to surplus, as index does with
+// offsets.
+func (s *Set) surplusOf(word uint64, elems []uint32) (uint32, bool) {
+	var at [64/8 + 1]uint32 // the starts of at most 8 segments a word, and its end
+	h, mBits, shift := s.build.hasher, s.mBits(), segShift(s)
+	for _, v := range elems {
+		at[1+h.Pos(v, mBits)&63>>shift]++
+	}
+	spw := 64 / s.segBits()
+	for j := 1; j <= spw; j++ {
+		at[j] += at[j-1]
+	}
+	return surplus(word, s.segBits(), at[:spw+1])
+}
+
+// checkKept validates a segmented set read from a v4 stream with the
+// offsets off it keeps: its directory area is zero, its shell passes
+// validateShell against off, and its collisions do overflow the directory
+// (index fails), so that a set has one stream. The set then keeps off.
+func (s *Set) checkKept(off []uint32) error {
+	_, dir, _ := s.region()
+	for _, d := range dir {
+		if d != 0 {
+			return fmt.Errorf("core: a set that keeps its offsets has a nonzero rank directory")
+		}
+	}
+	if err := validateShell(s, off); err != nil {
+		return err
+	}
+	if s.index(off) {
+		return fmt.Errorf("core: a set keeps offsets its rank directory holds")
+	}
+	s.keep(off)
+	return nil
+}
+
+// pad returns the uint32 that rounds an odd count of a segmented or array
+// set's elements up to a whole word (0 for an even count): zero in every
+// arena, so that a set has one stream.
+func (s *Set) pad() uint32 {
+	if s.n%2 == 0 || s.rep == RepDense {
+		return 0
+	}
+	var skip uint // a segmented set's words and directory
+	if s.rep == RepSegmented {
+		skip = 16 << (s.logW & 31)
+	}
+	return (*[2 * partWords]uint32)(unsafe.Add(s.start(), skip))[: s.n+1 : s.n+1][s.n]
 }
 
 // validateArrayShell checks the single structural invariant of a
@@ -402,7 +523,7 @@ func validateArrayShell(s *Set) error {
 // dense set: the word count matches the header's claimed element count, and
 // the cover is canonical — the first and last words are non-empty, so every
 // logically-equal set has exactly one dense encoding (denseLayout's minimal
-// cover). The base/span domain checks already ran in readSetMeta.
+// cover). The base/span domain checks already ran in parseSetMeta.
 func validateDenseShell(s *Set) error {
 	words := s.denseWords()
 	total := 0

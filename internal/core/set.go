@@ -302,7 +302,7 @@ func BuildSets(lists [][]uint32, cfg Config) ([]*Set, error) {
 		}
 		metas[i] = m
 	}
-	slab, err := layout(cfg, metas)
+	slab, err := layout(cfg, metas, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -344,10 +344,11 @@ func checkArena(words uint64) error {
 }
 
 // layout lays out one build of the sets metas describe: it sizes their
-// regions, back to back in input order, checks the arena (checkArena),
-// allocates it zeroed with its guard word, and returns one header per set,
-// in one slab, addressing its region. The caller fills the regions.
-func layout(cfg Config, metas []setMeta) ([]Set, error) {
+// regions, back to back in input order, checks the arena (checkArena) and
+// returns one header per set, in one slab, addressing its region of arena.
+// A v4 read passes the arena it read, the regions and one guard word; nil
+// has layout allocate it zeroed with its guard word, for the caller to fill.
+func layout(cfg Config, metas []setMeta, arena []uint64) ([]Set, error) {
 	words := uint64(0)
 	for _, m := range metas {
 		if uint64(m.n) > math.MaxUint32 {
@@ -358,7 +359,10 @@ func layout(cfg Config, metas []setMeta) ([]Set, error) {
 	if err := checkArena(words); err != nil {
 		return nil, err
 	}
-	b := &buildState{cfg: cfg, hasher: hashutil.New(cfg.Seed), arena: make([]uint64, words+1)}
+	if arena == nil {
+		arena = make([]uint64, words+1)
+	}
+	b := &buildState{cfg: cfg, hasher: hashutil.New(cfg.Seed), arena: arena}
 	slab := make([]Set, len(metas))
 	at := uint64(0)
 	for i, m := range metas {
@@ -512,38 +516,65 @@ func (s *Set) fill(sorted []uint32, cur []uint32) {
 		cur[seg]--
 		elems[cur[seg]] = x
 	}
-	s.index(cur)
+	if !s.index(cur) {
+		s.keep(slices.Clone(cur))
+	}
 }
 
 // maxSurplus is the largest surplus a rank directory nibble holds.
 const maxSurplus = 15
 
-// index sets the segment bounds from off, the nseg+1 segment starts of a
-// consistent shell (every set bit has an element behind it, so a word's
-// surplus only grows from bit to bit): it derives the rank directory into
-// the set's region (see span), or, when some word stores more than
-// maxSurplus elements beyond its set bits, keeps a copy of off in the build
-// and points the header at it.
-func (s *Set) index(off []uint32) {
+// index derives the rank directory (see span) into the set's region from
+// off, the nseg+1 segment starts of a consistent shell (every set bit has an
+// element behind it, so a word's surplus only grows from bit to bit), and
+// reports true. When some word stores more than maxSurplus elements beyond
+// its set bits it reports false and leaves the directory area zero, so the
+// region is the same whichever form the set keeps its bounds in; the
+// caller then keeps the offsets (keep).
+func (s *Set) index(off []uint32) bool {
 	words, dir, _ := s.region()
 	segBits := s.segBits()
 	spw := 64 / segBits
 	for w, word := range words {
-		base := off[w*spw]
-		extra := off[(w+1)*spw] - base - uint32(bits.OnesCount64(word))
-		if extra > maxSurplus {
-			b := s.build
-			b.offsets = append(b.offsets, slices.Clone(off))
-			s.aux = uint32(len(b.offsets))
-			return
+		at := off[w*spw : (w+1)*spw+1]
+		sur := uint32(0)
+		if at[spw]-at[0] != uint32(bits.OnesCount64(word)) {
+			var ok bool
+			if sur, ok = surplus(word, segBits, at); !ok {
+				clear(dir)
+				return false
+			}
 		}
-		sur := extra << 28 // nibble 7: the surplus below bit 64
-		for j := 1; extra > 0 && j < spw; j++ {
-			k := j * segBits // the bit just past segment j-1 of the word
-			sur |= (off[w*spw+j] - base - uint32(bits.OnesCount64(word<<(64-k)))) << (k/2 - 4)
-		}
-		dir[2*w], dir[2*w+1] = base, sur
+		dir[2*w], dir[2*w+1] = at[0], sur
 	}
+	return true
+}
+
+// surplus returns the surplus entry of a bitmap word whose elements
+// collide, from at, the elements stored before each of the word's 64/segBits
+// segments and past its last: nibble t holds the elements hashed below bit
+// 8(t+1) beyond the word's set bits below it (see span), nibble 7 the whole
+// word's. ok is false when that exceeds maxSurplus.
+func surplus(word uint64, segBits int, at []uint32) (sur uint32, ok bool) {
+	spw := len(at) - 1
+	extra := at[spw] - at[0] - uint32(bits.OnesCount64(word))
+	if extra > maxSurplus {
+		return 0, false
+	}
+	sur = extra << 28 // nibble 7: the surplus below bit 64
+	for j := 1; extra > 0 && j < spw; j++ {
+		k := j * segBits // the bit just past segment j-1 of the word
+		sur |= (at[j] - at[0] - uint32(bits.OnesCount64(word<<(64-k)))) << (k/2 - 4)
+	}
+	return sur, true
+}
+
+// keep makes off, the set's nseg+1 segment starts, the bounds it keeps in its
+// build in place of a rank directory.
+func (s *Set) keep(off []uint32) {
+	b := s.build
+	b.offsets = append(b.offsets, off)
+	s.aux = uint32(len(b.offsets))
 }
 
 // hasDirectory reports whether a segmented set's bounds come from the rank
@@ -598,22 +629,6 @@ func (s *Set) stored(i int) int {
 	}
 	lo, _ := s.bounds(i * (64 / s.segBits()))
 	return int(lo)
-}
-
-// offsets writes the set's nseg+1 segment starts, the snapshot stream's
-// offsets section, into buf (grown as needed) and returns them: a copy of
-// the offsets an overflowing set keeps, or its directory expanded.
-func (s *Set) offsets(buf []uint32) []uint32 {
-	if !s.hasDirectory() {
-		return append(buf[:0], s.kept()...)
-	}
-	nseg := s.numSegments()
-	buf = growU32(buf, nseg+1)
-	for i := range nseg {
-		buf[i], _ = s.bounds(i)
-	}
-	buf[nseg] = s.n
-	return buf
 }
 
 // MustNewSet is NewSet for known-good configurations; it panics on error.

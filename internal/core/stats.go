@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fesia/internal/stats"
+	"fesia/internal/trace"
 )
 
 // Observability wiring. The query engine records into the internal/stats
@@ -114,21 +115,18 @@ func (l *lane) kernelShard() *stats.Shard {
 }
 
 // clockAnchor is the origin Now reads the clock from. It carries a
-// monotonic reading, so every time Now derives from it does too.
+// monotonic reading, so time.Since of it reads only the monotonic clock.
 var clockAnchor = time.Now()
 
-// Now returns the current time off one monotonic clock read: time.Since of
-// a time that carries a monotonic reading reads only the monotonic clock,
-// where time.Now reads the wall clock as well. Subtracting two Now stamps
-// uses their monotonic readings. A stamp's wall reading is the anchor's plus
-// the monotonic time since, so it misses any step the system clock took
-// after start; the query path only ever subtracts stamps. Every timed frame
-// and the serving tier read the clock through Now.
-func Now() time.Time { return clockAnchor.Add(time.Since(clockAnchor)) }
+// Now returns the current stamp off one monotonic clock read: the time
+// since the process's clock anchor, with no wall-clock read and no
+// time.Time built. Every timed frame and the serving tier read the clock
+// through Now, and the query path only ever subtracts stamps.
+func Now() trace.Stamp { return trace.Stamp(time.Since(clockAnchor)) }
 
 // since reads a timed frame's end stamp, keeps it for TakeEnd and returns
 // the time the frame ran from start.
-func (e *Executor) since(start time.Time) time.Duration {
+func (e *Executor) since(start trace.Stamp) time.Duration {
 	e.end = Now()
 	return e.end.Sub(start)
 }
@@ -138,16 +136,16 @@ func (e *Executor) since(start time.Time) time.Duration {
 // last call. A frame times itself when stats or a trace cell are attached,
 // and stamps its end only when it succeeds. A serving tier closes its own
 // latency and spans on this stamp instead of reading the clock again.
-func (e *Executor) TakeEnd() (end time.Time, ok bool) {
-	end, e.end = e.end, time.Time{}
-	return end, !end.IsZero()
+func (e *Executor) TakeEnd() (end trace.Stamp, ok bool) {
+	end, e.end = e.end, 0
+	return end, end != 0
 }
 
 // observeSince records one query's strategy count and its latency from
 // start to the frame's end stamp (since) into the executor's shard. A timed
 // frame reads the clock twice, once at each end, off the monotonic clock
 // (Now).
-func (e *Executor) observeSince(q stats.Counter, h stats.LatHist, start time.Time) {
+func (e *Executor) observeSince(q stats.Counter, h stats.LatHist, start trace.Stamp) {
 	e.st.Inc(q)
 	e.st.Observe(h, e.since(start))
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fesia/internal/stats"
 	"fesia/internal/trace"
@@ -89,12 +88,12 @@ func TestExecutorStatsRecording(t *testing.T) {
 	cell := tr.ShardCell(0, 0)
 	tracer := NewExecutor()
 	tracer.SetTraceCell(cell)
-	base := time.Now()
+	base := Now()
 	tr.Begin(0, base)
 	cell.Reset(base)
 	tracer.Count(ma, mb)
 	var kernelEvents []trace.Span
-	for _, sp := range tr.Capture(0, tr.Finish(0, time.Since(base), true)).Spans {
+	for _, sp := range tr.Capture(0, tr.Finish(0, Now().Sub(base), true)).Spans {
 		if sp.Kind == "kernel" {
 			kernelEvents = append(kernelEvents, sp)
 		}
@@ -457,11 +456,11 @@ func TestPairObservabilityParity(t *testing.T) {
 	for _, p := range pairs {
 		for _, c := range calls {
 			before := e.Stats()
-			base := time.Now()
+			base := Now()
 			tr.Begin(0, base)
 			cell.Reset(base)
 			c.fn(p.x, p.y)
-			capd := tr.Capture(0, tr.Finish(0, time.Since(base), true))
+			capd := tr.Capture(0, tr.Finish(0, Now().Sub(base), true))
 			var arms []string
 			for _, sp := range capd.Spans {
 				if sp.Kind == "strategy" {

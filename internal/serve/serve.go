@@ -306,7 +306,7 @@ func (t *Tier) queryCount(ctx context.Context, forced bool, items []uint32) (int
 // reads the stats path already paid for), decides retention and (for forced
 // captures) renders the breakdown. Called by the slot owner before release;
 // no-op without a tracer, allocation-free unless forced.
-func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced bool, flags uint8, nitems, count int, arrival, start time.Time, el time.Duration) *trace.Captured {
+func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced bool, flags uint8, nitems, count int, arrival, start trace.Stamp, el time.Duration) *trace.Captured {
 	if tr == nil {
 		return nil
 	}
@@ -346,7 +346,7 @@ func (t *Tier) commitTrace(tr *trace.Tracer, st *stats.Shard, slot int, forced b
 // unknown item, a context already done, a cancelled frame). When tracing, it
 // points the executor at the slot's shard cell before the query runs and
 // appends the part's span after.
-func (t *Tier) queryPart(ctx context.Context, slot int, start time.Time, items []uint32) (int, time.Time, error) {
+func (t *Tier) queryPart(ctx context.Context, slot int, start trace.Stamp, items []uint32) (int, trace.Stamp, error) {
 	e := t.acquireEpoch()
 	defer e.drain.Release()
 	ex := t.exs[slot]

@@ -122,13 +122,27 @@ type Rec struct {
 // cell's truncation marker and drops the extras rather than growing.
 const MaxSpans = 8
 
+// Stamp is a monotonic clock reading: the time since a process-wide anchor
+// (core.Now), so taking one needs no wall-clock read and no time.Time
+// arithmetic. Stamps of one process subtract to the time between them.
+type Stamp time.Duration
+
+// Sub returns the time from u to s.
+func (s Stamp) Sub(u Stamp) time.Duration { return time.Duration(s - u) }
+
+// Before reports whether s is earlier than u.
+func (s Stamp) Before(u Stamp) bool { return s < u }
+
+// After reports whether s is later than u.
+func (s Stamp) After(u Stamp) bool { return s > u }
+
 // Cell is one (row × slot) staging area: a fixed record array written with
 // plain stores by the slot owner, the one goroutine executing there. The
 // serving tier resets the cell at the start of every query (Reset), the
 // engine and tier append records (Event, Span), and the slot owner reads it
 // back at commit.
 type Cell struct {
-	base  time.Time
+	base  Stamp
 	n     int
 	trunc bool
 	recs  [MaxSpans]Rec
@@ -136,7 +150,7 @@ type Cell struct {
 
 // Reset arms the cell for a new query arriving at base. Must be called by
 // the goroutine owning the cell for this query before any Event/Span.
-func (c *Cell) Reset(base time.Time) {
+func (c *Cell) Reset(base Stamp) {
 	c.base = base
 	c.n = 0
 	c.trunc = false
@@ -145,7 +159,7 @@ func (c *Cell) Reset(base time.Time) {
 // Base returns the arrival time the cell was last armed with. Shard parts
 // use it to arm their shard cells off the slot's tier cell without re-reading
 // the clock.
-func (c *Cell) Base() time.Time { return c.base }
+func (c *Cell) Base() Stamp { return c.base }
 
 // Event appends a zero-duration record without reading the clock — the
 // no-cost form for kernel dispatch marks.
@@ -158,9 +172,9 @@ func (c *Cell) Event(kind Kind, arm uint8, flags uint8, v1, v2 uint64) {
 	c.n++
 }
 
-// Span appends a timed record: start is an absolute time at or after the
-// query's arrival, d its duration.
-func (c *Cell) Span(kind Kind, arm uint8, flags uint8, start time.Time, d time.Duration, v1, v2 uint64) {
+// Span appends a timed record: start is a stamp at or after the query's
+// arrival, d its duration.
+func (c *Cell) Span(kind Kind, arm uint8, flags uint8, start Stamp, d time.Duration, v1, v2 uint64) {
 	if c.n >= MaxSpans {
 		c.trunc = true
 		return
@@ -310,7 +324,7 @@ func (t *Tracer) ShardCell(shard, slot int) *Cell { return t.cell(1+shard, slot)
 
 // Begin arms the slot's tier row for a query arriving at base. Shard rows
 // are armed as each shard part starts.
-func (t *Tracer) Begin(slot int, base time.Time) {
+func (t *Tracer) Begin(slot int, base Stamp) {
 	t.cell(0, slot).Reset(base)
 }
 

@@ -10,10 +10,10 @@ import (
 
 func TestCellStagingAndTruncation(t *testing.T) {
 	var c Cell
-	base := time.Now()
+	base := Stamp(time.Hour)
 	c.Reset(base)
 	c.Event(KindKernel, ArmMerge, FlagError, 10, 20)
-	c.Span(KindStrategy, ArmHash, 0, base.Add(time.Microsecond), 2*time.Microsecond, 5, 6)
+	c.Span(KindStrategy, ArmHash, 0, base+Stamp(time.Microsecond), 2*time.Microsecond, 5, 6)
 	if c.n != 2 {
 		t.Fatalf("staged %d records, want 2", c.n)
 	}
@@ -44,9 +44,9 @@ func TestCellStagingAndTruncation(t *testing.T) {
 
 func TestSpanClampsNegativeOffsets(t *testing.T) {
 	var c Cell
-	base := time.Now()
+	base := Stamp(time.Hour)
 	c.Reset(base)
-	c.Span(KindQueue, ArmNone, 0, base.Add(-time.Second), -time.Second, 0, 0)
+	c.Span(KindQueue, ArmNone, 0, base-Stamp(time.Second), -time.Second, 0, 0)
 	if c.recs[0].Start != 0 || c.recs[0].Dur != 0 {
 		t.Fatalf("negative offsets not clamped: %+v", c.recs[0])
 	}
@@ -137,20 +137,20 @@ func newTestTracer(sampleN int, slow time.Duration) *Tracer {
 }
 
 // stage fakes one query's staging on a slot: tier row + both shard rows.
-func stage(tr *Tracer, slot int, base time.Time, d time.Duration) {
+func stage(tr *Tracer, slot int, base Stamp, d time.Duration) {
 	tr.Begin(slot, base)
 	tr.TierCell(slot).Span(KindQueue, ArmNone, 0, base, time.Microsecond, 0, 0)
 	for sh := 0; sh < 2; sh++ {
 		c := tr.ShardCell(sh, slot)
 		c.Reset(base)
-		c.Span(KindShard, ArmNone, 0, base.Add(time.Microsecond), d, 1, 0)
+		c.Span(KindShard, ArmNone, 0, base+Stamp(time.Microsecond), d, 1, 0)
 	}
 	tr.TierCell(slot).Span(KindQuery, ArmNone, 0, base, d, 2, 9)
 }
 
 func TestFinishHeadSampling(t *testing.T) {
 	tr := newTestTracer(4, 0)
-	base := time.Now()
+	base := Stamp(time.Hour)
 	retained := 0
 	for i := 0; i < 16; i++ {
 		stage(tr, 0, base, time.Millisecond)
@@ -169,7 +169,7 @@ func TestFinishHeadSampling(t *testing.T) {
 
 func TestFinishTailCapture(t *testing.T) {
 	tr := newTestTracer(0, 10*time.Millisecond)
-	base := time.Now()
+	base := Stamp(time.Hour)
 	stage(tr, 1, base, time.Millisecond)
 	if v := tr.Finish(1, time.Millisecond, false); v.Retained() {
 		t.Fatalf("fast query retained: %+v", v)
@@ -204,7 +204,7 @@ func TestFinishTailCapture(t *testing.T) {
 
 func TestFinishForcedWinsAndCaptures(t *testing.T) {
 	tr := newTestTracer(1, time.Nanosecond) // everything also samples + slow
-	base := time.Now()
+	base := Stamp(time.Hour)
 	stage(tr, 0, base, time.Millisecond)
 	v := tr.Finish(0, time.Millisecond, true)
 	if v.Reason != ReasonForced {
@@ -226,7 +226,7 @@ func TestFinishForcedWinsAndCaptures(t *testing.T) {
 
 func TestSlowLogBoundedMostRecentFirst(t *testing.T) {
 	tr := newTestTracer(0, time.Nanosecond)
-	base := time.Now()
+	base := Stamp(time.Hour)
 	for i := 0; i < 10; i++ {
 		stage(tr, 0, base, time.Duration(i+1)*time.Millisecond)
 		tr.Finish(0, time.Duration(i+1)*time.Millisecond, false)
@@ -247,7 +247,7 @@ func TestSlowLogBoundedMostRecentFirst(t *testing.T) {
 
 func TestTracesMergesRings(t *testing.T) {
 	tr := newTestTracer(1, 0) // sample every query
-	base := time.Now()
+	base := Stamp(time.Hour)
 	for i := 0; i < 3; i++ {
 		stage(tr, i%2, base, time.Millisecond)
 		tr.Finish(i%2, time.Millisecond, false)
@@ -272,7 +272,7 @@ func TestTracesMergesRings(t *testing.T) {
 
 func TestHandlersServeJSON(t *testing.T) {
 	tr := newTestTracer(1, time.Nanosecond)
-	base := time.Now()
+	base := Stamp(time.Hour)
 	stage(tr, 0, base, time.Millisecond)
 	tr.Finish(0, time.Millisecond, false)
 
@@ -309,7 +309,7 @@ func TestHandlersServeJSON(t *testing.T) {
 // pre-allocated storage.
 func TestFinishZeroAllocWarm(t *testing.T) {
 	tr := newTestTracer(2, time.Nanosecond) // alternate sampling; everything slow-logged
-	base := time.Now()
+	base := Stamp(time.Hour)
 	allocs := testing.AllocsPerRun(200, func() {
 		stage(tr, 0, base, time.Millisecond)
 		tr.Finish(0, time.Millisecond, false)
